@@ -7,8 +7,10 @@ counterexample executions that pin down its termination-time bounds.
 """
 
 from .adversary import (
+    CHECKS,
     AdversaryCertificate,
     AdversaryParams,
+    Verdict,
     check_alt_estable,
     check_alt_liveness,
     check_alt_safety,
@@ -17,6 +19,7 @@ from .adversary import (
     check_mad,
     check_safety,
     check_vsrc,
+    diagnose,
     generate_alt_estable,
     generate_estable,
 )
@@ -38,15 +41,12 @@ from .graphs import (
     causal_past,
     causal_past_forward,
     check_dynamic_diameter,
-    common_root_intervals,
-    find_ecs_common_root,
-    influences,
-    is_weakly_connected,
     lasso,
     lasso_from_json,
     lasso_to_json,
+    maximal_root_runs,
     root_components,
-    single_root,
+    single_rooted_rounds,
     validate_graph,
 )
 from .harness import (

@@ -13,6 +13,12 @@ stabilizing adversary classes used by the consensus machinery:
 * ``mad(x, y)`` -- alt_safety(x) and alt_liveness with phase parameter y.
 * ``vsrc``      -- a window of rounds with an identical root-component set.
 
+Each class is a conjunction of these conditions: :data:`CHECKS` lists the
+conditions of every kind and :func:`diagnose` evaluates them in order,
+reporting the first that fails with its witness.  The ``check_*`` functions,
+except :func:`check_liveness` (the liveness condition itself), are shorthands
+for :func:`diagnose`.
+
 "Forever" clauses are decided exactly on lassos: a per-round root predicate
 that holds in every cycle graph holds forever, and every distinct finite run
 pattern appears within prefix + two cycle unrollings.
@@ -25,15 +31,17 @@ byte-identical lasso.
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from .graphs import (
     CommGraph,
     LassoSequence,
+    Run,
     check_dynamic_diameter,
+    maximal_root_runs,
     root_components,
     single_rooted_rounds,
 )
@@ -119,59 +127,35 @@ class SafetyWitness:
 
 
 @dataclass(frozen=True)
-class Run:
-    """Maximal run of consecutive rounds on which ``root`` is a root component."""
+class VsrcResult:
+    ok: bool
+    window_start: Optional[int] = None
+    reason: Optional[str] = None
 
-    root: frozenset
-    start: int
-    end: Optional[int]  # None = forever
+    def to_json_dict(self) -> dict:
+        return {"ok": self.ok, "window_start": self.window_start, "reason": self.reason}
 
-    def length(self) -> float:
-        return math.inf if self.end is None else self.end - self.start + 1
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of :func:`diagnose`.
+
+    When ``ok``, ``certificate`` is what the kind issues: an
+    :class:`AdversaryCertificate`, a :class:`VsrcResult`, or ``None`` for the
+    kinds that only refute.  Otherwise ``failed`` names the first condition
+    that does not hold and ``witness`` is its witness (``None`` for the
+    liveness conditions, which have none).
+    """
+
+    ok: bool
+    certificate: object = None
+    failed: Optional[str] = None
+    witness: object = None
 
 
 def _scan_bound(l: LassoSequence, horizon: Optional[int] = None, extra: int = 0) -> int:
     base = len(l.prefix) + 2 * len(l.cycle) + 1 + extra
     return max(base, horizon or 0)
-
-
-def maximal_root_runs(l: LassoSequence, scan_to: Optional[int] = None) -> list:
-    """Every maximal common-root run starting within ``scan_to`` rounds.
-
-    Finite runs carry exact bounds even when they extend past ``scan_to``;
-    a run whose root is a root component of every cycle graph extends
-    forever and is marked with ``end=None``.
-    """
-    scan_to = _scan_bound(l, scan_to)
-    always_cycle_roots = frozenset.intersection(
-        *[frozenset(root_components(g)) for g in l.cycle]
-    )
-    open_runs = {}
-    runs = []
-    for r in range(1, scan_to + 1):
-        roots_now = root_components(l.graph(r))
-        for root in list(open_runs):
-            if root not in roots_now:
-                runs.append(Run(root, open_runs.pop(root), r - 1))
-        for root in roots_now:
-            open_runs.setdefault(root, r)
-    for root, start in open_runs.items():
-        if root in always_cycle_roots:
-            runs.append(Run(root, start, None))
-        else:
-            # the run must break within one further cycle pass
-            r = scan_to + 1
-            while root in root_components(l.graph(r)):
-                r += 1
-                if r > scan_to + len(l.cycle) + 1:
-                    raise AssertionError("finite run failed to terminate within a cycle")
-            runs.append(Run(root, start, r - 1))
-    runs.sort(key=lambda run: (run.start, run.end if run.end is not None else math.inf, sorted(run.root)))
-    return runs
-
-
-def _single_round_map(l: LassoSequence, upto: int) -> dict:
-    return {root: rounds for root, rounds in single_rooted_rounds(l, upto).items()}
 
 
 def check_liveness(l: LassoSequence) -> Optional[AdversaryCertificate]:
@@ -204,63 +188,6 @@ def check_liveness(l: LassoSequence) -> Optional[AdversaryCertificate]:
     return AdversaryCertificate("liveness", r_gst, r_sr, root)
 
 
-def check_safety(l: LassoSequence, x: int, horizon: Optional[int] = None) -> Optional[SafetyWitness]:
-    """Check that every over-long common root run is the permanent one.
-
-    A root common for more than ``x`` consecutive rounds anywhere (scanning
-    to ``horizon`` and across the cycle) must be the liveness root's final,
-    infinite run.  Returns ``None`` when satisfied, otherwise the earliest
-    offending run.
-    """
-    if x < 1:
-        raise ValueError("safety parameter x must be >= 1")
-    cert = check_liveness(l)
-    for run in maximal_root_runs(l, horizon):
-        if run.length() <= x:
-            continue
-        is_final_run = (
-            cert is not None
-            and run.end is None
-            and run.root == cert.root
-            and run.start == cert.r_gst
-        )
-        if not is_final_run:
-            return SafetyWitness(run.root, run.start, run.end)
-    return None
-
-
-def check_estable(l: LassoSequence, D: int, horizon: Optional[int] = None) -> Optional[AdversaryCertificate]:
-    """Conjunction of liveness, safety(D) and dynamic diameter D."""
-    live = check_liveness(l)
-    if live is None:
-        return None
-    if check_safety(l, D, horizon) is not None:
-        return None
-    if check_dynamic_diameter(l, D, horizon or l.default_horizon()) is not None:
-        return None
-    return AdversaryCertificate("estable", live.r_gst, live.r_sr, live.root, params={"D": D})
-
-
-def diagnose_estable(l: LassoSequence, D: int, horizon: Optional[int] = None) -> dict:
-    """Like :func:`check_estable` but reporting which condition failed and its witness."""
-    live = check_liveness(l)
-    if live is None:
-        return {"ok": False, "failed": "liveness", "witness": None}
-    safety = check_safety(l, D, horizon)
-    if safety is not None:
-        return {"ok": False, "failed": "safety", "witness": safety.to_json_dict()}
-    diam = check_dynamic_diameter(l, D, horizon or l.default_horizon())
-    if diam is not None:
-        witness = {
-            "root": sorted(diam.root),
-            "rounds": list(diam.rounds),
-            "process": diam.process,
-        }
-        return {"ok": False, "failed": "dynamic_diameter", "witness": witness}
-    cert = AdversaryCertificate("estable", live.r_gst, live.r_sr, live.root, params={"D": D})
-    return {"ok": True, "certificate": cert}
-
-
 def _embedded_single_phase(l: LassoSequence, run: Run, x: int, scan_to: int) -> Optional[int]:
     # earliest start of x+1 consecutive rounds inside the run where the run's
     # root is the single root
@@ -277,21 +204,62 @@ def _embedded_single_phase(l: LassoSequence, run: Run, x: int, scan_to: int) -> 
     return None
 
 
-def check_alt_liveness(
-    l: LassoSequence, D: int, x: int, horizon: Optional[int] = None
-) -> Optional[AdversaryCertificate]:
-    """Find a common root with an embedded (x+1)-round single phase plus D re-appearances.
+# --- the checker table ------------------------------------------------------
 
-    The phase starts at ``r_sr``; the re-appearances are single-rooted rounds
-    strictly after ``r_sr + x``, of which at least D must exist by
-    ``horizon``.  Among all qualifying runs, the lexicographically least
-    ``(r_gst, r_sr, root)`` is certified.
-    """
-    if x < 0:
-        raise ValueError("alt-liveness parameter x must be >= 0")
-    horizon = horizon or l.default_horizon()
+
+class _Case:
+    """One verdict's lasso and validated parameters; liveness is computed at most once."""
+
+    def __init__(self, l: LassoSequence, params: dict):
+        self.l = l
+        self.params = params
+        self.horizon = params["horizon"]  # as given: the safety scans bound their runs by it
+        self.resolved_horizon = self.horizon or l.default_horizon()
+
+    @cached_property
+    def live(self) -> Optional[AdversaryCertificate]:
+        return check_liveness(self.l)
+
+
+# A condition maps (case, value of the parameter it is applied to) to
+# (holds, result); the result is a certificate for the liveness conditions
+# and vsrc, otherwise a witness (None when the condition holds).
+
+
+def _liveness(c: _Case, _) -> tuple:
+    return c.live is not None, c.live
+
+
+def _safety(c: _Case, x: int) -> tuple:
+    for run in maximal_root_runs(c.l, _scan_bound(c.l, c.horizon)):
+        if run.length() <= x:
+            continue
+        is_final_run = (
+            run.end is None
+            and c.live is not None
+            and run.root == c.live.root
+            and run.start == c.live.r_gst
+        )
+        if not is_final_run:
+            return False, SafetyWitness(run.root, run.start, run.end)
+    return True, None
+
+
+def _alt_safety(c: _Case, x: int) -> tuple:
+    scan_to = _scan_bound(c.l, c.horizon, extra=x + 1)
+    long_runs = [run for run in maximal_root_runs(c.l, scan_to) if run.length() >= x + 1]
+    if long_runs:
+        earliest = min(run.start for run in long_runs)
+        for run in long_runs:
+            if run.start == earliest and _embedded_single_phase(c.l, run, x, scan_to) is None:
+                return False, SafetyWitness(run.root, run.start, run.end)
+    return True, None
+
+
+def _alt_liveness(c: _Case, x: int) -> tuple:
+    l, D, horizon = c.l, c.params["D"], c.resolved_horizon
     scan_to = _scan_bound(l, horizon, extra=x + 1)
-    singles = _single_round_map(l, max(scan_to, horizon))
+    singles = single_rooted_rounds(l, max(scan_to, horizon))
     best = None
     for run in maximal_root_runs(l, scan_to):
         if run.length() < x + 1:
@@ -313,7 +281,142 @@ def check_alt_liveness(
                 params={"D": D, "x": x},
             )
             best = (key, cert)
-    return best[1] if best else None
+    return best is not None, best[1] if best else None
+
+
+def _dynamic_diameter(c: _Case, _) -> tuple:
+    witness = check_dynamic_diameter(c.l, c.params["D"], c.resolved_horizon)
+    return witness is None, witness
+
+
+def _vsrc(c: _Case, window: int) -> tuple:
+    l, D = c.l, c.params["D"]
+    diam = check_dynamic_diameter(l, D, c.resolved_horizon)
+    if diam is not None:
+        return False, VsrcResult(False, reason=f"dynamic diameter {D} violated: {diam.describe()}")
+    # window starts repeat with the cycle beyond the prefix
+    for start in range(1, len(l.prefix) + len(l.cycle) + 1):
+        sets = root_components(l.graph(start))
+        if all(root_components(l.graph(r)) == sets for r in range(start + 1, start + window)):
+            return True, VsrcResult(True, window_start=start)
+    return False, VsrcResult(False, reason=f"no {window}-round window with a stable root-component set")
+
+
+# name -> (condition, least value of the parameter it is applied to)
+_CONDITIONS = {
+    "liveness": (_liveness, None),
+    "safety": (_safety, 1),
+    "alt_safety": (_alt_safety, 0),
+    "alt_liveness": (_alt_liveness, 0),
+    "dynamic_diameter": (_dynamic_diameter, None),
+    "vsrc": (_vsrc, 1),
+}
+
+
+class Check(NamedTuple):
+    params: tuple  # parameters the kind reads; a certificate records them
+    conditions: tuple  # (condition, parameter it is applied to), in evaluation order
+    certificate: Optional[str] = None  # AdversaryCertificate kind issued when all hold
+
+
+CHECKS = {
+    "estable": Check(
+        ("D",), (("liveness", None), ("safety", "D"), ("dynamic_diameter", None)), "estable"
+    ),
+    "altestable": Check(
+        ("D",),
+        (("alt_safety", "D"), ("alt_liveness", "D"), ("dynamic_diameter", None)),
+        "alt_estable",
+    ),
+    "liveness": Check((), (("liveness", None),), "liveness"),
+    "safety": Check(("x",), (("safety", "x"),)),
+    "altliveness": Check(("D", "x"), (("alt_liveness", "x"),), "alt_liveness"),
+    "altsafety": Check(("x",), (("alt_safety", "x"),)),
+    "mad": Check(
+        ("D", "x", "y"),
+        (("alt_safety", "x"), ("alt_liveness", "y"), ("dynamic_diameter", None)),
+        "mad",
+    ),
+    "vsrc": Check(("D", "window"), (("vsrc", "window"),)),
+    "diameter": Check(("D",), (("dynamic_diameter", None),)),
+}
+
+
+def _validated(kind: str, check: Check, l: LassoSequence, params: dict) -> dict:
+    D = params.get("D")
+    defaults = {"x": D, "y": D, "window": None if D is None else 4 * D}
+    p = {"horizon": params.get("horizon")}
+    for name in check.params:
+        p[name] = params[name] if params.get(name) is not None else defaults.get(name)
+        if p[name] is None:
+            raise ValueError(f"{kind} check needs parameter {name}")
+    if "D" in p and not 1 <= p["D"] <= l.n - 1:
+        raise ValueError(f"D must satisfy 1 <= D <= n-1, got D={p['D']}, n={l.n}")
+    for name, param in check.conditions:
+        least = _CONDITIONS[name][1]
+        if param is not None and p[param] < least:
+            raise ValueError(f"{name} parameter {param} must be >= {least}, got {p[param]}")
+    if p["horizon"] is not None and p["horizon"] < 1:
+        raise ValueError(f"horizon must be >= 1, got {p['horizon']}")
+    return p
+
+
+def diagnose(kind: str, l: LassoSequence, params: dict) -> Verdict:
+    """Decide whether ``l`` belongs to the adversary class ``kind``, a key of :data:`CHECKS`.
+
+    ``params`` holds the kind's parameters ``D``, ``x``, ``y``, ``window``
+    and an optional scan ``horizon``; a missing or ``None`` ``x`` or ``y``
+    defaults to ``D`` and ``window`` to ``4 * D``.  All of them are validated
+    before any condition runs (:class:`ValueError`).  The conditions then run
+    in table order and the first that fails decides the verdict.
+    """
+    check = CHECKS.get(kind)
+    if check is None:
+        raise ValueError(f"unknown adversary kind {kind!r}")
+    c = _Case(l, _validated(kind, check, l, params))
+    certificate = None
+    for name, param in check.conditions:
+        holds, result = _CONDITIONS[name][0](c, c.params.get(param))
+        if not holds:
+            return Verdict(False, failed=name, witness=result)
+        if result is not None:
+            certificate = result
+    if check.certificate is not None:
+        certificate = replace(
+            certificate,
+            kind=check.certificate,
+            params={name: c.params[name] for name in check.params},
+        )
+    return Verdict(True, certificate=certificate)
+
+
+def check_safety(l: LassoSequence, x: int, horizon: Optional[int] = None) -> Optional[SafetyWitness]:
+    """Check that every over-long common root run is the permanent one.
+
+    A root common for more than ``x`` consecutive rounds anywhere (scanning
+    to ``horizon`` and across the cycle) must be the liveness root's final,
+    infinite run.  Returns ``None`` when satisfied, otherwise the earliest
+    offending run.
+    """
+    return diagnose("safety", l, {"x": x, "horizon": horizon}).witness
+
+
+def check_estable(l: LassoSequence, D: int, horizon: Optional[int] = None) -> Optional[AdversaryCertificate]:
+    """Conjunction of liveness, safety(D) and dynamic diameter D."""
+    return diagnose("estable", l, {"D": D, "horizon": horizon}).certificate
+
+
+def check_alt_liveness(
+    l: LassoSequence, D: int, x: int, horizon: Optional[int] = None
+) -> Optional[AdversaryCertificate]:
+    """Find a common root with an embedded (x+1)-round single phase plus D re-appearances.
+
+    The phase starts at ``r_sr``; the re-appearances are single-rooted rounds
+    strictly after ``r_sr + x``, of which at least D must exist by
+    ``horizon``.  Among all qualifying runs, the lexicographically least
+    ``(r_gst, r_sr, root)`` is certified.
+    """
+    return diagnose("altliveness", l, {"D": D, "x": x, "horizon": horizon}).certificate
 
 
 def check_alt_safety(l: LassoSequence, x: int, horizon: Optional[int] = None) -> Optional[SafetyWitness]:
@@ -323,40 +426,14 @@ def check_alt_safety(l: LassoSequence, x: int, horizon: Optional[int] = None) ->
     the same earliest round, all of them must embed an (x+1)-round single
     phase.  Returns ``None`` when satisfied, otherwise the offending run.
     """
-    if x < 0:
-        raise ValueError("alt-safety parameter x must be >= 0")
-    scan_to = _scan_bound(l, horizon, extra=x + 1)
-    long_runs = [run for run in maximal_root_runs(l, scan_to) if run.length() >= x + 1]
-    if not long_runs:
-        return None
-    earliest = min(run.start for run in long_runs)
-    for run in long_runs:
-        if run.start != earliest:
-            continue
-        if _embedded_single_phase(l, run, x, scan_to) is None:
-            return SafetyWitness(run.root, run.start, run.end)
-    return None
+    return diagnose("altsafety", l, {"x": x, "horizon": horizon}).witness
 
 
 def check_alt_estable(
     l: LassoSequence, D: int, horizon: Optional[int] = None
 ) -> Optional[AdversaryCertificate]:
     """Conjunction of alt_safety(D), alt_liveness(D, x=D) and dynamic diameter D."""
-    if check_alt_safety(l, D, horizon) is not None:
-        return None
-    live = check_alt_liveness(l, D, D, horizon)
-    if live is None:
-        return None
-    if check_dynamic_diameter(l, D, horizon or l.default_horizon()) is not None:
-        return None
-    return AdversaryCertificate(
-        "alt_estable",
-        live.r_gst,
-        live.r_sr,
-        live.root,
-        reappearances=live.reappearances,
-        params={"D": D},
-    )
+    return diagnose("altestable", l, {"D": D, "horizon": horizon}).certificate
 
 
 def check_mad(
@@ -367,47 +444,14 @@ def check_mad(
     The checker certifies any such sequence regardless of whether consensus
     is solvable for the given (x, y).
     """
-    if check_alt_safety(l, x, horizon) is not None:
-        return None
-    live = check_alt_liveness(l, D, y, horizon)
-    if live is None:
-        return None
-    if check_dynamic_diameter(l, D, horizon or l.default_horizon()) is not None:
-        return None
-    return AdversaryCertificate(
-        "mad",
-        live.r_gst,
-        live.r_sr,
-        live.root,
-        reappearances=live.reappearances,
-        params={"D": D, "x": x, "y": y},
-    )
-
-
-@dataclass(frozen=True)
-class VsrcResult:
-    ok: bool
-    window_start: Optional[int] = None
-    reason: Optional[str] = None
-
-    def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "window_start": self.window_start, "reason": self.reason}
+    return diagnose("mad", l, {"D": D, "x": x, "y": y, "horizon": horizon}).certificate
 
 
 def check_vsrc(l: LassoSequence, window: int, D: int, horizon: Optional[int] = None) -> VsrcResult:
     """Look for ``window`` consecutive rounds with an identical root-component set,
     under a dynamic diameter of D."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    diam = check_dynamic_diameter(l, D, horizon or l.default_horizon())
-    if diam is not None:
-        return VsrcResult(False, reason=f"dynamic diameter {D} violated: {diam.describe()}")
-    # window starts repeat with the cycle beyond the prefix
-    for start in range(1, len(l.prefix) + len(l.cycle) + 1):
-        sets = root_components(l.graph(start))
-        if all(root_components(l.graph(r)) == sets for r in range(start + 1, start + window)):
-            return VsrcResult(True, window_start=start)
-    return VsrcResult(False, reason=f"no {window}-round window with a stable root-component set")
+    verdict = diagnose("vsrc", l, {"D": D, "window": window, "horizon": horizon})
+    return verdict.certificate if verdict.ok else verdict.witness
 
 
 # --- generators -------------------------------------------------------------

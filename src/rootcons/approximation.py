@@ -176,19 +176,27 @@ class NodeState:
         }
 
 
+def parse_mode(mode: str) -> Optional[int]:
+    """Rounds of history kept in ``mode``: ``None`` for ``"full"``, k for ``"bounded:<k>"``."""
+    if mode == "full":
+        return None
+    if mode.startswith("bounded:"):
+        try:
+            k = int(mode.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bounded mode needs an integer k, got {mode!r}") from None
+        if k < 1:
+            raise ValueError("bounded mode needs k >= 1")
+        return k
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def init_state(pid: int, x: int, mode: str = "full") -> NodeState:
     """Fresh state: singleton round-0 approximation, own input locked at round 0.
 
     ``mode`` is ``"full"`` or ``"bounded:<k>"``.
     """
-    if mode == "full":
-        return NodeState(pid, x, None)
-    if mode.startswith("bounded:"):
-        k = int(mode.split(":", 1)[1])
-        if k < 1:
-            raise ValueError("bounded mode needs k >= 1")
-        return NodeState(pid, x, k)
-    raise ValueError(f"unknown mode {mode!r}")
+    return NodeState(pid, x, parse_mode(mode))
 
 
 def make_message(s: NodeState) -> Message:

@@ -11,20 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .adversary import (
+    CHECKS,
     AdversaryError,
     AdversaryParams,
     check_alt_estable,
-    check_alt_liveness,
-    check_alt_safety,
     check_estable,
-    check_liveness,
     check_mad,
     check_safety,
-    check_vsrc,
-    diagnose_estable,
+    diagnose,
     generate_alt_estable,
     generate_estable,
 )
@@ -139,55 +137,19 @@ def cmd_check(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail_input(f"cannot load lasso: {exc}")
     kind = args.adversary
-    certificate = None
-    witness = None
+    params = {"D": args.d, "x": args.x, "y": args.y, "window": args.window, "horizon": args.horizon}
     try:
-        if kind == "estable":
-            outcome = diagnose_estable(lasso_seq, args.d, args.horizon)
-            if outcome["ok"]:
-                certificate = outcome["certificate"].to_json_dict()
-            else:
-                witness = {"failed": outcome["failed"], "detail": outcome.get("witness")}
-        elif kind == "altestable":
-            cert = check_alt_estable(lasso_seq, args.d, args.horizon)
-            certificate = cert.to_json_dict() if cert else None
-        elif kind == "liveness":
-            cert = check_liveness(lasso_seq)
-            certificate = cert.to_json_dict() if cert else None
-        elif kind == "safety":
-            w = check_safety(lasso_seq, args.x if args.x is not None else args.d, args.horizon)
-            witness = w.to_json_dict() if w else None
-        elif kind == "altsafety":
-            w = check_alt_safety(lasso_seq, args.x if args.x is not None else args.d, args.horizon)
-            witness = w.to_json_dict() if w else None
-        elif kind == "altliveness":
-            cert = check_alt_liveness(
-                lasso_seq, args.d, args.x if args.x is not None else args.d, args.horizon
-            )
-            certificate = cert.to_json_dict() if cert else None
-        elif kind == "mad":
-            x = args.x if args.x is not None else args.d
-            y = args.y if args.y is not None else args.d
-            cert = check_mad(lasso_seq, x, y, args.d, args.horizon)
-            certificate = cert.to_json_dict() if cert else None
-        elif kind == "vsrc":
-            res = check_vsrc(lasso_seq, args.window or 4 * args.d, args.d, args.horizon)
-            if res.ok:
-                certificate = res.to_json_dict()
-            else:
-                witness = res.to_json_dict()
-        elif kind == "diameter":
-            w = check_dynamic_diameter(lasso_seq, args.d, args.horizon)
-            if w is not None:
-                witness = {"root": sorted(w.root), "rounds": list(w.rounds), "process": w.process}
-        else:
-            return _fail_input(f"unknown adversary {kind!r}")
+        verdict = diagnose(kind, lasso_seq, params)
     except ValueError as exc:
         return _fail_input(str(exc))
-    satisfied = witness is None if kind in ("safety", "altsafety", "diameter") else certificate is not None
-    payload = {"kind": kind, "ok": satisfied, "certificate": certificate, "witness": witness}
-    _emit(payload, f"{kind}: {'satisfied' if satisfied else 'not satisfied'}")
-    return EXIT_OK if satisfied else EXIT_UNSATISFIED
+    witness = verdict.witness.to_json_dict() if verdict.witness is not None else None
+    if not verdict.ok and CHECKS[kind].certificate is not None:
+        # a kind that issues certificates names the condition that failed
+        witness = {"failed": verdict.failed, "detail": witness}
+    certificate = verdict.certificate.to_json_dict() if verdict.certificate is not None else None
+    payload = {"kind": kind, "ok": verdict.ok, "certificate": certificate, "witness": witness}
+    _emit(payload, f"{kind}: {'satisfied' if verdict.ok else 'not satisfied'}")
+    return EXIT_OK if verdict.ok else EXIT_UNSATISFIED
 
 
 def cmd_run(args) -> int:
@@ -196,19 +158,18 @@ def cmd_run(args) -> int:
         inputs = tuple(int(v) for v in args.inputs.split(","))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail_input(f"bad inputs: {exc}")
-    n = lasso_seq.n
-    if len(inputs) != n:
-        return _fail_input(f"lasso has {n} processes but {len(inputs)} inputs given")
+    try:
+        horizon = args.horizon or lasso_seq.default_horizon()
+        cfg = RunConfig(lasso_seq.n, args.d, inputs, lasso_seq, horizon, mode=args.mode)
+    except ValueError as exc:
+        return _fail_input(str(exc))
     cert = check_estable(lasso_seq, args.d)
     if cert is None:
         horizon_chk = max(lasso_seq.default_horizon(), args.horizon or 0)
         cert = check_alt_estable(lasso_seq, args.d, horizon_chk)
     deadline = cert.deadline if cert else None
-    horizon = args.horizon or (deadline + args.d + 2 if deadline else lasso_seq.default_horizon())
-    try:
-        cfg = RunConfig(n, args.d, inputs, lasso_seq, horizon, mode=args.mode)
-    except ValueError as exc:
-        return _fail_input(str(exc))
+    if not args.horizon and deadline:
+        cfg = replace(cfg, horizon=deadline + args.d + 2)
     try:
         trace = run_execution(cfg)
     except EngineInvariantError as exc:
@@ -218,7 +179,7 @@ def cmd_run(args) -> int:
         )
         return EXIT_INVARIANT
     trace.certificate = cert
-    report = oracle_check(trace, deadline if deadline is not None else horizon)
+    report = oracle_check(trace, deadline if deadline is not None else cfg.horizon)
     if args.trace_out:
         path = Path(args.trace_out)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -369,21 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="check a lasso against an adversary class")
     c.add_argument("--lasso", required=True, help="path to lasso JSON, or - for stdin")
-    c.add_argument(
-        "--adversary",
-        choices=[
-            "estable",
-            "altestable",
-            "liveness",
-            "safety",
-            "altliveness",
-            "altsafety",
-            "mad",
-            "vsrc",
-            "diameter",
-        ],
-        default="estable",
-    )
+    c.add_argument("--adversary", choices=list(CHECKS), default="estable")
     c.add_argument("--d", type=int, required=True)
     c.add_argument("--x", type=int, default=None)
     c.add_argument("--y", type=int, default=None)

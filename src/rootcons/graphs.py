@@ -1,9 +1,9 @@
-"""Directed round-graph analysis: root components, common roots, causal past.
+"""Directed round-graph analysis: root components, common-root runs, causal past.
 
 A round graph is a directed communication graph over processes ``1..n`` with
 mandatory self-loops.  Infinite graph sequences are encoded as lassos (a
 finite prefix followed by an endlessly repeated cycle), and a
-:class:`RoundWindow` materializes a finite slice of rounds for interval
+:class:`RoundWindow` materializes a finite slice of rounds for causal-past
 queries.
 
 Round indexing starts at 1.  Round 0 denotes "before round 1" and is a legal
@@ -14,6 +14,7 @@ processes' *initial* states have reached ``p`` by the end of round ``b``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
@@ -137,23 +138,6 @@ def root_components(g: CommGraph) -> frozenset:
     return frozenset(c for c in sccs if c not in non_roots)
 
 
-def is_weakly_connected(g: CommGraph) -> bool:
-    """True iff undirected reachability spans all ``n`` vertices."""
-    nbrs = {v: set() for v in range(1, g.n + 1)}
-    for (u, v) in g.edges:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        v = frontier.pop()
-        for w in nbrs[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == g.n
-
-
 @dataclass(frozen=True)
 class LassoSequence:
     """Finite encoding of an infinite graph sequence: prefix + repeated cycle.
@@ -224,91 +208,53 @@ class RoundWindow:
             raise ValueError(f"round {r} outside window [{self.start},{self.end}]")
         return self.lasso.graph(r)
 
-    def roots_at(self, r: int) -> frozenset:
-        return root_components(self.graph(r))
-
 
 @dataclass(frozen=True)
-class CommonRootInterval:
-    """A maximal run of consecutive rounds on which ``root`` is a root component.
-
-    ``clipped_start``/``clipped_end`` flag runs touching the window boundary:
-    maximality is then only relative to the window and callers checking
-    maximality in the full sequence must extend across the boundary
-    themselves.
-    """
+class Run:
+    """Maximal run of consecutive rounds on which ``root`` is a root component."""
 
     root: frozenset
     start: int
-    end: int
-    clipped_start: bool
-    clipped_end: bool
+    end: Optional[int]  # None = forever
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
+    def length(self) -> float:
+        return math.inf if self.end is None else self.end - self.start + 1
 
 
-def common_root_intervals(w: RoundWindow) -> list:
-    """All maximal common-root runs inside the window, sorted by start round."""
+def maximal_root_runs(l: LassoSequence, scan_to: int) -> list:
+    """Every maximal common-root run of the lasso starting by round ``scan_to``.
+
+    ``scan_to`` must cover the prefix.  Finite runs carry exact bounds even
+    when they extend past ``scan_to``; a run whose root is a root component of
+    every cycle graph extends forever and is marked with ``end=None``.
+    """
+    if scan_to < len(l.prefix):
+        raise ValueError(f"scan_to {scan_to} must cover the {len(l.prefix)}-round prefix")
+    always_cycle_roots = frozenset.intersection(
+        *[frozenset(root_components(g)) for g in l.cycle]
+    )
     open_runs = {}
-    finished = []
-    for r in w.rounds():
-        roots_now = w.roots_at(r)
+    runs = []
+    for r in range(1, scan_to + 1):
+        roots_now = root_components(l.graph(r))
         for root in list(open_runs):
             if root not in roots_now:
-                start = open_runs.pop(root)
-                finished.append(CommonRootInterval(root, start, r - 1, start == w.start, False))
+                runs.append(Run(root, open_runs.pop(root), r - 1))
         for root in roots_now:
             open_runs.setdefault(root, r)
     for root, start in open_runs.items():
-        finished.append(CommonRootInterval(root, start, w.end, start == w.start, True))
-    finished.sort(key=lambda iv: (iv.start, iv.end, sorted(iv.root)))
-    return finished
-
-
-def single_root(w: RoundWindow) -> Optional[frozenset]:
-    """The unique R with roots(G^r) == {R} on every round of the window, if any."""
-    first = w.roots_at(w.start)
-    if len(first) != 1:
-        return None
-    (root,) = first
-    for r in w.rounds():
-        if w.roots_at(r) != first:
-            return None
-    return root
-
-
-@dataclass(frozen=True)
-class EcsCommonRoot:
-    """A common-root interval with an embedded run of x+1 rounds where the
-    root is the *single* root component."""
-
-    root: frozenset
-    interval: tuple
-    single_interval: tuple
-
-
-def find_ecs_common_root(w: RoundWindow, x: int) -> Optional[EcsCommonRoot]:
-    """Earliest common root of the window embedding an (x+1)-round single phase.
-
-    Returns the earliest candidate ordered by interval start, then by single
-    phase start.
-    """
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    best = None
-    for iv in common_root_intervals(w):
-        if iv.length < x + 1:
-            continue
-        for a in range(iv.start, iv.end - x + 1):
-            if all(w.roots_at(r) == frozenset([iv.root]) for r in range(a, a + x + 1)):
-                cand = EcsCommonRoot(iv.root, (iv.start, iv.end), (a, a + x))
-                key = (iv.start, a, sorted(iv.root))
-                if best is None or key < best[0]:
-                    best = (key, cand)
-                break
-    return best[1] if best else None
+        if root in always_cycle_roots:
+            runs.append(Run(root, start, None))
+        else:
+            # the run must break within one further cycle pass
+            r = scan_to + 1
+            while root in root_components(l.graph(r)):
+                r += 1
+                if r > scan_to + len(l.cycle) + 1:
+                    raise AssertionError("finite run failed to terminate within a cycle")
+            runs.append(Run(root, start, r - 1))
+    runs.sort(key=lambda run: (run.start, run.end if run.end is not None else math.inf, sorted(run.root)))
+    return runs
 
 
 def _causal_past(graph_at: Callable[[int], CommGraph], p: int, a: int, b: int) -> frozenset:
@@ -358,13 +304,6 @@ def causal_past_forward(w: RoundWindow, p: int, a: int, b: int) -> frozenset:
     )
 
 
-def influences(w: RoundWindow, q: int, r: int, p: int, r2: int) -> bool:
-    """True iff q's end-of-round-``r`` state has affected p's end-of-round-``r2`` state."""
-    if r > r2:
-        raise ValueError(f"influence query needs r <= r', got {r} > {r2}")
-    return q in causal_past(w, p, r, r2)
-
-
 @dataclass(frozen=True)
 class DiameterWitness:
     root: frozenset
@@ -376,6 +315,9 @@ class DiameterWitness:
             f"root {sorted(self.root)} single-rooted in rounds {list(self.rounds)} "
             f"does not reach process {self.process}"
         )
+
+    def to_json_dict(self) -> dict:
+        return {"root": sorted(self.root), "rounds": list(self.rounds), "process": self.process}
 
 
 def single_rooted_rounds(l: LassoSequence, horizon: int) -> dict:

@@ -35,6 +35,7 @@ from .approximation import (
     init_state,
     make_message,
     mask_of_edges,
+    parse_mode,
     receive_and_merge,
 )
 from .consensus import CoreStepOutcome, core_step
@@ -69,6 +70,7 @@ class RunConfig:
             raise ValueError(f"D must satisfy 1 <= D <= n-1, got D={self.D}, n={self.n}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        parse_mode(self.mode)
 
 
 @dataclass

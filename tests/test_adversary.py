@@ -20,9 +20,8 @@ from rootcons.adversary import (
     check_vsrc,
     generate_alt_estable,
     generate_estable,
-    maximal_root_runs,
 )
-from rootcons.graphs import lasso, lasso_to_json
+from rootcons.graphs import lasso, lasso_to_json, maximal_root_runs, single_rooted_rounds
 from rootcons.harness import scenario_stab_not_enough
 
 
@@ -54,14 +53,12 @@ class TestSafety:
         assert check_safety(eps1_lasso, 1) is None
 
     def test_witness_confirmed_by_interval_scan(self):
-        from rootcons.graphs import common_root_intervals
-
         cfg1, cfg2 = scenario_stab_not_enough(5, tau=4, D=2)
         witness = check_safety(cfg2.lasso, 2)
-        ivs = common_root_intervals(cfg2.lasso.window(1, 10))
+        runs = maximal_root_runs(cfg2.lasso, 10)
         assert any(
-            iv.root == witness.root and iv.start == witness.start and iv.end == witness.end
-            for iv in ivs
+            run.root == witness.root and run.start == witness.start and run.end == witness.end
+            for run in runs
         )
 
     def test_x_below_one_rejected(self, eps1_lasso):
@@ -70,6 +67,15 @@ class TestSafety:
 
 
 class TestEStable:
+    def test_liveness_computed_once(self, eps2_lasso, monkeypatch):
+        import rootcons.adversary as adversary
+
+        calls = []
+        real = adversary.check_liveness
+        monkeypatch.setattr(adversary, "check_liveness", lambda l: calls.append(l) or real(l))
+        assert check_estable(eps2_lasso, 2) is not None
+        assert len(calls) == 1
+
     def test_eps1(self, eps1_lasso):
         cert = check_estable(eps1_lasso, 2)
         assert cert is not None
@@ -119,14 +125,13 @@ class TestAltSafety:
     def test_two_parallel_roots_without_single_phase(self):
         # {1} and {2} stay common roots side by side for x+1 rounds: the
         # earliest long run never becomes single
-        from rootcons.graphs import single_root
-
         l = lasso(4, prefix=[[(1, 3), (2, 4)]] * 3, cycle=[[(1, 2), (1, 3), (1, 4)]])
         witness = check_alt_safety(l, 2)
         assert witness is not None
         assert witness.start == 1
+        singles = single_rooted_rounds(l, witness.end)
         for a in range(witness.start, witness.end - 1):
-            assert single_root(l.window(a, a + 2)) is None
+            assert not any({a, a + 1, a + 2} <= set(rounds) for rounds in singles.values())
 
     def test_single_rooted_forever_ok(self, eps1_lasso):
         assert check_alt_safety(eps1_lasso, 2) is None
@@ -255,7 +260,7 @@ class TestGenerators:
         params = AdversaryParams(n=6, D=1, seed=21, r_gst_target=12, r_sr_target=12)
         l, planted = generate_alt_estable(params, spurious=True)
         assert planted.params["spurious"] is not None
-        runs = [r for r in maximal_root_runs(l) if r.length() >= 2]
+        runs = [r for r in maximal_root_runs(l, l.default_horizon()) if r.length() >= 2]
         first = min(runs, key=lambda r: r.start)
         assert first.root == frozenset(planted.params["spurious"])
         assert first.root != planted.root
@@ -328,7 +333,7 @@ class TestRunEnumeration:
         for _ in range(60):
             l = random_lasso(rng, rng.randint(2, 5), rng.randint(0, 5))
             deep = len(l.prefix) + 4 * len(l.cycle) + 2
-            for run in maximal_root_runs(l):
+            for run in maximal_root_runs(l, len(l.prefix) + 2 * len(l.cycle) + 1):
                 assert run.root in roots(l.graph(run.start))
                 if run.start > 1:
                     assert run.root not in roots(l.graph(run.start - 1))

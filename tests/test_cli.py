@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,88 @@ class TestCheck:
         assert code == 0 and payload["witness"] is None
 
 
+    def test_horizon_below_one_exit_2(self, tmp_path, capsys):
+        from rootcons.graphs import lasso_to_json
+        from rootcons.harness import scenario_hop_fallacy
+
+        path = tmp_path / "hop.json"
+        path.write_text(lasso_to_json(scenario_hop_fallacy(5)))
+        argv = ["check", "--lasso", str(path), "--adversary", "diameter", "--d", "2"]
+        code, payload = run_cli(capsys, argv)
+        assert code == 1 and payload["witness"]["process"] == 4
+        for horizon in ("0", "-3"):
+            code, payload = run_cli(capsys, argv + ["--horizon", horizon])
+            assert code == 2
+            assert payload["ok"] is False and "horizon" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("estable", ["--d", "0"]),
+            ("altestable", ["--d", "0"]),
+            ("mad", ["--d", "0"]),
+            ("estable", ["--d", "9"]),
+            ("altestable", ["--d", "9"]),
+            ("altliveness", ["--d", "9"]),
+            ("safety", ["--d", "2", "--x", "0"]),
+            ("mad", ["--d", "2", "--y", "-1"]),
+            ("vsrc", ["--d", "2", "--window", "0"]),
+            ("vsrc", ["--d", "2", "--window", "-1"]),
+        ],
+    )
+    def test_bad_parameters_exit_2_before_any_condition(self, tmp_path, capsys, kind, flags):
+        # every process isolated: liveness and alt-safety fail, so a late
+        # parameter check would report "not satisfied" instead
+        path = tmp_path / "isolated.json"
+        path.write_text('{"n": 5, "prefix": [], "cycle": [[]]}')
+        code, payload = run_cli(capsys, ["check", "--lasso", str(path), "--adversary", kind] + flags)
+        assert code == 2
+        assert payload["ok"] is False and payload["error"]
+
+
+GOLDEN = Path(__file__).parent / "check_golden.json"
+
+# The golden file holds `check` output recorded before the checker table.  An
+# unsatisfied kind that issues certificates now also names the condition that
+# failed, with that condition's witness; every other field is unchanged.
+NAMED_FAILURES = {
+    ("eps2", "mad"): {"failed": "alt_safety", "detail": {"root": [1], "start": 1, "end": 2}},
+    ("generated_estable", "mad"): {"failed": "alt_safety", "detail": {"root": [4], "start": 1, "end": 2}},
+    ("stab_not_enough", "altestable"): {"failed": "alt_safety", "detail": {"root": [1], "start": 1, "end": 4}},
+    ("stab_not_enough", "mad"): {"failed": "alt_safety", "detail": {"root": [1], "start": 1, "end": 4}},
+    ("disconnected", "altestable"): {"failed": "alt_safety", "detail": {"root": [1], "start": 1, "end": None}},
+    ("disconnected", "mad"): {"failed": "alt_safety", "detail": {"root": [1], "start": 1, "end": None}},
+    ("disconnected", "liveness"): {"failed": "liveness", "detail": None},
+    ("disconnected", "altliveness"): {"failed": "alt_liveness", "detail": None},
+    ("hop_fallacy", "altestable"): {
+        "failed": "dynamic_diameter",
+        "detail": {"root": [1], "rounds": [1, 2], "process": 4},
+    },
+    ("hop_fallacy", "mad"): {
+        "failed": "dynamic_diameter",
+        "detail": {"root": [1], "rounds": [1, 2], "process": 4},
+    },
+}
+
+
+def test_check_matches_golden(tmp_path, capsys):
+    golden = json.loads(GOLDEN.read_text())
+    for name, data in golden["lassos"].items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    named = set()
+    for case in golden["cases"]:
+        path = tmp_path / f"{case['lasso']}.json"
+        code, payload = run_cli(capsys, ["check", "--lasso", str(path)] + case["argv"])
+        expected = dict(case["payload"])
+        key = (case["lasso"], expected["kind"])
+        if key in NAMED_FAILURES and not expected["ok"]:
+            assert expected["witness"] is None
+            expected["witness"] = NAMED_FAILURES[key]
+            named.add(key)
+        assert (code, payload) == (case["exit"], expected), case["argv"]
+    assert named == set(NAMED_FAILURES)
+
+
 class TestRun:
     def test_successful_run_exit_0(self, capsys, estable_lasso_file, tmp_path):
         trace_out = tmp_path / "trace.jsonl"
@@ -180,6 +263,22 @@ class TestRun:
         )
         assert code == 1
         assert payload["oracle"]["agreement"] is False
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--d", "0"],
+            ["--d", "9"],
+            ["--d", "2", "--mode", "weird"],
+            ["--d", "2", "--mode", "bounded:x"],
+        ],
+    )
+    def test_bad_config_exit_2(self, capsys, estable_lasso_file, flags):
+        code, payload = run_cli(
+            capsys, ["run", "--lasso", str(estable_lasso_file), "--inputs", "3,1,4,1,5"] + flags
+        )
+        assert code == 2
+        assert payload["ok"] is False and payload["error"]
 
     def test_input_count_mismatch_exit_2(self, capsys, estable_lasso_file):
         code, _ = run_cli(

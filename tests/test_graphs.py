@@ -6,28 +6,35 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_graph, random_lasso
 from oracles import brute_force_roots, naive_causal_past, undirected_bfs_spans
 
+from rootcons.adversary import _embedded_single_phase
 from rootcons.graphs import (
     CommGraph,
     LassoSequence,
+    Run,
     causal_past,
     causal_past_forward,
     check_dynamic_diameter,
-    common_root_intervals,
-    find_ecs_common_root,
     graph_to_dot,
-    influences,
-    is_weakly_connected,
     lasso,
     lasso_from_json,
     lasso_to_json,
+    maximal_root_runs,
     root_components,
-    single_root,
+    single_rooted_rounds,
     validate_graph,
 )
 
 
 def roots_sorted(g):
     return sorted(sorted(r) for r in root_components(g))
+
+
+def single_root(l, a, b):
+    """The R with roots == {R} in every round a..b, found via single_rooted_rounds."""
+    for root, rounds in single_rooted_rounds(l, b).items():
+        if set(range(a, b + 1)) <= set(rounds):
+            return root
+    return None
 
 
 class TestValidateGraph:
@@ -73,94 +80,78 @@ class TestRootComponents:
         roots = root_components(g)
         assert len(roots) >= 1
         if len(roots) == 1:
-            assert is_weakly_connected(g)
-
-
-class TestWeaklyConnected:
-    def test_eps1_connected(self, eps1_lasso):
-        assert is_weakly_connected(eps1_lasso.graph(1))
-
-    def test_eps2_early_rounds_disconnected(self, eps2_lasso):
-        g = eps2_lasso.graph(1)
-        assert undirected_bfs_spans(g) is False
-        assert is_weakly_connected(g) is False
-
-    def test_single_vertex(self):
-        assert is_weakly_connected(CommGraph.of(1))
-
-    def test_agrees_with_bfs_oracle(self):
-        rng = random.Random(77)
-        for _ in range(200):
-            g = random_graph(rng, rng.randint(1, 6), rng.uniform(0.05, 0.5))
-            assert is_weakly_connected(g) == undirected_bfs_spans(g)
+            assert undirected_bfs_spans(g)
 
 
 class TestCommonRootIntervals:
     def test_eps1_static_window(self, eps1_lasso):
-        ivs = common_root_intervals(eps1_lasso.window(1, 10))
-        assert [(sorted(iv.root), iv.start, iv.end) for iv in ivs] == [([1], 1, 10)]
-        assert ivs[0].clipped_start and ivs[0].clipped_end
+        runs = maximal_root_runs(eps1_lasso, 10)
+        assert [(sorted(run.root), run.start, run.end) for run in runs] == [([1], 1, None)]
 
     def test_eps2_window_1_to_6(self, eps2_lasso):
-        ivs = common_root_intervals(eps2_lasso.window(1, 6))
-        assert [(sorted(iv.root), iv.start, iv.end) for iv in ivs] == [
+        runs = maximal_root_runs(eps2_lasso, 6)
+        assert [(sorted(run.root), run.start, run.end) for run in runs] == [
             ([1], 1, 2),
             ([3], 1, 2),
             ([1, 2, 5], 3, 4),
-            ([4], 3, 6),
+            ([4], 3, None),
         ]
 
     def test_never_a_root_is_absent(self, eps2_lasso):
-        ivs = common_root_intervals(eps2_lasso.window(1, 6))
-        assert frozenset([5]) not in {iv.root for iv in ivs}
+        runs = maximal_root_runs(eps2_lasso, 6)
+        assert frozenset([5]) not in {run.root for run in runs}
 
     def test_matches_per_round_merge_oracle(self):
+        # runs starting by round 8, evaluated one cycle pass further: a run
+        # still open there covers every cycle graph, so it lasts forever
         rng = random.Random(5)
         for _ in range(50):
             l = random_lasso(rng, rng.randint(2, 5), 6)
-            w = l.window(1, 8)
-            per_round = {r: root_components(l.graph(r)) for r in range(1, 9)}
+            last = 8 + len(l.cycle) + 1
+            per_round = {r: root_components(l.graph(r)) for r in range(1, last + 1)}
             expected = set()
             for root in {root for roots in per_round.values() for root in roots}:
                 r = 1
                 while r <= 8:
                     if root in per_round[r]:
                         start = r
-                        while r <= 8 and root in per_round[r]:
+                        while r <= last and root in per_round[r]:
                             r += 1
-                        expected.add((root, start, r - 1))
+                        expected.add((root, start, None if r > last else r - 1))
                     r += 1
-            got = {(iv.root, iv.start, iv.end) for iv in common_root_intervals(w)}
+            got = {(run.root, run.start, run.end) for run in maximal_root_runs(l, 8)}
             assert got == expected
+
+    def test_scan_must_cover_prefix(self, eps2_lasso):
+        with pytest.raises(ValueError):
+            maximal_root_runs(eps2_lasso, 3)
 
 
 class TestSingleRoot:
     def test_eps1_rounds_1_to_5(self, eps1_lasso):
-        assert single_root(eps1_lasso.window(1, 5)) == frozenset([1])
+        assert single_root(eps1_lasso, 1, 5) == frozenset([1])
 
     def test_eps2_rounds_1_to_2_none(self, eps2_lasso):
-        assert single_root(eps2_lasso.window(1, 2)) is None
+        assert single_root(eps2_lasso, 1, 2) is None
 
     def test_eps2_rounds_5_to_9(self, eps2_lasso):
-        assert single_root(eps2_lasso.window(5, 9)) == frozenset([4])
+        assert single_root(eps2_lasso, 5, 9) == frozenset([4])
 
 
 class TestEcsCommonRoot:
     def test_eps2_window_3_to_9(self, eps2_lasso):
-        hit = find_ecs_common_root(eps2_lasso.window(3, 9), x=2)
-        assert hit is not None
-        assert sorted(hit.root) == [4]
-        assert hit.interval == (3, 9)
-        assert hit.single_interval == (5, 7)
+        (run,) = [run for run in maximal_root_runs(eps2_lasso, 9) if run.root == frozenset([4])]
+        assert (run.start, run.end) == (3, None)
+        assert _embedded_single_phase(eps2_lasso, run, 2, 9) == 5  # single in rounds 5..7
 
     def test_degenerate_x_zero(self, eps1_lasso):
-        hit = find_ecs_common_root(eps1_lasso.window(4, 4), x=0)
-        assert hit is not None
-        assert hit.single_interval == (4, 4)
+        run = Run(frozenset([1]), 4, 4)
+        assert _embedded_single_phase(eps1_lasso, run, 0, 4) == 4
 
     def test_no_long_single_phase_is_none(self, eps2_lasso):
         # rounds 1..4 never have a single root
-        assert find_ecs_common_root(eps2_lasso.window(1, 4), x=1) is None
+        for run in maximal_root_runs(eps2_lasso, 4):
+            assert _embedded_single_phase(eps2_lasso, run, 1, 4) is None
 
 
 class TestCausalPast:
@@ -212,11 +203,11 @@ class TestCausalPast:
 class TestInfluences:
     def test_self_influence(self, eps1_lasso):
         w = eps1_lasso.window(1, 5)
-        assert influences(w, 3, 2, 3, 2)
+        assert 3 in causal_past(w, 3, 2, 2)
 
     def test_eps2_p3_never_reaches_p2_early(self, eps2_lasso):
         w = eps2_lasso.window(1, 6)
-        assert not influences(w, 3, 0, 2, 4)
+        assert 3 not in causal_past(w, 2, 0, 4)
 
     def test_influence_persists(self):
         rng = random.Random(43)
@@ -227,9 +218,9 @@ class TestInfluences:
             q, p = rng.randint(1, n), rng.randint(1, n)
             r = rng.randint(0, 5)
             r2 = rng.randint(r + 1, 7)
-            if influences(w, q, r, p, r2):
-                assert influences(w, q, r, p, r2 + 1)
-                assert influences(w, q, r, p, r2 + 2)
+            if q in causal_past(w, p, r, r2):
+                assert q in causal_past(w, p, r, r2 + 1)
+                assert q in causal_past(w, p, r, r2 + 2)
 
 
 class TestEndToEndPropagation:
