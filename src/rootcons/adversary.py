@@ -583,6 +583,40 @@ def _distinct_cycle(rng: random.Random, n: int, root: frozenset, D: int, want: i
     return graphs if len(graphs) >= 2 else graphs[:1]
 
 
+def _lead_in_max_root(n: int, D: int, lead_in: int) -> int:
+    """Largest root size that still admits a ``lead_in``-round common-but-not-single
+    lead-in: every round in it needs a companion root outside the root."""
+    if lead_in > 0 and n < 3:
+        raise InfeasibleParamsError(
+            "a 2-process graph cannot hold a common-but-not-single root: r_gst must equal r_sr"
+        )
+    max_size = n - 1 if lead_in <= D else n - 2
+    if max_size < 1:
+        raise InfeasibleParamsError(
+            f"no root set admits a {lead_in}-round common-but-not-single lead-in with n={n}, D={D}"
+        )
+    return max_size
+
+
+def _extend_lead_in(
+    rng: random.Random, n: int, root: frozenset, prefix: list, counts: dict, lead_in: int, D: int
+) -> bool:
+    """Append ``lead_in`` rounds rooted in ``root`` plus one singleton companion
+    whose run stays <= D.  False when this attempt cannot place them (or, with
+    2 processes, when ``root`` already roots the last chaotic round)."""
+    if n == 2 and prefix and root in root_components(prefix[-1]):
+        return False
+    companions = [frozenset([p]) for p in range(1, n + 1) if p not in root]
+    for _ in range(lead_in):
+        usable = [c for c in companions if counts.get(c, 0) < D]
+        if not usable:
+            return False
+        comp = rng.choice(usable)
+        prefix.append(_multi_rooted_graph(rng, n, [root, comp]))
+        counts = {root: counts.get(root, 0) + 1, comp: counts.get(comp, 0) + 1}
+    return True
+
+
 def generate_estable(params: AdversaryParams):
     """Sample a lasso certified by :func:`check_estable` with the requested
     stabilization rounds.
@@ -600,38 +634,15 @@ def generate_estable(params: AdversaryParams):
     r_gst = params.r_gst_target if params.r_gst_target is not None else r_sr
     if not (1 <= r_gst <= r_sr):
         raise InfeasibleParamsError(f"need 1 <= r_gst <= r_sr, got ({r_gst}, {r_sr})")
-    if r_gst < r_sr and n < 3:
-        raise InfeasibleParamsError(
-            "a 2-process graph cannot hold a common-but-not-single root: r_gst must equal r_sr"
-        )
     lead_in = r_sr - r_gst
+    max_size = _lead_in_max_root(n, D, lead_in)
     for attempt in range(MAX_GENERATION_ATTEMPTS):
         rng = random.Random(f"estable:{params.seed}:{attempt}")
-        max_size = n - 1 if lead_in <= D else n - 2
-        if max_size < 1:
-            raise InfeasibleParamsError(
-                f"no root set admits a {lead_in}-round common-but-not-single lead-in with n={n}, D={D}"
-            )
         root = _pick_root(rng, n, max_size)
         counts: dict = {}
         excluded = {root} if n >= 3 else set()
-        chaos = _chaotic_rounds(rng, n, r_gst - 1, counts, excluded, D)
-        if chaos is None:
-            continue
-        if n == 2 and r_gst > 1 and root in root_components(chaos[-1]):
-            continue
-        prefix = list(chaos)
-        companions = [frozenset([p]) for p in range(1, n + 1) if p not in root]
-        ok = True
-        for _ in range(lead_in):
-            usable = [c for c in companions if counts.get(c, 0) < D]
-            if not usable:
-                ok = False
-                break
-            comp = rng.choice(usable)
-            prefix.append(_multi_rooted_graph(rng, n, [root, comp]))
-            counts = {root: counts.get(root, 0) + 1, comp: counts.get(comp, 0) + 1}
-        if not ok:
+        prefix = _chaotic_rounds(rng, n, r_gst - 1, counts, excluded, D)
+        if prefix is None or not _extend_lead_in(rng, n, root, prefix, counts, lead_in, D):
             continue
         cycle = _distinct_cycle(rng, n, root, D)
         candidate = LassoSequence(tuple(prefix), tuple(cycle))
@@ -684,19 +695,11 @@ def generate_alt_estable(
     if not (1 <= r_gst <= r_sr):
         raise InfeasibleParamsError(f"need 1 <= r_gst <= r_sr, got ({r_gst}, {r_sr})")
     lead_in = r_sr - r_gst
-    if lead_in > 0 and n < 3:
-        raise InfeasibleParamsError(
-            "a 2-process graph cannot hold a common-but-not-single root: r_gst must equal r_sr"
-        )
+    max_size = _lead_in_max_root(n, D, lead_in)
     if spurious is None:
         spurious = n >= 4 and r_gst > 3 * D + 4 and rng0.random() < 0.5
     for attempt in range(MAX_GENERATION_ATTEMPTS):
         rng = random.Random(f"altestable:{params.seed}:{attempt}")
-        max_size = n - 1 if lead_in <= D else n - 2
-        if max_size < 1:
-            raise InfeasibleParamsError(
-                f"no root set admits a {lead_in}-round common-but-not-single lead-in with n={n}, D={D}"
-            )
         root = _pick_root(rng, n, max_size)
         excluded = {root} if n >= 3 else set()
         counts: dict = {}
@@ -727,20 +730,7 @@ def generate_alt_estable(
             if chaos is None:
                 continue
             prefix += chaos
-        if n == 2 and r_gst > 1 and prefix and root in root_components(prefix[-1]):
-            continue
-
-        companions = [frozenset([p]) for p in range(1, n + 1) if p not in root]
-        ok = True
-        for _ in range(lead_in):
-            usable = [c for c in companions if counts.get(c, 0) < D]
-            if not usable:
-                ok = False
-                break
-            comp = rng.choice(usable)
-            prefix.append(_multi_rooted_graph(rng, n, [root, comp]))
-            counts = {root: counts.get(root, 0) + 1, comp: counts.get(comp, 0) + 1}
-        if not ok:
+        if not _extend_lead_in(rng, n, root, prefix, counts, lead_in, D):
             continue
 
         for _ in range(D + 1):  # the embedded single phase [r_sr, r_sr + D]
@@ -752,13 +742,12 @@ def generate_alt_estable(
             gap = rng.randint(*gap_range)
             gap_graphs = _chaotic_rounds(rng, n, gap, counts, excluded, D)
             if gap_graphs is None:
-                ok = False
                 break
             prefix += gap_graphs
             prefix.append(_single_rooted_graph(rng, n, root, D))
             reappearances.append(len(prefix))
             counts = {root: counts.get(root, 0) + 1} if gap == 0 else {root: 1}
-        if not ok:
+        if len(reappearances) < D:
             continue
 
         if tail == "single":

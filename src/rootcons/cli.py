@@ -159,7 +159,7 @@ def cmd_run(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail_input(f"bad inputs: {exc}")
     try:
-        horizon = args.horizon or lasso_seq.default_horizon()
+        horizon = lasso_seq.default_horizon() if args.horizon is None else args.horizon
         cfg = RunConfig(lasso_seq.n, args.d, inputs, lasso_seq, horizon, mode=args.mode)
     except ValueError as exc:
         return _fail_input(str(exc))
@@ -168,7 +168,7 @@ def cmd_run(args) -> int:
         horizon_chk = max(lasso_seq.default_horizon(), args.horizon or 0)
         cert = check_alt_estable(lasso_seq, args.d, horizon_chk)
     deadline = cert.deadline if cert else None
-    if not args.horizon and deadline:
+    if args.horizon is None and deadline:
         cfg = replace(cfg, horizon=deadline + args.d + 2)
     try:
         trace = run_execution(cfg)
@@ -287,17 +287,18 @@ def cmd_fuzz(args) -> int:
         n_lo, n_hi = (int(v) for v in args.n_range.split(":"))
     except ValueError:
         return _fail_input(f"bad n-range {args.n_range!r}, expected lo:hi")
-    if args.trials < 1:
-        return _fail_input("trials must be >= 1")
-    summary = fuzz_campaign(
-        trials=args.trials,
-        seed=args.seed,
-        adversary=args.adversary,
-        n_range=(n_lo, n_hi),
-        d_cap=args.d_cap,
-        mode=args.mode,
-        jobs=args.jobs,
-    )
+    try:
+        summary = fuzz_campaign(
+            trials=args.trials,
+            seed=args.seed,
+            adversary=args.adversary,
+            n_range=(n_lo, n_hi),
+            d_cap=args.d_cap,
+            mode=args.mode,
+            jobs=args.jobs,
+        )
+    except ValueError as exc:
+        return _fail_input(str(exc))
     payload = summary.to_json_dict()
     if args.report_out:
         path = Path(args.report_out)

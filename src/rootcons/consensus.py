@@ -153,7 +153,8 @@ def b3_apply(s: NodeState, root: frozenset, interval: tuple) -> Optional[tuple]:
 def core_step(s: NodeState, m: int, D: int) -> tuple:
     """Run the round-m computation; returns (state, outcome).
 
-    Empty for m <= D.  c2 is evaluated whether or not c1 fired.
+    Empty for m <= D.  c2 is evaluated whether or not c1 fired, until the
+    process has decided (b3 is write-once, so later scans cannot change it).
     """
     if m <= D:
         return s, CoreStepOutcome()
@@ -163,11 +164,9 @@ def core_step(s: NodeState, m: int, D: int) -> tuple:
         a, value = b1_apply(s, m, root, D)
         locked = (root, a, value)
     decided = None
-    hit = c2_check(s, D)
+    hit = c2_check(s, D) if s.y is None else None
     if hit is not None:
         root2, interval = hit
         if c3_check(s, root2, interval[1]):
-            applied = b3_apply(s, root2, interval)
-            if applied is not None:
-                decided = (root2, applied[0], applied[1])
+            decided = (root2, *b3_apply(s, root2, interval))
     return s, CoreStepOutcome(locked=locked, decided=decided)

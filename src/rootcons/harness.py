@@ -6,18 +6,23 @@ state into a message, deliveries follow the round graph's edges exactly
 (self-loops included), then each process merges and runs its core step.
 Runs are fully deterministic in their configuration.
 
-While running, an invariant monitor cross-checks the protocol state against
-ground truth every round: approximations never contain an edge absent from
-the true graph, every process always knows its own full lock history, all
-copies of a lock entry agree with the owner's value, and whenever q's
-round-r state has reached p, p holds q's lock row through round r.
+While running, an invariant monitor checks each process's state against
+ground truth it derives from the true graphs alone: ``heard[p][q]``, the
+latest round whose end state of q has reached p (after round m it is the
+maximum of ``heard[u][q]`` over p's round-m in-neighbours u, and
+``heard[p][p] = m``).  With ``lo`` the oldest retained round (0 in full mode,
+``max(0, m-k)`` in bounded:k), p's state must be exactly that knowledge:
+``locks[q]`` equals the owner's values on rounds ``lo..heard[p][q]``, and
+``approx[r]`` for r in ``lo..m`` equals the union of the true round-r
+in-edges of every v with ``heard[p][v] >= r``.  This one equality rules out
+fabricated edges and lock values, and missing or over-retained knowledge.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import consensus
@@ -30,15 +35,15 @@ from .adversary import (
     generate_estable,
 )
 from .approximation import (
-    NodeState,
-    edge_bit,
+    STRIDE,
+    edges_of_mask,
     init_state,
     make_message,
     mask_of_edges,
     parse_mode,
     receive_and_merge,
 )
-from .consensus import CoreStepOutcome, core_step
+from .consensus import core_step
 from .graphs import CommGraph, LassoSequence, lasso_to_json_dict
 
 
@@ -62,6 +67,8 @@ class RunConfig:
     check_invariants: bool = True
 
     def __post_init__(self):
+        if self.n > STRIDE:
+            raise ValueError(f"n must be <= {STRIDE} (edge-mask width), got {self.n}")
         if self.lasso.n != self.n:
             raise ValueError(f"lasso is over {self.lasso.n} processes, config says {self.n}")
         if len(self.inputs) != self.n:
@@ -133,68 +140,53 @@ class Trace:
 
 
 class _InvariantMonitor:
-    def __init__(self, n: int):
-        self.n = n
-        self.truth_locks = {}
-        self.reach = {}  # (q, r) -> bitmask of processes holding q's end-of-r state
-        self.verified = {}  # (p, q) -> own-row rounds of q verified present at p
+    """The run's ground truth, from the true round graphs alone: ``heard[p][q]``
+    (the latest round whose end state of q has reached p, -1 for none), the
+    owners' lock rows ``locks[q][r]`` and the true edge masks ``masks[r]``."""
 
-    def record_initials(self, states: dict):
-        for p, st in states.items():
-            self.truth_locks[(p, 0)] = st.locks[p][0]
+    def __init__(self, cfg: RunConfig):
+        self.keep = parse_mode(cfg.mode)
+        self.heard = [[0 if q == p else -1 for q in range(cfg.n)] for p in range(cfg.n)]
+        self.locks = [[x] for x in cfg.inputs]
+        self.masks = [0]
+        # a set of heads' bits times this is the mask of every edge into the set
+        self._into = sum(1 << (u * STRIDE) for u in range(cfg.n))
 
-    def after_round(self, m: int, g: CommGraph, states: dict, true_masks: list):
-        out_bits = {v: 0 for v in range(1, self.n + 1)}
+    def after_round(self, m: int, g: CommGraph, states: dict):
+        senders = [[] for _ in self.locks]
         for (u, v) in g.edges:
-            out_bits[u] |= 1 << (v - 1)
-        for key, mask in self.reach.items():
-            grown = mask
-            probe = mask
-            while probe:
-                low = probe & -probe
-                grown |= out_bits[low.bit_length()]
-                probe ^= low
-            self.reach[key] = grown
-        for q in range(1, self.n + 1):
-            self.reach[(q, m)] = 1 << (q - 1)
-            self.truth_locks[(q, m)] = states[q].locks[q][m]
-
-        for p in range(1, self.n + 1):
+            senders[v - 1].append(self.heard[u - 1])
+        self.heard = [[max(col) for col in zip(*rows)] for rows in senders]
+        self.masks.append(mask_of_edges(g.edges))
+        for p, row in enumerate(self.locks):
+            self.heard[p][p] = m
+            row.append(states[p + 1].locks[p + 1].get(m))
+        lo = 0 if self.keep is None else max(0, m - self.keep)
+        window = f"rounds {lo}..{m} kept"
+        for p, known in enumerate(self.heard, start=1):
             st = states[p]
-            expected_direct = 0
-            for u in g.in_neighbors(p):
-                expected_direct |= edge_bit(u, p)
-            if st.approx.get(m, 0) != expected_direct:
-                raise EngineInvariantError(p, m, "round-m approximation is not the delivered edge set")
-            for r, mask in st.approx.items():
-                if r >= 1 and mask & ~true_masks[r]:
-                    raise EngineInvariantError(p, m, f"approximation of round {r} fabricates an edge")
-            own = st.locks[p]
-            for r in range(max(0, st.min_round), m + 1):
-                if r not in own:
-                    raise EngineInvariantError(p, m, f"own lock row lost round {r}")
-            for q, row in st.locks.items():
-                for r, v in row.items():
-                    truth = self.truth_locks.get((q, r))
-                    if truth is None or truth != v:
-                        raise EngineInvariantError(
-                            p, m, f"lock[{q}][{r}]={v} disagrees with owner value {truth}"
-                        )
-        # influence implies holding the influencer's lock row up to that round
-        for (q, r), mask in self.reach.items():
-            probe = mask
-            while probe:
-                low = probe & -probe
-                p = low.bit_length()
-                probe ^= low
-                st = states[p]
-                upto = self.verified.get((p, q), max(0, st.min_round) - 1)
-                for r2 in range(max(upto + 1, st.min_round), r + 1):
-                    if st.locks.get(q, {}).get(r2) is None:
-                        raise EngineInvariantError(
-                            p, m, f"influenced by p{q}@r{r} but missing lock[{q}][{r2}]"
-                        )
-                self.verified[(p, q)] = max(upto, r)
+            for q, h in enumerate(known, start=1):
+                want = dict(zip(range(lo, h + 1), self.locks[q - 1][lo : h + 1]))
+                got = st.locks.get(q) or {}
+                if got != want:
+                    raise _mismatch(p, m, f"lock[{q}]", got, want, f"heard[{p}][{q}]={h}; {window}")
+            newest = {}
+            for v, h in enumerate(known):
+                newest[h] = newest.get(h, 0) | 1 << v
+            heads, want = 0, {}
+            for r in range(m, lo - 1, -1):
+                heads |= newest.get(r, 0)
+                want[r] = self.masks[r] & heads * self._into
+            if st.approx != want:
+                why = f"heard[{p}]={known}; {window}"
+                raise _mismatch(p, m, "approx", st.approx, want, why, edges_of_mask)
+
+
+def _mismatch(p: int, m: int, what: str, got: dict, want: dict, why: str, show=str):
+    """The violation naming the first round where ``got`` and ``want`` differ."""
+    r = min(k for k in got.keys() | want.keys() if got.get(k, "absent") != want.get(k, "absent"))
+    has, needs = (show(d[r]) if r in d else "absent" for d in (got, want))
+    return EngineInvariantError(p, m, f"{what}[{r}] is {has}, expected {needs} ({why})")
 
 
 def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
@@ -205,18 +197,14 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
     fuzz runs.
     """
     states = {p: init_state(p, cfg.inputs[p - 1], cfg.mode) for p in range(1, cfg.n + 1)}
-    monitor = _InvariantMonitor(cfg.n) if cfg.check_invariants else None
-    if monitor:
-        monitor.record_initials(states)
+    monitor = _InvariantMonitor(cfg) if cfg.check_invariants else None
     round_graphs = []
     outcomes = []
     decisions = {}
     snapshots = [{p: states[p].snapshot() for p in states}] if keep_snapshots else []
-    true_masks = [0]
     for m in range(1, cfg.horizon + 1):
         g = cfg.lasso.graph(m)
         round_graphs.append(g)
-        true_masks.append(mask_of_edges(g.edges))
         messages = {p: make_message(states[p]) for p in states}
         for p in states:
             inbox = [messages[q] for q in sorted(g.in_neighbors(p))]
@@ -234,7 +222,7 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
                 decisions[p] = (m, out.decided[2])
         outcomes.append(per_round)
         if monitor:
-            monitor.after_round(m, g, states, true_masks)
+            monitor.after_round(m, g, states)
         if keep_snapshots:
             snapshots.append({p: states[p].snapshot() for p in states})
     return Trace(cfg, round_graphs, outcomes, decisions, snapshots, states)
@@ -544,10 +532,16 @@ def fuzz_campaign(
     """Deterministically sample configurations, run them, aggregate pass/fail.
 
     Trials are sampled up front, so results are identical for any ``jobs``
-    count; each trial owns all of its state.
+    count; each trial owns all of its state.  A bad ``mode``, ``n_range`` or
+    ``d_cap`` raises ValueError before any trial is sampled.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    parse_mode(mode)
+    if not (2 <= n_range[0] <= n_range[1] <= STRIDE):
+        raise ValueError(f"n range must satisfy 2 <= lo <= hi <= {STRIDE}, got {n_range[0]}:{n_range[1]}")
+    if d_cap < 1:
+        raise ValueError(f"d_cap must be >= 1, got {d_cap}")
     rng = random.Random(f"fuzz:{seed}")
     cases = []
     for index in range(trials):

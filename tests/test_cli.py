@@ -271,6 +271,7 @@ class TestRun:
             ["--d", "9"],
             ["--d", "2", "--mode", "weird"],
             ["--d", "2", "--mode", "bounded:x"],
+            ["--d", "2", "--horizon", "0"],
         ],
     )
     def test_bad_config_exit_2(self, capsys, estable_lasso_file, flags):
@@ -279,6 +280,15 @@ class TestRun:
         )
         assert code == 2
         assert payload["ok"] is False and payload["error"]
+
+    def test_more_processes_than_edge_mask_width_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "n17.json"
+        assert main(["generate", "--n", "17", "--d", "2", "--rsr", "1", "--out", str(path)]) == 0
+        code, payload = run_cli(
+            capsys, ["run", "--lasso", str(path), "--inputs", ",".join(["0"] * 17), "--d", "2"]
+        )
+        assert code == 2
+        assert "n must be <= 16" in payload["error"]
 
     def test_input_count_mismatch_exit_2(self, capsys, estable_lasso_file):
         code, _ = run_cli(
@@ -358,6 +368,21 @@ class TestFuzz:
     def test_bad_range_exit_2(self, capsys):
         code, _ = run_cli(capsys, ["fuzz", "--n-range", "oops"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mode", "weird"],
+            ["--n-range", "17:17"],
+            ["--d-cap", "0"],
+            ["--n-range", "5:3"],
+            ["--n-range", "1:1"],
+        ],
+    )
+    def test_bad_config_exit_2_before_any_trial(self, capsys, flags):
+        code, payload = run_cli(capsys, ["fuzz", "--trials", "2"] + flags)
+        assert code == 2
+        assert payload["ok"] is False and payload["error"]
 
     def test_jobs_flag_same_results(self, capsys):
         _, serial = run_cli(capsys, ["fuzz", "--trials", "8", "--seed", "3"])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import rootcons.consensus as consensus_mod
 from rootcons.adversary import AdversaryParams, generate_estable
 from rootcons.consensus import (
     CoreStepOutcome,
@@ -122,6 +123,19 @@ class TestC3B3:
         st = trace.states[1]
         assert st.y == 5
         assert b3_apply(st, frozenset([1]), (1, 2)) is None  # already decided
+
+    def test_c2_not_called_after_deciding(self, eps1_lasso, monkeypatch):
+        calls = []
+
+        def spy(s, D):
+            calls.append((s.pid, s.m, s.y))
+            return c2_check(s, D)
+
+        monkeypatch.setattr(consensus_mod, "c2_check", spy)
+        trace = run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 12))
+        assert trace.latest_decision_round() == 5
+        assert calls and all(y is None for (_, _, y) in calls)
+        assert all(m <= trace.decisions[pid][0] for (pid, m, _) in calls)
 
     def test_missing_lock_value_is_an_error(self):
         s = init_state(1, 3)

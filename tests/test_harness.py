@@ -1,14 +1,18 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from oracles import bfs_distance
 
 import rootcons.consensus as consensus_mod
+import rootcons.harness as harness_mod
 from rootcons.adversary import check_estable, check_safety
+from rootcons.approximation import edge_bit
 from rootcons.graphs import causal_past, lasso, root_components
 from rootcons.harness import (
+    EngineInvariantError,
     RunConfig,
     eps_pair_report,
     fuzz_campaign,
@@ -58,6 +62,73 @@ class TestRunExecution:
         assert first["round"] == 1
         assert ["1", "3"] not in first["graph"]  # edges serialize as int pairs
         assert json.loads(json.dumps(trace.summary_dict()))
+
+
+def _drop_relayed_approx(merge, s, msgs, m):
+    return merge(s, [replace(msg, approx={}) for msg in msgs], m)
+
+
+def _drop_relayed_locks(merge, s, msgs, m):
+    own_rows = [replace(msg, locks={msg.sender: msg.locks[msg.sender]}) for msg in msgs]
+    return merge(s, own_rows, m)
+
+
+def _wrong_lock_value(merge, s, msgs, m):
+    merge(s, msgs, m)
+    s.locks[5][1] += 1
+
+
+def _fabricated_edge(merge, s, msgs, m):
+    merge(s, msgs, m)
+    s.approx[1] |= edge_bit(3, 2)
+
+
+def _retained_past_window(merge, s, msgs, m):
+    stale = s.approx[m - 2]
+    merge(s, msgs, m)
+    s.approx[m - 2] = stale
+
+
+class TestInvariantMonitor:
+    """Each fault is injected into p2's merge of one round (eps1: 1 -> 5 -> 2,
+    1 -> 3, 1 -> 4); the monitor must name exactly that process and round."""
+
+    @pytest.mark.parametrize(
+        "fault, mode, round_, why",
+        [
+            (_drop_relayed_approx, "full", 2,
+             "approx[1] is [(2, 2), (5, 2)], expected [(1, 5), (2, 2), (5, 2), (5, 5)] "
+             "(heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
+            (_drop_relayed_locks, "full", 2,
+             "lock[1][0] is absent, expected 3 (heard[2][1]=0; rounds 0..2 kept)"),
+            (_wrong_lock_value, "full", 2,
+             "lock[5][1] is 6, expected 5 (heard[2][5]=1; rounds 0..2 kept)"),
+            (_fabricated_edge, "full", 2,
+             "approx[1] is [(1, 5), (2, 2), (3, 2), (5, 2), (5, 5)], expected [(1, 5), (2, 2), (5, 2), (5, 5)]"),
+            (_retained_past_window, "bounded:1", 3,
+             "approx[1] is [(1, 5), (2, 2), (5, 2), (5, 5)], expected absent (heard[2]=[1, 3, -1, -1, 2]; rounds 2..3 kept)"),
+        ],
+        ids=["dropped-relayed-edges", "dropped-relayed-lock", "wrong-lock-value",
+             "fabricated-edge", "retained-past-window"],
+    )
+    def test_fault_names_process_and_round(self, monkeypatch, eps1_lasso, fault, mode, round_, why):
+        merge = harness_mod.receive_and_merge
+
+        def faulty_merge(s, msgs, m):
+            if (s.pid, m) == (2, round_):
+                return fault(merge, s, list(msgs), m)
+            return merge(s, msgs, m)
+
+        monkeypatch.setattr(harness_mod, "receive_and_merge", faulty_merge)
+        cfg = RunConfig(5, 2, (3, 1, 4, 1, 5), eps1_lasso, 8, mode=mode)
+        with pytest.raises(EngineInvariantError) as caught:
+            run_execution(cfg)
+        assert (caught.value.pid, caught.value.round) == (2, round_)
+        assert why in str(caught.value)
+
+    @pytest.mark.parametrize("mode", ["full", "bounded:1", "bounded:5"])
+    def test_fault_free_runs_pass(self, eps2_lasso, mode):
+        run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 14, mode=mode))
 
 
 class TestOracleCheck:
