@@ -30,7 +30,6 @@ from .approximation import (
     has_late_outgoing_edge,
     init_state,
     make_message,
-    prune,
     receive_and_merge,
 )
 from .consensus import CoreStepOutcome, core_step

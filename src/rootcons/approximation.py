@@ -1,16 +1,23 @@
-"""Per-process full-information state: graph approximation and lock matrix.
+"""Per-process full-information state, held as knowledge by reference.
 
-Each process accumulates, per round r, an under-approximation of the true
-round-r communication graph (it never fabricates edges: an edge enters the
-approximation only when its receiving endpoint's state, or the direct
-delivery itself, has reached the process).  Alongside it keeps a lock matrix
-``lock[q][r]`` of proposal-value history, where missing entries stand for
-"unknown" and an entry, once known, never changes (only q ever originates
-``lock[q][r]``, so all copies agree).
+A process's state is exactly what has reached it through its causal past:
+``heard[q]``, the latest round whose end state of q has reached it (a vector
+clock), plus q's own append-only :class:`Row` of per-round lock (proposal)
+values and delivered in-edge masks.  Only the owner writes its row, and only
+the cell of its current round, so every process refers to q's single row
+instead of holding a copy.
 
-Edge sets are stored as integer bitmasks (edge (u, v) occupies bit
-``(u-1)*STRIDE + (v-1)``), which makes the per-round union merges cheap and
-keys the memoized root-component computation.
+With ``lo`` the oldest retained round (0 in full mode; ``max(0, m-k)`` in
+``bounded:k``, where each owner drops its round ``m-k-1`` cell in round m),
+after round m the process knows ``lock[q][r]`` exactly for
+``lo <= r <= heard[q]``, and the round-r edge (u, v) exactly for
+``lo <= r <= m`` with ``heard[v] >= r``.  ``approx`` and ``locks`` are
+read-only views of these facts, and ``snapshot()`` serializes them.  Rows are
+shared, so all states of one run must advance in lock step, as the harness
+does.
+
+Edge sets are integer bitmasks (edge (u, v) occupies bit
+``(u-1)*STRIDE + (v-1)``), which key the memoized root-component computation.
 """
 
 from __future__ import annotations
@@ -22,24 +29,9 @@ from .graphs import CommGraph, root_components
 
 STRIDE = 16  # max supported process id; bit layout of edge masks
 
-_ROW = (1 << STRIDE) - 1
-
-
-class ProtocolViolationError(Exception):
-    """A merge saw conflicting values for the same lock entry; since only the
-    owner ever originates an entry, this signals a harness bug, not a
-    legitimate protocol state."""
-
 
 def edge_bit(u: int, v: int) -> int:
     return 1 << ((u - 1) * STRIDE + (v - 1))
-
-
-def mask_of_edges(edges: Iterable) -> int:
-    m = 0
-    for (u, v) in edges:
-        m |= edge_bit(u, v)
-    return m
 
 
 def edges_of_mask(mask: int) -> list:
@@ -50,10 +42,6 @@ def edges_of_mask(mask: int) -> list:
         edges.append((idx // STRIDE + 1, idx % STRIDE + 1))
         mask ^= low
     return edges
-
-
-def out_row_mask(q: int) -> int:
-    return _ROW << ((q - 1) * STRIDE)
 
 
 def vertices_of_mask(mask: int) -> frozenset:
@@ -88,37 +76,77 @@ def roots_of_partial(mask: int, extra_vertex: int) -> frozenset:
     return roots
 
 
+def window_start(keep: Optional[int], m: int) -> int:
+    """Oldest round retained after round m: 0 in full mode (``keep`` None),
+    ``max(0, m - keep)`` in bounded:keep."""
+    return 0 if keep is None else max(0, m - keep)
+
+
+class Row:
+    """One owner's history: ``lock[r]``, its proposal value after round r, and
+    ``inmask[r]``, the edges delivered to it in round r (self-loop included;
+    round 0 has none)."""
+
+    __slots__ = ("lock", "inmask")
+
+    def __init__(self, x: int):
+        self.lock = {0: x}
+        self.inmask = {0: 0}
+
+
+def _approx_view(heard: dict, rows: dict, lo: int, m: int) -> dict:
+    """Round -> edge mask for rounds ``lo..m``: the in-edges of every v whose
+    state of that round has been heard."""
+    view = dict.fromkeys(range(lo, m + 1), 0)
+    for v, h in heard.items():
+        if h >= lo:
+            inmask = rows[v].inmask
+            for r in range(lo, h + 1):
+                view[r] |= inmask[r]
+    return view
+
+
+def _locks_view(heard: dict, rows: dict, lo: int) -> dict:
+    """Peer -> {round -> lock value} for rounds ``lo..heard[q]`` of every held row."""
+    return {q: {r: row.lock[r] for r in range(lo, heard[q] + 1)} for q, row in rows.items()}
+
+
 @dataclass(frozen=True)
 class Message:
-    """Value snapshot of a sender's end-of-previous-round state."""
+    """A sender's end-of-previous-round knowledge: a copy of its ``heard``
+    and references to the rows it holds, carried from round ``lo`` on.
+
+    ``approx`` and ``locks`` are views of what the message carries; rows keep
+    growing, so they are meaningful only in the round the message is sent.
+    """
 
     sender: int
     sent_in: int  # the round this message is delivered in
-    approx: dict  # round -> edge mask
-    locks: dict  # pid -> {round -> value}
+    heard: dict  # pid -> latest round of pid's state the sender has heard
+    rows: dict  # pid -> that pid's own Row
+    lo: int
+
+    @property
+    def approx(self) -> dict:
+        return _approx_view(self.heard, self.rows, self.lo, self.sent_in - 1)
+
+    @property
+    def locks(self) -> dict:
+        return _locks_view(self.heard, self.rows, self.lo)
 
 
 class NodeState:
     """One process's protocol state.
 
-    ``approx[r]`` is the edge mask approximating round r (``approx[0]`` is
-    the initial singleton graph and never gains edges).  ``locks[q][r]``
-    holds known lock values; the owner's own row is defined for every
-    retained round.  ``y`` is the write-once decision.
+    ``heard[q]`` is the latest round of q's state that has reached the
+    process (its own entry is the current round ``m``), ``rows[q]`` is q's
+    own row, held for every q heard from within the retained window, and
+    ``y`` is the write-once decision.  ``approx[r]`` (``approx[0]`` is the
+    initial singleton graph and never gains edges) and ``locks[q][r]`` are
+    views over the retained rounds.
     """
 
-    __slots__ = (
-        "pid",
-        "x",
-        "m",
-        "y",
-        "approx",
-        "locks",
-        "keep",
-        "min_round",
-        "last_out",
-        "_roots",
-    )
+    __slots__ = ("pid", "x", "m", "y", "keep", "heard", "rows")
 
     def __init__(self, pid: int, x: int, keep: Optional[int] = None):
         if not (1 <= pid <= STRIDE):
@@ -127,27 +155,43 @@ class NodeState:
         self.x = x
         self.m = 0
         self.y: Optional[int] = None
-        self.approx = {0: 0}
-        self.locks = {pid: {0: x}}
         self.keep = keep  # None = full history, else bounded(keep)
-        self.min_round = 0
-        self.last_out: dict = {}  # q -> latest round with a recorded out-edge of q
-        self._roots: dict = {}
+        self.heard = {pid: 0}
+        self.rows = {pid: Row(x)}
 
     @property
-    def mode(self) -> str:
-        return "full" if self.keep is None else f"bounded:{self.keep}"
+    def lo(self) -> int:
+        return window_start(self.keep, self.m)
+
+    @property
+    def approx(self) -> dict:
+        return _approx_view(self.heard, self.rows, self.lo, self.m)
+
+    @property
+    def locks(self) -> dict:
+        return _locks_view(self.heard, self.rows, self.lo)
+
+    def approx_mask(self, r: int) -> int:
+        """Edge mask of the round-r approximation (0 outside the retained rounds)."""
+        mask = 0
+        if r >= self.lo:
+            rows = self.rows
+            for v, h in self.heard.items():
+                if h >= r:
+                    mask |= rows[v].inmask[r]
+        return mask
 
     def roots_at(self, r: int) -> frozenset:
-        cached = self._roots.get(r)
-        if cached is None:
-            cached = roots_of_partial(self.approx.get(r, 0), self.pid)
-            self._roots[r] = cached
-        return cached
+        return roots_of_partial(self.approx_mask(r), self.pid)
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
-        row = self.locks.get(q)
-        return None if row is None else row.get(r)
+        if self.lo <= r <= self.heard.get(q, -1):
+            return self.rows[q].lock[r]
+        return None
+
+    def propose(self, value: int) -> None:
+        """Set the own lock of the current round (the core step's re-proposal)."""
+        self.rows[self.pid].lock[self.m] = value
 
     def snapshot(self) -> tuple:
         """Hashable full-state copy; two runs are indistinguishable to a
@@ -157,8 +201,8 @@ class NodeState:
             self.m,
             self.x,
             self.y,
-            tuple(sorted(self.approx.items())),
-            tuple(sorted((q, tuple(sorted(row.items()))) for q, row in self.locks.items())),
+            tuple(self.approx.items()),
+            tuple((q, tuple(row.items())) for q, row in sorted(self.locks.items())),
             self.keep,
         )
 
@@ -168,16 +212,21 @@ class NodeState:
             "m": self.m,
             "x": self.x,
             "y": self.y,
-            "approx": {str(r): sorted(edges_of_mask(mask)) for r, mask in sorted(self.approx.items())},
+            "approx": {str(r): sorted(edges_of_mask(mask)) for r, mask in self.approx.items()},
             "locks": {
-                str(q): {str(r): v for r, v in sorted(row.items())}
+                str(q): {str(r): v for r, v in row.items()}
                 for q, row in sorted(self.locks.items())
             },
         }
 
 
-def parse_mode(mode: str) -> Optional[int]:
-    """Rounds of history kept in ``mode``: ``None`` for ``"full"``, k for ``"bounded:<k>"``."""
+def parse_mode(mode: str, D: Optional[int] = None) -> Optional[int]:
+    """Rounds of history kept in ``mode``: ``None`` for ``"full"``, k for ``"bounded:<k>"``.
+
+    Given the delay ``D``, a window shorter than ``2D+1`` rounds is a
+    configuration error: the protocol needs that many rounds for a decisive
+    single-rooted interval of D+1 rounds and the D rounds of evidence after it.
+    """
     if mode == "full":
         return None
     if mode.startswith("bounded:"):
@@ -187,6 +236,8 @@ def parse_mode(mode: str) -> Optional[int]:
             raise ValueError(f"bounded mode needs an integer k, got {mode!r}") from None
         if k < 1:
             raise ValueError("bounded mode needs k >= 1")
+        if D is not None and k < 2 * D + 1:
+            raise ValueError(f"{mode} is shorter than the 2D+1 = {2 * D + 1} round window for D={D}")
         return k
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -200,95 +251,56 @@ def init_state(pid: int, x: int, mode: str = "full") -> NodeState:
 
 
 def make_message(s: NodeState) -> Message:
-    """Snapshot of the state at the end of round ``s.m``, broadcast in round ``s.m + 1``.
+    """The state at the end of round ``s.m``, broadcast in round ``s.m + 1``.
 
-    In bounded(k) mode only rounds strictly newer than ``s.m - k`` are included.
+    In bounded(k) mode the message carries only rounds newer than ``s.m - k``.
     """
-    if s.keep is None:
-        approx = dict(s.approx)
-        locks = {q: dict(row) for q, row in s.locks.items()}
-    else:
-        cut = s.m - s.keep
-        approx = {r: mask for r, mask in s.approx.items() if r > cut}
-        locks = {}
-        for q, row in s.locks.items():
-            kept = {r: v for r, v in row.items() if r > cut}
-            if kept:
-                locks[q] = kept
-    return Message(s.pid, s.m + 1, approx, locks)
+    return Message(s.pid, s.m + 1, dict(s.heard), dict(s.rows), window_start(s.keep, s.m + 1))
 
 
 def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     """Fuse the round-m deliveries into the state, before the core step.
 
-    Records the direct edge (sender -> pid) for round m, unions every
-    received per-round approximation, and adopts received lock entries for
-    locally-unknown cells.  Afterwards the own lock row is carried forward
-    into round m.  Merge order is irrelevant: unions and adopt-if-unknown
-    are commutative and idempotent.
+    ``heard`` becomes the element-wise maximum over the inbox, a peer's row
+    reference is adopted once it is heard from within the retained window,
+    and the own row gains its round-m cell: the lock carried forward and the
+    direct in-edges (sender -> pid).  Merge order is irrelevant: maxima are
+    commutative and every message refers to the same row of each owner.
     """
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
-    s.m = m
+    lo = window_start(s.keep, m)
+    heard, rows = s.heard, s.rows
     direct = 0
     for msg in msgs:
         if msg.sent_in != m:
             raise ValueError(f"message for round {msg.sent_in} delivered in round {m}")
         direct |= edge_bit(msg.sender, s.pid)
-        for r, mask in msg.approx.items():
-            old = s.approx.get(r, 0)
-            new = old | mask
-            if new != old:
-                s.approx[r] = new
-                s._roots.pop(r, None)
-                _note_out_edges(s, new & ~old, r)
-        for q, row in msg.locks.items():
-            local = s.locks.setdefault(q, {})
-            for r, v in row.items():
-                known = local.get(r)
-                if known is None:
-                    local[r] = v
-                elif known != v:
-                    raise ProtocolViolationError(
-                        f"conflicting lock[{q}][{r}] values {known} vs {v} at p{s.pid}"
-                    )
-    old = s.approx.get(m, 0)
-    new = old | direct
-    if new != old:
-        s.approx[m] = new
-        s._roots.pop(m, None)
-        _note_out_edges(s, new & ~old, m)
-    elif m not in s.approx:
-        s.approx[m] = 0
-    own = s.locks[s.pid]
-    if m not in own:
-        prev = own.get(m - 1)
-        if prev is None:
-            raise ProtocolViolationError(f"p{s.pid} lost its own lock history at round {m - 1}")
-        own[m] = prev
-    if s.keep is not None:
-        prune(s, s.keep)
+        for q, h in msg.heard.items():
+            if h > heard.get(q, -1):
+                heard[q] = h
+                if h >= lo and q not in rows:
+                    rows[q] = msg.rows[q]
+    s.m = m
+    heard[s.pid] = m
+    own = rows[s.pid]
+    own.lock[m] = own.lock[m - 1]
+    own.inmask[m] = direct
+    if lo > 0:
+        del own.lock[lo - 1], own.inmask[lo - 1]
     return s
 
 
-def _note_out_edges(s: NodeState, delta_mask: int, r: int) -> None:
-    while delta_mask:
-        low = delta_mask & -delta_mask
-        q = (low.bit_length() - 1) // STRIDE + 1
-        if s.last_out.get(q, -1) < r:
-            s.last_out[q] = r
-        delta_mask &= ~out_row_mask(q)
-
-
 def has_late_outgoing_edge(s: NodeState, q: int, r: int) -> bool:
-    """True iff the approximation has shown an outgoing edge of q in some
-    round strictly after r (up to the current round).
+    """True iff the approximation shows an outgoing edge of q in some round
+    after r (up to the current round), for a retained round r.
 
-    This is exactly the locally-checkable certificate that q's round-r state
-    has reached this process, which is what makes locally detected roots
-    trustworthy.
+    That holds exactly when q's round-r state has reached this process and r
+    is not the current round: the chain that carried it leaves q by an edge
+    of round r+1 whose head's state has also arrived.  This is the
+    locally-checkable certificate that makes detected roots trustworthy.
     """
-    return s.last_out.get(q, -1) > r
+    return r < s.m and s.heard.get(q, -1) >= r
 
 
 def detected_roots(s: NodeState, r: int) -> frozenset:
@@ -299,36 +311,3 @@ def detected_roots(s: NodeState, r: int) -> frozenset:
     for each member before trusting it to be a root of the true graph.
     """
     return s.roots_at(r)
-
-
-def approx_to_dot(s: NodeState, r: int, name: str = "approx") -> str:
-    """DOT rendering of one round's approximation, detected roots double-circled."""
-    mask = s.approx.get(r, 0)
-    vertices = sorted(vertices_of_mask(mask) | {s.pid})
-    root_members = set()
-    for root in s.roots_at(r):
-        root_members |= root
-    lines = [f"digraph {name} {{"]
-    for p in vertices:
-        shape = "doublecircle" if p in root_members else "circle"
-        lines.append(f'  p{p} [shape={shape}, label="p{p}"];')
-    for (u, v) in sorted(edges_of_mask(mask)):
-        if u != v:
-            lines.append(f"  p{u} -> p{v};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def prune(s: NodeState, keep: int) -> NodeState:
-    """Drop approximation and lock rounds below ``m - keep``."""
-    cut = s.m - keep
-    if cut <= s.min_round:
-        return s
-    for r in range(s.min_round, cut):
-        s.approx.pop(r, None)
-        s._roots.pop(r, None)
-    for row in s.locks.values():
-        for r in [r for r in row if r < cut]:
-            del row[r]
-    s.min_round = cut
-    return s

@@ -21,28 +21,23 @@ from .adversary import (
     check_alt_estable,
     check_estable,
     check_mad,
-    check_safety,
     diagnose,
     generate_alt_estable,
     generate_estable,
 )
-from .graphs import (
-    check_dynamic_diameter,
-    graph_to_dot,
-    lasso_from_json,
-    lasso_to_json,
-    causal_past,
-)
+from .graphs import graph_to_dot, lasso_from_json, lasso_to_json
 from .harness import (
     EngineInvariantError,
     RunConfig,
     eps_pair_report,
     fuzz_campaign,
-    indistinguishable,
+    hop_fallacy_report,
     oracle_check,
     run_execution,
+    scenario_eps_pair,
     scenario_hop_fallacy,
     scenario_stab_not_enough,
+    stab_not_enough_report,
 )
 
 EXIT_OK = 0
@@ -203,83 +198,36 @@ def cmd_run(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_UNSATISFIED
 
 
+def _named_lassos(names: tuple, configs: tuple) -> dict:
+    return {name: cfg.lasso for name, cfg in zip(names, configs)}
+
+
+# scenario name -> (its report, {file stem: lasso}) for the parsed arguments
+SCENARIOS = {
+    "eps-pair": lambda a: (
+        eps_pair_report(a.n, a.d, a.rsr_prefix),
+        _named_lassos(("eps", "eps_prime"), scenario_eps_pair(a.n, a.d, a.rsr_prefix)),
+    ),
+    "stab-not-enough": lambda a: (
+        stab_not_enough_report(a.n, a.tau, a.d),
+        _named_lassos(("eps1", "eps2"), scenario_stab_not_enough(a.n, a.tau, a.d)),
+    ),
+    "hop-fallacy": lambda a: (hop_fallacy_report(a.n), {"hop_fallacy": scenario_hop_fallacy(a.n)}),
+}
+
+
 def cmd_scenario(args) -> int:
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    def dump(name, lasso_seq):
-        if out_dir:
-            (out_dir / f"{name}.json").write_text(lasso_to_json(lasso_seq) + "\n")
-
     try:
-        if args.name == "eps-pair":
-            report = eps_pair_report(args.n, args.d, args.rsr_prefix)
-            if out_dir:
-                from .harness import scenario_eps_pair
-
-                cfg_e, cfg_ep = scenario_eps_pair(args.n, args.d, args.rsr_prefix)
-                dump("eps", cfg_e.lasso)
-                dump("eps_prime", cfg_ep.lasso)
-            _emit(report, f"eps-pair: {'all assertions hold' if report['ok'] else 'FAILED'}")
-            return EXIT_OK if report["ok"] else EXIT_UNSATISFIED
-        if args.name == "stab-not-enough":
-            cfg1, cfg2 = scenario_stab_not_enough(args.n, args.tau, args.d)
-            witness = check_safety(cfg2.lasso, args.d)
-            t1 = run_execution(cfg1)
-            t2 = run_execution(cfg2)
-            r2 = oracle_check(t2, cfg2.horizon)
-            checks = {
-                "eps2_safety_witness": witness is not None
-                and witness.root == frozenset([1])
-                and (witness.start, witness.end) == (1, args.tau),
-                "eps1_decides_head_input_everywhere": all(
-                    v == cfg1.inputs[0] for (_, v) in t1.decisions.values()
-                )
-                and len(t1.decisions) == args.n,
-                "eps2_agreement_fails": not r2.agreement_ok,
-            }
-            dump("eps1", cfg1.lasso)
-            dump("eps2", cfg2.lasso)
-            ok = all(checks.values())
-            payload = {
-                "ok": ok,
-                "checks": checks,
-                "safety_witness": witness.to_json_dict() if witness else None,
-                "eps1_decisions": t1.decision_events(),
-                "eps2_decisions": t2.decision_events(),
-            }
-            _emit(payload, f"stab-not-enough: {'all assertions hold' if ok else 'FAILED'}")
-            return EXIT_OK if ok else EXIT_UNSATISFIED
-        if args.name == "hop-fallacy":
-            lasso_seq = scenario_hop_fallacy(args.n)
-            n = args.n
-            w = lasso_seq.window(1, n)
-            first_reached = None
-            for b in range(1, n + 1):
-                if 1 in causal_past(w, n, 0, b):
-                    first_reached = b
-                    break
-            per_round_dist = 2  # root -> middle -> anyone, by construction
-            diameter_witness = check_dynamic_diameter(lasso_seq, min(2, n - 1), horizon=n + 2)
-            checks = {
-                "causal_distance_is_n_minus_1": first_reached == n - 1,
-                "per_round_distance_is_2": per_round_dist == 2,
-                "small_diameter_refuted": diameter_witness is not None,
-            }
-            dump("hop_fallacy", lasso_seq)
-            ok = all(checks.values())
-            payload = {
-                "ok": ok,
-                "checks": checks,
-                "causal_distance": first_reached,
-                "per_round_distance": per_round_dist,
-            }
-            _emit(payload, f"hop-fallacy: {'all assertions hold' if ok else 'FAILED'}")
-            return EXIT_OK if ok else EXIT_UNSATISFIED
-        return _fail_input(f"unknown scenario {args.name!r}")
+        report, lassos = SCENARIOS[args.name](args)
     except ValueError as exc:
         return _fail_input(str(exc))
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, lasso_seq in lassos.items():
+            (out_dir / f"{name}.json").write_text(lasso_to_json(lasso_seq) + "\n")
+    _emit(report, f"{args.name}: {'all assertions hold' if report['ok'] else 'FAILED'}")
+    return EXIT_OK if report["ok"] else EXIT_UNSATISFIED
 
 
 def cmd_fuzz(args) -> int:
@@ -350,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_run)
 
     s = sub.add_parser("scenario", help="materialize a named scenario and run its assertions")
-    s.add_argument("name", choices=["eps-pair", "stab-not-enough", "hop-fallacy"])
+    s.add_argument("name", choices=list(SCENARIOS))
     s.add_argument("--n", type=int, default=5)
     s.add_argument("--d", type=int, default=2)
     s.add_argument("--tau", type=int, default=4)

@@ -49,7 +49,7 @@ class CoreStepOutcome:
 
 
 def _core_low(s: NodeState) -> int:
-    return max(1, s.min_round)
+    return max(1, s.lo)
 
 
 def _common_run(s: NodeState, root: frozenset, lo_anchor: int, hi_anchor: int) -> tuple:
@@ -104,7 +104,7 @@ def b1_apply(s: NodeState, m: int, root: frozenset, D: int) -> tuple:
     where a starts the maximal common-root run around round m-D."""
     a, _ = _common_run(s, root, m - D, m - D)
     value = _max_lock(s, root, a, "b1")
-    s.locks[s.pid][m] = value
+    s.propose(value)
     return a, value
 
 

@@ -10,12 +10,14 @@ While running, an invariant monitor checks each process's state against
 ground truth it derives from the true graphs alone: ``heard[p][q]``, the
 latest round whose end state of q has reached p (after round m it is the
 maximum of ``heard[u][q]`` over p's round-m in-neighbours u, and
-``heard[p][p] = m``).  With ``lo`` the oldest retained round (0 in full mode,
-``max(0, m-k)`` in bounded:k), p's state must be exactly that knowledge:
-``locks[q]`` equals the owner's values on rounds ``lo..heard[p][q]``, and
-``approx[r]`` for r in ``lo..m`` equals the union of the true round-r
-in-edges of every v with ``heard[p][v] >= r``.  This one equality rules out
-fabricated edges and lock values, and missing or over-retained knowledge.
+``heard[p][p] = m``).  After every round it requires, for every p, that
+p's ``heard`` equals that row of the matrix, that every row p holds is the
+owner's own row object (and that p holds it once q is heard from within the
+retained rounds ``lo..m``), and that p's own row gained exactly the right
+round-m cell: the true in-edges, the lock value the monitor tracks (carried
+forward, or the core step's re-proposal), and nothing outside ``lo..m``.
+Since a state's approximation and lock views are derived from ``heard`` and
+the shared rows alone, this makes them exact.
 """
 
 from __future__ import annotations
@@ -31,20 +33,28 @@ from .adversary import (
     AdversaryParams,
     check_alt_estable,
     check_estable,
+    check_safety,
     generate_alt_estable,
     generate_estable,
 )
 from .approximation import (
     STRIDE,
+    edge_bit,
     edges_of_mask,
     init_state,
     make_message,
-    mask_of_edges,
     parse_mode,
     receive_and_merge,
+    window_start,
 )
 from .consensus import core_step
-from .graphs import CommGraph, LassoSequence, lasso_to_json_dict
+from .graphs import (
+    CommGraph,
+    LassoSequence,
+    causal_past,
+    check_dynamic_diameter,
+    lasso_to_json_dict,
+)
 
 
 class EngineInvariantError(Exception):
@@ -77,7 +87,7 @@ class RunConfig:
             raise ValueError(f"D must satisfy 1 <= D <= n-1, got D={self.D}, n={self.n}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        parse_mode(self.mode)
+        parse_mode(self.mode, self.D)
 
 
 @dataclass
@@ -141,52 +151,49 @@ class Trace:
 
 class _InvariantMonitor:
     """The run's ground truth, from the true round graphs alone: ``heard[p][q]``
-    (the latest round whose end state of q has reached p, -1 for none), the
-    owners' lock rows ``locks[q][r]`` and the true edge masks ``masks[r]``."""
+    (the latest round whose end state of q has reached p, -1 for none), each
+    owner's current lock value and its own row object."""
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, states: dict):
         self.keep = parse_mode(cfg.mode)
         self.heard = [[0 if q == p else -1 for q in range(cfg.n)] for p in range(cfg.n)]
-        self.locks = [[x] for x in cfg.inputs]
-        self.masks = [0]
-        # a set of heads' bits times this is the mask of every edge into the set
-        self._into = sum(1 << (u * STRIDE) for u in range(cfg.n))
+        self.lock = list(cfg.inputs)
+        self.rows = [states[p].rows[p] for p in range(1, cfg.n + 1)]
 
-    def after_round(self, m: int, g: CommGraph, states: dict):
-        senders = [[] for _ in self.locks]
+    def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
+        senders = [[] for _ in self.rows]
+        inmask = [0 for _ in self.rows]
         for (u, v) in g.edges:
             senders[v - 1].append(self.heard[u - 1])
+            inmask[v - 1] |= edge_bit(u, v)
         self.heard = [[max(col) for col in zip(*rows)] for rows in senders]
-        self.masks.append(mask_of_edges(g.edges))
-        for p, row in enumerate(self.locks):
-            self.heard[p][p] = m
-            row.append(states[p + 1].locks[p + 1].get(m))
-        lo = 0 if self.keep is None else max(0, m - self.keep)
-        window = f"rounds {lo}..{m} kept"
+        lo = window_start(self.keep, m)
         for p, known in enumerate(self.heard, start=1):
-            st = states[p]
-            for q, h in enumerate(known, start=1):
-                want = dict(zip(range(lo, h + 1), self.locks[q - 1][lo : h + 1]))
-                got = st.locks.get(q) or {}
-                if got != want:
-                    raise _mismatch(p, m, f"lock[{q}]", got, want, f"heard[{p}][{q}]={h}; {window}")
-            newest = {}
-            for v, h in enumerate(known):
-                newest[h] = newest.get(h, 0) | 1 << v
-            heads, want = 0, {}
-            for r in range(m, lo - 1, -1):
-                heads |= newest.get(r, 0)
-                want[r] = self.masks[r] & heads * self._into
-            if st.approx != want:
-                why = f"heard[{p}]={known}; {window}"
-                raise _mismatch(p, m, "approx", st.approx, want, why, edges_of_mask)
+            known[p - 1] = m
+            locked = outcomes[p - 1].locked
+            if locked is not None:
+                self.lock[p - 1] = locked[2]
+            problem = self._violation(states[p], p, m, lo, known, inmask[p - 1])
+            if problem:
+                raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={known}; rounds {lo}..{m} kept)")
 
-
-def _mismatch(p: int, m: int, what: str, got: dict, want: dict, why: str, show=str):
-    """The violation naming the first round where ``got`` and ``want`` differ."""
-    r = min(k for k in got.keys() | want.keys() if got.get(k, "absent") != want.get(k, "absent"))
-    has, needs = (show(d[r]) if r in d else "absent" for d in (got, want))
-    return EngineInvariantError(p, m, f"{what}[{r}] is {has}, expected {needs} ({why})")
+    def _violation(self, st, p: int, m: int, lo: int, known: list, inmask: int) -> Optional[str]:
+        """What is wrong with p's state after round m, or None."""
+        for q, h in enumerate(known, start=1):
+            if st.heard.get(q, -1) != h:
+                return f"heard[{q}] is {st.heard.get(q, 'absent')}, expected {h}"
+            row = st.rows.get(q)
+            if (row is not None or h >= lo) and row is not self.rows[q - 1]:
+                return f"row[{q}] is {'absent' if row is None else 'a copy'}, not p{q}'s own row"
+        own = self.rows[p - 1]
+        if own.inmask.get(m) != inmask:
+            has = edges_of_mask(own.inmask[m]) if m in own.inmask else "absent"
+            return f"inmask[{p}][{m}] is {has}, expected {edges_of_mask(inmask)}"
+        if own.lock.get(m) != self.lock[p - 1]:
+            return f"lock[{p}][{m}] is {own.lock.get(m, 'absent')}, expected {self.lock[p - 1]}"
+        if not len(own.lock) == len(own.inmask) == m - lo + 1:
+            return f"row[{p}] holds rounds {sorted(own.lock.keys() | own.inmask.keys())}, expected {lo}..{m}"
+        return None
 
 
 def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
@@ -197,7 +204,7 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
     fuzz runs.
     """
     states = {p: init_state(p, cfg.inputs[p - 1], cfg.mode) for p in range(1, cfg.n + 1)}
-    monitor = _InvariantMonitor(cfg) if cfg.check_invariants else None
+    monitor = _InvariantMonitor(cfg, states) if cfg.check_invariants else None
     round_graphs = []
     outcomes = []
     decisions = {}
@@ -222,7 +229,7 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
                 decisions[p] = (m, out.decided[2])
         outcomes.append(per_round)
         if monitor:
-            monitor.after_round(m, g, states)
+            monitor.after_round(m, g, states, per_round)
         if keep_snapshots:
             snapshots.append({p: states[p].snapshot() for p in states})
     return Trace(cfg, round_graphs, outcomes, decisions, snapshots, states)
@@ -411,6 +418,32 @@ def scenario_stab_not_enough(n: int, tau: int, D: int = 1) -> tuple:
     return cfg1, cfg2
 
 
+def stab_not_enough_report(n: int, tau: int, D: int = 1) -> dict:
+    """Run the pair and check that the second run has exactly the expected
+    safety witness and splits its decision, while the first agrees."""
+    cfg1, cfg2 = scenario_stab_not_enough(n, tau, D)
+    witness = check_safety(cfg2.lasso, D)
+    t1 = run_execution(cfg1)
+    t2 = run_execution(cfg2)
+    checks = {
+        "eps2_safety_witness": witness is not None
+        and witness.root == frozenset([1])
+        and (witness.start, witness.end) == (1, tau),
+        "eps1_decides_head_input_everywhere": all(
+            v == cfg1.inputs[0] for (_, v) in t1.decisions.values()
+        )
+        and len(t1.decisions) == n,
+        "eps2_agreement_fails": not oracle_check(t2, cfg2.horizon).agreement_ok,
+    }
+    return {
+        "ok": all(checks.values()),
+        "checks": checks,
+        "safety_witness": witness.to_json_dict() if witness else None,
+        "eps1_decisions": t1.decision_events(),
+        "eps2_decisions": t2.decision_events(),
+    }
+
+
 def scenario_hop_fallacy(n: int) -> LassoSequence:
     """Per-round trees of height three where short per-round paths still
     yield an n-1 round causal distance from the root to the last process.
@@ -426,6 +459,38 @@ def scenario_hop_fallacy(n: int) -> LassoSequence:
         others = [v for v in range(2, n + 1) if v != q]
         graphs.append(CommGraph.of(n, [(1, q)] + [(q, v) for v in others]))
     return LassoSequence((), tuple(graphs))
+
+
+def _depth_from(g: CommGraph, src: int) -> int:
+    """Largest distance from ``src`` to a process of ``g``; ``g.n`` if one is unreachable."""
+    reached = {src}
+    for depth in range(g.n):
+        if len(reached) == g.n:
+            return depth
+        reached |= {v for u in reached for v in g.out_neighbors(u)}
+    return g.n
+
+
+def hop_fallacy_report(n: int) -> dict:
+    """Measure the scenario: the root reaches every process within two hops
+    in each cycle graph, yet its initial state needs n-1 rounds to reach
+    process n, so no dynamic diameter of 2 holds."""
+    lasso_seq = scenario_hop_fallacy(n)
+    w = lasso_seq.window(1, n)
+    causal = next((b for b in range(1, n + 1) if 1 in causal_past(w, n, 0, b)), None)
+    per_round = max(_depth_from(g, 1) for g in lasso_seq.cycle)
+    diameter_witness = check_dynamic_diameter(lasso_seq, min(2, n - 1), horizon=n + 2)
+    checks = {
+        "causal_distance_is_n_minus_1": causal == n - 1,
+        "per_round_distance_is_2": per_round == 2,
+        "small_diameter_refuted": diameter_witness is not None,
+    }
+    return {
+        "ok": all(checks.values()),
+        "checks": checks,
+        "causal_distance": causal,
+        "per_round_distance": per_round,
+    }
 
 
 # --- fuzzing ----------------------------------------------------------------
@@ -533,15 +598,16 @@ def fuzz_campaign(
 
     Trials are sampled up front, so results are identical for any ``jobs``
     count; each trial owns all of its state.  A bad ``mode``, ``n_range`` or
-    ``d_cap`` raises ValueError before any trial is sampled.
+    ``d_cap``, or a bounded window shorter than 2D+1 for the largest D that
+    can be sampled, raises ValueError before any trial is sampled.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    parse_mode(mode)
     if not (2 <= n_range[0] <= n_range[1] <= STRIDE):
         raise ValueError(f"n range must satisfy 2 <= lo <= hi <= {STRIDE}, got {n_range[0]}:{n_range[1]}")
     if d_cap < 1:
         raise ValueError(f"d_cap must be >= 1, got {d_cap}")
+    parse_mode(mode, min(d_cap, n_range[1] - 1))
     rng = random.Random(f"fuzz:{seed}")
     cases = []
     for index in range(trials):

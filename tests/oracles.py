@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: definitional subset enumeration for
 root components, undirected BFS for weak connectivity, a literal recursive
-causal-past, and per-round BFS distances.  None of it shares code with the
-implementations under test.
+causal-past, per-round BFS distances, and a copied-history protocol state.
+Apart from the root memo the reference state looks up, none of it shares
+code with the implementations under test.
 """
 
 from itertools import combinations
 
+from rootcons.approximation import roots_of_partial
 from rootcons.graphs import CommGraph
 
 
@@ -80,3 +82,123 @@ def bfs_distance(g: CommGraph, src: int, dst: int):
                     nxt.append(b)
         frontier = nxt
     return dist.get(dst)
+
+
+# --- copied-history reference state -----------------------------------------
+#
+# The protocol state as every process's own copy of everything it has heard:
+# per-round edge-mask dicts and lock rows, unioned message by message, with
+# late-edge evidence tracked as the latest round showing an out-edge of each
+# peer.  It shares no merge or late-edge code with rootcons.approximation;
+# only the edge-mask bit layout and the root memo are common.
+
+STRIDE = 16
+
+
+def out_row_mask(q: int) -> int:
+    """Mask of every possible edge out of q."""
+    return ((1 << STRIDE) - 1) << ((q - 1) * STRIDE)
+
+
+class ReferenceState:
+    """Copied-history state with the interface the core step reads."""
+
+    def __init__(self, pid: int, x: int, keep):
+        self.pid, self.x, self.m, self.y, self.keep = pid, x, 0, None, keep
+        self.approx = {0: 0}
+        self.locks = {pid: {0: x}}
+        self.last_out = {}  # q -> latest round with a recorded out-edge of q
+
+    @property
+    def lo(self) -> int:
+        return min(self.approx)
+
+    def roots_at(self, r: int) -> frozenset:
+        return roots_of_partial(self.approx.get(r, 0), self.pid)
+
+    def lock_value(self, q: int, r: int):
+        return self.locks.get(q, {}).get(r)
+
+    def propose(self, value: int) -> None:
+        self.locks[self.pid][self.m] = value
+
+    def snapshot(self) -> tuple:
+        return (
+            self.pid,
+            self.m,
+            self.x,
+            self.y,
+            tuple(sorted(self.approx.items())),
+            tuple(sorted((q, tuple(sorted(row.items()))) for q, row in self.locks.items())),
+            self.keep,
+        )
+
+
+def reference_message(s: ReferenceState) -> tuple:
+    """(sender, copied approx, copied locks) of the rounds a message carries."""
+    cut = -1 if s.keep is None else s.m - s.keep
+    approx = {r: mask for r, mask in s.approx.items() if r > cut}
+    locks = {}
+    for q, row in s.locks.items():
+        kept = {r: v for r, v in row.items() if r > cut}
+        if kept:
+            locks[q] = kept
+    return s.pid, approx, locks
+
+
+def reference_late_edge(s: ReferenceState, q: int, r: int) -> bool:
+    return s.last_out.get(q, -1) > r
+
+
+def _note_out_edges(s: ReferenceState, new_edges: int, r: int) -> None:
+    while new_edges:
+        q = ((new_edges & -new_edges).bit_length() - 1) // STRIDE + 1
+        s.last_out[q] = max(s.last_out.get(q, -1), r)
+        new_edges &= ~out_row_mask(q)
+
+
+def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
+    """Union every received round and lock cell, add the direct edges, carry
+    the own lock forward, then drop rounds older than the window."""
+    s.m = m
+    for sender, approx, locks in msgs:
+        approx = dict(approx)
+        approx[m] = approx.get(m, 0) | 1 << ((sender - 1) * STRIDE + (s.pid - 1))
+        for r, mask in approx.items():
+            old = s.approx.get(r, 0)
+            s.approx[r] = old | mask
+            _note_out_edges(s, mask & ~old, r)
+        for q, row in locks.items():
+            mine = s.locks.setdefault(q, {})
+            for r, v in row.items():
+                assert mine.setdefault(r, v) == v, f"conflicting lock[{q}][{r}] at p{s.pid}"
+    s.approx.setdefault(m, 0)
+    s.locks[s.pid][m] = s.locks[s.pid][m - 1]
+    if s.keep is not None:
+        cut = m - s.keep
+        for r in [r for r in s.approx if r < cut]:
+            del s.approx[r]
+        for row in s.locks.values():
+            for r in [r for r in row if r < cut]:
+                del row[r]
+
+
+def reference_run(cfg, core_step) -> tuple:
+    """Run ``cfg`` lock-step on reference states; ``core_step`` must read its
+    late-edge evidence from :func:`reference_late_edge`.  Returns the
+    per-round snapshots (round 0 first) and the sorted decision events."""
+    keep = None if cfg.mode == "full" else int(cfg.mode.split(":")[1])
+    states = {p: ReferenceState(p, cfg.inputs[p - 1], keep) for p in range(1, cfg.n + 1)}
+    snapshots = [{p: s.snapshot() for p, s in states.items()}]
+    decisions = []
+    for m in range(1, cfg.horizon + 1):
+        g = cfg.lasso.graph(m)
+        msgs = {p: reference_message(s) for p, s in states.items()}
+        for p, s in states.items():
+            reference_merge(s, [msgs[u] for (u, v) in sorted(g.edges) if v == p], m)
+        for p, s in states.items():
+            _, out = core_step(s, m, cfg.D)
+            if out.decided is not None:
+                decisions.append((m, p, out.decided[2]))
+        snapshots.append({p: s.snapshot() for p, s in states.items()})
+    return snapshots, sorted(decisions)

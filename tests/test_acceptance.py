@@ -12,8 +12,15 @@ from dataclasses import dataclass
 import pytest
 
 from conftest import random_lasso
-from oracles import brute_force_roots, naive_causal_past
+from oracles import (
+    brute_force_roots,
+    naive_causal_past,
+    out_row_mask,
+    reference_late_edge,
+    reference_run,
+)
 
+import rootcons.consensus as consensus_mod
 from rootcons.adversary import (
     AdversaryParams,
     check_alt_estable,
@@ -22,7 +29,6 @@ from rootcons.adversary import (
     check_vsrc,
     generate_alt_estable,
 )
-from rootcons.approximation import STRIDE, out_row_mask
 from rootcons.graphs import (
     CommGraph,
     causal_past,
@@ -291,6 +297,32 @@ def test_criterion_8_bounded_history(estable_batch):
         f"{len(estable_batch) - mismatches}/{len(estable_batch)} identical decision sequences; "
         f"late-re-appearance construction decides in full mode but stalls in bounded mode, "
         f"{time.time() - t0:.1f}s",
+    )
+
+
+@pytest.mark.parametrize("history", ["full", "bounded"])
+def test_reference_state_differential(estable_batch, monkeypatch, history):
+    # the shared-row state must be indistinguishable from the copied-history
+    # reference in tests/oracles.py: every process's snapshot after every
+    # round, and every decision event, on the whole acceptance batch
+    t0 = time.time()
+    mismatches = []
+    for inst in estable_batch:
+        mode = "full" if history == "full" else f"bounded:{2 * inst.D + 1}"
+        cfg = RunConfig(inst.n, inst.D, inst.inputs, inst.lasso,
+                        inst.certificate.deadline + inst.D + 2, mode=mode)
+        trace = run_execution(cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(consensus_mod, "has_late_outgoing_edge", reference_late_edge)
+            snapshots, events = reference_run(cfg, consensus_mod.core_step)
+        if trace.snapshots != snapshots or trace.decision_events() != events:
+            mismatches.append(inst.seed)
+    report(
+        f"reference differential ({history} history)",
+        not mismatches,
+        f"{len(estable_batch) - len(mismatches)}/{len(estable_batch)} runs with identical "
+        f"per-round snapshots and decision events, {time.time() - t0:.1f}s"
+        + (f"; first mismatching seed {mismatches[0]}" if mismatches else ""),
     )
 
 

@@ -2,16 +2,15 @@ import random
 
 import pytest
 
+from oracles import out_row_mask
+
 from rootcons.approximation import (
-    Message,
-    ProtocolViolationError,
     detected_roots,
+    edge_bit,
     edges_of_mask,
     has_late_outgoing_edge,
     init_state,
     make_message,
-    mask_of_edges,
-    prune,
     receive_and_merge,
 )
 from rootcons.graphs import lasso
@@ -69,7 +68,7 @@ class TestMakeMessage:
     def test_snapshot_is_a_copy(self):
         s = init_state(1, 1)
         msg = make_message(s)
-        msg.approx[0] = mask_of_edges([(1, 1)])
+        msg.approx[0] = edge_bit(1, 1)
         assert s.approx[0] == 0
 
 
@@ -112,13 +111,6 @@ class TestReceiveAndMerge:
                 baseline = snap
             assert snap == baseline
 
-    def test_conflicting_lock_values_raise(self):
-        s = init_state(1, 0)
-        fake_a = Message(2, 1, {0: 0}, {3: {0: 5}})
-        fake_b = Message(3, 1, {0: 0}, {3: {0: 6}})
-        with pytest.raises(ProtocolViolationError):
-            receive_and_merge(s, [fake_a, fake_b], 1)
-
     def test_wrong_round_rejected(self):
         s = init_state(1, 0)
         with pytest.raises(ValueError):
@@ -140,8 +132,6 @@ class TestLateOutgoingEdge:
         assert not has_late_outgoing_edge(states[2], 1, 3)
 
     def test_matches_direct_scan(self, eps2_lasso):
-        from rootcons.approximation import out_row_mask
-
         states = drive(eps2_lasso, (0, 1, 2, 3, 4), 8)
         for p, st in states.items():
             for q in range(1, 6):
@@ -201,31 +191,24 @@ class TestRootDetection:
                             assert root in true_roots
 
 
-class TestApproxDot:
-    def test_renders_known_fragment(self, eps1_lasso):
-        from rootcons.approximation import approx_to_dot
-
-        states = drive(eps1_lasso, (0,) * 5, 3)
-        dot = approx_to_dot(states[5], 2)
-        assert "p1 [shape=doublecircle" in dot
-        assert "p3" not in dot  # p5 never learns p3 exists
-
-
 class TestPrune:
+    """Bounded mode keeps the last k rounds: each owner drops older cells."""
+
     def test_noop_when_keep_covers_history(self):
         l = lasso(2, cycle=[[(1, 2)]])
-        states = drive(l, (0, 0), 4)
-        before = states[1].snapshot()
-        prune(states[1], keep=10)
-        assert states[1].snapshot() == before
+        full = drive(l, (0, 0), 4)
+        bounded = drive(l, (0, 0), 4, mode="bounded:10")
+        for p in (1, 2):
+            assert bounded[p].approx == full[p].approx
+            assert bounded[p].locks == full[p].locks
 
     def test_drops_old_rounds(self):
         l = lasso(2, cycle=[[(1, 2)]])
-        states = drive(l, (0, 0), 8)
-        prune(states[2], keep=3)
+        states = drive(l, (0, 0), 8, mode="bounded:3")
         assert sorted(states[2].approx) == [5, 6, 7, 8]
         assert sorted(states[2].locks[2]) == [5, 6, 7, 8]
-        assert states[2].min_round == 5
+        assert sorted(states[2].rows[2].lock) == [5, 6, 7, 8]
+        assert states[2].lo == 5
 
 
 class TestStateInvariantsOnRuns:

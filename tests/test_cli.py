@@ -272,6 +272,7 @@ class TestRun:
             ["--d", "2", "--mode", "weird"],
             ["--d", "2", "--mode", "bounded:x"],
             ["--d", "2", "--horizon", "0"],
+            ["--d", "2", "--mode", "bounded:4"],
         ],
     )
     def test_bad_config_exit_2(self, capsys, estable_lasso_file, flags):
@@ -377,6 +378,7 @@ class TestFuzz:
             ["--d-cap", "0"],
             ["--n-range", "5:3"],
             ["--n-range", "1:1"],
+            ["--mode", "bounded:3", "--d-cap", "3"],
         ],
     )
     def test_bad_config_exit_2_before_any_trial(self, capsys, flags):

@@ -140,7 +140,6 @@ class TestC3B3:
     def test_missing_lock_value_is_an_error(self):
         s = init_state(1, 3)
         s.m = 4
-        s.approx = {0: 0, 1: 0, 2: 0, 3: 0, 4: 0}
         with pytest.raises(InvariantViolationError):
             b3_apply(s, frozenset([2]), (1, 2))
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from dataclasses import replace
@@ -17,6 +18,7 @@ from rootcons.harness import (
     eps_pair_report,
     fuzz_campaign,
     fuzz_trial,
+    hop_fallacy_report,
     indistinguishable,
     oracle_check,
     run_execution,
@@ -64,29 +66,31 @@ class TestRunExecution:
         assert json.loads(json.dumps(trace.summary_dict()))
 
 
-def _drop_relayed_approx(merge, s, msgs, m):
-    return merge(s, [replace(msg, approx={}) for msg in msgs], m)
+def _drop_relayed_heard(merge, s, msgs, m):
+    own_entries = [replace(msg, heard={msg.sender: msg.heard[msg.sender]}) for msg in msgs]
+    return merge(s, own_entries, m)
 
 
-def _drop_relayed_locks(merge, s, msgs, m):
-    own_rows = [replace(msg, locks={msg.sender: msg.locks[msg.sender]}) for msg in msgs]
-    return merge(s, own_rows, m)
+def _copied_row(merge, s, msgs, m):
+    merge(s, msgs, m)
+    s.rows[1] = copy.deepcopy(s.rows[1])
 
 
 def _wrong_lock_value(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.locks[5][1] += 1
+    s.rows[2].lock[m] += 1
 
 
 def _fabricated_edge(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.approx[1] |= edge_bit(3, 2)
+    s.rows[2].inmask[m] |= edge_bit(3, 2)
 
 
 def _retained_past_window(merge, s, msgs, m):
-    stale = s.approx[m - 2]
+    own = s.rows[2]
+    stale = own.lock[m - 6], own.inmask[m - 6]
     merge(s, msgs, m)
-    s.approx[m - 2] = stale
+    own.lock[m - 6], own.inmask[m - 6] = stale
 
 
 class TestInvariantMonitor:
@@ -96,19 +100,19 @@ class TestInvariantMonitor:
     @pytest.mark.parametrize(
         "fault, mode, round_, why",
         [
-            (_drop_relayed_approx, "full", 2,
-             "approx[1] is [(2, 2), (5, 2)], expected [(1, 5), (2, 2), (5, 2), (5, 5)] "
-             "(heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
-            (_drop_relayed_locks, "full", 2,
-             "lock[1][0] is absent, expected 3 (heard[2][1]=0; rounds 0..2 kept)"),
+            (_drop_relayed_heard, "full", 2,
+             "heard[1] is absent, expected 0 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
+            (_copied_row, "full", 2,
+             "row[1] is a copy, not p1's own row (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_wrong_lock_value, "full", 2,
-             "lock[5][1] is 6, expected 5 (heard[2][5]=1; rounds 0..2 kept)"),
+             "lock[2][2] is 2, expected 1 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_fabricated_edge, "full", 2,
-             "approx[1] is [(1, 5), (2, 2), (3, 2), (5, 2), (5, 5)], expected [(1, 5), (2, 2), (5, 2), (5, 5)]"),
-            (_retained_past_window, "bounded:1", 3,
-             "approx[1] is [(1, 5), (2, 2), (5, 2), (5, 5)], expected absent (heard[2]=[1, 3, -1, -1, 2]; rounds 2..3 kept)"),
+             "inmask[2][2] is [(2, 2), (3, 2), (5, 2)], expected [(2, 2), (5, 2)] (heard[2]="),
+            (_retained_past_window, "bounded:5", 6,
+             "row[2] holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6 "
+             "(heard[2]=[4, 6, -1, -1, 5]; rounds 1..6 kept)"),
         ],
-        ids=["dropped-relayed-edges", "dropped-relayed-lock", "wrong-lock-value",
+        ids=["dropped-relayed-heard", "copied-row", "wrong-lock-value",
              "fabricated-edge", "retained-past-window"],
     )
     def test_fault_names_process_and_round(self, monkeypatch, eps1_lasso, fault, mode, round_, why):
@@ -126,7 +130,7 @@ class TestInvariantMonitor:
         assert (caught.value.pid, caught.value.round) == (2, round_)
         assert why in str(caught.value)
 
-    @pytest.mark.parametrize("mode", ["full", "bounded:1", "bounded:5"])
+    @pytest.mark.parametrize("mode", ["full", "bounded:5"])
     def test_fault_free_runs_pass(self, eps2_lasso, mode):
         run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 14, mode=mode))
 
@@ -236,6 +240,25 @@ class TestHopFallacyScenario:
         l = scenario_hop_fallacy(5)
         for r in range(1, 8):
             assert root_components(l.graph(r)) == frozenset([frozenset([1])])
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_report_measures_per_round_distance(self, n):
+        l = scenario_hop_fallacy(n)
+        report = hop_fallacy_report(n)
+        assert report["ok"], report
+        assert report["per_round_distance"] == max(
+            bfs_distance(g, 1, v) for g in l.cycle for v in range(2, n + 1)
+        )
+
+    @pytest.mark.parametrize("edges, distance", [
+        ([(1, 2), (2, 3), (3, 4), (4, 5)], 4),
+        ([(1, 2), (2, 3)], 5),  # 4 and 5 unreachable: reported as n
+    ])
+    def test_report_refutes_long_or_missing_paths(self, monkeypatch, edges, distance):
+        monkeypatch.setattr(harness_mod, "scenario_hop_fallacy", lambda n: lasso(n, cycle=[edges]))
+        report = hop_fallacy_report(5)
+        assert report["per_round_distance"] == distance
+        assert not report["checks"]["per_round_distance_is_2"] and not report["ok"]
 
 
 class TestFuzz:
