@@ -11,13 +11,17 @@ With ``lo`` the oldest retained round (0 in full mode; ``max(0, m-k)`` in
 ``bounded:k``, where each owner drops its round ``m-k-1`` cell in round m),
 after round m the process knows ``lock[q][r]`` exactly for
 ``lo <= r <= heard[q]``, and the round-r edge (u, v) exactly for
-``lo <= r <= m`` with ``heard[v] >= r``.  ``approx`` and ``locks`` are
-read-only views of these facts, and ``snapshot()`` serializes them.  Rows are
-shared, so all states of one run must advance in lock step, as the harness
-does.
+``lo <= r <= m`` with ``heard[v] >= r``.  ``locks`` is a read-only view of
+these facts.  ``approx`` is a per-round cache, ``masks[r]`` for r in
+``lo..m``, kept up to date by the merge: when ``heard[q]`` rises, q's newly
+heard in-edge cells are ORed in, so each (q, r) cell is ORed once per process
+and a root query costs a dict lookup.  The harness's invariant monitor checks
+the cache against the true graphs every round.  ``snapshot()`` serializes
+both.  Rows are shared, so all states of one run must advance in lock step,
+as the harness does.
 
 Edge sets are integer bitmasks (edge (u, v) occupies bit
-``(u-1)*STRIDE + (v-1)``), which key the memoized root-component computation.
+``(u-1)*STRIDE + (v-1)``), which key the memoized root-component kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import CommGraph, root_components
+from .graphs import root_components  # noqa: F401  (bound here for callers that wrap it)
 
 STRIDE = 16  # max supported process id; bit layout of edge masks
 
@@ -44,15 +48,34 @@ def edges_of_mask(mask: int) -> list:
     return edges
 
 
-def vertices_of_mask(mask: int) -> frozenset:
-    vs = set()
-    while mask:
-        low = mask & -mask
-        idx = low.bit_length() - 1
-        vs.add(idx // STRIDE + 1)
-        vs.add(idx % STRIDE + 1)
-        mask ^= low
-    return frozenset(vs)
+# Helpers of the root kernel.  A mask is a STRIDE x STRIDE bit matrix: row u-1
+# holds u's out-neighbours, column v-1 the in-neighbours of v.
+_ROW = (1 << STRIDE) - 1
+IN_COLUMN = sum(1 << (u * STRIDE) for u in range(STRIDE))  # every edge into process 1
+_HALVES = [STRIDE >> d for d in range(1, STRIDE.bit_length())]  # 8, 4, 2, 1
+# Delta swaps that transpose the matrix: swap the off-diagonal s x s blocks.
+_TRANSPOSE = [
+    (s * (STRIDE - 1),
+     sum(1 << (i * STRIDE + j) for i in range(STRIDE) for j in range(STRIDE) if not i & s and j & s))
+    for s in _HALVES
+]
+
+
+def _row_union(mask: int) -> int:
+    """OR of every row: the heads of the mask's edges."""
+    for s in _HALVES:
+        mask |= mask >> (s * STRIDE)
+    return mask & _ROW
+
+
+def _processes(bits: int) -> frozenset:
+    """Process ids of a vertex bitset (bit i is process i+1)."""
+    ids = []
+    while bits:
+        low = bits & -bits
+        ids.append(low.bit_length())
+        bits ^= low
+    return frozenset(ids)
 
 
 _roots_cache: dict = {}
@@ -61,17 +84,38 @@ _roots_cache: dict = {}
 def roots_of_partial(mask: int, extra_vertex: int) -> frozenset:
     """Root components of a partial graph given by ``mask`` over its edge
     endpoints plus ``extra_vertex`` (the owning process is always a known
-    vertex, even with no recorded edges)."""
+    vertex, even with no recorded edges); every vertex has a self-loop.
+
+    Bitset kernel on the mask itself (bit i of a row is process i+1): a
+    Warshall closure ORs row k into every row that reaches k, one multiply
+    per k; a transpose gives each vertex's ancestors; and a vertex lies in a
+    root component iff its ancestors are a subset of its reach, the
+    component then being exactly its ancestors.
+    """
     key = (mask, extra_vertex)
     cached = _roots_cache.get(key)
     if cached is not None:
         return cached
-    vertices = vertices_of_mask(mask) | {extra_vertex}
-    relabel = {v: i + 1 for i, v in enumerate(sorted(vertices))}
-    back = {i: v for v, i in relabel.items()}
-    edges = [(relabel[u], relabel[v]) for (u, v) in edges_of_mask(mask)]
-    g = CommGraph(len(vertices), frozenset(edges) | frozenset((i, i) for i in back))
-    roots = frozenset(frozenset(back[i] for i in comp) for comp in root_components(g))
+    heads = _row_union(mask)
+    reach = mask
+    for k in range(STRIDE):
+        if heads >> k & 1:
+            reach |= (reach >> k & IN_COLUMN) * (reach >> k * STRIDE & _ROW)
+    ancestors = reach
+    for shift, block in _TRANSPOSE:
+        swap = (ancestors ^ ancestors >> shift) & block
+        ancestors ^= swap ^ swap << shift
+    todo = heads | _row_union(ancestors) | 1 << (extra_vertex - 1)  # heads, tails, extra
+    found = []
+    while todo:
+        bit = todo & -todo
+        v = bit.bit_length() - 1
+        above = ancestors >> v * STRIDE & _ROW | bit
+        below = reach >> v * STRIDE & _ROW | bit
+        if not above & ~below:
+            found.append(_processes(above))
+        todo &= ~(above & below)  # v's strong component is settled
+    roots = frozenset(found)
     _roots_cache[key] = roots
     return roots
 
@@ -140,13 +184,14 @@ class NodeState:
 
     ``heard[q]`` is the latest round of q's state that has reached the
     process (its own entry is the current round ``m``), ``rows[q]`` is q's
-    own row, held for every q heard from within the retained window, and
-    ``y`` is the write-once decision.  ``approx[r]`` (``approx[0]`` is the
-    initial singleton graph and never gains edges) and ``locks[q][r]`` are
-    views over the retained rounds.
+    own row, held for every q heard from within the retained window,
+    ``masks[r]`` is the round-r approximation's edge mask for r in ``lo..m``
+    (``masks[0]`` is the initial singleton graph and never gains edges), and
+    ``y`` is the write-once decision.  ``approx`` copies ``masks``;
+    ``locks[q][r]`` is a view over the retained rounds.
     """
 
-    __slots__ = ("pid", "x", "m", "y", "keep", "heard", "rows")
+    __slots__ = ("pid", "x", "m", "lo", "y", "keep", "heard", "rows", "masks")
 
     def __init__(self, pid: int, x: int, keep: Optional[int] = None):
         if not (1 <= pid <= STRIDE):
@@ -154,35 +199,24 @@ class NodeState:
         self.pid = pid
         self.x = x
         self.m = 0
+        self.lo = 0  # oldest retained round, window_start(keep, m)
         self.y: Optional[int] = None
         self.keep = keep  # None = full history, else bounded(keep)
         self.heard = {pid: 0}
         self.rows = {pid: Row(x)}
-
-    @property
-    def lo(self) -> int:
-        return window_start(self.keep, self.m)
+        self.masks = {0: 0}
 
     @property
     def approx(self) -> dict:
-        return _approx_view(self.heard, self.rows, self.lo, self.m)
+        return dict(self.masks)
 
     @property
     def locks(self) -> dict:
         return _locks_view(self.heard, self.rows, self.lo)
 
-    def approx_mask(self, r: int) -> int:
-        """Edge mask of the round-r approximation (0 outside the retained rounds)."""
-        mask = 0
-        if r >= self.lo:
-            rows = self.rows
-            for v, h in self.heard.items():
-                if h >= r:
-                    mask |= rows[v].inmask[r]
-        return mask
-
     def roots_at(self, r: int) -> frozenset:
-        return roots_of_partial(self.approx_mask(r), self.pid)
+        """Roots of the round-r approximation (empty outside the retained rounds)."""
+        return roots_of_partial(self.masks.get(r, 0), self.pid)
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
         if self.lo <= r <= self.heard.get(q, -1):
@@ -201,7 +235,7 @@ class NodeState:
             self.m,
             self.x,
             self.y,
-            tuple(self.approx.items()),
+            tuple(self.masks.items()),
             tuple((q, tuple(row.items())) for q, row in sorted(self.locks.items())),
             self.keep,
         )
@@ -212,7 +246,7 @@ class NodeState:
             "m": self.m,
             "x": self.x,
             "y": self.y,
-            "approx": {str(r): sorted(edges_of_mask(mask)) for r, mask in self.approx.items()},
+            "approx": {str(r): sorted(edges_of_mask(mask)) for r, mask in self.masks.items()},
             "locks": {
                 str(q): {str(r): v for r, v in row.items()}
                 for q, row in sorted(self.locks.items())
@@ -264,30 +298,43 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     ``heard`` becomes the element-wise maximum over the inbox, a peer's row
     reference is adopted once it is heard from within the retained window,
     and the own row gains its round-m cell: the lock carried forward and the
-    direct in-edges (sender -> pid).  Merge order is irrelevant: maxima are
-    commutative and every message refers to the same row of each owner.
+    direct in-edges (sender -> pid).  Then ``masks`` gains round m, drops the
+    round that left the window, and takes in the in-edge cells of rounds
+    ``old heard[q]+1 .. heard[q]`` of every q whose entry rose.  Merge order
+    is irrelevant: maxima are commutative and every message refers to the
+    same row of each owner.
     """
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
     lo = window_start(s.keep, m)
-    heard, rows = s.heard, s.rows
+    pid, heard, rows, masks = s.pid, s.heard, s.rows, s.masks
+    risen = {pid: m - 1}  # q -> heard[q] before this merge, for every q that rose
     direct = 0
     for msg in msgs:
         if msg.sent_in != m:
             raise ValueError(f"message for round {msg.sent_in} delivered in round {m}")
-        direct |= edge_bit(msg.sender, s.pid)
+        direct |= edge_bit(msg.sender, pid)
         for q, h in msg.heard.items():
-            if h > heard.get(q, -1):
+            before = heard.get(q, -1)
+            if h > before:
+                risen.setdefault(q, before)
                 heard[q] = h
                 if h >= lo and q not in rows:
                     rows[q] = msg.rows[q]
-    s.m = m
-    heard[s.pid] = m
-    own = rows[s.pid]
+    s.m, s.lo = m, lo
+    heard[pid] = m
+    own = rows[pid]
     own.lock[m] = own.lock[m - 1]
     own.inmask[m] = direct
+    masks[m] = 0
     if lo > 0:
-        del own.lock[lo - 1], own.inmask[lo - 1]
+        del own.lock[lo - 1], own.inmask[lo - 1], masks[lo - 1]
+    for q, before in risen.items():
+        h = heard[q]
+        if h >= lo:
+            inmask = rows[q].inmask
+            for r in range(max(before + 1, lo), h + 1):
+                masks[r] |= inmask[r]
     return s
 
 

@@ -75,12 +75,16 @@ def cmd_generate(args) -> int:
         try:
             text = sys.stdin.read() if args.params == "-" else Path(args.params).read_text()
             loaded = json.loads(text)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError and bad UTF-8 are ValueErrors
             return _fail_input(f"cannot load params JSON: {exc}")
+        if not isinstance(loaded, dict):
+            return _fail_input(f"params JSON must be an object, got {type(loaded).__name__}")
         unknown = set(loaded) - set(fields)
         if unknown:
             return _fail_input(f"unknown params fields: {sorted(unknown)}")
         for key, value in loaded.items():
+            if value is not None and type(value) is not int:  # bools are ints in Python
+                return _fail_input(f"params field {key!r} must be an integer or null, got {value!r}")
             if fields[key] is None:
                 fields[key] = value
     if fields["n"] is None or fields["D"] is None:

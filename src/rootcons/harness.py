@@ -16,8 +16,11 @@ owner's own row object (and that p holds it once q is heard from within the
 retained rounds ``lo..m``), and that p's own row gained exactly the right
 round-m cell: the true in-edges, the lock value the monitor tracks (carried
 forward, or the core step's re-proposal), and nothing outside ``lo..m``.
-Since a state's approximation and lock views are derived from ``heard`` and
-the shared rows alone, this makes them exact.
+Since a state's lock view is derived from ``heard`` and the shared rows
+alone, this makes it exact.  The approximation is a per-round cache updated
+at merge time, so the monitor checks it too: ``masks[r]`` must be the true
+round-r edges into ``{v : heard[p][v] >= r}`` for every r in ``lo..m``, and
+no other round may be held.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .adversary import (
     generate_estable,
 )
 from .approximation import (
+    IN_COLUMN,
     STRIDE,
     edge_bit,
     edges_of_mask,
@@ -152,13 +156,15 @@ class Trace:
 class _InvariantMonitor:
     """The run's ground truth, from the true round graphs alone: ``heard[p][q]``
     (the latest round whose end state of q has reached p, -1 for none), each
-    owner's current lock value and its own row object."""
+    owner's current lock value and its own row object, and the true edge
+    mask of every retained round."""
 
     def __init__(self, cfg: RunConfig, states: dict):
         self.keep = parse_mode(cfg.mode)
         self.heard = [[0 if q == p else -1 for q in range(cfg.n)] for p in range(cfg.n)]
         self.lock = list(cfg.inputs)
         self.rows = [states[p].rows[p] for p in range(1, cfg.n + 1)]
+        self.true_masks = {0: 0}
 
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
         senders = [[] for _ in self.rows]
@@ -168,6 +174,8 @@ class _InvariantMonitor:
             inmask[v - 1] |= edge_bit(u, v)
         self.heard = [[max(col) for col in zip(*rows)] for rows in senders]
         lo = window_start(self.keep, m)
+        self.true_masks[m] = sum(inmask)  # the in-masks are disjoint columns
+        self.true_masks.pop(lo - 1, None)
         for p, known in enumerate(self.heard, start=1):
             known[p - 1] = m
             locked = outcomes[p - 1].locked
@@ -193,6 +201,21 @@ class _InvariantMonitor:
             return f"lock[{p}][{m}] is {own.lock.get(m, 'absent')}, expected {self.lock[p - 1]}"
         if not len(own.lock) == len(own.inmask) == m - lo + 1:
             return f"row[{p}] holds rounds {sorted(own.lock.keys() | own.inmask.keys())}, expected {lo}..{m}"
+        heads_from = {}  # round -> columns of the v with heard[p][v] == round
+        for v, h in enumerate(known):
+            if h >= lo:
+                heads_from[h] = heads_from.get(h, 0) | IN_COLUMN << v
+        heads = 0
+        for r in range(m, lo - 1, -1):
+            heads |= heads_from.get(r, 0)
+            expected = self.true_masks[r] & heads
+            if st.masks.get(r) != expected:
+                has = edges_of_mask(st.masks[r]) if r in st.masks else "absent"
+                return f"approx[{r}] is {has}, expected {edges_of_mask(expected)}"
+        if len(st.masks) != m - lo + 1:
+            return f"approx holds rounds {sorted(st.masks)}, expected {lo}..{m}"
+        if st.lo != lo:
+            return f"lo is {st.lo}, expected {lo}"
         return None
 
 

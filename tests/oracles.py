@@ -3,14 +3,14 @@
 Everything here is deliberately naive: definitional subset enumeration for
 root components, undirected BFS for weak connectivity, a literal recursive
 causal-past, per-round BFS distances, and a copied-history protocol state.
-Apart from the root memo the reference state looks up, none of it shares
-code with the implementations under test.
+The roots of a partial graph are computed as a relabelled ``CommGraph`` fed
+to Tarjan-based ``graphs.root_components``, so they share no code with the
+bitmask kernel ``approximation.roots_of_partial``.
 """
 
 from itertools import combinations
 
-from rootcons.approximation import roots_of_partial
-from rootcons.graphs import CommGraph
+from rootcons.graphs import CommGraph, root_components
 
 
 def brute_force_roots(g: CommGraph) -> frozenset:
@@ -89,10 +89,31 @@ def bfs_distance(g: CommGraph, src: int, dst: int):
 # The protocol state as every process's own copy of everything it has heard:
 # per-round edge-mask dicts and lock rows, unioned message by message, with
 # late-edge evidence tracked as the latest round showing an out-edge of each
-# peer.  It shares no merge or late-edge code with rootcons.approximation;
-# only the edge-mask bit layout and the root memo are common.
+# peer.  It shares no merge, late-edge or root code with
+# rootcons.approximation; only the edge-mask bit layout is common.
 
 STRIDE = 16
+
+_reference_roots_memo = {}
+
+
+def reference_roots_of_partial(mask: int, extra_vertex: int) -> frozenset:
+    """Root components of the graph over the endpoints of ``mask`` plus
+    ``extra_vertex``, each with a self-loop, via a relabelled CommGraph."""
+    key = (mask, extra_vertex)
+    if key not in _reference_roots_memo:
+        edges = [(i // STRIDE + 1, i % STRIDE + 1) for i in range(mask.bit_length()) if mask >> i & 1]
+        vertices = {extra_vertex} | {u for e in edges for u in e}
+        relabel = {v: i + 1 for i, v in enumerate(sorted(vertices))}
+        back = {i: v for v, i in relabel.items()}
+        g = CommGraph(
+            len(vertices),
+            frozenset((relabel[u], relabel[v]) for (u, v) in edges) | frozenset((i, i) for i in back),
+        )
+        _reference_roots_memo[key] = frozenset(
+            frozenset(back[i] for i in comp) for comp in root_components(g)
+        )
+    return _reference_roots_memo[key]
 
 
 def out_row_mask(q: int) -> int:
@@ -114,7 +135,7 @@ class ReferenceState:
         return min(self.approx)
 
     def roots_at(self, r: int) -> frozenset:
-        return roots_of_partial(self.approx.get(r, 0), self.pid)
+        return reference_roots_of_partial(self.approx.get(r, 0), self.pid)
 
     def lock_value(self, q: int, r: int):
         return self.locks.get(q, {}).get(r)

@@ -1,10 +1,15 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import out_row_mask
+from conftest import random_lasso
+from oracles import out_row_mask, reference_roots_of_partial
 
+import rootcons.approximation as approximation_mod
 from rootcons.approximation import (
+    STRIDE,
+    _approx_view,
     detected_roots,
     edge_bit,
     edges_of_mask,
@@ -12,6 +17,7 @@ from rootcons.approximation import (
     init_state,
     make_message,
     receive_and_merge,
+    roots_of_partial,
 )
 from rootcons.graphs import lasso
 from rootcons.harness import RunConfig, run_execution
@@ -189,6 +195,63 @@ class TestRootDetection:
                     for root in detected_roots(st, r):
                         if all(has_late_outgoing_edge(st, q, r) for q in root):
                             assert root in true_roots
+
+
+def fresh_roots(mask, extra_vertex):
+    """The kernel's answer, computed now rather than taken from its memo."""
+    approximation_mod._roots_cache.pop((mask, extra_vertex), None)
+    return roots_of_partial(mask, extra_vertex)
+
+
+@st.composite
+def partial_graphs(draw):
+    """(edge mask over processes 1..n for some n <= 16, extra vertex in 1..16)."""
+    n = draw(st.integers(1, STRIDE))
+    edges = draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n))))
+    return sum(edge_bit(u, v) for (u, v) in edges), draw(st.integers(1, STRIDE))
+
+
+class TestRootKernel:
+    """The bitmask kernel against the CommGraph + Tarjan reference."""
+
+    def test_every_mask_on_three_processes(self):
+        cells = [edge_bit(u, v) for u in range(1, 4) for v in range(1, 4)]  # self-loops too
+        for pick in range(1 << len(cells)):
+            mask = sum(bit for i, bit in enumerate(cells) if pick >> i & 1)
+            for extra in range(1, STRIDE + 1):  # 4..16 are isolated
+                assert fresh_roots(mask, extra) == reference_roots_of_partial(mask, extra), (
+                    edges_of_mask(mask), extra,
+                )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=partial_graphs())
+    @example(case=(0, 1))  # empty mask
+    @example(case=(0, STRIDE))
+    @example(case=(edge_bit(1, 2) | edge_bit(2, 1), 9))  # isolated extra vertex
+    def test_random_masks_up_to_sixteen(self, case):
+        mask, extra = case
+        assert fresh_roots(mask, extra) == reference_roots_of_partial(mask, extra)
+
+
+class TestMaskCache:
+    """``masks`` is updated at merge time; after every round it must equal the
+    approximation recomputed from ``heard`` and the rows."""
+
+    @pytest.mark.parametrize("mode", ["full", "bounded:3", "bounded:7"])
+    def test_masks_match_recomputed_view(self, mode):
+        rng = random.Random(mode)
+        for _ in range(12):
+            n = rng.randint(2, 8)
+            l = random_lasso(rng, n, rng.randint(0, 8), density=rng.choice([0.1, 0.3, 0.6]))
+            states = {p: init_state(p, p, mode) for p in range(1, n + 1)}
+            for m in range(1, 16):
+                g = l.graph(m)
+                msgs = {p: make_message(states[p]) for p in states}
+                for p in states:
+                    receive_and_merge(states[p], [msgs[q] for q in g.in_neighbors(p)], m)
+                for s in states.values():
+                    assert s.masks == _approx_view(s.heard, s.rows, s.lo, s.m)
+                    assert list(s.masks) == list(range(s.lo, s.m + 1))
 
 
 class TestPrune:

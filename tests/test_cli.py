@@ -418,3 +418,29 @@ class TestGenerateParamsJson:
     def test_missing_required_exit_2(self, capsys):
         code, _ = run_cli(capsys, ["generate", "--n", "5"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"n": "x", "D": 2}', "params field 'n' must be an integer or null, got 'x'"),
+            ('{"n": 5.0, "D": 2}', "params field 'n' must be an integer or null, got 5.0"),
+            ('{"n": 5, "D": 2, "seed": "abc"}', "params field 'seed' must be an integer or null"),
+            ('{"n": 5, "D": true}', "params field 'D' must be an integer or null, got True"),
+            ('{"n": 5, "D": 2, "x": [1]}', "params field 'x' must be an integer or null"),
+            ('"hello"', "params JSON must be an object, got str"),
+            ("[5, 2]", "params JSON must be an object, got list"),
+        ],
+        ids=["string-n", "float-n", "string-seed", "bool-D", "list-x", "string", "array"],
+    )
+    def test_badly_typed_params_exit_2(self, tmp_path, capsys, text, error):
+        params = tmp_path / "params.json"
+        params.write_text(text)
+        code, payload = run_cli(capsys, ["generate", "--params", str(params)])
+        assert code == 2
+        assert payload["ok"] is False and error in payload["error"]
+
+    def test_null_params_fall_back_to_defaults(self, tmp_path, capsys):
+        params = tmp_path / "params.json"
+        params.write_text('{"n": 5, "D": 2, "seed": null, "r_sr_target": null}')
+        code, payload = run_cli(capsys, ["generate", "--params", str(params)])
+        assert code == 0 and payload["ok"]

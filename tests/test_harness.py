@@ -93,6 +93,22 @@ def _retained_past_window(merge, s, msgs, m):
     own.lock[m - 6], own.inmask[m - 6] = stale
 
 
+def _stale_approx_mask(merge, s, msgs, m):
+    merge(s, msgs, m)
+    s.masks[m - 1] &= ~edge_bit(1, 5)  # relayed by p5
+
+
+def _mask_past_window(merge, s, msgs, m):
+    stale = s.masks[m - 6]
+    merge(s, msgs, m)
+    s.masks[m - 6] = stale
+
+
+def _wrong_lo(merge, s, msgs, m):
+    merge(s, msgs, m)
+    s.lo += 1
+
+
 class TestInvariantMonitor:
     """Each fault is injected into p2's merge of one round (eps1: 1 -> 5 -> 2,
     1 -> 3, 1 -> 4); the monitor must name exactly that process and round."""
@@ -111,9 +127,17 @@ class TestInvariantMonitor:
             (_retained_past_window, "bounded:5", 6,
              "row[2] holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6 "
              "(heard[2]=[4, 6, -1, -1, 5]; rounds 1..6 kept)"),
+            (_stale_approx_mask, "full", 2,
+             "approx[1] is [(2, 2), (5, 2), (5, 5)], expected [(1, 5), (2, 2), (5, 2), (5, 5)] "
+             "(heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
+            (_mask_past_window, "bounded:5", 6,
+             "approx holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6 "
+             "(heard[2]=[4, 6, -1, -1, 5]; rounds 1..6 kept)"),
+            (_wrong_lo, "full", 2, "lo is 1, expected 0 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
         ],
         ids=["dropped-relayed-heard", "copied-row", "wrong-lock-value",
-             "fabricated-edge", "retained-past-window"],
+             "fabricated-edge", "retained-past-window", "stale-approx-mask",
+             "mask-past-window", "wrong-lo"],
     )
     def test_fault_names_process_and_round(self, monkeypatch, eps1_lasso, fault, mode, round_, why):
         merge = harness_mod.receive_and_merge
