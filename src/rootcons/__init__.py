@@ -26,7 +26,6 @@ from .adversary import (
 from .approximation import (
     Message,
     NodeState,
-    detected_roots,
     has_late_outgoing_edge,
     init_state,
     make_message,
@@ -38,7 +37,6 @@ from .graphs import (
     LassoSequence,
     RoundWindow,
     causal_past,
-    causal_past_forward,
     check_dynamic_diameter,
     lasso,
     lasso_from_json,

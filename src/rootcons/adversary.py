@@ -37,6 +37,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .graphs import (
+    MAX_PROCESSES,
     CommGraph,
     LassoSequence,
     Run,
@@ -470,8 +471,8 @@ class AdversaryParams:
     y: Optional[int] = None
 
     def validated(self) -> "AdversaryParams":
-        if self.n < 2:
-            raise InfeasibleParamsError(f"need at least 2 processes, got n={self.n}")
+        if not (2 <= self.n <= MAX_PROCESSES):
+            raise InfeasibleParamsError(f"n must satisfy 2 <= n <= {MAX_PROCESSES}, got n={self.n}")
         if not (1 <= self.D <= self.n - 1):
             raise InfeasibleParamsError(f"D must satisfy 1 <= D <= n-1, got D={self.D}, n={self.n}")
         g, s = self.r_gst_target, self.r_sr_target

@@ -20,8 +20,9 @@ the cache against the true graphs every round.  ``snapshot()`` serializes
 both.  Rows are shared, so all states of one run must advance in lock step,
 as the harness does.
 
-Edge sets are integer bitmasks (edge (u, v) occupies bit
-``(u-1)*STRIDE + (v-1)``), which key the memoized root-component kernel.
+Edge sets are integer bitmasks in the layout of ``graphs`` at width
+``STRIDE`` = 16 (edge (u, v) occupies bit ``(u-1)*STRIDE + (v-1)``), which
+key the memoized root query.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .graphs import mask_layout, roots_of_mask
 from .graphs import root_components  # noqa: F401  (bound here for callers that wrap it)
 
-STRIDE = 16  # max supported process id; bit layout of edge masks
+_LAYOUT = mask_layout(16)
+STRIDE = _LAYOUT.width  # max supported process id; bit layout of edge masks
+IN_COLUMN = _LAYOUT.column  # every edge into process 1
 
 
 def edge_bit(u: int, v: int) -> int:
@@ -48,36 +52,6 @@ def edges_of_mask(mask: int) -> list:
     return edges
 
 
-# Helpers of the root kernel.  A mask is a STRIDE x STRIDE bit matrix: row u-1
-# holds u's out-neighbours, column v-1 the in-neighbours of v.
-_ROW = (1 << STRIDE) - 1
-IN_COLUMN = sum(1 << (u * STRIDE) for u in range(STRIDE))  # every edge into process 1
-_HALVES = [STRIDE >> d for d in range(1, STRIDE.bit_length())]  # 8, 4, 2, 1
-# Delta swaps that transpose the matrix: swap the off-diagonal s x s blocks.
-_TRANSPOSE = [
-    (s * (STRIDE - 1),
-     sum(1 << (i * STRIDE + j) for i in range(STRIDE) for j in range(STRIDE) if not i & s and j & s))
-    for s in _HALVES
-]
-
-
-def _row_union(mask: int) -> int:
-    """OR of every row: the heads of the mask's edges."""
-    for s in _HALVES:
-        mask |= mask >> (s * STRIDE)
-    return mask & _ROW
-
-
-def _processes(bits: int) -> frozenset:
-    """Process ids of a vertex bitset (bit i is process i+1)."""
-    ids = []
-    while bits:
-        low = bits & -bits
-        ids.append(low.bit_length())
-        bits ^= low
-    return frozenset(ids)
-
-
 _roots_cache: dict = {}
 
 
@@ -85,38 +59,12 @@ def roots_of_partial(mask: int, extra_vertex: int) -> frozenset:
     """Root components of a partial graph given by ``mask`` over its edge
     endpoints plus ``extra_vertex`` (the owning process is always a known
     vertex, even with no recorded edges); every vertex has a self-loop.
-
-    Bitset kernel on the mask itself (bit i of a row is process i+1): a
-    Warshall closure ORs row k into every row that reaches k, one multiply
-    per k; a transpose gives each vertex's ancestors; and a vertex lies in a
-    root component iff its ancestors are a subset of its reach, the
-    component then being exactly its ancestors.
+    Memoized over the kernel ``graphs.roots_of_mask``.
     """
     key = (mask, extra_vertex)
-    cached = _roots_cache.get(key)
-    if cached is not None:
-        return cached
-    heads = _row_union(mask)
-    reach = mask
-    for k in range(STRIDE):
-        if heads >> k & 1:
-            reach |= (reach >> k & IN_COLUMN) * (reach >> k * STRIDE & _ROW)
-    ancestors = reach
-    for shift, block in _TRANSPOSE:
-        swap = (ancestors ^ ancestors >> shift) & block
-        ancestors ^= swap ^ swap << shift
-    todo = heads | _row_union(ancestors) | 1 << (extra_vertex - 1)  # heads, tails, extra
-    found = []
-    while todo:
-        bit = todo & -todo
-        v = bit.bit_length() - 1
-        above = ancestors >> v * STRIDE & _ROW | bit
-        below = reach >> v * STRIDE & _ROW | bit
-        if not above & ~below:
-            found.append(_processes(above))
-        todo &= ~(above & below)  # v's strong component is settled
-    roots = frozenset(found)
-    _roots_cache[key] = roots
+    roots = _roots_cache.get(key)
+    if roots is None:
+        roots = _roots_cache[key] = roots_of_mask(mask, 1 << (extra_vertex - 1), _LAYOUT)
     return roots
 
 
@@ -349,12 +297,3 @@ def has_late_outgoing_edge(s: NodeState, q: int, r: int) -> bool:
     """
     return r < s.m and s.heard.get(q, -1) >= r
 
-
-def detected_roots(s: NodeState, r: int) -> frozenset:
-    """Root components of the round-r approximation, over the vertices the
-    process knows about.
-
-    Callers must confirm a detected root via :func:`has_late_outgoing_edge`
-    for each member before trusting it to be a root of the true graph.
-    """
-    return s.roots_at(r)

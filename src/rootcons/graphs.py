@@ -9,6 +9,12 @@ queries.
 Round indexing starts at 1.  Round 0 denotes "before round 1" and is a legal
 lower bound for causal-past queries: ``causal_past(w, p, 0, b)`` asks which
 processes' *initial* states have reached ``p`` by the end of round ``b``.
+
+This module owns the edge-mask layout and the one root-component kernel.  An
+n-process edge set is an integer bitmask in which edge (u, v) is bit
+``(u-1)*W + (v-1)`` for the width ``W = mask_width(n)``: a W x W bit matrix
+whose row u-1 holds u's out-neighbours and whose column v-1 holds the
+in-neighbours of v.  Bit i of a row, or of any vertex set, is process i+1.
 """
 
 from __future__ import annotations
@@ -16,35 +22,133 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
-ProcessId = int
 Edge = tuple[int, int]
-RootComponent = frozenset  # frozenset[ProcessId]
+
+MAX_PROCESSES = 1024  # a mask holds width^2 bits, so the width must stay small
 
 
-def self_loops(n: int) -> frozenset:
-    return frozenset((p, p) for p in range(1, n + 1))
+def mask_width(n: int) -> int:
+    """Bits per row of an n-process edge mask: the smallest power of two
+    >= n, and at least 16 (a power of two keeps the delta-swap transpose valid)."""
+    if n > MAX_PROCESSES:
+        raise ValueError(f"n must be <= {MAX_PROCESSES}, got {n}")
+    return max(16, 1 << (n - 1).bit_length())
+
+
+class MaskLayout:
+    """The constants of the edge-mask layout at one width."""
+
+    __slots__ = ("width", "row", "column", "halves", "transpose")
+
+    def __init__(self, width: int):
+        self.width = width
+        self.row = (1 << width) - 1  # every edge out of process 1
+        self.column = sum(1 << (u * width) for u in range(width))  # every edge into process 1
+        self.halves = [width >> d for d in range(1, width.bit_length())]  # W/2, ..., 2, 1
+        # Delta swaps that transpose the matrix: swap the off-diagonal s x s blocks.
+        self.transpose = []
+        for s in self.halves:
+            columns = sum(1 << j for j in range(width) if j & s)
+            block = sum(columns << (i * width) for i in range(width) if not i & s)
+            self.transpose.append((s * (width - 1), block))
+
+
+_LAYOUTS = {}  # width -> MaskLayout, filled on first use; at most 7 widths up to MAX_PROCESSES
+
+
+def mask_layout(n: int) -> MaskLayout:
+    """The layout of n-process edge masks."""
+    width = mask_width(n)
+    return _LAYOUTS.get(width) or _LAYOUTS.setdefault(width, MaskLayout(width))
+
+
+def _processes(bits: int) -> frozenset:
+    """Process ids of a vertex bitset."""
+    ids = []
+    while bits:
+        low = bits & -bits
+        ids.append(low.bit_length())
+        bits ^= low
+    return frozenset(ids)
+
+
+def roots_of_mask(mask: int, vertices: int, lay: MaskLayout) -> frozenset:
+    """Root components of the graph over the endpoints of ``mask`` plus the
+    vertex bitset ``vertices``, every vertex with a self-loop.
+
+    A Warshall closure ORs row k into every row that reaches k, one multiply
+    per k; a transpose gives each vertex's ancestors; and a vertex lies in a
+    root component iff its ancestors are a subset of its reach, the
+    component then being exactly its ancestors.
+    """
+    width, row, column = lay.width, lay.row, lay.column
+    reach = mask
+    for k in range(-(-mask.bit_length() // width)):  # only a vertex with out-edges can relay
+        reach |= (reach >> k & column) * (reach >> k * width & row)
+    ancestors = reach
+    for shift, block in lay.transpose:
+        swap = (ancestors ^ ancestors >> shift) & block
+        ancestors ^= swap ^ swap << shift
+    ends = reach | ancestors  # row v: all v reaches and all that reach v
+    for s in lay.halves:
+        ends |= ends >> s * width
+    todo = ends & row | vertices  # the endpoints and the extra vertices
+    found = []
+    while todo:
+        bit = todo & -todo
+        v = bit.bit_length() - 1
+        above = ancestors >> v * width & row | bit
+        below = reach >> v * width & row | bit
+        if not above & ~below:
+            found.append(_processes(above))
+        todo &= ~(above & below)  # v's strong component is settled
+    return frozenset(found)
 
 
 @dataclass(frozen=True)
 class CommGraph:
-    """One round's directed communication graph over processes 1..n."""
+    """One round's directed communication graph over processes 1..n.
+
+    Its edge mask, the mask's rows and its root components are each
+    computed once, on first use.
+    """
 
     n: int
     edges: frozenset
 
+    @cached_property
+    def mask(self) -> int:
+        """Edge mask of the in-range edges (:func:`validate_graph` reports the others)."""
+        n, width = self.n, mask_width(self.n)
+        mask = 0
+        for (u, v) in self.edges:
+            if 1 <= u <= n and 1 <= v <= n:
+                mask |= 1 << ((u - 1) * width + (v - 1))
+        return mask
+
+    @cached_property
+    def out_rows(self) -> tuple:
+        """``out_rows[u-1]`` is row u-1 of the mask: the out-neighbours of u."""
+        width = mask_width(self.n)
+        return tuple(self.mask >> (u * width) & (1 << width) - 1 for u in range(self.n))
+
+    @cached_property
+    def _roots(self) -> frozenset:
+        return roots_of_mask(self.mask, (1 << self.n) - 1, mask_layout(self.n))
+
     @classmethod
     def of(cls, n: int, edges: Iterable[Edge] = ()) -> "CommGraph":
         """Build a graph from ``edges``, adding the mandatory self-loops."""
-        return cls(n, frozenset((int(u), int(v)) for u, v in edges) | self_loops(n))
+        return cls(n, frozenset((int(u), int(v)) for u, v in edges) | {(p, p) for p in range(1, n + 1)})
 
     def in_neighbors(self, p: int) -> frozenset:
-        return frozenset(u for (u, v) in self.edges if v == p)
+        return frozenset(u for u, row in enumerate(self.out_rows, start=1) if row >> (p - 1) & 1)
 
     def out_neighbors(self, p: int) -> frozenset:
-        return frozenset(v for (u, v) in self.edges if u == p)
+        return _processes(self.out_rows[p - 1])
 
     def nonloop_edges(self) -> list:
         return sorted(e for e in self.edges if e[0] != e[1])
@@ -66,76 +170,14 @@ def validate_graph(g: CommGraph) -> list:
     return violations
 
 
-@lru_cache(maxsize=None)
-def strongly_connected_components(g: CommGraph) -> tuple:
-    """All SCCs of ``g`` as a tuple of frozensets (Tarjan, iterative)."""
-    adj = {v: [] for v in range(1, g.n + 1)}
-    for (u, v) in g.edges:
-        if u != v:
-            adj[u].append(v)
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = 0
-    for start in range(1, g.n + 1):
-        if start in index:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            recursed = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if w not in index:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recursed = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recursed:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                sccs.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return tuple(sccs)
-
-
-@lru_cache(maxsize=None)
 def root_components(g: CommGraph) -> frozenset:
-    """The root components of ``g``: SCCs with no incoming edge from outside.
+    """The root components of ``g``: strongly connected components with no
+    incoming edge from outside, kept on the graph.
 
     Every directed graph has at least one root component; if there is exactly
     one, the graph is weakly connected.
     """
-    sccs = strongly_connected_components(g)
-    comp_of = {}
-    for comp in sccs:
-        for v in comp:
-            comp_of[v] = comp
-    non_roots = set()
-    for (u, v) in g.edges:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu is not cv:
-            non_roots.add(cv)
-    return frozenset(c for c in sccs if c not in non_roots)
+    return g._roots
 
 
 @dataclass(frozen=True)
@@ -200,9 +242,6 @@ class RoundWindow:
     def n(self) -> int:
         return self.lasso.n
 
-    def rounds(self) -> range:
-        return range(self.start, self.end + 1)
-
     def graph(self, r: int) -> CommGraph:
         if not (self.start <= r <= self.end):
             raise ValueError(f"round {r} outside window [{self.start},{self.end}]")
@@ -257,33 +296,16 @@ def maximal_root_runs(l: LassoSequence, scan_to: int) -> list:
     return runs
 
 
-def _causal_past(graph_at: Callable[[int], CommGraph], p: int, a: int, b: int) -> frozenset:
-    # Backward recursion: CP(b,b) = {p}; going from level l to l-1, q joins
-    # when it has an edge into the current set in round l, i.e. q's end-of-
-    # round-(l-1) state reached a process already known to influence p.
-    cp = {p}
-    for level in range(b, a, -1):
-        g = graph_at(level)
-        cp |= {u for (u, v) in g.edges if v in cp}
-    return frozenset(cp)
-
-
-def _forward_reach(graph_at: Callable[[int], CommGraph], q: int, a: int, b: int) -> frozenset:
-    reach = {q}
+def _forward_reach(l: LassoSequence, reach: int, a: int, b: int, column: int) -> int:
+    """Advance every row of the reach matrix ``reach`` over rounds a+1..b at
+    once: in each round, row i gains the out-row of every k it reaches (a
+    bit-matrix product, one multiply per process)."""
     for r in range(a + 1, b + 1):
-        g = graph_at(r)
-        reach |= {v for (u, v) in g.edges if u in reach}
-    return frozenset(reach)
-
-
-def _check_cp_bounds(w: RoundWindow, a: int, b: int):
-    if a > b:
-        raise ValueError(f"invalid causal-past interval [{a},{b}]")
-    if b > w.end or a + 1 < w.start:
-        raise ValueError(
-            f"causal-past interval [{a},{b}] needs rounds {a + 1}..{b} inside window"
-            f" [{w.start},{w.end}]"
-        )
+        step = reach
+        for k, row in enumerate(l.graph(r).out_rows):
+            step |= (reach >> k & column) * row
+        reach = step
+    return reach
 
 
 def causal_past(w: RoundWindow, p: int, a: int, b: int) -> frozenset:
@@ -292,16 +314,24 @@ def causal_past(w: RoundWindow, p: int, a: int, b: int) -> frozenset:
     Computed by the backward recursion over rounds ``b`` down to ``a+1``.
     The result is monotone: shrinking ``a`` never removes members.
     """
-    _check_cp_bounds(w, a, b)
-    return _causal_past(w.lasso.graph, p, a, b)
-
-
-def causal_past_forward(w: RoundWindow, p: int, a: int, b: int) -> frozenset:
-    """Independent recomputation of :func:`causal_past` by forward influence propagation."""
-    _check_cp_bounds(w, a, b)
-    return frozenset(
-        q for q in range(1, w.n + 1) if p in _forward_reach(w.lasso.graph, q, a, b)
-    )
+    if a > b:
+        raise ValueError(f"invalid causal-past interval [{a},{b}]")
+    if b > w.end or a + 1 < w.start:
+        raise ValueError(
+            f"causal-past interval [{a},{b}] needs rounds {a + 1}..{b} inside window"
+            f" [{w.start},{w.end}]"
+        )
+    # CP(b,b) = {p}; going from level l to l-1, q joins when it has an edge
+    # into the current set in round l, i.e. q's end-of-round-(l-1) state
+    # reached a process already known to influence p.
+    cp = 1 << (p - 1)
+    for level in range(b, a, -1):
+        joined = cp
+        for u, row in enumerate(w.lasso.graph(level).out_rows):
+            if row & cp:
+                joined |= 1 << u
+        cp = joined
+    return _processes(cp)
 
 
 @dataclass(frozen=True)
@@ -347,14 +377,19 @@ def check_dynamic_diameter(l: LassoSequence, D: int, horizon: Optional[int] = No
         raise ValueError(f"D must satisfy 1 <= D <= n-1, got D={D}, n={n}")
     if horizon is None:
         horizon = l.default_horizon()
-    everyone = frozenset(range(1, n + 1))
+    lay = mask_layout(n)
+    everyone = (1 << n) - 1
     for root, rounds in sorted(single_rooted_rounds(l, horizon).items(), key=lambda kv: sorted(kv[0])):
+        members = sorted(root)
+        # row q-1 of the reach matrix starts as {q} for every member q
+        start = sum(1 << ((q - 1) * lay.width + q - 1) for q in members)
         for i in range(len(rounds) - D + 1):
             r1, rd = rounds[i], rounds[i + D - 1]
-            for q in sorted(root):
-                reach = _forward_reach(l.graph, q, r1 - 1, rd)
-                if reach != everyone:
-                    missing = min(everyone - reach)
+            reach = _forward_reach(l, start, r1 - 1, rd, lay.column)
+            for q in members:
+                unreached = ~reach >> (q - 1) * lay.width & everyone
+                if unreached:
+                    missing = (unreached & -unreached).bit_length()
                     return DiameterWitness(root, tuple(rounds[i : i + D]), missing)
     return None
 
@@ -375,20 +410,30 @@ def lasso_to_json(l: LassoSequence) -> str:
 
 
 def lasso_from_json_dict(data: dict) -> LassoSequence:
-    for field in ("n", "cycle"):
-        if field not in data:
-            raise ValueError(f"lasso JSON missing field '{field}'")
+    if not isinstance(data, dict):
+        raise ValueError(f"lasso JSON must be an object, got {type(data).__name__}")
+    for key in ("n", "cycle"):
+        if key not in data:
+            raise ValueError(f"lasso JSON missing field '{key}'")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"lasso JSON field 'n' must be a positive integer, got {n!r}")
-    prefix = [CommGraph.of(n, edges) for edges in data.get("prefix", [])]
-    cycle = [CommGraph.of(n, edges) for edges in data["cycle"]]
-    l = LassoSequence(tuple(prefix), tuple(cycle))
-    for i, g in enumerate(list(l.prefix) + list(l.cycle)):
-        bad = validate_graph(g)
-        if bad:
-            raise ValueError(f"graph {i} invalid: {bad[0]}")
-    return l
+    if type(n) is not int or not 1 <= n <= MAX_PROCESSES:  # bools are ints in Python
+        raise ValueError(f"lasso JSON field 'n' must be an integer in 1..{MAX_PROCESSES}, got {n!r}")
+    rounds = {"prefix": data.get("prefix", []), "cycle": data["cycle"]}
+    graphs = []
+    for key, edge_lists in rounds.items():
+        if not isinstance(edge_lists, list) or not all(isinstance(edges, list) for edges in edge_lists):
+            raise ValueError(f"lasso JSON field '{key}' must be a list of edge lists")
+        for edges in edge_lists:
+            for e in edges:
+                if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+                    raise ValueError(f"graph {len(graphs)} invalid: edge {json.dumps(e)} is not a pair of integers")
+            g = CommGraph.of(n, edges)
+            bad = validate_graph(g)
+            if bad:
+                raise ValueError(f"graph {len(graphs)} invalid: {bad[0]}")
+            graphs.append(g)
+    cut = len(rounds["prefix"])
+    return LassoSequence(tuple(graphs[:cut]), tuple(graphs[cut:]))
 
 
 def lasso_from_json(text: str) -> LassoSequence:

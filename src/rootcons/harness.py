@@ -43,7 +43,6 @@ from .adversary import (
 from .approximation import (
     IN_COLUMN,
     STRIDE,
-    edge_bit,
     edges_of_mask,
     init_state,
     make_message,
@@ -58,6 +57,7 @@ from .graphs import (
     causal_past,
     check_dynamic_diameter,
     lasso_to_json_dict,
+    mask_layout,
 )
 
 
@@ -168,13 +168,13 @@ class _InvariantMonitor:
 
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
         senders = [[] for _ in self.rows]
-        inmask = [0 for _ in self.rows]
         for (u, v) in g.edges:
             senders[v - 1].append(self.heard[u - 1])
-            inmask[v - 1] |= edge_bit(u, v)
         self.heard = [[max(col) for col in zip(*rows)] for rows in senders]
+        column = mask_layout(g.n).column  # the protocol's layout too, as RunConfig caps n at STRIDE
+        inmask = [g.mask & column << v for v in range(len(self.rows))]
         lo = window_start(self.keep, m)
-        self.true_masks[m] = sum(inmask)  # the in-masks are disjoint columns
+        self.true_masks[m] = g.mask
         self.true_masks.pop(lo - 1, None)
         for p, known in enumerate(self.heard, start=1):
             known[p - 1] = m

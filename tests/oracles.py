@@ -1,16 +1,17 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately naive: definitional subset enumeration for
-root components, undirected BFS for weak connectivity, a literal recursive
-causal-past, per-round BFS distances, and a copied-history protocol state.
-The roots of a partial graph are computed as a relabelled ``CommGraph`` fed
-to Tarjan-based ``graphs.root_components``, so they share no code with the
-bitmask kernel ``approximation.roots_of_partial``.
+root components, an iterative Tarjan SCC pass over edge sets for root
+components of graphs too large to enumerate, undirected BFS for weak
+connectivity, a literal recursive causal-past and its forward-propagation
+counterpart, per-round BFS distances, and a copied-history protocol state.
+None of it calls the bitmask kernel ``graphs.roots_of_mask``: the roots of a
+partial graph are Tarjan's on a relabelled ``CommGraph``.
 """
 
 from itertools import combinations
 
-from rootcons.graphs import CommGraph, root_components
+from rootcons.graphs import CommGraph
 
 
 def brute_force_roots(g: CommGraph) -> frozenset:
@@ -70,6 +71,78 @@ def naive_causal_past(graph_at, p: int, a: int, b: int) -> frozenset:
     return deeper | {u for (u, v) in g.edges if v in deeper}
 
 
+def causal_past_forward(w, p: int, a: int, b: int) -> frozenset:
+    """Causal past CP_p(a, b) by forward influence propagation: the q whose
+    round-a state, spread along the edges of rounds a+1..b, reaches p."""
+    past = set()
+    for q in range(1, w.n + 1):
+        reach = {q}
+        for r in range(a + 1, b + 1):
+            reach |= {v for (u, v) in w.graph(r).edges if u in reach}
+        if p in reach:
+            past.add(q)
+    return frozenset(past)
+
+
+def tarjan_sccs(g: CommGraph) -> tuple:
+    """All SCCs of ``g`` as a tuple of frozensets (Tarjan, iterative)."""
+    adj = {v: [] for v in range(1, g.n + 1)}
+    for (u, v) in g.edges:
+        if u != v:
+            adj[u].append(v)
+    index = {}
+    lowlink = {}
+    on_stack = set()
+    stack = []
+    sccs = []
+    counter = 0
+    for start in range(1, g.n + 1):
+        if start in index:
+            continue
+        work = [(start, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack.add(v)
+            recursed = False
+            for i in range(pi, len(adj[v])):
+                w = adj[v][i]
+                if w not in index:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    recursed = True
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if recursed:
+                continue
+            work.pop()
+            if lowlink[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                sccs.append(frozenset(comp))
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+    return tuple(sccs)
+
+
+def tarjan_roots(g: CommGraph) -> frozenset:
+    """The SCCs of ``g`` that no edge enters from outside."""
+    sccs = tarjan_sccs(g)
+    comp_of = {v: comp for comp in sccs for v in comp}
+    entered = {comp_of[v] for (u, v) in g.edges if comp_of[u] is not comp_of[v]}
+    return frozenset(c for c in sccs if c not in entered)
+
+
 def bfs_distance(g: CommGraph, src: int, dst: int):
     dist = {src: 0}
     frontier = [src]
@@ -99,7 +172,7 @@ _reference_roots_memo = {}
 
 def reference_roots_of_partial(mask: int, extra_vertex: int) -> frozenset:
     """Root components of the graph over the endpoints of ``mask`` plus
-    ``extra_vertex``, each with a self-loop, via a relabelled CommGraph."""
+    ``extra_vertex``, each with a self-loop, via Tarjan on a relabelled CommGraph."""
     key = (mask, extra_vertex)
     if key not in _reference_roots_memo:
         edges = [(i // STRIDE + 1, i % STRIDE + 1) for i in range(mask.bit_length()) if mask >> i & 1]
@@ -111,7 +184,7 @@ def reference_roots_of_partial(mask: int, extra_vertex: int) -> frozenset:
             frozenset((relabel[u], relabel[v]) for (u, v) in edges) | frozenset((i, i) for i in back),
         )
         _reference_roots_memo[key] = frozenset(
-            frozenset(back[i] for i in comp) for comp in root_components(g)
+            frozenset(back[i] for i in comp) for comp in tarjan_roots(g)
         )
     return _reference_roots_memo[key]
 

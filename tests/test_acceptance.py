@@ -14,6 +14,7 @@ import pytest
 from conftest import random_lasso
 from oracles import (
     brute_force_roots,
+    causal_past_forward,
     naive_causal_past,
     out_row_mask,
     reference_late_edge,
@@ -32,7 +33,6 @@ from rootcons.adversary import (
 from rootcons.graphs import (
     CommGraph,
     causal_past,
-    causal_past_forward,
     root_components,
 )
 from rootcons.harness import (

@@ -10,7 +10,6 @@ import rootcons.approximation as approximation_mod
 from rootcons.approximation import (
     STRIDE,
     _approx_view,
-    detected_roots,
     edge_bit,
     edges_of_mask,
     has_late_outgoing_edge,
@@ -153,12 +152,12 @@ class TestDetectedRoots:
         l = lasso(3, cycle=[[(1, 2), (2, 3)]])
         states = drive(l, (0, 0, 0), 1)
         # p1 heard nobody: its round-1 fragment roots itself
-        assert detected_roots(states[1], 1) == frozenset([frozenset([1])])
+        assert states[1].roots_at(1) == frozenset([frozenset([1])])
 
     def test_known_vertex_set_only(self, eps1_lasso):
         states = drive(eps1_lasso, (0,) * 5, 3)
         # p5 never hears about p3/p4: they are absent from its approximations
-        roots = detected_roots(states[5], 2)
+        roots = states[5].roots_at(2)
         assert roots == frozenset([frozenset([1])])
 
 
@@ -191,8 +190,8 @@ class TestRootDetection:
                             q in causal_past(w, p, r, horizon) for q in root
                         )
                         if reached:
-                            assert root in detected_roots(st, r)
-                    for root in detected_roots(st, r):
+                            assert root in st.roots_at(r)
+                    for root in st.roots_at(r):
                         if all(has_late_outgoing_edge(st, q, r) for q in root):
                             assert root in true_roots
 

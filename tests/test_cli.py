@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -50,6 +51,11 @@ class TestGenerate:
         code, payload = run_cli(capsys, ["generate", "--n", "5", "--d", "5"])
         assert code == 2
         assert "1 <= D <= n-1" in payload["error"]
+
+    def test_more_processes_than_the_mask_layout_allows_exit_2(self, capsys):
+        code, payload = run_cli(capsys, ["generate", "--n", "1025", "--d", "2"])
+        assert code == 2
+        assert "n <= 1024" in payload["error"]
 
     def test_same_flags_identical_files(self, tmp_path, capsys):
         args = ["generate", "--n", "4", "--d", "1", "--rsr", "3", "--seed", "5", "--out"]
@@ -150,6 +156,36 @@ class TestCheck:
         code, payload = run_cli(capsys, ["check", "--lasso", str(path), "--adversary", kind] + flags)
         assert code == 2
         assert payload["ok"] is False and payload["error"]
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"n": 3, "prefix": null, "cycle": [[]]}', "'prefix' must be a list of edge lists"),
+            ('{"n": 3, "cycle": {"0": []}}', "'cycle' must be a list of edge lists"),
+            ('{"n": 3, "cycle": [7]}', "'cycle' must be a list of edge lists"),
+            ('{"n": 3, "cycle": [[[1, 2.5]]]}', "edge [1, 2.5] is not a pair of integers"),
+            ('{"n": 3, "cycle": [[[true, 2]]]}', "edge [true, 2] is not a pair of integers"),
+            ('{"n": 3, "cycle": [[[1, 2, 3]]]}', "edge [1, 2, 3] is not a pair of integers"),
+            ('{"n": 3, "cycle": [[[1]]]}', "edge [1] is not a pair of integers"),
+            ('{"n": 3, "cycle": [[12]]}', "edge 12 is not a pair of integers"),
+            ('{"n": 3, "cycle": [[[0, 2]]]}', "graph 0 invalid: endpoint out of range (0->2)"),
+            ('{"n": 3, "prefix": [[]], "cycle": [[[2, 9]]]}', "graph 1 invalid: endpoint out of range (2->9)"),
+            ('{"n": true, "cycle": [[]]}', "'n' must be an integer in 1..1024, got True"),
+            ('{"n": 3.0, "cycle": [[]]}', "'n' must be an integer in 1..1024, got 3.0"),
+            ('{"n": 1025, "cycle": [[]]}', "'n' must be an integer in 1..1024, got 1025"),
+            ('{"n": 1000000000000, "cycle": [[]]}', "'n' must be an integer in 1..1024"),
+            ("[1, 2]", "lasso JSON must be an object, got list"),
+        ],
+    )
+    def test_malformed_lasso_exit_2_without_traceback(self, capsys, monkeypatch, text, error):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        capsys.readouterr()
+        code = main(["check", "--lasso", "-", "--d", "1"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out.strip().splitlines()[-1])
+        assert code == 2 and payload["ok"] is False
+        assert error in payload["error"]
+        assert "Traceback" not in captured.err
 
 
 GOLDEN = Path(__file__).parent / "check_golden.json"

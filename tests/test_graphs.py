@@ -1,18 +1,23 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_graph, random_lasso
-from oracles import brute_force_roots, naive_causal_past, undirected_bfs_spans
+from oracles import (
+    brute_force_roots,
+    causal_past_forward,
+    naive_causal_past,
+    tarjan_roots,
+    undirected_bfs_spans,
+)
 
-from rootcons.adversary import _embedded_single_phase
+from rootcons.adversary import AdversaryParams, _embedded_single_phase, generate_estable
 from rootcons.graphs import (
     CommGraph,
     LassoSequence,
     Run,
     causal_past,
-    causal_past_forward,
     check_dynamic_diameter,
     graph_to_dot,
     lasso,
@@ -53,6 +58,14 @@ class TestValidateGraph:
         assert validate_graph(g) == ["endpoint out of range (1->7)"]
 
 
+@st.composite
+def wide_graphs(draw):
+    """(n, edge list) for n in 17..48: edge masks of widths 32 and 64."""
+    n = draw(st.integers(17, 48))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n))
+    return n, draw(st.lists(pair, max_size=3 * n))
+
+
 class TestRootComponents:
     def test_single_node(self):
         assert roots_sorted(CommGraph.of(1)) == [[1]]
@@ -81,6 +94,24 @@ class TestRootComponents:
         assert len(roots) >= 1
         if len(roots) == 1:
             assert undirected_bfs_spans(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=wide_graphs())
+    @example(case=(17, [(17, 1), (1, 17)]))  # the first and last sizes of widths 32 and 64
+    @example(case=(32, [(32, 1), (1, 32)]))
+    @example(case=(33, [(33, 1), (1, 33)]))
+    @example(case=(48, [(48, 1), (1, 48)]))
+    def test_matches_tarjan_past_width_sixteen(self, case):
+        n, edges = case
+        g = CommGraph.of(n, edges)
+        assert root_components(g) == tarjan_roots(g)
+
+    def test_cached_roots_and_mask_stay_out_of_identity(self, eps2_lasso):
+        g = eps2_lasso.graph(1)
+        fresh = CommGraph(g.n, g.edges)
+        root_components(g)
+        assert g == fresh and hash(g) == hash(fresh)
+        assert repr(g) == f"CommGraph(n={g.n}, edges={g.edges!r})"
 
 
 class TestCommonRootIntervals:
@@ -248,6 +279,26 @@ class TestEndToEndPropagation:
                     assert root <= causal_past(w, p, picks[0] - 1, picks[-1])
 
 
+def naive_diameter_witness(l, D, horizon):
+    """The first (root, rounds, process) violating dynamic diameter D, in the
+    order check_dynamic_diameter reports it, from Tarjan roots and the
+    literal recursive causal past; None if the guarantee holds."""
+    singles = {}
+    for r in range(1, horizon + 1):
+        roots = tarjan_roots(l.graph(r))
+        if len(roots) == 1:
+            singles.setdefault(next(iter(roots)), []).append(r)
+    for root, rounds in sorted(singles.items(), key=lambda kv: sorted(kv[0])):
+        for i in range(len(rounds) - D + 1):
+            r1, rd = rounds[i], rounds[i + D - 1]
+            pasts = [naive_causal_past(l.graph, p, r1 - 1, rd) for p in range(1, l.n + 1)]
+            for q in sorted(root):
+                missing = [p for p, past in enumerate(pasts, start=1) if q not in past]
+                if missing:
+                    return root, tuple(rounds[i : i + D]), missing[0]
+    return None
+
+
 class TestDynamicDiameter:
     def test_eps1_diameter_two(self, eps1_lasso):
         assert check_dynamic_diameter(eps1_lasso, 2, horizon=10) is None
@@ -263,6 +314,32 @@ class TestDynamicDiameter:
         assert witness.root == frozenset([1])
         w = scenario_hop_fallacy(5).window(1, witness.rounds[-1])
         assert not (witness.root <= causal_past(w, witness.process, witness.rounds[0] - 1, witness.rounds[-1]))
+
+    def test_matches_naive_causal_past_at_24_processes(self):
+        # certified lassos (no witness) and deep random trees below a fixed
+        # root (a witness), against the definition evaluated with the oracles
+        rng = random.Random(24)
+        outcomes = set()
+        for i in range(8):
+            D = 2 + i % 2
+            if i % 2 == 0:
+                l, cert = generate_estable(AdversaryParams(n=24, D=D, seed=i, r_sr_target=6))
+                horizon = cert.r_sr + 8
+            else:
+                # each vertex hangs off one of the last four placed before it
+                root = list(range(1, 2 + i % 3))
+                trees = []
+                for _ in range(6):
+                    order = root + rng.sample(range(len(root) + 1, 25), 24 - len(root))
+                    edges = list(zip(root, root[1:] + root[:1]))
+                    edges += [(rng.choice(order[max(0, j - 4) : j]), order[j]) for j in range(len(root), 24)]
+                    trees.append(CommGraph.of(24, edges))
+                l, horizon = LassoSequence(tuple(trees[:-1]), tuple(trees[-1:])), 8
+            expected = naive_diameter_witness(l, D, horizon)
+            got = check_dynamic_diameter(l, D, horizon)
+            assert (got and (got.root, got.rounds, got.process)) == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
 
     def test_d_out_of_range_raises(self, eps1_lasso):
         with pytest.raises(ValueError):
