@@ -16,9 +16,20 @@ these facts.  ``approx`` is a per-round cache, ``masks[r]`` for r in
 ``lo..m``, kept up to date by the merge: when ``heard[q]`` rises, q's newly
 heard in-edge cells are ORed in, so each (q, r) cell is ORed once per process
 and a root query costs a dict lookup.  The harness's invariant monitor checks
-the cache against the true graphs every round.  ``snapshot()`` serializes
-both.  Rows are shared, so all states of one run must advance in lock step,
-as the harness does.
+the cache against the true graphs every round.  Rows are shared, so all
+states of one run must advance in lock step, as the harness does.
+
+The merge also notes ``stale_from``, the earliest round whose confirmed
+single root may have changed (a round whose mask or member evidence rose,
+or the round that just stopped being the current one); ``consensus`` keeps
+its per-round c2 results in ``runs`` and recomputes them only from there.
+
+``snapshot()`` serializes a state.  A run records, instead of a snapshot per
+round, what each round added (:func:`state_delta`): the newly heard lock
+cells, the masks of the rounds they fall in, and ``y``.  A state is a
+function of these deltas, so two runs are indistinguishable to a process
+exactly when its deltas agree, and :func:`replay_snapshots` rebuilds the
+snapshots from them.
 
 Edge sets are integer bitmasks in the layout of ``graphs`` at width
 ``STRIDE`` = 16 (edge (u, v) occupies bit ``(u-1)*STRIDE + (v-1)``), which
@@ -136,10 +147,15 @@ class NodeState:
     ``masks[r]`` is the round-r approximation's edge mask for r in ``lo..m``
     (``masks[0]`` is the initial singleton graph and never gains edges), and
     ``y`` is the write-once decision.  ``approx`` copies ``masks``;
-    ``locks[q][r]`` is a view over the retained rounds.
+    ``locks[q][r]`` is a view over the retained rounds.  ``runs``,
+    ``stale_from`` and ``c2_from`` hold the core step's c2 scan (see
+    ``consensus``); the merge lowers ``stale_from`` and drops the ``runs``
+    entry of the round that leaves the window.
     """
 
-    __slots__ = ("pid", "x", "m", "lo", "y", "keep", "heard", "rows", "masks")
+    __slots__ = (
+        "pid", "x", "m", "lo", "y", "keep", "heard", "rows", "masks", "runs", "stale_from", "c2_from",
+    )
 
     def __init__(self, pid: int, x: int, keep: Optional[int] = None):
         if not (1 <= pid <= STRIDE):
@@ -153,6 +169,9 @@ class NodeState:
         self.heard = {pid: 0}
         self.rows = {pid: Row(x)}
         self.masks = {0: 0}
+        self.runs = {}
+        self.stale_from = 0
+        self.c2_from = 0
 
     @property
     def approx(self) -> dict:
@@ -178,15 +197,7 @@ class NodeState:
     def snapshot(self) -> tuple:
         """Hashable full-state copy; two runs are indistinguishable to a
         process through a round iff its snapshots match round for round."""
-        return (
-            self.pid,
-            self.m,
-            self.x,
-            self.y,
-            tuple(self.masks.items()),
-            tuple((q, tuple(row.items())) for q, row in sorted(self.locks.items())),
-            self.keep,
-        )
+        return _snapshot_tuple(self.pid, self.m, self.x, self.y, self.masks, self.locks, self.keep)
 
     def to_json_dict(self) -> dict:
         return {
@@ -200,6 +211,61 @@ class NodeState:
                 for q, row in sorted(self.locks.items())
             },
         }
+
+
+def _snapshot_tuple(pid: int, m: int, x: int, y, masks: dict, locks: dict, keep) -> tuple:
+    return (
+        pid,
+        m,
+        x,
+        y,
+        tuple(masks.items()),
+        tuple((q, tuple(row.items())) for q, row in sorted(locks.items())),
+        keep,
+    )
+
+
+def state_delta(s: NodeState, heard_before: dict) -> tuple:
+    """What s's last round added, given its ``heard`` before that round's merge.
+
+    Returns ``(cells, masks, y)``: ``cells`` are the newly heard
+    ``(q, r, lock[q][r])`` of the retained rounds, by q then r (values copied,
+    as bounded mode later drops cells from the rows), ``masks`` the
+    ``(r, masks[r])`` of every round a new cell falls in (the rounds whose
+    mask can have changed), and ``y`` the decision.  Taken after the core
+    step, so the own round-m cell holds any re-proposal.  Equal states before
+    and after give equal deltas, and a state is its round-0 delta plus the
+    later ones, so a process cannot tell two runs apart through a round
+    exactly when its deltas agree up to there.
+    """
+    lo, heard, rows, masks = s.lo, s.heard, s.rows, s.masks
+    cells, rounds = [], set()
+    for q in sorted(heard):
+        h, before = heard[q], heard_before.get(q, -1)
+        if h > before and h >= lo:
+            lock = rows[q].lock
+            for r in range(max(before + 1, lo), h + 1):
+                cells.append((q, r, lock[r]))
+                rounds.add(r)
+    return tuple(cells), tuple([(r, masks[r]) for r in sorted(rounds)]), s.y
+
+
+def replay_snapshots(pid: int, x: int, keep: Optional[int], deltas: list) -> list:
+    """The ``snapshot()`` of process pid after each round, rebuilt from its
+    :func:`state_delta` of every round (round 0's taken from the initial
+    state against an empty ``heard``)."""
+    masks, locks, out = {}, {}, []
+    for m, (cells, changed, y) in enumerate(deltas):
+        for q, r, v in cells:
+            locks.setdefault(q, {})[r] = v
+        masks.update(changed)
+        lo = window_start(keep, m)
+        if lo > 0:
+            del masks[lo - 1]
+            for row in locks.values():
+                row.pop(lo - 1, None)
+        out.append(_snapshot_tuple(pid, m, x, y, masks, locks, keep))
+    return out
 
 
 def parse_mode(mode: str, D: Optional[int] = None) -> Optional[int]:
@@ -248,9 +314,10 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     and the own row gains its round-m cell: the lock carried forward and the
     direct in-edges (sender -> pid).  Then ``masks`` gains round m, drops the
     round that left the window, and takes in the in-edge cells of rounds
-    ``old heard[q]+1 .. heard[q]`` of every q whose entry rose.  Merge order
-    is irrelevant: maxima are commutative and every message refers to the
-    same row of each owner.
+    ``old heard[q]+1 .. heard[q]`` of every q whose entry rose, and
+    ``stale_from`` drops to the first of those rounds (or to round m-1, which
+    stops being the current round).  Merge order is irrelevant: maxima are
+    commutative and every message refers to the same row of each owner.
     """
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
@@ -277,12 +344,19 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     masks[m] = 0
     if lo > 0:
         del own.lock[lo - 1], own.inmask[lo - 1], masks[lo - 1]
+        s.runs.pop(lo - 1, None)
+    changed = m - 1
     for q, before in risen.items():
         h = heard[q]
         if h >= lo:
+            first = max(before + 1, lo)
+            if first < changed:
+                changed = first
             inmask = rows[q].inmask
-            for r in range(max(before + 1, lo), h + 1):
+            for r in range(first, h + 1):
                 masks[r] |= inmask[r]
+    if changed < s.stale_from:
+        s.stale_from = changed
     return s
 
 

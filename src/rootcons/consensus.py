@@ -16,6 +16,17 @@ Interval searches range over rounds >= 1; the round-0 entry is an
 initialization artifact (every process trivially roots its own singleton
 there) and counting it would let an isolated process fabricate a quorum of
 its own silence.
+
+Both conditions read one per-round cache on the state: ``runs[r]`` is
+``(root, start)``, the single confirmed root of round r (None if there is
+none or several) and the round its run of that root began (``r + 1`` for
+None).  Whether round r has a single confirmed root depends only on
+``masks[r]``, on which members' ``heard`` reach r, and on whether r is
+before the current round, so the merge's ``stale_from`` bounds what can
+have changed, and only rounds from there on are recomputed.  c2 resumes its
+search at ``c2_from``: no retained round before it ends a long enough run.
+A start before the window counts from the window's first round, as a full
+rescan from there would.
 """
 
 from __future__ import annotations
@@ -88,15 +99,39 @@ def confirmed_roots(s: NodeState, r: int) -> list:
     ]
 
 
+def _refresh(s: NodeState, upto: int) -> None:
+    """Recompute the ``runs`` entries of rounds ``stale_from..upto``."""
+    low = _core_low(s)
+    first = max(s.stale_from, low)
+    if first > upto:
+        return
+    runs = s.runs
+    s.c2_from = min(s.c2_from, first)
+    run_root, start = runs[first - 1] if first > low else (None, first)
+    for r in range(first, upto + 1):
+        confirmed = confirmed_roots(s, r)
+        if len(confirmed) != 1:
+            run_root, start = None, r + 1
+        elif confirmed[0] != run_root:
+            run_root, start = confirmed[0], r
+        runs[r] = (run_root, start)
+    s.stale_from = upto + 1
+
+
 def c1_check(s: NodeState, m: int, D: int) -> Optional[frozenset]:
-    """Exactly one confirmed root of approx[m-D]."""
+    """Exactly one confirmed root of approx[m-D].
+
+    Read from ``runs`` while c2 still needs the rounds before m-D kept
+    current; once decided, only round m-D itself is evaluated.
+    """
     r0 = m - D
     if r0 < _core_low(s):
         return None
-    confirmed = confirmed_roots(s, r0)
-    if len(confirmed) == 1:
-        return confirmed[0]
-    return None
+    if s.y is not None and r0 >= s.stale_from:
+        confirmed = confirmed_roots(s, r0)
+        return confirmed[0] if len(confirmed) == 1 else None
+    _refresh(s, r0)
+    return s.runs[r0][0]
 
 
 def b1_apply(s: NodeState, m: int, root: frozenset, D: int) -> tuple:
@@ -115,27 +150,49 @@ def c2_check(s: NodeState, D: int) -> Optional[tuple]:
     Returns (root, (a', b')) with the least a' and the least qualifying b'
     (= a' + D): later rounds of a longer run only make the c3 evidence
     requirement harder, and any longer interval is covered by its prefix.
+    Round b' qualifies iff its run began at least D rounds earlier and
+    b' >= max(1, lo) + D, so a longer-ago start needs no clamping.
     """
-    lo = _core_low(s)
-    run_root = None
-    run_start = lo
-    for r in range(lo, s.m + 1):
-        confirmed = confirmed_roots(s, r)
-        if len(confirmed) == 1:
-            root = confirmed[0]
-            if root != run_root:
-                run_root = root
-                run_start = r
-            if r - run_start + 1 >= D + 1:
-                return run_root, (run_start, run_start + D)
-        else:
-            run_root = None
+    _refresh(s, s.m)
+    runs = s.runs
+    for r in range(max(s.c2_from, _core_low(s) + D), s.m + 1):
+        root, start = runs[r]
+        if r - start >= D:
+            s.c2_from = r
+            return root, (r - D, r)
+    s.c2_from = s.m + 1
     return None
 
 
 def c3_check(s: NodeState, root: frozenset, b_end: int) -> bool:
     """Every member of the root has an outgoing edge recorded after b_end."""
     return all(has_late_outgoing_edge(s, q, b_end) for q in root)
+
+
+def blocker(s: NodeState, D: int) -> tuple:
+    """Why an undecided process has not decided, from its current state.
+
+    ``("c3", root, (a', b'), members)`` when c2 holds but the listed root
+    members have no outgoing edge recorded after b'; otherwise
+    ``("c2", root, (a, b))`` for its longest single-rooted run (the earliest
+    of equal length), or ``("c2", None, None)`` when no retained round has a
+    single confirmed root.  The round b' of a c2 hit has the root confirmed,
+    which is c3's condition, so the c3 case shows only when c2 counts roots
+    without that evidence.
+    """
+    hit = c2_check(s, D)
+    if hit is not None:
+        root, interval = hit
+        missing = tuple(q for q in sorted(root) if not has_late_outgoing_edge(s, q, interval[1]))
+        return "c3", root, interval, missing
+    low = _core_low(s)
+    best, length = ("c2", None, None), 0
+    for r in range(low, s.m + 1):
+        root, start = s.runs[r]
+        a = max(start, low)
+        if root is not None and r - a + 1 > length:
+            best, length = ("c2", root, (a, r)), r - a + 1
+    return best
 
 
 def b3_apply(s: NodeState, root: frozenset, interval: tuple) -> Optional[tuple]:

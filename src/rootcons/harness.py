@@ -4,30 +4,39 @@ A run advances all processes through synchronous rounds against a lasso of
 communication graphs: every process snapshots its end-of-previous-round
 state into a message, deliveries follow the round graph's edges exactly
 (self-loops included), then each process merges and runs its core step.
-Runs are fully deterministic in their configuration.
+Runs are fully deterministic in their configuration.  A run that keeps
+snapshots records, per process and round, the state's delta
+(``approximation.state_delta``): the newly heard lock cells, the masks of
+their rounds, and ``y``.  ``Trace.snapshots`` replays them into full state
+snapshots on first use, and indistinguishability compares delta prefixes.
 
 While running, an invariant monitor checks each process's state against
 ground truth it derives from the true graphs alone: ``heard[p][q]``, the
 latest round whose end state of q has reached p (after round m it is the
 maximum of ``heard[u][q]`` over p's round-m in-neighbours u, and
 ``heard[p][p] = m``).  After every round it requires, for every p, that
-p's ``heard`` equals that row of the matrix, that every row p holds is the
-owner's own row object (and that p holds it once q is heard from within the
-retained rounds ``lo..m``), and that p's own row gained exactly the right
-round-m cell: the true in-edges, the lock value the monitor tracks (carried
-forward, or the core step's re-proposal), and nothing outside ``lo..m``.
-Since a state's lock view is derived from ``heard`` and the shared rows
-alone, this makes it exact.  The approximation is a per-round cache updated
-at merge time, so the monitor checks it too: ``masks[r]`` must be the true
-round-r edges into ``{v : heard[p][v] >= r}`` for every r in ``lo..m``, and
-no other round may be held.
+p's ``heard`` equals that row of the matrix, that p holds exactly the rows
+of the q heard from within the retained rounds ``lo..m`` at some round,
+each the owner's own row object, and that p's own row gained exactly the
+right round-m cell: the true in-edges, the lock value the monitor tracks
+(carried forward, or the core step's re-proposal), and nothing outside
+``lo..m``.  Since a state's lock view is derived from ``heard`` and the
+shared rows alone, this makes it exact.  The approximation is a per-round
+cache updated at merge time, so the monitor checks it too: ``masks[r]``
+must be the true round-r edges into ``{v : heard[p][v] >= r}`` for every r
+in ``lo..m``, and no other round may be held.  The monitor keeps each
+process's expected ``heard``, rows and masks as dicts, updated only at the
+rounds whose heads rose, and compares each whole dict in one step; only on
+a mismatch does it walk the rounds to name what differs.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from . import consensus
@@ -41,13 +50,14 @@ from .adversary import (
     generate_estable,
 )
 from .approximation import (
-    IN_COLUMN,
     STRIDE,
     edges_of_mask,
     init_state,
     make_message,
     parse_mode,
     receive_and_merge,
+    replay_snapshots,
+    state_delta,
     window_start,
 )
 from .consensus import core_step
@@ -97,15 +107,29 @@ class RunConfig:
 @dataclass
 class Trace:
     """Complete record of one run: graphs, per-round outcomes, decision
-    events, and per-round state snapshots (round 0 holds the initial states)."""
+    events, and per-round state deltas (``deltas[m][p]``; round 0 holds the
+    initial states' own cells)."""
 
     config: RunConfig
     round_graphs: list
     outcomes: list
     decisions: dict
-    snapshots: list
+    deltas: list
     states: dict
     certificate: Optional[AdversaryCertificate] = None
+
+    @cached_property
+    def snapshots(self) -> list:
+        """``snapshots[m][p]``: p's ``NodeState.snapshot()`` after round m,
+        replayed from the deltas (empty when the run kept none)."""
+        if not self.deltas:
+            return []
+        keep = parse_mode(self.config.mode)
+        per_pid = {
+            p: replay_snapshots(p, x, keep, [deltas[p] for deltas in self.deltas])
+            for p, x in enumerate(self.config.inputs, start=1)
+        }
+        return [{p: snaps[m] for p, snaps in per_pid.items()} for m in range(len(self.deltas))]
 
     def latest_decision_round(self) -> Optional[int]:
         if not self.decisions:
@@ -157,7 +181,8 @@ class _InvariantMonitor:
     """The run's ground truth, from the true round graphs alone: ``heard[p][q]``
     (the latest round whose end state of q has reached p, -1 for none), each
     owner's current lock value and its own row object, and the true edge
-    mask of every retained round."""
+    mask of every retained round.  From these it keeps what each process's
+    state must hold: its ``heard`` dict, its rows dict and its masks dict."""
 
     def __init__(self, cfg: RunConfig, states: dict):
         self.keep = parse_mode(cfg.mode)
@@ -165,28 +190,54 @@ class _InvariantMonitor:
         self.lock = list(cfg.inputs)
         self.rows = [states[p].rows[p] for p in range(1, cfg.n + 1)]
         self.true_masks = {0: 0}
+        self.expected = [({p: 0}, {p: self.rows[p - 1]}, {0: 0}) for p in range(1, cfg.n + 1)]
 
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
         senders = [[] for _ in self.rows]
         for (u, v) in g.edges:
             senders[v - 1].append(self.heard[u - 1])
-        self.heard = [[max(col) for col in zip(*rows)] for rows in senders]
+        previous, self.heard = self.heard, [[max(col) for col in zip(*rows)] for rows in senders]
         column = mask_layout(g.n).column  # the protocol's layout too, as RunConfig caps n at STRIDE
-        inmask = [g.mask & column << v for v in range(len(self.rows))]
         lo = window_start(self.keep, m)
-        self.true_masks[m] = g.mask
-        self.true_masks.pop(lo - 1, None)
+        true_masks = self.true_masks
+        true_masks[m] = g.mask
+        true_masks.pop(lo - 1, None)
         for p, known in enumerate(self.heard, start=1):
             known[p - 1] = m
+            heard, rows, masks = self.expected[p - 1]
+            masks[m] = 0
+            masks.pop(lo - 1, None)
+            for v, (before, h) in enumerate(zip(previous[p - 1], known)):
+                if h > before:
+                    heard[v + 1] = h
+                    if h >= lo:
+                        rows.setdefault(v + 1, self.rows[v])
+                        heads = column << v
+                        for r in range(max(before + 1, lo), h + 1):
+                            masks[r] |= true_masks[r] & heads
             locked = outcomes[p - 1].locked
             if locked is not None:
                 self.lock[p - 1] = locked[2]
-            problem = self._violation(states[p], p, m, lo, known, inmask[p - 1])
-            if problem:
-                raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={known}; rounds {lo}..{m} kept)")
+            st, own, inmask = states[p], self.rows[p - 1], g.mask & column << (p - 1)
+            if (
+                st.heard == heard
+                and st.rows == rows
+                and st.masks == masks
+                and st.lo == lo
+                and own.inmask.get(m) == inmask
+                and own.lock.get(m) == self.lock[p - 1]
+                and len(own.lock) == len(own.inmask) == m - lo + 1
+            ):
+                continue
+            problem = self._violation(st, p, m, lo, known, inmask) or (
+                f"holds rows {sorted(st.rows)} and heard {sorted(st.heard.items())}, "
+                f"expected rows {sorted(rows)} and heard {sorted(heard.items())}"
+            )
+            raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={known}; rounds {lo}..{m} kept)")
 
     def _violation(self, st, p: int, m: int, lo: int, known: list, inmask: int) -> Optional[str]:
-        """What is wrong with p's state after round m, or None."""
+        """What is wrong with p's state after round m, walked check by check
+        (the first failing one is named), or None."""
         for q, h in enumerate(known, start=1):
             if st.heard.get(q, -1) != h:
                 return f"heard[{q}] is {st.heard.get(q, 'absent')}, expected {h}"
@@ -201,17 +252,11 @@ class _InvariantMonitor:
             return f"lock[{p}][{m}] is {own.lock.get(m, 'absent')}, expected {self.lock[p - 1]}"
         if not len(own.lock) == len(own.inmask) == m - lo + 1:
             return f"row[{p}] holds rounds {sorted(own.lock.keys() | own.inmask.keys())}, expected {lo}..{m}"
-        heads_from = {}  # round -> columns of the v with heard[p][v] == round
-        for v, h in enumerate(known):
-            if h >= lo:
-                heads_from[h] = heads_from.get(h, 0) | IN_COLUMN << v
-        heads = 0
+        masks = self.expected[p - 1][2]
         for r in range(m, lo - 1, -1):
-            heads |= heads_from.get(r, 0)
-            expected = self.true_masks[r] & heads
-            if st.masks.get(r) != expected:
+            if st.masks.get(r) != masks[r]:
                 has = edges_of_mask(st.masks[r]) if r in st.masks else "absent"
-                return f"approx[{r}] is {has}, expected {edges_of_mask(expected)}"
+                return f"approx[{r}] is {has}, expected {edges_of_mask(masks[r])}"
         if len(st.masks) != m - lo + 1:
             return f"approx holds rounds {sorted(st.masks)}, expected {lo}..{m}"
         if st.lo != lo:
@@ -222,20 +267,21 @@ class _InvariantMonitor:
 def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
     """Execute the protocol for ``cfg.horizon`` rounds and record everything.
 
-    ``keep_snapshots=False`` skips the per-round state snapshots (needed only
-    for indistinguishability comparisons), which matters across thousands of
-    fuzz runs.
+    ``keep_snapshots=False`` skips the per-round state deltas (needed only
+    for indistinguishability comparisons and ``Trace.snapshots``), which
+    matters across thousands of fuzz runs.
     """
     states = {p: init_state(p, cfg.inputs[p - 1], cfg.mode) for p in range(1, cfg.n + 1)}
     monitor = _InvariantMonitor(cfg, states) if cfg.check_invariants else None
     round_graphs = []
     outcomes = []
     decisions = {}
-    snapshots = [{p: states[p].snapshot() for p in states}] if keep_snapshots else []
+    deltas = [{p: state_delta(st, {}) for p, st in states.items()}] if keep_snapshots else []
     for m in range(1, cfg.horizon + 1):
         g = cfg.lasso.graph(m)
         round_graphs.append(g)
         messages = {p: make_message(states[p]) for p in states}
+        heard_before = {p: dict(st.heard) for p, st in states.items()} if keep_snapshots else None
         for p in states:
             inbox = [messages[q] for q in sorted(g.in_neighbors(p))]
             receive_and_merge(states[p], inbox, m)
@@ -254,8 +300,8 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
         if monitor:
             monitor.after_round(m, g, states, per_round)
         if keep_snapshots:
-            snapshots.append({p: states[p].snapshot() for p in states})
-    return Trace(cfg, round_graphs, outcomes, decisions, snapshots, states)
+            deltas.append({p: state_delta(st, heard_before[p]) for p, st in states.items()})
+    return Trace(cfg, round_graphs, outcomes, decisions, deltas, states)
 
 
 @dataclass(frozen=True)
@@ -268,6 +314,7 @@ class OracleReport:
     agreement_witness: Optional[tuple] = None
     validity_witness: Optional[tuple] = None
     termination_witness: Optional[tuple] = None
+    blocking: tuple = ()  # (pid, consensus.blocker of its final state) per undecided pid
 
     @property
     def all_ok(self) -> bool:
@@ -285,11 +332,26 @@ class OracleReport:
                 "validity": self.validity_witness,
                 "termination": self.termination_witness,
             },
+            "blocking": {str(p): _blocker_json(b) for p, b in self.blocking},
         }
 
 
+def _blocker_json(blocker: tuple) -> dict:
+    condition, root, rounds, *missing = blocker
+    out = {
+        "condition": condition,
+        "root": sorted(root) if root is not None else None,
+        "rounds": list(rounds) if rounds is not None else None,
+    }
+    if missing:
+        out["no_late_edge"] = list(missing[0])
+    return out
+
+
 def oracle_check(trace: Trace, deadline: int) -> OracleReport:
-    """Agreement, validity, and all-decided-by-``deadline``, with minimal witnesses."""
+    """Agreement, validity, and all-decided-by-``deadline``, with minimal
+    witnesses; ``blocking`` names, for each undecided process, the decision
+    condition its final state fails (``consensus.blocker``)."""
     decisions = trace.decisions
     agreement_witness = None
     decided = sorted(decisions.items())
@@ -320,15 +382,19 @@ def oracle_check(trace: Trace, deadline: int) -> OracleReport:
         agreement_witness=agreement_witness,
         validity_witness=validity_witness,
         termination_witness=termination_witness,
+        blocking=tuple((p, consensus.blocker(trace.states[p], trace.config.D)) for p in undecided),
     )
 
 
 def indistinguishable(trace_a: Trace, trace_b: Trace, p: int, through: int) -> bool:
     """True iff p's full state matches in both traces at the end of every
-    round up to ``through`` (round 0 compares the initial states)."""
-    if through >= len(trace_a.snapshots) or through >= len(trace_b.snapshots):
+    round up to ``through`` (round 0 compares the initial states): the two
+    runs keep the same window and p's deltas agree through that round."""
+    if through >= len(trace_a.deltas) or through >= len(trace_b.deltas):
         raise ValueError(f"traces do not cover round {through}")
-    return all(trace_a.snapshots[r][p] == trace_b.snapshots[r][p] for r in range(through + 1))
+    if parse_mode(trace_a.config.mode) != parse_mode(trace_b.config.mode):
+        return False
+    return all(trace_a.deltas[r][p] == trace_b.deltas[r][p] for r in range(through + 1))
 
 
 # --- named scenarios --------------------------------------------------------
@@ -621,11 +687,15 @@ def fuzz_campaign(
 
     Trials are sampled up front, so results are identical for any ``jobs``
     count; each trial owns all of its state.  A bad ``mode``, ``n_range`` or
-    ``d_cap``, or a bounded window shorter than 2D+1 for the largest D that
-    can be sampled, raises ValueError before any trial is sampled.
+    ``d_cap``, a ``jobs`` outside ``1..os.cpu_count()``, or a bounded window
+    shorter than 2D+1 for the largest D that can be sampled, raises
+    ValueError before any trial is sampled.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    cpus = os.cpu_count() or 1
+    if not (1 <= jobs <= cpus):
+        raise ValueError(f"jobs must be in 1..{cpus} (the CPU count), got {jobs}")
     if not (2 <= n_range[0] <= n_range[1] <= STRIDE):
         raise ValueError(f"n range must satisfy 2 <= lo <= hi <= {STRIDE}, got {n_range[0]}:{n_range[1]}")
     if d_cap < 1:

@@ -6,6 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import rootcons.harness as harness_mod
+from rootcons.approximation import init_state
 from rootcons.graphs import CommGraph, LassoSequence, lasso
 
 
@@ -41,3 +43,21 @@ def random_lasso(rng: random.Random, n: int, rounds: int, density: float = 0.3) 
     prefix = [random_graph(rng, n, density) for _ in range(rounds)]
     cycle = [random_graph(rng, n, density)]
     return LassoSequence(tuple(prefix), tuple(cycle))
+
+
+def run_with_snapshots(cfg, monkeypatch) -> tuple:
+    """Run ``cfg`` (monitored) and return (trace, snapshots taken directly):
+    ``NodeState.snapshot()`` of every process at round 0 and at the end of
+    every round, collected by a wrapper around the invariant monitor's
+    ``after_round``, which runs after every process's merge and core step."""
+    direct = [{p: init_state(p, cfg.inputs[p - 1], cfg.mode).snapshot() for p in range(1, cfg.n + 1)}]
+    after_round = harness_mod._InvariantMonitor.after_round
+
+    def recording(self, m, g, states, outcomes):
+        after_round(self, m, g, states, outcomes)
+        direct.append({p: st.snapshot() for p, st in states.items()})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness_mod._InvariantMonitor, "after_round", recording)
+        trace = harness_mod.run_execution(cfg)
+    return trace, direct

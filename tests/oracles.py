@@ -4,13 +4,15 @@ Everything here is deliberately naive: definitional subset enumeration for
 root components, an iterative Tarjan SCC pass over edge sets for root
 components of graphs too large to enumerate, undirected BFS for weak
 connectivity, a literal recursive causal-past and its forward-propagation
-counterpart, per-round BFS distances, and a copied-history protocol state.
-None of it calls the bitmask kernel ``graphs.roots_of_mask``: the roots of a
-partial graph are Tarjan's on a relabelled ``CommGraph``.
+counterpart, per-round BFS distances, a copied-history protocol state, and
+the c2 interval search as a full rescan of every retained round.  None of it
+calls the bitmask kernel ``graphs.roots_of_mask``: the roots of a partial
+graph are Tarjan's on a relabelled ``CommGraph``.
 """
 
 from itertools import combinations
 
+from rootcons.consensus import confirmed_roots
 from rootcons.graphs import CommGraph
 
 
@@ -195,13 +197,19 @@ def out_row_mask(q: int) -> int:
 
 
 class ReferenceState:
-    """Copied-history state with the interface the core step reads."""
+    """Copied-history state with the interface the core step reads.
+
+    The core step's c2 cache (``runs``, ``stale_from``, ``c2_from``) is
+    marked stale from round 0 by every merge, so each core step rescans
+    every retained round.
+    """
 
     def __init__(self, pid: int, x: int, keep):
         self.pid, self.x, self.m, self.y, self.keep = pid, x, 0, None, keep
         self.approx = {0: 0}
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
+        self.runs, self.stale_from, self.c2_from = {}, 0, 0
 
     @property
     def lo(self) -> int:
@@ -255,6 +263,7 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     """Union every received round and lock cell, add the direct edges, carry
     the own lock forward, then drop rounds older than the window."""
     s.m = m
+    s.stale_from = 0
     for sender, approx, locks in msgs:
         approx = dict(approx)
         approx[m] = approx.get(m, 0) | 1 << ((sender - 1) * STRIDE + (s.pid - 1))
@@ -296,3 +305,24 @@ def reference_run(cfg, core_step) -> tuple:
                 decisions.append((m, p, out.decided[2]))
         snapshots.append({p: s.snapshot() for p, s in states.items()})
     return snapshots, sorted(decisions)
+
+
+def reference_c2_check(s, D: int):
+    """The c2 interval search as a full rescan of rounds max(1, lo)..m, with
+    no cached per-round results: (root, (a', b')) of the earliest run of one
+    single confirmed root over more than D rounds, or None."""
+    lo = max(1, s.lo)
+    run_root = None
+    run_start = lo
+    for r in range(lo, s.m + 1):
+        confirmed = confirmed_roots(s, r)
+        if len(confirmed) == 1:
+            root = confirmed[0]
+            if root != run_root:
+                run_root = root
+                run_start = r
+            if r - run_start + 1 >= D + 1:
+                return run_root, (run_start, run_start + D)
+        else:
+            run_root = None
+    return None

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 import pytest
 
-from conftest import random_lasso
+from conftest import random_lasso, run_with_snapshots
 from oracles import (
     brute_force_roots,
     causal_past_forward,
     naive_causal_past,
     out_row_mask,
+    reference_c2_check,
     reference_late_edge,
     reference_run,
 )
@@ -323,6 +324,58 @@ def test_reference_state_differential(estable_batch, monkeypatch, history):
         f"{len(estable_batch) - len(mismatches)}/{len(estable_batch)} runs with identical "
         f"per-round snapshots and decision events, {time.time() - t0:.1f}s"
         + (f"; first mismatching seed {mismatches[0]}" if mismatches else ""),
+    )
+
+
+@pytest.mark.parametrize("history", ["full", "bounded"])
+def test_replayed_snapshots_match_direct(estable_batch, monkeypatch, history):
+    # Trace.snapshots is replayed from per-round deltas; it must equal
+    # NodeState.snapshot() taken directly after every round of every run
+    t0 = time.time()
+    mismatches = []
+    for inst in estable_batch:
+        mode = "full" if history == "full" else f"bounded:{2 * inst.D + 1}"
+        cfg = RunConfig(inst.n, inst.D, inst.inputs, inst.lasso,
+                        inst.certificate.deadline + inst.D + 2, mode=mode)
+        trace, direct = run_with_snapshots(cfg, monkeypatch)
+        if trace.snapshots != direct:
+            mismatches.append(inst.seed)
+    report(
+        f"delta replay ({history} history)",
+        not mismatches,
+        f"{len(estable_batch) - len(mismatches)}/{len(estable_batch)} runs whose replayed "
+        f"snapshots equal the direct ones, {time.time() - t0:.1f}s"
+        + (f"; first mismatching seed {mismatches[0]}" if mismatches else ""),
+    )
+
+
+@pytest.mark.parametrize("history", ["full", "bounded"])
+def test_resumed_c2_matches_full_rescan(estable_batch, monkeypatch, history):
+    # every c2 evaluation (each process, each round before it decides) must
+    # return what a full rescan of the retained rounds returns
+    t0 = time.time()
+    c2_check = consensus_mod.c2_check
+    checked, mismatches = [], []
+
+    def compared(s, D):
+        hit = c2_check(s, D)
+        checked.append(hit is not None)
+        if hit != reference_c2_check(s, D):
+            mismatches.append((s.pid, s.m))
+        return hit
+
+    monkeypatch.setattr(consensus_mod, "c2_check", compared)
+    for inst in estable_batch:
+        mode = "full" if history == "full" else f"bounded:{2 * inst.D + 1}"
+        cfg = RunConfig(inst.n, inst.D, inst.inputs, inst.lasso,
+                        inst.certificate.deadline + inst.D + 2, mode=mode, check_invariants=False)
+        run_execution(cfg, keep_snapshots=False)
+    report(
+        f"resumed c2 ({history} history)",
+        not mismatches and any(checked),
+        f"{len(checked) - len(mismatches)}/{len(checked)} c2 evaluations ({sum(checked)} hits) "
+        f"equal to a full rescan, {time.time() - t0:.1f}s"
+        + (f"; first mismatch (pid, round) {mismatches[0]}" if mismatches else ""),
     )
 
 

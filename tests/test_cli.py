@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 from pathlib import Path
@@ -421,6 +422,16 @@ class TestFuzz:
         code, payload = run_cli(capsys, ["fuzz", "--trials", "2"] + flags)
         assert code == 2
         assert payload["ok"] is False and payload["error"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "10000"])
+    def test_jobs_outside_cpu_count_exit_2(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            pytest.fail(f"a process pool was started for --jobs {jobs}")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, payload = run_cli(capsys, ["fuzz", "--trials", "2", "--jobs", jobs])
+        assert code == 2
+        assert payload["ok"] is False and "jobs must be in 1.." in payload["error"]
 
     def test_jobs_flag_same_results(self, capsys):
         _, serial = run_cli(capsys, ["fuzz", "--trials", "8", "--seed", "3"])

@@ -1,5 +1,7 @@
+import concurrent.futures
 import copy
 import json
+import os
 import random
 from dataclasses import replace
 
@@ -109,6 +111,16 @@ def _wrong_lo(merge, s, msgs, m):
     s.lo += 1
 
 
+def _flipped_bit_at_unchanged_round(merge, s, msgs, m):
+    # p2's heads in round 5 rise for p1 (to 3), p5 (to 4) and itself (to 5):
+    # round 2's mask is not touched by this merge, so only a check of every
+    # retained round can see the flipped bit
+    before = s.masks[m - 3]
+    merge(s, msgs, m)
+    assert s.masks[m - 3] == before
+    s.masks[m - 3] ^= edge_bit(1, 3)  # a true edge, but p3 was never heard
+
+
 class TestInvariantMonitor:
     """Each fault is injected into p2's merge of one round (eps1: 1 -> 5 -> 2,
     1 -> 3, 1 -> 4); the monitor must name exactly that process and round."""
@@ -134,10 +146,13 @@ class TestInvariantMonitor:
              "approx holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6 "
              "(heard[2]=[4, 6, -1, -1, 5]; rounds 1..6 kept)"),
             (_wrong_lo, "full", 2, "lo is 1, expected 0 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
+            (_flipped_bit_at_unchanged_round, "bounded:5", 5,
+             "approx[2] is [(1, 1), (1, 3), (1, 5), (2, 2), (5, 2), (5, 5)], "
+             "expected [(1, 1), (1, 5), (2, 2), (5, 2), (5, 5)] (heard[2]=[3, 5, -1, -1, 4]; rounds 0..5 kept)"),
         ],
         ids=["dropped-relayed-heard", "copied-row", "wrong-lock-value",
              "fabricated-edge", "retained-past-window", "stale-approx-mask",
-             "mask-past-window", "wrong-lo"],
+             "mask-past-window", "wrong-lo", "flipped-bit-at-unchanged-round"],
     )
     def test_fault_names_process_and_round(self, monkeypatch, eps1_lasso, fault, mode, round_, why):
         merge = harness_mod.receive_and_merge
@@ -171,6 +186,38 @@ class TestOracleCheck:
         report = oracle_check(trace, 10)
         assert not report.termination_ok
         assert report.termination_witness[0] == "undecided"
+
+    def test_blocker_of_a_lasso_that_never_stabilizes(self):
+        # the single root alternates between p1 and p2 every round, so no
+        # root is single for D+1 = 2 consecutive rounds and c2 blocks every
+        # process; its longest single-rooted run is one round
+        l = lasso(3, cycle=[[(1, 2), (1, 3)], [(2, 1), (2, 3)]])
+        trace = run_execution(RunConfig(3, 1, (4, 7, 9), l, 12))
+        report = oracle_check(trace, 12)
+        assert report.termination_witness == ("undecided", (1, 2, 3))
+        assert report.blocking == tuple((p, ("c2", frozenset([1]), (1, 1))) for p in (1, 2, 3))
+        assert report.to_json_dict()["blocking"]["2"] == {"condition": "c2", "root": [1], "rounds": [1, 1]}
+
+    def test_blocker_without_any_single_rooted_round(self):
+        l = lasso(3, cycle=[[(1, 3), (2, 3)]])  # p3 hears two roots every round
+        report = oracle_check(run_execution(RunConfig(3, 1, (1, 2, 3), l, 6)), 6)
+        assert report.termination_witness == ("undecided", (3,))
+        assert report.to_json_dict()["blocking"] == {"3": {"condition": "c2", "root": None, "rounds": None}}
+
+    def test_blocker_names_members_without_late_edge(self, monkeypatch, eps1_lasso):
+        # with the late-edge guard of c2 removed, p2 at round 4 finds the head
+        # single-rooted in rounds 1..3, but nothing the head sent after round 3
+        # has reached it: c3 blocks, and names the head
+        monkeypatch.setattr(consensus_mod, "confirmed_roots", lambda s, r: list(s.roots_at(r)))
+        report = oracle_check(run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 4)), 4)
+        assert report.termination_witness == ("undecided", (2,))
+        assert report.to_json_dict()["blocking"] == {
+            "2": {"condition": "c3", "root": [1], "rounds": [1, 3], "no_late_edge": [1]}
+        }
+
+    def test_no_blocker_once_everyone_decided(self, eps1_lasso):
+        report = oracle_check(run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 8)), 5)
+        assert report.blocking == () and report.to_json_dict()["blocking"] == {}
 
     def test_agreement_failure_witnessed(self):
         cfg1, cfg2 = scenario_stab_not_enough(5, tau=4, D=1)
@@ -298,6 +345,15 @@ class TestFuzz:
         a = fuzz_campaign(trials=10, seed=8).to_json_dict()
         b = fuzz_campaign(trials=10, seed=8).to_json_dict()
         assert a == b
+
+    @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1, 10000])
+    def test_jobs_outside_cpu_count_rejected_before_any_worker(self, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            pytest.fail(f"a process pool was started for jobs={jobs}")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="jobs must be in 1.."):
+            fuzz_campaign(trials=2, seed=1, jobs=jobs)
 
     def test_trial_replay_reproduces_trace(self):
         t1, r1, c1 = fuzz_trial("estable", seed=12345, n=5, D=2, r_sr=4, inputs=(9, 1, 5, 5, 2))
