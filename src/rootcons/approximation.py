@@ -28,8 +28,7 @@ its per-round c2 results in ``runs`` and recomputes them only from there.
 round, what each round added (:func:`state_delta`): the newly heard lock
 cells, the masks of the rounds they fall in, and ``y``.  A state is a
 function of these deltas, so two runs are indistinguishable to a process
-exactly when its deltas agree, and :func:`replay_snapshots` rebuilds the
-snapshots from them.
+exactly when its deltas agree.
 
 Edge sets are integer bitmasks in the layout of ``graphs`` at width
 ``STRIDE`` = 16 (edge (u, v) occupies bit ``(u-1)*STRIDE + (v-1)``), which
@@ -46,7 +45,6 @@ from .graphs import root_components  # noqa: F401  (bound here for callers that 
 
 _LAYOUT = mask_layout(16)
 STRIDE = _LAYOUT.width  # max supported process id; bit layout of edge masks
-IN_COLUMN = _LAYOUT.column  # every edge into process 1
 
 
 def edge_bit(u: int, v: int) -> int:
@@ -197,7 +195,15 @@ class NodeState:
     def snapshot(self) -> tuple:
         """Hashable full-state copy; two runs are indistinguishable to a
         process through a round iff its snapshots match round for round."""
-        return _snapshot_tuple(self.pid, self.m, self.x, self.y, self.masks, self.locks, self.keep)
+        return (
+            self.pid,
+            self.m,
+            self.x,
+            self.y,
+            tuple(self.masks.items()),
+            tuple((q, tuple(row.items())) for q, row in sorted(self.locks.items())),
+            self.keep,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,18 +217,6 @@ class NodeState:
                 for q, row in sorted(self.locks.items())
             },
         }
-
-
-def _snapshot_tuple(pid: int, m: int, x: int, y, masks: dict, locks: dict, keep) -> tuple:
-    return (
-        pid,
-        m,
-        x,
-        y,
-        tuple(masks.items()),
-        tuple((q, tuple(row.items())) for q, row in sorted(locks.items())),
-        keep,
-    )
 
 
 def state_delta(s: NodeState, heard_before: dict) -> tuple:
@@ -248,24 +242,6 @@ def state_delta(s: NodeState, heard_before: dict) -> tuple:
                 cells.append((q, r, lock[r]))
                 rounds.add(r)
     return tuple(cells), tuple([(r, masks[r]) for r in sorted(rounds)]), s.y
-
-
-def replay_snapshots(pid: int, x: int, keep: Optional[int], deltas: list) -> list:
-    """The ``snapshot()`` of process pid after each round, rebuilt from its
-    :func:`state_delta` of every round (round 0's taken from the initial
-    state against an empty ``heard``)."""
-    masks, locks, out = {}, {}, []
-    for m, (cells, changed, y) in enumerate(deltas):
-        for q, r, v in cells:
-            locks.setdefault(q, {})[r] = v
-        masks.update(changed)
-        lo = window_start(keep, m)
-        if lo > 0:
-            del masks[lo - 1]
-            for row in locks.values():
-                row.pop(lo - 1, None)
-        out.append(_snapshot_tuple(pid, m, x, y, masks, locks, keep))
-    return out
 
 
 def parse_mode(mode: str, D: Optional[int] = None) -> Optional[int]:

@@ -170,7 +170,7 @@ def cmd_run(args) -> int:
     if args.horizon is None and deadline:
         cfg = replace(cfg, horizon=deadline + args.d + 2)
     try:
-        trace = run_execution(cfg)
+        trace = run_execution(cfg, keep_snapshots=False)
     except EngineInvariantError as exc:
         _emit(
             {"ok": False, "invariant_violation": str(exc), "pid": exc.pid, "round": exc.round},

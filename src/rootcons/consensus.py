@@ -7,10 +7,13 @@ round D+1 on:
   members all have a later outgoing edge recorded, re-propose: set the own
   round-m lock to the maximum lock value the root's members held at the
   start of its common-root run.
-* c2/c3/b3 -- if some root was the single root of more than D consecutive
-  approximated rounds, and each member demonstrably sent something after
-  that interval, decide (once) on the maximum lock value its members held
-  at the start of the surrounding common-root run.
+* c2/b3 -- if some root was the single confirmed root of more than D
+  consecutive approximated rounds, decide (once) on the maximum lock value
+  its members held at the start of the surrounding common-root run.  A
+  confirmed root's members each have an outgoing edge recorded after the
+  round, so at the interval's last round the paper's evidence condition c3
+  (every member demonstrably sent something after the interval) already
+  holds: c3 is implied by c2's confirmed roots and is not checked apart.
 
 Interval searches range over rounds >= 1; the round-0 entry is an
 initialization artifact (every process trivially roots its own singleton
@@ -63,16 +66,14 @@ def _core_low(s: NodeState) -> int:
     return max(1, s.lo)
 
 
-def _common_run(s: NodeState, root: frozenset, lo_anchor: int, hi_anchor: int) -> tuple:
-    """Maximal interval [a, b] with root in roots(approx[r]) everywhere,
-    containing [lo_anchor, hi_anchor]."""
-    a = lo_anchor
-    while a - 1 >= _core_low(s) and root in s.roots_at(a - 1):
+def _run_start(s: NodeState, root: frozenset, anchor: int) -> int:
+    """The least round a >= max(1, lo) with root in roots(approx[r]) for every
+    r in a..anchor; root must be a root of round ``anchor``."""
+    low = _core_low(s)
+    a = anchor
+    while a > low and root in s.roots_at(a - 1):
         a -= 1
-    b = hi_anchor
-    while b + 1 <= s.m and root in s.roots_at(b + 1):
-        b += 1
-    return a, b
+    return a
 
 
 def _max_lock(s: NodeState, root: frozenset, a: int, what: str) -> int:
@@ -137,7 +138,7 @@ def c1_check(s: NodeState, m: int, D: int) -> Optional[frozenset]:
 def b1_apply(s: NodeState, m: int, root: frozenset, D: int) -> tuple:
     """Re-propose: lock[pid][m] := max lock[q][a] over the root's members,
     where a starts the maximal common-root run around round m-D."""
-    a, _ = _common_run(s, root, m - D, m - D)
+    a = _run_start(s, root, m - D)
     value = _max_lock(s, root, a, "b1")
     s.propose(value)
     return a, value
@@ -148,8 +149,9 @@ def c2_check(s: NodeState, D: int) -> Optional[tuple]:
     are all single-rooted (among confirmed roots) with the same root.
 
     Returns (root, (a', b')) with the least a' and the least qualifying b'
-    (= a' + D): later rounds of a longer run only make the c3 evidence
-    requirement harder, and any longer interval is covered by its prefix.
+    (= a' + D): any longer interval is covered by its prefix, and the root's
+    members all have an outgoing edge recorded after b', as the paper's
+    evidence condition c3 requires.
     Round b' qualifies iff its run began at least D rounds earlier and
     b' >= max(1, lo) + D, so a longer-ago start needs no clamping.
     """
@@ -164,27 +166,14 @@ def c2_check(s: NodeState, D: int) -> Optional[tuple]:
     return None
 
 
-def c3_check(s: NodeState, root: frozenset, b_end: int) -> bool:
-    """Every member of the root has an outgoing edge recorded after b_end."""
-    return all(has_late_outgoing_edge(s, q, b_end) for q in root)
-
-
-def blocker(s: NodeState, D: int) -> tuple:
-    """Why an undecided process has not decided, from its current state.
-
-    ``("c3", root, (a', b'), members)`` when c2 holds but the listed root
-    members have no outgoing edge recorded after b'; otherwise
+def blocker(s: NodeState) -> tuple:
+    """Why an undecided process has not decided, from its current state:
     ``("c2", root, (a, b))`` for its longest single-rooted run (the earliest
     of equal length), or ``("c2", None, None)`` when no retained round has a
-    single confirmed root.  The round b' of a c2 hit has the root confirmed,
-    which is c3's condition, so the c3 case shows only when c2 counts roots
-    without that evidence.
+    single confirmed root.  c2 is the only condition that can block, as c3
+    is implied by c2's confirmed roots.
     """
-    hit = c2_check(s, D)
-    if hit is not None:
-        root, interval = hit
-        missing = tuple(q for q in sorted(root) if not has_late_outgoing_edge(s, q, interval[1]))
-        return "c3", root, interval, missing
+    _refresh(s, s.m)
     low = _core_low(s)
     best, length = ("c2", None, None), 0
     for r in range(low, s.m + 1):
@@ -200,11 +189,10 @@ def b3_apply(s: NodeState, root: frozenset, interval: tuple) -> Optional[tuple]:
     maximal common-root run containing the single-rooted interval."""
     if s.y is not None:
         return None
-    a1, b1_ = interval
-    a2, _ = _common_run(s, root, a1, b1_)
-    value = _max_lock(s, root, a2, "b3")
+    a = _run_start(s, root, interval[0])
+    value = _max_lock(s, root, a, "b3")
     s.y = value
-    return a2, value
+    return a, value
 
 
 def core_step(s: NodeState, m: int, D: int) -> tuple:
@@ -224,6 +212,5 @@ def core_step(s: NodeState, m: int, D: int) -> tuple:
     hit = c2_check(s, D) if s.y is None else None
     if hit is not None:
         root2, interval = hit
-        if c3_check(s, root2, interval[1]):
-            decided = (root2, *b3_apply(s, root2, interval))
+        decided = (root2, *b3_apply(s, root2, interval))
     return s, CoreStepOutcome(locked=locked, decided=decided)

@@ -7,8 +7,7 @@ state into a message, deliveries follow the round graph's edges exactly
 Runs are fully deterministic in their configuration.  A run that keeps
 snapshots records, per process and round, the state's delta
 (``approximation.state_delta``): the newly heard lock cells, the masks of
-their rounds, and ``y``.  ``Trace.snapshots`` replays them into full state
-snapshots on first use, and indistinguishability compares delta prefixes.
+their rounds, and ``y``.  Indistinguishability compares delta prefixes.
 
 While running, an invariant monitor checks each process's state against
 ground truth it derives from the true graphs alone: ``heard[p][q]``, the
@@ -36,7 +35,6 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 from . import consensus
@@ -56,7 +54,6 @@ from .approximation import (
     make_message,
     parse_mode,
     receive_and_merge,
-    replay_snapshots,
     state_delta,
     window_start,
 )
@@ -117,19 +114,6 @@ class Trace:
     deltas: list
     states: dict
     certificate: Optional[AdversaryCertificate] = None
-
-    @cached_property
-    def snapshots(self) -> list:
-        """``snapshots[m][p]``: p's ``NodeState.snapshot()`` after round m,
-        replayed from the deltas (empty when the run kept none)."""
-        if not self.deltas:
-            return []
-        keep = parse_mode(self.config.mode)
-        per_pid = {
-            p: replay_snapshots(p, x, keep, [deltas[p] for deltas in self.deltas])
-            for p, x in enumerate(self.config.inputs, start=1)
-        }
-        return [{p: snaps[m] for p, snaps in per_pid.items()} for m in range(len(self.deltas))]
 
     def latest_decision_round(self) -> Optional[int]:
         if not self.decisions:
@@ -268,8 +252,8 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
     """Execute the protocol for ``cfg.horizon`` rounds and record everything.
 
     ``keep_snapshots=False`` skips the per-round state deltas (needed only
-    for indistinguishability comparisons and ``Trace.snapshots``), which
-    matters across thousands of fuzz runs.
+    for indistinguishability comparisons), which matters across thousands
+    of fuzz runs.
     """
     states = {p: init_state(p, cfg.inputs[p - 1], cfg.mode) for p in range(1, cfg.n + 1)}
     monitor = _InvariantMonitor(cfg, states) if cfg.check_invariants else None
@@ -337,15 +321,12 @@ class OracleReport:
 
 
 def _blocker_json(blocker: tuple) -> dict:
-    condition, root, rounds, *missing = blocker
-    out = {
+    condition, root, rounds = blocker
+    return {
         "condition": condition,
         "root": sorted(root) if root is not None else None,
         "rounds": list(rounds) if rounds is not None else None,
     }
-    if missing:
-        out["no_late_edge"] = list(missing[0])
-    return out
 
 
 def oracle_check(trace: Trace, deadline: int) -> OracleReport:
@@ -382,7 +363,7 @@ def oracle_check(trace: Trace, deadline: int) -> OracleReport:
         agreement_witness=agreement_witness,
         validity_witness=validity_witness,
         termination_witness=termination_witness,
-        blocking=tuple((p, consensus.blocker(trace.states[p], trace.config.D)) for p in undecided),
+        blocking=tuple((p, consensus.blocker(trace.states[p])) for p in undecided),
     )
 
 
@@ -512,8 +493,8 @@ def stab_not_enough_report(n: int, tau: int, D: int = 1) -> dict:
     safety witness and splits its decision, while the first agrees."""
     cfg1, cfg2 = scenario_stab_not_enough(n, tau, D)
     witness = check_safety(cfg2.lasso, D)
-    t1 = run_execution(cfg1)
-    t2 = run_execution(cfg2)
+    t1 = run_execution(cfg1, keep_snapshots=False)
+    t2 = run_execution(cfg2, keep_snapshots=False)
     checks = {
         "eps2_safety_witness": witness is not None
         and witness.root == frozenset([1])
@@ -686,16 +667,18 @@ def fuzz_campaign(
     """Deterministically sample configurations, run them, aggregate pass/fail.
 
     Trials are sampled up front, so results are identical for any ``jobs``
-    count; each trial owns all of its state.  A bad ``mode``, ``n_range`` or
-    ``d_cap``, a ``jobs`` outside ``1..os.cpu_count()``, or a bounded window
-    shorter than 2D+1 for the largest D that can be sampled, raises
-    ValueError before any trial is sampled.
+    count; each trial owns all of its state.  A bad ``adversary``, ``mode``,
+    ``n_range`` or ``d_cap``, a ``jobs`` outside ``1..os.cpu_count()``, or a
+    bounded window shorter than 2D+1 for the largest D that can be sampled,
+    raises ValueError before any trial is sampled.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     cpus = os.cpu_count() or 1
     if not (1 <= jobs <= cpus):
         raise ValueError(f"jobs must be in 1..{cpus} (the CPU count), got {jobs}")
+    if adversary not in ("estable", "altestable"):
+        raise ValueError(f"unknown adversary {adversary!r}")
     if not (2 <= n_range[0] <= n_range[1] <= STRIDE):
         raise ValueError(f"n range must satisfy 2 <= lo <= hi <= {STRIDE}, got {n_range[0]}:{n_range[1]}")
     if d_cap < 1:

@@ -4,8 +4,9 @@ Everything here is deliberately naive: definitional subset enumeration for
 root components, an iterative Tarjan SCC pass over edge sets for root
 components of graphs too large to enumerate, undirected BFS for weak
 connectivity, a literal recursive causal-past and its forward-propagation
-counterpart, per-round BFS distances, a copied-history protocol state, and
-the c2 interval search as a full rescan of every retained round.  None of it
+counterpart, per-round BFS distances, a copied-history protocol state, the
+c2 interval search as a full rescan of every retained round, and the b1/b3
+anchor as the least round that starts a common-root run.  None of it
 calls the bitmask kernel ``graphs.roots_of_mask``: the roots of a partial
 graph are Tarjan's on a relabelled ``CommGraph``.
 """
@@ -326,3 +327,17 @@ def reference_c2_check(s, D: int):
         else:
             run_root = None
     return None
+
+
+def reference_run_start(s, root, anchor: int):
+    """The b1/b3 anchor by definition: the least a >= max(1, lo) such that
+    root is in ``roots_at(r)`` for every r from a to ``anchor`` (None if root
+    is not even a root of round ``anchor``)."""
+    return min(
+        (
+            a
+            for a in range(max(1, s.lo), anchor + 1)
+            if all(root in s.roots_at(r) for r in range(a, anchor + 1))
+        ),
+        default=None,
+    )

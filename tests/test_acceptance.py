@@ -172,7 +172,7 @@ def test_criterion_4_containment(estable_batch):
     )
 
 
-def test_criterion_5_late_edge_equivalence():
+def test_criterion_5_late_edge_equivalence(monkeypatch):
     t0 = time.time()
     rng = random.Random("acceptance-late-edge")
     runs, checked = 0, 0
@@ -183,7 +183,7 @@ def test_criterion_5_late_edge_equivalence():
         lasso_seq = random_lasso(rng, n, horizon, density=rng.uniform(0.1, 0.5))
         inputs = tuple(rng.randint(0, 99) for _ in range(n))
         cfg = RunConfig(n, rng.randint(1, n - 1) if n > 1 else 1, inputs, lasso_seq, horizon)
-        trace = run_execution(cfg)
+        _, snapshots = run_with_snapshots(cfg, monkeypatch)
         runs += 1
         for r2 in range(1, horizon + 1):
             cp_levels = {}
@@ -192,7 +192,7 @@ def test_criterion_5_late_edge_equivalence():
                     r: naive_causal_past(lasso_seq.graph, p, r, r2) for r in range(0, r2)
                 }
             for p in range(1, n + 1):
-                approx = dict(trace.snapshots[r2][p][4])
+                approx = dict(snapshots[r2][p][4])
                 maxout = {}
                 for q in range(1, n + 1):
                     row = out_row_mask(q)
@@ -304,33 +304,8 @@ def test_criterion_8_bounded_history(estable_batch):
 @pytest.mark.parametrize("history", ["full", "bounded"])
 def test_reference_state_differential(estable_batch, monkeypatch, history):
     # the shared-row state must be indistinguishable from the copied-history
-    # reference in tests/oracles.py: every process's snapshot after every
-    # round, and every decision event, on the whole acceptance batch
-    t0 = time.time()
-    mismatches = []
-    for inst in estable_batch:
-        mode = "full" if history == "full" else f"bounded:{2 * inst.D + 1}"
-        cfg = RunConfig(inst.n, inst.D, inst.inputs, inst.lasso,
-                        inst.certificate.deadline + inst.D + 2, mode=mode)
-        trace = run_execution(cfg)
-        with monkeypatch.context() as patch:
-            patch.setattr(consensus_mod, "has_late_outgoing_edge", reference_late_edge)
-            snapshots, events = reference_run(cfg, consensus_mod.core_step)
-        if trace.snapshots != snapshots or trace.decision_events() != events:
-            mismatches.append(inst.seed)
-    report(
-        f"reference differential ({history} history)",
-        not mismatches,
-        f"{len(estable_batch) - len(mismatches)}/{len(estable_batch)} runs with identical "
-        f"per-round snapshots and decision events, {time.time() - t0:.1f}s"
-        + (f"; first mismatching seed {mismatches[0]}" if mismatches else ""),
-    )
-
-
-@pytest.mark.parametrize("history", ["full", "bounded"])
-def test_replayed_snapshots_match_direct(estable_batch, monkeypatch, history):
-    # Trace.snapshots is replayed from per-round deltas; it must equal
-    # NodeState.snapshot() taken directly after every round of every run
+    # reference in tests/oracles.py: every process's snapshot, taken directly
+    # after every round, and every decision event, on the whole acceptance batch
     t0 = time.time()
     mismatches = []
     for inst in estable_batch:
@@ -338,13 +313,16 @@ def test_replayed_snapshots_match_direct(estable_batch, monkeypatch, history):
         cfg = RunConfig(inst.n, inst.D, inst.inputs, inst.lasso,
                         inst.certificate.deadline + inst.D + 2, mode=mode)
         trace, direct = run_with_snapshots(cfg, monkeypatch)
-        if trace.snapshots != direct:
+        with monkeypatch.context() as patch:
+            patch.setattr(consensus_mod, "has_late_outgoing_edge", reference_late_edge)
+            snapshots, events = reference_run(cfg, consensus_mod.core_step)
+        if direct != snapshots or trace.decision_events() != events:
             mismatches.append(inst.seed)
     report(
-        f"delta replay ({history} history)",
+        f"reference differential ({history} history)",
         not mismatches,
-        f"{len(estable_batch) - len(mismatches)}/{len(estable_batch)} runs whose replayed "
-        f"snapshots equal the direct ones, {time.time() - t0:.1f}s"
+        f"{len(estable_batch) - len(mismatches)}/{len(estable_batch)} runs with identical "
+        f"per-round snapshots and decision events, {time.time() - t0:.1f}s"
         + (f"; first mismatching seed {mismatches[0]}" if mismatches else ""),
     )
 

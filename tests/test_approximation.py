@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_lasso
+from conftest import random_lasso, run_with_snapshots
 from oracles import out_row_mask, reference_roots_of_partial
 
 import rootcons.approximation as approximation_mod
@@ -274,11 +274,11 @@ class TestPrune:
 
 
 class TestStateInvariantsOnRuns:
-    def test_under_approximation_and_monotonicity(self, eps2_lasso):
+    def test_under_approximation_and_monotonicity(self, eps2_lasso, monkeypatch):
         cfg = RunConfig(5, 2, (0, 1, 2, 3, 4), eps2_lasso, 10)
-        trace = run_execution(cfg)  # engine asserts under-approximation per round
+        _, snapshots = run_with_snapshots(cfg, monkeypatch)  # engine asserts under-approximation per round
         for p in range(1, 6):
-            per_round = [dict(s[4]) for s in (snap[p] for snap in trace.snapshots)]
+            per_round = [dict(snap[p][4]) for snap in snapshots]
             for r in range(11):
                 for before, after in zip(per_round, per_round[1:]):
                     assert before.get(r, 0) & ~after.get(r, 0) == 0

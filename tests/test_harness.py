@@ -4,6 +4,7 @@ import json
 import os
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,7 +49,7 @@ class TestRunExecution:
         a = run_execution(cfg)
         b = run_execution(cfg)
         assert a.to_json_lines() == b.to_json_lines()
-        assert a.snapshots == b.snapshots
+        assert a.deltas == b.deltas
 
     def test_config_validation(self, eps1_lasso):
         with pytest.raises(ValueError):
@@ -204,17 +205,6 @@ class TestOracleCheck:
         assert report.termination_witness == ("undecided", (3,))
         assert report.to_json_dict()["blocking"] == {"3": {"condition": "c2", "root": None, "rounds": None}}
 
-    def test_blocker_names_members_without_late_edge(self, monkeypatch, eps1_lasso):
-        # with the late-edge guard of c2 removed, p2 at round 4 finds the head
-        # single-rooted in rounds 1..3, but nothing the head sent after round 3
-        # has reached it: c3 blocks, and names the head
-        monkeypatch.setattr(consensus_mod, "confirmed_roots", lambda s, r: list(s.roots_at(r)))
-        report = oracle_check(run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 4)), 4)
-        assert report.termination_witness == ("undecided", (2,))
-        assert report.to_json_dict()["blocking"] == {
-            "2": {"condition": "c3", "root": [1], "rounds": [1, 3], "no_late_edge": [1]}
-        }
-
     def test_no_blocker_once_everyone_decided(self, eps1_lasso):
         report = oracle_check(run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 8)), 5)
         assert report.blocking == () and report.to_json_dict()["blocking"] == {}
@@ -355,6 +345,23 @@ class TestFuzz:
         with pytest.raises(ValueError, match="jobs must be in 1.."):
             fuzz_campaign(trials=2, seed=1, jobs=jobs)
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"adversary": "foo"}, "unknown adversary 'foo'"),
+            ({"mode": "partial"}, "unknown mode"),
+            ({"n_range": (1, 4)}, "n range"),
+            ({"d_cap": 0}, "d_cap"),
+        ],
+    )
+    def test_bad_config_rejected_before_sampling(self, monkeypatch, bad, match):
+        def no_sampling(*args):
+            pytest.fail(f"trials were sampled for {bad}")
+
+        monkeypatch.setattr(harness_mod, "random", SimpleNamespace(Random=no_sampling))
+        with pytest.raises(ValueError, match=match):
+            fuzz_campaign(trials=2, seed=1, **bad)
+
     def test_trial_replay_reproduces_trace(self):
         t1, r1, c1 = fuzz_trial("estable", seed=12345, n=5, D=2, r_sr=4, inputs=(9, 1, 5, 5, 2))
         t2, r2, c2 = fuzz_trial("estable", seed=12345, n=5, D=2, r_sr=4, inputs=(9, 1, 5, 5, 2))
@@ -362,10 +369,9 @@ class TestFuzz:
         assert r1 == r2 and c1 == c2
 
     def test_mutation_smoke_oracle_catches_broken_step(self, monkeypatch):
-        # dropping both outgoing-edge guards makes the second lower-bound
+        # dropping the outgoing-edge guard makes the second lower-bound
         # execution decide on the stale early root and split the outcome
         monkeypatch.setattr(consensus_mod, "confirmed_roots", lambda s, r: list(s.roots_at(r)))
-        monkeypatch.setattr(consensus_mod, "c3_check", lambda s, root, b_end: True)
         _, cfg_ep = scenario_eps_pair(5, 2)
         trace = run_execution(cfg_ep)
         report = oracle_check(trace, 9)
