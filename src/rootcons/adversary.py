@@ -209,17 +209,25 @@ def _embedded_single_phase(l: LassoSequence, run: Run, x: int, scan_to: int) -> 
 
 
 class _Case:
-    """One verdict's lasso and validated parameters; liveness is computed at most once."""
+    """One verdict's lasso and validated parameters; liveness, and the root
+    runs up to each scan bound, are computed at most once."""
 
     def __init__(self, l: LassoSequence, params: dict):
         self.l = l
         self.params = params
         self.horizon = params["horizon"]  # as given: the safety scans bound their runs by it
         self.resolved_horizon = self.horizon or l.default_horizon()
+        self._runs = {}  # scan bound -> maximal_root_runs(l, bound)
 
     @cached_property
     def live(self) -> Optional[AdversaryCertificate]:
         return check_liveness(self.l)
+
+    def runs(self, scan_to: int) -> list:
+        runs = self._runs.get(scan_to)
+        if runs is None:
+            runs = self._runs[scan_to] = maximal_root_runs(self.l, scan_to)
+        return runs
 
 
 # A condition maps (case, value of the parameter it is applied to) to
@@ -232,7 +240,7 @@ def _liveness(c: _Case, _) -> tuple:
 
 
 def _safety(c: _Case, x: int) -> tuple:
-    for run in maximal_root_runs(c.l, _scan_bound(c.l, c.horizon)):
+    for run in c.runs(_scan_bound(c.l, c.horizon)):
         if run.length() <= x:
             continue
         is_final_run = (
@@ -248,7 +256,7 @@ def _safety(c: _Case, x: int) -> tuple:
 
 def _alt_safety(c: _Case, x: int) -> tuple:
     scan_to = _scan_bound(c.l, c.horizon, extra=x + 1)
-    long_runs = [run for run in maximal_root_runs(c.l, scan_to) if run.length() >= x + 1]
+    long_runs = [run for run in c.runs(scan_to) if run.length() >= x + 1]
     if long_runs:
         earliest = min(run.start for run in long_runs)
         for run in long_runs:
@@ -262,7 +270,7 @@ def _alt_liveness(c: _Case, x: int) -> tuple:
     scan_to = _scan_bound(l, horizon, extra=x + 1)
     singles = single_rooted_rounds(l, max(scan_to, horizon))
     best = None
-    for run in maximal_root_runs(l, scan_to):
+    for run in c.runs(scan_to):
         if run.length() < x + 1:
             continue
         alpha_prime = _embedded_single_phase(l, run, x, scan_to)

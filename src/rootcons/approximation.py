@@ -68,9 +68,11 @@ def roots_of_partial(mask: int, extra_vertex: int) -> frozenset:
     """Root components of a partial graph given by ``mask`` over its edge
     endpoints plus ``extra_vertex`` (the owning process is always a known
     vertex, even with no recorded edges); every vertex has a self-loop.
-    Memoized over the kernel ``graphs.roots_of_mask``.
+    Memoized over the kernel ``graphs.roots_of_mask``, by ``mask`` alone when
+    it holds the extra vertex's self-loop: that vertex is then an endpoint
+    already, and the answer does not depend on it.
     """
-    key = (mask, extra_vertex)
+    key = mask if mask >> (extra_vertex - 1) * (STRIDE + 1) & 1 else (mask, extra_vertex)
     roots = _roots_cache.get(key)
     if roots is None:
         roots = _roots_cache[key] = roots_of_mask(mask, 1 << (extra_vertex - 1), _LAYOUT)

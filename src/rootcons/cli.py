@@ -109,7 +109,7 @@ def cmd_generate(args) -> int:
             if cert_mad is None:
                 return _fail_input("generated lasso does not satisfy the requested mad(x, y)")
             cert = cert_mad
-    except AdversaryError as exc:
+    except (AdversaryError, ValueError) as exc:  # ValueError: check_mad rejects a negative x or y
         return _fail_input(str(exc))
     payload = {
         "ok": True,
@@ -257,6 +257,8 @@ def cmd_fuzz(args) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, sort_keys=True) + "\n")
     _emit(payload, f"fuzz: {summary.passed}/{summary.trials} trials passed")
+    if summary.failures and all(f.kind == "config" for f in summary.failures):
+        return EXIT_INPUT  # every trial's configuration was rejected: not a protocol failure
     return EXIT_OK if summary.all_ok else EXIT_UNSATISFIED
 
 

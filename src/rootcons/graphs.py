@@ -371,6 +371,11 @@ def check_dynamic_diameter(l: LassoSequence, D: int, horizon: Optional[int] = No
 
     Only the tightest subsequences (consecutive picks from the single-rooted
     round list) need checking: enlarging r_D only grows the causal past.
+    And past the prefix the graphs, hence the single-rooted rounds, repeat
+    every cycle: a window whose first round r_1 lies in the cycle is a copy of
+    the earlier window starting one cycle before it.  So only the first window
+    of each cycle phase of r_1 is checked; as it comes first, the witness
+    reported is the same as with every window checked.
     """
     n = l.n
     if not (1 <= D <= n - 1):
@@ -379,12 +384,19 @@ def check_dynamic_diameter(l: LassoSequence, D: int, horizon: Optional[int] = No
         horizon = l.default_horizon()
     lay = mask_layout(n)
     everyone = (1 << n) - 1
+    prefix, period = len(l.prefix), len(l.cycle)
     for root, rounds in sorted(single_rooted_rounds(l, horizon).items(), key=lambda kv: sorted(kv[0])):
         members = sorted(root)
         # row q-1 of the reach matrix starts as {q} for every member q
         start = sum(1 << ((q - 1) * lay.width + q - 1) for q in members)
+        phases = set()  # cycle phases of the r_1 already checked
         for i in range(len(rounds) - D + 1):
             r1, rd = rounds[i], rounds[i + D - 1]
+            if r1 > prefix:
+                phase = (r1 - prefix - 1) % period
+                if phase in phases:
+                    continue
+                phases.add(phase)
             reach = _forward_reach(l, start, r1 - 1, rd, lay.column)
             for q in members:
                 unreached = ~reach >> (q - 1) * lay.width & everyone

@@ -40,6 +40,7 @@ from typing import Optional
 from . import consensus
 from .adversary import (
     AdversaryCertificate,
+    AdversaryError,
     AdversaryParams,
     check_alt_estable,
     check_estable,
@@ -568,6 +569,12 @@ def hop_fallacy_report(n: int) -> dict:
 
 @dataclass(frozen=True)
 class FuzzTrial:
+    """One trial's outcome.  A failed trial's ``kind`` says what failed:
+    ``config`` (its configuration was rejected, a ValueError), ``generator``
+    (generation gave up, an AdversaryError), ``invariant`` (an
+    EngineInvariantError, or any other exception: a fault in the program) or
+    ``oracle`` (the run finished and an oracle failed)."""
+
     index: int
     seed: int
     n: int
@@ -575,6 +582,7 @@ class FuzzTrial:
     deadline: int
     ok: bool
     detail: Optional[str] = None
+    kind: Optional[str] = None
 
 
 @dataclass
@@ -598,7 +606,7 @@ class FuzzSummary:
             "passed": self.passed,
             "first_failing_seed": self.first_failing_seed(),
             "failures": [
-                {"index": f.index, "seed": f.seed, "n": f.n, "D": f.D, "detail": f.detail}
+                {"index": f.index, "seed": f.seed, "n": f.n, "D": f.D, "kind": f.kind, "detail": f.detail}
                 for f in self.failures
             ],
         }
@@ -638,9 +646,17 @@ def fuzz_trial(
     return trace, oracle_check(trace, deadline), cert
 
 
+def _failure_kind(exc: Exception) -> str:
+    if isinstance(exc, ValueError):
+        return "config"
+    if isinstance(exc, AdversaryError):
+        return "generator"
+    return "invariant"
+
+
 def _run_fuzz_case(case: tuple) -> FuzzTrial:
     index, adversary, trial_seed, n, D, r_sr, inputs, mode = case
-    detail = None
+    detail = kind = None
     deadline = -1
     try:
         _, report, cert = fuzz_trial(adversary, trial_seed, n, D, r_sr, inputs, mode)
@@ -648,10 +664,12 @@ def _run_fuzz_case(case: tuple) -> FuzzTrial:
         deadline = cert.deadline
         if not ok:
             detail = json.dumps(report.to_json_dict(), sort_keys=True)
+            kind = "oracle"
     except Exception as exc:  # noqa: BLE001 - a fuzz trial must never abort the campaign
         ok = False
         detail = f"{type(exc).__name__}: {exc}"
-    return FuzzTrial(index, trial_seed, n, D, deadline, ok, detail)
+        kind = _failure_kind(exc)
+    return FuzzTrial(index, trial_seed, n, D, deadline, ok, detail, kind)
 
 
 def fuzz_campaign(

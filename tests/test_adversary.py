@@ -167,6 +167,24 @@ class TestAltEStable:
         l = lasso(4, prefix=[[(1, 3), (2, 4)]] * 3, cycle=[[(1, 2), (1, 3), (1, 4)]])
         assert check_alt_estable(l, 2) is None
 
+    @pytest.mark.parametrize("kind", ["altestable", "mad"])
+    def test_one_root_run_scan_per_scan_bound(self, monkeypatch, kind):
+        # alt_safety and alt_liveness share the verdict's scan: with the
+        # horizon given both scan to the same bound and one scan serves both;
+        # without it their bounds differ and each is scanned once
+        import rootcons.adversary as adversary
+
+        real = adversary.maximal_root_runs
+        l, planted = generate_alt_estable(AdversaryParams(n=6, D=2, seed=4))
+        for horizon, scans in ((max(l.default_horizon(), planted.deadline + 1), 1), (None, 2)):
+            bounds = []
+            monkeypatch.setattr(
+                adversary, "maximal_root_runs", lambda seq, scan_to: bounds.append(scan_to) or real(seq, scan_to)
+            )
+            verdict = adversary.diagnose(kind, l, {"D": 2, "horizon": horizon})
+            assert verdict.ok
+            assert len(bounds) == len(set(bounds)) == scans
+
 
 class TestMad:
     def test_mad_d_d_matches_alt_estable(self, eps2_lasso):

@@ -197,8 +197,10 @@ class TestRootDetection:
 
 
 def fresh_roots(mask, extra_vertex):
-    """The kernel's answer, computed now rather than taken from its memo."""
-    approximation_mod._roots_cache.pop((mask, extra_vertex), None)
+    """The kernel's answer, computed now rather than taken from its memo
+    (keyed by the mask alone when it holds the extra vertex's self-loop)."""
+    for key in (mask, (mask, extra_vertex)):
+        approximation_mod._roots_cache.pop(key, None)
     return roots_of_partial(mask, extra_vertex)
 
 

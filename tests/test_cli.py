@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import rootcons.harness as harness_mod
+from rootcons.adversary import GenerationRetryError
 from rootcons.cli import main
 from rootcons.graphs import lasso_from_json
 
@@ -432,6 +434,19 @@ class TestFuzz:
         code, payload = run_cli(capsys, ["fuzz", "--trials", "2", "--jobs", jobs])
         assert code == 2
         assert payload["ok"] is False and "jobs must be in 1.." in payload["error"]
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [(ValueError("bad trial configuration"), 2), (GenerationRetryError("gave up"), 1)],
+    )
+    def test_exit_2_only_when_every_failure_is_config(self, capsys, monkeypatch, exc, code):
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(harness_mod, "fuzz_trial", failing)
+        got, payload = run_cli(capsys, ["fuzz", "--trials", "3"])
+        assert got == code
+        assert payload["passed"] == 0 and len(payload["failures"]) == 3
 
     def test_jobs_flag_same_results(self, capsys):
         _, serial = run_cli(capsys, ["fuzz", "--trials", "8", "--seed", "3"])

@@ -12,7 +12,7 @@ from oracles import (
     undirected_bfs_spans,
 )
 
-from rootcons.adversary import AdversaryParams, _embedded_single_phase, generate_estable
+from rootcons.adversary import AdversaryParams, _embedded_single_phase, generate_alt_estable, generate_estable
 from rootcons.graphs import (
     CommGraph,
     LassoSequence,
@@ -340,6 +340,62 @@ class TestDynamicDiameter:
             assert (got and (got.root, got.rounds, got.process)) == expected
             outcomes.add(expected is None)
         assert outcomes == {True, False}
+
+    def test_matches_naive_when_windows_lie_in_the_cycle(self):
+        # A window starting past the prefix repeats every cycle, and only the
+        # first window of each cycle phase is checked: the witness must still
+        # be the one the naive scan over every window reports first.  Sparse
+        # alt_estable tails have one single-rooted round per cycle, so their
+        # windows span several cycle passes.  The random lassos draw each
+        # round as an out-tree below root {1} or {2}, or as an edgeless graph,
+        # so both roots recur across the prefix and every cycle phase, and a
+        # window's reach depends on the depths of its trees.
+        rng = random.Random(5)
+        lassos = []
+        for seed in range(4):
+            params = AdversaryParams(n=4 + seed % 3, D=1 + seed % 2, seed=seed)
+            lassos.append(generate_alt_estable(params, tail="sparse")[0])
+
+        def tree_or_edgeless(n):
+            if rng.random() < 0.2:
+                return CommGraph.of(n)
+            order = [rng.choice([1, 2])]
+            order += rng.sample([p for p in range(1, n + 1) if p != order[0]], n - 1)
+            return CommGraph.of(n, [(rng.choice(order[:j]), order[j]) for j in range(1, n)])
+
+        # the prefix's last round and the cycle's last round share root {1}:
+        # only the cycle's window fails
+        lassos.append(lasso(4, prefix=[[(1, 2), (1, 3), (1, 4)]], cycle=[[], [(1, 2), (2, 3), (3, 4)]]))
+        for _ in range(12):
+            n = rng.randint(4, 6)
+            prefix = [tree_or_edgeless(n) for _ in range(rng.randint(0, 3))]
+            cycle = [tree_or_edgeless(n) for _ in range(rng.randint(2, 4))]
+            lassos.append(LassoSequence(tuple(prefix), tuple(cycle)))
+        found = set()  # None, or for a witness in the cycle: does its window span a cycle pass?
+        for l in lassos:
+            P, C = len(l.prefix), len(l.cycle)
+            for horizon in range(max(1, P), P + 5 * C + 1):
+                for D in range(1, l.n):
+                    expected = naive_diameter_witness(l, D, horizon)
+                    got = check_dynamic_diameter(l, D, horizon)
+                    assert (got and (got.root, got.rounds, got.process)) == expected, (l, D, horizon)
+                    if expected is None:
+                        found.add(None)
+                    elif expected[1][0] > P:
+                        found.add(expected[1][-1] - expected[1][0] >= C)
+        assert found == {None, False, True}
+
+    def test_each_cycle_phase_reaches_once(self, eps2_lasso, monkeypatch):
+        # eps2: a 4-round prefix, then one graph forever; to any horizon,
+        # only windows starting in the prefix or at its first cycle round
+        # are derived
+        import rootcons.graphs as graphs_mod
+
+        calls = []
+        real = graphs_mod._forward_reach
+        monkeypatch.setattr(graphs_mod, "_forward_reach", lambda *args: calls.append(args[2]) or real(*args))
+        assert check_dynamic_diameter(eps2_lasso, 2, horizon=200) is None
+        assert calls and max(calls) <= len(eps2_lasso.prefix)  # r_1 - 1 <= P
 
     def test_d_out_of_range_raises(self, eps1_lasso):
         with pytest.raises(ValueError):

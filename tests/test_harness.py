@@ -12,7 +12,7 @@ from oracles import bfs_distance
 
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
-from rootcons.adversary import check_estable, check_safety
+from rootcons.adversary import GenerationRetryError, InfeasibleParamsError, check_estable, check_safety
 from rootcons.approximation import edge_bit
 from rootcons.graphs import causal_past, lasso, root_components
 from rootcons.harness import (
@@ -361,6 +361,36 @@ class TestFuzz:
         monkeypatch.setattr(harness_mod, "random", SimpleNamespace(Random=no_sampling))
         with pytest.raises(ValueError, match=match):
             fuzz_campaign(trials=2, seed=1, **bad)
+
+    def test_bounded_history_splits_decisions_under_alt_estable(self):
+        # README: bounded history is lossless only under estable(D).  Under
+        # alt_estable a 7-round window splits decisions on exactly these
+        # trials (7 > 2D+1 = 5 on trial 42, n=3, D=2), while full history
+        # passes every trial.  A fix of the protocol, or a drift, shows here.
+        bounded = fuzz_campaign(100, 21, "altestable", (2, 8), mode="bounded:7")
+        split = [f.index for f in bounded.failures if not json.loads(f.detail)["agreement"]]
+        assert split == [22, 42, 82, 96]
+        assert {f.kind for f in bounded.failures} == {"oracle"}
+        assert fuzz_campaign(100, 21, "altestable", (2, 8)).passed == 100
+
+    @pytest.mark.parametrize(
+        "exc, kind",
+        [
+            (ValueError("bad trial configuration"), "config"),
+            (GenerationRetryError("gave up"), "generator"),
+            (InfeasibleParamsError("no such lasso"), "generator"),
+            (EngineInvariantError(1, 3, "heard mismatch"), "invariant"),
+            (KeyError("unexpected"), "invariant"),
+        ],
+    )
+    def test_failure_kind_names_what_failed(self, monkeypatch, exc, kind):
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(harness_mod, "fuzz_trial", failing)
+        summary = fuzz_campaign(trials=2, seed=1)
+        assert [f.kind for f in summary.failures] == [kind, kind]
+        assert [f["kind"] for f in summary.to_json_dict()["failures"]] == [kind, kind]
 
     def test_trial_replay_reproduces_trace(self):
         t1, r1, c1 = fuzz_trial("estable", seed=12345, n=5, D=2, r_sr=4, inputs=(9, 1, 5, 5, 2))
