@@ -27,7 +27,7 @@ from .approximation import (
     Message,
     NodeState,
     has_late_outgoing_edge,
-    init_state,
+    init_states,
     make_message,
     receive_and_merge,
 )

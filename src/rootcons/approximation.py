@@ -30,9 +30,9 @@ cells, the masks of the rounds they fall in, and ``y``.  A state is a
 function of these deltas, so two runs are indistinguishable to a process
 exactly when its deltas agree.
 
-Edge sets are integer bitmasks in the layout of ``graphs`` at width
-``STRIDE`` = 16 (edge (u, v) occupies bit ``(u-1)*STRIDE + (v-1)``), which
-key the memoized root query.
+Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
+states of one run (:func:`init_states`) share that layout and one memo of
+root queries keyed by mask, which lives as long as the run.
 """
 
 from __future__ import annotations
@@ -40,42 +40,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import mask_layout, roots_of_mask
+from .graphs import MaskLayout, mask_layout, roots_of_mask
 from .graphs import root_components  # noqa: F401  (bound here for callers that wrap it)
 
-_LAYOUT = mask_layout(16)
-STRIDE = _LAYOUT.width  # max supported process id; bit layout of edge masks
-
-
-def edge_bit(u: int, v: int) -> int:
-    return 1 << ((u - 1) * STRIDE + (v - 1))
-
-
-def edges_of_mask(mask: int) -> list:
-    edges = []
-    while mask:
-        low = mask & -mask
-        idx = low.bit_length() - 1
-        edges.append((idx // STRIDE + 1, idx % STRIDE + 1))
-        mask ^= low
-    return edges
-
-
-_roots_cache: dict = {}
-
-
-def roots_of_partial(mask: int, extra_vertex: int) -> frozenset:
-    """Root components of a partial graph given by ``mask`` over its edge
-    endpoints plus ``extra_vertex`` (the owning process is always a known
-    vertex, even with no recorded edges); every vertex has a self-loop.
-    Memoized over the kernel ``graphs.roots_of_mask``, by ``mask`` alone when
-    it holds the extra vertex's self-loop: that vertex is then an endpoint
-    already, and the answer does not depend on it.
+def roots_of_partial(mask: int, extra_vertex: int, layout: MaskLayout, memo: dict) -> frozenset:
+    """Root components of a partial graph given by ``mask`` (in ``layout``)
+    over its edge endpoints plus ``extra_vertex`` (the owning process is
+    always a known vertex, even with no recorded edges); every vertex has a
+    self-loop.  Memoized in ``memo`` over the kernel ``graphs.roots_of_mask``,
+    by ``mask`` alone when it holds the extra vertex's self-loop: that vertex
+    is then an endpoint already, and the answer does not depend on it.
     """
-    key = mask if mask >> (extra_vertex - 1) * (STRIDE + 1) & 1 else (mask, extra_vertex)
-    roots = _roots_cache.get(key)
+    key = mask if mask & layout.bit(extra_vertex, extra_vertex) else (mask, extra_vertex)
+    roots = memo.get(key)
     if roots is None:
-        roots = _roots_cache[key] = roots_of_mask(mask, 1 << (extra_vertex - 1), _LAYOUT)
+        roots = memo[key] = roots_of_mask(mask, 1 << (extra_vertex - 1), layout)
     return roots
 
 
@@ -150,16 +129,18 @@ class NodeState:
     ``locks[q][r]`` is a view over the retained rounds.  ``runs``,
     ``stale_from`` and ``c2_from`` hold the core step's c2 scan (see
     ``consensus``); the merge lowers ``stale_from`` and drops the ``runs``
-    entry of the round that leaves the window.
+    entry of the round that leaves the window.  ``layout`` is the n-process
+    edge-mask layout and ``memo`` the run's root memo, shared by its states.
     """
 
     __slots__ = (
         "pid", "x", "m", "lo", "y", "keep", "heard", "rows", "masks", "runs", "stale_from", "c2_from",
+        "layout", "memo",
     )
 
-    def __init__(self, pid: int, x: int, keep: Optional[int] = None):
-        if not (1 <= pid <= STRIDE):
-            raise ValueError(f"pid must be in 1..{STRIDE}, got {pid}")
+    def __init__(self, pid: int, x: int, n: int, keep: Optional[int], memo: dict):
+        if not (1 <= pid <= n):
+            raise ValueError(f"pid must be in 1..{n}, got {pid}")
         self.pid = pid
         self.x = x
         self.m = 0
@@ -172,6 +153,8 @@ class NodeState:
         self.runs = {}
         self.stale_from = 0
         self.c2_from = 0
+        self.layout = mask_layout(n)
+        self.memo = memo
 
     @property
     def approx(self) -> dict:
@@ -183,7 +166,7 @@ class NodeState:
 
     def roots_at(self, r: int) -> frozenset:
         """Roots of the round-r approximation (empty outside the retained rounds)."""
-        return roots_of_partial(self.masks.get(r, 0), self.pid)
+        return roots_of_partial(self.masks.get(r, 0), self.pid, self.layout, self.memo)
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
         if self.lo <= r <= self.heard.get(q, -1):
@@ -213,7 +196,7 @@ class NodeState:
             "m": self.m,
             "x": self.x,
             "y": self.y,
-            "approx": {str(r): sorted(edges_of_mask(mask)) for r, mask in self.masks.items()},
+            "approx": {str(r): self.layout.edges(mask) for r, mask in self.masks.items()},
             "locks": {
                 str(q): {str(r): v for r, v in row.items()}
                 for q, row in sorted(self.locks.items())
@@ -268,12 +251,12 @@ def parse_mode(mode: str, D: Optional[int] = None) -> Optional[int]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def init_state(pid: int, x: int, mode: str = "full") -> NodeState:
-    """Fresh state: singleton round-0 approximation, own input locked at round 0.
-
-    ``mode`` is ``"full"`` or ``"bounded:<k>"``.
-    """
-    return NodeState(pid, x, parse_mode(mode))
+def init_states(inputs, mode: str = "full") -> dict:
+    """Fresh states of one run, pid -> state, of processes 1..len(inputs):
+    singleton round-0 approximation, own input locked at round 0, and one
+    shared root memo.  ``mode`` is ``"full"`` or ``"bounded:<k>"``."""
+    n, keep, memo = len(inputs), parse_mode(mode), {}
+    return {p: NodeState(p, x, n, keep, memo) for p, x in enumerate(inputs, start=1)}
 
 
 def make_message(s: NodeState) -> Message:
@@ -300,13 +283,13 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
     lo = window_start(s.keep, m)
-    pid, heard, rows, masks = s.pid, s.heard, s.rows, s.masks
+    pid, heard, rows, masks, bit = s.pid, s.heard, s.rows, s.masks, s.layout.bit
     risen = {pid: m - 1}  # q -> heard[q] before this merge, for every q that rose
     direct = 0
     for msg in msgs:
         if msg.sent_in != m:
             raise ValueError(f"message for round {msg.sent_in} delivered in round {m}")
-        direct |= edge_bit(msg.sender, pid)
+        direct |= bit(msg.sender, pid)
         for q, h in msg.heard.items():
             before = heard.get(q, -1)
             if h > before:

@@ -12,7 +12,7 @@ processes' *initial* states have reached ``p`` by the end of round ``b``.
 
 This module owns the edge-mask layout and the one root-component kernel.  An
 n-process edge set is an integer bitmask in which edge (u, v) is bit
-``(u-1)*W + (v-1)`` for the width ``W = mask_width(n)``: a W x W bit matrix
+``(u-1)*W + (v-1)`` for the width ``W`` of ``mask_layout(n)``: a W x W bit matrix
 whose row u-1 holds u's out-neighbours and whose column v-1 holds the
 in-neighbours of v.  Bit i of a row, or of any vertex set, is process i+1.
 """
@@ -28,14 +28,6 @@ from typing import Iterable, Optional
 Edge = tuple[int, int]
 
 MAX_PROCESSES = 1024  # a mask holds width^2 bits, so the width must stay small
-
-
-def mask_width(n: int) -> int:
-    """Bits per row of an n-process edge mask: the smallest power of two
-    >= n, and at least 16 (a power of two keeps the delta-swap transpose valid)."""
-    if n > MAX_PROCESSES:
-        raise ValueError(f"n must be <= {MAX_PROCESSES}, got {n}")
-    return max(16, 1 << (n - 1).bit_length())
 
 
 class MaskLayout:
@@ -55,13 +47,34 @@ class MaskLayout:
             block = sum(columns << (i * width) for i in range(width) if not i & s)
             self.transpose.append((s * (width - 1), block))
 
+    def bit(self, u: int, v: int) -> int:
+        """The bit of edge (u, v)."""
+        return 1 << ((u - 1) * self.width + (v - 1))
+
+    def into(self, v: int) -> int:
+        """Every edge into process v: column v-1 of the matrix."""
+        return self.column << (v - 1)
+
+    def edges(self, mask: int) -> list:
+        """The edges (u, v) of ``mask``, sorted."""
+        edges = []
+        while mask:
+            i = (mask & -mask).bit_length() - 1
+            edges.append((i // self.width + 1, i % self.width + 1))
+            mask &= mask - 1
+        return edges
+
 
 _LAYOUTS = {}  # width -> MaskLayout, filled on first use; at most 7 widths up to MAX_PROCESSES
 
 
 def mask_layout(n: int) -> MaskLayout:
-    """The layout of n-process edge masks."""
-    width = mask_width(n)
+    """The layout of n-process edge masks.  Its width, the bits per row, is the
+    smallest power of two >= n, and at least 16 (a power of two keeps the
+    delta-swap transpose valid)."""
+    if n > MAX_PROCESSES:
+        raise ValueError(f"n must be <= {MAX_PROCESSES}, got {n}")
+    width = max(16, 1 << (n - 1).bit_length())
     return _LAYOUTS.get(width) or _LAYOUTS.setdefault(width, MaskLayout(width))
 
 
@@ -122,18 +135,18 @@ class CommGraph:
     @cached_property
     def mask(self) -> int:
         """Edge mask of the in-range edges (:func:`validate_graph` reports the others)."""
-        n, width = self.n, mask_width(self.n)
+        n, width = self.n, mask_layout(self.n).width
         mask = 0
         for (u, v) in self.edges:
             if 1 <= u <= n and 1 <= v <= n:
-                mask |= 1 << ((u - 1) * width + (v - 1))
+                mask |= 1 << ((u - 1) * width + (v - 1))  # MaskLayout.bit, inlined: it runs per edge
         return mask
 
     @cached_property
     def out_rows(self) -> tuple:
         """``out_rows[u-1]`` is row u-1 of the mask: the out-neighbours of u."""
-        width = mask_width(self.n)
-        return tuple(self.mask >> (u * width) & (1 << width) - 1 for u in range(self.n))
+        lay = mask_layout(self.n)
+        return tuple(self.mask >> (u * lay.width) & lay.row for u in range(self.n))
 
     @cached_property
     def _roots(self) -> frozenset:
@@ -388,7 +401,7 @@ def check_dynamic_diameter(l: LassoSequence, D: int, horizon: Optional[int] = No
     for root, rounds in sorted(single_rooted_rounds(l, horizon).items(), key=lambda kv: sorted(kv[0])):
         members = sorted(root)
         # row q-1 of the reach matrix starts as {q} for every member q
-        start = sum(1 << ((q - 1) * lay.width + q - 1) for q in members)
+        start = sum(lay.bit(q, q) for q in members)
         phases = set()  # cycle phases of the r_1 already checked
         for i in range(len(rounds) - D + 1):
             r1, rd = rounds[i], rounds[i + D - 1]

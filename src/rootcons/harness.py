@@ -49,9 +49,7 @@ from .adversary import (
     generate_estable,
 )
 from .approximation import (
-    STRIDE,
-    edges_of_mask,
-    init_state,
+    init_states,
     make_message,
     parse_mode,
     receive_and_merge,
@@ -67,6 +65,9 @@ from .graphs import (
     lasso_to_json_dict,
     mask_layout,
 )
+
+
+MAX_RUN_PROCESSES = 64  # the largest n that run_execution and fuzz_campaign accept
 
 
 class EngineInvariantError(Exception):
@@ -89,8 +90,8 @@ class RunConfig:
     check_invariants: bool = True
 
     def __post_init__(self):
-        if self.n > STRIDE:
-            raise ValueError(f"n must be <= {STRIDE} (edge-mask width), got {self.n}")
+        if self.n > MAX_RUN_PROCESSES:
+            raise ValueError(f"n must be <= {MAX_RUN_PROCESSES}, got {self.n}")
         if self.lasso.n != self.n:
             raise ValueError(f"lasso is over {self.lasso.n} processes, config says {self.n}")
         if len(self.inputs) != self.n:
@@ -167,10 +168,13 @@ class _InvariantMonitor:
     (the latest round whose end state of q has reached p, -1 for none), each
     owner's current lock value and its own row object, and the true edge
     mask of every retained round.  From these it keeps what each process's
-    state must hold: its ``heard`` dict, its rows dict and its masks dict."""
+    state must hold: its ``heard`` dict, its rows dict and its masks dict.
+    Graphs and states share the n-process edge-mask layout."""
 
     def __init__(self, cfg: RunConfig, states: dict):
         self.keep = parse_mode(cfg.mode)
+        self.layout = mask_layout(cfg.n)
+        self.into = [self.layout.into(v) for v in range(1, cfg.n + 1)]  # every edge into v, by v-1
         self.heard = [[0 if q == p else -1 for q in range(cfg.n)] for p in range(cfg.n)]
         self.lock = list(cfg.inputs)
         self.rows = [states[p].rows[p] for p in range(1, cfg.n + 1)]
@@ -182,7 +186,7 @@ class _InvariantMonitor:
         for (u, v) in g.edges:
             senders[v - 1].append(self.heard[u - 1])
         previous, self.heard = self.heard, [[max(col) for col in zip(*rows)] for rows in senders]
-        column = mask_layout(g.n).column  # the protocol's layout too, as RunConfig caps n at STRIDE
+        into = self.into
         lo = window_start(self.keep, m)
         true_masks = self.true_masks
         true_masks[m] = g.mask
@@ -197,13 +201,13 @@ class _InvariantMonitor:
                     heard[v + 1] = h
                     if h >= lo:
                         rows.setdefault(v + 1, self.rows[v])
-                        heads = column << v
+                        heads = into[v]
                         for r in range(max(before + 1, lo), h + 1):
                             masks[r] |= true_masks[r] & heads
             locked = outcomes[p - 1].locked
             if locked is not None:
                 self.lock[p - 1] = locked[2]
-            st, own, inmask = states[p], self.rows[p - 1], g.mask & column << (p - 1)
+            st, own, inmask = states[p], self.rows[p - 1], g.mask & into[p - 1]
             if (
                 st.heard == heard
                 and st.rows == rows
@@ -229,10 +233,10 @@ class _InvariantMonitor:
             row = st.rows.get(q)
             if (row is not None or h >= lo) and row is not self.rows[q - 1]:
                 return f"row[{q}] is {'absent' if row is None else 'a copy'}, not p{q}'s own row"
-        own = self.rows[p - 1]
+        own, edges = self.rows[p - 1], self.layout.edges
         if own.inmask.get(m) != inmask:
-            has = edges_of_mask(own.inmask[m]) if m in own.inmask else "absent"
-            return f"inmask[{p}][{m}] is {has}, expected {edges_of_mask(inmask)}"
+            has = edges(own.inmask[m]) if m in own.inmask else "absent"
+            return f"inmask[{p}][{m}] is {has}, expected {edges(inmask)}"
         if own.lock.get(m) != self.lock[p - 1]:
             return f"lock[{p}][{m}] is {own.lock.get(m, 'absent')}, expected {self.lock[p - 1]}"
         if not len(own.lock) == len(own.inmask) == m - lo + 1:
@@ -240,8 +244,8 @@ class _InvariantMonitor:
         masks = self.expected[p - 1][2]
         for r in range(m, lo - 1, -1):
             if st.masks.get(r) != masks[r]:
-                has = edges_of_mask(st.masks[r]) if r in st.masks else "absent"
-                return f"approx[{r}] is {has}, expected {edges_of_mask(masks[r])}"
+                has = edges(st.masks[r]) if r in st.masks else "absent"
+                return f"approx[{r}] is {has}, expected {edges(masks[r])}"
         if len(st.masks) != m - lo + 1:
             return f"approx holds rounds {sorted(st.masks)}, expected {lo}..{m}"
         if st.lo != lo:
@@ -256,7 +260,7 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
     for indistinguishability comparisons), which matters across thousands
     of fuzz runs.
     """
-    states = {p: init_state(p, cfg.inputs[p - 1], cfg.mode) for p in range(1, cfg.n + 1)}
+    states = init_states(cfg.inputs, cfg.mode)
     monitor = _InvariantMonitor(cfg, states) if cfg.check_invariants else None
     round_graphs = []
     outcomes = []
@@ -697,8 +701,8 @@ def fuzz_campaign(
         raise ValueError(f"jobs must be in 1..{cpus} (the CPU count), got {jobs}")
     if adversary not in ("estable", "altestable"):
         raise ValueError(f"unknown adversary {adversary!r}")
-    if not (2 <= n_range[0] <= n_range[1] <= STRIDE):
-        raise ValueError(f"n range must satisfy 2 <= lo <= hi <= {STRIDE}, got {n_range[0]}:{n_range[1]}")
+    if not (2 <= n_range[0] <= n_range[1] <= MAX_RUN_PROCESSES):
+        raise ValueError(f"n range must satisfy 2 <= lo <= hi <= {MAX_RUN_PROCESSES}, got {n_range[0]}:{n_range[1]}")
     if d_cap < 1:
         raise ValueError(f"d_cap must be >= 1, got {d_cap}")
     parse_mode(mode, min(d_cap, n_range[1] - 1))

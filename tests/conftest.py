@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import rootcons.harness as harness_mod
-from rootcons.approximation import init_state
+from rootcons.approximation import init_states
 from rootcons.graphs import CommGraph, LassoSequence, lasso
 
 
@@ -50,7 +50,7 @@ def run_with_snapshots(cfg, monkeypatch) -> tuple:
     ``NodeState.snapshot()`` of every process at round 0 and at the end of
     every round, collected by a wrapper around the invariant monitor's
     ``after_round``, which runs after every process's merge and core step."""
-    direct = [{p: init_state(p, cfg.inputs[p - 1], cfg.mode).snapshot() for p in range(1, cfg.n + 1)}]
+    direct = [{p: st.snapshot() for p, st in init_states(cfg.inputs, cfg.mode).items()}]
     after_round = harness_mod._InvariantMonitor.after_round
 
     def recording(self, m, g, states, outcomes):

@@ -14,7 +14,7 @@ graph are Tarjan's on a relabelled ``CommGraph``.
 from itertools import combinations
 
 from rootcons.consensus import confirmed_roots
-from rootcons.graphs import CommGraph
+from rootcons.graphs import CommGraph, MaskLayout, mask_layout
 
 
 def brute_force_roots(g: CommGraph) -> frozenset:
@@ -166,19 +166,19 @@ def bfs_distance(g: CommGraph, src: int, dst: int):
 # per-round edge-mask dicts and lock rows, unioned message by message, with
 # late-edge evidence tracked as the latest round showing an out-edge of each
 # peer.  It shares no merge, late-edge or root code with
-# rootcons.approximation; only the edge-mask bit layout is common.
+# rootcons.approximation; only the edge-mask bit layout, taken from
+# rootcons.graphs, is common.
 
-STRIDE = 16
-
-_reference_roots_memo = {}
+_reference_roots_memo = {}  # (width, mask, extra vertex) -> roots
 
 
-def reference_roots_of_partial(mask: int, extra_vertex: int) -> frozenset:
-    """Root components of the graph over the endpoints of ``mask`` plus
-    ``extra_vertex``, each with a self-loop, via Tarjan on a relabelled CommGraph."""
-    key = (mask, extra_vertex)
+def reference_roots_of_partial(mask: int, extra_vertex: int, lay: MaskLayout) -> frozenset:
+    """Root components of the graph over the endpoints of ``mask`` (in
+    layout ``lay``) plus ``extra_vertex``, each with a self-loop, via Tarjan
+    on a relabelled CommGraph."""
+    key = (lay.width, mask, extra_vertex)
     if key not in _reference_roots_memo:
-        edges = [(i // STRIDE + 1, i % STRIDE + 1) for i in range(mask.bit_length()) if mask >> i & 1]
+        edges = lay.edges(mask)
         vertices = {extra_vertex} | {u for e in edges for u in e}
         relabel = {v: i + 1 for i, v in enumerate(sorted(vertices))}
         back = {i: v for v, i in relabel.items()}
@@ -192,9 +192,9 @@ def reference_roots_of_partial(mask: int, extra_vertex: int) -> frozenset:
     return _reference_roots_memo[key]
 
 
-def out_row_mask(q: int) -> int:
-    """Mask of every possible edge out of q."""
-    return ((1 << STRIDE) - 1) << ((q - 1) * STRIDE)
+def out_row_mask(q: int, lay: MaskLayout) -> int:
+    """Mask of every possible edge out of q in layout ``lay``."""
+    return sum(lay.bit(q, v) for v in range(1, lay.width + 1))
 
 
 class ReferenceState:
@@ -205,8 +205,8 @@ class ReferenceState:
     every retained round.
     """
 
-    def __init__(self, pid: int, x: int, keep):
-        self.pid, self.x, self.m, self.y, self.keep = pid, x, 0, None, keep
+    def __init__(self, pid: int, x: int, keep, lay: MaskLayout):
+        self.pid, self.x, self.m, self.y, self.keep, self.layout = pid, x, 0, None, keep, lay
         self.approx = {0: 0}
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
@@ -217,7 +217,7 @@ class ReferenceState:
         return min(self.approx)
 
     def roots_at(self, r: int) -> frozenset:
-        return reference_roots_of_partial(self.approx.get(r, 0), self.pid)
+        return reference_roots_of_partial(self.approx.get(r, 0), self.pid, self.layout)
 
     def lock_value(self, q: int, r: int):
         return self.locks.get(q, {}).get(r)
@@ -254,10 +254,8 @@ def reference_late_edge(s: ReferenceState, q: int, r: int) -> bool:
 
 
 def _note_out_edges(s: ReferenceState, new_edges: int, r: int) -> None:
-    while new_edges:
-        q = ((new_edges & -new_edges).bit_length() - 1) // STRIDE + 1
+    for q in {u for (u, _) in s.layout.edges(new_edges)}:
         s.last_out[q] = max(s.last_out.get(q, -1), r)
-        new_edges &= ~out_row_mask(q)
 
 
 def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
@@ -267,7 +265,7 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     s.stale_from = 0
     for sender, approx, locks in msgs:
         approx = dict(approx)
-        approx[m] = approx.get(m, 0) | 1 << ((sender - 1) * STRIDE + (s.pid - 1))
+        approx[m] = approx.get(m, 0) | s.layout.bit(sender, s.pid)
         for r, mask in approx.items():
             old = s.approx.get(r, 0)
             s.approx[r] = old | mask
@@ -292,7 +290,8 @@ def reference_run(cfg, core_step) -> tuple:
     late-edge evidence from :func:`reference_late_edge`.  Returns the
     per-round snapshots (round 0 first) and the sorted decision events."""
     keep = None if cfg.mode == "full" else int(cfg.mode.split(":")[1])
-    states = {p: ReferenceState(p, cfg.inputs[p - 1], keep) for p in range(1, cfg.n + 1)}
+    lay = mask_layout(cfg.n)
+    states = {p: ReferenceState(p, cfg.inputs[p - 1], keep, lay) for p in range(1, cfg.n + 1)}
     snapshots = [{p: s.snapshot() for p, s in states.items()}]
     decisions = []
     for m in range(1, cfg.horizon + 1):

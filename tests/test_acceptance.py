@@ -30,10 +30,12 @@ from rootcons.adversary import (
     check_safety,
     check_vsrc,
     generate_alt_estable,
+    generate_estable,
 )
 from rootcons.graphs import (
     CommGraph,
     causal_past,
+    mask_layout,
     root_components,
 )
 from rootcons.harness import (
@@ -184,6 +186,7 @@ def test_criterion_5_late_edge_equivalence(monkeypatch):
         inputs = tuple(rng.randint(0, 99) for _ in range(n))
         cfg = RunConfig(n, rng.randint(1, n - 1) if n > 1 else 1, inputs, lasso_seq, horizon)
         _, snapshots = run_with_snapshots(cfg, monkeypatch)
+        lay = mask_layout(n)
         runs += 1
         for r2 in range(1, horizon + 1):
             cp_levels = {}
@@ -195,7 +198,7 @@ def test_criterion_5_late_edge_equivalence(monkeypatch):
                 approx = dict(snapshots[r2][p][4])
                 maxout = {}
                 for q in range(1, n + 1):
-                    row = out_row_mask(q)
+                    row = out_row_mask(q, lay)
                     maxout[q] = max(
                         (r for r, mask in approx.items() if 1 <= r <= r2 and mask & row),
                         default=None,
@@ -323,6 +326,37 @@ def test_reference_state_differential(estable_batch, monkeypatch, history):
         not mismatches,
         f"{len(estable_batch) - len(mismatches)}/{len(estable_batch)} runs with identical "
         f"per-round snapshots and decision events, {time.time() - t0:.1f}s"
+        + (f"; first mismatching seed {mismatches[0]}" if mismatches else ""),
+    )
+
+
+@pytest.mark.parametrize("history", ["full", "bounded"])
+@pytest.mark.parametrize("n", [24, 32])
+def test_reference_differential_past_sixteen(monkeypatch, n, history):
+    # the same differential at n past 16, where both the layout and the
+    # monitor's ground truth run at width 32, on two certified estable lassos
+    t0 = time.time()
+    D = 3
+    mode = "full" if history == "full" else f"bounded:{2 * D + 1}"
+    rng = random.Random(f"reference-past-16:{n}")
+    mismatches = []
+    for _ in range(2):
+        seed = rng.getrandbits(48)
+        lasso_seq, _ = generate_estable(AdversaryParams(n=n, D=D, seed=seed, r_sr_target=rng.randint(4, 10)))
+        cert = check_estable(lasso_seq, D)
+        inputs = tuple(rng.randint(0, 99) for _ in range(n))
+        cfg = RunConfig(n, D, inputs, lasso_seq, cert.deadline + D + 2, mode=mode)
+        trace, direct = run_with_snapshots(cfg, monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(consensus_mod, "has_late_outgoing_edge", reference_late_edge)
+            snapshots, events = reference_run(cfg, consensus_mod.core_step)
+        if direct != snapshots or trace.decision_events() != events or not oracle_check(trace, cert.deadline).all_ok:
+            mismatches.append(seed)
+    report(
+        f"reference differential at n={n} ({history} history)",
+        not mismatches,
+        f"{2 - len(mismatches)}/2 runs with identical per-round snapshots and decision events "
+        f"that pass every oracle, {time.time() - t0:.1f}s"
         + (f"; first mismatching seed {mismatches[0]}" if mismatches else ""),
     )
 

@@ -6,26 +6,22 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import random_lasso, run_with_snapshots
 from oracles import out_row_mask, reference_roots_of_partial
 
-import rootcons.approximation as approximation_mod
 from rootcons.approximation import (
-    STRIDE,
+    NodeState,
     _approx_view,
-    edge_bit,
-    edges_of_mask,
     has_late_outgoing_edge,
-    init_state,
+    init_states,
     make_message,
     receive_and_merge,
     roots_of_partial,
 )
-from rootcons.graphs import lasso
+from rootcons.graphs import lasso, mask_layout
 from rootcons.harness import RunConfig, run_execution
 
 
 def drive(l, inputs, rounds, mode="full"):
     """Advance fresh states through `rounds` rounds of the lasso by hand."""
-    n = l.n
-    states = {p: init_state(p, inputs[p - 1], mode) for p in range(1, n + 1)}
+    states = init_states(inputs, mode)
     for m in range(1, rounds + 1):
         g = l.graph(m)
         msgs = {p: make_message(states[p]) for p in states}
@@ -37,23 +33,32 @@ def drive(l, inputs, rounds, mode="full"):
 
 class TestInitState:
     def test_initial_contents(self):
-        s = init_state(1, 7)
+        s = init_states((7,))[1]
         assert s.approx == {0: 0}
         assert s.locks == {1: {0: 7}}
         assert s.y is None and s.m == 0
 
     def test_message_after_init_carries_only_own_data(self):
-        msg = make_message(init_state(2, 0))
+        msg = make_message(init_states((9, 0))[2])
         assert msg.sender == 2 and msg.sent_in == 1
         assert msg.approx == {0: 0}
         assert msg.locks == {2: {0: 0}}
 
     def test_determinism(self):
-        assert init_state(3, 5).snapshot() == init_state(3, 5).snapshot()
+        assert init_states((1, 2, 5))[3].snapshot() == init_states((1, 2, 5))[3].snapshot()
 
     def test_pid_range_enforced(self):
-        with pytest.raises(ValueError):
-            init_state(17, 0)
+        for pid in (0, 4):
+            with pytest.raises(ValueError):
+                NodeState(pid, 0, 3, None, {})
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 64])
+    def test_states_of_one_run_share_layout_and_memo(self, n):
+        states = init_states(tuple(range(n)), "bounded:3")
+        assert sorted(states) == list(range(1, n + 1))
+        assert {id(s.memo) for s in states.values()} == {id(states[1].memo)}
+        assert all(s.layout is mask_layout(n) and s.keep == 3 for s in states.values())
+        assert init_states((0,) * n)[1].memo is not states[1].memo  # one memo per run
 
 
 class TestMakeMessage:
@@ -71,25 +76,25 @@ class TestMakeMessage:
         assert all(r > 5 for row in msg.locks.values() for r in row)
 
     def test_snapshot_is_a_copy(self):
-        s = init_state(1, 1)
+        s = init_states((1,))[1]
         msg = make_message(s)
-        msg.approx[0] = edge_bit(1, 1)
+        msg.approx[0] = s.layout.bit(1, 1)
         assert s.approx[0] == 0
 
 
 class TestReceiveAndMerge:
     def test_direct_edges_recorded(self):
-        s = init_state(2, 0)
-        q_msg = make_message(init_state(1, 9))
+        q, s = init_states((9, 0)).values()
+        q_msg = make_message(q)
         own = make_message(s)
         receive_and_merge(s, [q_msg, own], 1)
-        assert set(edges_of_mask(s.approx[1])) == {(1, 2), (2, 2)}
+        assert s.layout.edges(s.approx[1]) == [(1, 2), (2, 2)]
         assert s.locks[1] == {0: 9}
 
     def test_eps1_two_rounds_reach_p2(self, eps1_lasso):
         states = drive(eps1_lasso, (0, 0, 0, 0, 0), 2)
         p2 = states[2]
-        assert {(1, 5), (5, 2)} <= set(edges_of_mask(p2.approx[1]))
+        assert {(1, 5), (5, 2)} <= set(p2.layout.edges(p2.approx[1]))
         # p1's round-0 state (its input lock) has reached p2
         assert p2.locks[1][0] == 0
 
@@ -103,7 +108,7 @@ class TestReceiveAndMerge:
         rng = random.Random(0)
         baseline = None
         for _ in range(5):
-            states = {p: init_state(p, inputs[p - 1]) for p in range(1, 6)}
+            states = init_states(inputs)
             for m in range(1, 7):
                 g = eps2_lasso.graph(m)
                 msgs = {p: make_message(states[p]) for p in states}
@@ -117,7 +122,7 @@ class TestReceiveAndMerge:
             assert snap == baseline
 
     def test_wrong_round_rejected(self):
-        s = init_state(1, 0)
+        s = init_states((0,))[1]
         with pytest.raises(ValueError):
             receive_and_merge(s, [], 3)
 
@@ -142,7 +147,7 @@ class TestLateOutgoingEdge:
             for q in range(1, 6):
                 for r in range(0, st.m):
                     direct = any(
-                        st.approx.get(r2, 0) & out_row_mask(q) for r2 in range(r + 1, st.m + 1)
+                        st.approx.get(r2, 0) & out_row_mask(q, st.layout) for r2 in range(r + 1, st.m + 1)
                     )
                     assert has_late_outgoing_edge(st, q, r) == direct
 
@@ -196,42 +201,47 @@ class TestRootDetection:
                             assert root in true_roots
 
 
-def fresh_roots(mask, extra_vertex):
-    """The kernel's answer, computed now rather than taken from its memo
-    (keyed by the mask alone when it holds the extra vertex's self-loop)."""
-    for key in (mask, (mask, extra_vertex)):
-        approximation_mod._roots_cache.pop(key, None)
-    return roots_of_partial(mask, extra_vertex)
+def fresh_roots(mask, extra_vertex, lay):
+    """The kernel's answer through ``roots_of_partial``, with an empty memo."""
+    return roots_of_partial(mask, extra_vertex, lay, {})
+
+
+W16, W64 = mask_layout(16), mask_layout(64)
 
 
 @st.composite
 def partial_graphs(draw):
-    """(edge mask over processes 1..n for some n <= 16, extra vertex in 1..16)."""
-    n = draw(st.integers(1, STRIDE))
+    """(edge mask over processes 1..n, extra vertex, layout) for a layout of
+    width 16, 32 or 64 and n, extra vertex <= that width."""
+    lay = mask_layout(draw(st.sampled_from([16, 32, 64])))
+    n = draw(st.integers(1, lay.width))
     edges = draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n))))
-    return sum(edge_bit(u, v) for (u, v) in edges), draw(st.integers(1, STRIDE))
+    return sum(lay.bit(u, v) for (u, v) in edges), draw(st.integers(1, lay.width)), lay
 
 
 class TestRootKernel:
     """The bitmask kernel against the CommGraph + Tarjan reference."""
 
     def test_every_mask_on_three_processes(self):
-        cells = [edge_bit(u, v) for u in range(1, 4) for v in range(1, 4)]  # self-loops too
+        lay = mask_layout(3)
+        cells = [lay.bit(u, v) for u in range(1, 4) for v in range(1, 4)]  # self-loops too
         for pick in range(1 << len(cells)):
             mask = sum(bit for i, bit in enumerate(cells) if pick >> i & 1)
-            for extra in range(1, STRIDE + 1):  # 4..16 are isolated
-                assert fresh_roots(mask, extra) == reference_roots_of_partial(mask, extra), (
-                    edges_of_mask(mask), extra,
+            for extra in range(1, lay.width + 1):  # 4..16 are isolated
+                assert fresh_roots(mask, extra, lay) == reference_roots_of_partial(mask, extra, lay), (
+                    lay.edges(mask), extra,
                 )
 
     @settings(max_examples=300, deadline=None)
     @given(case=partial_graphs())
-    @example(case=(0, 1))  # empty mask
-    @example(case=(0, STRIDE))
-    @example(case=(edge_bit(1, 2) | edge_bit(2, 1), 9))  # isolated extra vertex
-    def test_random_masks_up_to_sixteen(self, case):
-        mask, extra = case
-        assert fresh_roots(mask, extra) == reference_roots_of_partial(mask, extra)
+    @example(case=(0, 1, W16))  # empty mask
+    @example(case=(0, 16, W16))
+    @example(case=(0, 64, W64))
+    @example(case=(W16.bit(1, 2) | W16.bit(2, 1), 9, W16))  # isolated extra vertex
+    @example(case=(W64.bit(64, 1) | W64.bit(1, 64) | W64.bit(33, 64), 33, W64))  # the last row and column
+    def test_random_masks_up_to_sixty_four(self, case):
+        mask, extra, lay = case
+        assert fresh_roots(mask, extra, lay) == reference_roots_of_partial(mask, extra, lay)
 
 
 class TestMaskCache:
@@ -244,7 +254,7 @@ class TestMaskCache:
         for _ in range(12):
             n = rng.randint(2, 8)
             l = random_lasso(rng, n, rng.randint(0, 8), density=rng.choice([0.1, 0.3, 0.6]))
-            states = {p: init_state(p, p, mode) for p in range(1, n + 1)}
+            states = init_states(tuple(range(1, n + 1)), mode)
             for m in range(1, 16):
                 g = l.graph(m)
                 msgs = {p: make_message(states[p]) for p in states}

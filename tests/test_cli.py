@@ -321,14 +321,22 @@ class TestRun:
         assert code == 2
         assert payload["ok"] is False and payload["error"]
 
-    def test_more_processes_than_edge_mask_width_exit_2(self, capsys, tmp_path):
+    def test_seventeen_processes_run_and_pass(self, capsys, tmp_path):
         path = tmp_path / "n17.json"
         assert main(["generate", "--n", "17", "--d", "2", "--rsr", "1", "--out", str(path)]) == 0
+        inputs = ",".join(str(p) for p in range(17))
+        code, payload = run_cli(capsys, ["run", "--lasso", str(path), "--inputs", inputs, "--d", "2"])
+        assert code == 0
+        assert payload["ok"] and len(payload["decisions"]) == 17
+
+    def test_more_processes_than_the_run_limit_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "n65.json"
+        assert main(["generate", "--n", "65", "--d", "2", "--rsr", "1", "--out", str(path)]) == 0
         code, payload = run_cli(
-            capsys, ["run", "--lasso", str(path), "--inputs", ",".join(["0"] * 17), "--d", "2"]
+            capsys, ["run", "--lasso", str(path), "--inputs", ",".join(["0"] * 65), "--d", "2"]
         )
         assert code == 2
-        assert "n must be <= 16" in payload["error"]
+        assert payload["ok"] is False and "n must be <= 64, got 65" in payload["error"]
 
     def test_input_count_mismatch_exit_2(self, capsys, estable_lasso_file):
         code, _ = run_cli(
@@ -405,6 +413,14 @@ class TestFuzz:
         assert payload["passed"] == 15
         assert json.loads(report.read_text())["passed"] == 15
 
+    @pytest.mark.parametrize("adversary", ["estable", "altestable"])
+    def test_past_sixteen_processes_exit_0(self, capsys, adversary):
+        code, payload = run_cli(
+            capsys, ["fuzz", "--adversary", adversary, "--n-range", "17:24", "--trials", "3", "--d-cap", "3"]
+        )
+        assert code == 0
+        assert payload["passed"] == 3
+
     def test_bad_range_exit_2(self, capsys):
         code, _ = run_cli(capsys, ["fuzz", "--n-range", "oops"])
         assert code == 2
@@ -413,7 +429,7 @@ class TestFuzz:
         "flags",
         [
             ["--mode", "weird"],
-            ["--n-range", "17:17"],
+            ["--n-range", "65:65"],
             ["--d-cap", "0"],
             ["--n-range", "5:3"],
             ["--n-range", "1:1"],

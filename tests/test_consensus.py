@@ -16,7 +16,7 @@ from rootcons.consensus import (
     confirmed_roots,
     core_step,
 )
-from rootcons.approximation import has_late_outgoing_edge, init_state
+from rootcons.approximation import has_late_outgoing_edge, init_states
 from rootcons.graphs import lasso
 from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
 
@@ -28,7 +28,7 @@ def states_at(trace, m):
 
 class TestEmptyEarlyRounds:
     def test_no_op_for_m_up_to_d(self):
-        s = init_state(1, 5)
+        s = init_states((5,))[1]
         s.m = 2
         out = core_step(s, 2, D=2)[1]
         assert out == CoreStepOutcome()
@@ -77,7 +77,7 @@ class TestC1B1:
 
 class TestC2:
     def test_fresh_state_has_no_interval(self):
-        s = init_state(1, 0)
+        s = init_states((0,))[1]
         assert c2_check(s, D=2) is None
 
     def test_eps1_every_process_sees_interval_by_deadline(self, eps1_lasso):
@@ -183,7 +183,7 @@ class TestC3B3:
         assert all(m <= trace.decisions[pid][0] for (pid, m, _) in calls)
 
     def test_missing_lock_value_is_an_error(self):
-        s = init_state(1, 3)
+        s = init_states((3,))[1]
         s.m = 4
         with pytest.raises(InvariantViolationError):
             b3_apply(s, frozenset([2]), (1, 2))

@@ -8,12 +8,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import EPS1_EDGES
 from oracles import bfs_distance
 
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
 from rootcons.adversary import GenerationRetryError, InfeasibleParamsError, check_estable, check_safety
-from rootcons.approximation import edge_bit
 from rootcons.graphs import causal_past, lasso, root_components
 from rootcons.harness import (
     EngineInvariantError,
@@ -86,7 +86,7 @@ def _wrong_lock_value(merge, s, msgs, m):
 
 def _fabricated_edge(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.rows[2].inmask[m] |= edge_bit(3, 2)
+    s.rows[2].inmask[m] |= s.layout.bit(3, 2)
 
 
 def _retained_past_window(merge, s, msgs, m):
@@ -98,7 +98,7 @@ def _retained_past_window(merge, s, msgs, m):
 
 def _stale_approx_mask(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.masks[m - 1] &= ~edge_bit(1, 5)  # relayed by p5
+    s.masks[m - 1] &= ~s.layout.bit(1, 5)  # relayed by p5
 
 
 def _mask_past_window(merge, s, msgs, m):
@@ -119,43 +119,47 @@ def _flipped_bit_at_unchanged_round(merge, s, msgs, m):
     before = s.masks[m - 3]
     merge(s, msgs, m)
     assert s.masks[m - 3] == before
-    s.masks[m - 3] ^= edge_bit(1, 3)  # a true edge, but p3 was never heard
+    s.masks[m - 3] ^= s.layout.bit(1, 3)  # a true edge, but p3 was never heard
 
 
 class TestInvariantMonitor:
     """Each fault is injected into p2's merge of one round (eps1: 1 -> 5 -> 2,
-    1 -> 3, 1 -> 4); the monitor must name exactly that process and round."""
+    1 -> 3, 1 -> 4, and for n > 5 also 1 -> q for q = 6..n); the monitor must
+    name exactly that process and round."""
 
     @pytest.mark.parametrize(
-        "fault, mode, round_, why",
+        "fault, n, mode, round_, why",
         [
-            (_drop_relayed_heard, "full", 2,
+            (_drop_relayed_heard, 5, "full", 2,
              "heard[1] is absent, expected 0 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
-            (_copied_row, "full", 2,
+            (_copied_row, 5, "full", 2,
              "row[1] is a copy, not p1's own row (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
-            (_wrong_lock_value, "full", 2,
+            (_wrong_lock_value, 5, "full", 2,
              "lock[2][2] is 2, expected 1 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
-            (_fabricated_edge, "full", 2,
+            (_fabricated_edge, 5, "full", 2,
              "inmask[2][2] is [(2, 2), (3, 2), (5, 2)], expected [(2, 2), (5, 2)] (heard[2]="),
-            (_retained_past_window, "bounded:5", 6,
+            (_retained_past_window, 5, "bounded:5", 6,
              "row[2] holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6 "
              "(heard[2]=[4, 6, -1, -1, 5]; rounds 1..6 kept)"),
-            (_stale_approx_mask, "full", 2,
+            (_stale_approx_mask, 5, "full", 2,
              "approx[1] is [(2, 2), (5, 2), (5, 5)], expected [(1, 5), (2, 2), (5, 2), (5, 5)] "
              "(heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
-            (_mask_past_window, "bounded:5", 6,
+            (_mask_past_window, 5, "bounded:5", 6,
              "approx holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6 "
              "(heard[2]=[4, 6, -1, -1, 5]; rounds 1..6 kept)"),
-            (_wrong_lo, "full", 2, "lo is 1, expected 0 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
-            (_flipped_bit_at_unchanged_round, "bounded:5", 5,
+            (_wrong_lo, 5, "full", 2, "lo is 1, expected 0 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
+            (_flipped_bit_at_unchanged_round, 5, "bounded:5", 5,
              "approx[2] is [(1, 1), (1, 3), (1, 5), (2, 2), (5, 2), (5, 5)], "
              "expected [(1, 1), (1, 5), (2, 2), (5, 2), (5, 5)] (heard[2]=[3, 5, -1, -1, 4]; rounds 0..5 kept)"),
+            # n=24 runs at mask width 32
+            (_fabricated_edge, 24, "full", 2,
+             "inmask[2][2] is [(2, 2), (3, 2), (5, 2)], expected [(2, 2), (5, 2)] (heard[2]=[0, 2, -1, -1, 1, -1,"),
         ],
         ids=["dropped-relayed-heard", "copied-row", "wrong-lock-value",
              "fabricated-edge", "retained-past-window", "stale-approx-mask",
-             "mask-past-window", "wrong-lo", "flipped-bit-at-unchanged-round"],
+             "mask-past-window", "wrong-lo", "flipped-bit-at-unchanged-round", "fabricated-edge-at-24"],
     )
-    def test_fault_names_process_and_round(self, monkeypatch, eps1_lasso, fault, mode, round_, why):
+    def test_fault_names_process_and_round(self, monkeypatch, fault, n, mode, round_, why):
         merge = harness_mod.receive_and_merge
 
         def faulty_merge(s, msgs, m):
@@ -164,7 +168,8 @@ class TestInvariantMonitor:
             return merge(s, msgs, m)
 
         monkeypatch.setattr(harness_mod, "receive_and_merge", faulty_merge)
-        cfg = RunConfig(5, 2, (3, 1, 4, 1, 5), eps1_lasso, 8, mode=mode)
+        l = lasso(n, cycle=[EPS1_EDGES + [(1, q) for q in range(6, n + 1)]])
+        cfg = RunConfig(n, 2, (3, 1, 4, 1, 5) + (0,) * (n - 5), l, 8, mode=mode)
         with pytest.raises(EngineInvariantError) as caught:
             run_execution(cfg)
         assert (caught.value.pid, caught.value.round) == (2, round_)
