@@ -192,6 +192,7 @@ class TestCheck:
 
 
 GOLDEN = Path(__file__).parent / "check_golden.json"
+SCENARIO_GOLDEN = Path(__file__).parent / "scenario_golden.json"
 
 # The golden file holds `check` output recorded before the checker table.  An
 # unsatisfied kind that issues certificates now also names the condition that
@@ -400,6 +401,13 @@ class TestScenario:
 
     def test_unknown_scenario_exit_2(self, capsys):
         assert main(["scenario", "nope"]) == 2
+
+    def test_matches_golden(self, capsys):
+        # stdout of the CI argument sets, recorded byte for byte
+        for case in json.loads(SCENARIO_GOLDEN.read_text())["cases"]:
+            capsys.readouterr()
+            code = main(case["argv"])
+            assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"]), case["argv"]
 
 
 class TestFuzz:
