@@ -24,11 +24,9 @@ single root may have changed (a round whose mask or member evidence rose,
 or the round that just stopped being the current one); ``consensus`` keeps
 its per-round c2 results in ``runs`` and recomputes them only from there.
 
-``snapshot()`` serializes a state.  A run records, instead of a snapshot per
-round, what each round added (:func:`state_delta`): the newly heard lock
-cells, the masks of the rounds they fall in, and ``y``.  A state is a
-function of these deltas, so two runs are indistinguishable to a process
-exactly when its deltas agree.
+``snapshot()`` serializes a state.  A run keeps no snapshots: the harness
+rebuilds a process's snapshots from the run's trace when it compares two
+runs.
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
 states of one run (:func:`init_states`) share that layout and one memo of
@@ -202,31 +200,6 @@ class NodeState:
                 for q, row in sorted(self.locks.items())
             },
         }
-
-
-def state_delta(s: NodeState, heard_before: dict) -> tuple:
-    """What s's last round added, given its ``heard`` before that round's merge.
-
-    Returns ``(cells, masks, y)``: ``cells`` are the newly heard
-    ``(q, r, lock[q][r])`` of the retained rounds, by q then r (values copied,
-    as bounded mode later drops cells from the rows), ``masks`` the
-    ``(r, masks[r])`` of every round a new cell falls in (the rounds whose
-    mask can have changed), and ``y`` the decision.  Taken after the core
-    step, so the own round-m cell holds any re-proposal.  Equal states before
-    and after give equal deltas, and a state is its round-0 delta plus the
-    later ones, so a process cannot tell two runs apart through a round
-    exactly when its deltas agree up to there.
-    """
-    lo, heard, rows, masks = s.lo, s.heard, s.rows, s.masks
-    cells, rounds = [], set()
-    for q in sorted(heard):
-        h, before = heard[q], heard_before.get(q, -1)
-        if h > before and h >= lo:
-            lock = rows[q].lock
-            for r in range(max(before + 1, lo), h + 1):
-                cells.append((q, r, lock[r]))
-                rounds.add(r)
-    return tuple(cells), tuple([(r, masks[r]) for r in sorted(rounds)]), s.y
 
 
 def parse_mode(mode: str, D: Optional[int] = None) -> Optional[int]:

@@ -154,8 +154,11 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     try:
         lasso_seq = _read_lasso(args.lasso)
-        inputs = tuple(int(v) for v in args.inputs.split(","))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
+        return _fail_input(f"cannot load lasso: {exc}")
+    try:
+        inputs = tuple(int(v) for v in args.inputs.split(","))
+    except ValueError as exc:
         return _fail_input(f"bad inputs: {exc}")
     try:
         horizon = lasso_seq.default_horizon() if args.horizon is None else args.horizon
@@ -170,7 +173,7 @@ def cmd_run(args) -> int:
     if args.horizon is None and deadline:
         cfg = replace(cfg, horizon=deadline + args.d + 2)
     try:
-        trace = run_execution(cfg, keep_snapshots=False)
+        trace = run_execution(cfg)
     except EngineInvariantError as exc:
         _emit(
             {"ok": False, "invariant_violation": str(exc), "pid": exc.pid, "round": exc.round},

@@ -4,10 +4,7 @@ A run advances all processes through synchronous rounds against a lasso of
 communication graphs: every process snapshots its end-of-previous-round
 state into a message, deliveries follow the round graph's edges exactly
 (self-loops included), then each process merges and runs its core step.
-Runs are fully deterministic in their configuration.  A run that keeps
-snapshots records, per process and round, the state's delta
-(``approximation.state_delta``): the newly heard lock cells, the masks of
-their rounds, and ``y``.  Indistinguishability compares delta prefixes.
+Runs are fully deterministic in their configuration.
 
 While running, an invariant monitor checks each process's state against
 ground truth it derives from the true graphs alone: ``heard[p][q]``, the
@@ -27,6 +24,10 @@ in ``lo..m``, and no other round may be held.  The monitor keeps each
 process's expected ``heard``, rows and masks as dicts, updated only at the
 rounds whose heads rose, and compares each whole dict in one step; only on
 a mismatch does it walk the rounds to name what differs.
+
+A run records no per-round state.  Indistinguishability rebuilds a
+process's state at every round from the trace by the same rules, with lock
+cells from the lock outcomes and ``y`` from the decision events.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .approximation import (
     make_message,
     parse_mode,
     receive_and_merge,
-    state_delta,
     window_start,
 )
 from .consensus import core_step
@@ -106,16 +106,16 @@ class RunConfig:
 @dataclass
 class Trace:
     """Complete record of one run: graphs, per-round outcomes, decision
-    events, and per-round state deltas (``deltas[m][p]``; round 0 holds the
-    initial states' own cells)."""
+    events and final states.  ``rebuilt`` memoizes, per process, the states
+    that indistinguishability rebuilds from the rest."""
 
     config: RunConfig
     round_graphs: list
     outcomes: list
     decisions: dict
-    deltas: list
     states: dict
     certificate: Optional[AdversaryCertificate] = None
+    rebuilt: dict = field(default_factory=dict, repr=False)
 
     def latest_decision_round(self) -> Optional[int]:
         if not self.decisions:
@@ -163,51 +163,57 @@ class Trace:
         }
 
 
-class _InvariantMonitor:
-    """The run's ground truth, from the true round graphs alone: ``heard[p][q]``
-    (the latest round whose end state of q has reached p, -1 for none), each
-    owner's current lock value and its own row object, and the true edge
-    mask of every retained round.  From these it keeps what each process's
-    state must hold: its ``heard`` dict, its rows dict and its masks dict.
-    Graphs and states share the n-process edge-mask layout."""
+class _GroundTruth:
+    """The ``heard`` matrix (-1 for none), each owner's current ``lock`` and
+    the true mask of every retained round, and for each p in ``pids`` the
+    ``heard``, rows (``owners[q-1]`` is q's row) and masks dicts p's state
+    must hold.  Graphs and states share the n-process edge-mask layout."""
 
-    def __init__(self, cfg: RunConfig, states: dict):
-        self.keep = parse_mode(cfg.mode)
-        self.layout = mask_layout(cfg.n)
-        self.into = [self.layout.into(v) for v in range(1, cfg.n + 1)]  # every edge into v, by v-1
+    def __init__(self, cfg: RunConfig, owners: list, pids):
+        self.keep, self.owners, self.lock = parse_mode(cfg.mode), owners, list(cfg.inputs)
+        self.into = [mask_layout(cfg.n).into(v) for v in range(1, cfg.n + 1)]  # every edge into v, by v-1
         self.heard = [[0 if q == p else -1 for q in range(cfg.n)] for p in range(cfg.n)]
-        self.lock = list(cfg.inputs)
-        self.rows = [states[p].rows[p] for p in range(1, cfg.n + 1)]
         self.true_masks = {0: 0}
-        self.expected = [({p: 0}, {p: self.rows[p - 1]}, {0: 0}) for p in range(1, cfg.n + 1)]
+        self.expected = {p: ({p: 0}, {p: owners[p - 1]}, {0: 0}) for p in pids}
 
-    def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
-        senders = [[] for _ in self.rows]
+    def advance(self, m: int, g: CommGraph, outcomes: list) -> int:
+        """Step to the end of round m, each dict updated only where a head
+        rose; returns the window start ``lo``."""
+        senders = [[] for _ in self.heard]
         for (u, v) in g.edges:
             senders[v - 1].append(self.heard[u - 1])
         previous, self.heard = self.heard, [[max(col) for col in zip(*rows)] for rows in senders]
-        into = self.into
+        for p, known in enumerate(self.heard):
+            known[p] = m
         lo = window_start(self.keep, m)
-        true_masks = self.true_masks
+        into, true_masks = self.into, self.true_masks
         true_masks[m] = g.mask
         true_masks.pop(lo - 1, None)
-        for p, known in enumerate(self.heard, start=1):
-            known[p - 1] = m
-            heard, rows, masks = self.expected[p - 1]
+        for p, (heard, rows, masks) in self.expected.items():
             masks[m] = 0
             masks.pop(lo - 1, None)
-            for v, (before, h) in enumerate(zip(previous[p - 1], known)):
-                if h > before:
+            for v, (was, h) in enumerate(zip(previous[p - 1], self.heard[p - 1])):
+                if h > was:
                     heard[v + 1] = h
                     if h >= lo:
-                        rows.setdefault(v + 1, self.rows[v])
+                        rows.setdefault(v + 1, self.owners[v])
                         heads = into[v]
-                        for r in range(max(before + 1, lo), h + 1):
+                        for r in range(max(was + 1, lo), h + 1):
                             masks[r] |= true_masks[r] & heads
-            locked = outcomes[p - 1].locked
-            if locked is not None:
-                self.lock[p - 1] = locked[2]
-            st, own, inmask = states[p], self.rows[p - 1], g.mask & into[p - 1]
+        for q, out in enumerate(outcomes):
+            if out.locked is not None:
+                self.lock[q] = out.locked[2]
+        return lo
+
+
+class _InvariantMonitor(_GroundTruth):
+    """Checks every process's state against the ground truth, built with each
+    state's own row object as that owner's row."""
+
+    def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
+        lo = self.advance(m, g, outcomes)
+        for p, (heard, rows, masks) in self.expected.items():
+            st, own, inmask = states[p], self.owners[p - 1], g.mask & self.into[p - 1]
             if (
                 st.heard == heard
                 and st.rows == rows
@@ -218,6 +224,7 @@ class _InvariantMonitor:
                 and len(own.lock) == len(own.inmask) == m - lo + 1
             ):
                 continue
+            known = self.heard[p - 1]
             problem = self._violation(st, p, m, lo, known, inmask) or (
                 f"holds rows {sorted(st.rows)} and heard {sorted(st.heard.items())}, "
                 f"expected rows {sorted(rows)} and heard {sorted(heard.items())}"
@@ -231,9 +238,9 @@ class _InvariantMonitor:
             if st.heard.get(q, -1) != h:
                 return f"heard[{q}] is {st.heard.get(q, 'absent')}, expected {h}"
             row = st.rows.get(q)
-            if (row is not None or h >= lo) and row is not self.rows[q - 1]:
+            if (row is not None or h >= lo) and row is not self.owners[q - 1]:
                 return f"row[{q}] is {'absent' if row is None else 'a copy'}, not p{q}'s own row"
-        own, edges = self.rows[p - 1], self.layout.edges
+        own, edges = self.owners[p - 1], st.layout.edges
         if own.inmask.get(m) != inmask:
             has = edges(own.inmask[m]) if m in own.inmask else "absent"
             return f"inmask[{p}][{m}] is {has}, expected {edges(inmask)}"
@@ -241,7 +248,7 @@ class _InvariantMonitor:
             return f"lock[{p}][{m}] is {own.lock.get(m, 'absent')}, expected {self.lock[p - 1]}"
         if not len(own.lock) == len(own.inmask) == m - lo + 1:
             return f"row[{p}] holds rounds {sorted(own.lock.keys() | own.inmask.keys())}, expected {lo}..{m}"
-        masks = self.expected[p - 1][2]
+        masks = self.expected[p][2]
         for r in range(m, lo - 1, -1):
             if st.masks.get(r) != masks[r]:
                 has = edges(st.masks[r]) if r in st.masks else "absent"
@@ -256,21 +263,19 @@ class _InvariantMonitor:
 def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
     """Execute the protocol for ``cfg.horizon`` rounds and record everything.
 
-    ``keep_snapshots=False`` skips the per-round state deltas (needed only
-    for indistinguishability comparisons), which matters across thousands
-    of fuzz runs.
+    ``keep_snapshots`` has no effect: a run records no per-round state, and
+    :func:`indistinguishable` rebuilds it from the trace.
     """
     states = init_states(cfg.inputs, cfg.mode)
-    monitor = _InvariantMonitor(cfg, states) if cfg.check_invariants else None
+    owners = [st.rows[p] for p, st in states.items()]
+    monitor = _InvariantMonitor(cfg, owners, states) if cfg.check_invariants else None
     round_graphs = []
     outcomes = []
     decisions = {}
-    deltas = [{p: state_delta(st, {}) for p, st in states.items()}] if keep_snapshots else []
     for m in range(1, cfg.horizon + 1):
         g = cfg.lasso.graph(m)
         round_graphs.append(g)
         messages = {p: make_message(states[p]) for p in states}
-        heard_before = {p: dict(st.heard) for p, st in states.items()} if keep_snapshots else None
         for p in states:
             inbox = [messages[q] for q in sorted(g.in_neighbors(p))]
             receive_and_merge(states[p], inbox, m)
@@ -288,9 +293,7 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
         outcomes.append(per_round)
         if monitor:
             monitor.after_round(m, g, states, per_round)
-        if keep_snapshots:
-            deltas.append({p: state_delta(st, heard_before[p]) for p, st in states.items()})
-    return Trace(cfg, round_graphs, outcomes, decisions, deltas, states)
+    return Trace(cfg, round_graphs, outcomes, decisions, states)
 
 
 @dataclass(frozen=True)
@@ -372,15 +375,36 @@ def oracle_check(trace: Trace, deadline: int) -> OracleReport:
     )
 
 
+def _rebuilt_states(trace: Trace, p: int) -> list:
+    """p's state at the end of every round 0..horizon in the layout of
+    ``NodeState.snapshot()``, rebuilt from the trace by the ground truth (q's
+    row being its lock cells) and memoized on it."""
+    if p not in trace.rebuilt:
+        cfg = trace.config
+        cells = [[(0, x)] for x in cfg.inputs]  # cells[q-1][r] = (r, q's lock after round r)
+        truth = _GroundTruth(cfg, cells, [p])
+        heard, rows, masks = truth.expected[p]
+        decided, y = trace.decisions.get(p, (cfg.horizon + 1, None))
+        lo, states = 0, []
+        for m in range(cfg.horizon + 1):
+            if m:
+                lo = truth.advance(m, trace.round_graphs[m - 1], trace.outcomes[m - 1])
+                for row, lock in zip(cells, truth.lock):
+                    row.append((m, lock))
+            locks = tuple((q, tuple(row[lo : heard[q] + 1])) for q, row in sorted(rows.items()))
+            y_m = y if m >= decided else None
+            states.append((p, m, cfg.inputs[p - 1], y_m, tuple(masks.items()), locks, truth.keep))
+        trace.rebuilt[p] = states
+    return trace.rebuilt[p]
+
+
 def indistinguishable(trace_a: Trace, trace_b: Trace, p: int, through: int) -> bool:
     """True iff p's full state matches in both traces at the end of every
-    round up to ``through`` (round 0 compares the initial states): the two
-    runs keep the same window and p's deltas agree through that round."""
-    if through >= len(trace_a.deltas) or through >= len(trace_b.deltas):
+    round up to ``through`` (round 0 compares the initial states), its states
+    rebuilt from each trace.  Two runs with different windows never match."""
+    if through > min(trace_a.config.horizon, trace_b.config.horizon):
         raise ValueError(f"traces do not cover round {through}")
-    if parse_mode(trace_a.config.mode) != parse_mode(trace_b.config.mode):
-        return False
-    return all(trace_a.deltas[r][p] == trace_b.deltas[r][p] for r in range(through + 1))
+    return _rebuilt_states(trace_a, p)[: through + 1] == _rebuilt_states(trace_b, p)[: through + 1]
 
 
 # --- named scenarios --------------------------------------------------------
@@ -498,8 +522,8 @@ def stab_not_enough_report(n: int, tau: int, D: int = 1) -> dict:
     safety witness and splits its decision, while the first agrees."""
     cfg1, cfg2 = scenario_stab_not_enough(n, tau, D)
     witness = check_safety(cfg2.lasso, D)
-    t1 = run_execution(cfg1, keep_snapshots=False)
-    t2 = run_execution(cfg2, keep_snapshots=False)
+    t1 = run_execution(cfg1)
+    t2 = run_execution(cfg2)
     checks = {
         "eps2_safety_witness": witness is not None
         and witness.root == frozenset([1])
@@ -624,7 +648,6 @@ def fuzz_trial(
     r_sr: int,
     inputs: tuple,
     mode: str = "full",
-    keep_snapshots: bool = False,
 ):
     """One generated, certified, executed and oracle-checked run.
 
@@ -645,7 +668,7 @@ def fuzz_trial(
         raise AssertionError("generated lasso failed its own checker")
     deadline = cert.deadline
     cfg = RunConfig(n, D, inputs, lasso_seq, deadline + D + 2, mode=mode)
-    trace = run_execution(cfg, keep_snapshots=keep_snapshots)
+    trace = run_execution(cfg)
     trace.certificate = cert
     return trace, oracle_check(trace, deadline), cert
 

@@ -119,7 +119,7 @@ def test_criterion_2_generalized_upper_bound():
             cert = check_alt_estable(lasso_seq, D, horizon)
             inputs = tuple(rng.randint(0, 2**31) for _ in range(n))
             cfg = RunConfig(n, D, inputs, lasso_seq, cert.deadline + D + 2)
-            trace = run_execution(cfg, keep_snapshots=False)
+            trace = run_execution(cfg)
             rep = oracle_check(trace, cert.deadline)
         else:
             n = rng.randint(2, 8)
@@ -228,7 +228,7 @@ def test_criterion_6_lock_invariants(estable_batch):
     for inst in estable_batch[:50]:
         cfg = RunConfig(inst.n, inst.D, inst.inputs, inst.lasso,
                         inst.certificate.deadline + inst.D + 2)
-        trace = run_execution(cfg, keep_snapshots=False)
+        trace = run_execution(cfg)
         for p, st in trace.states.items():
             own = st.locks[p]
             if any(r not in own for r in range(0, st.m + 1)):
@@ -273,7 +273,7 @@ def test_criterion_8_bounded_history(estable_batch):
             inst.n, inst.D, inst.inputs, inst.lasso,
             inst.certificate.deadline + inst.D + 2, mode=f"bounded:{keep}",
         )
-        trace = run_execution(cfg, keep_snapshots=False)
+        trace = run_execution(cfg)
         if tuple(trace.decision_events()) != inst.decision_events:
             mismatches += 1
     # the documented failure mode: re-appearances pushed past the retained
@@ -288,11 +288,8 @@ def test_criterion_8_bounded_history(estable_batch):
     assert planted.reappearances[-1] > planted.r_sr + D + keep
     cert = check_alt_estable(lasso_seq, D, max(lasso_seq.default_horizon(), planted.deadline + 1))
     inputs = (5, 9, 1, 7, 3)
-    full = run_execution(RunConfig(n, D, inputs, lasso_seq, cert.deadline + D + 2), keep_snapshots=False)
-    bounded = run_execution(
-        RunConfig(n, D, inputs, lasso_seq, cert.deadline + D + 2, mode=f"bounded:{keep}"),
-        keep_snapshots=False,
-    )
+    full = run_execution(RunConfig(n, D, inputs, lasso_seq, cert.deadline + D + 2))
+    bounded = run_execution(RunConfig(n, D, inputs, lasso_seq, cert.deadline + D + 2, mode=f"bounded:{keep}"))
     full_ok = oracle_check(full, cert.deadline).all_ok
     bounded_fails = not oracle_check(bounded, cert.deadline).termination_ok
     report(
@@ -381,7 +378,7 @@ def test_resumed_c2_matches_full_rescan(estable_batch, monkeypatch, history):
         mode = "full" if history == "full" else f"bounded:{2 * inst.D + 1}"
         cfg = RunConfig(inst.n, inst.D, inst.inputs, inst.lasso,
                         inst.certificate.deadline + inst.D + 2, mode=mode, check_invariants=False)
-        run_execution(cfg, keep_snapshots=False)
+        run_execution(cfg)
     report(
         f"resumed c2 ({history} history)",
         not mismatches and any(checked),

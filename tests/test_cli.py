@@ -339,6 +339,25 @@ class TestRun:
         assert code == 2
         assert payload["ok"] is False and "n must be <= 64, got 65" in payload["error"]
 
+    @pytest.mark.parametrize("text", [None, '{"n": 3, "cycle": [[[1, 2.5]]]}', "{not json"])
+    def test_unloadable_lasso_exit_2_without_traceback(self, capsys, tmp_path, text):
+        # None: the path does not exist
+        path = tmp_path / "lasso.json"
+        if text is not None:
+            path.write_text(text)
+        capsys.readouterr()
+        code = main(["run", "--lasso", str(path), "--inputs", "1,2,3", "--d", "1"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out.strip().splitlines()[-1])
+        assert code == 2 and payload["ok"] is False
+        assert payload["error"].startswith("cannot load lasso: ")
+        assert "Traceback" not in captured.err
+
+    def test_bad_inputs_exit_2(self, capsys, estable_lasso_file):
+        code, payload = run_cli(capsys, ["run", "--lasso", str(estable_lasso_file), "--inputs", "1,x", "--d", "2"])
+        assert code == 2
+        assert payload["error"].startswith("bad inputs: ")
+
     def test_input_count_mismatch_exit_2(self, capsys, estable_lasso_file):
         code, _ = run_cli(
             capsys, ["run", "--lasso", str(estable_lasso_file), "--inputs", "1,2", "--d", "2"]

@@ -1,8 +1,8 @@
-"""Per-round state deltas against state snapshots taken directly.
+"""States rebuilt from a trace against state snapshots taken directly.
 
-``indistinguishable`` compares delta prefixes; it must give the same verdict
-as comparing ``NodeState.snapshot()`` round for round, for every process and
-round of a pair of runs.
+``indistinguishable`` compares the states it rebuilds from each trace; it
+must give the same verdict as comparing ``NodeState.snapshot()`` round for
+round, for every process and round of a pair of runs.
 """
 
 import random
@@ -11,6 +11,7 @@ import pytest
 
 from conftest import random_graph, random_lasso, run_with_snapshots
 
+import rootcons.harness as harness_mod
 from rootcons.graphs import LassoSequence
 from rootcons.harness import (
     RunConfig,
@@ -35,9 +36,9 @@ def compare_pair(cfg_a, cfg_b, monkeypatch) -> list:
     verdicts = []
     for p in range(1, cfg_a.n + 1):
         for t in range(min(len(snaps_a), len(snaps_b))):
-            by_deltas = indistinguishable(trace_a, trace_b, p, t)
-            assert by_deltas == snapshots_indistinguishable(snaps_a, snaps_b, p, t), (p, t)
-            verdicts.append(by_deltas)
+            by_rebuilt = indistinguishable(trace_a, trace_b, p, t)
+            assert by_rebuilt == snapshots_indistinguishable(snaps_a, snaps_b, p, t), (p, t)
+            verdicts.append(by_rebuilt)
     return verdicts
 
 
@@ -85,3 +86,15 @@ def test_different_windows_are_distinguishable(monkeypatch):
     cfg_full, _ = scenario_eps_pair(5, 2)
     cfg_bounded = RunConfig(5, 2, cfg_full.inputs, cfg_full.lasso, cfg_full.horizon, mode="bounded:5")
     assert compare_pair(cfg_full, cfg_bounded, monkeypatch) == [False] * 5 * (cfg_full.horizon + 1)
+
+
+@pytest.mark.parametrize("mode", ["full", "bounded:5"])
+def test_rebuilt_states_are_the_direct_snapshots(monkeypatch, mode):
+    rng = random.Random(f"rebuilt-states:{mode}")
+    for _ in range(20):
+        n = rng.randint(3, 6)
+        inputs = tuple(rng.randint(0, 3) for _ in range(n))
+        cfg = RunConfig(n, 2, inputs, random_lasso(rng, n, rng.randint(0, 4), 0.3), rng.randint(3, 12), mode=mode)
+        trace, snaps = run_with_snapshots(cfg, monkeypatch)
+        for p in range(1, n + 1):
+            assert harness_mod._rebuilt_states(trace, p) == [snap[p] for snap in snaps], p

@@ -49,7 +49,9 @@ class TestRunExecution:
         a = run_execution(cfg)
         b = run_execution(cfg)
         assert a.to_json_lines() == b.to_json_lines()
-        assert a.deltas == b.deltas
+        for p in range(1, cfg.n + 1):
+            assert a.states[p].snapshot() == b.states[p].snapshot()
+            assert indistinguishable(a, b, p, cfg.horizon)
 
     def test_config_validation(self, eps1_lasso):
         with pytest.raises(ValueError):
