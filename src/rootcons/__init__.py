@@ -26,7 +26,7 @@ from .adversary import (
 from .approximation import (
     Message,
     NodeState,
-    has_late_outgoing_edge,
+    evidence,
     init_states,
     make_message,
     receive_and_merge,

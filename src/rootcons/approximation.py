@@ -1,28 +1,37 @@
 """Per-process full-information state, held as knowledge by reference.
 
 A process's state is exactly what has reached it through its causal past:
-``heard[q]``, the latest round whose end state of q has reached it (a vector
-clock), plus q's own append-only :class:`Row` of per-round lock (proposal)
-values and delivered in-edge masks.  Only the owner writes its row, and only
-the cell of its current round, so every process refers to q's single row
-instead of holding a copy.
+``known``, one int holding a W-bit slot (W the width of the run's edge-mask
+layout, so a slot lines up with one row of a mask) for every retained round
+r, whose bit q-1 says that q's round-r end state has reached the process,
+plus q's own append-only :class:`Row` of per-round lock (proposal) values
+and delivered in-edge masks.  Slot 0 is the oldest retained round ``lo`` (0
+in full mode; ``max(0, m-k)`` in ``bounded:k``, where each owner drops its
+round ``m-k-1`` cell in round m).  Slots are monotone: a state of q that has
+arrived carries q's earlier states, so q in slot r is also in every slot
+``lo..r``.  Only the owner writes its row, and only the cell of its current
+round, so every process refers to q's single row instead of holding a copy.
 
-With ``lo`` the oldest retained round (0 in full mode; ``max(0, m-k)`` in
-``bounded:k``, where each owner drops its round ``m-k-1`` cell in round m),
-after round m the process knows ``lock[q][r]`` exactly for
-``lo <= r <= heard[q]``, and the round-r edge (u, v) exactly for
-``lo <= r <= m`` with ``heard[v] >= r``.  ``locks`` is a read-only view of
-these facts.  ``approx`` is a per-round cache, ``masks[r]`` for r in
-``lo..m``, kept up to date by the merge: when ``heard[q]`` rises, q's newly
-heard in-edge cells are ORed in, so each (q, r) cell is ORed once per process
-and a root query costs a dict lookup.  The harness's invariant monitor checks
+After round m the process knows ``lock[q][r]`` exactly when q is in slot r,
+and the round-r edge (u, v) exactly when v is.  ``locks`` is a read-only
+view of these facts.  ``approx`` is a per-round cache, ``masks[r]`` for r in
+``lo..m``, kept up to date by the merge: a merge ORs the inbox's ``known``
+ints, and for each newly set bit (q, r) it ORs q's round-r in-edge cell into
+``masks[r]``, so each (q, r) cell is ORed once per process and a root query
+costs a dict lookup.  The harness's invariant monitor checks ``known`` and
 the cache against the true graphs every round.  Rows are shared, so all
 states of one run must advance in lock step, as the harness does.
 
+A member q of a round-r root has a later outgoing edge recorded exactly when
+q is in slot r and r is not the current round (:func:`evidence`), so
+confirming a root is one mask test of its member bitset against that slot.
+
 The merge also notes ``stale_from``, the earliest round whose confirmed
-single root may have changed (a round whose mask or member evidence rose,
-or the round that just stopped being the current one); ``consensus`` keeps
-its per-round c2 results in ``runs`` and recomputes them only from there.
+single root may have changed (the lowest newly set slot, or the round that
+just stopped being the current one), and lowers ``starts_from`` to the same
+round; ``consensus`` keeps its per-round c2 results in ``runs`` and its
+per-round root-run starts in ``starts``, and recomputes them only from
+those rounds on.
 
 ``snapshot()`` serializes a state.  A run keeps no snapshots: the harness
 rebuilds a process's snapshots from the run's trace when it compares two
@@ -30,7 +39,8 @@ runs.
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
 states of one run (:func:`init_states`) share that layout and one memo of
-root queries keyed by mask, which lives as long as the run.
+root queries keyed by mask (and of root member bitsets keyed by the roots),
+which lives as long as the run.
 """
 
 from __future__ import annotations
@@ -74,27 +84,46 @@ class Row:
         self.inmask = {0: 0}
 
 
-def _approx_view(heard: dict, rows: dict, lo: int, m: int) -> dict:
+def _heard(known: int, lo: int, width: int) -> dict:
+    """q -> the latest round whose state of q ``known`` holds, its slot 0
+    being round ``lo``, for every q it holds.  Slots are monotone, so that
+    round is the one before the first slot q has left."""
+    heard, row, r, held = {}, (1 << width) - 1, lo - 1, 0
+    while True:
+        slot = known & row
+        left = held & ~slot
+        while left:
+            low = left & -left
+            heard[low.bit_length()] = r
+            left ^= low
+        if not slot:
+            return heard
+        held, known, r = slot, known >> width, r + 1
+
+
+def _approx_view(known: int, rows: dict, lo: int, m: int, width: int) -> dict:
     """Round -> edge mask for rounds ``lo..m``: the in-edges of every v whose
-    state of that round has been heard."""
+    state of that round ``known`` holds."""
     view = dict.fromkeys(range(lo, m + 1), 0)
-    for v, h in heard.items():
-        if h >= lo:
-            inmask = rows[v].inmask
-            for r in range(lo, h + 1):
-                view[r] |= inmask[r]
+    for v, h in _heard(known, lo, width).items():
+        inmask = rows[v].inmask
+        for r in range(lo, h + 1):
+            view[r] |= inmask[r]
     return view
 
 
-def _locks_view(heard: dict, rows: dict, lo: int) -> dict:
-    """Peer -> {round -> lock value} for rounds ``lo..heard[q]`` of every held row."""
-    return {q: {r: row.lock[r] for r in range(lo, heard[q] + 1)} for q, row in rows.items()}
+def _locks_view(known: int, rows: dict, lo: int, width: int) -> dict:
+    """Peer -> {round -> lock value} for the rounds of ``lo..m`` whose state
+    of the peer ``known`` holds, for every held row."""
+    heard = _heard(known, lo, width)
+    return {q: {r: row.lock[r] for r in range(lo, heard.get(q, lo - 1) + 1)} for q, row in rows.items()}
 
 
 @dataclass(frozen=True)
 class Message:
-    """A sender's end-of-previous-round knowledge: a copy of its ``heard``
-    and references to the rows it holds, carried from round ``lo`` on.
+    """A sender's end-of-previous-round knowledge: its ``known`` slots from
+    round ``lo`` on (slot 0 is round ``lo``, each ``width`` bits) and
+    references to the rows it holds.
 
     ``approx`` and ``locks`` are views of what the message carries; rows keep
     growing, so they are meaningful only in the round the message is sent.
@@ -102,38 +131,41 @@ class Message:
 
     sender: int
     sent_in: int  # the round this message is delivered in
-    heard: dict  # pid -> latest round of pid's state the sender has heard
+    known: int  # the sender's slots of rounds lo..sent_in-1
     rows: dict  # pid -> that pid's own Row
     lo: int
+    width: int
 
     @property
     def approx(self) -> dict:
-        return _approx_view(self.heard, self.rows, self.lo, self.sent_in - 1)
+        return _approx_view(self.known, self.rows, self.lo, self.sent_in - 1, self.width)
 
     @property
     def locks(self) -> dict:
-        return _locks_view(self.heard, self.rows, self.lo)
+        return _locks_view(self.known, self.rows, self.lo, self.width)
 
 
 class NodeState:
     """One process's protocol state.
 
-    ``heard[q]`` is the latest round of q's state that has reached the
-    process (its own entry is the current round ``m``), ``rows[q]`` is q's
-    own row, held for every q heard from within the retained window,
-    ``masks[r]`` is the round-r approximation's edge mask for r in ``lo..m``
-    (``masks[0]`` is the initial singleton graph and never gains edges), and
-    ``y`` is the write-once decision.  ``approx`` copies ``masks``;
-    ``locks[q][r]`` is a view over the retained rounds.  ``runs``,
-    ``stale_from`` and ``c2_from`` hold the core step's c2 scan (see
-    ``consensus``); the merge lowers ``stale_from`` and drops the ``runs``
-    entry of the round that leaves the window.  ``layout`` is the n-process
-    edge-mask layout and ``memo`` the run's root memo, shared by its states.
+    ``known`` holds a ``layout.width``-bit slot per round ``lo..m``: the
+    processes whose state of that round has reached this one (the process
+    itself is in every slot).  ``rows[q]`` is q's own row, held for every q
+    heard from within the retained window, ``masks[r]`` is the round-r
+    approximation's edge mask for r in ``lo..m`` (``masks[0]`` is the
+    initial singleton graph and never gains edges), and ``y`` is the
+    write-once decision.  ``approx`` copies ``masks``; ``locks[q][r]`` is a
+    view over the retained rounds.  ``runs``, ``stale_from`` and
+    ``c2_from`` hold the core step's c2 scan, and ``starts`` and
+    ``starts_from`` its root-run starts (see ``consensus``); the merge
+    lowers ``stale_from`` and ``starts_from`` and drops the entries of the
+    round that leaves the window.  ``layout`` is the n-process edge-mask
+    layout and ``memo`` the run's root memo, shared by its states.
     """
 
     __slots__ = (
-        "pid", "x", "m", "lo", "y", "keep", "heard", "rows", "masks", "runs", "stale_from", "c2_from",
-        "layout", "memo",
+        "pid", "x", "m", "lo", "y", "keep", "known", "rows", "masks", "runs", "stale_from", "c2_from",
+        "starts", "starts_from", "layout", "memo",
     )
 
     def __init__(self, pid: int, x: int, n: int, keep: Optional[int], memo: dict):
@@ -145,12 +177,14 @@ class NodeState:
         self.lo = 0  # oldest retained round, window_start(keep, m)
         self.y: Optional[int] = None
         self.keep = keep  # None = full history, else bounded(keep)
-        self.heard = {pid: 0}
+        self.known = 1 << (pid - 1)
         self.rows = {pid: Row(x)}
         self.masks = {0: 0}
         self.runs = {}
         self.stale_from = 0
         self.c2_from = 0
+        self.starts = {}
+        self.starts_from = 0
         self.layout = mask_layout(n)
         self.memo = memo
 
@@ -160,14 +194,23 @@ class NodeState:
 
     @property
     def locks(self) -> dict:
-        return _locks_view(self.heard, self.rows, self.lo)
+        return _locks_view(self.known, self.rows, self.lo, self.layout.width)
 
     def roots_at(self, r: int) -> frozenset:
         """Roots of the round-r approximation (empty outside the retained rounds)."""
         return roots_of_partial(self.masks.get(r, 0), self.pid, self.layout, self.memo)
 
+    def root_bits(self, r: int) -> tuple:
+        """(root, member bitset) for each root of round r, memoized in the
+        run's memo under the roots."""
+        roots = self.roots_at(r)
+        bits = self.memo.get(roots)
+        if bits is None:
+            bits = self.memo[roots] = tuple((root, sum(1 << (q - 1) for q in root)) for root in roots)
+        return bits
+
     def lock_value(self, q: int, r: int) -> Optional[int]:
-        if self.lo <= r <= self.heard.get(q, -1):
+        if self.lo <= r <= self.m and self.known >> ((r - self.lo) * self.layout.width + q - 1) & 1:
             return self.rows[q].lock[r]
         return None
 
@@ -235,43 +278,43 @@ def init_states(inputs, mode: str = "full") -> dict:
 def make_message(s: NodeState) -> Message:
     """The state at the end of round ``s.m``, broadcast in round ``s.m + 1``.
 
-    In bounded(k) mode the message carries only rounds newer than ``s.m - k``.
+    In bounded(k) mode the message carries only rounds newer than ``s.m - k``:
+    its ``known`` is the state's, rebased to that first round.
     """
-    return Message(s.pid, s.m + 1, dict(s.heard), dict(s.rows), window_start(s.keep, s.m + 1))
+    lo, width = window_start(s.keep, s.m + 1), s.layout.width
+    return Message(s.pid, s.m + 1, s.known >> (lo - s.lo) * width, dict(s.rows), lo, width)
 
 
 def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     """Fuse the round-m deliveries into the state, before the core step.
 
-    ``heard`` becomes the element-wise maximum over the inbox, a peer's row
-    reference is adopted once it is heard from within the retained window,
-    and the own row gains its round-m cell: the lock carried forward and the
-    direct in-edges (sender -> pid).  Then ``masks`` gains round m, drops the
-    round that left the window, and takes in the in-edge cells of rounds
-    ``old heard[q]+1 .. heard[q]`` of every q whose entry rose, and
-    ``stale_from`` drops to the first of those rounds (or to round m-1, which
-    stops being the current round).  Merge order is irrelevant: maxima are
-    commutative and every message refers to the same row of each owner.
+    ``known``, rebased to the round-m window, ORs in the inbox's ``known``
+    ints (all rebased to the same first round) and the own round-m slot.  A
+    peer's row reference is adopted once the peer enters the window's first
+    slot, which every peer heard from within the window is in.  The own row
+    gains its round-m cell: the lock carried forward and the direct in-edges
+    (sender -> pid).  Then ``masks`` gains round m, drops the round that
+    left the window, and for each new bit (q, r) takes in q's round-r
+    in-edge cell; ``stale_from`` and ``starts_from`` drop to the lowest new
+    slot (or to round m-1, which stops being the current round).  Merge
+    order is irrelevant: ORs are commutative and every message refers to
+    the same row of each owner.
     """
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
+    msgs = tuple(msgs)
     lo = window_start(s.keep, m)
-    pid, heard, rows, masks, bit = s.pid, s.heard, s.rows, s.masks, s.layout.bit
-    risen = {pid: m - 1}  # q -> heard[q] before this merge, for every q that rose
+    pid, rows, masks, lay = s.pid, s.rows, s.masks, s.layout
+    width, row = lay.width, lay.row
+    before = s.known >> (lo - s.lo) * width
+    known = before | 1 << ((m - lo) * width + pid - 1)
     direct = 0
     for msg in msgs:
         if msg.sent_in != m:
             raise ValueError(f"message for round {msg.sent_in} delivered in round {m}")
-        direct |= bit(msg.sender, pid)
-        for q, h in msg.heard.items():
-            before = heard.get(q, -1)
-            if h > before:
-                risen.setdefault(q, before)
-                heard[q] = h
-                if h >= lo and q not in rows:
-                    rows[q] = msg.rows[q]
-    s.m, s.lo = m, lo
-    heard[pid] = m
+        direct |= 1 << ((msg.sender - 1) * width + pid - 1)
+        known |= msg.known
+    s.m, s.lo, s.known = m, lo, known
     own = rows[pid]
     own.lock[m] = own.lock[m - 1]
     own.inmask[m] = direct
@@ -279,29 +322,47 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     if lo > 0:
         del own.lock[lo - 1], own.inmask[lo - 1], masks[lo - 1]
         s.runs.pop(lo - 1, None)
-    changed = m - 1
-    for q, before in risen.items():
-        h = heard[q]
-        if h >= lo:
-            first = max(before + 1, lo)
-            if first < changed:
-                changed = first
-            inmask = rows[q].inmask
-            for r in range(first, h + 1):
-                masks[r] |= inmask[r]
+        s.starts.pop(lo - 1, None)
+    new = known & ~before  # never empty: it holds the own round-m bit
+    entered = new & row
+    while entered:
+        low = entered & -entered
+        q = low.bit_length()
+        if q not in rows:
+            rows[q] = next(msg.rows[q] for msg in msgs if msg.known & low)
+        entered ^= low
+    r = lo + ((new & -new).bit_length() - 1) // width
+    changed = min(r, m - 1)
+    new >>= (r - lo) * width
+    while new:
+        bits = new & row
+        if bits:
+            cell = masks[r]
+            while bits:
+                low = bits & -bits
+                cell |= rows[low.bit_length()].inmask[r]
+                bits ^= low
+            masks[r] = cell
+        new >>= width
+        r += 1
     if changed < s.stale_from:
         s.stale_from = changed
+    if changed < s.starts_from:
+        s.starts_from = changed
     return s
 
 
-def has_late_outgoing_edge(s: NodeState, q: int, r: int) -> bool:
-    """True iff the approximation shows an outgoing edge of q in some round
-    after r (up to the current round), for a retained round r.
+def evidence(s: NodeState, r: int) -> int:
+    """Bitset of the processes q (bit q-1) that the approximation shows with
+    an outgoing edge in some round after r (up to the current round), for a
+    retained round r.
 
     That holds exactly when q's round-r state has reached this process and r
     is not the current round: the chain that carried it leaves q by an edge
-    of round r+1 whose head's state has also arrived.  This is the
+    of round r+1 whose head's state has also arrived.  So it is slot r of
+    ``known``, or nothing at the current round.  This is the
     locally-checkable certificate that makes detected roots trustworthy.
     """
-    return r < s.m and s.heard.get(q, -1) >= r
-
+    if not s.lo <= r < s.m:
+        return 0
+    return s.known >> (r - s.lo) * s.layout.width & s.layout.row

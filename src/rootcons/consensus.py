@@ -24,12 +24,18 @@ Both conditions read one per-round cache on the state: ``runs[r]`` is
 ``(root, start)``, the single confirmed root of round r (None if there is
 none or several) and the round its run of that root began (``r + 1`` for
 None).  Whether round r has a single confirmed root depends only on
-``masks[r]``, on which members' ``heard`` reach r, and on whether r is
-before the current round, so the merge's ``stale_from`` bounds what can
-have changed, and only rounds from there on are recomputed.  c2 resumes its
-search at ``c2_from``: no retained round before it ends a long enough run.
-A start before the window counts from the window's first round, as a full
-rescan from there would.
+``masks[r]`` and on slot r of ``known`` (the members' evidence, empty at the
+current round), so the merge's ``stale_from`` bounds what can have changed,
+and only rounds from there on are recomputed.  c2 resumes its search at
+``c2_from``: no retained round before it ends a long enough run.  A start
+before the window counts from the window's first round, as a full rescan
+from there would.
+
+b1 and b3 take the maximum lock at the start of the surrounding common-root
+run, any root of the approximation rather than the single confirmed one.
+``starts[r]`` maps each root of round r to the round its run began, so that
+start is one lookup; the merge lowers ``starts_from`` with ``stale_from``,
+and only rounds from there on are recomputed, each from the round before.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .approximation import NodeState, has_late_outgoing_edge
+from .approximation import NodeState, evidence
 
 
 class InvariantViolationError(Exception):
@@ -66,25 +72,42 @@ def _core_low(s: NodeState) -> int:
     return max(1, s.lo)
 
 
-def _run_start(s: NodeState, root: frozenset, anchor: int) -> int:
-    """The least round a >= max(1, lo) with root in roots(approx[r]) for every
-    r in a..anchor; root must be a root of round ``anchor``."""
+def _refresh_starts(s: NodeState, upto: int) -> None:
+    """Recompute the ``starts`` entries of rounds ``starts_from..upto``.
+
+    A start below the window's first round stands for any start up to it,
+    as the window clamp in :func:`_run_start` makes them equal.
+    """
     low = _core_low(s)
-    a = anchor
-    while a > low and root in s.roots_at(a - 1):
-        a -= 1
-    return a
+    first = max(s.starts_from, low)
+    if first > upto:
+        return
+    starts = s.starts
+    previous = starts[first - 1] if first > low else {}
+    for r in range(first, upto + 1):
+        previous = starts[r] = {root: previous.get(root, r) for root in s.roots_at(r)}
+    s.starts_from = upto + 1
+
+
+def _run_start(s: NodeState, root: frozenset, anchor: int) -> int:
+    """The least round a from max(1, lo) to ``anchor`` with root in
+    roots(approx[r]) for every r in a..anchor-1 (``anchor`` itself when it
+    is at or before max(1, lo)): for a root of round ``anchor``, the start
+    of its run through ``anchor``, cut at the window's first round."""
+    low = _core_low(s)
+    if anchor <= low:
+        return anchor
+    _refresh_starts(s, anchor - 1)
+    return max(s.starts[anchor - 1].get(root, anchor), low)
 
 
 def _max_lock(s: NodeState, root: frozenset, a: int, what: str) -> int:
-    values = []
-    for q in sorted(root):
-        v = s.lock_value(q, a)
-        if v is None:
-            raise InvariantViolationError(
-                f"p{s.pid} {what}: lock[{q}][{a}] unknown for detected root {sorted(root)}"
-            )
-        values.append(v)
+    values = [s.lock_value(q, a) for q in root]
+    if None in values:
+        q = min(q for q, v in zip(root, values) if v is None)
+        raise InvariantViolationError(
+            f"p{s.pid} {what}: lock[{q}][{a}] unknown for detected root {sorted(root)}"
+        )
     return max(values)
 
 
@@ -95,9 +118,8 @@ def confirmed_roots(s: NodeState, r: int) -> list:
     (a vertex whose round-r in-edges have not arrived yet), while a root
     *with* evidence is guaranteed to be a root of the true round-r graph.
     """
-    return [
-        root for root in s.roots_at(r) if all(has_late_outgoing_edge(s, q, r) for q in root)
-    ]
+    have = evidence(s, r)
+    return [root for root, bits in s.root_bits(r) if bits & have == bits]
 
 
 def _refresh(s: NodeState, upto: int) -> None:

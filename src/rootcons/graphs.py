@@ -125,8 +125,8 @@ def roots_of_mask(mask: int, vertices: int, lay: MaskLayout) -> frozenset:
 class CommGraph:
     """One round's directed communication graph over processes 1..n.
 
-    Its edge mask, the mask's rows and its root components are each
-    computed once, on first use.
+    Its edge mask, the mask's rows, its in-neighbour lists and its root
+    components are each computed once, on first use.
     """
 
     n: int
@@ -149,6 +149,17 @@ class CommGraph:
         return tuple(self.mask >> (u * lay.width) & lay.row for u in range(self.n))
 
     @cached_property
+    def in_lists(self) -> tuple:
+        """``in_lists[p-1]`` is the ascending tuple of p's in-neighbours."""
+        ins = [[] for _ in range(self.n)]
+        for u, row in enumerate(self.out_rows, start=1):
+            while row:
+                low = row & -row
+                ins[low.bit_length() - 1].append(u)
+                row ^= low
+        return tuple(map(tuple, ins))
+
+    @cached_property
     def _roots(self) -> frozenset:
         return roots_of_mask(self.mask, (1 << self.n) - 1, mask_layout(self.n))
 
@@ -158,7 +169,7 @@ class CommGraph:
         return cls(n, frozenset((int(u), int(v)) for u, v in edges) | {(p, p) for p in range(1, n + 1)})
 
     def in_neighbors(self, p: int) -> frozenset:
-        return frozenset(u for u, row in enumerate(self.out_rows, start=1) if row >> (p - 1) & 1)
+        return frozenset(self.in_lists[p - 1])
 
     def out_neighbors(self, p: int) -> frozenset:
         return _processes(self.out_rows[p - 1])

@@ -11,19 +11,21 @@ ground truth it derives from the true graphs alone: ``heard[p][q]``, the
 latest round whose end state of q has reached p (after round m it is the
 maximum of ``heard[u][q]`` over p's round-m in-neighbours u, and
 ``heard[p][p] = m``).  After every round it requires, for every p, that
-p's ``heard`` equals that row of the matrix, that p holds exactly the rows
-of the q heard from within the retained rounds ``lo..m`` at some round,
-each the owner's own row object, and that p's own row gained exactly the
-right round-m cell: the true in-edges, the lock value the monitor tracks
-(carried forward, or the core step's re-proposal), and nothing outside
-``lo..m``.  Since a state's lock view is derived from ``heard`` and the
-shared rows alone, this makes it exact.  The approximation is a per-round
-cache updated at merge time, so the monitor checks it too: ``masks[r]``
-must be the true round-r edges into ``{v : heard[p][v] >= r}`` for every r
-in ``lo..m``, and no other round may be held.  The monitor keeps each
-process's expected ``heard``, rows and masks as dicts, updated only at the
-rounds whose heads rose, and compares each whole dict in one step; only on
-a mismatch does it walk the rounds to name what differs.
+p's ``known`` holds exactly the slots that row of the matrix implies (q in
+the slot of round r iff ``heard[p][q] >= r``, for r in ``lo..m``), that p
+holds exactly the rows of the q heard from within the retained rounds
+``lo..m`` at some round, each the owner's own row object, and that p's own
+row gained exactly the right round-m cell: the true in-edges, the lock
+value the monitor tracks (carried forward, or the core step's
+re-proposal), and nothing outside ``lo..m``.  Since a state's lock view is
+derived from ``known`` and the shared rows alone, this makes it exact.  The
+approximation is a per-round cache updated at merge time, so the monitor
+checks it too: ``masks[r]`` must be the true round-r edges into
+``{v : heard[p][v] >= r}`` for every r in ``lo..m``, and no other round may
+be held.  The monitor keeps each process's expected ``known`` int and its
+rows and masks dicts, updated only at the rounds whose heads rose, and
+compares each whole value in one step; only on a mismatch does it walk the
+slots and rounds to name the first that differs.
 
 A run records no per-round state.  Indistinguishability rebuilds a
 process's state at every round from the trace by the same rules, with lock
@@ -166,40 +168,50 @@ class Trace:
 class _GroundTruth:
     """The ``heard`` matrix (-1 for none), each owner's current ``lock`` and
     the true mask of every retained round, and for each p in ``pids`` the
-    ``heard``, rows (``owners[q-1]`` is q's row) and masks dicts p's state
-    must hold.  Graphs and states share the n-process edge-mask layout."""
+    ``known`` int, rows (``owners[q-1]`` is q's row) and masks dict p's
+    state must hold.  Graphs and states share the n-process edge-mask
+    layout, whose width is also the width of a ``known`` slot."""
 
     def __init__(self, cfg: RunConfig, owners: list, pids):
         self.keep, self.owners, self.lock = parse_mode(cfg.mode), owners, list(cfg.inputs)
-        self.into = [mask_layout(cfg.n).into(v) for v in range(1, cfg.n + 1)]  # every edge into v, by v-1
+        lay = mask_layout(cfg.n)
+        self.width = lay.width
+        self.into = [lay.into(v) for v in range(1, cfg.n + 1)]  # every edge into v, by v-1
         self.heard = [[0 if q == p else -1 for q in range(cfg.n)] for p in range(cfg.n)]
+        self.lo = 0
         self.true_masks = {0: 0}
-        self.expected = {p: ({p: 0}, {p: owners[p - 1]}, {0: 0}) for p in pids}
+        self.expected = {p: [1 << (p - 1), {p: owners[p - 1]}, {0: 0}] for p in pids}
 
     def advance(self, m: int, g: CommGraph, outcomes: list) -> int:
-        """Step to the end of round m, each dict updated only where a head
-        rose; returns the window start ``lo``."""
+        """Step to the end of round m, each expectation updated only where a
+        head rose; returns the window start ``lo``."""
         senders = [[] for _ in self.heard]
         for (u, v) in g.edges:
             senders[v - 1].append(self.heard[u - 1])
         previous, self.heard = self.heard, [[max(col) for col in zip(*rows)] for rows in senders]
         for p, known in enumerate(self.heard):
             known[p] = m
-        lo = window_start(self.keep, m)
+        lo, width = window_start(self.keep, m), self.width
+        dropped, self.lo = (lo - self.lo) * width, lo
         into, true_masks = self.into, self.true_masks
         true_masks[m] = g.mask
         true_masks.pop(lo - 1, None)
-        for p, (heard, rows, masks) in self.expected.items():
+        for p, expected in self.expected.items():
+            known, rows, masks = expected
             masks[m] = 0
             masks.pop(lo - 1, None)
+            gained, base = 0, m + 1  # the new bits, gained's slot 0 being round base
             for v, (was, h) in enumerate(zip(previous[p - 1], self.heard[p - 1])):
-                if h > was:
-                    heard[v + 1] = h
-                    if h >= lo:
-                        rows.setdefault(v + 1, self.owners[v])
-                        heads = into[v]
-                        for r in range(max(was + 1, lo), h + 1):
-                            masks[r] |= true_masks[r] & heads
+                if h > was and h >= lo:
+                    rows.setdefault(v + 1, self.owners[v])
+                    heads = into[v]
+                    first = max(was + 1, lo)
+                    if first < base:
+                        gained, base = gained << (base - first) * width, first
+                    for r in range(first, h + 1):
+                        masks[r] |= true_masks[r] & heads
+                        gained |= 1 << ((r - base) * width + v)
+            expected[0] = known >> dropped | gained << (base - lo) * width
         for q, out in enumerate(outcomes):
             if out.locked is not None:
                 self.lock[q] = out.locked[2]
@@ -212,10 +224,10 @@ class _InvariantMonitor(_GroundTruth):
 
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
         lo = self.advance(m, g, outcomes)
-        for p, (heard, rows, masks) in self.expected.items():
+        for p, (known, rows, masks) in self.expected.items():
             st, own, inmask = states[p], self.owners[p - 1], g.mask & self.into[p - 1]
             if (
-                st.heard == heard
+                st.known == known
                 and st.rows == rows
                 and st.masks == masks
                 and st.lo == lo
@@ -224,19 +236,27 @@ class _InvariantMonitor(_GroundTruth):
                 and len(own.lock) == len(own.inmask) == m - lo + 1
             ):
                 continue
-            known = self.heard[p - 1]
-            problem = self._violation(st, p, m, lo, known, inmask) or (
-                f"holds rows {sorted(st.rows)} and heard {sorted(st.heard.items())}, "
-                f"expected rows {sorted(rows)} and heard {sorted(heard.items())}"
+            heard = self.heard[p - 1]
+            problem = self._violation(st, p, m, lo, heard, inmask) or (
+                f"holds rows {sorted(st.rows)}, expected rows {sorted(rows)}"
             )
-            raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={known}; rounds {lo}..{m} kept)")
+            raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={heard}; rounds {lo}..{m} kept)")
 
-    def _violation(self, st, p: int, m: int, lo: int, known: list, inmask: int) -> Optional[str]:
+    def _processes(self, slot: int) -> list:
+        return [i + 1 for i in range(self.width) if slot >> i & 1]
+
+    def _violation(self, st, p: int, m: int, lo: int, heard: list, inmask: int) -> Optional[str]:
         """What is wrong with p's state after round m, walked check by check
         (the first failing one is named), or None."""
-        for q, h in enumerate(known, start=1):
-            if st.heard.get(q, -1) != h:
-                return f"heard[{q}] is {st.heard.get(q, 'absent')}, expected {h}"
+        width, known = self.width, self.expected[p][0]
+        slot = (1 << width) - 1
+        for r in range(lo, m + 1):
+            has, want = st.known >> (r - lo) * width & slot, known >> (r - lo) * width & slot
+            if has != want:
+                return f"known[{r}] is {self._processes(has)}, expected {self._processes(want)}"
+        if st.known >> (m - lo + 1) * width:
+            return f"known holds slots past round {m}"
+        for q, h in enumerate(heard, start=1):
             row = st.rows.get(q)
             if (row is not None or h >= lo) and row is not self.owners[q - 1]:
                 return f"row[{q}] is {'absent' if row is None else 'a copy'}, not p{q}'s own row"
@@ -275,10 +295,9 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
     for m in range(1, cfg.horizon + 1):
         g = cfg.lasso.graph(m)
         round_graphs.append(g)
-        messages = {p: make_message(states[p]) for p in states}
-        for p in states:
-            inbox = [messages[q] for q in sorted(g.in_neighbors(p))]
-            receive_and_merge(states[p], inbox, m)
+        messages = [make_message(st) for st in states.values()]
+        for p, ins in zip(states, g.in_lists):
+            receive_and_merge(states[p], [messages[q - 1] for q in ins], m)
         per_round = []
         for p in states:
             try:
@@ -383,7 +402,7 @@ def _rebuilt_states(trace: Trace, p: int) -> list:
         cfg = trace.config
         cells = [[(0, x)] for x in cfg.inputs]  # cells[q-1][r] = (r, q's lock after round r)
         truth = _GroundTruth(cfg, cells, [p])
-        heard, rows, masks = truth.expected[p]
+        _, rows, masks = truth.expected[p]
         decided, y = trace.decisions.get(p, (cfg.horizon + 1, None))
         lo, states = 0, []
         for m in range(cfg.horizon + 1):
@@ -391,7 +410,8 @@ def _rebuilt_states(trace: Trace, p: int) -> list:
                 lo = truth.advance(m, trace.round_graphs[m - 1], trace.outcomes[m - 1])
                 for row, lock in zip(cells, truth.lock):
                     row.append((m, lock))
-            locks = tuple((q, tuple(row[lo : heard[q] + 1])) for q, row in sorted(rows.items()))
+            heard = truth.heard[p - 1]
+            locks = tuple((q, tuple(row[lo : heard[q - 1] + 1])) for q, row in sorted(rows.items()))
             y_m = y if m >= decided else None
             states.append((p, m, cfg.inputs[p - 1], y_m, tuple(masks.items()), locks, truth.keep))
         trace.rebuilt[p] = states

@@ -200,9 +200,10 @@ def out_row_mask(q: int, lay: MaskLayout) -> int:
 class ReferenceState:
     """Copied-history state with the interface the core step reads.
 
-    The core step's c2 cache (``runs``, ``stale_from``, ``c2_from``) is
-    marked stale from round 0 by every merge, so each core step rescans
-    every retained round.
+    The core step's caches (``runs``, ``stale_from`` and ``c2_from`` for
+    c2, ``starts`` and ``starts_from`` for root-run starts) are marked stale
+    from round 0 by every merge, so each core step rescans every retained
+    round.
     """
 
     def __init__(self, pid: int, x: int, keep, lay: MaskLayout):
@@ -211,6 +212,7 @@ class ReferenceState:
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
         self.runs, self.stale_from, self.c2_from = {}, 0, 0
+        self.starts, self.starts_from = {}, 0
 
     @property
     def lo(self) -> int:
@@ -218,6 +220,9 @@ class ReferenceState:
 
     def roots_at(self, r: int) -> frozenset:
         return reference_roots_of_partial(self.approx.get(r, 0), self.pid, self.layout)
+
+    def root_bits(self, r: int) -> tuple:
+        return tuple((root, sum(1 << (q - 1) for q in root)) for root in self.roots_at(r))
 
     def lock_value(self, q: int, r: int):
         return self.locks.get(q, {}).get(r)
@@ -249,8 +254,9 @@ def reference_message(s: ReferenceState) -> tuple:
     return s.pid, approx, locks
 
 
-def reference_late_edge(s: ReferenceState, q: int, r: int) -> bool:
-    return s.last_out.get(q, -1) > r
+def reference_evidence(s: ReferenceState, r: int) -> int:
+    """Bitset of the peers q with an out-edge recorded in a round after r."""
+    return sum(1 << (q - 1) for q, last in s.last_out.items() if last > r)
 
 
 def _note_out_edges(s: ReferenceState, new_edges: int, r: int) -> None:
@@ -262,7 +268,7 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     """Union every received round and lock cell, add the direct edges, carry
     the own lock forward, then drop rounds older than the window."""
     s.m = m
-    s.stale_from = 0
+    s.stale_from = s.starts_from = 0
     for sender, approx, locks in msgs:
         approx = dict(approx)
         approx[m] = approx.get(m, 0) | s.layout.bit(sender, s.pid)
@@ -287,7 +293,7 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
 
 def reference_run(cfg, core_step) -> tuple:
     """Run ``cfg`` lock-step on reference states; ``core_step`` must read its
-    late-edge evidence from :func:`reference_late_edge`.  Returns the
+    late-edge evidence from :func:`reference_evidence`.  Returns the
     per-round snapshots (round 0 first) and the sorted decision events."""
     keep = None if cfg.mode == "full" else int(cfg.mode.split(":")[1])
     lay = mask_layout(cfg.n)

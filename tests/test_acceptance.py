@@ -18,7 +18,7 @@ from oracles import (
     naive_causal_past,
     out_row_mask,
     reference_c2_check,
-    reference_late_edge,
+    reference_evidence,
     reference_run,
 )
 
@@ -314,7 +314,7 @@ def test_reference_state_differential(estable_batch, monkeypatch, history):
                         inst.certificate.deadline + inst.D + 2, mode=mode)
         trace, direct = run_with_snapshots(cfg, monkeypatch)
         with monkeypatch.context() as patch:
-            patch.setattr(consensus_mod, "has_late_outgoing_edge", reference_late_edge)
+            patch.setattr(consensus_mod, "evidence", reference_evidence)
             snapshots, events = reference_run(cfg, consensus_mod.core_step)
         if direct != snapshots or trace.decision_events() != events:
             mismatches.append(inst.seed)
@@ -345,7 +345,7 @@ def test_reference_differential_past_sixteen(monkeypatch, n, history):
         cfg = RunConfig(n, D, inputs, lasso_seq, cert.deadline + D + 2, mode=mode)
         trace, direct = run_with_snapshots(cfg, monkeypatch)
         with monkeypatch.context() as patch:
-            patch.setattr(consensus_mod, "has_late_outgoing_edge", reference_late_edge)
+            patch.setattr(consensus_mod, "evidence", reference_evidence)
             snapshots, events = reference_run(cfg, consensus_mod.core_step)
         if direct != snapshots or trace.decision_events() != events or not oracle_check(trace, cert.deadline).all_ok:
             mismatches.append(seed)

@@ -9,7 +9,7 @@ from oracles import out_row_mask, reference_roots_of_partial
 from rootcons.approximation import (
     NodeState,
     _approx_view,
-    has_late_outgoing_edge,
+    evidence,
     init_states,
     make_message,
     receive_and_merge,
@@ -127,19 +127,25 @@ class TestReceiveAndMerge:
             receive_and_merge(s, [], 3)
 
 
+def late_edge(st, q, r) -> bool:
+    """Whether ``evidence`` shows a later outgoing edge of q after round r."""
+    return bool(evidence(st, r) >> (q - 1) & 1)
+
+
 class TestLateOutgoingEdge:
     def test_own_self_loop_counts(self):
         l = lasso(2, cycle=[[]])
         states = drive(l, (0, 0), 3)
         for r in range(3):
-            assert has_late_outgoing_edge(states[1], 1, r)
+            assert late_edge(states[1], 1, r)
 
     def test_no_later_information_is_false(self):
         l = lasso(2, cycle=[[(1, 2)]])
         states = drive(l, (0, 0), 3)
         # p1 learns nothing about p2, and nothing after the current round
-        assert not has_late_outgoing_edge(states[1], 2, 0)
-        assert not has_late_outgoing_edge(states[2], 1, 3)
+        assert not late_edge(states[1], 2, 0)
+        assert not late_edge(states[2], 1, 3)
+        assert evidence(states[2], 3) == 0
 
     def test_matches_direct_scan(self, eps2_lasso):
         states = drive(eps2_lasso, (0, 1, 2, 3, 4), 8)
@@ -149,7 +155,7 @@ class TestLateOutgoingEdge:
                     direct = any(
                         st.approx.get(r2, 0) & out_row_mask(q, st.layout) for r2 in range(r + 1, st.m + 1)
                     )
-                    assert has_late_outgoing_edge(st, q, r) == direct
+                    assert late_edge(st, q, r) == direct
 
 
 class TestDetectedRoots:
@@ -197,7 +203,7 @@ class TestRootDetection:
                         if reached:
                             assert root in st.roots_at(r)
                     for root in st.roots_at(r):
-                        if all(has_late_outgoing_edge(st, q, r) for q in root):
+                        if all(late_edge(st, q, r) for q in root):
                             assert root in true_roots
 
 
@@ -244,9 +250,22 @@ class TestRootKernel:
         assert fresh_roots(mask, extra, lay) == reference_roots_of_partial(mask, extra, lay)
 
 
+def masks_from_slots(s) -> dict:
+    """Round -> the OR of the round-r in-edge cells of every q in slot r of ``known``."""
+    width = s.layout.width
+    masks = {}
+    for r in range(s.lo, s.m + 1):
+        slot = s.known >> (r - s.lo) * width
+        masks[r] = 0
+        for q in range(1, width + 1):
+            if slot >> (q - 1) & 1:
+                masks[r] |= s.rows[q].inmask[r]
+    return masks
+
+
 class TestMaskCache:
     """``masks`` is updated at merge time; after every round it must equal the
-    approximation recomputed from ``heard`` and the rows."""
+    approximation recomputed from the rows and the ``known`` slots."""
 
     @pytest.mark.parametrize("mode", ["full", "bounded:3", "bounded:7"])
     def test_masks_match_recomputed_view(self, mode):
@@ -261,7 +280,8 @@ class TestMaskCache:
                 for p in states:
                     receive_and_merge(states[p], [msgs[q] for q in g.in_neighbors(p)], m)
                 for s in states.values():
-                    assert s.masks == _approx_view(s.heard, s.rows, s.lo, s.m)
+                    assert s.masks == masks_from_slots(s)
+                    assert s.masks == _approx_view(s.known, s.rows, s.lo, s.m, s.layout.width)
                     assert list(s.masks) == list(range(s.lo, s.m + 1))
 
 

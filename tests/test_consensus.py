@@ -16,7 +16,7 @@ from rootcons.consensus import (
     confirmed_roots,
     core_step,
 )
-from rootcons.approximation import has_late_outgoing_edge, init_states
+from rootcons.approximation import evidence, init_states
 from rootcons.graphs import lasso
 from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
 
@@ -145,7 +145,7 @@ class TestC3B3:
         cfg = RunConfig(2, 1, (5, 2), l, 4)
         trace = run_execution(cfg)
         st = trace.states[1]
-        assert has_late_outgoing_edge(st, 1, 2)
+        assert evidence(st, 2) & 1
         assert confirmed_roots(st, 2) == [frozenset([1])]
 
     def test_member_without_later_evidence_defers(self, eps1_lasso):
@@ -156,7 +156,7 @@ class TestC3B3:
         # has arrived, so the head is not confirmed there and c2 cannot hold
         st = trace.states[2]
         assert all(st.roots_at(r) == frozenset([frozenset([1])]) for r in range(1, 4))
-        assert not has_late_outgoing_edge(st, 1, 3)
+        assert not evidence(st, 3) & 1
         assert confirmed_roots(st, 3) == []
         assert c2_check(st, D=2) is None
         assert 2 not in trace.decisions
@@ -218,6 +218,54 @@ class TestRunStart:
             trace, _, _ = fuzz_trial(adversary, rng.getrandbits(48), n, D, r_sr, inputs, mode)
             decisions += len(trace.decisions)
         assert not mismatches and len(anchors) > decisions > 0
+
+    def test_any_root_and_anchor_matches_backward_walk(self):
+        # the run start read from ``starts`` equals the walk back from the
+        # anchor, one roots_at per round, cut at the window's first round,
+        # for roots missing at the anchor too, with anchors asked in any order
+        rng = random.Random("run-start-walk")
+        for trial in range(40):
+            n = rng.randint(2, 7)
+            D = rng.randint(1, min(3, n - 1))
+            mode = "full" if trial % 2 else f"bounded:{2 * D + 1 + rng.randint(0, 3)}"
+            inputs = tuple(rng.randint(0, 99) for _ in range(n))
+            trace, _, _ = fuzz_trial("estable", rng.getrandbits(48), n, D, rng.randint(1, 8), inputs, mode)
+            for s in trace.states.values():
+                low = max(1, s.lo)
+                roots = set().union(*(s.roots_at(r) for r in range(low, s.m + 1)))
+                anchors = list(range(low - 1, s.m + 1))
+                rng.shuffle(anchors)
+                for anchor in anchors:
+                    for root in roots:
+                        a = anchor
+                        while a > low and root in s.roots_at(a - 1):
+                            a -= 1
+                        assert consensus_mod._run_start(s, root, anchor) == a, (s.pid, root, anchor)
+
+
+class TestHorizonCost:
+    def test_root_queries_grow_linearly_with_the_horizon(self, monkeypatch):
+        # the CI lasso (generate --n 6 --d 2 --rsr 6 --seed 3) in full mode:
+        # past stabilization every round locks with the run start found by
+        # one lookup, so doubling the horizon at most about doubles the
+        # root queries (a walk back to the run start made them quadratic)
+        from rootcons.approximation import NodeState
+
+        l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
+        roots_at, calls = NodeState.roots_at, [0]
+
+        def counted(s, r):
+            calls[0] += 1
+            return roots_at(s, r)
+
+        monkeypatch.setattr(NodeState, "roots_at", counted)
+        counts = []
+        for horizon in (1000, 2000):
+            calls[0] = 0
+            trace = run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, horizon, check_invariants=False))
+            assert len(trace.decisions) == 6
+            counts.append(calls[0])
+        assert counts[1] <= 2.2 * counts[0]
 
 
 class TestWholeRuns:

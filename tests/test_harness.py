@@ -72,7 +72,11 @@ class TestRunExecution:
 
 
 def _drop_relayed_heard(merge, s, msgs, m):
-    own_entries = [replace(msg, heard={msg.sender: msg.heard[msg.sender]}) for msg in msgs]
+    # each message keeps only its sender's own bit in every slot
+    own_entries = [
+        replace(msg, known=msg.known & sum(1 << (i * msg.width + msg.sender - 1) for i in range(m - msg.lo)))
+        for msg in msgs
+    ]
     return merge(s, own_entries, m)
 
 
@@ -133,7 +137,7 @@ class TestInvariantMonitor:
         "fault, n, mode, round_, why",
         [
             (_drop_relayed_heard, 5, "full", 2,
-             "heard[1] is absent, expected 0 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
+             "known[0] is [2, 5], expected [1, 2, 5] (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_copied_row, 5, "full", 2,
              "row[1] is a copy, not p1's own row (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_wrong_lock_value, 5, "full", 2,
