@@ -193,6 +193,7 @@ class TestCheck:
 
 GOLDEN = Path(__file__).parent / "check_golden.json"
 SCENARIO_GOLDEN = Path(__file__).parent / "scenario_golden.json"
+RUN_GOLDEN = Path(__file__).parent / "run_golden.json"
 
 # The golden file holds `check` output recorded before the checker table.  An
 # unsatisfied kind that issues certificates now also names the condition that
@@ -397,6 +398,21 @@ class TestRun:
         assert code == 0
         first = (dots / "round001.dot").read_text()
         assert first.startswith("digraph") and "doublecircle" in first
+
+    def test_matches_golden(self, capsys, tmp_path):
+        # stdout and --trace-out of the CI lassos (generate --n 6 --d 2 and
+        # --n 24 --d 3, both --rsr 6 --seed 3) in full and bounded mode,
+        # recorded byte for byte
+        golden = json.loads(RUN_GOLDEN.read_text())
+        for name, data in golden["lassos"].items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
+        trace_out = tmp_path / "trace.jsonl"
+        for case in golden["cases"]:
+            files = ["--lasso", str(tmp_path / f"{case['lasso']}.json"), "--trace-out", str(trace_out)]
+            capsys.readouterr()
+            code = main(case["argv"][:1] + files + case["argv"][1:])
+            assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"]), case["argv"]
+            assert trace_out.read_text() == case["trace"], case["argv"]
 
 
 class TestScenario:
