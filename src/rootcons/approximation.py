@@ -3,24 +3,29 @@
 A process's state is exactly what has reached it through its causal past:
 ``known``, one int holding a W-bit slot (W the width of the run's edge-mask
 layout, so a slot lines up with one row of a mask) for every retained round
-r, whose bit q-1 says that q's round-r end state has reached the process,
-plus q's own append-only :class:`Row` of per-round lock (proposal) values
-and delivered in-edge masks.  Slot 0 is the oldest retained round ``lo`` (0
-in full mode; ``max(0, m-k)`` in ``bounded:k``, where each owner drops its
-round ``m-k-1`` cell in round m).  Slots are monotone: a state of q that has
-arrived carries q's earlier states, so q in slot r is also in every slot
-``lo..r``.  Only the owner writes its row, and only the cell of its current
-round, so every process refers to q's single row instead of holding a copy.
+r, whose bit q-1 says that q's round-r end state has reached the process.
+Slot 0 is the oldest retained round ``lo`` (0 in full mode; ``max(0, m-k)``
+in ``bounded:k``).  Slots are monotone: a state of q that has arrived
+carries q's earlier states, so q in slot r is also in every slot ``lo..r``.
+
+The cells themselves live in one table per run, q -> q's append-only
+:class:`Row` of per-round lock (proposal) values and delivered in-edge
+masks, which every state and every message of the run refers to.  Only the
+owner writes its row, and only the cell of its current round (in
+``bounded:k`` it also drops its round ``m-k-1`` cell in round m), so a
+state holds no rows of its own: it reads q's round-r cell from the table
+only when q is in slot r.
 
 After round m the process knows ``lock[q][r]`` exactly when q is in slot r,
 and the round-r edge (u, v) exactly when v is.  ``locks`` is a read-only
-view of these facts.  ``approx`` is a per-round cache, ``masks[r]`` for r in
+view of these facts; it lists the peers with a retained cell, which are the
+peers in slot ``lo``.  ``approx`` is a per-round cache, ``masks[r]`` for r in
 ``lo..m``, kept up to date by the merge: a merge ORs the inbox's ``known``
 ints, and for each newly set bit (q, r) it ORs q's round-r in-edge cell into
 ``masks[r]``, so each (q, r) cell is ORed once per process and a root query
 costs a dict lookup.  The harness's invariant monitor checks ``known`` and
-the cache against the true graphs every round.  Rows are shared, so all
-states of one run must advance in lock step, as the harness does.
+the cache against the true graphs every round.  The row table is shared, so
+all states of one run must advance in lock step, as the harness does.
 
 A member q of a round-r root has a later outgoing edge recorded exactly when
 q is in slot r and r is not the current round (:func:`evidence`), so
@@ -38,9 +43,9 @@ rebuilds a process's snapshots from the run's trace when it compares two
 runs.
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
-states of one run (:func:`init_states`) share that layout and one memo of
-root queries keyed by mask (and of root member bitsets keyed by the roots),
-which lives as long as the run.
+states of one run (:func:`init_states`) share that layout, the row table and
+one memo of root queries keyed by mask (and of root member bitsets keyed by
+the roots), which live as long as the run.
 """
 
 from __future__ import annotations
@@ -114,16 +119,16 @@ def _approx_view(known: int, rows: dict, lo: int, m: int, width: int) -> dict:
 
 def _locks_view(known: int, rows: dict, lo: int, width: int) -> dict:
     """Peer -> {round -> lock value} for the rounds of ``lo..m`` whose state
-    of the peer ``known`` holds, for every held row."""
+    of the peer ``known`` holds, for every peer it holds in some slot."""
     heard = _heard(known, lo, width)
-    return {q: {r: row.lock[r] for r in range(lo, heard.get(q, lo - 1) + 1)} for q, row in rows.items()}
+    return {q: {r: rows[q].lock[r] for r in range(lo, h + 1)} for q, h in heard.items()}
 
 
 @dataclass(frozen=True)
 class Message:
     """A sender's end-of-previous-round knowledge: its ``known`` slots from
-    round ``lo`` on (slot 0 is round ``lo``, each ``width`` bits) and
-    references to the rows it holds.
+    round ``lo`` on (slot 0 is round ``lo``, each ``width`` bits) and the
+    run's row table, by reference.
 
     ``approx`` and ``locks`` are views of what the message carries; rows keep
     growing, so they are meaningful only in the round the message is sent.
@@ -132,7 +137,7 @@ class Message:
     sender: int
     sent_in: int  # the round this message is delivered in
     known: int  # the sender's slots of rounds lo..sent_in-1
-    rows: dict  # pid -> that pid's own Row
+    rows: dict  # the run's row table, pid -> that pid's own Row
     lo: int
     width: int
 
@@ -150,10 +155,10 @@ class NodeState:
 
     ``known`` holds a ``layout.width``-bit slot per round ``lo..m``: the
     processes whose state of that round has reached this one (the process
-    itself is in every slot).  ``rows[q]`` is q's own row, held for every q
-    heard from within the retained window, ``masks[r]`` is the round-r
-    approximation's edge mask for r in ``lo..m`` (``masks[0]`` is the
-    initial singleton graph and never gains edges), and ``y`` is the
+    itself is in every slot).  ``rows`` is the run's row table, q -> q's own
+    row, whose cells are read only where ``known`` has q's bit; ``masks[r]``
+    is the round-r approximation's edge mask for r in ``lo..m`` (``masks[0]``
+    is the initial singleton graph and never gains edges), and ``y`` is the
     write-once decision.  ``approx`` copies ``masks``; ``locks[q][r]`` is a
     view over the retained rounds.  ``runs``, ``stale_from`` and
     ``c2_from`` hold the core step's c2 scan, and ``starts`` and
@@ -168,7 +173,7 @@ class NodeState:
         "starts", "starts_from", "layout", "memo",
     )
 
-    def __init__(self, pid: int, x: int, n: int, keep: Optional[int], memo: dict):
+    def __init__(self, pid: int, x: int, n: int, keep: Optional[int], memo: dict, rows: dict):
         if not (1 <= pid <= n):
             raise ValueError(f"pid must be in 1..{n}, got {pid}")
         self.pid = pid
@@ -178,7 +183,7 @@ class NodeState:
         self.y: Optional[int] = None
         self.keep = keep  # None = full history, else bounded(keep)
         self.known = 1 << (pid - 1)
-        self.rows = {pid: Row(x)}
+        self.rows = rows
         self.masks = {0: 0}
         self.runs = {}
         self.stale_from = 0
@@ -210,7 +215,7 @@ class NodeState:
         return bits
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
-        if self.lo <= r <= self.m and self.known >> ((r - self.lo) * self.layout.width + q - 1) & 1:
+        if self.lo <= r <= self.m and self.known & 1 << ((r - self.lo) * self.layout.width + q - 1):
             return self.rows[q].lock[r]
         return None
 
@@ -270,39 +275,39 @@ def parse_mode(mode: str, D: Optional[int] = None) -> Optional[int]:
 def init_states(inputs, mode: str = "full") -> dict:
     """Fresh states of one run, pid -> state, of processes 1..len(inputs):
     singleton round-0 approximation, own input locked at round 0, and one
-    shared root memo.  ``mode`` is ``"full"`` or ``"bounded:<k>"``."""
+    shared row table and root memo.  ``mode`` is ``"full"`` or
+    ``"bounded:<k>"``."""
     n, keep, memo = len(inputs), parse_mode(mode), {}
-    return {p: NodeState(p, x, n, keep, memo) for p, x in enumerate(inputs, start=1)}
+    rows = {p: Row(x) for p, x in enumerate(inputs, start=1)}
+    return {p: NodeState(p, x, n, keep, memo, rows) for p, x in enumerate(inputs, start=1)}
 
 
 def make_message(s: NodeState) -> Message:
     """The state at the end of round ``s.m``, broadcast in round ``s.m + 1``.
 
     In bounded(k) mode the message carries only rounds newer than ``s.m - k``:
-    its ``known`` is the state's, rebased to that first round.
+    its ``known`` is the state's, rebased to that first round.  It refers to
+    the run's row table without copying it.
     """
     lo, width = window_start(s.keep, s.m + 1), s.layout.width
-    return Message(s.pid, s.m + 1, s.known >> (lo - s.lo) * width, dict(s.rows), lo, width)
+    return Message(s.pid, s.m + 1, s.known >> (lo - s.lo) * width, s.rows, lo, width)
 
 
 def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     """Fuse the round-m deliveries into the state, before the core step.
 
     ``known``, rebased to the round-m window, ORs in the inbox's ``known``
-    ints (all rebased to the same first round) and the own round-m slot.  A
-    peer's row reference is adopted once the peer enters the window's first
-    slot, which every peer heard from within the window is in.  The own row
-    gains its round-m cell: the lock carried forward and the direct in-edges
-    (sender -> pid).  Then ``masks`` gains round m, drops the round that
-    left the window, and for each new bit (q, r) takes in q's round-r
-    in-edge cell; ``stale_from`` and ``starts_from`` drop to the lowest new
-    slot (or to round m-1, which stops being the current round).  Merge
-    order is irrelevant: ORs are commutative and every message refers to
-    the same row of each owner.
+    ints (all rebased to the same first round) and the own round-m slot.
+    The own row gains its round-m cell: the lock carried forward and the
+    direct in-edges (sender -> pid).  Then ``masks`` gains round m, drops
+    the round that left the window, and for each new bit (q, r) takes in
+    q's round-r in-edge cell from the run's row table; ``stale_from`` and
+    ``starts_from`` drop to the lowest new slot (or to round m-1, which
+    stops being the current round).  Merge order is irrelevant: ORs are
+    commutative.
     """
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
-    msgs = tuple(msgs)
     lo = window_start(s.keep, m)
     pid, rows, masks, lay = s.pid, s.rows, s.masks, s.layout
     width, row = lay.width, lay.row
@@ -324,13 +329,6 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
         s.runs.pop(lo - 1, None)
         s.starts.pop(lo - 1, None)
     new = known & ~before  # never empty: it holds the own round-m bit
-    entered = new & row
-    while entered:
-        low = entered & -entered
-        q = low.bit_length()
-        if q not in rows:
-            rows[q] = next(msg.rows[q] for msg in msgs if msg.known & low)
-        entered ^= low
     r = lo + ((new & -new).bit_length() - 1) // width
     changed = min(r, m - 1)
     new >>= (r - lo) * width

@@ -13,19 +13,18 @@ maximum of ``heard[u][q]`` over p's round-m in-neighbours u, and
 ``heard[p][p] = m``).  After every round it requires, for every p, that
 p's ``known`` holds exactly the slots that row of the matrix implies (q in
 the slot of round r iff ``heard[p][q] >= r``, for r in ``lo..m``), that p
-holds exactly the rows of the q heard from within the retained rounds
-``lo..m`` at some round, each the owner's own row object, and that p's own
-row gained exactly the right round-m cell: the true in-edges, the lock
-value the monitor tracks (carried forward, or the core step's
-re-proposal), and nothing outside ``lo..m``.  Since a state's lock view is
-derived from ``known`` and the shared rows alone, this makes it exact.  The
-approximation is a per-round cache updated at merge time, so the monitor
-checks it too: ``masks[r]`` must be the true round-r edges into
-``{v : heard[p][v] >= r}`` for every r in ``lo..m``, and no other round may
-be held.  The monitor keeps each process's expected ``known`` int and its
-rows and masks dicts, updated only at the rounds whose heads rose, and
-compares each whole value in one step; only on a mismatch does it walk the
-slots and rounds to name the first that differs.
+holds the run's row table itself, and that p's own row gained exactly the
+right round-m cell: the true in-edges, the lock value the monitor tracks
+(carried forward, or the core step's re-proposal), and nothing outside
+``lo..m``.  Since a state's lock view is derived from ``known`` and the
+run's row table alone, this makes it exact.  The approximation is a
+per-round cache updated at merge time, so the monitor checks it too:
+``masks[r]`` must be the true round-r edges into ``{v : heard[p][v] >= r}``
+for every r in ``lo..m``, and no other round may be held.  The monitor
+keeps each process's expected ``known`` int and masks dict, updated only at
+the rounds whose heads rose, and compares each whole value in one step;
+only on a mismatch does it walk the slots and rounds to name the first that
+differs.
 
 A run records no per-round state.  Indistinguishability rebuilds a
 process's state at every round from the trace by the same rules, with lock
@@ -168,19 +167,19 @@ class Trace:
 class _GroundTruth:
     """The ``heard`` matrix (-1 for none), each owner's current ``lock`` and
     the true mask of every retained round, and for each p in ``pids`` the
-    ``known`` int, rows (``owners[q-1]`` is q's row) and masks dict p's
-    state must hold.  Graphs and states share the n-process edge-mask
-    layout, whose width is also the width of a ``known`` slot."""
+    ``known`` int and masks dict p's state must hold.  Graphs and states
+    share the n-process edge-mask layout, whose width is also the width of a
+    ``known`` slot."""
 
-    def __init__(self, cfg: RunConfig, owners: list, pids):
-        self.keep, self.owners, self.lock = parse_mode(cfg.mode), owners, list(cfg.inputs)
+    def __init__(self, cfg: RunConfig, pids):
+        self.keep, self.lock = parse_mode(cfg.mode), list(cfg.inputs)
         lay = mask_layout(cfg.n)
         self.width = lay.width
         self.into = [lay.into(v) for v in range(1, cfg.n + 1)]  # every edge into v, by v-1
         self.heard = [[0 if q == p else -1 for q in range(cfg.n)] for p in range(cfg.n)]
         self.lo = 0
         self.true_masks = {0: 0}
-        self.expected = {p: [1 << (p - 1), {p: owners[p - 1]}, {0: 0}] for p in pids}
+        self.expected = {p: [1 << (p - 1), {0: 0}] for p in pids}
 
     def advance(self, m: int, g: CommGraph, outcomes: list) -> int:
         """Step to the end of round m, each expectation updated only where a
@@ -197,13 +196,12 @@ class _GroundTruth:
         true_masks[m] = g.mask
         true_masks.pop(lo - 1, None)
         for p, expected in self.expected.items():
-            known, rows, masks = expected
+            known, masks = expected
             masks[m] = 0
             masks.pop(lo - 1, None)
             gained, base = 0, m + 1  # the new bits, gained's slot 0 being round base
             for v, (was, h) in enumerate(zip(previous[p - 1], self.heard[p - 1])):
                 if h > was and h >= lo:
-                    rows.setdefault(v + 1, self.owners[v])
                     heads = into[v]
                     first = max(was + 1, lo)
                     if first < base:
@@ -219,16 +217,20 @@ class _GroundTruth:
 
 
 class _InvariantMonitor(_GroundTruth):
-    """Checks every process's state against the ground truth, built with each
-    state's own row object as that owner's row."""
+    """Checks every process's state against the ground truth; ``rows`` is the
+    run's row table, which every state must hold."""
+
+    def __init__(self, cfg: RunConfig, rows: dict, pids):
+        super().__init__(cfg, pids)
+        self.rows = rows
 
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
-        lo = self.advance(m, g, outcomes)
-        for p, (known, rows, masks) in self.expected.items():
-            st, own, inmask = states[p], self.owners[p - 1], g.mask & self.into[p - 1]
+        lo, rows = self.advance(m, g, outcomes), self.rows
+        for p, (known, masks) in self.expected.items():
+            st, own, inmask = states[p], rows[p], g.mask & self.into[p - 1]
             if (
                 st.known == known
-                and st.rows == rows
+                and st.rows is rows
                 and st.masks == masks
                 and st.lo == lo
                 and own.inmask.get(m) == inmask
@@ -236,18 +238,15 @@ class _InvariantMonitor(_GroundTruth):
                 and len(own.lock) == len(own.inmask) == m - lo + 1
             ):
                 continue
-            heard = self.heard[p - 1]
-            problem = self._violation(st, p, m, lo, heard, inmask) or (
-                f"holds rows {sorted(st.rows)}, expected rows {sorted(rows)}"
-            )
-            raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={heard}; rounds {lo}..{m} kept)")
+            problem = self._violation(st, p, m, lo, inmask)
+            raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={self.heard[p - 1]}; rounds {lo}..{m} kept)")
 
     def _processes(self, slot: int) -> list:
         return [i + 1 for i in range(self.width) if slot >> i & 1]
 
-    def _violation(self, st, p: int, m: int, lo: int, heard: list, inmask: int) -> Optional[str]:
+    def _violation(self, st, p: int, m: int, lo: int, inmask: int) -> str:
         """What is wrong with p's state after round m, walked check by check
-        (the first failing one is named), or None."""
+        (the first failing one is named); the fast check has failed."""
         width, known = self.width, self.expected[p][0]
         slot = (1 << width) - 1
         for r in range(lo, m + 1):
@@ -256,11 +255,9 @@ class _InvariantMonitor(_GroundTruth):
                 return f"known[{r}] is {self._processes(has)}, expected {self._processes(want)}"
         if st.known >> (m - lo + 1) * width:
             return f"known holds slots past round {m}"
-        for q, h in enumerate(heard, start=1):
-            row = st.rows.get(q)
-            if (row is not None or h >= lo) and row is not self.owners[q - 1]:
-                return f"row[{q}] is {'absent' if row is None else 'a copy'}, not p{q}'s own row"
-        own, edges = self.owners[p - 1], st.layout.edges
+        if st.rows is not self.rows:
+            return "rows is not the run's row table"
+        own, edges = self.rows[p], st.layout.edges
         if own.inmask.get(m) != inmask:
             has = edges(own.inmask[m]) if m in own.inmask else "absent"
             return f"inmask[{p}][{m}] is {has}, expected {edges(inmask)}"
@@ -268,16 +265,14 @@ class _InvariantMonitor(_GroundTruth):
             return f"lock[{p}][{m}] is {own.lock.get(m, 'absent')}, expected {self.lock[p - 1]}"
         if not len(own.lock) == len(own.inmask) == m - lo + 1:
             return f"row[{p}] holds rounds {sorted(own.lock.keys() | own.inmask.keys())}, expected {lo}..{m}"
-        masks = self.expected[p][2]
+        masks = self.expected[p][1]
         for r in range(m, lo - 1, -1):
             if st.masks.get(r) != masks[r]:
                 has = edges(st.masks[r]) if r in st.masks else "absent"
                 return f"approx[{r}] is {has}, expected {edges(masks[r])}"
         if len(st.masks) != m - lo + 1:
             return f"approx holds rounds {sorted(st.masks)}, expected {lo}..{m}"
-        if st.lo != lo:
-            return f"lo is {st.lo}, expected {lo}"
-        return None
+        return f"lo is {st.lo}, expected {lo}"
 
 
 def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
@@ -287,8 +282,7 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
     :func:`indistinguishable` rebuilds it from the trace.
     """
     states = init_states(cfg.inputs, cfg.mode)
-    owners = [st.rows[p] for p, st in states.items()]
-    monitor = _InvariantMonitor(cfg, owners, states) if cfg.check_invariants else None
+    monitor = _InvariantMonitor(cfg, states[1].rows, states) if cfg.check_invariants else None
     round_graphs = []
     outcomes = []
     decisions = {}
@@ -396,13 +390,13 @@ def oracle_check(trace: Trace, deadline: int) -> OracleReport:
 
 def _rebuilt_states(trace: Trace, p: int) -> list:
     """p's state at the end of every round 0..horizon in the layout of
-    ``NodeState.snapshot()``, rebuilt from the trace by the ground truth (q's
-    row being its lock cells) and memoized on it."""
+    ``NodeState.snapshot()``, rebuilt from the trace by the ground truth, with
+    q's lock cells from the lock outcomes, and memoized on it."""
     if p not in trace.rebuilt:
         cfg = trace.config
         cells = [[(0, x)] for x in cfg.inputs]  # cells[q-1][r] = (r, q's lock after round r)
-        truth = _GroundTruth(cfg, cells, [p])
-        _, rows, masks = truth.expected[p]
+        truth = _GroundTruth(cfg, [p])
+        masks = truth.expected[p][1]
         decided, y = trace.decisions.get(p, (cfg.horizon + 1, None))
         lo, states = 0, []
         for m in range(cfg.horizon + 1):
@@ -410,8 +404,8 @@ def _rebuilt_states(trace: Trace, p: int) -> list:
                 lo = truth.advance(m, trace.round_graphs[m - 1], trace.outcomes[m - 1])
                 for row, lock in zip(cells, truth.lock):
                     row.append((m, lock))
-            heard = truth.heard[p - 1]
-            locks = tuple((q, tuple(row[lo : heard[q - 1] + 1])) for q, row in sorted(rows.items()))
+            heard = truth.heard[p - 1]  # q has a retained cell iff heard[q-1] >= lo
+            locks = tuple((q, tuple(row[lo : h + 1])) for q, (row, h) in enumerate(zip(cells, heard), 1) if h >= lo)
             y_m = y if m >= decided else None
             states.append((p, m, cfg.inputs[p - 1], y_m, tuple(masks.items()), locks, truth.keep))
         trace.rebuilt[p] = states

@@ -266,7 +266,8 @@ def _note_out_edges(s: ReferenceState, new_edges: int, r: int) -> None:
 
 def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     """Union every received round and lock cell, add the direct edges, carry
-    the own lock forward, then drop rounds older than the window."""
+    the own lock forward, then drop rounds older than the window, and every
+    peer none of whose lock cells is left."""
     s.m = m
     s.stale_from = s.starts_from = 0
     for sender, approx, locks in msgs:
@@ -286,9 +287,11 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
         cut = m - s.keep
         for r in [r for r in s.approx if r < cut]:
             del s.approx[r]
-        for row in s.locks.values():
+        for q, row in list(s.locks.items()):
             for r in [r for r in row if r < cut]:
                 del row[r]
+            if not row:
+                del s.locks[q]
 
 
 def reference_run(cfg, core_step) -> tuple:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import random_lasso, run_with_snapshots
 from oracles import out_row_mask, reference_roots_of_partial
 
+import rootcons.harness as harness_mod
 from rootcons.approximation import (
     NodeState,
     _approx_view,
@@ -50,15 +51,19 @@ class TestInitState:
     def test_pid_range_enforced(self):
         for pid in (0, 4):
             with pytest.raises(ValueError):
-                NodeState(pid, 0, 3, None, {})
+                NodeState(pid, 0, 3, None, {}, {})
 
     @pytest.mark.parametrize("n", [1, 16, 17, 64])
     def test_states_of_one_run_share_layout_and_memo(self, n):
         states = init_states(tuple(range(n)), "bounded:3")
         assert sorted(states) == list(range(1, n + 1))
         assert {id(s.memo) for s in states.values()} == {id(states[1].memo)}
+        assert {id(s.rows) for s in states.values()} == {id(states[1].rows)}
+        assert sorted(states[1].rows) == list(range(1, n + 1))
+        assert all(make_message(s).rows is states[1].rows for s in states.values())
         assert all(s.layout is mask_layout(n) and s.keep == 3 for s in states.values())
-        assert init_states((0,) * n)[1].memo is not states[1].memo  # one memo per run
+        other = init_states((0,) * n)[1]
+        assert other.memo is not states[1].memo and other.rows is not states[1].rows  # one of each per run
 
 
 class TestMakeMessage:
@@ -303,6 +308,18 @@ class TestPrune:
         assert sorted(states[2].locks[2]) == [5, 6, 7, 8]
         assert sorted(states[2].rows[2].lock) == [5, 6, 7, 8]
         assert states[2].lo == 5
+
+    def test_peer_leaves_with_its_last_heard_round(self, monkeypatch):
+        # p1's round-0 state reaches p2 in round 1, and nothing after it:
+        # heard[2][1] = 0 drops out of bounded:3 in round 4, and p1 with it
+        l = lasso(3, prefix=[[(1, 2)]], cycle=[[]])
+        trace, snaps = run_with_snapshots(RunConfig(3, 1, (7, 8, 9), l, 5, mode="bounded:3"), monkeypatch)
+        rebuilt = harness_mod._rebuilt_states(trace, 2)
+        for m, (snap, again) in enumerate(zip(snaps, rebuilt)):
+            peers = [q for q, _ in snap[2][5]]
+            assert peers == ([1, 2] if 1 <= m <= 3 else [2]) and snap[2] == again, m
+        assert sorted(trace.states[2].locks) == [2]
+        assert sorted(trace.states[2].to_json_dict()["locks"]) == ["2"]
 
 
 class TestStateInvariantsOnRuns:

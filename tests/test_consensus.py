@@ -21,11 +21,6 @@ from rootcons.graphs import lasso
 from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
 
 
-def states_at(trace, m):
-    """Rebuild per-pid views from a trace's stored states (final round)."""
-    return trace.states
-
-
 class TestEmptyEarlyRounds:
     def test_no_op_for_m_up_to_d(self):
         s = init_states((5,))[1]

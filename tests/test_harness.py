@@ -80,9 +80,9 @@ def _drop_relayed_heard(merge, s, msgs, m):
     return merge(s, own_entries, m)
 
 
-def _copied_row(merge, s, msgs, m):
+def _copied_rows(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.rows[1] = copy.deepcopy(s.rows[1])
+    s.rows = copy.copy(s.rows)
 
 
 def _wrong_lock_value(merge, s, msgs, m):
@@ -138,8 +138,8 @@ class TestInvariantMonitor:
         [
             (_drop_relayed_heard, 5, "full", 2,
              "known[0] is [2, 5], expected [1, 2, 5] (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
-            (_copied_row, 5, "full", 2,
-             "row[1] is a copy, not p1's own row (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
+            (_copied_rows, 5, "full", 2,
+             "rows is not the run's row table (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_wrong_lock_value, 5, "full", 2,
              "lock[2][2] is 2, expected 1 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_fabricated_edge, 5, "full", 2,
