@@ -8,24 +8,26 @@ Slot 0 is the oldest retained round ``lo`` (0 in full mode; ``max(0, m-k)``
 in ``bounded:k``).  Slots are monotone: a state of q that has arrived
 carries q's earlier states, so q in slot r is also in every slot ``lo..r``.
 
-The cells themselves live in one table per run, q -> q's append-only
-:class:`Row` of per-round lock (proposal) values and delivered in-edge
-masks, which every state and every message of the run refers to.  Only the
-owner writes its row, and only the cell of its current round (in
-``bounded:k`` it also drops its round ``m-k-1`` cell in round m), so a
-state holds no rows of its own: it reads q's round-r cell from the table
-only when q is in slot r.
+The facts themselves live in two tables per run, which every state and
+every message of the run refers to.  ``rows[q]`` is q's append-only
+``{round: lock}`` of per-round lock (proposal) values; only q writes it,
+and only the cell of its current round (in ``bounded:k`` it also drops its
+round ``m-k-1`` cell in round m).  ``edges[r]`` is the round-r edge mask:
+in its merge of round m each owner ORs in its delivered in-edges (its
+column of the mask), and every merge drops round ``lo-1``.  A state holds
+no cells of its own: it reads q's round-r lock only when q is in slot r.
 
 After round m the process knows ``lock[q][r]`` exactly when q is in slot r,
-and the round-r edge (u, v) exactly when v is.  ``locks`` is a read-only
-view of these facts; it lists the peers with a retained cell, which are the
-peers in slot ``lo``.  ``approx`` is a per-round cache, ``masks[r]`` for r in
-``lo..m``, kept up to date by the merge: a merge ORs the inbox's ``known``
-ints, and for each newly set bit (q, r) it ORs q's round-r in-edge cell into
-``masks[r]``, so each (q, r) cell is ORed once per process and a root query
-costs a dict lookup.  The harness's invariant monitor checks ``known`` and
-the cache against the true graphs every round.  The row table is shared, so
-all states of one run must advance in lock step, as the harness does.
+and the round-r edge (u, v) exactly when v is, so its round-r approximation
+is ``edges[r]`` restricted to the columns of slot r, derived where it is
+read.  ``edges[r]`` is final once every merge of round r has run, and the
+engine merges every state before any core step; before that, slot m holds
+only the owner, whose column it has written itself.  ``locks`` and
+``approx`` are read-only views of these facts; ``locks`` lists the peers
+with a retained cell, which are the peers in slot ``lo``.  The harness's
+invariant monitor checks ``known`` and the edge table against the true
+graphs every round.  The tables are shared, so all states of one run must
+advance in lock step, as the harness does.
 
 A member q of a round-r root has a later outgoing edge recorded exactly when
 q is in slot r and r is not the current round (:func:`evidence`), so
@@ -43,9 +45,9 @@ rebuilds a process's snapshots from the run's trace when it compares two
 runs.
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
-states of one run (:func:`init_states`) share that layout, the row table and
-one memo of root queries keyed by mask (and of root member bitsets keyed by
-the roots), which live as long as the run.
+states of one run (:func:`init_states`) share that layout, the two tables
+and one memo of root queries keyed by mask (and of root member bitsets
+keyed by the roots), which live as long as the run.
 """
 
 from __future__ import annotations
@@ -77,18 +79,6 @@ def window_start(keep: Optional[int], m: int) -> int:
     return 0 if keep is None else max(0, m - keep)
 
 
-class Row:
-    """One owner's history: ``lock[r]``, its proposal value after round r, and
-    ``inmask[r]``, the edges delivered to it in round r (self-loop included;
-    round 0 has none)."""
-
-    __slots__ = ("lock", "inmask")
-
-    def __init__(self, x: int):
-        self.lock = {0: x}
-        self.inmask = {0: 0}
-
-
 def _heard(known: int, lo: int, width: int) -> dict:
     """q -> the latest round whose state of q ``known`` holds, its slot 0
     being round ``lo``, for every q it holds.  Slots are monotone, so that
@@ -106,14 +96,13 @@ def _heard(known: int, lo: int, width: int) -> dict:
         held, known, r = slot, known >> width, r + 1
 
 
-def _approx_view(known: int, rows: dict, lo: int, m: int, width: int) -> dict:
-    """Round -> edge mask for rounds ``lo..m``: the in-edges of every v whose
-    state of that round ``known`` holds."""
-    view = dict.fromkeys(range(lo, m + 1), 0)
-    for v, h in _heard(known, lo, width).items():
-        inmask = rows[v].inmask
-        for r in range(lo, h + 1):
-            view[r] |= inmask[r]
+def _approx_view(known: int, edges: dict, lo: int, m: int, layout: MaskLayout) -> dict:
+    """Round -> edge mask for rounds ``lo..m``: the round's edges into every v
+    whose state of that round ``known`` holds."""
+    view, column, row = {}, layout.column, layout.row
+    for r in range(lo, m + 1):
+        view[r] = edges[r] & column * (known & row)
+        known >>= layout.width
     return view
 
 
@@ -121,33 +110,35 @@ def _locks_view(known: int, rows: dict, lo: int, width: int) -> dict:
     """Peer -> {round -> lock value} for the rounds of ``lo..m`` whose state
     of the peer ``known`` holds, for every peer it holds in some slot."""
     heard = _heard(known, lo, width)
-    return {q: {r: rows[q].lock[r] for r in range(lo, h + 1)} for q, h in heard.items()}
+    return {q: {r: rows[q][r] for r in range(lo, h + 1)} for q, h in heard.items()}
 
 
 @dataclass(frozen=True)
 class Message:
     """A sender's end-of-previous-round knowledge: its ``known`` slots from
-    round ``lo`` on (slot 0 is round ``lo``, each ``width`` bits) and the
-    run's row table, by reference.
+    round ``lo`` on (slot 0 is round ``lo``, each ``layout.width`` bits) and
+    the run's row and edge tables, by reference.
 
-    ``approx`` and ``locks`` are views of what the message carries; rows keep
-    growing, so they are meaningful only in the round the message is sent.
+    ``approx`` and ``locks`` are views of what the message carries; the
+    tables keep growing, so they are meaningful only in the round the
+    message is sent.
     """
 
     sender: int
     sent_in: int  # the round this message is delivered in
     known: int  # the sender's slots of rounds lo..sent_in-1
-    rows: dict  # the run's row table, pid -> that pid's own Row
+    rows: dict  # the run's row table, pid -> that pid's own {round: lock}
+    edges: dict  # the run's edge table, round -> edge mask
     lo: int
-    width: int
+    layout: MaskLayout
 
     @property
     def approx(self) -> dict:
-        return _approx_view(self.known, self.rows, self.lo, self.sent_in - 1, self.width)
+        return _approx_view(self.known, self.edges, self.lo, self.sent_in - 1, self.layout)
 
     @property
     def locks(self) -> dict:
-        return _locks_view(self.known, self.rows, self.lo, self.width)
+        return _locks_view(self.known, self.rows, self.lo, self.layout.width)
 
 
 class NodeState:
@@ -156,11 +147,12 @@ class NodeState:
     ``known`` holds a ``layout.width``-bit slot per round ``lo..m``: the
     processes whose state of that round has reached this one (the process
     itself is in every slot).  ``rows`` is the run's row table, q -> q's own
-    row, whose cells are read only where ``known`` has q's bit; ``masks[r]``
-    is the round-r approximation's edge mask for r in ``lo..m`` (``masks[0]``
-    is the initial singleton graph and never gains edges), and ``y`` is the
-    write-once decision.  ``approx`` copies ``masks``; ``locks[q][r]`` is a
-    view over the retained rounds.  ``runs``, ``stale_from`` and
+    ``{round: lock}``, whose cells are read only where ``known`` has q's
+    bit, and ``edges`` the run's edge table, round -> that round's edge mask
+    (round 0 has none); ``y`` is the write-once decision.  ``approx[r]``,
+    the round-r approximation's edge mask for r in ``lo..m``, and
+    ``locks[q][r]`` are views over the retained rounds, and ``roots_at``
+    derives one round's mask the same way.  ``runs``, ``stale_from`` and
     ``c2_from`` hold the core step's c2 scan, and ``starts`` and
     ``starts_from`` its root-run starts (see ``consensus``); the merge
     lowers ``stale_from`` and ``starts_from`` and drops the entries of the
@@ -169,11 +161,11 @@ class NodeState:
     """
 
     __slots__ = (
-        "pid", "x", "m", "lo", "y", "keep", "known", "rows", "masks", "runs", "stale_from", "c2_from",
+        "pid", "x", "m", "lo", "y", "keep", "known", "rows", "edges", "runs", "stale_from", "c2_from",
         "starts", "starts_from", "layout", "memo",
     )
 
-    def __init__(self, pid: int, x: int, n: int, keep: Optional[int], memo: dict, rows: dict):
+    def __init__(self, pid: int, x: int, n: int, keep: Optional[int], memo: dict, rows: dict, edges: dict):
         if not (1 <= pid <= n):
             raise ValueError(f"pid must be in 1..{n}, got {pid}")
         self.pid = pid
@@ -184,7 +176,7 @@ class NodeState:
         self.keep = keep  # None = full history, else bounded(keep)
         self.known = 1 << (pid - 1)
         self.rows = rows
-        self.masks = {0: 0}
+        self.edges = edges
         self.runs = {}
         self.stale_from = 0
         self.c2_from = 0
@@ -195,7 +187,7 @@ class NodeState:
 
     @property
     def approx(self) -> dict:
-        return dict(self.masks)
+        return _approx_view(self.known, self.edges, self.lo, self.m, self.layout)
 
     @property
     def locks(self) -> dict:
@@ -203,7 +195,10 @@ class NodeState:
 
     def roots_at(self, r: int) -> frozenset:
         """Roots of the round-r approximation (empty outside the retained rounds)."""
-        return roots_of_partial(self.masks.get(r, 0), self.pid, self.layout, self.memo)
+        lay, mask = self.layout, 0
+        if self.lo <= r <= self.m:
+            mask = self.edges[r] & lay.column * (self.known >> (r - self.lo) * lay.width & lay.row)
+        return roots_of_partial(mask, self.pid, lay, self.memo)
 
     def root_bits(self, r: int) -> tuple:
         """(root, member bitset) for each root of round r, memoized in the
@@ -216,12 +211,12 @@ class NodeState:
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
         if self.lo <= r <= self.m and self.known & 1 << ((r - self.lo) * self.layout.width + q - 1):
-            return self.rows[q].lock[r]
+            return self.rows[q][r]
         return None
 
     def propose(self, value: int) -> None:
         """Set the own lock of the current round (the core step's re-proposal)."""
-        self.rows[self.pid].lock[self.m] = value
+        self.rows[self.pid][self.m] = value
 
     def snapshot(self) -> tuple:
         """Hashable full-state copy; two runs are indistinguishable to a
@@ -231,7 +226,7 @@ class NodeState:
             self.m,
             self.x,
             self.y,
-            tuple(self.masks.items()),
+            tuple(self.approx.items()),
             tuple((q, tuple(row.items())) for q, row in sorted(self.locks.items())),
             self.keep,
         )
@@ -242,7 +237,7 @@ class NodeState:
             "m": self.m,
             "x": self.x,
             "y": self.y,
-            "approx": {str(r): self.layout.edges(mask) for r, mask in self.masks.items()},
+            "approx": {str(r): self.layout.edges(mask) for r, mask in self.approx.items()},
             "locks": {
                 str(q): {str(r): v for r, v in row.items()}
                 for q, row in sorted(self.locks.items())
@@ -275,11 +270,11 @@ def parse_mode(mode: str, D: Optional[int] = None) -> Optional[int]:
 def init_states(inputs, mode: str = "full") -> dict:
     """Fresh states of one run, pid -> state, of processes 1..len(inputs):
     singleton round-0 approximation, own input locked at round 0, and one
-    shared row table and root memo.  ``mode`` is ``"full"`` or
+    shared row table, edge table and root memo.  ``mode`` is ``"full"`` or
     ``"bounded:<k>"``."""
-    n, keep, memo = len(inputs), parse_mode(mode), {}
-    rows = {p: Row(x) for p, x in enumerate(inputs, start=1)}
-    return {p: NodeState(p, x, n, keep, memo, rows) for p, x in enumerate(inputs, start=1)}
+    n, keep, memo, edges = len(inputs), parse_mode(mode), {}, {0: 0}
+    rows = {p: {0: x} for p, x in enumerate(inputs, start=1)}
+    return {p: NodeState(p, x, n, keep, memo, rows, edges) for p, x in enumerate(inputs, start=1)}
 
 
 def make_message(s: NodeState) -> Message:
@@ -287,10 +282,10 @@ def make_message(s: NodeState) -> Message:
 
     In bounded(k) mode the message carries only rounds newer than ``s.m - k``:
     its ``known`` is the state's, rebased to that first round.  It refers to
-    the run's row table without copying it.
+    the run's row and edge tables without copying them.
     """
-    lo, width = window_start(s.keep, s.m + 1), s.layout.width
-    return Message(s.pid, s.m + 1, s.known >> (lo - s.lo) * width, s.rows, lo, width)
+    lo = window_start(s.keep, s.m + 1)
+    return Message(s.pid, s.m + 1, s.known >> (lo - s.lo) * s.layout.width, s.rows, s.edges, lo, s.layout)
 
 
 def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
@@ -298,10 +293,10 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
 
     ``known``, rebased to the round-m window, ORs in the inbox's ``known``
     ints (all rebased to the same first round) and the own round-m slot.
-    The own row gains its round-m cell: the lock carried forward and the
-    direct in-edges (sender -> pid).  Then ``masks`` gains round m, drops
-    the round that left the window, and for each new bit (q, r) takes in
-    q's round-r in-edge cell from the run's row table; ``stale_from`` and
+    The own row gains its round-m lock, carried forward, and the edge table
+    gains the direct in-edges (sender -> pid) in round m; both drop the
+    round that left the window (the edge table's drop is shared by every
+    merge of the round, and idempotent).  ``stale_from`` and
     ``starts_from`` drop to the lowest new slot (or to round m-1, which
     stops being the current round).  Merge order is irrelevant: ORs are
     commutative.
@@ -309,8 +304,7 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
     lo = window_start(s.keep, m)
-    pid, rows, masks, lay = s.pid, s.rows, s.masks, s.layout
-    width, row = lay.width, lay.row
+    pid, width = s.pid, s.layout.width
     before = s.known >> (lo - s.lo) * width
     known = before | 1 << ((m - lo) * width + pid - 1)
     direct = 0
@@ -320,29 +314,16 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
         direct |= 1 << ((msg.sender - 1) * width + pid - 1)
         known |= msg.known
     s.m, s.lo, s.known = m, lo, known
-    own = rows[pid]
-    own.lock[m] = own.lock[m - 1]
-    own.inmask[m] = direct
-    masks[m] = 0
+    own, edges = s.rows[pid], s.edges
+    own[m] = own[m - 1]
+    edges[m] = edges.get(m, 0) | direct
     if lo > 0:
-        del own.lock[lo - 1], own.inmask[lo - 1], masks[lo - 1]
+        del own[lo - 1]
+        edges.pop(lo - 1, None)
         s.runs.pop(lo - 1, None)
         s.starts.pop(lo - 1, None)
     new = known & ~before  # never empty: it holds the own round-m bit
-    r = lo + ((new & -new).bit_length() - 1) // width
-    changed = min(r, m - 1)
-    new >>= (r - lo) * width
-    while new:
-        bits = new & row
-        if bits:
-            cell = masks[r]
-            while bits:
-                low = bits & -bits
-                cell |= rows[low.bit_length()].inmask[r]
-                bits ^= low
-            masks[r] = cell
-        new >>= width
-        r += 1
+    changed = min(lo + ((new & -new).bit_length() - 1) // width, m - 1)
     if changed < s.stale_from:
         s.stale_from = changed
     if changed < s.starts_from:

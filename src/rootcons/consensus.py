@@ -23,13 +23,14 @@ its own silence.
 Both conditions read one per-round cache on the state: ``runs[r]`` is
 ``(root, start)``, the single confirmed root of round r (None if there is
 none or several) and the round its run of that root began (``r + 1`` for
-None).  Whether round r has a single confirmed root depends only on
-``masks[r]`` and on slot r of ``known`` (the members' evidence, empty at the
-current round), so the merge's ``stale_from`` bounds what can have changed,
-and only rounds from there on are recomputed.  c2 resumes its search at
-``c2_from``: no retained round before it ends a long enough run.  A start
-before the window counts from the window's first round, as a full rescan
-from there would.
+None).  Whether round r has a single confirmed root depends only on slot r
+of ``known``: it selects the columns of ``edges[r]`` (which no later merge
+changes) that form the round-r approximation, and it is the members'
+evidence (empty at the current round).  So the merge's ``stale_from``
+bounds what can have changed, and only rounds from there on are
+recomputed.  c2 resumes its search at ``c2_from``: no retained round
+before it ends a long enough run.  A start before the window counts from
+the window's first round, as a full rescan from there would.
 
 b1 and b3 take the maximum lock at the start of the surrounding common-root
 run, any root of the approximation rather than the single confirmed one.

@@ -10,21 +10,20 @@ While running, an invariant monitor checks each process's state against
 ground truth it derives from the true graphs alone: ``heard[p][q]``, the
 latest round whose end state of q has reached p (after round m it is the
 maximum of ``heard[u][q]`` over p's round-m in-neighbours u, and
-``heard[p][p] = m``).  After every round it requires, for every p, that
-p's ``known`` holds exactly the slots that row of the matrix implies (q in
-the slot of round r iff ``heard[p][q] >= r``, for r in ``lo..m``), that p
-holds the run's row table itself, and that p's own row gained exactly the
-right round-m cell: the true in-edges, the lock value the monitor tracks
-(carried forward, or the core step's re-proposal), and nothing outside
-``lo..m``.  Since a state's lock view is derived from ``known`` and the
-run's row table alone, this makes it exact.  The approximation is a
-per-round cache updated at merge time, so the monitor checks it too:
-``masks[r]`` must be the true round-r edges into ``{v : heard[p][v] >= r}``
-for every r in ``lo..m``, and no other round may be held.  The monitor
-keeps each process's expected ``known`` int and masks dict, updated only at
-the rounds whose heads rose, and compares each whole value in one step;
-only on a mismatch does it walk the slots and rounds to name the first that
-differs.
+``heard[p][p] = m``).  After every round it requires that the run's edge
+table holds exactly the true masks of rounds ``lo..m``, compared as one
+dict (a mismatch names the owner of the lowest wrong column, since only
+that owner writes it).  Then, for every p, it requires that p's ``known``
+holds exactly the slots that row of the matrix implies (q in the slot of
+round r iff ``heard[p][q] >= r``, for r in ``lo..m``), that p holds the
+run's row and edge tables themselves, and that p's own row gained exactly
+the lock value the monitor tracks (carried forward, or the core step's
+re-proposal) and holds nothing outside ``lo..m``.  A state's lock view and
+approximation are derived from ``known`` and the run's tables alone, so
+this makes them exact.  The monitor keeps each process's expected
+``known`` int, updated only at the rounds whose heads rose, and compares
+the whole value in one step; only on a mismatch does it walk the slots to
+name the first that differs.
 
 A run records no per-round state.  Indistinguishability rebuilds a
 process's state at every round from the trace by the same rules, with lock
@@ -51,6 +50,7 @@ from .adversary import (
     generate_estable,
 )
 from .approximation import (
+    _approx_view,
     init_states,
     make_message,
     parse_mode,
@@ -69,6 +69,7 @@ from .graphs import (
 
 
 MAX_RUN_PROCESSES = 64  # the largest n that run_execution and fuzz_campaign accept
+FUZZ_R_SR_MAX = 12  # the largest stabilization round fuzz_campaign samples
 
 
 class EngineInvariantError(Exception):
@@ -165,51 +166,40 @@ class Trace:
 
 
 class _GroundTruth:
-    """The ``heard`` matrix (-1 for none), each owner's current ``lock`` and
-    the true mask of every retained round, and for each p in ``pids`` the
-    ``known`` int and masks dict p's state must hold.  Graphs and states
-    share the n-process edge-mask layout, whose width is also the width of a
-    ``known`` slot."""
+    """The ``heard`` matrix (-1 for none), each owner's current ``lock``, the
+    true mask of every retained round, and for each p in ``pids`` the
+    ``known`` int p's state must hold.  Graphs and states share the
+    n-process edge-mask layout, whose width is also the width of a ``known``
+    slot."""
 
     def __init__(self, cfg: RunConfig, pids):
         self.keep, self.lock = parse_mode(cfg.mode), list(cfg.inputs)
-        lay = mask_layout(cfg.n)
-        self.width = lay.width
-        self.into = [lay.into(v) for v in range(1, cfg.n + 1)]  # every edge into v, by v-1
+        self.layout = mask_layout(cfg.n)
         self.heard = [[0 if q == p else -1 for q in range(cfg.n)] for p in range(cfg.n)]
         self.lo = 0
         self.true_masks = {0: 0}
-        self.expected = {p: [1 << (p - 1), {0: 0}] for p in pids}
+        self.known = {p: 1 << (p - 1) for p in pids}
 
     def advance(self, m: int, g: CommGraph, outcomes: list) -> int:
-        """Step to the end of round m, each expectation updated only where a
-        head rose; returns the window start ``lo``."""
+        """Step to the end of round m, each expected ``known`` gaining the
+        slots of the heads that rose; returns the window start ``lo``."""
         senders = [[] for _ in self.heard]
         for (u, v) in g.edges:
             senders[v - 1].append(self.heard[u - 1])
         previous, self.heard = self.heard, [[max(col) for col in zip(*rows)] for rows in senders]
         for p, known in enumerate(self.heard):
             known[p] = m
-        lo, width = window_start(self.keep, m), self.width
+        lo, width, row = window_start(self.keep, m), self.layout.width, self.layout.row
         dropped, self.lo = (lo - self.lo) * width, lo
-        into, true_masks = self.into, self.true_masks
-        true_masks[m] = g.mask
-        true_masks.pop(lo - 1, None)
-        for p, expected in self.expected.items():
-            known, masks = expected
-            masks[m] = 0
-            masks.pop(lo - 1, None)
-            gained, base = 0, m + 1  # the new bits, gained's slot 0 being round base
+        self.true_masks[m] = g.mask
+        self.true_masks.pop(lo - 1, None)
+        for p, known in self.known.items():
+            known >>= dropped
             for v, (was, h) in enumerate(zip(previous[p - 1], self.heard[p - 1])):
                 if h > was and h >= lo:
-                    heads = into[v]
-                    first = max(was + 1, lo)
-                    if first < base:
-                        gained, base = gained << (base - first) * width, first
-                    for r in range(first, h + 1):
-                        masks[r] |= true_masks[r] & heads
-                        gained |= 1 << ((r - base) * width + v)
-            expected[0] = known >> dropped | gained << (base - lo) * width
+                    first = max(was + 1, lo)  # bit v in each slot first..h
+                    known |= ((1 << (h - first + 1) * width) - 1) // row << (first - lo) * width + v
+            self.known[p] = known
         for q, out in enumerate(outcomes):
             if out.locked is not None:
                 self.lock[q] = out.locked[2]
@@ -217,61 +207,75 @@ class _GroundTruth:
 
 
 class _InvariantMonitor(_GroundTruth):
-    """Checks every process's state against the ground truth; ``rows`` is the
-    run's row table, which every state must hold."""
+    """Checks the run's edge table and every process's state against the
+    ground truth; ``rows`` and ``edges`` are the run's tables, which every
+    state must hold."""
 
-    def __init__(self, cfg: RunConfig, rows: dict, pids):
+    def __init__(self, cfg: RunConfig, rows: dict, edges: dict, pids):
         super().__init__(cfg, pids)
-        self.rows = rows
+        self.rows, self.edges = rows, edges
 
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
-        lo, rows = self.advance(m, g, outcomes), self.rows
-        for p, (known, masks) in self.expected.items():
-            st, own, inmask = states[p], rows[p], g.mask & self.into[p - 1]
+        lo, rows, edges = self.advance(m, g, outcomes), self.rows, self.edges
+        if edges != self.true_masks:
+            owner, problem = self._edge_violation(m, lo)
+            self._fail(owner, m, lo, problem)
+        for p, known in self.known.items():
+            st, own = states[p], rows[p]
             if (
                 st.known == known
                 and st.rows is rows
-                and st.masks == masks
+                and st.edges is edges
                 and st.lo == lo
-                and own.inmask.get(m) == inmask
-                and own.lock.get(m) == self.lock[p - 1]
-                and len(own.lock) == len(own.inmask) == m - lo + 1
+                and own.get(m) == self.lock[p - 1]
+                and len(own) == m - lo + 1
             ):
                 continue
-            problem = self._violation(st, p, m, lo, inmask)
-            raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={self.heard[p - 1]}; rounds {lo}..{m} kept)")
+            self._fail(p, m, lo, self._violation(st, p, m, lo))
+
+    def _fail(self, p: int, m: int, lo: int, problem: str):
+        raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={self.heard[p - 1]}; rounds {lo}..{m} kept)")
+
+    def _edge_violation(self, m: int, lo: int) -> tuple:
+        """(owner, what is wrong) for the first round where the edge table
+        differs from the true masks, the owner being that of the lowest
+        wrong column (only that owner writes it).  A round held or missing
+        with no edges has no wrong column, and names the first process."""
+        lay, edges, true = self.layout, self.edges, self.true_masks
+        for r in sorted(edges.keys() | true.keys()):
+            has, want = edges.get(r, 0), true.get(r, 0)
+            wrong, columns = has ^ want, 0
+            while wrong:
+                columns |= wrong & lay.row
+                wrong >>= lay.width
+            if columns:
+                v = (columns & -columns).bit_length()
+                into = lay.into(v)
+                return v, f"edges[{r}] into p{v} are {lay.edges(has & into)}, expected {lay.edges(want & into)}"
+        return min(self.known), f"the edge table holds rounds {sorted(edges)}, expected {lo}..{m}"
 
     def _processes(self, slot: int) -> list:
-        return [i + 1 for i in range(self.width) if slot >> i & 1]
+        return [i + 1 for i in range(self.layout.width) if slot >> i & 1]
 
-    def _violation(self, st, p: int, m: int, lo: int, inmask: int) -> str:
+    def _violation(self, st, p: int, m: int, lo: int) -> str:
         """What is wrong with p's state after round m, walked check by check
         (the first failing one is named); the fast check has failed."""
-        width, known = self.width, self.expected[p][0]
-        slot = (1 << width) - 1
+        width, row, known = self.layout.width, self.layout.row, self.known[p]
         for r in range(lo, m + 1):
-            has, want = st.known >> (r - lo) * width & slot, known >> (r - lo) * width & slot
+            has, want = st.known >> (r - lo) * width & row, known >> (r - lo) * width & row
             if has != want:
                 return f"known[{r}] is {self._processes(has)}, expected {self._processes(want)}"
         if st.known >> (m - lo + 1) * width:
             return f"known holds slots past round {m}"
         if st.rows is not self.rows:
             return "rows is not the run's row table"
-        own, edges = self.rows[p], st.layout.edges
-        if own.inmask.get(m) != inmask:
-            has = edges(own.inmask[m]) if m in own.inmask else "absent"
-            return f"inmask[{p}][{m}] is {has}, expected {edges(inmask)}"
-        if own.lock.get(m) != self.lock[p - 1]:
-            return f"lock[{p}][{m}] is {own.lock.get(m, 'absent')}, expected {self.lock[p - 1]}"
-        if not len(own.lock) == len(own.inmask) == m - lo + 1:
-            return f"row[{p}] holds rounds {sorted(own.lock.keys() | own.inmask.keys())}, expected {lo}..{m}"
-        masks = self.expected[p][1]
-        for r in range(m, lo - 1, -1):
-            if st.masks.get(r) != masks[r]:
-                has = edges(st.masks[r]) if r in st.masks else "absent"
-                return f"approx[{r}] is {has}, expected {edges(masks[r])}"
-        if len(st.masks) != m - lo + 1:
-            return f"approx holds rounds {sorted(st.masks)}, expected {lo}..{m}"
+        if st.edges is not self.edges:
+            return "edges is not the run's edge table"
+        own = self.rows[p]
+        if own.get(m) != self.lock[p - 1]:
+            return f"lock[{p}][{m}] is {own.get(m, 'absent')}, expected {self.lock[p - 1]}"
+        if len(own) != m - lo + 1:
+            return f"row[{p}] holds rounds {sorted(own)}, expected {lo}..{m}"
         return f"lo is {st.lo}, expected {lo}"
 
 
@@ -282,7 +286,7 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
     :func:`indistinguishable` rebuilds it from the trace.
     """
     states = init_states(cfg.inputs, cfg.mode)
-    monitor = _InvariantMonitor(cfg, states[1].rows, states) if cfg.check_invariants else None
+    monitor = _InvariantMonitor(cfg, states[1].rows, states[1].edges, states) if cfg.check_invariants else None
     round_graphs = []
     outcomes = []
     decisions = {}
@@ -396,7 +400,6 @@ def _rebuilt_states(trace: Trace, p: int) -> list:
         cfg = trace.config
         cells = [[(0, x)] for x in cfg.inputs]  # cells[q-1][r] = (r, q's lock after round r)
         truth = _GroundTruth(cfg, [p])
-        masks = truth.expected[p][1]
         decided, y = trace.decisions.get(p, (cfg.horizon + 1, None))
         lo, states = 0, []
         for m in range(cfg.horizon + 1):
@@ -407,7 +410,8 @@ def _rebuilt_states(trace: Trace, p: int) -> list:
             heard = truth.heard[p - 1]  # q has a retained cell iff heard[q-1] >= lo
             locks = tuple((q, tuple(row[lo : h + 1])) for q, (row, h) in enumerate(zip(cells, heard), 1) if h >= lo)
             y_m = y if m >= decided else None
-            states.append((p, m, cfg.inputs[p - 1], y_m, tuple(masks.items()), locks, truth.keep))
+            approx = _approx_view(truth.known[p], truth.true_masks, lo, m, truth.layout)
+            states.append((p, m, cfg.inputs[p - 1], y_m, tuple(approx.items()), locks, truth.keep))
         trace.rebuilt[p] = states
     return trace.rebuilt[p]
 
@@ -719,7 +723,6 @@ def fuzz_campaign(
     adversary: str = "estable",
     n_range: tuple = (2, 8),
     d_cap: int = 3,
-    r_sr_max: int = 12,
     mode: str = "full",
     jobs: int = 1,
 ) -> FuzzSummary:
@@ -750,7 +753,7 @@ def fuzz_campaign(
         D = rng.randint(1, min(d_cap, n - 1))
         trial_seed = rng.getrandbits(48)
         lo = 1 if adversary == "estable" else D + 2
-        r_sr = rng.randint(lo, max(lo, r_sr_max))
+        r_sr = rng.randint(lo, max(lo, FUZZ_R_SR_MAX))
         inputs = tuple(rng.randint(0, 99) for _ in range(n))
         cases.append((index, adversary, trial_seed, n, D, r_sr, inputs, mode))
     if jobs > 1:

@@ -9,7 +9,6 @@ from oracles import out_row_mask, reference_roots_of_partial
 import rootcons.harness as harness_mod
 from rootcons.approximation import (
     NodeState,
-    _approx_view,
     evidence,
     init_states,
     make_message,
@@ -51,7 +50,7 @@ class TestInitState:
     def test_pid_range_enforced(self):
         for pid in (0, 4):
             with pytest.raises(ValueError):
-                NodeState(pid, 0, 3, None, {}, {})
+                NodeState(pid, 0, 3, None, {}, {}, {})
 
     @pytest.mark.parametrize("n", [1, 16, 17, 64])
     def test_states_of_one_run_share_layout_and_memo(self, n):
@@ -61,9 +60,12 @@ class TestInitState:
         assert {id(s.rows) for s in states.values()} == {id(states[1].rows)}
         assert sorted(states[1].rows) == list(range(1, n + 1))
         assert all(make_message(s).rows is states[1].rows for s in states.values())
+        assert {id(s.edges) for s in states.values()} == {id(states[1].edges)} and states[1].edges == {0: 0}
+        assert all(make_message(s).edges is states[1].edges for s in states.values())
         assert all(s.layout is mask_layout(n) and s.keep == 3 for s in states.values())
         other = init_states((0,) * n)[1]
         assert other.memo is not states[1].memo and other.rows is not states[1].rows  # one of each per run
+        assert other.edges is not states[1].edges
 
 
 class TestMakeMessage:
@@ -255,22 +257,22 @@ class TestRootKernel:
         assert fresh_roots(mask, extra, lay) == reference_roots_of_partial(mask, extra, lay)
 
 
-def masks_from_slots(s) -> dict:
-    """Round -> the OR of the round-r in-edge cells of every q in slot r of ``known``."""
-    width = s.layout.width
-    masks = {}
+def true_approx(l, s) -> dict:
+    """Round -> the lasso's round-r edges into every v in slot r of ``known``,
+    for the state's retained rounds (round 0 has no edges)."""
+    width, approx = s.layout.width, {}
     for r in range(s.lo, s.m + 1):
         slot = s.known >> (r - s.lo) * width
-        masks[r] = 0
-        for q in range(1, width + 1):
-            if slot >> (q - 1) & 1:
-                masks[r] |= s.rows[q].inmask[r]
-    return masks
+        edges = l.graph(r).edges if r else ()
+        approx[r] = sum(s.layout.bit(u, v) for (u, v) in edges if slot >> (v - 1) & 1)
+    return approx
 
 
 class TestMaskCache:
-    """``masks`` is updated at merge time; after every round it must equal the
-    approximation recomputed from the rows and the ``known`` slots."""
+    """The approximation is derived from ``known`` and the run's edge table;
+    after every round each state's ``approx``, and the masks ``roots_at``
+    reads, must equal the lasso's true graphs restricted to the state's
+    ``known`` slots."""
 
     @pytest.mark.parametrize("mode", ["full", "bounded:3", "bounded:7"])
     def test_masks_match_recomputed_view(self, mode):
@@ -285,9 +287,11 @@ class TestMaskCache:
                 for p in states:
                     receive_and_merge(states[p], [msgs[q] for q in g.in_neighbors(p)], m)
                 for s in states.values():
-                    assert s.masks == masks_from_slots(s)
-                    assert s.masks == _approx_view(s.known, s.rows, s.lo, s.m, s.layout.width)
-                    assert list(s.masks) == list(range(s.lo, s.m + 1))
+                    want = true_approx(l, s)
+                    assert s.approx == want
+                    assert list(s.approx) == list(range(s.lo, s.m + 1))
+                    for r, mask in want.items():  # roots_at derives the same masks
+                        assert s.roots_at(r) == fresh_roots(mask, s.pid, s.layout)
 
 
 class TestPrune:
@@ -306,8 +310,24 @@ class TestPrune:
         states = drive(l, (0, 0), 8, mode="bounded:3")
         assert sorted(states[2].approx) == [5, 6, 7, 8]
         assert sorted(states[2].locks[2]) == [5, 6, 7, 8]
-        assert sorted(states[2].rows[2].lock) == [5, 6, 7, 8]
+        assert sorted(states[2].rows[2]) == [5, 6, 7, 8]
+        assert sorted(states[2].edges) == [5, 6, 7, 8]
         assert states[2].lo == 5
+
+    @pytest.mark.parametrize("mode", ["bounded:3", "bounded:7"])
+    def test_edge_table_holds_the_window_every_round(self, mode):
+        rng = random.Random(mode)
+        for _ in range(6):
+            n = rng.randint(2, 8)
+            l = random_lasso(rng, n, rng.randint(0, 8), density=0.3)
+            states = init_states(tuple(range(n)), mode)
+            for m in range(1, 16):
+                g = l.graph(m)
+                msgs = {p: make_message(states[p]) for p in states}
+                for p in states:
+                    receive_and_merge(states[p], [msgs[q] for q in g.in_neighbors(p)], m)
+                lo = states[1].lo
+                assert list(states[1].edges) == list(range(lo, m + 1)), m
 
     def test_peer_leaves_with_its_last_heard_round(self, monkeypatch):
         # p1's round-0 state reaches p2 in round 1, and nothing after it:

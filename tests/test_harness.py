@@ -74,7 +74,7 @@ class TestRunExecution:
 def _drop_relayed_heard(merge, s, msgs, m):
     # each message keeps only its sender's own bit in every slot
     own_entries = [
-        replace(msg, known=msg.known & sum(1 << (i * msg.width + msg.sender - 1) for i in range(m - msg.lo)))
+        replace(msg, known=msg.known & sum(1 << (i * msg.layout.width + msg.sender - 1) for i in range(m - msg.lo)))
         for msg in msgs
     ]
     return merge(s, own_entries, m)
@@ -85,32 +85,31 @@ def _copied_rows(merge, s, msgs, m):
     s.rows = copy.copy(s.rows)
 
 
+def _copied_edge_table(merge, s, msgs, m):
+    merge(s, msgs, m)
+    s.edges = dict(s.edges)
+
+
 def _wrong_lock_value(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.rows[2].lock[m] += 1
+    s.rows[2][m] += 1
 
 
 def _fabricated_edge(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.rows[2].inmask[m] |= s.layout.bit(3, 2)
+    s.edges[m] |= s.layout.bit(3, 2)
 
 
 def _retained_past_window(merge, s, msgs, m):
     own = s.rows[2]
-    stale = own.lock[m - 6], own.inmask[m - 6]
+    stale = own[m - 6]
     merge(s, msgs, m)
-    own.lock[m - 6], own.inmask[m - 6] = stale
+    own[m - 6] = stale
 
 
 def _stale_approx_mask(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.masks[m - 1] &= ~s.layout.bit(1, 5)  # relayed by p5
-
-
-def _mask_past_window(merge, s, msgs, m):
-    stale = s.masks[m - 6]
-    merge(s, msgs, m)
-    s.masks[m - 6] = stale
+    s.edges[m - 1] &= ~s.layout.bit(5, 2)  # a true edge of round 1
 
 
 def _wrong_lo(merge, s, msgs, m):
@@ -119,13 +118,10 @@ def _wrong_lo(merge, s, msgs, m):
 
 
 def _flipped_bit_at_unchanged_round(merge, s, msgs, m):
-    # p2's heads in round 5 rise for p1 (to 3), p5 (to 4) and itself (to 5):
-    # round 2's mask is not touched by this merge, so only a check of every
-    # retained round can see the flipped bit
-    before = s.masks[m - 3]
+    # round 2's edges are not touched by any merge of round 5, so only a
+    # check of every retained round can see the false edge
     merge(s, msgs, m)
-    assert s.masks[m - 3] == before
-    s.masks[m - 3] ^= s.layout.bit(1, 3)  # a true edge, but p3 was never heard
+    s.edges[m - 3] |= s.layout.bit(1, 2)
 
 
 class TestInvariantMonitor:
@@ -140,30 +136,29 @@ class TestInvariantMonitor:
              "known[0] is [2, 5], expected [1, 2, 5] (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_copied_rows, 5, "full", 2,
              "rows is not the run's row table (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
+            (_copied_edge_table, 5, "full", 2,
+             "edges is not the run's edge table (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_wrong_lock_value, 5, "full", 2,
              "lock[2][2] is 2, expected 1 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_fabricated_edge, 5, "full", 2,
-             "inmask[2][2] is [(2, 2), (3, 2), (5, 2)], expected [(2, 2), (5, 2)] (heard[2]="),
+             "edges[2] into p2 are [(2, 2), (3, 2), (5, 2)], expected [(2, 2), (5, 2)] (heard[2]="),
             (_retained_past_window, 5, "bounded:5", 6,
              "row[2] holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6 "
              "(heard[2]=[4, 6, -1, -1, 5]; rounds 1..6 kept)"),
             (_stale_approx_mask, 5, "full", 2,
-             "approx[1] is [(2, 2), (5, 2), (5, 5)], expected [(1, 5), (2, 2), (5, 2), (5, 5)] "
+             "edges[1] into p2 are [(2, 2)], expected [(2, 2), (5, 2)] "
              "(heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
-            (_mask_past_window, 5, "bounded:5", 6,
-             "approx holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6 "
-             "(heard[2]=[4, 6, -1, -1, 5]; rounds 1..6 kept)"),
             (_wrong_lo, 5, "full", 2, "lo is 1, expected 0 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_flipped_bit_at_unchanged_round, 5, "bounded:5", 5,
-             "approx[2] is [(1, 1), (1, 3), (1, 5), (2, 2), (5, 2), (5, 5)], "
-             "expected [(1, 1), (1, 5), (2, 2), (5, 2), (5, 5)] (heard[2]=[3, 5, -1, -1, 4]; rounds 0..5 kept)"),
+             "edges[2] into p2 are [(1, 2), (2, 2), (5, 2)], expected [(2, 2), (5, 2)] "
+             "(heard[2]=[3, 5, -1, -1, 4]; rounds 0..5 kept)"),
             # n=24 runs at mask width 32
             (_fabricated_edge, 24, "full", 2,
-             "inmask[2][2] is [(2, 2), (3, 2), (5, 2)], expected [(2, 2), (5, 2)] (heard[2]=[0, 2, -1, -1, 1, -1,"),
+             "edges[2] into p2 are [(2, 2), (3, 2), (5, 2)], expected [(2, 2), (5, 2)] (heard[2]=[0, 2, -1, -1, 1, -1,"),
         ],
-        ids=["dropped-relayed-heard", "copied-row", "wrong-lock-value",
+        ids=["dropped-relayed-heard", "copied-row", "copied-edge-table", "wrong-lock-value",
              "fabricated-edge", "retained-past-window", "stale-approx-mask",
-             "mask-past-window", "wrong-lo", "flipped-bit-at-unchanged-round", "fabricated-edge-at-24"],
+             "wrong-lo", "flipped-bit-at-unchanged-round", "fabricated-edge-at-24"],
     )
     def test_fault_names_process_and_round(self, monkeypatch, fault, n, mode, round_, why):
         merge = harness_mod.receive_and_merge
