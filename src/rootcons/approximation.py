@@ -44,10 +44,25 @@ those rounds on.
 rebuilds a process's snapshots from the run's trace when it compares two
 runs.
 
+Root queries rest on one lemma.  Let S be slot r, and let every member of
+S have its self-loop in ``edges[r]`` (its own round-r merge wrote it).
+Then the roots of ``edges[r]`` restricted to the columns of S are the
+roots of the whole ``edges[r]`` that lie inside S, plus one singleton
+ghost ``{u}`` for each u outside S with an edge into S: such a u has no
+in-edge left, and a set inside S has the same in-edges in both graphs.
+This holds whether or not ``edges[r]`` is final, because the columns of S
+are written before S holds them.  So the kernel ``graphs.roots_of_mask``
+runs once per distinct round mask of a run, and each query is a subset
+filter.  Round 0 and the rounds outside the window have no such slot (the
+mask lacks the owner's self-loop) and keep the kernel's ``{pid}``.
+
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
 states of one run (:func:`init_states`) share that layout, the two tables
-and one memo of root queries keyed by mask (and of root member bitsets
-keyed by the roots), which live as long as the run.
+and one root memo, which live as long as the run.  The memo has two key
+spaces that cannot collide: a partial mask (``(mask, pid)`` when it lacks
+the pid's self-loop) maps to that approximation's roots, and a 1-tuple
+``(edges[r],)`` to (root, member bitset) for each root of the whole round
+mask.
 """
 
 from __future__ import annotations
@@ -58,19 +73,62 @@ from typing import Iterable, Optional
 from .graphs import MaskLayout, mask_layout, roots_of_mask
 from .graphs import root_components  # noqa: F401  (bound here for callers that wrap it)
 
-def roots_of_partial(mask: int, extra_vertex: int, layout: MaskLayout, memo: dict) -> frozenset:
+def roots_of_partial(mask: int, extra_vertex: int, layout: MaskLayout, memo: dict, whole: int, slot: int) -> frozenset:
     """Root components of a partial graph given by ``mask`` (in ``layout``)
     over its edge endpoints plus ``extra_vertex`` (the owning process is
     always a known vertex, even with no recorded edges); every vertex has a
-    self-loop.  Memoized in ``memo`` over the kernel ``graphs.roots_of_mask``,
-    by ``mask`` alone when it holds the extra vertex's self-loop: that vertex
-    is then an endpoint already, and the answer does not depend on it.
+    self-loop.  ``mask`` is ``whole & column * slot``, ``whole`` a round's
+    edge mask and ``slot`` a vertex bitset.  Memoized in ``memo`` by ``mask``
+    alone when it holds the extra vertex's self-loop: that vertex is then an
+    endpoint already, and the answer does not depend on it.
+
+    When ``slot`` holds the extra vertex and every member of ``slot`` has its
+    self-loop in ``mask``, the answer is derived from the roots of ``whole``
+    by the module's lemma; otherwise (round 0, or no retained round) it is a
+    call of the kernel ``graphs.roots_of_mask``.
     """
     key = mask if mask & layout.bit(extra_vertex, extra_vertex) else (mask, extra_vertex)
     roots = memo.get(key)
     if roots is None:
-        roots = memo[key] = roots_of_mask(mask, 1 << (extra_vertex - 1), layout)
+        loops = layout.column * slot & layout.diagonal
+        if slot >> (extra_vertex - 1) & 1 and mask & loops == loops:
+            inside = [root for root, bits in _whole_root_bits(whole, layout, memo) if bits & slot == bits]
+            roots = frozenset(inside + _ghosts(mask, slot, layout))
+        else:
+            roots = roots_of_mask(mask, 1 << (extra_vertex - 1), layout)
+        memo[key] = roots
     return roots
+
+
+def _whole_root_bits(whole: int, layout: MaskLayout, memo: dict) -> tuple:
+    """(root, member bitset) for each root of ``whole`` over its endpoints,
+    memoized in ``memo`` under the 1-tuple ``(whole,)``."""
+    key = (whole,)
+    bits = memo.get(key)
+    if bits is None:
+        bits = memo[key] = _with_bits(roots_of_mask(whole, 0, layout))
+    return bits
+
+
+def _with_bits(roots: Iterable) -> tuple:
+    """(root, member bitset) for each root."""
+    return tuple((root, sum(1 << (q - 1) for q in root)) for root in roots)
+
+
+def _ghosts(mask: int, slot: int, layout: MaskLayout) -> list:
+    """``{u}`` for each u outside ``slot`` with an edge in ``mask``."""
+    width, ghosts = layout.width, []
+    rows = mask
+    for s in layout.halves:  # fold each row into its column 0
+        rows |= rows >> s
+    rows &= layout.column
+    while rows:
+        low = rows & -rows
+        u = (low.bit_length() - 1) // width + 1
+        if not slot >> (u - 1) & 1:
+            ghosts.append(frozenset((u,)))
+        rows ^= low
+    return ghosts
 
 
 def window_start(keep: Optional[int], m: int) -> int:
@@ -193,21 +251,36 @@ class NodeState:
     def locks(self) -> dict:
         return _locks_view(self.known, self.rows, self.lo, self.layout.width)
 
+    def _slot(self, r: int) -> int:
+        """Slot r of ``known``, for a retained round r."""
+        return self.known >> (r - self.lo) * self.layout.width & self.layout.row
+
     def roots_at(self, r: int) -> frozenset:
-        """Roots of the round-r approximation (empty outside the retained rounds)."""
-        lay, mask = self.layout, 0
+        """Roots of the round-r approximation: the roots of ``edges[r]`` inside
+        slot r plus the ghosts, singletons outside it with an edge into it
+        (just ``{pid}`` at round 0 and outside the retained rounds)."""
+        lay, mask, whole, slot = self.layout, 0, 0, 0
         if self.lo <= r <= self.m:
-            mask = self.edges[r] & lay.column * (self.known >> (r - self.lo) * lay.width & lay.row)
-        return roots_of_partial(mask, self.pid, lay, self.memo)
+            whole, slot = self.edges[r], self._slot(r)
+            mask = whole & lay.column * slot
+        return roots_of_partial(mask, self.pid, lay, self.memo, whole, slot)
 
     def root_bits(self, r: int) -> tuple:
-        """(root, member bitset) for each root of round r, memoized in the
-        run's memo under the roots."""
-        roots = self.roots_at(r)
-        bits = self.memo.get(roots)
-        if bits is None:
-            bits = self.memo[roots] = tuple((root, sum(1 << (q - 1) for q in root)) for root in roots)
-        return bits
+        """(root, member bitset) for each root of the whole ``edges[r]``,
+        memoized in the run's memo under ``(edges[r],)``.  Those inside slot r
+        are the approximation's roots without its ghosts, and a root that
+        passes the evidence filter (slot r, empty at the current round) lies
+        inside it; so ``consensus.confirmed_roots`` finds the approximation's
+        confirmed roots here.  At round 0, outside the retained rounds, or
+        when a member of slot r lacks its self-loop in ``edges[r]``, these are
+        the roots of ``roots_at(r)``."""
+        lay = self.layout
+        if self.lo <= r <= self.m:
+            whole = self.edges[r]
+            loops = lay.column * self._slot(r) & lay.diagonal
+            if whole & loops == loops:
+                return _whole_root_bits(whole, lay, self.memo)
+        return _with_bits(self.roots_at(r))
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
         if self.lo <= r <= self.m and self.known & 1 << ((r - self.lo) * self.layout.width + q - 1):

@@ -265,8 +265,25 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if summary.all_ok else EXIT_UNSATISFIED
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects; ``usage`` is the rejecting parser's."""
+
+    def __init__(self, message: str, usage: str):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise instead of exiting, so
+    that :func:`main` reports them as input errors; subcommand parsers are
+    built with the same class."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}", self.format_usage())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rootcons",
         description="Simulate and check consensus on directed dynamic networks "
         "under eventually stabilizing message adversaries.",
@@ -332,8 +349,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, matching our input-error code
+    except _UsageError as exc:
+        print(exc.usage, end="", file=sys.stderr)
+        return _fail_input(str(exc))
+    except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else EXIT_OK
     return args.func(args)
 

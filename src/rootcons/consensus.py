@@ -118,6 +118,12 @@ def confirmed_roots(s: NodeState, r: int) -> list:
     Roots without that evidence are bookkeeping ghosts of partial knowledge
     (a vertex whose round-r in-edges have not arrived yet), while a root
     *with* evidence is guaranteed to be a root of the true round-r graph.
+
+    ``root_bits`` gives the roots of the whole round-r edge table, not of the
+    approximation.  The evidence (slot r, empty at the current round) keeps
+    exactly those inside slot r, which by the lemma in ``approximation`` are
+    the approximation's roots that are not ghosts, and no ghost, a vertex
+    outside slot r, could pass it.
     """
     have = evidence(s, r)
     return [root for root, bits in s.root_bits(r) if bits & have == bits]

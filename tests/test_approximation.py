@@ -6,16 +6,18 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import random_lasso, run_with_snapshots
 from oracles import out_row_mask, reference_roots_of_partial
 
+import rootcons.approximation as approximation_mod
 import rootcons.harness as harness_mod
+from rootcons.adversary import AdversaryParams, generate_estable
 from rootcons.approximation import (
     NodeState,
     evidence,
     init_states,
     make_message,
     receive_and_merge,
-    roots_of_partial,
 )
-from rootcons.graphs import lasso, mask_layout
+from rootcons.consensus import confirmed_roots
+from rootcons.graphs import lasso, mask_layout, roots_of_mask
 from rootcons.harness import RunConfig, run_execution
 
 
@@ -215,8 +217,8 @@ class TestRootDetection:
 
 
 def fresh_roots(mask, extra_vertex, lay):
-    """The kernel's answer through ``roots_of_partial``, with an empty memo."""
-    return roots_of_partial(mask, extra_vertex, lay, {})
+    """The kernel's answer for a partial mask."""
+    return roots_of_mask(mask, 1 << (extra_vertex - 1), lay)
 
 
 W16, W64 = mask_layout(16), mask_layout(64)
@@ -255,6 +257,81 @@ class TestRootKernel:
     def test_random_masks_up_to_sixty_four(self, case):
         mask, extra, lay = case
         assert fresh_roots(mask, extra, lay) == reference_roots_of_partial(mask, extra, lay)
+
+
+def lemma_state(n, edges, slot, pid):
+    """A state at round 2 whose round-1 edge table is ``edges`` plus every
+    self-loop, with ``slot`` (which holds pid) as its slots of rounds 0 and 1
+    and only pid in the slot of round 2; returns (state, round-1 mask, slot
+    bitset)."""
+    lay = mask_layout(n)
+    whole = sum(lay.bit(u, v) for (u, v) in edges) | sum(lay.bit(v, v) for v in range(1, n + 1))
+    rows = {q: {r: 0 for r in range(3)} for q in range(1, n + 1)}
+    s = NodeState(pid, 0, n, None, {}, rows, {0: 0, 1: whole, 2: lay.bit(pid, pid)})
+    bits = sum(1 << (q - 1) for q in slot)
+    s.m, s.known = 2, bits | bits << lay.width | 1 << (2 * lay.width + pid - 1)
+    return s, whole, bits
+
+
+@st.composite
+def lemma_cases(draw):
+    """(n, edges, slot, pid) for n of a layout of width 16, 32 or 64, a slot
+    holding pid."""
+    width = draw(st.sampled_from([16, 32, 64]))
+    n = draw(st.integers(1 if width == 16 else width // 2 + 1, width))
+    pid = draw(st.integers(1, n))
+    edges = draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n))))
+    slot = draw(st.sets(st.integers(1, n))) | {pid}
+    return n, sorted(edges), sorted(slot), pid
+
+
+class TestRootLemma:
+    """Root queries are answered from the roots of the whole round mask: the
+    roots inside the slot plus a ghost per outside vertex with an edge into
+    it.  That must equal the definition, Tarjan on the partial view."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=lemma_cases())
+    @example(case=(1, [], [1], 1))  # one process with only its self-loop
+    @example(case=(4, [(2, 3), (3, 2), (1, 2)], [1, 2, 3], 1))  # the owner has no in-edges
+    @example(case=(4, [(2, 1), (3, 1), (2, 3)], [1], 1))  # a slot of one, two ghosts
+    @example(case=(64, [(64, 1), (1, 64), (33, 64)], [1, 64], 64))  # the last row and column
+    @example(case=(64, [(64, 33), (1, 64), (33, 1)], [1, 33, 64], 33))
+    def test_roots_match_the_partial_view(self, case):
+        n, edges, slot, pid = case
+        s, whole, bits = lemma_state(n, edges, slot, pid)
+        lay = s.layout
+        want = reference_roots_of_partial(whole & lay.column * bits, pid, lay)
+        assert s.roots_at(1) == want
+        assert evidence(s, 1) == bits
+        assert set(confirmed_roots(s, 1)) == {root for root in want if root <= set(slot)}
+        # round 0 and a round past the current one: the owner alone
+        own = frozenset([frozenset([pid])])
+        assert s.roots_at(0) == reference_roots_of_partial(0, pid, lay) == own
+        assert s.roots_at(3) == own
+        assert s.root_bits(0) == ((frozenset([pid]), 1 << (pid - 1)),)
+
+
+class TestKernelBudget:
+    """The root kernel runs once per distinct round mask of a run."""
+
+    @pytest.mark.parametrize("mode", ["full", "bounded:7"])
+    def test_sixty_four_processes(self, monkeypatch, mode):
+        l, cert = generate_estable(AdversaryParams(n=64, D=3, seed=3, r_sr_target=6))
+        horizon = cert.deadline + 3 + 2  # what ``rootcons run`` picks
+        assert horizon == 17
+        kernel, calls = approximation_mod.roots_of_mask, []
+
+        def counted(mask, *rest):
+            calls.append(mask)
+            return kernel(mask, *rest)
+
+        monkeypatch.setattr(approximation_mod, "roots_of_mask", counted)
+        trace = run_execution(RunConfig(64, 3, tuple(range(1, 65)), l, horizon, mode=mode))
+        assert len(trace.decisions) == 64
+        held = {l.graph(r).mask for r in range(1, horizon + 1)}  # the final edges[r]
+        assert len(calls) <= len(held) + 1  # and one for a round-0 query
+        assert len(set(calls)) == len(calls) and set(calls) <= held | {0}
 
 
 def true_approx(l, s) -> dict:

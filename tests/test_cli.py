@@ -565,3 +565,38 @@ class TestGenerateParamsJson:
         params.write_text('{"n": 5, "D": 2, "seed": null, "r_sr_target": null}')
         code, payload = run_cli(capsys, ["generate", "--params", str(params)])
         assert code == 0 and payload["ok"]
+
+
+class TestUsageErrors:
+    """A command line the parser rejects is an input error: exit 2, one JSON
+    error line on stdout, the usage on stderr.  ``--help`` is exit 0."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["run", "--lasso", "x.json", "--inputs", "1", "--d", "2", "--horizon", "x"],
+             "rootcons run: argument --horizon: invalid int value: 'x'"),
+            (["run", "--inputs", "1,2"], "rootcons run: the following arguments are required: --lasso, --d"),
+            (["nope"], "rootcons: argument command: invalid choice: 'nope'"),
+            ([], "rootcons: the following arguments are required: command"),
+            (["fuzz", "--trials", "abc"], "rootcons fuzz: argument --trials: invalid int value: 'abc'"),
+            (["check", "--lasso", "x.json", "--d", "1", "--adversary", "bogus"], "invalid choice: 'bogus'"),
+            (["generate", "--n", "5", "--bogus"], "rootcons: unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_exit_2_with_one_json_error(self, capsys, argv, error):
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 2 and len(lines) == 1
+        payload = json.loads(lines[0])
+        assert sorted(payload) == ["error", "ok"] and payload["ok"] is False
+        assert error in payload["error"]
+        assert captured.err.startswith("usage: rootcons") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["fuzz", "-h"]])
+    def test_help_exit_0(self, capsys, argv):
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: rootcons")
