@@ -8,14 +8,17 @@ Slot 0 is the oldest retained round ``lo`` (0 in full mode; ``max(0, m-k)``
 in ``bounded:k``).  Slots are monotone: a state of q that has arrived
 carries q's earlier states, so q in slot r is also in every slot ``lo..r``.
 
-The facts themselves live in two tables per run, which every state and
-every message of the run refers to.  ``rows[q]`` is q's append-only
-``{round: lock}`` of per-round lock (proposal) values; only q writes it,
-and only the cell of its current round (in ``bounded:k`` it also drops its
-round ``m-k-1`` cell in round m).  ``edges[r]`` is the round-r edge mask:
-in its merge of round m each owner ORs in its delivered in-edges (its
-column of the mask), and every merge drops round ``lo-1``.  A state holds
-no cells of its own: it reads q's round-r lock only when q is in slot r.
+The facts themselves live in three tables per run, which every state of
+the run refers to (and every message, to the first two).  ``rows[q]`` is
+q's append-only ``{round: lock}`` of per-round lock (proposal) values; only
+q writes it, and only the cell of its current round (in ``bounded:k`` it
+also drops its round ``m-k-1`` cell in round m).  ``edges[r]`` is the
+round-r edge mask: in its merge of round m each owner ORs in its delivered
+in-edges (its column of the mask).  ``starts[r]`` maps each root of the
+whole ``edges[r]`` to the round its common-root run began; ``consensus``
+fills it lazily.  Every merge drops round ``lo-1`` from both.  A state
+holds no cells of its own: it reads q's round-r lock only when q is in
+slot r.
 
 After round m the process knows ``lock[q][r]`` exactly when q is in slot r,
 and the round-r edge (u, v) exactly when v is, so its round-r approximation
@@ -35,34 +38,30 @@ confirming a root is one mask test of its member bitset against that slot.
 
 The merge also notes ``stale_from``, the earliest round whose confirmed
 single root may have changed (the lowest newly set slot, or the round that
-just stopped being the current one), and lowers ``starts_from`` to the same
-round; ``consensus`` keeps its per-round c2 results in ``runs`` and its
-per-round root-run starts in ``starts``, and recomputes them only from
-those rounds on.
+just stopped being the current one); ``consensus`` keeps its per-round c2
+results in ``runs`` and recomputes them only from that round on.
 
 ``snapshot()`` serializes a state.  A run keeps no snapshots: the harness
 rebuilds a process's snapshots from the run's trace when it compares two
 runs.
 
 Root queries rest on one lemma.  Let S be slot r, and let every member of
-S have its self-loop in ``edges[r]`` (its own round-r merge wrote it).
-Then the roots of ``edges[r]`` restricted to the columns of S are the
-roots of the whole ``edges[r]`` that lie inside S, plus one singleton
-ghost ``{u}`` for each u outside S with an edge into S: such a u has no
-in-edge left, and a set inside S has the same in-edges in both graphs.
-This holds whether or not ``edges[r]`` is final, because the columns of S
-are written before S holds them.  So the kernel ``graphs.roots_of_mask``
-runs once per distinct round mask of a run, and each query is a subset
-filter.  Round 0 and the rounds outside the window have no such slot (the
-mask lacks the owner's self-loop) and keep the kernel's ``{pid}``.
+S have its self-loop in ``edges[r]``.  It has: its own round-r merge wrote
+it, as every round graph of a run holds every self-loop (``RunConfig``
+rejects a lasso graph that lacks one).  Then the roots of ``edges[r]``
+restricted to the columns of S are the roots of the whole ``edges[r]`` that
+lie inside S, plus one singleton ghost ``{u}`` for each u outside S with an
+edge into S: such a u has no in-edge left, and a set inside S has the same
+in-edges in both graphs.  This holds whether or not ``edges[r]`` is final,
+because the columns of S are written before S holds them.  So the kernel
+``graphs.roots_of_mask`` runs once per distinct round mask of a run, and
+each query is a subset filter.  Round 0 (which has no edges) and the rounds
+outside the window answer ``{pid}``.
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
-states of one run (:func:`init_states`) share that layout, the two tables
-and one root memo, which live as long as the run.  The memo has two key
-spaces that cannot collide: a partial mask (``(mask, pid)`` when it lacks
-the pid's self-loop) maps to that approximation's roots, and a 1-tuple
-``(edges[r],)`` to (root, member bitset) for each root of the whole round
-mask.
+states of one run (:func:`init_states`) share that layout, the three tables
+and one root memo, which live as long as the run.  The memo maps a whole
+round mask to (root, member bitset) for each of its roots.
 """
 
 from __future__ import annotations
@@ -73,46 +72,19 @@ from typing import Iterable, Optional
 from .graphs import MaskLayout, mask_layout, roots_of_mask
 from .graphs import root_components  # noqa: F401  (bound here for callers that wrap it)
 
-def roots_of_partial(mask: int, extra_vertex: int, layout: MaskLayout, memo: dict, whole: int, slot: int) -> frozenset:
+
+def roots_of_partial(mask: int, extra_vertex: int, layout: MaskLayout, slot: int, whole_roots: tuple) -> frozenset:
     """Root components of a partial graph given by ``mask`` (in ``layout``)
-    over its edge endpoints plus ``extra_vertex`` (the owning process is
-    always a known vertex, even with no recorded edges); every vertex has a
-    self-loop.  ``mask`` is ``whole & column * slot``, ``whole`` a round's
-    edge mask and ``slot`` a vertex bitset.  Memoized in ``memo`` by ``mask``
-    alone when it holds the extra vertex's self-loop: that vertex is then an
-    endpoint already, and the answer does not depend on it.
-
-    When ``slot`` holds the extra vertex and every member of ``slot`` has its
-    self-loop in ``mask``, the answer is derived from the roots of ``whole``
-    by the module's lemma; otherwise (round 0, or no retained round) it is a
-    call of the kernel ``graphs.roots_of_mask``.
+    over its edge endpoints plus ``extra_vertex``; every vertex has a
+    self-loop.  ``mask`` is a round's edge mask restricted to the columns of
+    the vertex bitset ``slot``, which holds ``extra_vertex`` and whose every
+    member has its self-loop in ``mask`` (so ``extra_vertex`` is an endpoint
+    already), and ``whole_roots`` is (root, member bitset) for each root of
+    the whole round mask.  By the module's lemma the answer is the roots of
+    ``whole_roots`` inside ``slot`` plus the ghosts.
     """
-    key = mask if mask & layout.bit(extra_vertex, extra_vertex) else (mask, extra_vertex)
-    roots = memo.get(key)
-    if roots is None:
-        loops = layout.column * slot & layout.diagonal
-        if slot >> (extra_vertex - 1) & 1 and mask & loops == loops:
-            inside = [root for root, bits in _whole_root_bits(whole, layout, memo) if bits & slot == bits]
-            roots = frozenset(inside + _ghosts(mask, slot, layout))
-        else:
-            roots = roots_of_mask(mask, 1 << (extra_vertex - 1), layout)
-        memo[key] = roots
-    return roots
-
-
-def _whole_root_bits(whole: int, layout: MaskLayout, memo: dict) -> tuple:
-    """(root, member bitset) for each root of ``whole`` over its endpoints,
-    memoized in ``memo`` under the 1-tuple ``(whole,)``."""
-    key = (whole,)
-    bits = memo.get(key)
-    if bits is None:
-        bits = memo[key] = _with_bits(roots_of_mask(whole, 0, layout))
-    return bits
-
-
-def _with_bits(roots: Iterable) -> tuple:
-    """(root, member bitset) for each root."""
-    return tuple((root, sum(1 << (q - 1) for q in root)) for root in roots)
+    inside = [root for root, bits in whole_roots if bits & slot == bits]
+    return frozenset(inside + _ghosts(mask, slot, layout))
 
 
 def _ghosts(mask: int, slot: int, layout: MaskLayout) -> list:
@@ -204,26 +176,27 @@ class NodeState:
 
     ``known`` holds a ``layout.width``-bit slot per round ``lo..m``: the
     processes whose state of that round has reached this one (the process
-    itself is in every slot).  ``rows`` is the run's row table, q -> q's own
-    ``{round: lock}``, whose cells are read only where ``known`` has q's
-    bit, and ``edges`` the run's edge table, round -> that round's edge mask
-    (round 0 has none); ``y`` is the write-once decision.  ``approx[r]``,
-    the round-r approximation's edge mask for r in ``lo..m``, and
-    ``locks[q][r]`` are views over the retained rounds, and ``roots_at``
-    derives one round's mask the same way.  ``runs``, ``stale_from`` and
-    ``c2_from`` hold the core step's c2 scan, and ``starts`` and
-    ``starts_from`` its root-run starts (see ``consensus``); the merge
-    lowers ``stale_from`` and ``starts_from`` and drops the entries of the
-    round that leaves the window.  ``layout`` is the n-process edge-mask
-    layout and ``memo`` the run's root memo, shared by its states.
+    itself is in every slot).  ``rows``, ``edges`` and ``starts`` are the
+    run's three tables: q -> q's own ``{round: lock}``, whose cells are read
+    only where ``known`` has q's bit; round -> that round's edge mask (round
+    0 has none); and round -> {root: run start} (see ``consensus``).  ``y``
+    is the write-once decision.  ``approx[r]``, the round-r approximation's
+    edge mask for r in ``lo..m``, and ``locks[q][r]`` are views over the
+    retained rounds.  ``root_bits`` gives a round's roots to the core step;
+    ``roots_at``, the approximation's roots with its ghosts, is a view off
+    the core path.  ``runs``, ``stale_from`` and ``c2_from`` hold the core
+    step's c2 scan (see ``consensus``); the merge lowers ``stale_from`` and
+    drops the entries of the round that leaves the window.  ``layout`` is
+    the n-process edge-mask layout and ``memo`` the run's root memo, shared
+    by its states.
     """
 
     __slots__ = (
-        "pid", "x", "m", "lo", "y", "keep", "known", "rows", "edges", "runs", "stale_from", "c2_from",
-        "starts", "starts_from", "layout", "memo",
+        "pid", "x", "m", "lo", "y", "keep", "known", "rows", "edges", "starts", "runs", "stale_from", "c2_from",
+        "layout", "memo",
     )
 
-    def __init__(self, pid: int, x: int, n: int, keep: Optional[int], memo: dict, rows: dict, edges: dict):
+    def __init__(self, pid: int, x: int, n: int, keep: Optional[int], memo: dict, rows: dict, edges: dict, starts: dict):
         if not (1 <= pid <= n):
             raise ValueError(f"pid must be in 1..{n}, got {pid}")
         self.pid = pid
@@ -235,11 +208,10 @@ class NodeState:
         self.known = 1 << (pid - 1)
         self.rows = rows
         self.edges = edges
+        self.starts = starts
         self.runs = {}
         self.stale_from = 0
         self.c2_from = 0
-        self.starts = {}
-        self.starts_from = 0
         self.layout = mask_layout(n)
         self.memo = memo
 
@@ -259,28 +231,27 @@ class NodeState:
         """Roots of the round-r approximation: the roots of ``edges[r]`` inside
         slot r plus the ghosts, singletons outside it with an edge into it
         (just ``{pid}`` at round 0 and outside the retained rounds)."""
-        lay, mask, whole, slot = self.layout, 0, 0, 0
-        if self.lo <= r <= self.m:
-            whole, slot = self.edges[r], self._slot(r)
-            mask = whole & lay.column * slot
-        return roots_of_partial(mask, self.pid, lay, self.memo, whole, slot)
+        if not max(1, self.lo) <= r <= self.m:
+            return frozenset([frozenset([self.pid])])
+        lay, slot = self.layout, self._slot(r)
+        return roots_of_partial(self.edges[r] & lay.column * slot, self.pid, lay, slot, self.root_bits(r))
 
     def root_bits(self, r: int) -> tuple:
         """(root, member bitset) for each root of the whole ``edges[r]``,
-        memoized in the run's memo under ``(edges[r],)``.  Those inside slot r
-        are the approximation's roots without its ghosts, and a root that
-        passes the evidence filter (slot r, empty at the current round) lies
-        inside it; so ``consensus.confirmed_roots`` finds the approximation's
-        confirmed roots here.  At round 0, outside the retained rounds, or
-        when a member of slot r lacks its self-loop in ``edges[r]``, these are
-        the roots of ``roots_at(r)``."""
-        lay = self.layout
-        if self.lo <= r <= self.m:
-            whole = self.edges[r]
-            loops = lay.column * self._slot(r) & lay.diagonal
-            if whole & loops == loops:
-                return _whole_root_bits(whole, lay, self.memo)
-        return _with_bits(self.roots_at(r))
+        memoized in the run's memo under that mask (``{pid}`` alone at round 0
+        and outside the retained rounds).  Those inside slot r are the
+        approximation's roots without its ghosts, and a root that passes the
+        evidence filter (slot r, empty at the current round) lies inside it;
+        so ``consensus.confirmed_roots`` finds the approximation's confirmed
+        roots here."""
+        if not max(1, self.lo) <= r <= self.m:
+            return ((frozenset([self.pid]), 1 << (self.pid - 1)),)
+        whole = self.edges[r]
+        bits = self.memo.get(whole)
+        if bits is None:
+            roots = roots_of_mask(whole, 0, self.layout)
+            bits = self.memo[whole] = tuple((root, sum(1 << (q - 1) for q in root)) for root in roots)
+        return bits
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
         if self.lo <= r <= self.m and self.known & 1 << ((r - self.lo) * self.layout.width + q - 1):
@@ -343,11 +314,11 @@ def parse_mode(mode: str, D: Optional[int] = None) -> Optional[int]:
 def init_states(inputs, mode: str = "full") -> dict:
     """Fresh states of one run, pid -> state, of processes 1..len(inputs):
     singleton round-0 approximation, own input locked at round 0, and one
-    shared row table, edge table and root memo.  ``mode`` is ``"full"`` or
-    ``"bounded:<k>"``."""
-    n, keep, memo, edges = len(inputs), parse_mode(mode), {}, {0: 0}
+    shared row table, edge table, start table and root memo.  ``mode`` is
+    ``"full"`` or ``"bounded:<k>"``."""
+    n, keep, memo, edges, starts = len(inputs), parse_mode(mode), {}, {0: 0}, {}
     rows = {p: {0: x} for p, x in enumerate(inputs, start=1)}
-    return {p: NodeState(p, x, n, keep, memo, rows, edges) for p, x in enumerate(inputs, start=1)}
+    return {p: NodeState(p, x, n, keep, memo, rows, edges, starts) for p, x in enumerate(inputs, start=1)}
 
 
 def make_message(s: NodeState) -> Message:
@@ -367,10 +338,10 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     ``known``, rebased to the round-m window, ORs in the inbox's ``known``
     ints (all rebased to the same first round) and the own round-m slot.
     The own row gains its round-m lock, carried forward, and the edge table
-    gains the direct in-edges (sender -> pid) in round m; both drop the
-    round that left the window (the edge table's drop is shared by every
-    merge of the round, and idempotent).  ``stale_from`` and
-    ``starts_from`` drop to the lowest new slot (or to round m-1, which
+    gains the direct in-edges (sender -> pid) in round m; both, and the
+    start table, drop the round that left the window (the shared tables'
+    drop is done by every merge of the round, and idempotent).
+    ``stale_from`` drops to the lowest new slot (or to round m-1, which
     stops being the current round).  Merge order is irrelevant: ORs are
     commutative.
     """
@@ -399,8 +370,6 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     changed = min(lo + ((new & -new).bit_length() - 1) // width, m - 1)
     if changed < s.stale_from:
         s.stale_from = changed
-    if changed < s.starts_from:
-        s.starts_from = changed
     return s
 
 

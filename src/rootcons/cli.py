@@ -56,6 +56,22 @@ def _fail_input(message: str) -> int:
     return EXIT_INPUT
 
 
+class _OutputError(Exception):
+    """An output path that cannot be written."""
+
+
+def _write_outputs(files: dict) -> None:
+    """Write each path's text, making missing parent directories.  Commands
+    write before they report, so :func:`main` reports an OSError, as an
+    :class:`_OutputError`, as the only JSON line."""
+    for path, text in files.items():
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            raise _OutputError(f"cannot write {path}: {exc}") from exc
+
+
 def _read_lasso(path: str):
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return lasso_from_json(text)
@@ -118,11 +134,10 @@ def cmd_generate(args) -> int:
     }
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(lasso_to_json(lasso_seq) + "\n")
-        Path(str(out) + ".cert.json").write_text(
-            json.dumps(cert.to_json_dict(), sort_keys=True) + "\n"
-        )
+        _write_outputs({
+            out: lasso_to_json(lasso_seq) + "\n",
+            Path(f"{out}.cert.json"): json.dumps(cert.to_json_dict(), sort_keys=True) + "\n",
+        })
     _emit(
         payload,
         f"generated {args.adversary} lasso (n={params.n}, D={params.D}, seed={params.seed})",
@@ -184,16 +199,15 @@ def cmd_run(args) -> int:
     report = oracle_check(trace, deadline if deadline is not None else cfg.horizon)
     if args.trace_out:
         path = Path(args.trace_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(trace.to_json_lines() + "\n")
-        Path(str(path) + ".summary.json").write_text(
-            json.dumps(trace.summary_dict(), sort_keys=True) + "\n"
-        )
+        _write_outputs({
+            path: trace.to_json_lines() + "\n",
+            Path(f"{path}.summary.json"): json.dumps(trace.summary_dict(), sort_keys=True) + "\n",
+        })
     if args.dot_out:
-        out_dir = Path(args.dot_out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, g in enumerate(trace.round_graphs, start=1):
-            (out_dir / f"round{i:03d}.dot").write_text(graph_to_dot(g, f"round{i}") + "\n")
+        _write_outputs({
+            Path(args.dot_out, f"round{i:03d}.dot"): graph_to_dot(g, f"round{i}") + "\n"
+            for i, g in enumerate(trace.round_graphs, start=1)
+        })
     payload = {
         "ok": report.all_ok,
         "oracle": report.to_json_dict(),
@@ -229,10 +243,9 @@ def cmd_scenario(args) -> int:
     except ValueError as exc:
         return _fail_input(str(exc))
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, lasso_seq in lassos.items():
-            (out_dir / f"{name}.json").write_text(lasso_to_json(lasso_seq) + "\n")
+        _write_outputs({
+            Path(args.out_dir, f"{name}.json"): lasso_to_json(lasso_seq) + "\n" for name, lasso_seq in lassos.items()
+        })
     _emit(report, f"{args.name}: {'all assertions hold' if report['ok'] else 'FAILED'}")
     return EXIT_OK if report["ok"] else EXIT_UNSATISFIED
 
@@ -256,9 +269,7 @@ def cmd_fuzz(args) -> int:
         return _fail_input(str(exc))
     payload = summary.to_json_dict()
     if args.report_out:
-        path = Path(args.report_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        _write_outputs({Path(args.report_out): json.dumps(payload, sort_keys=True) + "\n"})
     _emit(payload, f"fuzz: {summary.passed}/{summary.trials} trials passed")
     if summary.failures and all(f.kind == "config" for f in summary.failures):
         return EXIT_INPUT  # every trial's configuration was rejected: not a protocol failure
@@ -354,7 +365,10 @@ def main(argv=None) -> int:
         return _fail_input(str(exc))
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _OutputError as exc:
+        return _fail_input(str(exc))
 
 
 if __name__ == "__main__":

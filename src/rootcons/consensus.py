@@ -33,10 +33,13 @@ before it ends a long enough run.  A start before the window counts from
 the window's first round, as a full rescan from there would.
 
 b1 and b3 take the maximum lock at the start of the surrounding common-root
-run, any root of the approximation rather than the single confirmed one.
-``starts[r]`` maps each root of round r to the round its run began, so that
-start is one lookup; the merge lowers ``starts_from`` with ``stale_from``,
-and only rounds from there on are recomputed, each from the round before.
+run of a confirmed root R.  R lies inside slot ``anchor`` and so, slots
+being monotone, inside every earlier retained slot; by the lemma in
+``approximation`` it is a root of approx[t] exactly when it is one of the
+whole ``edges[t]``.  So the start is a fact of the true round graphs, kept
+in the run's shared table: ``starts[r]`` maps each root of ``edges[r]`` to
+the round its run began.  Only final rounds are entered, so an entry never
+goes stale; :func:`_run_start` extends the table on demand.
 """
 
 from __future__ import annotations
@@ -73,33 +76,27 @@ def _core_low(s: NodeState) -> int:
     return max(1, s.lo)
 
 
-def _refresh_starts(s: NodeState, upto: int) -> None:
-    """Recompute the ``starts`` entries of rounds ``starts_from..upto``.
-
-    A start below the window's first round stands for any start up to it,
-    as the window clamp in :func:`_run_start` makes them equal.
-    """
-    low = _core_low(s)
-    first = max(s.starts_from, low)
-    if first > upto:
-        return
-    starts = s.starts
-    previous = starts[first - 1] if first > low else {}
-    for r in range(first, upto + 1):
-        previous = starts[r] = {root: previous.get(root, r) for root in s.roots_at(r)}
-    s.starts_from = upto + 1
-
-
 def _run_start(s: NodeState, root: frozenset, anchor: int) -> int:
     """The least round a from max(1, lo) to ``anchor`` with root in
     roots(approx[r]) for every r in a..anchor-1 (``anchor`` itself when it
-    is at or before max(1, lo)): for a root of round ``anchor``, the start
-    of its run through ``anchor``, cut at the window's first round."""
+    is at or before max(1, lo)): for a confirmed root of round ``anchor``,
+    the start of its run through ``anchor``, cut at the window's first
+    round.  The run's start table walks the whole round masks' roots
+    instead, which for a confirmed root is the same walk, by the lemma.
+    Its rounds are contiguous and at or after ``lo``, so the missing ones
+    follow its last round below the anchor; a start cut at an earlier window
+    is clamped at the read.
+    """
     low = _core_low(s)
     if anchor <= low:
         return anchor
-    _refresh_starts(s, anchor - 1)
-    return max(s.starts[anchor - 1].get(root, anchor), low)
+    starts, last = s.starts, anchor - 1
+    while last >= low and last not in starts:
+        last -= 1
+    previous = starts.get(last, {})
+    for r in range(last + 1, anchor):
+        previous = starts[r] = {root: previous.get(root, r) for root, _ in s.root_bits(r)}
+    return max(starts[anchor - 1].get(root, anchor), low)
 
 
 def _max_lock(s: NodeState, root: frozenset, a: int, what: str) -> int:

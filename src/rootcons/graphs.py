@@ -33,13 +33,12 @@ MAX_PROCESSES = 1024  # a mask holds width^2 bits, so the width must stay small
 class MaskLayout:
     """The constants of the edge-mask layout at one width."""
 
-    __slots__ = ("width", "row", "column", "diagonal", "halves", "transpose")
+    __slots__ = ("width", "row", "column", "halves", "transpose")
 
     def __init__(self, width: int):
         self.width = width
         self.row = (1 << width) - 1  # every edge out of process 1
         self.column = sum(1 << (u * width) for u in range(width))  # every edge into process 1
-        self.diagonal = sum(1 << (u * (width + 1)) for u in range(width))  # every self-loop
         self.halves = [width >> d for d in range(1, width.bit_length())]  # W/2, ..., 2, 1
         # Delta swaps that transpose the matrix: swap the off-diagonal s x s blocks.
         self.transpose = []

@@ -65,6 +65,7 @@ from .graphs import (
     check_dynamic_diameter,
     lasso_to_json_dict,
     mask_layout,
+    validate_graph,
 )
 
 
@@ -83,6 +84,9 @@ class EngineInvariantError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's parameters; a ValueError names the first invalid one, down to
+    a lasso graph that ``validate_graph`` rejects."""
+
     n: int
     D: int
     inputs: tuple
@@ -103,6 +107,11 @@ class RunConfig:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         parse_mode(self.mode, self.D)
+        for part, graphs in (("prefix", self.lasso.prefix), ("cycle", self.lasso.cycle)):
+            for i, g in enumerate(graphs):
+                bad = validate_graph(g)
+                if bad:
+                    raise ValueError(f"lasso {part} graph {i} invalid: {bad[0]}")
 
 
 @dataclass

@@ -200,10 +200,14 @@ def out_row_mask(q: int, lay: MaskLayout) -> int:
 class ReferenceState:
     """Copied-history state with the interface the core step reads.
 
-    The core step's caches (``runs``, ``stale_from`` and ``c2_from`` for
-    c2, ``starts`` and ``starts_from`` for root-run starts) are marked stale
-    from round 0 by every merge, so each core step rescans every retained
-    round.
+    The core step's c2 cache (``runs``, ``stale_from`` and ``c2_from``) is
+    marked stale from round 0 by every merge, so each core step rescans
+    every retained round.  The root-run start table ``starts`` is this
+    state's own, not shared by the run, and every merge empties it: the core
+    step rebuilds it from ``root_bits``, which here are the roots of the
+    partial approximations, ghosts included.  So the differential checks
+    independently the lemma by which a run's shared start table is built
+    from whole round masks.
     """
 
     def __init__(self, pid: int, x: int, keep, lay: MaskLayout):
@@ -211,8 +215,7 @@ class ReferenceState:
         self.approx = {0: 0}
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
-        self.runs, self.stale_from, self.c2_from = {}, 0, 0
-        self.starts, self.starts_from = {}, 0
+        self.runs, self.stale_from, self.c2_from, self.starts = {}, 0, 0, {}
 
     @property
     def lo(self) -> int:
@@ -269,7 +272,7 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     the own lock forward, then drop rounds older than the window, and every
     peer none of whose lock cells is left."""
     s.m = m
-    s.stale_from = s.starts_from = 0
+    s.stale_from, s.starts = 0, {}
     for sender, approx, locks in msgs:
         approx = dict(approx)
         approx[m] = approx.get(m, 0) | s.layout.bit(sender, s.pid)

@@ -52,7 +52,7 @@ class TestInitState:
     def test_pid_range_enforced(self):
         for pid in (0, 4):
             with pytest.raises(ValueError):
-                NodeState(pid, 0, 3, None, {}, {}, {})
+                NodeState(pid, 0, 3, None, {}, {}, {}, {})
 
     @pytest.mark.parametrize("n", [1, 16, 17, 64])
     def test_states_of_one_run_share_layout_and_memo(self, n):
@@ -267,7 +267,7 @@ def lemma_state(n, edges, slot, pid):
     lay = mask_layout(n)
     whole = sum(lay.bit(u, v) for (u, v) in edges) | sum(lay.bit(v, v) for v in range(1, n + 1))
     rows = {q: {r: 0 for r in range(3)} for q in range(1, n + 1)}
-    s = NodeState(pid, 0, n, None, {}, rows, {0: 0, 1: whole, 2: lay.bit(pid, pid)})
+    s = NodeState(pid, 0, n, None, {}, rows, {0: 0, 1: whole, 2: lay.bit(pid, pid)}, {})
     bits = sum(1 << (q - 1) for q in slot)
     s.m, s.known = 2, bits | bits << lay.width | 1 << (2 * lay.width + pid - 1)
     return s, whole, bits

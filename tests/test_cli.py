@@ -600,3 +600,33 @@ class TestUsageErrors:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("usage: rootcons")
+
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written, here one under a regular file,
+    is an input error: exit 2, one JSON error line on stdout, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--n", "4", "--d", "1", "--out", "{blocked}/x.json"],
+            ["run", "--lasso", "{lasso}", "--inputs", "1,2,3,4,5", "--d", "2", "--trace-out", "{blocked}/t.jsonl"],
+            ["run", "--lasso", "{lasso}", "--inputs", "1,2,3,4,5", "--d", "2", "--dot-out", "{blocked}/dot"],
+            ["scenario", "hop-fallacy", "--n", "5", "--out-dir", "{blocked}/lassos"],
+            ["fuzz", "--trials", "2", "--report-out", "{blocked}/report.json"],
+        ],
+        ids=["generate-out", "run-trace-out", "run-dot-out", "scenario-out-dir", "fuzz-report-out"],
+    )
+    def test_exit_2_with_one_json_error(self, capsys, tmp_path, estable_lasso_file, argv):
+        blocked = tmp_path / "regular-file"
+        blocked.write_text("")
+        capsys.readouterr()
+        code = main([a.format(blocked=blocked, lasso=estable_lasso_file) for a in argv])
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 2 and len(lines) == 1
+        payload = json.loads(lines[0])
+        assert sorted(payload) == ["error", "ok"] and payload["ok"] is False
+        assert payload["error"].startswith(f"cannot write {blocked}/")
+        assert "Traceback" not in captured.err
+        assert blocked.read_text() == ""

@@ -17,7 +17,7 @@ from rootcons.consensus import (
     core_step,
 )
 from rootcons.approximation import evidence, init_states
-from rootcons.graphs import lasso
+from rootcons.graphs import lasso, root_components
 from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
 
 
@@ -215,9 +215,12 @@ class TestRunStart:
         assert not mismatches and len(anchors) > decisions > 0
 
     def test_any_root_and_anchor_matches_backward_walk(self):
-        # the run start read from ``starts`` equals the walk back from the
-        # anchor, one roots_at per round, cut at the window's first round,
-        # for roots missing at the anchor too, with anchors asked in any order
+        # the run start read from the run's ``starts`` equals the walk back
+        # from the anchor, one roots_at per round, cut at the window's first
+        # round, for every root inside slot anchor-1 (where the lemma makes
+        # the whole masks' roots and the approximation's agree; every b1/b3
+        # root lies there), with anchors asked in any order, so the table
+        # grows out of order
         rng = random.Random("run-start-walk")
         for trial in range(40):
             n = rng.randint(2, 7)
@@ -228,10 +231,13 @@ class TestRunStart:
             for s in trace.states.values():
                 low = max(1, s.lo)
                 roots = set().union(*(s.roots_at(r) for r in range(low, s.m + 1)))
-                anchors = list(range(low - 1, s.m + 1))
+                anchors = list(range(s.lo + 1, s.m + 1))
                 rng.shuffle(anchors)
                 for anchor in anchors:
+                    slot = s._slot(anchor - 1)
                     for root in roots:
+                        if any(not slot >> (q - 1) & 1 for q in root):
+                            continue
                         a = anchor
                         while a > low and root in s.roots_at(a - 1):
                             a -= 1
@@ -247,20 +253,55 @@ class TestHorizonCost:
         from rootcons.approximation import NodeState
 
         l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
-        roots_at, calls = NodeState.roots_at, [0]
+        root_bits, calls = NodeState.root_bits, [0]
 
         def counted(s, r):
             calls[0] += 1
-            return roots_at(s, r)
+            return root_bits(s, r)
 
-        monkeypatch.setattr(NodeState, "roots_at", counted)
+        monkeypatch.setattr(NodeState, "root_bits", counted)
         counts = []
         for horizon in (1000, 2000):
             calls[0] = 0
             trace = run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, horizon, check_invariants=False))
             assert len(trace.decisions) == 6
             counts.append(calls[0])
-        assert counts[1] <= 2.2 * counts[0]
+        assert 0 < counts[0] and counts[1] <= 2.2 * counts[0]
+
+
+class TestStartTable:
+    """The root-run start table is one per run, built from the whole round
+    masks, and held only for the retained rounds."""
+
+    def test_one_table_per_run(self, eps2_lasso):
+        trace = run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 12))
+        states = trace.states
+        assert states[1].starts and all(s.starts is states[1].starts for s in states.values())
+        other = init_states((0,) * 5)
+        assert other[1].starts is not states[1].starts and other[1].starts == {}
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_full_mode_entries_are_the_true_run_starts(self, seed):
+        # entry r maps each root R of the true round-r graph to the first
+        # round of R's maximal run of rounds through r, cut at round 1
+        l, cert = generate_estable(AdversaryParams(n=6, D=2, seed=seed, r_sr_target=4))
+        trace = run_execution(RunConfig(6, 2, tuple(range(6)), l, cert.deadline + 10))
+        starts = trace.states[1].starts
+        assert starts
+        for r, entry in starts.items():
+            want = {}
+            for root in root_components(l.graph(r)):
+                a = r
+                while a > 1 and root in root_components(l.graph(a - 1)):
+                    a -= 1
+                want[root] = a
+            assert entry == want, r
+
+    def test_bounded_table_holds_no_round_before_the_window(self):
+        l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
+        trace = run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 200, mode="bounded:5", check_invariants=False))
+        s = trace.states[1]
+        assert s.lo == 195 and s.starts and min(s.starts) >= s.lo and len(s.starts) <= 6
 
 
 class TestWholeRuns:

@@ -3,6 +3,7 @@ import copy
 import json
 import os
 import random
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from oracles import bfs_distance
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
 from rootcons.adversary import GenerationRetryError, InfeasibleParamsError, check_estable, check_safety
-from rootcons.graphs import causal_past, lasso, root_components
+from rootcons.graphs import CommGraph, LassoSequence, causal_past, lasso, root_components
 from rootcons.harness import (
     EngineInvariantError,
     RunConfig,
@@ -60,6 +61,29 @@ class TestRunExecution:
             RunConfig(5, 2, (0,) * 4, eps1_lasso, 5)  # inputs length
         with pytest.raises(ValueError):
             RunConfig(5, 9, (0,) * 5, eps1_lasso, 5)  # D range
+
+    @pytest.mark.parametrize("part", ["prefix", "cycle"])
+    @pytest.mark.parametrize(
+        "edges, fault",
+        [
+            ({(1, 1), (2, 2), (1, 3)}, "missing self-loop (3->3)"),
+            ({(1, 1), (2, 2), (3, 3), (2, 4)}, "endpoint out of range (2->4)"),
+        ],
+    )
+    def test_invalid_lasso_graph_rejected(self, part, edges, fault):
+        good, bad = CommGraph.of(3, [(1, 2)]), CommGraph(3, frozenset(edges))
+        graphs = {"prefix": (good,), "cycle": (good,)}
+        graphs[part] += (bad,)
+        seq = LassoSequence(graphs["prefix"], graphs["cycle"])
+        with pytest.raises(ValueError, match=re.escape(f"lasso {part} graph 1 invalid: {fault}")):
+            RunConfig(3, 1, (0, 0, 0), seq, 5)
+
+    def test_lasso_graphs_checked_once_per_config(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(harness_mod, "validate_graph", lambda g: checked.append(g) or [])
+        seq = lasso(3, prefix=[[(1, 2)], [(2, 3)]], cycle=[[(3, 1)]])
+        run_execution(RunConfig(3, 1, (0, 1, 2), seq, 40))
+        assert len(checked) == 3
 
     def test_trace_json_lines_parse(self, eps1_lasso):
         trace = run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 6))
@@ -397,6 +421,14 @@ class TestFuzz:
         summary = fuzz_campaign(trials=2, seed=1)
         assert [f.kind for f in summary.failures] == [kind, kind]
         assert [f["kind"] for f in summary.to_json_dict()["failures"]] == [kind, kind]
+
+    def test_invalid_generated_lasso_is_a_config_failure(self, monkeypatch):
+        bad = CommGraph(8, frozenset((p, p) for p in range(2, 9)))  # no self-loop at process 1
+        monkeypatch.setattr(harness_mod, "generate_estable", lambda params: (LassoSequence((), (bad,)), None))
+        monkeypatch.setattr(harness_mod, "check_estable", lambda seq, D: SimpleNamespace(deadline=5))
+        summary = fuzz_campaign(trials=2, seed=1, n_range=(8, 8))
+        assert [f.kind for f in summary.failures] == ["config", "config"]
+        assert all("missing self-loop (1->1)" in f.detail for f in summary.failures)
 
     def test_trial_replay_reproduces_trace(self):
         t1, r1, c1 = fuzz_trial("estable", seed=12345, n=5, D=2, r_sr=4, inputs=(9, 1, 5, 5, 2))
