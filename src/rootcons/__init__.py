@@ -35,7 +35,6 @@ from .consensus import CoreStepOutcome, core_step
 from .graphs import (
     CommGraph,
     LassoSequence,
-    RoundWindow,
     causal_past,
     check_dynamic_diameter,
     lasso,

@@ -475,8 +475,6 @@ class AdversaryParams:
     seed: int = 0
     r_gst_target: Optional[int] = None
     r_sr_target: Optional[int] = None
-    x: Optional[int] = None
-    y: Optional[int] = None
 
     def validated(self) -> "AdversaryParams":
         if not (2 <= self.n <= MAX_PROCESSES):
@@ -734,7 +732,6 @@ def generate_alt_estable(
                 continue
             prefix += tail_chaos
         else:
-            spur_cert = None
             chaos = _chaotic_rounds(rng, n, chaos_budget, counts, excluded, D)
             if chaos is None:
                 continue

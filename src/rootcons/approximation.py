@@ -275,19 +275,6 @@ class NodeState:
             self.keep,
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pid": self.pid,
-            "m": self.m,
-            "x": self.x,
-            "y": self.y,
-            "approx": {str(r): self.layout.edges(mask) for r, mask in self.approx.items()},
-            "locks": {
-                str(q): {str(r): v for r, v in row.items()}
-                for q, row in sorted(self.locks.items())
-            },
-        }
-
 
 def parse_mode(mode: str, D: Optional[int] = None) -> Optional[int]:
     """Rounds of history kept in ``mode``: ``None`` for ``"full"``, k for ``"bounded:<k>"``.

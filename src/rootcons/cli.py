@@ -107,6 +107,7 @@ def cmd_generate(args) -> int:
         return _fail_input("n and D are required (flags or params JSON)")
     if fields["seed"] is None:
         fields["seed"] = 0
+    x, y = fields.pop("x"), fields.pop("y")
     params = AdversaryParams(**fields)
     try:
         if args.adversary == "estable":
@@ -114,8 +115,8 @@ def cmd_generate(args) -> int:
         elif args.adversary == "altestable":
             lasso_seq, cert = generate_alt_estable(params)
         else:  # mad: alt-style planting; checker-certified for the given x, y
-            x = params.x if params.x is not None else params.D
-            y = params.y if params.y is not None else params.D
+            x = params.D if x is None else x
+            y = params.D if y is None else y
             if x > y:
                 return _fail_input(
                     f"mad generation supports x <= y (consensus-solvable regime), got x={x} y={y}"

@@ -2,12 +2,10 @@
 
 A round graph is a directed communication graph over processes ``1..n`` with
 mandatory self-loops.  Infinite graph sequences are encoded as lassos (a
-finite prefix followed by an endlessly repeated cycle), and a
-:class:`RoundWindow` materializes a finite slice of rounds for causal-past
-queries.
+finite prefix followed by an endlessly repeated cycle).
 
 Round indexing starts at 1.  Round 0 denotes "before round 1" and is a legal
-lower bound for causal-past queries: ``causal_past(w, p, 0, b)`` asks which
+lower bound for causal-past queries: ``causal_past(l, p, 0, b)`` asks which
 processes' *initial* states have reached ``p`` by the end of round ``b``.
 
 This module owns the edge-mask layout and the one root-component kernel.  An
@@ -233,9 +231,6 @@ class LassoSequence:
             return self.prefix[r - 1]
         return self.cycle[(r - len(self.prefix) - 1) % len(self.cycle)]
 
-    def window(self, start: int, end: int) -> "RoundWindow":
-        return RoundWindow(self, start, end)
-
     def default_horizon(self) -> int:
         # Per-round root predicates repeat after one cycle; interval
         # predicates span at most one wrap, so prefix + 2 cycles + slack
@@ -248,28 +243,6 @@ def lasso(n: int, prefix: Iterable = (), cycle: Iterable = ()) -> LassoSequence:
     pg = tuple(g if isinstance(g, CommGraph) else CommGraph.of(n, g) for g in prefix)
     cg = tuple(g if isinstance(g, CommGraph) else CommGraph.of(n, g) for g in cycle)
     return LassoSequence(pg, cg)
-
-
-@dataclass(frozen=True)
-class RoundWindow:
-    """Rounds ``[start, end]`` of a lasso, materialized on demand."""
-
-    lasso: LassoSequence
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not (1 <= self.start <= self.end):
-            raise ValueError(f"invalid window [{self.start},{self.end}]")
-
-    @property
-    def n(self) -> int:
-        return self.lasso.n
-
-    def graph(self, r: int) -> CommGraph:
-        if not (self.start <= r <= self.end):
-            raise ValueError(f"round {r} outside window [{self.start},{self.end}]")
-        return self.lasso.graph(r)
 
 
 @dataclass(frozen=True)
@@ -332,26 +305,23 @@ def _forward_reach(l: LassoSequence, reach: int, a: int, b: int, column: int) ->
     return reach
 
 
-def causal_past(w: RoundWindow, p: int, a: int, b: int) -> frozenset:
+def causal_past(l: LassoSequence, p: int, a: int, b: int) -> frozenset:
     """Processes whose end-of-round-``a`` state has affected ``p``'s end-of-round-``b`` state.
 
     Computed by the backward recursion over rounds ``b`` down to ``a+1``.
     The result is monotone: shrinking ``a`` never removes members.
     """
-    if a > b:
+    if not 1 <= p <= l.n:
+        raise ValueError(f"process {p} outside 1..{l.n}")
+    if not 0 <= a <= b:
         raise ValueError(f"invalid causal-past interval [{a},{b}]")
-    if b > w.end or a + 1 < w.start:
-        raise ValueError(
-            f"causal-past interval [{a},{b}] needs rounds {a + 1}..{b} inside window"
-            f" [{w.start},{w.end}]"
-        )
-    # CP(b,b) = {p}; going from level l to l-1, q joins when it has an edge
-    # into the current set in round l, i.e. q's end-of-round-(l-1) state
+    # CP(b,b) = {p}; going from level t to t-1, q joins when it has an edge
+    # into the current set in round t, i.e. q's end-of-round-(t-1) state
     # reached a process already known to influence p.
     cp = 1 << (p - 1)
     for level in range(b, a, -1):
         joined = cp
-        for u, row in enumerate(w.lasso.graph(level).out_rows):
+        for u, row in enumerate(l.graph(level).out_rows):
             if row & cp:
                 joined |= 1 << u
         cp = joined

@@ -61,6 +61,7 @@ from .consensus import core_step
 from .graphs import (
     CommGraph,
     LassoSequence,
+    _processes,
     causal_past,
     check_dynamic_diameter,
     lasso_to_json_dict,
@@ -263,9 +264,6 @@ class _InvariantMonitor(_GroundTruth):
                 return v, f"edges[{r}] into p{v} are {lay.edges(has & into)}, expected {lay.edges(want & into)}"
         return min(self.known), f"the edge table holds rounds {sorted(edges)}, expected {lo}..{m}"
 
-    def _processes(self, slot: int) -> list:
-        return [i + 1 for i in range(self.layout.width) if slot >> i & 1]
-
     def _violation(self, st, p: int, m: int, lo: int) -> str:
         """What is wrong with p's state after round m, walked check by check
         (the first failing one is named); the fast check has failed."""
@@ -273,7 +271,7 @@ class _InvariantMonitor(_GroundTruth):
         for r in range(lo, m + 1):
             has, want = st.known >> (r - lo) * width & row, known >> (r - lo) * width & row
             if has != want:
-                return f"known[{r}] is {self._processes(has)}, expected {self._processes(want)}"
+                return f"known[{r}] is {sorted(_processes(has))}, expected {sorted(_processes(want))}"
         if st.known >> (m - lo + 1) * width:
             return f"known holds slots past round {m}"
         if st.rows is not self.rows:
@@ -602,8 +600,7 @@ def hop_fallacy_report(n: int) -> dict:
     in each cycle graph, yet its initial state needs n-1 rounds to reach
     process n, so no dynamic diameter of 2 holds."""
     lasso_seq = scenario_hop_fallacy(n)
-    w = lasso_seq.window(1, n)
-    causal = next((b for b in range(1, n + 1) if 1 in causal_past(w, n, 0, b)), None)
+    causal = next((b for b in range(1, n + 1) if 1 in causal_past(lasso_seq, n, 0, b)), None)
     per_round = max(_depth_from(g, 1) for g in lasso_seq.cycle)
     diameter_witness = check_dynamic_diameter(lasso_seq, min(2, n - 1), horizon=n + 2)
     checks = {

@@ -74,14 +74,15 @@ def naive_causal_past(graph_at, p: int, a: int, b: int) -> frozenset:
     return deeper | {u for (u, v) in g.edges if v in deeper}
 
 
-def causal_past_forward(w, p: int, a: int, b: int) -> frozenset:
-    """Causal past CP_p(a, b) by forward influence propagation: the q whose
-    round-a state, spread along the edges of rounds a+1..b, reaches p."""
+def causal_past_forward(l, p: int, a: int, b: int) -> frozenset:
+    """Causal past CP_p(a, b) of the lasso ``l`` by forward influence
+    propagation: the q whose round-a state, spread along the edges of rounds
+    a+1..b, reaches p."""
     past = set()
-    for q in range(1, w.n + 1):
+    for q in range(1, l.n + 1):
         reach = {q}
         for r in range(a + 1, b + 1):
-            reach |= {v for (u, v) in w.graph(r).edges if u in reach}
+            reach |= {v for (u, v) in l.graph(r).edges if u in reach}
         if p in reach:
             past.add(q)
     return frozenset(past)

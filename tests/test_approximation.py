@@ -201,13 +201,12 @@ class TestRootDetection:
             )
             horizon = cert.deadline + 2
             states = drive(l, tuple(range(n)), horizon)
-            w = l.window(1, horizon)
             for p, st in states.items():
                 for r in range(1, horizon):
                     true_roots = root_components(l.graph(r))
                     for root in true_roots:
                         reached = all(
-                            q in causal_past(w, p, r, horizon) for q in root
+                            q in causal_past(l, p, r, horizon) for q in root
                         )
                         if reached:
                             assert root in st.roots_at(r)
@@ -410,7 +409,6 @@ class TestPrune:
             peers = [q for q, _ in snap[2][5]]
             assert peers == ([1, 2] if 1 <= m <= 3 else [2]) and snap[2] == again, m
         assert sorted(trace.states[2].locks) == [2]
-        assert sorted(trace.states[2].to_json_dict()["locks"]) == ["2"]
 
 
 class TestStateInvariantsOnRuns:
@@ -422,10 +420,3 @@ class TestStateInvariantsOnRuns:
             for r in range(11):
                 for before, after in zip(per_round, per_round[1:]):
                     assert before.get(r, 0) & ~after.get(r, 0) == 0
-
-    def test_json_dump_shape(self, eps2_lasso):
-        cfg = RunConfig(5, 2, (0, 1, 2, 3, 4), eps2_lasso, 6)
-        trace = run_execution(cfg)
-        data = trace.states[2].to_json_dict()
-        assert data["pid"] == 2 and data["m"] == 6
-        assert "0" in data["approx"] and data["locks"]["2"]["0"] == 1

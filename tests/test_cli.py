@@ -82,6 +82,18 @@ class TestGenerate:
         assert payload["certificate"]["kind"] == "mad"
         assert payload["certificate"]["params"] == {"D": 2, "x": 2, "y": 2}
 
+    def test_mad_generation_with_explicit_x_and_y(self, tmp_path, capsys):
+        # x and y reach check_mad from the flags and from the params JSON alike
+        params = tmp_path / "params.json"
+        params.write_text('{"n": 5, "D": 2, "seed": 4, "x": 2, "y": 3}')
+        for argv in (
+            ["--n", "5", "--d", "2", "--seed", "4", "--x", "2", "--y", "3"],
+            ["--params", str(params)],
+        ):
+            code, payload = run_cli(capsys, ["generate", "--adversary", "mad"] + argv)
+            assert code == 0, payload
+            assert payload["certificate"]["params"] == {"D": 2, "x": 2, "y": 3}
+
     def test_mad_unsupported_regime_exit_2(self, capsys):
         code, _ = run_cli(
             capsys,

@@ -187,26 +187,23 @@ class TestEcsCommonRoot:
 
 class TestCausalPast:
     def test_base_case(self, eps2_lasso):
-        w = eps2_lasso.window(1, 6)
         for p in range(1, 6):
-            assert causal_past(w, p, 3, 3) == frozenset({p})
+            assert causal_past(eps2_lasso, p, 3, 3) == frozenset({p})
 
     def test_eps2_hand_unrolled(self, eps2_lasso):
-        w = eps2_lasso.window(1, 6)
-        assert causal_past(w, 2, 0, 2) == frozenset({1, 2, 5})
-        assert causal_past(w, 2, 0, 2) == naive_causal_past(eps2_lasso.graph, 2, 0, 2)
+        assert causal_past(eps2_lasso, 2, 0, 2) == frozenset({1, 2, 5})
+        assert causal_past(eps2_lasso, 2, 0, 2) == naive_causal_past(eps2_lasso.graph, 2, 0, 2)
 
     def test_monotone_in_lower_bound(self):
         rng = random.Random(41)
         for _ in range(60):
             n = rng.randint(2, 6)
             l = random_lasso(rng, n, 6)
-            w = l.window(1, 8)
             p = rng.randint(1, n)
             b = rng.randint(1, 8)
             prev = frozenset({p})
             for a in range(b, -1, -1):
-                cur = causal_past(w, p, a, b)
+                cur = causal_past(l, p, a, b)
                 assert cur >= prev
                 prev = cur
 
@@ -215,43 +212,39 @@ class TestCausalPast:
         for _ in range(120):
             n = rng.randint(2, 6)
             l = random_lasso(rng, n, 7)
-            w = l.window(1, 9)
             p = rng.randint(1, n)
             b = rng.randint(1, 9)
             a = rng.randint(0, b)
-            back = causal_past(w, p, a, b)
-            assert back == causal_past_forward(w, p, a, b)
+            back = causal_past(l, p, a, b)
+            assert back == causal_past_forward(l, p, a, b)
             assert back == naive_causal_past(l.graph, p, a, b)
 
     def test_invalid_interval_raises(self, eps1_lasso):
-        w = eps1_lasso.window(1, 5)
         with pytest.raises(ValueError):
-            causal_past(w, 1, 4, 3)
-        with pytest.raises(ValueError):
-            causal_past(w, 1, 0, 9)
+            causal_past(eps1_lasso, 1, 4, 3)
+        for p, a in ((0, 0), (eps1_lasso.n + 1, 0), (1, -1)):
+            with pytest.raises(ValueError):
+                causal_past(eps1_lasso, p, a, 3)
 
 
 class TestInfluences:
     def test_self_influence(self, eps1_lasso):
-        w = eps1_lasso.window(1, 5)
-        assert 3 in causal_past(w, 3, 2, 2)
+        assert 3 in causal_past(eps1_lasso, 3, 2, 2)
 
     def test_eps2_p3_never_reaches_p2_early(self, eps2_lasso):
-        w = eps2_lasso.window(1, 6)
-        assert 3 not in causal_past(w, 2, 0, 4)
+        assert 3 not in causal_past(eps2_lasso, 2, 0, 4)
 
     def test_influence_persists(self):
         rng = random.Random(43)
         for _ in range(60):
             n = rng.randint(2, 5)
             l = random_lasso(rng, n, 6)
-            w = l.window(1, 9)
             q, p = rng.randint(1, n), rng.randint(1, n)
             r = rng.randint(0, 5)
             r2 = rng.randint(r + 1, 7)
-            if q in causal_past(w, p, r, r2):
-                assert q in causal_past(w, p, r, r2 + 1)
-                assert q in causal_past(w, p, r, r2 + 2)
+            if q in causal_past(l, p, r, r2):
+                assert q in causal_past(l, p, r, r2 + 1)
+                assert q in causal_past(l, p, r, r2 + 2)
 
 
 class TestEndToEndPropagation:
@@ -263,7 +256,6 @@ class TestEndToEndPropagation:
         while found < 30:
             n = rng.randint(2, 6)
             l = random_lasso(rng, n, 10, density=rng.uniform(0.2, 0.7))
-            w = l.window(1, 12)
             singles = {}
             for r in range(1, 13):
                 roots = root_components(l.graph(r))
@@ -276,7 +268,7 @@ class TestEndToEndPropagation:
                 found += 1
                 picks = sorted(rng.sample(rounds, n - 1))
                 for p in range(1, n + 1):
-                    assert root <= causal_past(w, p, picks[0] - 1, picks[-1])
+                    assert root <= causal_past(l, p, picks[0] - 1, picks[-1])
 
 
 def naive_diameter_witness(l, D, horizon):
@@ -309,11 +301,11 @@ class TestDynamicDiameter:
     def test_rotating_head_violates_small_diameter(self):
         from rootcons.harness import scenario_hop_fallacy
 
-        witness = check_dynamic_diameter(scenario_hop_fallacy(5), 2, horizon=10)
+        l = scenario_hop_fallacy(5)
+        witness = check_dynamic_diameter(l, 2, horizon=10)
         assert witness is not None
         assert witness.root == frozenset([1])
-        w = scenario_hop_fallacy(5).window(1, witness.rounds[-1])
-        assert not (witness.root <= causal_past(w, witness.process, witness.rounds[0] - 1, witness.rounds[-1]))
+        assert not (witness.root <= causal_past(l, witness.process, witness.rounds[0] - 1, witness.rounds[-1]))
 
     def test_matches_naive_causal_past_at_24_processes(self):
         # certified lassos (no witness) and deep random trees below a fixed

@@ -318,9 +318,8 @@ class TestHopFallacyScenario:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_causal_distance_is_n_minus_1(self, n):
         l = scenario_hop_fallacy(n)
-        w = l.window(1, n)
-        assert 1 not in causal_past(w, n, 0, n - 2)
-        assert 1 in causal_past(w, n, 0, n - 1)
+        assert 1 not in causal_past(l, n, 0, n - 2)
+        assert 1 in causal_past(l, n, 0, n - 1)
 
     def test_per_round_path_length_two(self):
         l = scenario_hop_fallacy(5)
