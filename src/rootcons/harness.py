@@ -7,27 +7,32 @@ state into a message, deliveries follow the round graph's edges exactly
 Runs are fully deterministic in their configuration.
 
 While running, an invariant monitor checks each process's state against
-ground truth it derives from the true graphs alone: ``heard[p][q]``, the
-latest round whose end state of q has reached p (after round m it is the
-maximum of ``heard[u][q]`` over p's round-m in-neighbours u, and
-``heard[p][p] = m``).  After every round it requires that the run's edge
-table holds exactly the true masks of rounds ``lo..m``, compared as one
-dict (a mismatch names the owner of the lowest wrong column, since only
-that owner writes it).  Then, for every p, it requires that p's ``known``
-holds exactly the slots that row of the matrix implies (q in the slot of
-round r iff ``heard[p][q] >= r``, for r in ``lo..m``), that p holds the
-run's row and edge tables themselves, and that p's own row gained exactly
-the lock value the monitor tracks (carried forward, or the core step's
-re-proposal) and holds nothing outside ``lo..m``.  A state's lock view and
-approximation are derived from ``known`` and the run's tables alone, so
-this makes them exact.  The monitor keeps each process's expected
-``known`` int, updated only at the rounds whose heads rose, and compares
-the whole value in one step; only on a mismatch does it walk the slots to
-name the first that differs.
+ground truth it derives from the true graphs and the lock outcomes alone
+(``_GroundTruth``): for every process p, the ``known`` int p's state must
+hold, and p's ``{round: lock}`` row over the retained rounds ``lo..m``.
+With ``heard[p][q]`` the latest round whose end state of q has reached p,
+q is in the slot of round r exactly when ``heard[p][q] >= r``, so the int
+is a threshold code of that ``heard`` row.  ``heard`` after round m is the
+maximum of ``heard[u][q]`` over p's round-m in-neighbours u (with
+``heard[p][p] = m``), and the threshold code of a maximum is the OR of the
+codes: so p's int is the OR of its in-neighbours' previous ints (p's own
+among them, by its self-loop), shifted down by the slots that left the
+window, plus p's own bit in slot m.  The monitor reads no message or
+state to build it, and decodes ``heard[p]`` only to print it.
+
+After every round it requires that the run's edge table holds exactly the
+true masks of rounds ``lo..m``, and that the run's row table holds exactly
+the expected rows, each compared as one dict (a mismatch names the owner
+of the lowest wrong column or row, since only that owner writes it).  Then,
+for every p, it requires that p's ``known`` equals its expected int (only
+on a mismatch does it walk the slots to name the first that differs), that
+p holds the run's row and edge tables themselves, and that p's ``lo`` is
+the window's.  A state's lock view and approximation are derived from
+``known`` and the run's tables alone, so this makes them exact.
 
 A run records no per-round state.  Indistinguishability rebuilds a
-process's state at every round from the trace by the same rules, with lock
-cells from the lock outcomes and ``y`` from the decision events.
+process's state at every round from the trace by the same ground truth,
+with ``y`` from the decision events.
 """
 
 from __future__ import annotations
@@ -176,75 +181,90 @@ class Trace:
 
 
 class _GroundTruth:
-    """The ``heard`` matrix (-1 for none), each owner's current ``lock``, the
-    true mask of every retained round, and for each p in ``pids`` the
-    ``known`` int p's state must hold.  Graphs and states share the
-    n-process edge-mask layout, whose width is also the width of a ``known``
-    slot."""
+    """What every process's state must hold after round m, from the true
+    graphs and the lock outcomes alone: ``known[p]``, the ``known`` int of
+    p (slot 0 is round ``lo``); ``rows[q]``, q's ``{round: lock}`` over
+    ``lo..m``; and ``true_masks``, the true mask of every retained round.
+    Graphs and states share the n-process edge-mask layout, whose width is
+    also the width of a ``known`` slot.
 
-    def __init__(self, cfg: RunConfig, pids):
-        self.keep, self.lock = parse_mode(cfg.mode), list(cfg.inputs)
+    Each int is the threshold code of p's ``heard`` row (q in slot r iff
+    ``heard[p][q] >= r``), and the code of the ``heard`` max rule is an OR:
+    a round ORs the previous ints of p's in-neighbours, self-loop included,
+    drops the slots that left the window and adds p's own bit in slot m
+    (see the module docstring).
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.keep, self.n = parse_mode(cfg.mode), cfg.n
         self.layout = mask_layout(cfg.n)
-        self.heard = [[0 if q == p else -1 for q in range(cfg.n)] for p in range(cfg.n)]
         self.lo = 0
         self.true_masks = {0: 0}
-        self.known = {p: 1 << (p - 1) for p in pids}
+        self.rows = {q: {0: x} for q, x in enumerate(cfg.inputs, start=1)}
+        self.known = {p: 1 << (p - 1) for p in range(1, cfg.n + 1)}
 
     def advance(self, m: int, g: CommGraph, outcomes: list) -> int:
-        """Step to the end of round m, each expected ``known`` gaining the
-        slots of the heads that rose; returns the window start ``lo``."""
-        senders = [[] for _ in self.heard]
-        for (u, v) in g.edges:
-            senders[v - 1].append(self.heard[u - 1])
-        previous, self.heard = self.heard, [[max(col) for col in zip(*rows)] for rows in senders]
-        for p, known in enumerate(self.heard):
-            known[p] = m
-        lo, width, row = window_start(self.keep, m), self.layout.width, self.layout.row
-        dropped, self.lo = (lo - self.lo) * width, lo
+        """Step to the end of round m; returns the window start ``lo``."""
+        lo, width, prev = window_start(self.keep, m), self.layout.width, self.known
+        dropped, own, self.lo = (lo - self.lo) * width, (m - lo) * width - 1, lo
+        known = {}
+        for p, ins in enumerate(g.in_lists, start=1):
+            k = 0
+            for u in ins:
+                k |= prev[u]
+            known[p] = k >> dropped | 1 << own + p
+        self.known = known
         self.true_masks[m] = g.mask
         self.true_masks.pop(lo - 1, None)
-        for p, known in self.known.items():
-            known >>= dropped
-            for v, (was, h) in enumerate(zip(previous[p - 1], self.heard[p - 1])):
-                if h > was and h >= lo:
-                    first = max(was + 1, lo)  # bit v in each slot first..h
-                    known |= ((1 << (h - first + 1) * width) - 1) // row << (first - lo) * width + v
-            self.known[p] = known
-        for q, out in enumerate(outcomes):
-            if out.locked is not None:
-                self.lock[q] = out.locked[2]
+        for row, out in zip(self.rows.values(), outcomes):
+            row[m] = row[m - 1] if out.locked is None else out.locked[2]
+            row.pop(lo - 1, None)
         return lo
+
+    def heard(self, p: int) -> list:
+        """``heard[p]`` decoded from p's int: for each q, the latest round whose
+        slot holds q, or -1 if no retained slot does (q's state never reached
+        p, or only states from before ``lo``).  Slots are nested, so that is
+        the last slot q is in."""
+        heard, known, r, row = [-1] * self.n, self.known[p], self.lo, self.layout.row
+        while known:
+            slot = known & row
+            while slot:
+                low = slot & -slot
+                heard[low.bit_length() - 1] = r
+                slot ^= low
+            known, r = known >> self.layout.width, r + 1
+        return heard
 
 
 class _InvariantMonitor(_GroundTruth):
-    """Checks the run's edge table and every process's state against the
-    ground truth; ``rows`` and ``edges`` are the run's tables, which every
-    state must hold."""
+    """Checks the run's edge and row tables and every process's state against
+    the ground truth; ``run_rows`` and ``edges`` are the run's tables, which
+    every state must hold."""
 
-    def __init__(self, cfg: RunConfig, rows: dict, edges: dict, pids):
-        super().__init__(cfg, pids)
-        self.rows, self.edges = rows, edges
+    def __init__(self, cfg: RunConfig, run_rows: dict, edges: dict):
+        super().__init__(cfg)
+        self.run_rows, self.edges = run_rows, edges
 
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
-        lo, rows, edges = self.advance(m, g, outcomes), self.rows, self.edges
+        lo, run_rows, edges = self.advance(m, g, outcomes), self.run_rows, self.edges
         if edges != self.true_masks:
             owner, problem = self._edge_violation(m, lo)
             self._fail(owner, m, lo, problem)
+        if run_rows != self.rows:
+            owner, problem = self._row_violation(m, lo)
+            self._fail(owner, m, lo, problem)
         for p, known in self.known.items():
-            st, own = states[p], rows[p]
-            if (
-                st.known == known
-                and st.rows is rows
-                and st.edges is edges
-                and st.lo == lo
-                and own.get(m) == self.lock[p - 1]
-                and len(own) == m - lo + 1
-            ):
+            st = states[p]
+            if st.known == known and st.rows is run_rows and st.edges is edges and st.lo == lo:
                 continue
             self._fail(p, m, lo, self._violation(st, p, m, lo))
 
     def _fail(self, p: int, m: int, lo: int, problem: str):
-        raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={self.heard[p - 1]}; rounds {lo}..{m} kept)")
+        """Raise for p at round m, naming ``heard[p]`` decoded from the ground
+        truth's int: -1 for a peer in no retained slot, which is one never
+        heard or, in bounded mode, one heard only before ``lo``."""
+        raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={self.heard(p)}; rounds {lo}..{m} kept)")
 
     def _edge_violation(self, m: int, lo: int) -> tuple:
         """(owner, what is wrong) for the first round where the edge table
@@ -262,7 +282,21 @@ class _InvariantMonitor(_GroundTruth):
                 v = (columns & -columns).bit_length()
                 into = lay.into(v)
                 return v, f"edges[{r}] into p{v} are {lay.edges(has & into)}, expected {lay.edges(want & into)}"
-        return min(self.known), f"the edge table holds rounds {sorted(edges)}, expected {lo}..{m}"
+        return 1, f"the edge table holds rounds {sorted(edges)}, expected {lo}..{m}"
+
+    def _row_violation(self, m: int, lo: int) -> tuple:
+        """(owner, what is wrong) for the lowest owner whose row differs from
+        the ground truth's (only that owner writes it): the rounds it holds,
+        or its first wrong lock cell."""
+        for q, want in self.rows.items():
+            has = self.run_rows.get(q, {})
+            if has == want:
+                continue
+            if has.keys() != want.keys():
+                return q, f"row[{q}] holds rounds {sorted(has)}, expected {lo}..{m}"
+            r = next(r for r in want if has[r] != want[r])
+            return q, f"lock[{q}][{r}] is {has[r]}, expected {want[r]}"
+        return 1, f"the row table holds rows {sorted(self.run_rows)}, expected 1..{self.n}"
 
     def _violation(self, st, p: int, m: int, lo: int) -> str:
         """What is wrong with p's state after round m, walked check by check
@@ -274,15 +308,10 @@ class _InvariantMonitor(_GroundTruth):
                 return f"known[{r}] is {sorted(_processes(has))}, expected {sorted(_processes(want))}"
         if st.known >> (m - lo + 1) * width:
             return f"known holds slots past round {m}"
-        if st.rows is not self.rows:
+        if st.rows is not self.run_rows:
             return "rows is not the run's row table"
         if st.edges is not self.edges:
             return "edges is not the run's edge table"
-        own = self.rows[p]
-        if own.get(m) != self.lock[p - 1]:
-            return f"lock[{p}][{m}] is {own.get(m, 'absent')}, expected {self.lock[p - 1]}"
-        if len(own) != m - lo + 1:
-            return f"row[{p}] holds rounds {sorted(own)}, expected {lo}..{m}"
         return f"lo is {st.lo}, expected {lo}"
 
 
@@ -293,7 +322,7 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
     :func:`indistinguishable` rebuilds it from the trace.
     """
     states = init_states(cfg.inputs, cfg.mode)
-    monitor = _InvariantMonitor(cfg, states[1].rows, states[1].edges, states) if cfg.check_invariants else None
+    monitor = _InvariantMonitor(cfg, states[1].rows, states[1].edges) if cfg.check_invariants else None
     round_graphs = []
     outcomes = []
     decisions = {}
@@ -401,21 +430,20 @@ def oracle_check(trace: Trace, deadline: int) -> OracleReport:
 
 def _rebuilt_states(trace: Trace, p: int) -> list:
     """p's state at the end of every round 0..horizon in the layout of
-    ``NodeState.snapshot()``, rebuilt from the trace by the ground truth, with
-    q's lock cells from the lock outcomes, and memoized on it."""
+    ``NodeState.snapshot()``, rebuilt from the trace by the ground truth, and
+    memoized on it."""
     if p not in trace.rebuilt:
         cfg = trace.config
-        cells = [[(0, x)] for x in cfg.inputs]  # cells[q-1][r] = (r, q's lock after round r)
-        truth = _GroundTruth(cfg, [p])
+        truth = _GroundTruth(cfg)
         decided, y = trace.decisions.get(p, (cfg.horizon + 1, None))
         lo, states = 0, []
         for m in range(cfg.horizon + 1):
             if m:
                 lo = truth.advance(m, trace.round_graphs[m - 1], trace.outcomes[m - 1])
-                for row, lock in zip(cells, truth.lock):
-                    row.append((m, lock))
-            heard = truth.heard[p - 1]  # q has a retained cell iff heard[q-1] >= lo
-            locks = tuple((q, tuple(row[lo : h + 1])) for q, (row, h) in enumerate(zip(cells, heard), 1) if h >= lo)
+            rows, heard = truth.rows, truth.heard(p)  # q has a retained cell iff heard[q-1] >= lo
+            locks = tuple(
+                (q, tuple((r, rows[q][r]) for r in range(lo, h + 1))) for q, h in enumerate(heard, 1) if h >= lo
+            )
             y_m = y if m >= decided else None
             approx = _approx_view(truth.known[p], truth.true_masks, lo, m, truth.layout)
             states.append((p, m, cfg.inputs[p - 1], y_m, tuple(approx.items()), locks, truth.keep))

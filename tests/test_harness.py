@@ -8,9 +8,10 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import EPS1_EDGES
-from oracles import bfs_distance
+from oracles import bfs_distance, causal_past_forward, naive_causal_past
 
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
@@ -148,6 +149,12 @@ def _flipped_bit_at_unchanged_round(merge, s, msgs, m):
     s.edges[m - 3] |= s.layout.bit(1, 2)
 
 
+def _rewritten_old_lock_cell(merge, s, msgs, m):
+    # a finalized lock cell of the own row, far below the cell of round m
+    merge(s, msgs, m)
+    s.rows[2][2] += 100
+
+
 class TestInvariantMonitor:
     """Each fault is injected into p2's merge of one round (eps1: 1 -> 5 -> 2,
     1 -> 3, 1 -> 4, and for n > 5 also 1 -> q for q = 6..n); the monitor must
@@ -176,13 +183,15 @@ class TestInvariantMonitor:
             (_flipped_bit_at_unchanged_round, 5, "bounded:5", 5,
              "edges[2] into p2 are [(1, 2), (2, 2), (5, 2)], expected [(2, 2), (5, 2)] "
              "(heard[2]=[3, 5, -1, -1, 4]; rounds 0..5 kept)"),
+            (_rewritten_old_lock_cell, 5, "full", 5,
+             "lock[2][2] is 101, expected 1 (heard[2]=[3, 5, -1, -1, 4]; rounds 0..5 kept)"),
             # n=24 runs at mask width 32
             (_fabricated_edge, 24, "full", 2,
              "edges[2] into p2 are [(2, 2), (3, 2), (5, 2)], expected [(2, 2), (5, 2)] (heard[2]=[0, 2, -1, -1, 1, -1,"),
         ],
         ids=["dropped-relayed-heard", "copied-row", "copied-edge-table", "wrong-lock-value",
              "fabricated-edge", "retained-past-window", "stale-approx-mask",
-             "wrong-lo", "flipped-bit-at-unchanged-round", "fabricated-edge-at-24"],
+             "wrong-lo", "flipped-bit-at-unchanged-round", "rewritten-old-lock-cell", "fabricated-edge-at-24"],
     )
     def test_fault_names_process_and_round(self, monkeypatch, fault, n, mode, round_, why):
         merge = harness_mod.receive_and_merge
@@ -200,9 +209,79 @@ class TestInvariantMonitor:
         assert (caught.value.pid, caught.value.round) == (2, round_)
         assert why in str(caught.value)
 
+    def test_peer_outside_the_window_prints_minus_one(self, monkeypatch, eps2_lasso):
+        # p3's round-1 state reached p2 (3 -> 4 in round 2, 4 -> 5 from round
+        # 5, 5 -> 2 from round 6), and nothing later of p3 ever does, so after
+        # round 7 of bounded:5 (rounds 2..7 kept) p3 is in no slot of p2
+        merge = harness_mod.receive_and_merge
+
+        def faulty_merge(s, msgs, m):
+            if (s.pid, m) == (2, 7):
+                return _wrong_lo(merge, s, list(msgs), m)
+            return merge(s, msgs, m)
+
+        monkeypatch.setattr(harness_mod, "receive_and_merge", faulty_merge)
+        with pytest.raises(EngineInvariantError) as caught:
+            run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 10, mode="bounded:5"))
+        assert str(caught.value) == "p2 round 7: lo is 3, expected 2 (heard[2]=[5, 7, -1, 5, 6]; rounds 2..7 kept)"
+
     @pytest.mark.parametrize("mode", ["full", "bounded:5"])
     def test_fault_free_runs_pass(self, eps2_lasso, mode):
         run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 14, mode=mode))
+
+
+_NO_LOCK = SimpleNamespace(locked=None)  # an outcome with no re-proposal
+
+
+def _naive_causal_past(l, p, r, m):
+    return naive_causal_past(l.graph, p, r, m)
+
+
+@st.composite
+def small_runs(draw):
+    """A RunConfig over a random lasso of 2..8 processes, 0..3 prefix and 1..2
+    cycle graphs, in full mode or bounded:k, to a horizon of at most 8."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    graph = st.lists(st.sampled_from(pairs), max_size=2 * n)
+    prefix = draw(st.lists(graph, max_size=3))
+    cycle = draw(st.lists(graph, min_size=1, max_size=2))
+    mode = draw(st.sampled_from(["full", "bounded:3", "bounded:4", "bounded:6"]))
+    return RunConfig(n, 1, (0,) * n, lasso(n, prefix, cycle), draw(st.integers(1, 8)), mode=mode)
+
+
+class TestGroundTruthIsTheCausalPast:
+    """After every round m, slot r of p's ground-truth ``known`` int is the
+    causal past CP_p(r, m), for every retained round r, and no slot lies past
+    round m.  The ground truth is driven by the true graphs alone."""
+
+    @staticmethod
+    def check(cfg, past):
+        truth = harness_mod._GroundTruth(cfg)
+        width, row = truth.layout.width, truth.layout.row
+        lo = 0
+        for m in range(cfg.horizon + 1):
+            if m:
+                lo = truth.advance(m, cfg.lasso.graph(m), [_NO_LOCK] * cfg.n)
+            for p, known in truth.known.items():
+                assert known >> (m - lo + 1) * width == 0, (p, m)
+                for r in range(lo, m + 1):
+                    want = sum(1 << q - 1 for q in past(cfg.lasso, p, r, m))
+                    assert known >> (r - lo) * width & row == want, (p, r, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=small_runs())
+    def test_matches_forward_causal_past(self, cfg):
+        self.check(cfg, causal_past_forward)
+
+    @pytest.mark.parametrize("mode", ["full", "bounded:5"])
+    def test_eps2_matches_naive_causal_past(self, eps2_lasso, mode):
+        self.check(RunConfig(5, 2, (0,) * 5, eps2_lasso, 10, mode=mode), _naive_causal_past)
+
+    @pytest.mark.parametrize("mode", ["full", "bounded:3"])
+    def test_hop_fallacy_matches_naive_causal_past(self, mode):
+        l = scenario_hop_fallacy(6)
+        self.check(RunConfig(6, 1, (0,) * 6, l, 9, mode=mode), _naive_causal_past)
 
 
 class TestOracleCheck:
