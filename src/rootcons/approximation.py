@@ -8,7 +8,7 @@ Slot 0 is the oldest retained round ``lo`` (0 in full mode; ``max(0, m-k)``
 in ``bounded:k``).  Slots are monotone: a state of q that has arrived
 carries q's earlier states, so q in slot r is also in every slot ``lo..r``.
 
-The facts themselves live in three tables per run, which every state of
+The facts themselves live in four tables per run, which every state of
 the run refers to (and every message, to the first two).  ``rows[q]`` is
 q's append-only ``{round: lock}`` of per-round lock (proposal) values; only
 q writes it, and only the cell of its current round (in ``bounded:k`` it
@@ -16,9 +16,11 @@ also drops its round ``m-k-1`` cell in round m).  ``edges[r]`` is the
 round-r edge mask: in its merge of round m each owner ORs in its delivered
 in-edges (its column of the mask).  ``starts[r]`` maps each root of the
 whole ``edges[r]`` to the round its common-root run began; ``consensus``
-fills it lazily.  Every merge drops round ``lo-1`` from both.  A state
-holds no cells of its own: it reads q's round-r lock only when q is in
-slot r.
+fills it lazily.  ``answers[anchor]`` maps ``(root, lo)`` to the b1/b3
+answer ``(run start, member bitset, maximum member lock)`` for a confirmed
+root of round ``anchor`` (see ``consensus``).  Every merge drops round
+``lo-1`` from all four.  A state holds no cells of its own: it reads q's
+round-r lock only when q is in slot r.
 
 After round m the process knows ``lock[q][r]`` exactly when q is in slot r,
 and the round-r edge (u, v) exactly when v is, so its round-r approximation
@@ -59,15 +61,14 @@ each query is a subset filter.  Round 0 (which has no edges) and the rounds
 outside the window answer ``{pid}``.
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
-states of one run (:func:`init_states`) share that layout, the three tables
+states of one run (:func:`init_states`) share that layout, the four tables
 and one root memo, which live as long as the run.  The memo maps a whole
 round mask to (root, member bitset) for each of its roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graphs import MaskLayout, mask_layout, roots_of_mask
 from .graphs import root_components  # noqa: F401  (bound here for callers that wrap it)
@@ -143,8 +144,7 @@ def _locks_view(known: int, rows: dict, lo: int, width: int) -> dict:
     return {q: {r: rows[q][r] for r in range(lo, h + 1)} for q, h in heard.items()}
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A sender's end-of-previous-round knowledge: its ``known`` slots from
     round ``lo`` on (slot 0 is round ``lo``, each ``layout.width`` bits) and
     the run's row and edge tables, by reference.
@@ -176,10 +176,12 @@ class NodeState:
 
     ``known`` holds a ``layout.width``-bit slot per round ``lo..m``: the
     processes whose state of that round has reached this one (the process
-    itself is in every slot).  ``rows``, ``edges`` and ``starts`` are the
-    run's three tables: q -> q's own ``{round: lock}``, whose cells are read
-    only where ``known`` has q's bit; round -> that round's edge mask (round
-    0 has none); and round -> {root: run start} (see ``consensus``).  ``y``
+    itself is in every slot).  ``rows``, ``edges``, ``starts`` and
+    ``answers`` are the run's four tables: q -> q's own ``{round: lock}``,
+    whose cells are read only where ``known`` has q's bit; round -> that
+    round's edge mask (round 0 has none); round -> {root: run start}; and
+    anchor -> {(root, lo): b1/b3 answer} (see ``consensus``; a state built
+    without one gets a table of its own).  ``y``
     is the write-once decision.  ``approx[r]``, the round-r approximation's
     edge mask for r in ``lo..m``, and ``locks[q][r]`` are views over the
     retained rounds.  ``root_bits`` gives a round's roots to the core step;
@@ -192,11 +194,14 @@ class NodeState:
     """
 
     __slots__ = (
-        "pid", "x", "m", "lo", "y", "keep", "known", "rows", "edges", "starts", "runs", "stale_from", "c2_from",
-        "layout", "memo",
+        "pid", "x", "m", "lo", "y", "keep", "known", "rows", "edges", "starts", "answers", "runs", "stale_from",
+        "c2_from", "layout", "memo",
     )
 
-    def __init__(self, pid: int, x: int, n: int, keep: Optional[int], memo: dict, rows: dict, edges: dict, starts: dict):
+    def __init__(
+        self, pid: int, x: int, n: int, keep: Optional[int], memo: dict, rows: dict, edges: dict, starts: dict,
+        answers: Optional[dict] = None,
+    ):
         if not (1 <= pid <= n):
             raise ValueError(f"pid must be in 1..{n}, got {pid}")
         self.pid = pid
@@ -209,6 +214,7 @@ class NodeState:
         self.rows = rows
         self.edges = edges
         self.starts = starts
+        self.answers = {} if answers is None else answers
         self.runs = {}
         self.stale_from = 0
         self.c2_from = 0
@@ -301,11 +307,13 @@ def parse_mode(mode: str, D: Optional[int] = None) -> Optional[int]:
 def init_states(inputs, mode: str = "full") -> dict:
     """Fresh states of one run, pid -> state, of processes 1..len(inputs):
     singleton round-0 approximation, own input locked at round 0, and one
-    shared row table, edge table, start table and root memo.  ``mode`` is
-    ``"full"`` or ``"bounded:<k>"``."""
-    n, keep, memo, edges, starts = len(inputs), parse_mode(mode), {}, {0: 0}, {}
+    shared row table, edge table, start table, answer table and root memo.
+    ``mode`` is ``"full"`` or ``"bounded:<k>"``."""
+    n, keep, memo, edges, starts, answers = len(inputs), parse_mode(mode), {}, {0: 0}, {}, {}
     rows = {p: {0: x} for p, x in enumerate(inputs, start=1)}
-    return {p: NodeState(p, x, n, keep, memo, rows, edges, starts) for p, x in enumerate(inputs, start=1)}
+    return {
+        p: NodeState(p, x, n, keep, memo, rows, edges, starts, answers) for p, x in enumerate(inputs, start=1)
+    }
 
 
 def make_message(s: NodeState) -> Message:
@@ -326,8 +334,9 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     ints (all rebased to the same first round) and the own round-m slot.
     The own row gains its round-m lock, carried forward, and the edge table
     gains the direct in-edges (sender -> pid) in round m; both, and the
-    start table, drop the round that left the window (the shared tables'
-    drop is done by every merge of the round, and idempotent).
+    start and answer tables, drop the round that left the window (the
+    shared tables' drop is done by every merge of the round, and
+    idempotent).
     ``stale_from`` drops to the lowest new slot (or to round m-1, which
     stops being the current round).  Merge order is irrelevant: ORs are
     commutative.
@@ -353,6 +362,7 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
         edges.pop(lo - 1, None)
         s.runs.pop(lo - 1, None)
         s.starts.pop(lo - 1, None)
+        s.answers.pop(lo - 1, None)
     new = known & ~before  # never empty: it holds the own round-m bit
     changed = min(lo + ((new & -new).bit_length() - 1) // width, m - 1)
     if changed < s.stale_from:

@@ -40,12 +40,23 @@ whole ``edges[t]``.  So the start is a fact of the true round graphs, kept
 in the run's shared table: ``starts[r]`` maps each root of ``edges[r]`` to
 the round its run began.  Only final rounds are entered, so an entry never
 goes stale; :func:`_run_start` extends the table on demand.
+
+The answer itself, ``(a, member bitset, value)`` for ``(root, anchor, lo)``,
+is run-wide too, and the run's answer table holds it: ``answers[anchor]``
+maps ``(root, lo)`` to it.  a depends only on the start table and on ``lo``,
+which every state shares in a round, and the value reads the members' row
+cells of round a < m, which only their owners wrote and which are final
+(the harness's monitor compares the row table every round).  The first
+process to ask computes and enters it; a later one needs only to hold every
+member's round-a state, one mask test of the bitset against its evidence of
+round a (slot a, as a <= anchor < m).  If that test fails, the full
+computation runs and raises as it would have.  Every anchor is at or after
+max(1, lo), so the merge drops the table's round ``lo-1`` with the window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .approximation import NodeState, evidence
 
@@ -54,8 +65,7 @@ class InvariantViolationError(Exception):
     """An unknown lock value showed up where the protocol guarantees one."""
 
 
-@dataclass(frozen=True)
-class CoreStepOutcome:
+class CoreStepOutcome(NamedTuple):
     """What the step did: ``locked`` when b1 re-proposed, ``decided`` when b3
     assigned the write-once decision.  Both carry (root, anchor round, value)."""
 
@@ -107,6 +117,25 @@ def _max_lock(s: NodeState, root: frozenset, a: int, what: str) -> int:
             f"p{s.pid} {what}: lock[{q}][{a}] unknown for detected root {sorted(root)}"
         )
     return max(values)
+
+
+def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> tuple:
+    """(a, value): the run start a through ``anchor`` of the confirmed root
+    and its members' maximum lock at a, from the run's answer table, or
+    computed and entered there."""
+    table = s.answers.get(anchor)
+    if table is None:
+        table = s.answers[anchor] = {}
+    key = (root, s.lo)
+    entry = table.get(key)
+    if entry is not None:
+        a, bits, value = entry
+        if bits & evidence(s, a) == bits:
+            return a, value
+    a = _run_start(s, root, anchor)
+    value = _max_lock(s, root, a, what)
+    table[key] = (a, sum(1 << (q - 1) for q in root), value)
+    return a, value
 
 
 def confirmed_roots(s: NodeState, r: int) -> list:
@@ -164,8 +193,7 @@ def c1_check(s: NodeState, m: int, D: int) -> Optional[frozenset]:
 def b1_apply(s: NodeState, m: int, root: frozenset, D: int) -> tuple:
     """Re-propose: lock[pid][m] := max lock[q][a] over the root's members,
     where a starts the maximal common-root run around round m-D."""
-    a = _run_start(s, root, m - D)
-    value = _max_lock(s, root, a, "b1")
+    a, value = _answer(s, root, m - D, "b1")
     s.propose(value)
     return a, value
 
@@ -215,8 +243,7 @@ def b3_apply(s: NodeState, root: frozenset, interval: tuple) -> Optional[tuple]:
     maximal common-root run containing the single-rooted interval."""
     if s.y is not None:
         return None
-    a = _run_start(s, root, interval[0])
-    value = _max_lock(s, root, a, "b3")
+    a, value = _answer(s, root, interval[0], "b3")
     s.y = value
     return a, value
 

@@ -708,16 +708,15 @@ def fuzz_trial(
     """
     params = AdversaryParams(n=n, D=D, seed=seed, r_sr_target=r_sr)
     if adversary == "estable":
-        lasso_seq, _ = generate_estable(params)
-        cert = check_estable(lasso_seq, D)
+        lasso_seq, cert = generate_estable(params)
     elif adversary == "altestable":
         lasso_seq, planted = generate_alt_estable(params)
         horizon = max(lasso_seq.default_horizon(), planted.deadline + 1)
         cert = check_alt_estable(lasso_seq, D, horizon)
+        if cert is None:
+            raise AssertionError("generated lasso failed its own checker")
     else:
         raise ValueError(f"unknown adversary {adversary!r}")
-    if cert is None:
-        raise AssertionError("generated lasso failed its own checker")
     deadline = cert.deadline
     cfg = RunConfig(n, D, inputs, lasso_seq, deadline + D + 2, mode=mode)
     trace = run_execution(cfg)

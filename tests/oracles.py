@@ -203,12 +203,14 @@ class ReferenceState:
 
     The core step's c2 cache (``runs``, ``stale_from`` and ``c2_from``) is
     marked stale from round 0 by every merge, so each core step rescans
-    every retained round.  The root-run start table ``starts`` is this
-    state's own, not shared by the run, and every merge empties it: the core
-    step rebuilds it from ``root_bits``, which here are the roots of the
-    partial approximations, ghosts included.  So the differential checks
-    independently the lemma by which a run's shared start table is built
-    from whole round masks.
+    every retained round.  The root-run start table ``starts`` and the b1/b3
+    answer table ``answers`` are this state's own, not shared by the run,
+    and every merge empties both: the core step rebuilds the starts from
+    ``root_bits``, which here are the roots of the partial approximations,
+    ghosts included, and recomputes every answer from ``lock_value``.  So the
+    differential checks independently the lemma by which a run's shared
+    start table is built from whole round masks, and that an answer one
+    process entered holds for every process that asks it later.
     """
 
     def __init__(self, pid: int, x: int, keep, lay: MaskLayout):
@@ -216,7 +218,7 @@ class ReferenceState:
         self.approx = {0: 0}
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
-        self.runs, self.stale_from, self.c2_from, self.starts = {}, 0, 0, {}
+        self.runs, self.stale_from, self.c2_from, self.starts, self.answers = {}, 0, 0, {}, {}
 
     @property
     def lo(self) -> int:
@@ -273,7 +275,7 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     the own lock forward, then drop rounds older than the window, and every
     peer none of whose lock cells is left."""
     s.m = m
-    s.stale_from, s.starts = 0, {}
+    s.stale_from, s.starts, s.answers = 0, {}, {}
     for sender, approx, locks in msgs:
         approx = dict(approx)
         approx[m] = approx.get(m, 0) | s.layout.bit(sender, s.pid)

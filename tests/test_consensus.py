@@ -304,6 +304,68 @@ class TestStartTable:
         assert s.lo == 195 and s.starts and min(s.starts) >= s.lo and len(s.starts) <= 6
 
 
+class TestAnswerTable:
+    """The b1/b3 answers are one table per run, entered by the first process
+    that asks, held only for the retained anchors, and re-checked by every
+    later reader against its own slot."""
+
+    def test_one_table_per_run(self, eps2_lasso):
+        trace = run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 12))
+        states = trace.states
+        assert states[1].answers and all(s.answers is states[1].answers for s in states.values())
+        other = init_states((0,) * 5)
+        assert other[1].answers is not states[1].answers and other[1].answers == {}
+
+    def test_bounded_table_holds_no_anchor_before_the_window(self):
+        l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
+        trace = run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 200, mode="bounded:5", check_invariants=False))
+        s = trace.states[1]
+        assert s.lo == 195 and s.answers and min(s.answers) >= s.lo
+
+    @pytest.mark.parametrize("mode", ["full", "bounded:7"])
+    def test_lock_reads_at_sixty_four_processes(self, monkeypatch, mode):
+        # the 64-process CI lasso (generate --n 64 --d 3 --rsr 6 --seed 3) to
+        # H=200: each answer is computed once per run, not once per process
+        # and round (which read 457,063 locks in full mode)
+        from rootcons.approximation import NodeState
+
+        l, _ = generate_estable(AdversaryParams(n=64, D=3, seed=3, r_sr_target=6))
+        lock_value, calls = NodeState.lock_value, [0]
+
+        def counted(s, q, r):
+            calls[0] += 1
+            return lock_value(s, q, r)
+
+        monkeypatch.setattr(NodeState, "lock_value", counted)
+        trace = run_execution(RunConfig(64, 3, tuple(range(1, 65)), l, 200, mode=mode, check_invariants=False))
+        assert len(trace.decisions) == 64
+        assert 0 < calls[0] <= 10_000
+
+    def test_a_hit_still_requires_every_member_lock(self, monkeypatch):
+        # p1 steps first and enters round M's b1 answer; p2 then finds it, but
+        # one member's round-a state is cleared from p2's slot a, so the mask
+        # test fails and the full path raises as it would without the table
+        l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
+        M, D, step, cleared = 30, 2, harness_mod.core_step, []
+
+        def tampered(s, m, d):
+            if s.pid == 2 and m == M:
+                (root, lo), (a, _, _) = next(iter(s.answers[m - d].items()))
+                assert lo == s.lo and a < m - d
+                q = min(root)
+                s.known &= ~(1 << ((a - s.lo) * s.layout.width + q - 1))
+                cleared.append((q, a))
+            return step(s, m, d)
+
+        monkeypatch.setattr(harness_mod, "core_step", tampered)
+        cfg = RunConfig(6, D, (3, 1, 4, 1, 5, 9), l, M + 1, check_invariants=False)
+        with pytest.raises(harness_mod.EngineInvariantError) as info:
+            run_execution(cfg)
+        (q, a), = cleared
+        assert (info.value.pid, info.value.round) == (2, M)
+        assert f"lock[{q}][{a}] unknown" in str(info.value)
+
+
 class TestWholeRuns:
     def test_all_inputs_equal_forces_that_decision(self, eps2_lasso):
         cfg = RunConfig(5, 2, (6,) * 5, eps2_lasso, 12)

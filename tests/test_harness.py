@@ -4,7 +4,6 @@ import json
 import os
 import random
 import re
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -99,7 +98,7 @@ class TestRunExecution:
 def _drop_relayed_heard(merge, s, msgs, m):
     # each message keeps only its sender's own bit in every slot
     own_entries = [
-        replace(msg, known=msg.known & sum(1 << (i * msg.layout.width + msg.sender - 1) for i in range(m - msg.lo)))
+        msg._replace(known=msg.known & sum(1 << (i * msg.layout.width + msg.sender - 1) for i in range(m - msg.lo)))
         for msg in msgs
     ]
     return merge(s, own_entries, m)
@@ -502,11 +501,18 @@ class TestFuzz:
 
     def test_invalid_generated_lasso_is_a_config_failure(self, monkeypatch):
         bad = CommGraph(8, frozenset((p, p) for p in range(2, 9)))  # no self-loop at process 1
-        monkeypatch.setattr(harness_mod, "generate_estable", lambda params: (LassoSequence((), (bad,)), None))
-        monkeypatch.setattr(harness_mod, "check_estable", lambda seq, D: SimpleNamespace(deadline=5))
+        generated = (LassoSequence((), (bad,)), SimpleNamespace(deadline=5))
+        monkeypatch.setattr(harness_mod, "generate_estable", lambda params: generated)
         summary = fuzz_campaign(trials=2, seed=1, n_range=(8, 8))
         assert [f.kind for f in summary.failures] == ["config", "config"]
         assert all("missing self-loop (1->1)" in f.detail for f in summary.failures)
+
+    def test_estable_trial_uses_the_generators_certificate(self):
+        # generate_estable returns check_estable's certificate of the lasso
+        # it returns, so the trial checks it no second time
+        for seed in (1, 7, 21):
+            trace, _, cert = fuzz_trial("estable", seed=seed, n=6, D=2, r_sr=4, inputs=(3, 1, 4, 1, 5, 9))
+            assert cert == check_estable(trace.config.lasso, 2) and trace.certificate is cert
 
     def test_trial_replay_reproduces_trace(self):
         t1, r1, c1 = fuzz_trial("estable", seed=12345, n=5, D=2, r_sr=4, inputs=(9, 1, 5, 5, 2))
