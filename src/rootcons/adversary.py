@@ -174,18 +174,12 @@ def check_liveness(l: LassoSequence) -> Optional[AdversaryCertificate]:
     if len(cycle_roots) != 1:
         return None
     (root,) = cycle_roots
-    r_sr = probe + 1
-    r = probe
-    while r >= 1 and root_components(l.graph(r)) == frozenset([root]):
-        r_sr = r
-        r -= 1
-    if r_sr > probe:
-        return None
+    r_sr = probe  # round probe is the last cycle graph, whose only root is root
+    while r_sr > 1 and root_components(l.graph(r_sr - 1)) == frozenset([root]):
+        r_sr -= 1
     r_gst = r_sr
-    r = r_sr - 1
-    while r >= 1 and root in root_components(l.graph(r)):
-        r_gst = r
-        r -= 1
+    while r_gst > 1 and root in root_components(l.graph(r_gst - 1)):
+        r_gst -= 1
     return AdversaryCertificate("liveness", r_gst, r_sr, root)
 
 

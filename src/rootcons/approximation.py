@@ -8,19 +8,20 @@ Slot 0 is the oldest retained round ``lo`` (0 in full mode; ``max(0, m-k)``
 in ``bounded:k``).  Slots are monotone: a state of q that has arrived
 carries q's earlier states, so q in slot r is also in every slot ``lo..r``.
 
-The facts themselves live in four tables per run, which every state of
-the run refers to (and every message, to the first two).  ``rows[q]`` is
-q's append-only ``{round: lock}`` of per-round lock (proposal) values; only
-q writes it, and only the cell of its current round (in ``bounded:k`` it
-also drops its round ``m-k-1`` cell in round m).  ``edges[r]`` is the
-round-r edge mask: in its merge of round m each owner ORs in its delivered
-in-edges (its column of the mask).  ``starts[r]`` maps each root of the
-whole ``edges[r]`` to the round its common-root run began; ``consensus``
-fills it lazily.  ``answers[anchor]`` maps ``(root, lo)`` to the b1/b3
-answer ``(run start, member bitset, maximum member lock)`` for a confirmed
-root of round ``anchor`` (see ``consensus``).  Every merge drops round
-``lo-1`` from all four.  A state holds no cells of its own: it reads q's
-round-r lock only when q is in slot r.
+The facts themselves live in one :class:`RunTables` per run, which every
+state and every message of the run refers to.  Its ``rows[q]`` is q's
+append-only ``{round: lock}`` of per-round lock (proposal) values; only q
+writes it, and only the cell of its current round (in ``bounded:k`` it also
+drops its round ``m-k-1`` cell in round m).  ``edges[r]`` is the round-r
+edge mask: in its merge of round m each owner ORs in its delivered in-edges
+(its column of the mask).  ``starts[r]`` maps each root of the whole
+``edges[r]`` to the round its common-root run began; ``consensus`` fills it
+lazily.  ``answers[anchor]`` maps ``(root, lo)`` to the b1/b3 answer (run
+start, member bitset, maximum member lock) for a confirmed root of round
+``anchor`` (see ``consensus``).  Every merge drops round ``lo-1`` from the
+edge, start and answer tables (:meth:`RunTables.drop`) and its owner's row.
+A state holds no cells of its own: it reads q's round-r lock only when q is
+in slot r.
 
 After round m the process knows ``lock[q][r]`` exactly when q is in slot r,
 and the round-r edge (u, v) exactly when v is, so its round-r approximation
@@ -43,9 +44,10 @@ single root may have changed (the lowest newly set slot, or the round that
 just stopped being the current one); ``consensus`` keeps its per-round c2
 results in ``runs`` and recomputes them only from that round on.
 
-``snapshot()`` serializes a state.  A run keeps no snapshots: the harness
-rebuilds a process's snapshots from the run's trace when it compares two
-runs.
+``snapshot()`` serializes a state.  A run keeps no snapshots: when the
+harness compares two runs, it rebuilds a process's states from each run's
+trace, as one state over the tables of its ground truth, and snapshots
+those.
 
 Root queries rest on one lemma.  Let S be slot r, and let every member of
 S have its self-loop in ``edges[r]``.  It has: its own round-r merge wrote
@@ -61,9 +63,9 @@ each query is a subset filter.  Round 0 (which has no edges) and the rounds
 outside the window answer ``{pid}``.
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
-states of one run (:func:`init_states`) share that layout, the four tables
-and one root memo, which live as long as the run.  The memo maps a whole
-round mask to (root, member bitset) for each of its roots.
+run's tables also hold that layout, the window ``keep`` and the root memo,
+which maps a whole round mask to (root, member bitset) for each of its
+roots; they live as long as the run.
 """
 
 from __future__ import annotations
@@ -127,27 +129,59 @@ def _heard(known: int, lo: int, width: int) -> dict:
         held, known, r = slot, known >> width, r + 1
 
 
-def _approx_view(known: int, edges: dict, lo: int, m: int, layout: MaskLayout) -> dict:
+def _approx_view(known: int, tables: RunTables, lo: int, m: int) -> dict:
     """Round -> edge mask for rounds ``lo..m``: the round's edges into every v
     whose state of that round ``known`` holds."""
-    view, column, row = {}, layout.column, layout.row
+    view, edges, lay = {}, tables.edges, tables.layout
+    column, row, width = lay.column, lay.row, lay.width
     for r in range(lo, m + 1):
         view[r] = edges[r] & column * (known & row)
-        known >>= layout.width
+        known >>= width
     return view
 
 
-def _locks_view(known: int, rows: dict, lo: int, width: int) -> dict:
+def _locks_view(known: int, tables: RunTables, lo: int) -> dict:
     """Peer -> {round -> lock value} for the rounds of ``lo..m`` whose state
     of the peer ``known`` holds, for every peer it holds in some slot."""
-    heard = _heard(known, lo, width)
+    rows, heard = tables.rows, _heard(known, lo, tables.layout.width)
     return {q: {r: rows[q][r] for r in range(lo, h + 1)} for q, h in heard.items()}
+
+
+class RunTables(NamedTuple):
+    """What every state and message of one run shares: the n-process
+    edge-mask ``layout``, the window ``keep`` (None in full mode, else k of
+    ``bounded:k``), the row, edge, start and answer tables and the root
+    memo (see the module docstring).  The tuple is fixed; the tables in it
+    grow and shrink as the run advances."""
+
+    layout: MaskLayout
+    keep: Optional[int]
+    rows: dict  # pid -> that pid's own {round: lock}
+    edges: dict  # round -> edge mask
+    starts: dict  # round -> {root: run start}
+    answers: dict  # anchor -> {(root, lo): b1/b3 answer}
+    memo: dict  # whole round mask -> ((root, member bitset), ...)
+
+    @classmethod
+    def of(cls, inputs, keep: Optional[int]) -> RunTables:
+        """The tables of a run of processes 1..len(inputs) before round 1:
+        each row holds its owner's input at round 0, round 0 has no edges."""
+        rows = {p: {0: x} for p, x in enumerate(inputs, start=1)}
+        return cls(mask_layout(len(inputs)), keep, rows, {0: 0}, {}, {}, {})
+
+    def drop(self, lo: int) -> None:
+        """Drop round ``lo-1``, which has left the window, from the edge,
+        start and answer tables; every merge of the round calls it, and
+        the calls after the first find nothing left to drop."""
+        self.edges.pop(lo - 1, None)
+        self.starts.pop(lo - 1, None)
+        self.answers.pop(lo - 1, None)
 
 
 class Message(NamedTuple):
     """A sender's end-of-previous-round knowledge: its ``known`` slots from
     round ``lo`` on (slot 0 is round ``lo``, each ``layout.width`` bits) and
-    the run's row and edge tables, by reference.
+    the run's tables, by reference.
 
     ``approx`` and ``locks`` are views of what the message carries; the
     tables keep growing, so they are meaningful only in the round the
@@ -157,81 +191,58 @@ class Message(NamedTuple):
     sender: int
     sent_in: int  # the round this message is delivered in
     known: int  # the sender's slots of rounds lo..sent_in-1
-    rows: dict  # the run's row table, pid -> that pid's own {round: lock}
-    edges: dict  # the run's edge table, round -> edge mask
     lo: int
-    layout: MaskLayout
+    tables: RunTables
 
     @property
     def approx(self) -> dict:
-        return _approx_view(self.known, self.edges, self.lo, self.sent_in - 1, self.layout)
+        return _approx_view(self.known, self.tables, self.lo, self.sent_in - 1)
 
     @property
     def locks(self) -> dict:
-        return _locks_view(self.known, self.rows, self.lo, self.layout.width)
+        return _locks_view(self.known, self.tables, self.lo)
 
 
 class NodeState:
     """One process's protocol state.
 
-    ``known`` holds a ``layout.width``-bit slot per round ``lo..m``: the
-    processes whose state of that round has reached this one (the process
-    itself is in every slot).  ``rows``, ``edges``, ``starts`` and
-    ``answers`` are the run's four tables: q -> q's own ``{round: lock}``,
-    whose cells are read only where ``known`` has q's bit; round -> that
-    round's edge mask (round 0 has none); round -> {root: run start}; and
-    anchor -> {(root, lo): b1/b3 answer} (see ``consensus``; a state built
-    without one gets a table of its own).  ``y``
-    is the write-once decision.  ``approx[r]``, the round-r approximation's
-    edge mask for r in ``lo..m``, and ``locks[q][r]`` are views over the
-    retained rounds.  ``root_bits`` gives a round's roots to the core step;
-    ``roots_at``, the approximation's roots with its ghosts, is a view off
-    the core path.  ``runs``, ``stale_from`` and ``c2_from`` hold the core
-    step's c2 scan (see ``consensus``); the merge lowers ``stale_from`` and
-    drops the entries of the round that leaves the window.  ``layout`` is
-    the n-process edge-mask layout and ``memo`` the run's root memo, shared
-    by its states.
+    ``known`` holds a ``tables.layout.width``-bit slot per round ``lo..m``:
+    the processes whose state of that round has reached this one (the
+    process itself is in every slot).  ``tables`` is the run's
+    :class:`RunTables`, whose row cells the state reads only where ``known``
+    has the owner's bit.  ``y`` is the write-once decision.  ``approx[r]``,
+    the round-r approximation's edge mask for r in ``lo..m``, and
+    ``locks[q][r]`` are views over the retained rounds.  ``root_bits`` gives
+    a round's roots to the core step; ``roots_at``, the approximation's
+    roots with its ghosts, is a view off the core path.  ``runs``,
+    ``stale_from`` and ``c2_from`` hold the core step's c2 scan (see
+    ``consensus``); the merge lowers ``stale_from`` and drops the entries of
+    the round that leaves the window.
     """
 
-    __slots__ = (
-        "pid", "x", "m", "lo", "y", "keep", "known", "rows", "edges", "starts", "answers", "runs", "stale_from",
-        "c2_from", "layout", "memo",
-    )
+    __slots__ = ("pid", "x", "m", "lo", "y", "known", "runs", "stale_from", "c2_from", "tables")
 
-    def __init__(
-        self, pid: int, x: int, n: int, keep: Optional[int], memo: dict, rows: dict, edges: dict, starts: dict,
-        answers: Optional[dict] = None,
-    ):
-        if not (1 <= pid <= n):
-            raise ValueError(f"pid must be in 1..{n}, got {pid}")
+    def __init__(self, pid: int, x: int, tables: RunTables):
+        if pid not in tables.rows:
+            raise ValueError(f"pid must be in 1..{len(tables.rows)}, got {pid}")
         self.pid = pid
         self.x = x
         self.m = 0
-        self.lo = 0  # oldest retained round, window_start(keep, m)
+        self.lo = 0  # oldest retained round, window_start(tables.keep, m)
         self.y: Optional[int] = None
-        self.keep = keep  # None = full history, else bounded(keep)
         self.known = 1 << (pid - 1)
-        self.rows = rows
-        self.edges = edges
-        self.starts = starts
-        self.answers = {} if answers is None else answers
         self.runs = {}
         self.stale_from = 0
         self.c2_from = 0
-        self.layout = mask_layout(n)
-        self.memo = memo
+        self.tables = tables
 
     @property
     def approx(self) -> dict:
-        return _approx_view(self.known, self.edges, self.lo, self.m, self.layout)
+        return _approx_view(self.known, self.tables, self.lo, self.m)
 
     @property
     def locks(self) -> dict:
-        return _locks_view(self.known, self.rows, self.lo, self.layout.width)
-
-    def _slot(self, r: int) -> int:
-        """Slot r of ``known``, for a retained round r."""
-        return self.known >> (r - self.lo) * self.layout.width & self.layout.row
+        return _locks_view(self.known, self.tables, self.lo)
 
     def roots_at(self, r: int) -> frozenset:
         """Roots of the round-r approximation: the roots of ``edges[r]`` inside
@@ -239,8 +250,9 @@ class NodeState:
         (just ``{pid}`` at round 0 and outside the retained rounds)."""
         if not max(1, self.lo) <= r <= self.m:
             return frozenset([frozenset([self.pid])])
-        lay, slot = self.layout, self._slot(r)
-        return roots_of_partial(self.edges[r] & lay.column * slot, self.pid, lay, slot, self.root_bits(r))
+        lay = self.tables.layout
+        slot = self.known >> (r - self.lo) * lay.width & lay.row
+        return roots_of_partial(self.tables.edges[r] & lay.column * slot, self.pid, lay, slot, self.root_bits(r))
 
     def root_bits(self, r: int) -> tuple:
         """(root, member bitset) for each root of the whole ``edges[r]``,
@@ -252,21 +264,23 @@ class NodeState:
         roots here."""
         if not max(1, self.lo) <= r <= self.m:
             return ((frozenset([self.pid]), 1 << (self.pid - 1)),)
-        whole = self.edges[r]
-        bits = self.memo.get(whole)
+        tables = self.tables
+        whole = tables.edges[r]
+        bits = tables.memo.get(whole)
         if bits is None:
-            roots = roots_of_mask(whole, 0, self.layout)
-            bits = self.memo[whole] = tuple((root, sum(1 << (q - 1) for q in root)) for root in roots)
+            roots = roots_of_mask(whole, 0, tables.layout)
+            bits = tables.memo[whole] = tuple((root, sum(1 << (q - 1) for q in root)) for root in roots)
         return bits
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
-        if self.lo <= r <= self.m and self.known & 1 << ((r - self.lo) * self.layout.width + q - 1):
-            return self.rows[q][r]
+        tables = self.tables
+        if self.lo <= r <= self.m and self.known & 1 << ((r - self.lo) * tables.layout.width + q - 1):
+            return tables.rows[q][r]
         return None
 
     def propose(self, value: int) -> None:
         """Set the own lock of the current round (the core step's re-proposal)."""
-        self.rows[self.pid][self.m] = value
+        self.tables.rows[self.pid][self.m] = value
 
     def snapshot(self) -> tuple:
         """Hashable full-state copy; two runs are indistinguishable to a
@@ -278,7 +292,7 @@ class NodeState:
             self.y,
             tuple(self.approx.items()),
             tuple((q, tuple(row.items())) for q, row in sorted(self.locks.items())),
-            self.keep,
+            self.tables.keep,
         )
 
 
@@ -307,13 +321,10 @@ def parse_mode(mode: str, D: Optional[int] = None) -> Optional[int]:
 def init_states(inputs, mode: str = "full") -> dict:
     """Fresh states of one run, pid -> state, of processes 1..len(inputs):
     singleton round-0 approximation, own input locked at round 0, and one
-    shared row table, edge table, start table, answer table and root memo.
-    ``mode`` is ``"full"`` or ``"bounded:<k>"``."""
-    n, keep, memo, edges, starts, answers = len(inputs), parse_mode(mode), {}, {0: 0}, {}, {}
-    rows = {p: {0: x} for p, x in enumerate(inputs, start=1)}
-    return {
-        p: NodeState(p, x, n, keep, memo, rows, edges, starts, answers) for p, x in enumerate(inputs, start=1)
-    }
+    :class:`RunTables` for the run.  ``mode`` is ``"full"`` or
+    ``"bounded:<k>"``."""
+    tables = RunTables.of(inputs, parse_mode(mode))
+    return {p: NodeState(p, x, tables) for p, x in enumerate(inputs, start=1)}
 
 
 def make_message(s: NodeState) -> Message:
@@ -321,10 +332,11 @@ def make_message(s: NodeState) -> Message:
 
     In bounded(k) mode the message carries only rounds newer than ``s.m - k``:
     its ``known`` is the state's, rebased to that first round.  It refers to
-    the run's row and edge tables without copying them.
+    the run's tables without copying them.
     """
-    lo = window_start(s.keep, s.m + 1)
-    return Message(s.pid, s.m + 1, s.known >> (lo - s.lo) * s.layout.width, s.rows, s.edges, lo, s.layout)
+    tables = s.tables
+    lo = window_start(tables.keep, s.m + 1)
+    return Message(s.pid, s.m + 1, s.known >> (lo - s.lo) * tables.layout.width, lo, tables)
 
 
 def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
@@ -333,18 +345,18 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
     ``known``, rebased to the round-m window, ORs in the inbox's ``known``
     ints (all rebased to the same first round) and the own round-m slot.
     The own row gains its round-m lock, carried forward, and the edge table
-    gains the direct in-edges (sender -> pid) in round m; both, and the
-    start and answer tables, drop the round that left the window (the
-    shared tables' drop is done by every merge of the round, and
-    idempotent).
+    gains the direct in-edges (sender -> pid) in round m.  The own row and
+    the run's tables drop the round that left the window (every merge of
+    the round calls ``tables.drop``, which is idempotent).
     ``stale_from`` drops to the lowest new slot (or to round m-1, which
     stops being the current round).  Merge order is irrelevant: ORs are
     commutative.
     """
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
-    lo = window_start(s.keep, m)
-    pid, width = s.pid, s.layout.width
+    tables = s.tables
+    lo = window_start(tables.keep, m)
+    pid, width = s.pid, tables.layout.width
     before = s.known >> (lo - s.lo) * width
     known = before | 1 << ((m - lo) * width + pid - 1)
     direct = 0
@@ -354,15 +366,13 @@ def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
         direct |= 1 << ((msg.sender - 1) * width + pid - 1)
         known |= msg.known
     s.m, s.lo, s.known = m, lo, known
-    own, edges = s.rows[pid], s.edges
+    own, edges = tables.rows[pid], tables.edges
     own[m] = own[m - 1]
     edges[m] = edges.get(m, 0) | direct
     if lo > 0:
         del own[lo - 1]
-        edges.pop(lo - 1, None)
         s.runs.pop(lo - 1, None)
-        s.starts.pop(lo - 1, None)
-        s.answers.pop(lo - 1, None)
+        tables.drop(lo)
     new = known & ~before  # never empty: it holds the own round-m bit
     changed = min(lo + ((new & -new).bit_length() - 1) // width, m - 1)
     if changed < s.stale_from:
@@ -383,4 +393,5 @@ def evidence(s: NodeState, r: int) -> int:
     """
     if not s.lo <= r < s.m:
         return 0
-    return s.known >> (r - s.lo) * s.layout.width & s.layout.row
+    lay = s.tables.layout
+    return s.known >> (r - s.lo) * lay.width & lay.row

@@ -37,21 +37,22 @@ run of a confirmed root R.  R lies inside slot ``anchor`` and so, slots
 being monotone, inside every earlier retained slot; by the lemma in
 ``approximation`` it is a root of approx[t] exactly when it is one of the
 whole ``edges[t]``.  So the start is a fact of the true round graphs, kept
-in the run's shared table: ``starts[r]`` maps each root of ``edges[r]`` to
-the round its run began.  Only final rounds are entered, so an entry never
-goes stale; :func:`_run_start` extends the table on demand.
+in the start table of the run's ``approximation.RunTables``:
+``tables.starts[r]`` maps each root of ``edges[r]`` to the round its run
+began.  Only final rounds are entered, so an entry never goes stale;
+:func:`_run_start` extends the table on demand.
 
 The answer itself, ``(a, member bitset, value)`` for ``(root, anchor, lo)``,
-is run-wide too, and the run's answer table holds it: ``answers[anchor]``
-maps ``(root, lo)`` to it.  a depends only on the start table and on ``lo``,
-which every state shares in a round, and the value reads the members' row
-cells of round a < m, which only their owners wrote and which are final
-(the harness's monitor compares the row table every round).  The first
-process to ask computes and enters it; a later one needs only to hold every
-member's round-a state, one mask test of the bitset against its evidence of
-round a (slot a, as a <= anchor < m).  If that test fails, the full
-computation runs and raises as it would have.  Every anchor is at or after
-max(1, lo), so the merge drops the table's round ``lo-1`` with the window.
+is run-wide too, and the run's answer table holds it:
+``tables.answers[anchor]`` maps ``(root, lo)`` to it.  a depends only on
+the start table and on ``lo``, which every state shares in a round, and the
+value reads the members' row cells of round a < m, which only their owners
+wrote and which are final (the harness's monitor compares the row table
+every round).  The first process to ask computes and enters it; a later
+one needs only to hold every member's round-a state, one mask test of the
+bitset against its evidence of round a (slot a, as a <= anchor < m).  If
+that test fails, the full computation runs and raises as it would have.  Every anchor is at or after
+max(1, lo), so ``RunTables.drop`` drops its round ``lo-1`` with the window.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _run_start(s: NodeState, root: frozenset, anchor: int) -> int:
     low = _core_low(s)
     if anchor <= low:
         return anchor
-    starts, last = s.starts, anchor - 1
+    starts, last = s.tables.starts, anchor - 1
     while last >= low and last not in starts:
         last -= 1
     previous = starts.get(last, {})
@@ -123,9 +124,10 @@ def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> tuple:
     """(a, value): the run start a through ``anchor`` of the confirmed root
     and its members' maximum lock at a, from the run's answer table, or
     computed and entered there."""
-    table = s.answers.get(anchor)
+    answers = s.tables.answers
+    table = answers.get(anchor)
     if table is None:
-        table = s.answers[anchor] = {}
+        table = answers[anchor] = {}
     key = (root, s.lo)
     entry = table.get(key)
     if entry is not None:

@@ -166,9 +166,6 @@ class CommGraph:
         """Build a graph from ``edges``, adding the mandatory self-loops."""
         return cls(n, frozenset((int(u), int(v)) for u, v in edges) | {(p, p) for p in range(1, n + 1)})
 
-    def in_neighbors(self, p: int) -> frozenset:
-        return frozenset(self.in_lists[p - 1])
-
     def out_neighbors(self, p: int) -> frozenset:
         return _processes(self.out_rows[p - 1])
 

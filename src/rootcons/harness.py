@@ -9,7 +9,8 @@ Runs are fully deterministic in their configuration.
 While running, an invariant monitor checks each process's state against
 ground truth it derives from the true graphs and the lock outcomes alone
 (``_GroundTruth``): for every process p, the ``known`` int p's state must
-hold, and p's ``{round: lock}`` row over the retained rounds ``lo..m``.
+hold, and one ``RunTables`` of every process's expected ``{round: lock}``
+row and the true round masks over the retained rounds ``lo..m``.
 With ``heard[p][q]`` the latest round whose end state of q has reached p,
 q is in the slot of round r exactly when ``heard[p][q] >= r``, so the int
 is a threshold code of that ``heard`` row.  ``heard`` after round m is the
@@ -18,7 +19,8 @@ maximum of ``heard[u][q]`` over p's round-m in-neighbours u (with
 codes: so p's int is the OR of its in-neighbours' previous ints (p's own
 among them, by its self-loop), shifted down by the slots that left the
 window, plus p's own bit in slot m.  The monitor reads no message or
-state to build it, and decodes ``heard[p]`` only to print it.
+state to build it, and decodes ``heard[p]`` (``approximation._heard``)
+only to print it.
 
 After every round it requires that the run's edge table holds exactly the
 true masks of rounds ``lo..m``, and that the run's row table holds exactly
@@ -26,13 +28,14 @@ the expected rows, each compared as one dict (a mismatch names the owner
 of the lowest wrong column or row, since only that owner writes it).  Then,
 for every p, it requires that p's ``known`` equals its expected int (only
 on a mismatch does it walk the slots to name the first that differs), that
-p holds the run's row and edge tables themselves, and that p's ``lo`` is
-the window's.  A state's lock view and approximation are derived from
+p holds the run's ``RunTables`` itself, and that p's ``lo`` is the
+window's.  A state's lock view and approximation are derived from
 ``known`` and the run's tables alone, so this makes them exact.
 
 A run records no per-round state.  Indistinguishability rebuilds a
-process's state at every round from the trace by the same ground truth,
-with ``y`` from the decision events.
+process's state at every round from the trace by the same ground truth:
+one ``NodeState`` over the ground truth's tables, with ``y`` from the
+decision events, snapshotted round by round.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ from .adversary import (
     generate_estable,
 )
 from .approximation import (
-    _approx_view,
+    NodeState,
+    RunTables,
+    _heard,
     init_states,
     make_message,
     parse_mode,
@@ -70,7 +75,6 @@ from .graphs import (
     causal_past,
     check_dynamic_diameter,
     lasso_to_json_dict,
-    mask_layout,
     validate_graph,
 )
 
@@ -123,8 +127,8 @@ class RunConfig:
 @dataclass
 class Trace:
     """Complete record of one run: graphs, per-round outcomes, decision
-    events and final states.  ``rebuilt`` memoizes, per process, the states
-    that indistinguishability rebuilds from the rest."""
+    events and final states.  ``rebuilt`` memoizes, per process, the state
+    snapshots that indistinguishability rebuilds from the rest."""
 
     config: RunConfig
     round_graphs: list
@@ -138,11 +142,6 @@ class Trace:
         if not self.decisions:
             return None
         return max(r for (r, _) in self.decisions.values())
-
-    def earliest_decision_round(self) -> Optional[int]:
-        if not self.decisions:
-            return None
-        return min(r for (r, _) in self.decisions.values())
 
     def decision_events(self) -> list:
         return sorted((r, pid, v) for pid, (r, v) in self.decisions.items())
@@ -183,10 +182,11 @@ class Trace:
 class _GroundTruth:
     """What every process's state must hold after round m, from the true
     graphs and the lock outcomes alone: ``known[p]``, the ``known`` int of
-    p (slot 0 is round ``lo``); ``rows[q]``, q's ``{round: lock}`` over
-    ``lo..m``; and ``true_masks``, the true mask of every retained round.
-    Graphs and states share the n-process edge-mask layout, whose width is
-    also the width of a ``known`` slot.
+    p (slot 0 is round ``lo``), and ``tables``, a ``RunTables`` whose
+    ``rows[q]`` is q's ``{round: lock}`` over ``lo..m`` and whose ``edges``
+    holds the true mask of every retained round.  Graphs and states share
+    the n-process edge-mask layout, whose width is also the width of a
+    ``known`` slot.
 
     Each int is the threshold code of p's ``heard`` row (q in slot r iff
     ``heard[p][q] >= r``), and the code of the ``heard`` max rule is an OR:
@@ -196,16 +196,14 @@ class _GroundTruth:
     """
 
     def __init__(self, cfg: RunConfig):
-        self.keep, self.n = parse_mode(cfg.mode), cfg.n
-        self.layout = mask_layout(cfg.n)
-        self.lo = 0
-        self.true_masks = {0: 0}
-        self.rows = {q: {0: x} for q, x in enumerate(cfg.inputs, start=1)}
+        self.n, self.lo = cfg.n, 0
+        self.tables = RunTables.of(cfg.inputs, parse_mode(cfg.mode))
         self.known = {p: 1 << (p - 1) for p in range(1, cfg.n + 1)}
 
     def advance(self, m: int, g: CommGraph, outcomes: list) -> int:
         """Step to the end of round m; returns the window start ``lo``."""
-        lo, width, prev = window_start(self.keep, m), self.layout.width, self.known
+        tables, prev = self.tables, self.known
+        lo, width = window_start(tables.keep, m), tables.layout.width
         dropped, own, self.lo = (lo - self.lo) * width, (m - lo) * width - 1, lo
         known = {}
         for p, ins in enumerate(g.in_lists, start=1):
@@ -214,49 +212,34 @@ class _GroundTruth:
                 k |= prev[u]
             known[p] = k >> dropped | 1 << own + p
         self.known = known
-        self.true_masks[m] = g.mask
-        self.true_masks.pop(lo - 1, None)
-        for row, out in zip(self.rows.values(), outcomes):
+        tables.edges[m] = g.mask
+        tables.drop(lo)
+        for row, out in zip(tables.rows.values(), outcomes):
             row[m] = row[m - 1] if out.locked is None else out.locked[2]
             row.pop(lo - 1, None)
         return lo
 
-    def heard(self, p: int) -> list:
-        """``heard[p]`` decoded from p's int: for each q, the latest round whose
-        slot holds q, or -1 if no retained slot does (q's state never reached
-        p, or only states from before ``lo``).  Slots are nested, so that is
-        the last slot q is in."""
-        heard, known, r, row = [-1] * self.n, self.known[p], self.lo, self.layout.row
-        while known:
-            slot = known & row
-            while slot:
-                low = slot & -slot
-                heard[low.bit_length() - 1] = r
-                slot ^= low
-            known, r = known >> self.layout.width, r + 1
-        return heard
-
 
 class _InvariantMonitor(_GroundTruth):
     """Checks the run's edge and row tables and every process's state against
-    the ground truth; ``run_rows`` and ``edges`` are the run's tables, which
-    every state must hold."""
+    the ground truth; ``run_tables`` are the run's tables, which every state
+    must hold."""
 
-    def __init__(self, cfg: RunConfig, run_rows: dict, edges: dict):
+    def __init__(self, cfg: RunConfig, tables: RunTables):
         super().__init__(cfg)
-        self.run_rows, self.edges = run_rows, edges
+        self.run_tables = tables
 
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
-        lo, run_rows, edges = self.advance(m, g, outcomes), self.run_rows, self.edges
-        if edges != self.true_masks:
+        lo, run, want = self.advance(m, g, outcomes), self.run_tables, self.tables
+        if run.edges != want.edges:
             owner, problem = self._edge_violation(m, lo)
             self._fail(owner, m, lo, problem)
-        if run_rows != self.rows:
+        if run.rows != want.rows:
             owner, problem = self._row_violation(m, lo)
             self._fail(owner, m, lo, problem)
         for p, known in self.known.items():
             st = states[p]
-            if st.known == known and st.rows is run_rows and st.edges is edges and st.lo == lo:
+            if st.known == known and st.tables is run and st.lo == lo:
                 continue
             self._fail(p, m, lo, self._violation(st, p, m, lo))
 
@@ -264,14 +247,16 @@ class _InvariantMonitor(_GroundTruth):
         """Raise for p at round m, naming ``heard[p]`` decoded from the ground
         truth's int: -1 for a peer in no retained slot, which is one never
         heard or, in bounded mode, one heard only before ``lo``."""
-        raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={self.heard(p)}; rounds {lo}..{m} kept)")
+        heard = _heard(self.known[p], lo, self.tables.layout.width)
+        heard = [heard.get(q, -1) for q in range(1, self.n + 1)]
+        raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={heard}; rounds {lo}..{m} kept)")
 
     def _edge_violation(self, m: int, lo: int) -> tuple:
         """(owner, what is wrong) for the first round where the edge table
         differs from the true masks, the owner being that of the lowest
         wrong column (only that owner writes it).  A round held or missing
         with no edges has no wrong column, and names the first process."""
-        lay, edges, true = self.layout, self.edges, self.true_masks
+        lay, edges, true = self.tables.layout, self.run_tables.edges, self.tables.edges
         for r in sorted(edges.keys() | true.keys()):
             has, want = edges.get(r, 0), true.get(r, 0)
             wrong, columns = has ^ want, 0
@@ -288,30 +273,29 @@ class _InvariantMonitor(_GroundTruth):
         """(owner, what is wrong) for the lowest owner whose row differs from
         the ground truth's (only that owner writes it): the rounds it holds,
         or its first wrong lock cell."""
-        for q, want in self.rows.items():
-            has = self.run_rows.get(q, {})
+        rows = self.run_tables.rows
+        for q, want in self.tables.rows.items():
+            has = rows.get(q, {})
             if has == want:
                 continue
             if has.keys() != want.keys():
                 return q, f"row[{q}] holds rounds {sorted(has)}, expected {lo}..{m}"
             r = next(r for r in want if has[r] != want[r])
             return q, f"lock[{q}][{r}] is {has[r]}, expected {want[r]}"
-        return 1, f"the row table holds rows {sorted(self.run_rows)}, expected 1..{self.n}"
+        return 1, f"the row table holds rows {sorted(rows)}, expected 1..{self.n}"
 
     def _violation(self, st, p: int, m: int, lo: int) -> str:
         """What is wrong with p's state after round m, walked check by check
         (the first failing one is named); the fast check has failed."""
-        width, row, known = self.layout.width, self.layout.row, self.known[p]
+        width, row, known = self.tables.layout.width, self.tables.layout.row, self.known[p]
         for r in range(lo, m + 1):
             has, want = st.known >> (r - lo) * width & row, known >> (r - lo) * width & row
             if has != want:
                 return f"known[{r}] is {sorted(_processes(has))}, expected {sorted(_processes(want))}"
         if st.known >> (m - lo + 1) * width:
             return f"known holds slots past round {m}"
-        if st.rows is not self.run_rows:
-            return "rows is not the run's row table"
-        if st.edges is not self.edges:
-            return "edges is not the run's edge table"
+        if st.tables is not self.run_tables:
+            return "tables is not the run's tables"
         return f"lo is {st.lo}, expected {lo}"
 
 
@@ -322,7 +306,7 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
     :func:`indistinguishable` rebuilds it from the trace.
     """
     states = init_states(cfg.inputs, cfg.mode)
-    monitor = _InvariantMonitor(cfg, states[1].rows, states[1].edges) if cfg.check_invariants else None
+    monitor = _InvariantMonitor(cfg, states[1].tables) if cfg.check_invariants else None
     round_graphs = []
     outcomes = []
     decisions = {}
@@ -429,25 +413,22 @@ def oracle_check(trace: Trace, deadline: int) -> OracleReport:
 
 
 def _rebuilt_states(trace: Trace, p: int) -> list:
-    """p's state at the end of every round 0..horizon in the layout of
-    ``NodeState.snapshot()``, rebuilt from the trace by the ground truth, and
-    memoized on it."""
+    """p's ``NodeState.snapshot()`` at the end of every round 0..horizon,
+    rebuilt from the trace: one state over the ground truth's tables, which
+    takes its ``known`` and ``lo`` from the ground truth and its ``y`` from
+    the decision events.  Memoized on the trace."""
     if p not in trace.rebuilt:
         cfg = trace.config
         truth = _GroundTruth(cfg)
         decided, y = trace.decisions.get(p, (cfg.horizon + 1, None))
-        lo, states = 0, []
+        state, snapshots = NodeState(p, cfg.inputs[p - 1], truth.tables), []
         for m in range(cfg.horizon + 1):
             if m:
-                lo = truth.advance(m, trace.round_graphs[m - 1], trace.outcomes[m - 1])
-            rows, heard = truth.rows, truth.heard(p)  # q has a retained cell iff heard[q-1] >= lo
-            locks = tuple(
-                (q, tuple((r, rows[q][r]) for r in range(lo, h + 1))) for q, h in enumerate(heard, 1) if h >= lo
-            )
-            y_m = y if m >= decided else None
-            approx = _approx_view(truth.known[p], truth.true_masks, lo, m, truth.layout)
-            states.append((p, m, cfg.inputs[p - 1], y_m, tuple(approx.items()), locks, truth.keep))
-        trace.rebuilt[p] = states
+                state.lo = truth.advance(m, trace.round_graphs[m - 1], trace.outcomes[m - 1])
+                state.m, state.known = m, truth.known[p]
+                state.y = y if m >= decided else None
+            snapshots.append(state.snapshot())
+        trace.rebuilt[p] = snapshots
     return trace.rebuilt[p]
 
 

@@ -13,6 +13,7 @@ graph are Tarjan's on a relabelled ``CommGraph``.
 
 from itertools import combinations
 
+from rootcons.approximation import RunTables
 from rootcons.consensus import confirmed_roots
 from rootcons.graphs import CommGraph, MaskLayout, mask_layout
 
@@ -203,8 +204,9 @@ class ReferenceState:
 
     The core step's c2 cache (``runs``, ``stale_from`` and ``c2_from``) is
     marked stale from round 0 by every merge, so each core step rescans
-    every retained round.  The root-run start table ``starts`` and the b1/b3
-    answer table ``answers`` are this state's own, not shared by the run,
+    every retained round.  ``tables`` holds the root-run start table
+    ``starts`` and the b1/b3 answer table ``answers``, the only tables the
+    core step reads.  They are this state's own, not shared by the run,
     and every merge empties both: the core step rebuilds the starts from
     ``root_bits``, which here are the roots of the partial approximations,
     ghosts included, and recomputes every answer from ``lock_value``.  So the
@@ -218,7 +220,8 @@ class ReferenceState:
         self.approx = {0: 0}
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
-        self.runs, self.stale_from, self.c2_from, self.starts, self.answers = {}, 0, 0, {}, {}
+        self.runs, self.stale_from, self.c2_from = {}, 0, 0
+        self.tables = RunTables(lay, keep, rows=None, edges=None, starts={}, answers={}, memo=None)
 
     @property
     def lo(self) -> int:
@@ -275,7 +278,7 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     the own lock forward, then drop rounds older than the window, and every
     peer none of whose lock cells is left."""
     s.m = m
-    s.stale_from, s.starts, s.answers = 0, {}, {}
+    s.stale_from, s.tables = 0, s.tables._replace(starts={}, answers={})
     for sender, approx, locks in msgs:
         approx = dict(approx)
         approx[m] = approx.get(m, 0) | s.layout.bit(sender, s.pid)

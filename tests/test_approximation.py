@@ -11,6 +11,7 @@ import rootcons.harness as harness_mod
 from rootcons.adversary import AdversaryParams, generate_estable
 from rootcons.approximation import (
     NodeState,
+    RunTables,
     evidence,
     init_states,
     make_message,
@@ -28,7 +29,7 @@ def drive(l, inputs, rounds, mode="full"):
         g = l.graph(m)
         msgs = {p: make_message(states[p]) for p in states}
         for p in states:
-            inbox = [msgs[q] for q in sorted(g.in_neighbors(p))]
+            inbox = [msgs[q] for q in g.in_lists[p - 1]]
             receive_and_merge(states[p], inbox, m)
     return states
 
@@ -52,22 +53,19 @@ class TestInitState:
     def test_pid_range_enforced(self):
         for pid in (0, 4):
             with pytest.raises(ValueError):
-                NodeState(pid, 0, 3, None, {}, {}, {}, {})
+                NodeState(pid, 0, RunTables.of((0, 0, 0), None))
 
     @pytest.mark.parametrize("n", [1, 16, 17, 64])
     def test_states_of_one_run_share_layout_and_memo(self, n):
         states = init_states(tuple(range(n)), "bounded:3")
         assert sorted(states) == list(range(1, n + 1))
-        assert {id(s.memo) for s in states.values()} == {id(states[1].memo)}
-        assert {id(s.rows) for s in states.values()} == {id(states[1].rows)}
-        assert sorted(states[1].rows) == list(range(1, n + 1))
-        assert all(make_message(s).rows is states[1].rows for s in states.values())
-        assert {id(s.edges) for s in states.values()} == {id(states[1].edges)} and states[1].edges == {0: 0}
-        assert all(make_message(s).edges is states[1].edges for s in states.values())
-        assert all(s.layout is mask_layout(n) and s.keep == 3 for s in states.values())
-        other = init_states((0,) * n)[1]
-        assert other.memo is not states[1].memo and other.rows is not states[1].rows  # one of each per run
-        assert other.edges is not states[1].edges
+        tables = states[1].tables
+        assert all(s.tables is tables and make_message(s).tables is tables for s in states.values())
+        assert sorted(tables.rows) == list(range(1, n + 1)) and tables.edges == {0: 0}
+        assert tables.layout is mask_layout(n) and tables.keep == 3
+        other = init_states((0,) * n)[1].tables
+        for name in ("rows", "edges", "starts", "answers", "memo"):  # one of each per run
+            assert getattr(other, name) is not getattr(tables, name), name
 
 
 class TestMakeMessage:
@@ -87,7 +85,7 @@ class TestMakeMessage:
     def test_snapshot_is_a_copy(self):
         s = init_states((1,))[1]
         msg = make_message(s)
-        msg.approx[0] = s.layout.bit(1, 1)
+        msg.approx[0] = s.tables.layout.bit(1, 1)
         assert s.approx[0] == 0
 
 
@@ -97,13 +95,13 @@ class TestReceiveAndMerge:
         q_msg = make_message(q)
         own = make_message(s)
         receive_and_merge(s, [q_msg, own], 1)
-        assert s.layout.edges(s.approx[1]) == [(1, 2), (2, 2)]
+        assert s.tables.layout.edges(s.approx[1]) == [(1, 2), (2, 2)]
         assert s.locks[1] == {0: 9}
 
     def test_eps1_two_rounds_reach_p2(self, eps1_lasso):
         states = drive(eps1_lasso, (0, 0, 0, 0, 0), 2)
         p2 = states[2]
-        assert {(1, 5), (5, 2)} <= set(p2.layout.edges(p2.approx[1]))
+        assert {(1, 5), (5, 2)} <= set(p2.tables.layout.edges(p2.approx[1]))
         # p1's round-0 state (its input lock) has reached p2
         assert p2.locks[1][0] == 0
 
@@ -122,7 +120,7 @@ class TestReceiveAndMerge:
                 g = eps2_lasso.graph(m)
                 msgs = {p: make_message(states[p]) for p in states}
                 for p in states:
-                    inbox = [msgs[q] for q in g.in_neighbors(p)]
+                    inbox = [msgs[q] for q in g.in_lists[p - 1]]
                     rng.shuffle(inbox)
                     receive_and_merge(states[p], inbox, m)
             snap = tuple(states[p].snapshot() for p in sorted(states))
@@ -162,7 +160,7 @@ class TestLateOutgoingEdge:
             for q in range(1, 6):
                 for r in range(0, st.m):
                     direct = any(
-                        st.approx.get(r2, 0) & out_row_mask(q, st.layout) for r2 in range(r + 1, st.m + 1)
+                        st.approx.get(r2, 0) & out_row_mask(q, st.tables.layout) for r2 in range(r + 1, st.m + 1)
                     )
                     assert late_edge(st, q, r) == direct
 
@@ -266,7 +264,7 @@ def lemma_state(n, edges, slot, pid):
     lay = mask_layout(n)
     whole = sum(lay.bit(u, v) for (u, v) in edges) | sum(lay.bit(v, v) for v in range(1, n + 1))
     rows = {q: {r: 0 for r in range(3)} for q in range(1, n + 1)}
-    s = NodeState(pid, 0, n, None, {}, rows, {0: 0, 1: whole, 2: lay.bit(pid, pid)}, {})
+    s = NodeState(pid, 0, RunTables(lay, None, rows, {0: 0, 1: whole, 2: lay.bit(pid, pid)}, {}, {}, {}))
     bits = sum(1 << (q - 1) for q in slot)
     s.m, s.known = 2, bits | bits << lay.width | 1 << (2 * lay.width + pid - 1)
     return s, whole, bits
@@ -299,7 +297,7 @@ class TestRootLemma:
     def test_roots_match_the_partial_view(self, case):
         n, edges, slot, pid = case
         s, whole, bits = lemma_state(n, edges, slot, pid)
-        lay = s.layout
+        lay = s.tables.layout
         want = reference_roots_of_partial(whole & lay.column * bits, pid, lay)
         assert s.roots_at(1) == want
         assert evidence(s, 1) == bits
@@ -336,11 +334,11 @@ class TestKernelBudget:
 def true_approx(l, s) -> dict:
     """Round -> the lasso's round-r edges into every v in slot r of ``known``,
     for the state's retained rounds (round 0 has no edges)."""
-    width, approx = s.layout.width, {}
+    width, approx = s.tables.layout.width, {}
     for r in range(s.lo, s.m + 1):
         slot = s.known >> (r - s.lo) * width
         edges = l.graph(r).edges if r else ()
-        approx[r] = sum(s.layout.bit(u, v) for (u, v) in edges if slot >> (v - 1) & 1)
+        approx[r] = sum(s.tables.layout.bit(u, v) for (u, v) in edges if slot >> (v - 1) & 1)
     return approx
 
 
@@ -361,13 +359,13 @@ class TestMaskCache:
                 g = l.graph(m)
                 msgs = {p: make_message(states[p]) for p in states}
                 for p in states:
-                    receive_and_merge(states[p], [msgs[q] for q in g.in_neighbors(p)], m)
+                    receive_and_merge(states[p], [msgs[q] for q in g.in_lists[p - 1]], m)
                 for s in states.values():
                     want = true_approx(l, s)
                     assert s.approx == want
                     assert list(s.approx) == list(range(s.lo, s.m + 1))
                     for r, mask in want.items():  # roots_at derives the same masks
-                        assert s.roots_at(r) == fresh_roots(mask, s.pid, s.layout)
+                        assert s.roots_at(r) == fresh_roots(mask, s.pid, s.tables.layout)
 
 
 class TestPrune:
@@ -386,8 +384,8 @@ class TestPrune:
         states = drive(l, (0, 0), 8, mode="bounded:3")
         assert sorted(states[2].approx) == [5, 6, 7, 8]
         assert sorted(states[2].locks[2]) == [5, 6, 7, 8]
-        assert sorted(states[2].rows[2]) == [5, 6, 7, 8]
-        assert sorted(states[2].edges) == [5, 6, 7, 8]
+        assert sorted(states[2].tables.rows[2]) == [5, 6, 7, 8]
+        assert sorted(states[2].tables.edges) == [5, 6, 7, 8]
         assert states[2].lo == 5
 
     @pytest.mark.parametrize("mode", ["bounded:3", "bounded:7"])
@@ -397,7 +395,7 @@ class TestPrune:
             l = random_lasso(rng, n, rng.randint(0, 8))
             for m in range(1, 16):
                 s = drive(l, tuple(range(n)), m, mode)[1]
-                assert list(s.edges) == list(range(s.lo, m + 1)), (n, m)
+                assert list(s.tables.edges) == list(range(s.lo, m + 1)), (n, m)
 
     def test_peer_leaves_with_its_last_heard_round(self, monkeypatch):
         # p1's round-0 state reaches p2 in round 1, and nothing after it:

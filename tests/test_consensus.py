@@ -32,7 +32,7 @@ class TestEmptyEarlyRounds:
     def test_no_decisions_before_d_plus_one(self, eps1_lasso):
         cfg = RunConfig(5, 2, (0,) * 5, eps1_lasso, 8)
         trace = run_execution(cfg)
-        assert trace.earliest_decision_round() >= 3
+        assert trace.decision_events()[0][0] >= 3
 
 
 class TestC1B1:
@@ -234,7 +234,7 @@ class TestRunStart:
                 anchors = list(range(s.lo + 1, s.m + 1))
                 rng.shuffle(anchors)
                 for anchor in anchors:
-                    slot = s._slot(anchor - 1)
+                    slot = evidence(s, anchor - 1)  # slot anchor-1, a round before the current one
                     for root in roots:
                         if any(not slot >> (q - 1) & 1 for q in root):
                             continue
@@ -276,9 +276,9 @@ class TestStartTable:
     def test_one_table_per_run(self, eps2_lasso):
         trace = run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 12))
         states = trace.states
-        assert states[1].starts and all(s.starts is states[1].starts for s in states.values())
+        assert states[1].tables.starts and all(s.tables.starts is states[1].tables.starts for s in states.values())
         other = init_states((0,) * 5)
-        assert other[1].starts is not states[1].starts and other[1].starts == {}
+        assert other[1].tables.starts is not states[1].tables.starts and other[1].tables.starts == {}
 
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_full_mode_entries_are_the_true_run_starts(self, seed):
@@ -286,7 +286,7 @@ class TestStartTable:
         # round of R's maximal run of rounds through r, cut at round 1
         l, cert = generate_estable(AdversaryParams(n=6, D=2, seed=seed, r_sr_target=4))
         trace = run_execution(RunConfig(6, 2, tuple(range(6)), l, cert.deadline + 10))
-        starts = trace.states[1].starts
+        starts = trace.states[1].tables.starts
         assert starts
         for r, entry in starts.items():
             want = {}
@@ -301,7 +301,7 @@ class TestStartTable:
         l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
         trace = run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 200, mode="bounded:5", check_invariants=False))
         s = trace.states[1]
-        assert s.lo == 195 and s.starts and min(s.starts) >= s.lo and len(s.starts) <= 6
+        assert s.lo == 195 and s.tables.starts and min(s.tables.starts) >= s.lo and len(s.tables.starts) <= 6
 
 
 class TestAnswerTable:
@@ -312,15 +312,15 @@ class TestAnswerTable:
     def test_one_table_per_run(self, eps2_lasso):
         trace = run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 12))
         states = trace.states
-        assert states[1].answers and all(s.answers is states[1].answers for s in states.values())
+        assert states[1].tables.answers and all(s.tables.answers is states[1].tables.answers for s in states.values())
         other = init_states((0,) * 5)
-        assert other[1].answers is not states[1].answers and other[1].answers == {}
+        assert other[1].tables.answers is not states[1].tables.answers and other[1].tables.answers == {}
 
     def test_bounded_table_holds_no_anchor_before_the_window(self):
         l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
         trace = run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 200, mode="bounded:5", check_invariants=False))
         s = trace.states[1]
-        assert s.lo == 195 and s.answers and min(s.answers) >= s.lo
+        assert s.lo == 195 and s.tables.answers and min(s.tables.answers) >= s.lo
 
     @pytest.mark.parametrize("mode", ["full", "bounded:7"])
     def test_lock_reads_at_sixty_four_processes(self, monkeypatch, mode):
@@ -350,10 +350,10 @@ class TestAnswerTable:
 
         def tampered(s, m, d):
             if s.pid == 2 and m == M:
-                (root, lo), (a, _, _) = next(iter(s.answers[m - d].items()))
+                (root, lo), (a, _, _) = next(iter(s.tables.answers[m - d].items()))
                 assert lo == s.lo and a < m - d
                 q = min(root)
-                s.known &= ~(1 << ((a - s.lo) * s.layout.width + q - 1))
+                s.known &= ~(1 << ((a - s.lo) * s.tables.layout.width + q - 1))
                 cleared.append((q, a))
             return step(s, m, d)
 
@@ -394,11 +394,11 @@ class TestWholeRuns:
             assert len(values) == 1
             assert values <= set(inputs)
             assert trace.latest_decision_round() <= cert.deadline
-            assert trace.earliest_decision_round() > D
+            assert trace.decision_events()[0][0] > D
             # lock propagation: within D rounds of the first decision every
             # process proposes the decided value, and keeps doing so
             value = values.pop()
-            settle = trace.earliest_decision_round() + D
+            settle = trace.decision_events()[0][0] + D
             for p, st in trace.states.items():
                 for r in range(settle, st.m + 1):
                     assert st.locks[p][r] == value
@@ -408,7 +408,7 @@ class TestWholeRuns:
         # the decision value within D rounds
         cfg = RunConfig(5, 2, (3, 1, 4, 1, 5), eps1_lasso, 9)
         trace = run_execution(cfg)
-        first = trace.earliest_decision_round()
+        first = trace.decision_events()[0][0]
         value = {v for (_, v) in trace.decisions.values()}.pop()
         settle = first + cfg.D
         for p, st in trace.states.items():

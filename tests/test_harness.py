@@ -97,8 +97,9 @@ class TestRunExecution:
 
 def _drop_relayed_heard(merge, s, msgs, m):
     # each message keeps only its sender's own bit in every slot
+    width = s.tables.layout.width
     own_entries = [
-        msg._replace(known=msg.known & sum(1 << (i * msg.layout.width + msg.sender - 1) for i in range(m - msg.lo)))
+        msg._replace(known=msg.known & sum(1 << (i * width + msg.sender - 1) for i in range(m - msg.lo)))
         for msg in msgs
     ]
     return merge(s, own_entries, m)
@@ -106,26 +107,26 @@ def _drop_relayed_heard(merge, s, msgs, m):
 
 def _copied_rows(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.rows = copy.copy(s.rows)
+    s.tables = s.tables._replace(rows=copy.copy(s.tables.rows))
 
 
 def _copied_edge_table(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.edges = dict(s.edges)
+    s.tables = s.tables._replace(edges=dict(s.tables.edges))
 
 
 def _wrong_lock_value(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.rows[2][m] += 1
+    s.tables.rows[2][m] += 1
 
 
 def _fabricated_edge(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.edges[m] |= s.layout.bit(3, 2)
+    s.tables.edges[m] |= s.tables.layout.bit(3, 2)
 
 
 def _retained_past_window(merge, s, msgs, m):
-    own = s.rows[2]
+    own = s.tables.rows[2]
     stale = own[m - 6]
     merge(s, msgs, m)
     own[m - 6] = stale
@@ -133,7 +134,7 @@ def _retained_past_window(merge, s, msgs, m):
 
 def _stale_approx_mask(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.edges[m - 1] &= ~s.layout.bit(5, 2)  # a true edge of round 1
+    s.tables.edges[m - 1] &= ~s.tables.layout.bit(5, 2)  # a true edge of round 1
 
 
 def _wrong_lo(merge, s, msgs, m):
@@ -145,13 +146,13 @@ def _flipped_bit_at_unchanged_round(merge, s, msgs, m):
     # round 2's edges are not touched by any merge of round 5, so only a
     # check of every retained round can see the false edge
     merge(s, msgs, m)
-    s.edges[m - 3] |= s.layout.bit(1, 2)
+    s.tables.edges[m - 3] |= s.tables.layout.bit(1, 2)
 
 
 def _rewritten_old_lock_cell(merge, s, msgs, m):
     # a finalized lock cell of the own row, far below the cell of round m
     merge(s, msgs, m)
-    s.rows[2][2] += 100
+    s.tables.rows[2][2] += 100
 
 
 class TestInvariantMonitor:
@@ -165,9 +166,9 @@ class TestInvariantMonitor:
             (_drop_relayed_heard, 5, "full", 2,
              "known[0] is [2, 5], expected [1, 2, 5] (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_copied_rows, 5, "full", 2,
-             "rows is not the run's row table (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
+             "tables is not the run's tables (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_copied_edge_table, 5, "full", 2,
-             "edges is not the run's edge table (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
+             "tables is not the run's tables (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_wrong_lock_value, 5, "full", 2,
              "lock[2][2] is 2, expected 1 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_fabricated_edge, 5, "full", 2,
@@ -257,7 +258,7 @@ class TestGroundTruthIsTheCausalPast:
     @staticmethod
     def check(cfg, past):
         truth = harness_mod._GroundTruth(cfg)
-        width, row = truth.layout.width, truth.layout.row
+        width, row = truth.tables.layout.width, truth.tables.layout.row
         lo = 0
         for m in range(cfg.horizon + 1):
             if m:
