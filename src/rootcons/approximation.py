@@ -70,6 +70,7 @@ roots; they live as long as the run.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .graphs import MaskLayout, mask_layout, roots_of_mask
@@ -147,12 +148,13 @@ def _locks_view(known: int, tables: RunTables, lo: int) -> dict:
     return {q: {r: rows[q][r] for r in range(lo, h + 1)} for q, h in heard.items()}
 
 
-class RunTables(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class RunTables:
     """What every state and message of one run shares: the n-process
     edge-mask ``layout``, the window ``keep`` (None in full mode, else k of
     ``bounded:k``), the row, edge, start and answer tables and the root
-    memo (see the module docstring).  The tuple is fixed; the tables in it
-    grow and shrink as the run advances."""
+    memo (see the module docstring).  The fields are fixed; the tables in
+    them grow and shrink as the run advances."""
 
     layout: MaskLayout
     keep: Optional[int]

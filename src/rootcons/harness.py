@@ -4,7 +4,10 @@ A run advances all processes through synchronous rounds against a lasso of
 communication graphs: every process snapshots its end-of-previous-round
 state into a message, deliveries follow the round graph's edges exactly
 (self-loops included), then each process merges and runs its core step.
-Runs are fully deterministic in their configuration.
+A run is a :class:`Run`, stepped round by round: ``step()`` runs the next
+round on the lasso's graph and returns its outcomes, and ``trace()``
+records the rounds run so far; ``run_execution`` steps it ``cfg.horizon``
+times.  Runs are fully deterministic in their configuration.
 
 While running, an invariant monitor checks each process's state against
 ground truth it derives from the true graphs and the lock outcomes alone
@@ -299,27 +302,29 @@ class _InvariantMonitor(_GroundTruth):
         return f"lo is {st.lo}, expected {lo}"
 
 
-def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
-    """Execute the protocol for ``cfg.horizon`` rounds and record everything.
+class Run:
+    """One run of ``cfg``, stepped round by round: the states, the round
+    ``m`` last run, the round graphs, outcomes and decisions so far, and the
+    invariant monitor (None when ``cfg.check_invariants`` is off)."""
 
-    ``keep_snapshots`` has no effect: a run records no per-round state, and
-    :func:`indistinguishable` rebuilds it from the trace.
-    """
-    states = init_states(cfg.inputs, cfg.mode)
-    monitor = _InvariantMonitor(cfg, states[1].tables) if cfg.check_invariants else None
-    round_graphs = []
-    outcomes = []
-    decisions = {}
-    for m in range(1, cfg.horizon + 1):
-        g = cfg.lasso.graph(m)
-        round_graphs.append(g)
+    def __init__(self, cfg: RunConfig):
+        self.cfg, self.m = cfg, 0
+        self.states = init_states(cfg.inputs, cfg.mode)
+        self.monitor = _InvariantMonitor(cfg, self.states[1].tables) if cfg.check_invariants else None
+        self.round_graphs, self.outcomes, self.decisions = [], [], {}
+
+    def step(self) -> list:
+        """Run round m+1 on the lasso's graph; returns its outcomes in pid order."""
+        self.m = m = self.m + 1
+        states, decisions, g = self.states, self.decisions, self.cfg.lasso.graph(m)
+        self.round_graphs.append(g)
         messages = [make_message(st) for st in states.values()]
         for p, ins in zip(states, g.in_lists):
             receive_and_merge(states[p], [messages[q - 1] for q in ins], m)
         per_round = []
         for p in states:
             try:
-                _, out = core_step(states[p], m, cfg.D)
+                _, out = core_step(states[p], m, self.cfg.D)
             except consensus.InvariantViolationError as exc:
                 raise EngineInvariantError(p, m, str(exc)) from exc
             per_round.append(out)
@@ -327,10 +332,26 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
                 if p in decisions:
                     raise EngineInvariantError(p, m, "second decision event")
                 decisions[p] = (m, out.decided[2])
-        outcomes.append(per_round)
-        if monitor:
-            monitor.after_round(m, g, states, per_round)
-    return Trace(cfg, round_graphs, outcomes, decisions, states)
+        self.outcomes.append(per_round)
+        if self.monitor:
+            self.monitor.after_round(m, g, states, per_round)
+        return per_round
+
+    def trace(self) -> Trace:
+        """The trace of the rounds run so far; it shares the run's lists and states."""
+        return Trace(self.cfg, self.round_graphs, self.outcomes, self.decisions, self.states)
+
+
+def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
+    """Execute the protocol for ``cfg.horizon`` rounds and record everything.
+
+    ``keep_snapshots`` has no effect: a run records no per-round state, and
+    :func:`indistinguishable` rebuilds it from the trace.
+    """
+    run = Run(cfg)
+    for _ in range(cfg.horizon):
+        run.step()
+    return run.trace()
 
 
 @dataclass(frozen=True)

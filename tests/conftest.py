@@ -6,9 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-import rootcons.harness as harness_mod
-from rootcons.approximation import init_states
 from rootcons.graphs import CommGraph, LassoSequence, lasso
+from rootcons.harness import Run
 
 
 EPS1_EDGES = [(1, 3), (1, 4), (1, 5), (5, 2)]
@@ -45,19 +44,13 @@ def random_lasso(rng: random.Random, n: int, rounds: int, density: float = 0.3) 
     return LassoSequence(tuple(prefix), tuple(cycle))
 
 
-def run_with_snapshots(cfg, monkeypatch) -> tuple:
+def run_with_snapshots(cfg) -> tuple:
     """Run ``cfg`` (monitored) and return (trace, snapshots taken directly):
-    ``NodeState.snapshot()`` of every process at round 0 and at the end of
-    every round, collected by a wrapper around the invariant monitor's
-    ``after_round``, which runs after every process's merge and core step."""
-    direct = [{p: st.snapshot() for p, st in init_states(cfg.inputs, cfg.mode).items()}]
-    after_round = harness_mod._InvariantMonitor.after_round
-
-    def recording(self, m, g, states, outcomes):
-        after_round(self, m, g, states, outcomes)
-        direct.append({p: st.snapshot() for p, st in states.items()})
-
-    with monkeypatch.context() as patch:
-        patch.setattr(harness_mod._InvariantMonitor, "after_round", recording)
-        trace = harness_mod.run_execution(cfg)
-    return trace, direct
+    ``NodeState.snapshot()`` of every process at round 0 and after every
+    round's step, which runs every process's merge and core step."""
+    run = Run(cfg)
+    direct = [{p: st.snapshot() for p, st in run.states.items()}]
+    for _ in range(cfg.horizon):
+        run.step()
+        direct.append({p: st.snapshot() for p, st in run.states.items()})
+    return run.trace(), direct

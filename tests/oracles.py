@@ -11,6 +11,7 @@ calls the bitmask kernel ``graphs.roots_of_mask``: the roots of a partial
 graph are Tarjan's on a relabelled ``CommGraph``.
 """
 
+import dataclasses
 from itertools import combinations
 
 from rootcons.approximation import RunTables
@@ -278,7 +279,7 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     the own lock forward, then drop rounds older than the window, and every
     peer none of whose lock cells is left."""
     s.m = m
-    s.stale_from, s.tables = 0, s.tables._replace(starts={}, answers={})
+    s.stale_from, s.tables = 0, dataclasses.replace(s.tables, starts={}, answers={})
     for sender, approx, locks in msgs:
         approx = dict(approx)
         approx[m] = approx.get(m, 0) | s.layout.bit(sender, s.pid)

@@ -174,7 +174,7 @@ def test_criterion_4_containment(estable_batch):
     )
 
 
-def test_criterion_5_late_edge_equivalence(monkeypatch):
+def test_criterion_5_late_edge_equivalence():
     t0 = time.time()
     rng = random.Random("acceptance-late-edge")
     runs, checked = 0, 0
@@ -185,7 +185,7 @@ def test_criterion_5_late_edge_equivalence(monkeypatch):
         lasso_seq = random_lasso(rng, n, horizon, density=rng.uniform(0.1, 0.5))
         inputs = tuple(rng.randint(0, 99) for _ in range(n))
         cfg = RunConfig(n, rng.randint(1, n - 1) if n > 1 else 1, inputs, lasso_seq, horizon)
-        _, snapshots = run_with_snapshots(cfg, monkeypatch)
+        _, snapshots = run_with_snapshots(cfg)
         lay = mask_layout(n)
         runs += 1
         for r2 in range(1, horizon + 1):
@@ -312,7 +312,7 @@ def test_reference_state_differential(estable_batch, monkeypatch, history):
         mode = "full" if history == "full" else f"bounded:{2 * inst.D + 1}"
         cfg = RunConfig(inst.n, inst.D, inst.inputs, inst.lasso,
                         inst.certificate.deadline + inst.D + 2, mode=mode)
-        trace, direct = run_with_snapshots(cfg, monkeypatch)
+        trace, direct = run_with_snapshots(cfg)
         with monkeypatch.context() as patch:
             patch.setattr(consensus_mod, "evidence", reference_evidence)
             snapshots, events = reference_run(cfg, consensus_mod.core_step)
@@ -343,7 +343,7 @@ def test_reference_differential_past_sixteen(monkeypatch, n, history):
         cert = check_estable(lasso_seq, D)
         inputs = tuple(rng.randint(0, 99) for _ in range(n))
         cfg = RunConfig(n, D, inputs, lasso_seq, cert.deadline + D + 2, mode=mode)
-        trace, direct = run_with_snapshots(cfg, monkeypatch)
+        trace, direct = run_with_snapshots(cfg)
         with monkeypatch.context() as patch:
             patch.setattr(consensus_mod, "evidence", reference_evidence)
             snapshots, events = reference_run(cfg, consensus_mod.core_step)

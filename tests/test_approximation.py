@@ -19,19 +19,15 @@ from rootcons.approximation import (
 )
 from rootcons.consensus import confirmed_roots
 from rootcons.graphs import lasso, mask_layout, roots_of_mask
-from rootcons.harness import RunConfig, run_execution
+from rootcons.harness import Run, RunConfig, run_execution
 
 
 def drive(l, inputs, rounds, mode="full"):
-    """Advance fresh states through `rounds` rounds of the lasso by hand."""
-    states = init_states(inputs, mode)
-    for m in range(1, rounds + 1):
-        g = l.graph(m)
-        msgs = {p: make_message(states[p]) for p in states}
-        for p in states:
-            inbox = [msgs[q] for q in g.in_lists[p - 1]]
-            receive_and_merge(states[p], inbox, m)
-    return states
+    """The states after `rounds` rounds of a run of the lasso at D=1."""
+    run = Run(RunConfig(len(inputs), 1, inputs, l, rounds, mode))
+    for _ in range(rounds):
+        run.step()
+    return run.states
 
 
 class TestInitState:
@@ -354,13 +350,10 @@ class TestMaskCache:
         for _ in range(12):
             n = rng.randint(2, 8)
             l = random_lasso(rng, n, rng.randint(0, 8), density=rng.choice([0.1, 0.3, 0.6]))
-            states = init_states(tuple(range(1, n + 1)), mode)
-            for m in range(1, 16):
-                g = l.graph(m)
-                msgs = {p: make_message(states[p]) for p in states}
-                for p in states:
-                    receive_and_merge(states[p], [msgs[q] for q in g.in_lists[p - 1]], m)
-                for s in states.values():
+            run = Run(RunConfig(n, 1, tuple(range(1, n + 1)), l, 15, mode))
+            for _ in range(15):
+                run.step()
+                for s in run.states.values():
                     want = true_approx(l, s)
                     assert s.approx == want
                     assert list(s.approx) == list(range(s.lo, s.m + 1))
@@ -393,15 +386,17 @@ class TestPrune:
         rng = random.Random(mode)
         for n in (2, 5, 8):
             l = random_lasso(rng, n, rng.randint(0, 8))
+            run = Run(RunConfig(n, 1, tuple(range(n)), l, 15, mode))
             for m in range(1, 16):
-                s = drive(l, tuple(range(n)), m, mode)[1]
+                run.step()
+                s = run.states[1]
                 assert list(s.tables.edges) == list(range(s.lo, m + 1)), (n, m)
 
-    def test_peer_leaves_with_its_last_heard_round(self, monkeypatch):
+    def test_peer_leaves_with_its_last_heard_round(self):
         # p1's round-0 state reaches p2 in round 1, and nothing after it:
         # heard[2][1] = 0 drops out of bounded:3 in round 4, and p1 with it
         l = lasso(3, prefix=[[(1, 2)]], cycle=[[]])
-        trace, snaps = run_with_snapshots(RunConfig(3, 1, (7, 8, 9), l, 5, mode="bounded:3"), monkeypatch)
+        trace, snaps = run_with_snapshots(RunConfig(3, 1, (7, 8, 9), l, 5, mode="bounded:3"))
         rebuilt = harness_mod._rebuilt_states(trace, 2)
         for m, (snap, again) in enumerate(zip(snaps, rebuilt)):
             peers = [q for q, _ in snap[2][5]]
@@ -410,9 +405,9 @@ class TestPrune:
 
 
 class TestStateInvariantsOnRuns:
-    def test_under_approximation_and_monotonicity(self, eps2_lasso, monkeypatch):
+    def test_under_approximation_and_monotonicity(self, eps2_lasso):
         cfg = RunConfig(5, 2, (0, 1, 2, 3, 4), eps2_lasso, 10)
-        _, snapshots = run_with_snapshots(cfg, monkeypatch)  # engine asserts under-approximation per round
+        _, snapshots = run_with_snapshots(cfg)  # engine asserts under-approximation per round
         for p in range(1, 6):
             per_round = [dict(snap[p][4]) for snap in snapshots]
             for r in range(11):

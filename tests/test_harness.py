@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import dataclasses
 import json
 import os
 import random
@@ -44,6 +45,22 @@ class TestRunExecution:
         assert len(trace.decisions) == 5
         assert all(v == 0 for (_, v) in trace.decisions.values())
         assert trace.latest_decision_round() == 5
+
+    def test_second_decision_event_names_process_and_round(self, monkeypatch, eps1_lasso):
+        # eps1 decides first in round 5; p1 reports a decision in rounds 2 and 3
+        step = harness_mod.core_step
+
+        def deciding_twice(s, m, D):
+            s, out = step(s, m, D)
+            if s.pid == 1 and m in (2, 3):
+                out = out._replace(decided=(frozenset([1]), m, 0))
+            return s, out
+
+        monkeypatch.setattr(harness_mod, "core_step", deciding_twice)
+        with pytest.raises(EngineInvariantError) as caught:
+            run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 8))
+        assert (caught.value.pid, caught.value.round) == (1, 3)
+        assert str(caught.value) == "p1 round 3: second decision event"
 
     def test_identical_configs_identical_traces(self, eps2_lasso):
         cfg = RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 12)
@@ -107,12 +124,12 @@ def _drop_relayed_heard(merge, s, msgs, m):
 
 def _copied_rows(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.tables = s.tables._replace(rows=copy.copy(s.tables.rows))
+    s.tables = dataclasses.replace(s.tables, rows=copy.copy(s.tables.rows))
 
 
 def _copied_edge_table(merge, s, msgs, m):
     merge(s, msgs, m)
-    s.tables = s.tables._replace(edges=dict(s.tables.edges))
+    s.tables = dataclasses.replace(s.tables, edges=dict(s.tables.edges))
 
 
 def _wrong_lock_value(merge, s, msgs, m):
