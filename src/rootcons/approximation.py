@@ -9,7 +9,7 @@ in ``bounded:k``).  Slots are monotone: a state of q that has arrived
 carries q's earlier states, so q in slot r is also in every slot ``lo..r``.
 
 The facts themselves live in one :class:`RunTables` per run, which every
-state and every message of the run refers to.  Its ``rows[q]`` is q's
+state of the run refers to.  Its ``rows[q]`` is q's
 append-only ``{round: lock}`` of per-round lock (proposal) values; only q
 writes it, and only the cell of its current round (in ``bounded:k`` it also
 drops its round ``m-k-1`` cell in round m).  ``edges[r]`` is the round-r
@@ -18,10 +18,17 @@ edge mask: in its merge of round m each owner ORs in its delivered in-edges
 ``edges[r]`` to the round its common-root run began; ``consensus`` fills it
 lazily.  ``answers[anchor]`` maps ``(root, lo)`` to the b1/b3 answer (run
 start, member bitset, maximum member lock) for a confirmed root of round
-``anchor`` (see ``consensus``).  Every merge drops round ``lo-1`` from the
-edge, start and answer tables (:meth:`RunTables.drop`) and its owner's row.
-A state holds no cells of its own: it reads q's round-r lock only when q is
-in slot r.
+``anchor`` (see ``consensus``).  The engine drops round ``lo-1`` from the
+edge, start and answer tables once per round (:meth:`RunTables.drop`), and
+every merge drops it from its owner's row.  A state holds no cells of its
+own: it reads q's round-r lock only when q is in slot r.
+
+So a broadcast is one int.  In round m each process q sends its ``known``,
+rebased to the round-m window, and p's merge (:func:`receive_and_merge`)
+ORs in the ints of p's in-neighbours in the round graph and takes its
+direct in-edges from that graph's column into p.  :class:`Message` and
+:func:`make_message` wrap one such int with views of what it carries; the
+engine does not build them.
 
 After round m the process knows ``lock[q][r]`` exactly when q is in slot r,
 and the round-r edge (u, v) exactly when v is, so its round-r approximation
@@ -71,7 +78,7 @@ roots; they live as long as the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .graphs import MaskLayout, mask_layout, roots_of_mask
 from .graphs import root_components  # noqa: F401  (bound here for callers that wrap it)
@@ -173,21 +180,21 @@ class RunTables:
 
     def drop(self, lo: int) -> None:
         """Drop round ``lo-1``, which has left the window, from the edge,
-        start and answer tables; every merge of the round calls it, and
-        the calls after the first find nothing left to drop."""
+        start and answer tables; the engine calls it once per round."""
         self.edges.pop(lo - 1, None)
         self.starts.pop(lo - 1, None)
         self.answers.pop(lo - 1, None)
 
 
 class Message(NamedTuple):
-    """A sender's end-of-previous-round knowledge: its ``known`` slots from
-    round ``lo`` on (slot 0 is round ``lo``, each ``layout.width`` bits) and
-    the run's tables, by reference.
+    """A view of one broadcast: the sender's end-of-previous-round
+    ``known`` slots from round ``lo`` on (slot 0 is round ``lo``, each
+    ``layout.width`` bits), with the run's tables by reference.  The engine
+    broadcasts the ``known`` int alone (see :func:`receive_and_merge`).
 
-    ``approx`` and ``locks`` are views of what the message carries; the
-    tables keep growing, so they are meaningful only in the round the
-    message is sent.
+    ``approx`` and ``locks`` are views of what the broadcast carries; the
+    tables keep growing, so they are meaningful only in the round it is
+    sent.
     """
 
     sender: int
@@ -330,51 +337,52 @@ def init_states(inputs, mode: str = "full") -> dict:
 
 
 def make_message(s: NodeState) -> Message:
-    """The state at the end of round ``s.m``, broadcast in round ``s.m + 1``.
+    """A view of the state's broadcast of round ``s.m + 1``: its state at
+    the end of round ``s.m``.
 
-    In bounded(k) mode the message carries only rounds newer than ``s.m - k``:
-    its ``known`` is the state's, rebased to that first round.  It refers to
-    the run's tables without copying them.
+    In bounded(k) mode the broadcast carries only rounds newer than
+    ``s.m - k``: its ``known`` is the state's, rebased to that first round,
+    which is the int the engine sends.  The view refers to the run's tables
+    without copying them.
     """
     tables = s.tables
     lo = window_start(tables.keep, s.m + 1)
     return Message(s.pid, s.m + 1, s.known >> (lo - s.lo) * tables.layout.width, lo, tables)
 
 
-def receive_and_merge(s: NodeState, msgs: Iterable, m: int) -> NodeState:
-    """Fuse the round-m deliveries into the state, before the core step.
+def receive_and_merge(s: NodeState, g, sent: list, m: int) -> NodeState:
+    """Fuse the round-m deliveries on the round graph ``g`` into the state,
+    before the core step.
 
-    ``known``, rebased to the round-m window, ORs in the inbox's ``known``
-    ints (all rebased to the same first round) and the own round-m slot.
-    The own row gains its round-m lock, carried forward, and the edge table
-    gains the direct in-edges (sender -> pid) in round m.  The own row and
-    the run's tables drop the round that left the window (every merge of
-    the round calls ``tables.drop``, which is idempotent).
-    ``stale_from`` drops to the lowest new slot (or to round m-1, which
-    stops being the current round).  Merge order is irrelevant: ORs are
-    commutative.
+    ``sent[q-1]`` is q's broadcast of round m: its ``known`` at the end of
+    round m-1, rebased to the round-m window (the harness builds the list
+    once per round).  ``known``, rebased to the same window, ORs in the
+    broadcasts of its in-neighbours in ``g`` (itself among them, by its
+    self-loop) and the own round-m slot.  The own row gains its round-m
+    lock, carried forward, and the edge table gains the direct in-edges,
+    ``g``'s column into the pid, in round m.  The own row and ``runs`` drop
+    the round that left the window; the harness drops it from the run's
+    tables once per round (:meth:`RunTables.drop`).  ``stale_from`` drops
+    to the lowest new slot (or to round m-1, which stops being the current
+    round).  Merge order is irrelevant: ORs are commutative.
     """
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
     tables = s.tables
-    lo = window_start(tables.keep, m)
-    pid, width = s.pid, tables.layout.width
+    keep, lay, pid = tables.keep, tables.layout, s.pid
+    lo = m - keep if keep is not None and m > keep else 0  # window_start, inlined: it runs per merge
+    width = lay.width
     before = s.known >> (lo - s.lo) * width
     known = before | 1 << ((m - lo) * width + pid - 1)
-    direct = 0
-    for msg in msgs:
-        if msg.sent_in != m:
-            raise ValueError(f"message for round {msg.sent_in} delivered in round {m}")
-        direct |= 1 << ((msg.sender - 1) * width + pid - 1)
-        known |= msg.known
+    for q in g.in_lists[pid - 1]:
+        known |= sent[q - 1]
     s.m, s.lo, s.known = m, lo, known
     own, edges = tables.rows[pid], tables.edges
     own[m] = own[m - 1]
-    edges[m] = edges.get(m, 0) | direct
+    edges[m] = edges.get(m, 0) | g.mask & lay.column << pid - 1  # MaskLayout.into, inlined
     if lo > 0:
         del own[lo - 1]
         s.runs.pop(lo - 1, None)
-        tables.drop(lo)
     new = known & ~before  # never empty: it holds the own round-m bit
     changed = min(lo + ((new & -new).bit_length() - 1) // width, m - 1)
     if changed < s.stale_from:

@@ -83,6 +83,9 @@ class CoreStepOutcome(NamedTuple):
         return {"pid": pid, "round": m, "locked": enc(self.locked), "decided": enc(self.decided)}
 
 
+_NOTHING = CoreStepOutcome()  # the one outcome of every step where nothing fired
+
+
 def _core_low(s: NodeState) -> int:
     return max(1, s.lo)
 
@@ -257,7 +260,7 @@ def core_step(s: NodeState, m: int, D: int) -> tuple:
     process has decided (b3 is write-once, so later scans cannot change it).
     """
     if m <= D:
-        return s, CoreStepOutcome()
+        return s, _NOTHING
     locked = None
     root = c1_check(s, m, D)
     if root is not None:
@@ -268,4 +271,6 @@ def core_step(s: NodeState, m: int, D: int) -> tuple:
     if hit is not None:
         root2, interval = hit
         decided = (root2, *b3_apply(s, root2, interval))
+    if locked is None and decided is None:
+        return s, _NOTHING
     return s, CoreStepOutcome(locked=locked, decided=decided)

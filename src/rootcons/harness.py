@@ -1,9 +1,13 @@
 """Lock-step execution engine, correctness oracles, and named scenarios.
 
 A run advances all processes through synchronous rounds against a lasso of
-communication graphs: every process snapshots its end-of-previous-round
-state into a message, deliveries follow the round graph's edges exactly
-(self-loops included), then each process merges and runs its core step.
+communication graphs.  Each round, the engine computes the window once and
+builds the round's broadcasts once, one int per process: its
+end-of-previous-round ``known``, rebased to the round's window.  Every
+process then merges the ints of its in-neighbours in the round graph
+(self-loops included) and takes its direct in-edges from that graph, the
+engine drops the round that left the window from the run's tables, and
+each process runs its core step.
 A run is a :class:`Run`, stepped round by round: ``step()`` runs the next
 round on the lasso's graph and returns its outcomes, and ``trace()``
 records the rounds run so far; ``run_execution`` steps it ``cfg.horizon``
@@ -65,7 +69,7 @@ from .approximation import (
     RunTables,
     _heard,
     init_states,
-    make_message,
+    make_message,  # noqa: F401  (bound here for callers that wrap it)
     parse_mode,
     receive_and_merge,
     window_start,
@@ -303,24 +307,35 @@ class _InvariantMonitor(_GroundTruth):
 
 
 class Run:
-    """One run of ``cfg``, stepped round by round: the states, the round
-    ``m`` last run, the round graphs, outcomes and decisions so far, and the
-    invariant monitor (None when ``cfg.check_invariants`` is off)."""
+    """One run of ``cfg``, stepped round by round: the states and the run's
+    tables they share, the round ``m`` last run, the round graphs, outcomes
+    and decisions so far, and the invariant monitor (None when
+    ``cfg.check_invariants`` is off)."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg, self.m = cfg, 0
         self.states = init_states(cfg.inputs, cfg.mode)
-        self.monitor = _InvariantMonitor(cfg, self.states[1].tables) if cfg.check_invariants else None
+        self.tables = self.states[1].tables
+        self.monitor = _InvariantMonitor(cfg, self.tables) if cfg.check_invariants else None
         self.round_graphs, self.outcomes, self.decisions = [], [], {}
 
     def step(self) -> list:
-        """Run round m+1 on the lasso's graph; returns its outcomes in pid order."""
+        """Run round m+1 on the lasso's graph; returns its outcomes in pid order.
+
+        The round's broadcasts are built once: ``sent[q-1]`` is q's
+        ``known``, rebased to the round's window.  Every state merges them
+        off the round graph, then the window's old round leaves the run's
+        tables, once.
+        """
         self.m = m = self.m + 1
-        states, decisions, g = self.states, self.decisions, self.cfg.lasso.graph(m)
+        states, decisions, g, tables = self.states, self.decisions, self.cfg.lasso.graph(m), self.tables
         self.round_graphs.append(g)
-        messages = [make_message(st) for st in states.values()]
-        for p, ins in zip(states, g.in_lists):
-            receive_and_merge(states[p], [messages[q - 1] for q in ins], m)
+        lo, width = window_start(tables.keep, m), tables.layout.width
+        sent = [st.known >> (lo - st.lo) * width for st in states.values()]
+        for st in states.values():
+            receive_and_merge(st, g, sent, m)
+        if lo:
+            tables.drop(lo)
         per_round = []
         for p in states:
             try:

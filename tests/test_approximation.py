@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +19,7 @@ from rootcons.approximation import (
     receive_and_merge,
 )
 from rootcons.consensus import confirmed_roots
-from rootcons.graphs import lasso, mask_layout, roots_of_mask
+from rootcons.graphs import CommGraph, lasso, mask_layout, roots_of_mask
 from rootcons.harness import Run, RunConfig, run_execution
 
 
@@ -88,9 +89,7 @@ class TestMakeMessage:
 class TestReceiveAndMerge:
     def test_direct_edges_recorded(self):
         q, s = init_states((9, 0)).values()
-        q_msg = make_message(q)
-        own = make_message(s)
-        receive_and_merge(s, [q_msg, own], 1)
+        receive_and_merge(s, CommGraph.of(2, [(1, 2)]), [q.known, s.known], 1)
         assert s.tables.layout.edges(s.approx[1]) == [(1, 2), (2, 2)]
         assert s.locks[1] == {0: 9}
 
@@ -107,6 +106,8 @@ class TestReceiveAndMerge:
         assert states[2].locks[2] == {r: 8 for r in range(5)}
 
     def test_merge_order_irrelevant(self, eps2_lasso):
+        # the processes merge in a shuffled order, each reading its
+        # in-neighbours' broadcasts in a shuffled order
         inputs = (3, 1, 4, 1, 5)
         rng = random.Random(0)
         baseline = None
@@ -114,20 +115,49 @@ class TestReceiveAndMerge:
             states = init_states(inputs)
             for m in range(1, 7):
                 g = eps2_lasso.graph(m)
-                msgs = {p: make_message(states[p]) for p in states}
-                for p in states:
-                    inbox = [msgs[q] for q in g.in_lists[p - 1]]
-                    rng.shuffle(inbox)
-                    receive_and_merge(states[p], inbox, m)
+                sent = [states[p].known for p in sorted(states)]
+                shuffled = SimpleNamespace(mask=g.mask, in_lists=[rng.sample(ins, len(ins)) for ins in g.in_lists])
+                for p in rng.sample(sorted(states), len(states)):
+                    receive_and_merge(states[p], shuffled, sent, m)
             snap = tuple(states[p].snapshot() for p in sorted(states))
             if baseline is None:
                 baseline = snap
             assert snap == baseline
 
+    @pytest.mark.parametrize("mode", ["full", "bounded:5"])
+    def test_reads_only_in_neighbours_broadcasts(self, monkeypatch, eps2_lasso, mode):
+        # the broadcast of every process that is not an in-neighbour carries
+        # every bit of every slot; no merge may see it, and each writes
+        # exactly the round graph's column into its process
+        merge = harness_mod.receive_and_merge
+        poison = (1 << 16 * mask_layout(5).width) - 1
+
+        def merges(poisoned: bool) -> list:
+            seen = []
+
+            def merged(s, g, sent, m):
+                if poisoned:
+                    ins = g.in_lists[s.pid - 1]
+                    sent = [k if q in ins else poison for q, k in enumerate(sent, start=1)]
+                merge(s, g, sent, m)
+                into = s.tables.layout.into(s.pid)
+                assert s.tables.edges[m] & into == g.mask & into
+                seen.append((s.pid, m, s.known))
+                return s
+
+            with monkeypatch.context() as patch:
+                patch.setattr(harness_mod, "receive_and_merge", merged)
+                run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 14, mode))
+            return seen
+
+        clean, poisoned = merges(False), merges(True)
+        assert poisoned == clean and len(clean) == 5 * 14
+        assert all(poison & ~known for _, _, known in clean)  # a merge that read the poison would differ
+
     def test_wrong_round_rejected(self):
         s = init_states((0,))[1]
         with pytest.raises(ValueError):
-            receive_and_merge(s, [], 3)
+            receive_and_merge(s, CommGraph.of(1), [s.known], 3)
 
 
 def late_edge(st, q, r) -> bool:

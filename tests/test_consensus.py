@@ -117,8 +117,8 @@ class TestResumedC2:
             calls = []
             merge = harness_mod.receive_and_merge
 
-            def merged(s, msgs, m):
-                merge(s, msgs, m)
+            def merged(s, g, sent, m):
+                merge(s, g, sent, m)
                 if rescan_all:
                     s.stale_from = 0
                 return s

@@ -16,6 +16,7 @@ from oracles import bfs_distance, causal_past_forward, naive_causal_past
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
 from rootcons.adversary import GenerationRetryError, InfeasibleParamsError, check_estable, check_safety
+from rootcons.approximation import window_start
 from rootcons.graphs import CommGraph, LassoSequence, causal_past, lasso, root_components
 from rootcons.harness import (
     EngineInvariantError,
@@ -112,63 +113,63 @@ class TestRunExecution:
         assert json.loads(json.dumps(trace.summary_dict()))
 
 
-def _drop_relayed_heard(merge, s, msgs, m):
-    # each message keeps only its sender's own bit in every slot
-    width = s.tables.layout.width
+def _drop_relayed_heard(merge, s, g, sent, m):
+    # each broadcast keeps only its sender's own bit in every slot
+    width, lo = s.tables.layout.width, window_start(s.tables.keep, m)
     own_entries = [
-        msg._replace(known=msg.known & sum(1 << (i * width + msg.sender - 1) for i in range(m - msg.lo)))
-        for msg in msgs
+        known & sum(1 << (i * width + q - 1) for i in range(m - lo))
+        for q, known in enumerate(sent, start=1)
     ]
-    return merge(s, own_entries, m)
+    return merge(s, g, own_entries, m)
 
 
-def _copied_rows(merge, s, msgs, m):
-    merge(s, msgs, m)
+def _copied_rows(merge, s, g, sent, m):
+    merge(s, g, sent, m)
     s.tables = dataclasses.replace(s.tables, rows=copy.copy(s.tables.rows))
 
 
-def _copied_edge_table(merge, s, msgs, m):
-    merge(s, msgs, m)
+def _copied_edge_table(merge, s, g, sent, m):
+    merge(s, g, sent, m)
     s.tables = dataclasses.replace(s.tables, edges=dict(s.tables.edges))
 
 
-def _wrong_lock_value(merge, s, msgs, m):
-    merge(s, msgs, m)
+def _wrong_lock_value(merge, s, g, sent, m):
+    merge(s, g, sent, m)
     s.tables.rows[2][m] += 1
 
 
-def _fabricated_edge(merge, s, msgs, m):
-    merge(s, msgs, m)
+def _fabricated_edge(merge, s, g, sent, m):
+    merge(s, g, sent, m)
     s.tables.edges[m] |= s.tables.layout.bit(3, 2)
 
 
-def _retained_past_window(merge, s, msgs, m):
+def _retained_past_window(merge, s, g, sent, m):
     own = s.tables.rows[2]
     stale = own[m - 6]
-    merge(s, msgs, m)
+    merge(s, g, sent, m)
     own[m - 6] = stale
 
 
-def _stale_approx_mask(merge, s, msgs, m):
-    merge(s, msgs, m)
+def _stale_approx_mask(merge, s, g, sent, m):
+    merge(s, g, sent, m)
     s.tables.edges[m - 1] &= ~s.tables.layout.bit(5, 2)  # a true edge of round 1
 
 
-def _wrong_lo(merge, s, msgs, m):
-    merge(s, msgs, m)
+def _wrong_lo(merge, s, g, sent, m):
+    merge(s, g, sent, m)
     s.lo += 1
 
 
-def _flipped_bit_at_unchanged_round(merge, s, msgs, m):
+def _flipped_bit_at_unchanged_round(merge, s, g, sent, m):
     # round 2's edges are not touched by any merge of round 5, so only a
     # check of every retained round can see the false edge
-    merge(s, msgs, m)
+    merge(s, g, sent, m)
     s.tables.edges[m - 3] |= s.tables.layout.bit(1, 2)
 
 
-def _rewritten_old_lock_cell(merge, s, msgs, m):
+def _rewritten_old_lock_cell(merge, s, g, sent, m):
     # a finalized lock cell of the own row, far below the cell of round m
-    merge(s, msgs, m)
+    merge(s, g, sent, m)
     s.tables.rows[2][2] += 100
 
 
@@ -213,10 +214,10 @@ class TestInvariantMonitor:
     def test_fault_names_process_and_round(self, monkeypatch, fault, n, mode, round_, why):
         merge = harness_mod.receive_and_merge
 
-        def faulty_merge(s, msgs, m):
+        def faulty_merge(s, g, sent, m):
             if (s.pid, m) == (2, round_):
-                return fault(merge, s, list(msgs), m)
-            return merge(s, msgs, m)
+                return fault(merge, s, g, list(sent), m)
+            return merge(s, g, sent, m)
 
         monkeypatch.setattr(harness_mod, "receive_and_merge", faulty_merge)
         l = lasso(n, cycle=[EPS1_EDGES + [(1, q) for q in range(6, n + 1)]])
@@ -232,10 +233,10 @@ class TestInvariantMonitor:
         # round 7 of bounded:5 (rounds 2..7 kept) p3 is in no slot of p2
         merge = harness_mod.receive_and_merge
 
-        def faulty_merge(s, msgs, m):
+        def faulty_merge(s, g, sent, m):
             if (s.pid, m) == (2, 7):
-                return _wrong_lo(merge, s, list(msgs), m)
-            return merge(s, msgs, m)
+                return _wrong_lo(merge, s, g, list(sent), m)
+            return merge(s, g, sent, m)
 
         monkeypatch.setattr(harness_mod, "receive_and_merge", faulty_merge)
         with pytest.raises(EngineInvariantError) as caught:
