@@ -9,38 +9,34 @@ in ``bounded:k``).  Slots are monotone: a state of q that has arrived
 carries q's earlier states, so q in slot r is also in every slot ``lo..r``.
 
 The facts themselves live in one :class:`RunTables` per run, which every
-state of the run refers to.  Its ``rows[q]`` is q's
+state of the run refers to.  The engine enters what the adversary fixed:
+once per round, before the merges, :meth:`RunTables.enter` writes round m's
+edge mask ``edges[m]``, its roots ``roots[m]`` (root, member bitset) and
+its start entry ``starts[m]``, which maps each root of round m to the round
+its common-root run began, and it drops round ``lo-1`` from the round
+tables.  The processes compute only their locks: ``rows[q]`` is q's
 append-only ``{round: lock}`` of per-round lock (proposal) values; only q
 writes it, and only the cell of its current round (in ``bounded:k`` it also
-drops its round ``m-k-1`` cell in round m).  ``edges[r]`` is the round-r
-edge mask: in its merge of round m each owner ORs in its delivered in-edges
-(its column of the mask).  ``starts[r]`` maps each root of the whole
-``edges[r]`` to the round its common-root run began; ``consensus`` fills it
-lazily.  ``answers[anchor]`` maps ``(root, lo)`` to the b1/b3 answer (run
-start, member bitset, maximum member lock) for a confirmed root of round
-``anchor`` (see ``consensus``).  The engine drops round ``lo-1`` from the
-edge, start and answer tables once per round (:meth:`RunTables.drop`), and
-every merge drops it from its owner's row.  A state holds no cells of its
-own: it reads q's round-r lock only when q is in slot r.
+drops its round ``m-k-1`` cell in round m).  ``answers[anchor]`` maps
+``(root, lo)`` to the b1/b3 answer (run start, member bitset, maximum
+member lock) for a confirmed root of round ``anchor`` (see ``consensus``).
+A state holds no cells of its own: it reads q's round-r lock only when q
+is in slot r.
 
 So a broadcast is one int.  In round m each process q sends its ``known``,
 rebased to the round-m window, and p's merge (:func:`receive_and_merge`)
-ORs in the ints of p's in-neighbours in the round graph and takes its
-direct in-edges from that graph's column into p.  :class:`Message` and
-:func:`make_message` wrap one such int with views of what it carries; the
-engine does not build them.
+ORs in the ints of p's in-neighbours in the round graph; it writes no
+table but the own row.  :class:`Message` and :func:`make_message` wrap one
+such int with views of what it carries; the engine does not build them.
 
 After round m the process knows ``lock[q][r]`` exactly when q is in slot r,
 and the round-r edge (u, v) exactly when v is, so its round-r approximation
 is ``edges[r]`` restricted to the columns of slot r, derived where it is
-read.  ``edges[r]`` is final once every merge of round r has run, and the
-engine merges every state before any core step; before that, slot m holds
-only the owner, whose column it has written itself.  ``locks`` and
-``approx`` are read-only views of these facts; ``locks`` lists the peers
-with a retained cell, which are the peers in slot ``lo``.  The harness's
-invariant monitor checks ``known`` and the edge table against the true
-graphs every round.  The tables are shared, so all states of one run must
-advance in lock step, as the harness does.
+read.  ``locks`` and ``approx`` are read-only views of these facts;
+``locks`` lists the peers with a retained cell, which are the peers in slot
+``lo``.  The harness's invariant monitor checks ``known`` and the edge
+table against the true graphs every round.  The tables are shared, so all
+states of one run must advance in lock step, as the harness does.
 
 A member q of a round-r root has a later outgoing edge recorded exactly when
 q is in slot r and r is not the current round (:func:`evidence`), so
@@ -57,22 +53,18 @@ trace, as one state over the tables of its ground truth, and snapshots
 those.
 
 Root queries rest on one lemma.  Let S be slot r, and let every member of
-S have its self-loop in ``edges[r]``.  It has: its own round-r merge wrote
-it, as every round graph of a run holds every self-loop (``RunConfig``
-rejects a lasso graph that lacks one).  Then the roots of ``edges[r]``
-restricted to the columns of S are the roots of the whole ``edges[r]`` that
-lie inside S, plus one singleton ghost ``{u}`` for each u outside S with an
-edge into S: such a u has no in-edge left, and a set inside S has the same
-in-edges in both graphs.  This holds whether or not ``edges[r]`` is final,
-because the columns of S are written before S holds them.  So the kernel
-``graphs.roots_of_mask`` runs once per distinct round mask of a run, and
-each query is a subset filter.  Round 0 (which has no edges) and the rounds
-outside the window answer ``{pid}``.
+S have its self-loop in ``edges[r]``.  It has, as every round graph of a
+run holds every self-loop (``RunConfig`` rejects a lasso graph that lacks
+one).  Then the roots of ``edges[r]`` restricted to the columns of S are
+the roots of the whole ``edges[r]`` that lie inside S, plus one singleton
+ghost ``{u}`` for each u outside S with an edge into S: such a u has no
+in-edge left, and a set inside S has the same in-edges in both graphs.  So
+a query is a subset filter of ``roots[r]``, which ``graphs.root_components``
+computed once for the round graph.  Round 0 (which has no edges) and the
+rounds outside the window answer ``{pid}``.
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
-run's tables also hold that layout, the window ``keep`` and the root memo,
-which maps a whole round mask to (root, member bitset) for each of its
-roots; they live as long as the run.
+run's tables also hold that layout and the window ``keep``.
 """
 
 from __future__ import annotations
@@ -80,8 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .graphs import MaskLayout, mask_layout, roots_of_mask
-from .graphs import root_components  # noqa: F401  (bound here for callers that wrap it)
+from .graphs import MaskLayout, mask_layout, root_components
 
 
 def roots_of_partial(mask: int, extra_vertex: int, layout: MaskLayout, slot: int, whole_roots: tuple) -> frozenset:
@@ -159,17 +150,17 @@ def _locks_view(known: int, tables: RunTables, lo: int) -> dict:
 class RunTables:
     """What every state and message of one run shares: the n-process
     edge-mask ``layout``, the window ``keep`` (None in full mode, else k of
-    ``bounded:k``), the row, edge, start and answer tables and the root
-    memo (see the module docstring).  The fields are fixed; the tables in
-    them grow and shrink as the run advances."""
+    ``bounded:k``), the row and answer tables and the round tables of edges,
+    roots and run starts (see the module docstring).  The fields are fixed;
+    the tables in them grow and shrink as the run advances."""
 
     layout: MaskLayout
     keep: Optional[int]
     rows: dict  # pid -> that pid's own {round: lock}
     edges: dict  # round -> edge mask
+    roots: dict  # round -> ((root, member bitset), ...)
     starts: dict  # round -> {root: run start}
     answers: dict  # anchor -> {(root, lo): b1/b3 answer}
-    memo: dict  # whole round mask -> ((root, member bitset), ...)
 
     @classmethod
     def of(cls, inputs, keep: Optional[int]) -> RunTables:
@@ -178,10 +169,26 @@ class RunTables:
         rows = {p: {0: x} for p, x in enumerate(inputs, start=1)}
         return cls(mask_layout(len(inputs)), keep, rows, {0: 0}, {}, {}, {})
 
+    def enter(self, m: int, g) -> int:
+        """Enter round m's graph ``g``, before the round's merges: its edge
+        mask, its roots with their member bitsets, and each root's run start,
+        carried from round m-1 while the root stays a root (it may predate
+        the window; every read clamps it).  Then drop round ``lo-1``, which
+        has left the window; returns ``lo``."""
+        roots = self.roots[m] = tuple((root, sum(1 << (q - 1) for q in root)) for root in root_components(g))
+        previous = self.starts.get(m - 1, {})
+        self.starts[m] = {root: previous.get(root, m) for root, _ in roots}
+        self.edges[m] = g.mask
+        lo = window_start(self.keep, m)
+        if lo:
+            self.drop(lo)
+        return lo
+
     def drop(self, lo: int) -> None:
-        """Drop round ``lo-1``, which has left the window, from the edge,
-        start and answer tables; the engine calls it once per round."""
+        """Drop round ``lo-1``, which has left the window, from the round and
+        answer tables."""
         self.edges.pop(lo - 1, None)
+        self.roots.pop(lo - 1, None)
         self.starts.pop(lo - 1, None)
         self.answers.pop(lo - 1, None)
 
@@ -264,22 +271,16 @@ class NodeState:
         return roots_of_partial(self.tables.edges[r] & lay.column * slot, self.pid, lay, slot, self.root_bits(r))
 
     def root_bits(self, r: int) -> tuple:
-        """(root, member bitset) for each root of the whole ``edges[r]``,
-        memoized in the run's memo under that mask (``{pid}`` alone at round 0
-        and outside the retained rounds).  Those inside slot r are the
-        approximation's roots without its ghosts, and a root that passes the
-        evidence filter (slot r, empty at the current round) lies inside it;
-        so ``consensus.confirmed_roots`` finds the approximation's confirmed
+        """(root, member bitset) for each root of the whole ``edges[r]``, as
+        the engine entered them (``{pid}`` alone at round 0 and outside the
+        retained rounds).  Those inside slot r are the approximation's roots
+        without its ghosts, and a root that passes the evidence filter (slot
+        r, empty at the current round) lies inside it; so
+        ``consensus.confirmed_roots`` finds the approximation's confirmed
         roots here."""
         if not max(1, self.lo) <= r <= self.m:
             return ((frozenset([self.pid]), 1 << (self.pid - 1)),)
-        tables = self.tables
-        whole = tables.edges[r]
-        bits = tables.memo.get(whole)
-        if bits is None:
-            roots = roots_of_mask(whole, 0, tables.layout)
-            bits = tables.memo[whole] = tuple((root, sum(1 << (q - 1) for q in root)) for root in roots)
-        return bits
+        return self.tables.roots[r]
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
         tables = self.tables
@@ -352,34 +353,32 @@ def make_message(s: NodeState) -> Message:
 
 def receive_and_merge(s: NodeState, g, sent: list, m: int) -> NodeState:
     """Fuse the round-m deliveries on the round graph ``g`` into the state,
-    before the core step.
+    after the engine has entered ``g`` (:meth:`RunTables.enter`) and before
+    the core step.
 
     ``sent[q-1]`` is q's broadcast of round m: its ``known`` at the end of
     round m-1, rebased to the round-m window (the harness builds the list
     once per round).  ``known``, rebased to the same window, ORs in the
     broadcasts of its in-neighbours in ``g`` (itself among them, by its
     self-loop) and the own round-m slot.  The own row gains its round-m
-    lock, carried forward, and the edge table gains the direct in-edges,
-    ``g``'s column into the pid, in round m.  The own row and ``runs`` drop
-    the round that left the window; the harness drops it from the run's
-    tables once per round (:meth:`RunTables.drop`).  ``stale_from`` drops
-    to the lowest new slot (or to round m-1, which stops being the current
+    lock, carried forward; no other table is written.  The own row and
+    ``runs`` drop the round that left the window.  ``stale_from`` drops to
+    the lowest new slot (or to round m-1, which stops being the current
     round).  Merge order is irrelevant: ORs are commutative.
     """
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
     tables = s.tables
-    keep, lay, pid = tables.keep, tables.layout, s.pid
+    keep, pid = tables.keep, s.pid
     lo = m - keep if keep is not None and m > keep else 0  # window_start, inlined: it runs per merge
-    width = lay.width
+    width = tables.layout.width
     before = s.known >> (lo - s.lo) * width
     known = before | 1 << ((m - lo) * width + pid - 1)
     for q in g.in_lists[pid - 1]:
         known |= sent[q - 1]
     s.m, s.lo, s.known = m, lo, known
-    own, edges = tables.rows[pid], tables.edges
+    own = tables.rows[pid]
     own[m] = own[m - 1]
-    edges[m] = edges.get(m, 0) | g.mask & lay.column << pid - 1  # MaskLayout.into, inlined
     if lo > 0:
         del own[lo - 1]
         s.runs.pop(lo - 1, None)

@@ -24,11 +24,11 @@ Both conditions read one per-round cache on the state: ``runs[r]`` is
 ``(root, start)``, the single confirmed root of round r (None if there is
 none or several) and the round its run of that root began (``r + 1`` for
 None).  Whether round r has a single confirmed root depends only on slot r
-of ``known``: it selects the columns of ``edges[r]`` (which no later merge
-changes) that form the round-r approximation, and it is the members'
-evidence (empty at the current round).  So the merge's ``stale_from``
-bounds what can have changed, and only rounds from there on are
-recomputed.  c2 resumes its search at ``c2_from``: no retained round
+of ``known``: it selects the columns of ``edges[r]`` (entered whole before
+the round's merges) that form the round-r approximation, and it is the
+members' evidence (empty at the current round).  So the merge's
+``stale_from`` bounds what can have changed, and only rounds from there on
+are recomputed.  c2 resumes its search at ``c2_from``: no retained round
 before it ends a long enough run.  A start before the window counts from
 the window's first round, as a full rescan from there would.
 
@@ -36,11 +36,11 @@ b1 and b3 take the maximum lock at the start of the surrounding common-root
 run of a confirmed root R.  R lies inside slot ``anchor`` and so, slots
 being monotone, inside every earlier retained slot; by the lemma in
 ``approximation`` it is a root of approx[t] exactly when it is one of the
-whole ``edges[t]``.  So the start is a fact of the true round graphs, kept
-in the start table of the run's ``approximation.RunTables``:
-``tables.starts[r]`` maps each root of ``edges[r]`` to the round its run
-began.  Only final rounds are entered, so an entry never goes stale;
-:func:`_run_start` extends the table on demand.
+whole ``edges[t]``.  So the start is a fact of the true round graphs, and
+the engine enters it with each round graph in the start table of the run's
+``approximation.RunTables``: ``tables.starts[r]`` maps each root of
+``edges[r]`` to the round its run began.  :func:`_run_start` reads it at
+round ``anchor-1`` and clamps it at the window's first round.
 
 The answer itself, ``(a, member bitset, value)`` for ``(root, anchor, lo)``,
 is run-wide too, and the run's answer table holds it:
@@ -51,8 +51,9 @@ wrote and which are final (the harness's monitor compares the row table
 every round).  The first process to ask computes and enters it; a later
 one needs only to hold every member's round-a state, one mask test of the
 bitset against its evidence of round a (slot a, as a <= anchor < m).  If
-that test fails, the full computation runs and raises as it would have.  Every anchor is at or after
-max(1, lo), so ``RunTables.drop`` drops its round ``lo-1`` with the window.
+that test fails, the full computation runs and raises as it would have.
+Every anchor is at or after max(1, lo), so ``RunTables.enter`` drops its
+round ``lo-1`` with the window.
 """
 
 from __future__ import annotations
@@ -95,22 +96,13 @@ def _run_start(s: NodeState, root: frozenset, anchor: int) -> int:
     roots(approx[r]) for every r in a..anchor-1 (``anchor`` itself when it
     is at or before max(1, lo)): for a confirmed root of round ``anchor``,
     the start of its run through ``anchor``, cut at the window's first
-    round.  The run's start table walks the whole round masks' roots
-    instead, which for a confirmed root is the same walk, by the lemma.
-    Its rounds are contiguous and at or after ``lo``, so the missing ones
-    follow its last round below the anchor; a start cut at an earlier window
-    is clamped at the read.
+    round.  The run's start table holds the run starts of the whole round
+    masks' roots, which for a confirmed root are the same, by the lemma.
     """
     low = _core_low(s)
     if anchor <= low:
         return anchor
-    starts, last = s.tables.starts, anchor - 1
-    while last >= low and last not in starts:
-        last -= 1
-    previous = starts.get(last, {})
-    for r in range(last + 1, anchor):
-        previous = starts[r] = {root: previous.get(root, r) for root, _ in s.root_bits(r)}
-    return max(starts[anchor - 1].get(root, anchor), low)
+    return max(s.tables.starts[anchor - 1].get(root, anchor), low)
 
 
 def _max_lock(s: NodeState, root: frozenset, a: int, what: str) -> int:

@@ -1,13 +1,13 @@
 """Lock-step execution engine, correctness oracles, and named scenarios.
 
 A run advances all processes through synchronous rounds against a lasso of
-communication graphs.  Each round, the engine computes the window once and
-builds the round's broadcasts once, one int per process: its
+communication graphs.  Each round, the engine enters the round graph's
+facts into the run's tables once (``RunTables.enter``: its edge mask, its
+roots and their run starts, and the drop of the round that left the
+window) and builds the round's broadcasts once, one int per process: its
 end-of-previous-round ``known``, rebased to the round's window.  Every
 process then merges the ints of its in-neighbours in the round graph
-(self-loops included) and takes its direct in-edges from that graph, the
-engine drops the round that left the window from the run's tables, and
-each process runs its core step.
+(self-loops included), and each process runs its core step.
 A run is a :class:`Run`, stepped round by round: ``step()`` runs the next
 round on the lasso's graph and returns its outcomes, and ``trace()``
 records the rounds run so far; ``run_execution`` steps it ``cfg.horizon``
@@ -31,8 +31,9 @@ only to print it.
 
 After every round it requires that the run's edge table holds exactly the
 true masks of rounds ``lo..m``, and that the run's row table holds exactly
-the expected rows, each compared as one dict (a mismatch names the owner
-of the lowest wrong column or row, since only that owner writes it).  Then,
+the expected rows, each compared as one dict (a mismatch names the
+process of the lowest wrong column, the one whose approximations read it,
+or the owner of the lowest wrong row, the only one that writes it).  Then,
 for every p, it requires that p's ``known`` equals its expected int (only
 on a mismatch does it walk the slots to name the first that differs), that
 p holds the run's ``RunTables`` itself, and that p's ``lo`` is the
@@ -51,6 +52,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 from . import consensus
@@ -88,6 +90,7 @@ from .graphs import (
 
 MAX_RUN_PROCESSES = 64  # the largest n that run_execution and fuzz_campaign accept
 FUZZ_R_SR_MAX = 12  # the largest stabilization round fuzz_campaign samples
+FUZZ_BATCH_PER_JOB = 64  # cases fuzz_campaign hands a worker pool at once, per worker
 
 
 class EngineInvariantError(Exception):
@@ -239,8 +242,8 @@ class _InvariantMonitor(_GroundTruth):
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
         lo, run, want = self.advance(m, g, outcomes), self.run_tables, self.tables
         if run.edges != want.edges:
-            owner, problem = self._edge_violation(m, lo)
-            self._fail(owner, m, lo, problem)
+            p, problem = self._edge_violation(m, lo)
+            self._fail(p, m, lo, problem)
         if run.rows != want.rows:
             owner, problem = self._row_violation(m, lo)
             self._fail(owner, m, lo, problem)
@@ -259,10 +262,10 @@ class _InvariantMonitor(_GroundTruth):
         raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={heard}; rounds {lo}..{m} kept)")
 
     def _edge_violation(self, m: int, lo: int) -> tuple:
-        """(owner, what is wrong) for the first round where the edge table
-        differs from the true masks, the owner being that of the lowest
-        wrong column (only that owner writes it).  A round held or missing
-        with no edges has no wrong column, and names the first process."""
+        """(process, what is wrong) for the first round where the edge table
+        differs from the true masks, the process being that of the lowest
+        wrong column (the edges into it).  A round held or missing with no
+        edges has no wrong column, and names the first process."""
         lay, edges, true = self.tables.layout, self.run_tables.edges, self.tables.edges
         for r in sorted(edges.keys() | true.keys()):
             has, want = edges.get(r, 0), true.get(r, 0)
@@ -322,20 +325,18 @@ class Run:
     def step(self) -> list:
         """Run round m+1 on the lasso's graph; returns its outcomes in pid order.
 
-        The round's broadcasts are built once: ``sent[q-1]`` is q's
-        ``known``, rebased to the round's window.  Every state merges them
-        off the round graph, then the window's old round leaves the run's
-        tables, once.
+        The round graph is entered into the run's tables once, which also
+        drops the window's old round from them.  The round's broadcasts are
+        built once: ``sent[q-1]`` is q's ``known``, rebased to the round's
+        window.  Every state merges them off the round graph.
         """
         self.m = m = self.m + 1
         states, decisions, g, tables = self.states, self.decisions, self.cfg.lasso.graph(m), self.tables
         self.round_graphs.append(g)
-        lo, width = window_start(tables.keep, m), tables.layout.width
+        lo, width = tables.enter(m, g), tables.layout.width
         sent = [st.known >> (lo - st.lo) * width for st in states.values()]
         for st in states.values():
             receive_and_merge(st, g, sent, m)
-        if lo:
-            tables.drop(lo)
         per_round = []
         for p in states:
             try:
@@ -767,6 +768,30 @@ def _run_fuzz_case(case: tuple) -> FuzzTrial:
     return FuzzTrial(index, trial_seed, n, D, deadline, ok, detail, kind)
 
 
+def _fuzz_cases(trials: int, seed: int, adversary: str, n_range: tuple, d_cap: int, mode: str):
+    """The campaign's trial cases, sampled one at a time from its seed."""
+    rng = random.Random(f"fuzz:{seed}")
+    for index in range(trials):
+        n = rng.randint(*n_range)
+        D = rng.randint(1, min(d_cap, n - 1))
+        trial_seed = rng.getrandbits(48)
+        lo = 1 if adversary == "estable" else D + 2
+        r_sr = rng.randint(lo, max(lo, FUZZ_R_SR_MAX))
+        inputs = tuple(rng.randint(0, 99) for _ in range(n))
+        yield (index, adversary, trial_seed, n, D, r_sr, inputs, mode)
+
+
+def _pooled_fuzz_cases(cases, jobs: int):
+    """The trials of ``cases`` run on ``jobs`` worker processes, in order.
+    ``Executor.map`` takes its whole iterable at once, so the cases go to it
+    in batches of ``FUZZ_BATCH_PER_JOB`` per worker."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        while batch := list(islice(cases, jobs * FUZZ_BATCH_PER_JOB)):
+            yield from pool.map(_run_fuzz_case, batch, chunksize=8)
+
+
 def fuzz_campaign(
     trials: int,
     seed: int,
@@ -778,8 +803,10 @@ def fuzz_campaign(
 ) -> FuzzSummary:
     """Deterministically sample configurations, run them, aggregate pass/fail.
 
-    Trials are sampled up front, so results are identical for any ``jobs``
-    count; each trial owns all of its state.  A bad ``adversary``, ``mode``,
+    Trials are sampled from the seed alone, one at a time as they are run,
+    and their results are folded in trial order, so results are identical
+    for any ``jobs`` count and memory stays bounded however many trials run;
+    each trial owns all of its state.  A bad ``adversary``, ``mode``,
     ``n_range`` or ``d_cap``, a ``jobs`` outside ``1..os.cpu_count()``, or a
     bounded window shorter than 2D+1 for the largest D that can be sampled,
     raises ValueError before any trial is sampled.
@@ -796,25 +823,10 @@ def fuzz_campaign(
     if d_cap < 1:
         raise ValueError(f"d_cap must be >= 1, got {d_cap}")
     parse_mode(mode, min(d_cap, n_range[1] - 1))
-    rng = random.Random(f"fuzz:{seed}")
-    cases = []
-    for index in range(trials):
-        n = rng.randint(*n_range)
-        D = rng.randint(1, min(d_cap, n - 1))
-        trial_seed = rng.getrandbits(48)
-        lo = 1 if adversary == "estable" else D + 2
-        r_sr = rng.randint(lo, max(lo, FUZZ_R_SR_MAX))
-        inputs = tuple(rng.randint(0, 99) for _ in range(n))
-        cases.append((index, adversary, trial_seed, n, D, r_sr, inputs, mode))
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_fuzz_case, cases, chunksize=8))
-    else:
-        results = [_run_fuzz_case(case) for case in cases]
+    cases = _fuzz_cases(trials, seed, adversary, n_range, d_cap, mode)
+    results = _pooled_fuzz_cases(cases, jobs) if jobs > 1 else map(_run_fuzz_case, cases)
     summary = FuzzSummary(adversary=adversary, trials=trials, passed=0)
-    for res in sorted(results, key=lambda r: r.index):
+    for res in results:
         if res.ok:
             summary.passed += 1
         else:

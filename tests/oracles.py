@@ -207,13 +207,13 @@ class ReferenceState:
     marked stale from round 0 by every merge, so each core step rescans
     every retained round.  ``tables`` holds the root-run start table
     ``starts`` and the b1/b3 answer table ``answers``, the only tables the
-    core step reads.  They are this state's own, not shared by the run,
-    and every merge empties both: the core step rebuilds the starts from
-    ``root_bits``, which here are the roots of the partial approximations,
-    ghosts included, and recomputes every answer from ``lock_value``.  So the
-    differential checks independently the lemma by which a run's shared
-    start table is built from whole round masks, and that an answer one
-    process entered holds for every process that asks it later.
+    core step reads.  They are this state's own, not shared by the run:
+    every merge rebuilds the starts from ``root_bits``, which here are the
+    roots of the partial approximations, ghosts included, and empties the
+    answers, so the core step recomputes every answer from ``lock_value``.
+    So the differential checks independently the lemma by which a run's
+    shared start table is built from the true round graphs, and that an
+    answer one process entered holds for every process that asks it later.
     """
 
     def __init__(self, pid: int, x: int, keep, lay: MaskLayout):
@@ -222,7 +222,7 @@ class ReferenceState:
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
         self.runs, self.stale_from, self.c2_from = {}, 0, 0
-        self.tables = RunTables(lay, keep, rows=None, edges=None, starts={}, answers={}, memo=None)
+        self.tables = RunTables(lay, keep, rows=None, edges=None, roots=None, starts={}, answers={})
 
     @property
     def lo(self) -> int:
@@ -277,7 +277,9 @@ def _note_out_edges(s: ReferenceState, new_edges: int, r: int) -> None:
 def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     """Union every received round and lock cell, add the direct edges, carry
     the own lock forward, then drop rounds older than the window, and every
-    peer none of whose lock cells is left."""
+    peer none of whose lock cells is left.  Last, rebuild the start table
+    over rounds max(1, lo)..m from the partial views' roots: each root's
+    run start, cut at the window's first round."""
     s.m = m
     s.stale_from, s.tables = 0, dataclasses.replace(s.tables, starts={}, answers={})
     for sender, approx, locks in msgs:
@@ -302,6 +304,10 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
                 del row[r]
             if not row:
                 del s.locks[q]
+    starts = s.tables.starts
+    for r in range(max(1, s.lo), m + 1):
+        previous = starts.get(r - 1, {})
+        starts[r] = {root: previous.get(root, r) for root, _ in s.root_bits(r)}
 
 
 def reference_run(cfg, core_step) -> tuple:

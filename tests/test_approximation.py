@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import random_lasso, run_with_snapshots
 from oracles import out_row_mask, reference_roots_of_partial
 
-import rootcons.approximation as approximation_mod
+import rootcons.graphs as graphs_mod
 import rootcons.harness as harness_mod
 from rootcons.adversary import AdversaryParams, generate_estable
 from rootcons.approximation import (
@@ -19,7 +19,7 @@ from rootcons.approximation import (
     receive_and_merge,
 )
 from rootcons.consensus import confirmed_roots
-from rootcons.graphs import CommGraph, lasso, mask_layout, roots_of_mask
+from rootcons.graphs import CommGraph, lasso, lasso_from_json, lasso_to_json, mask_layout, roots_of_mask
 from rootcons.harness import Run, RunConfig, run_execution
 
 
@@ -61,7 +61,7 @@ class TestInitState:
         assert sorted(tables.rows) == list(range(1, n + 1)) and tables.edges == {0: 0}
         assert tables.layout is mask_layout(n) and tables.keep == 3
         other = init_states((0,) * n)[1].tables
-        for name in ("rows", "edges", "starts", "answers", "memo"):  # one of each per run
+        for name in ("rows", "edges", "roots", "starts", "answers"):  # one of each per run
             assert getattr(other, name) is not getattr(tables, name), name
 
 
@@ -89,7 +89,9 @@ class TestMakeMessage:
 class TestReceiveAndMerge:
     def test_direct_edges_recorded(self):
         q, s = init_states((9, 0)).values()
-        receive_and_merge(s, CommGraph.of(2, [(1, 2)]), [q.known, s.known], 1)
+        g = CommGraph.of(2, [(1, 2)])
+        s.tables.enter(1, g)  # as the engine does, before the round's merges
+        receive_and_merge(s, g, [q.known, s.known], 1)
         assert s.tables.layout.edges(s.approx[1]) == [(1, 2), (2, 2)]
         assert s.locks[1] == {0: 9}
 
@@ -115,6 +117,7 @@ class TestReceiveAndMerge:
             states = init_states(inputs)
             for m in range(1, 7):
                 g = eps2_lasso.graph(m)
+                states[1].tables.enter(m, g)  # once per round, before the merges, as the engine does
                 sent = [states[p].known for p in sorted(states)]
                 shuffled = SimpleNamespace(mask=g.mask, in_lists=[rng.sample(ins, len(ins)) for ins in g.in_lists])
                 for p in rng.sample(sorted(states), len(states)):
@@ -127,8 +130,8 @@ class TestReceiveAndMerge:
     @pytest.mark.parametrize("mode", ["full", "bounded:5"])
     def test_reads_only_in_neighbours_broadcasts(self, monkeypatch, eps2_lasso, mode):
         # the broadcast of every process that is not an in-neighbour carries
-        # every bit of every slot; no merge may see it, and each writes
-        # exactly the round graph's column into its process
+        # every bit of every slot; no merge may see it, and the edge table
+        # holds exactly the round graph's column into every process
         merge = harness_mod.receive_and_merge
         poison = (1 << 16 * mask_layout(5).width) - 1
 
@@ -283,14 +286,18 @@ class TestRootKernel:
 
 
 def lemma_state(n, edges, slot, pid):
-    """A state at round 2 whose round-1 edge table is ``edges`` plus every
-    self-loop, with ``slot`` (which holds pid) as its slots of rounds 0 and 1
-    and only pid in the slot of round 2; returns (state, round-1 mask, slot
-    bitset)."""
+    """A state at round 2 whose round-1 graph is ``edges`` plus every
+    self-loop and whose round-2 graph has only the self-loops, both entered
+    as the engine enters them, with ``slot`` (which holds pid) as its slots
+    of rounds 0 and 1 and only pid in the slot of round 2; returns (state,
+    round-1 mask, slot bitset)."""
     lay = mask_layout(n)
-    whole = sum(lay.bit(u, v) for (u, v) in edges) | sum(lay.bit(v, v) for v in range(1, n + 1))
     rows = {q: {r: 0 for r in range(3)} for q in range(1, n + 1)}
-    s = NodeState(pid, 0, RunTables(lay, None, rows, {0: 0, 1: whole, 2: lay.bit(pid, pid)}, {}, {}, {}))
+    tables = RunTables(lay, None, rows, {0: 0}, {}, {}, {})
+    tables.enter(1, CommGraph.of(n, edges))
+    tables.enter(2, CommGraph.of(n))
+    whole = tables.edges[1]
+    s = NodeState(pid, 0, tables)
     bits = sum(1 << (q - 1) for q in slot)
     s.m, s.known = 2, bits | bits << lay.width | 1 << (2 * lay.width + pid - 1)
     return s, whole, bits
@@ -336,25 +343,28 @@ class TestRootLemma:
 
 
 class TestKernelBudget:
-    """The root kernel runs once per distinct round mask of a run."""
+    """The root kernel runs at most once per distinct round mask of a run:
+    each round graph computes its roots once, where the engine enters it."""
 
     @pytest.mark.parametrize("mode", ["full", "bounded:7"])
     def test_sixty_four_processes(self, monkeypatch, mode):
+        # the n=64 CI lasso, re-read from its own JSON so that no graph
+        # arrives with the roots its generator's checker cached on it
         l, cert = generate_estable(AdversaryParams(n=64, D=3, seed=3, r_sr_target=6))
+        l = lasso_from_json(lasso_to_json(l))
         horizon = cert.deadline + 3 + 2  # what ``rootcons run`` picks
         assert horizon == 17
-        kernel, calls = approximation_mod.roots_of_mask, []
+        kernel, calls = graphs_mod.roots_of_mask, []
 
         def counted(mask, *rest):
             calls.append(mask)
             return kernel(mask, *rest)
 
-        monkeypatch.setattr(approximation_mod, "roots_of_mask", counted)
+        monkeypatch.setattr(graphs_mod, "roots_of_mask", counted)
         trace = run_execution(RunConfig(64, 3, tuple(range(1, 65)), l, horizon, mode=mode))
         assert len(trace.decisions) == 64
-        held = {l.graph(r).mask for r in range(1, horizon + 1)}  # the final edges[r]
-        assert len(calls) <= len(held) + 1  # and one for a round-0 query
-        assert len(set(calls)) == len(calls) and set(calls) <= held | {0}
+        held = {l.graph(r).mask for r in range(1, horizon + 1)}  # the round masks
+        assert len(set(calls)) == len(calls) <= len(held) and set(calls) <= held
 
 
 def true_approx(l, s) -> dict:

@@ -16,7 +16,7 @@ from rootcons.consensus import (
     confirmed_roots,
     core_step,
 )
-from rootcons.approximation import evidence, init_states
+from rootcons.approximation import evidence, init_states, window_start
 from rootcons.graphs import lasso, root_components
 from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
 
@@ -302,6 +302,27 @@ class TestStartTable:
         trace = run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 200, mode="bounded:5", check_invariants=False))
         s = trace.states[1]
         assert s.lo == 195 and s.tables.starts and min(s.tables.starts) >= s.lo and len(s.tables.starts) <= 6
+
+    def test_bounded_entries_are_the_true_roots_and_run_starts(self):
+        # the CI lasso in bounded:5: after every round, for every retained
+        # round r from max(1, lo) on, the run's roots entry is the true round
+        # graph's roots with their member bitsets, and its start entry, read
+        # clamped at the window's first round, is the least a from there
+        # with R a root of every round graph of a..r
+        l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
+        run = harness_mod.Run(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 60, mode="bounded:5"))
+        for m in range(1, 61):
+            run.step()
+            tables, low = run.tables, max(1, window_start(5, m))
+            for r in range(low, m + 1):
+                roots = root_components(l.graph(r))
+                want = {(root, sum(1 << (q - 1) for q in root)) for root in roots}
+                assert len(tables.roots[r]) == len(want) and set(tables.roots[r]) == want, (m, r)
+                for root in roots:
+                    a = r
+                    while a > low and root in root_components(l.graph(a - 1)):
+                        a -= 1
+                    assert max(tables.starts[r][root], low) == a, (m, r, root)
 
 
 class TestAnswerTable:

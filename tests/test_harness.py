@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -461,6 +462,39 @@ class TestFuzz:
         a = fuzz_campaign(trials=10, seed=8).to_json_dict()
         b = fuzz_campaign(trials=10, seed=8).to_json_dict()
         assert a == b
+
+    def test_campaign_memory_does_not_grow_with_trials(self, monkeypatch):
+        # cases are sampled as they run and results folded as they come, so
+        # with every trial stubbed to a pass, ten times the trials may not
+        # take much more memory at the peak
+        def passing(case):
+            index, _, trial_seed, n, D, *_ = case
+            return harness_mod.FuzzTrial(index, trial_seed, n, D, 0, True)
+
+        monkeypatch.setattr(harness_mod, "_run_fuzz_case", passing)
+        # a first untraced campaign fills the interpreter's per-size tuple
+        # free lists, which tracemalloc would otherwise count as a one-off
+        # growth of up to about 1 MB
+        fuzz_campaign(trials=20_000, seed=1)
+        peaks = []
+        for trials in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                assert fuzz_campaign(trials=trials, seed=1).passed == trials
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a worker pool of two needs two CPUs")
+    def test_batched_worker_pool_folds_in_trial_order(self, monkeypatch):
+        # batches of four cases: the pool gets eight of them in turn, and the
+        # summary, with its two failures in trial order, is the serial one
+        serial = fuzz_campaign(30, 21, "altestable", (2, 8), mode="bounded:7")
+        monkeypatch.setattr(harness_mod, "FUZZ_BATCH_PER_JOB", 2)
+        pooled = fuzz_campaign(30, 21, "altestable", (2, 8), mode="bounded:7", jobs=2)
+        assert [f.index for f in serial.failures] == [8, 22]
+        assert pooled.to_json_dict() == serial.to_json_dict()
 
     @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1, 10000])
     def test_jobs_outside_cpu_count_rejected_before_any_worker(self, monkeypatch, jobs):
