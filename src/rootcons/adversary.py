@@ -42,6 +42,7 @@ from .graphs import (
     LassoSequence,
     Run,
     check_dynamic_diameter,
+    mask_layout,
     maximal_root_runs,
     root_components,
     single_rooted_rounds,
@@ -483,40 +484,50 @@ class AdversaryParams:
         return self
 
 
+def _complete(members: list, width: int, row: int) -> int:
+    """The edges from every one of ``members`` to the vertex bitset ``row``."""
+    mask = 0
+    for u in members:
+        mask |= row << (u - 1) * width
+    return mask
+
+
 def _single_rooted_graph(rng: random.Random, n: int, root: frozenset, D: int) -> CommGraph:
     # Interior of the root is complete, every outside process has a direct
     # in-edge from the root, and outside processes get no out-edges: any two
     # such graphs in a row spread all root states system-wide, and the
     # approximations never show phantom extra roots during the single phase.
+    lay = mask_layout(n)
+    width = lay.width
     members = sorted(root)
     rest = [p for p in range(1, n + 1) if p not in root]
-    edges = {(u, v) for u in members for v in members if u != v}
+    # a single round with D = 1 must already spread every member's state everywhere
+    row = (1 << n) - 1 if D == 1 else sum(1 << (q - 1) for q in members)
+    mask = lay.loops(n) | _complete(members, width, row)
     for p in rest:
-        edges.add((rng.choice(members), p))
-    if D == 1:
-        # a single round must already spread every member's state everywhere
-        edges |= {(q, p) for q in members for p in rest}
-    return CommGraph.of(n, edges)
+        mask |= 1 << ((rng.choice(members) - 1) * width + p - 1)
+    return CommGraph(n, mask)
 
 
 def _multi_rooted_graph(rng: random.Random, n: int, root_sets: list) -> CommGraph:
     # roots(G) == set(root_sets): each planted set is internally complete with
     # no external in-edges, every leftover vertex hangs off some root member.
-    edges = set()
+    lay = mask_layout(n)
+    width = lay.width
+    mask = lay.loops(n)
     members_union = []
     for rs in root_sets:
         ms = sorted(rs)
         members_union.extend(ms)
-        edges |= {(u, v) for u in ms for v in ms if u != v}
+        mask |= _complete(ms, width, sum(1 << (q - 1) for q in ms))
     claimed = set(members_union)
     rest = [p for p in range(1, n + 1) if p not in claimed]
     for p in rest:
-        edges.add((rng.choice(members_union), p))
-        if rest and rng.random() < 0.4:
+        mask |= 1 << ((rng.choice(members_union) - 1) * width + p - 1)
+        if rng.random() < 0.4:
             q = rng.choice(rest)
-            if q != p:
-                edges.add((q, p))
-    return CommGraph.of(n, edges)
+            mask |= 1 << ((q - 1) * width + p - 1)  # q == p adds p's self-loop, already there
+    return CommGraph(n, mask)
 
 
 def _sample_root_family(
@@ -681,6 +692,19 @@ def generate_alt_estable(
     planted one (the earliest embedded-single run wins); callers needing the
     planted deadline should use the returned certificate.
     """
+    candidate, planted, _ = _generate_alt_estable(params, tail, gap_range, spurious)
+    return candidate, planted
+
+
+def _generate_alt_estable(
+    params: AdversaryParams,
+    tail: str = "single",
+    gap_range: tuple = (0, 3),
+    spurious: Optional[bool] = None,
+):
+    """:func:`generate_alt_estable`, also returning the certificate that
+    ``check_alt_estable(lasso, D, max(lasso.default_horizon(), planted.deadline + 1))``
+    issued for the returned lasso."""
     params = params.validated()
     n, D = params.n, params.D
     if tail not in ("single", "sparse"):
@@ -775,7 +799,7 @@ def generate_alt_estable(
         )
         if (cert.r_gst, cert.r_sr) > (planted.r_gst, planted.r_sr):
             continue
-        return candidate, planted
+        return candidate, planted, cert
     raise GenerationRetryError(
         f"alt_estable generation failed after {MAX_GENERATION_ATTEMPTS} attempts (params={params})"
     )

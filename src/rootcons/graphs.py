@@ -13,6 +13,9 @@ n-process edge set is an integer bitmask in which edge (u, v) is bit
 ``(u-1)*W + (v-1)`` for the width ``W`` of ``mask_layout(n)``: a W x W bit matrix
 whose row u-1 holds u's out-neighbours and whose column v-1 holds the
 in-neighbours of v.  Bit i of a row, or of any vertex set, is process i+1.
+A round graph *is* its mask: ``CommGraph(n, mask)`` is built straight from an
+int, compares and hashes on ``(n, mask)``, and derives its edge set only when
+output or a test asks for it.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ MAX_PROCESSES = 1024  # a mask holds width^2 bits, so the width must stay small
 class MaskLayout:
     """The constants of the edge-mask layout at one width."""
 
-    __slots__ = ("width", "row", "column", "halves", "transpose")
+    __slots__ = ("width", "row", "column", "diagonal", "halves", "transpose")
 
     def __init__(self, width: int):
         self.width = width
         self.row = (1 << width) - 1  # every edge out of process 1
         self.column = sum(1 << (u * width) for u in range(width))  # every edge into process 1
+        self.diagonal = sum(1 << (u * (width + 1)) for u in range(width))  # every self-loop
         self.halves = [width >> d for d in range(1, width.bit_length())]  # W/2, ..., 2, 1
         # Delta swaps that transpose the matrix: swap the off-diagonal s x s blocks.
         self.transpose = []
@@ -52,6 +56,14 @@ class MaskLayout:
     def into(self, v: int) -> int:
         """Every edge into process v: column v-1 of the matrix."""
         return self.column << (v - 1)
+
+    def loops(self, n: int) -> int:
+        """The self-loops of processes 1..n."""
+        return self.diagonal & (1 << n * (self.width + 1)) - 1
+
+    def block(self, n: int) -> int:
+        """Every edge between processes 1..n: the top-left n x n block."""
+        return ((1 << n) - 1) * (self.column & (1 << n * self.width) - 1)
 
     def edges(self, mask: int) -> list:
         """The edges (u, v) of ``mask``, sorted."""
@@ -123,22 +135,19 @@ def roots_of_mask(mask: int, vertices: int, lay: MaskLayout) -> frozenset:
 class CommGraph:
     """One round's directed communication graph over processes 1..n.
 
-    Its edge mask, the mask's rows, its in-neighbour lists and its root
-    components are each computed once, on first use.
+    The graph is its edge mask in the layout of ``mask_layout(n)``: it
+    compares and hashes on ``(n, mask)``.  The mask's rows, its in-neighbour
+    lists, its root components and its edge set are each derived once, on
+    first use, and stay out of ``==``, ``hash`` and ``repr``.
     """
 
     n: int
-    edges: frozenset
+    mask: int
 
     @cached_property
-    def mask(self) -> int:
-        """Edge mask of the in-range edges (:func:`validate_graph` reports the others)."""
-        n, width = self.n, mask_layout(self.n).width
-        mask = 0
-        for (u, v) in self.edges:
-            if 1 <= u <= n and 1 <= v <= n:
-                mask |= 1 << ((u - 1) * width + (v - 1))  # MaskLayout.bit, inlined: it runs per edge
-        return mask
+    def edges(self) -> frozenset:
+        """The edges (u, v) of the mask, self-loops included."""
+        return frozenset(mask_layout(self.n).edges(self.mask))
 
     @cached_property
     def out_rows(self) -> tuple:
@@ -163,29 +172,46 @@ class CommGraph:
 
     @classmethod
     def of(cls, n: int, edges: Iterable[Edge] = ()) -> "CommGraph":
-        """Build a graph from ``edges``, adding the mandatory self-loops."""
-        return cls(n, frozenset((int(u), int(v)) for u, v in edges) | {(p, p) for p in range(1, n + 1)})
+        """Build a graph from ``edges``, adding the mandatory self-loops.
+
+        A ValueError names the least edge, in sorted order, with an endpoint
+        outside ``1..n``: a mask has no bit for it.
+        """
+        lay = mask_layout(n)
+        width = lay.width
+        mask = lay.loops(n)
+        bad = []
+        for u, v in edges:
+            u, v = int(u), int(v)
+            if 1 <= u <= n and 1 <= v <= n:
+                mask |= 1 << ((u - 1) * width + (v - 1))  # MaskLayout.bit, inlined: it runs per edge
+            else:
+                bad.append((u, v))
+        if bad:
+            u, v = min(bad)
+            raise ValueError(f"endpoint out of range ({u}->{v})")
+        return cls(n, mask)
 
     def out_neighbors(self, p: int) -> frozenset:
         return _processes(self.out_rows[p - 1])
 
     def nonloop_edges(self) -> list:
-        return sorted(e for e in self.edges if e[0] != e[1])
+        """The edges (u, v) with u != v, sorted."""
+        lay = mask_layout(self.n)
+        return lay.edges(self.mask & ~lay.diagonal)
 
 
 def validate_graph(g: CommGraph) -> list:
     """Return a list of invariant violations; an empty list means the graph is valid.
 
-    Violations are reported, not raised: a missing self-loop or an endpoint
-    outside ``1..n`` each yield one entry.
+    Violations are reported, not raised: each missing self-loop, then each
+    edge with an endpoint outside ``1..n`` (a mask bit outside the n x n
+    block), in sorted order, yields one entry.
     """
-    violations = []
-    for p in range(1, g.n + 1):
-        if (p, p) not in g.edges:
-            violations.append(f"missing self-loop ({p}->{p})")
-    for (u, v) in sorted(g.edges):
-        if not (1 <= u <= g.n and 1 <= v <= g.n):
-            violations.append(f"endpoint out of range ({u}->{v})")
+    lay = mask_layout(g.n)
+    missing = lay.loops(g.n) & ~g.mask
+    violations = [f"missing self-loop ({u}->{u})" for u, _ in lay.edges(missing)]
+    violations += [f"endpoint out of range ({u}->{v})" for u, v in lay.edges(g.mask & ~lay.block(g.n))]
     return violations
 
 
@@ -430,11 +456,10 @@ def lasso_from_json_dict(data: dict) -> LassoSequence:
             for e in edges:
                 if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
                     raise ValueError(f"graph {len(graphs)} invalid: edge {json.dumps(e)} is not a pair of integers")
-            g = CommGraph.of(n, edges)
-            bad = validate_graph(g)
-            if bad:
-                raise ValueError(f"graph {len(graphs)} invalid: {bad[0]}")
-            graphs.append(g)
+            try:
+                graphs.append(CommGraph.of(n, edges))
+            except ValueError as exc:
+                raise ValueError(f"graph {len(graphs)} invalid: {exc}") from None
     cut = len(rounds["prefix"])
     return LassoSequence(tuple(graphs[:cut]), tuple(graphs[cut:]))
 
@@ -452,8 +477,7 @@ def graph_to_dot(g: CommGraph, name: str = "round") -> str:
     for p in range(1, g.n + 1):
         shape = "doublecircle" if p in root_members else "circle"
         lines.append(f'  p{p} [shape={shape}, label="p{p}"];')
-    for (u, v) in sorted(g.edges):
-        if u != v:
-            lines.append(f"  p{u} -> p{v};")
+    for (u, v) in g.nonloop_edges():
+        lines.append(f"  p{u} -> p{v};")
     lines.append("}")
     return "\n".join(lines)

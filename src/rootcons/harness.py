@@ -60,10 +60,11 @@ from .adversary import (
     AdversaryCertificate,
     AdversaryError,
     AdversaryParams,
-    check_alt_estable,
+    _generate_alt_estable,
+    check_alt_estable,  # noqa: F401  (bound here for callers that wrap it)
     check_estable,
     check_safety,
-    generate_alt_estable,
+    generate_alt_estable,  # noqa: F401  (bound here for callers that wrap it)
     generate_estable,
 )
 from .approximation import (
@@ -162,7 +163,7 @@ class Trace:
             m = i + 1
             record = {
                 "round": m,
-                "graph": [list(e) for e in sorted(g.edges) if e[0] != e[1]],
+                "graph": [list(e) for e in g.nonloop_edges()],
                 "outcomes": [
                     out.to_json_dict(pid + 1, m) for pid, out in enumerate(self.outcomes[i])
                 ],
@@ -492,7 +493,7 @@ def _eps_graphs(n: int, D: int) -> tuple:
     extra = [(4, 1), (4, chain[1])]
     if D == 1:
         extra += [(4, q) for q in rest]
-    g3 = CommGraph.of(n, sorted(e for e in g2.edges if e[0] != e[1]) + extra)
+    g3 = CommGraph.of(n, g2.nonloop_edges() + extra)
     return static, g1, g2, g3
 
 
@@ -722,17 +723,14 @@ def fuzz_trial(
     """One generated, certified, executed and oracle-checked run.
 
     The oracle deadline comes from the checker's certificate, not the
-    generator's plan.  Returns (trace, report, certificate).
+    generator's plan: each generator returns the certificate its own check
+    of the lasso issued.  Returns (trace, report, certificate).
     """
     params = AdversaryParams(n=n, D=D, seed=seed, r_sr_target=r_sr)
     if adversary == "estable":
         lasso_seq, cert = generate_estable(params)
     elif adversary == "altestable":
-        lasso_seq, planted = generate_alt_estable(params)
-        horizon = max(lasso_seq.default_horizon(), planted.deadline + 1)
-        cert = check_alt_estable(lasso_seq, D, horizon)
-        if cert is None:
-            raise AssertionError("generated lasso failed its own checker")
+        lasso_seq, _, cert = _generate_alt_estable(params)
     else:
         raise ValueError(f"unknown adversary {adversary!r}")
     deadline = cert.deadline

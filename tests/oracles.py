@@ -185,10 +185,7 @@ def reference_roots_of_partial(mask: int, extra_vertex: int, lay: MaskLayout) ->
         vertices = {extra_vertex} | {u for e in edges for u in e}
         relabel = {v: i + 1 for i, v in enumerate(sorted(vertices))}
         back = {i: v for v, i in relabel.items()}
-        g = CommGraph(
-            len(vertices),
-            frozenset((relabel[u], relabel[v]) for (u, v) in edges) | frozenset((i, i) for i in back),
-        )
+        g = CommGraph.of(len(vertices), [(relabel[u], relabel[v]) for (u, v) in edges])
         _reference_roots_memo[key] = frozenset(
             frozenset(back[i] for i in comp) for comp in tarjan_roots(g)
         )

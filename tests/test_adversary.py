@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -292,6 +293,57 @@ class TestGenerators:
         horizon = max(l.default_horizon(), planted.deadline + 1)
         assert check_alt_estable(l, 2, horizon) is not None
         assert check_estable(l, 2) is None
+
+
+# SHA-256 over seeds 1..3 of each lasso's JSON followed by its certificate's
+# JSON, keyed by (generator, n, D).  "spurious" pins r_gst = r_sr = 3D + 7, so
+# every seed has room to plant the early root.
+GENERATOR_DIGESTS = {
+    ("estable", 2, 1): "bf62e3330eccf133a34ffa954bea39cb777655b62f620fcce78e50b1c4788441",
+    ("single", 2, 1): "54d939389d554d6a8c376ab0c3e329875abd5bf59fb623a6460916ba1c648587",
+    ("sparse", 2, 1): "5165378592c1ff7e34eb841436afe05db85ed1b4effe7a5647d117785cd0af8c",
+    ("spurious", 2, 1): "35e470a1f44ce54068cc26b8f77ad7bfd95d9dd198bbcaa3f566af4d1ccdfe77",
+    ("estable", 3, 2): "0464305491da99963b061f55cc1bc3180f358b406bebcba6681bcdc17a856666",
+    ("single", 3, 2): "d45964d625af778d3cb736601cc5cf3d0f6754f32967970335677c76b4d9d322",
+    ("sparse", 3, 2): "cca884dc2ef8c71e3ba7a4a6d2cbd3c15eb8eccea58d624ae6dd83208e74d292",
+    ("spurious", 3, 2): "e39ed23969e5cf09c62420077bbb18b81953241720b877bd58db215881cb4990",
+    ("estable", 6, 1): "aa69348eed5ce9f91401424e33a496e36910da4bf96d12b5761ac31663f29765",
+    ("single", 6, 1): "202fe2a047da2bc2f53791adfd84e92c326f38df5f151b85597d7b4323fae0f6",
+    ("sparse", 6, 1): "ded6036143c169d293a43d33ec05bfaf82f634cdc82c9522369074972621ef3c",
+    ("spurious", 6, 1): "af473aadbc35e01e03bf399a2ca63993e8d442e651db4db8e82654dfab4b977a",
+    ("estable", 16, 3): "4bd0a43234bb004dd788f51149a4b442e02199c13e6ee290cf910f54e502b9ff",
+    ("single", 16, 3): "d1cdd88b26ad0ae7a6235ae21f03f79116b1e4459249a7a7f6c12d8da5649d2d",
+    ("sparse", 16, 3): "e0f9622a5fc2d08d25cf7a5b335810b3c780fcc3d4ed353f530c8612db4a587e",
+    ("spurious", 16, 3): "bf8b1d27b88b9849f169b77d4f09a53a83fa73ffd041f7286585d8e1d7ac574e",
+    ("estable", 24, 2): "88fa50a7e3f1d903cbfe119114d27f9079ede65048fdc9aa74a105dbba0a90d1",
+    ("single", 24, 2): "ca602f0bfc5bed239a322f75c317d020a448449b1bd0a20a0c063bbdd6b2d8d5",
+    ("sparse", 24, 2): "1ec8a4795052929b50e1c09d32c1ae8f5a23dbab15455511eb1886f725ecdb35",
+    ("spurious", 24, 2): "06cba2eba11fb00f414f4b0b7ad970a24632019bfb44bcc84c41ffaf2a5a6262",
+    ("estable", 64, 3): "528a8c8d05b84c4db59883b15059bd677ae9fd562ee09de1ec121b61e8352f2a",
+    ("single", 64, 3): "3a66585ce4b5d776c4b5b65c76fb572987a89305b7cacea1ae710209cfe9f07d",
+    ("sparse", 64, 3): "7dc31cb6267730870c6af367a7038b5ab6089e416c59fc718c11aefde4b1c77e",
+    ("spurious", 64, 3): "ef983f34bbddff8bf6a7222c9d807e40163c4b1c5cc3b0d810199aa2308ef2fc",
+}
+
+
+@pytest.mark.parametrize("kind, n, D", sorted(GENERATOR_DIGESTS))
+def test_generator_output_is_pinned(kind, n, D):
+    # the generators draw from their rngs in a fixed order: any change to the
+    # draws, the graphs built from them or the checker's verdict moves a digest
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        r = 3 * D + 7 if kind == "spurious" else None
+        params = AdversaryParams(n=n, D=D, seed=seed, r_gst_target=r, r_sr_target=r)
+        if kind == "estable":
+            l, cert = generate_estable(params)
+        elif kind == "spurious":
+            l, cert = generate_alt_estable(params, spurious=True)
+            assert cert.params["spurious"] is not None
+        else:
+            l, cert = generate_alt_estable(params, tail=kind)
+        digest.update(lasso_to_json(l).encode())
+        digest.update(json.dumps(cert.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == GENERATOR_DIGESTS[kind, n, D]
 
 
 def unrolled(l, k):

@@ -185,6 +185,7 @@ class TestCheck:
             ('{"n": 3, "cycle": [[12]]}', "edge 12 is not a pair of integers"),
             ('{"n": 3, "cycle": [[[0, 2]]]}', "graph 0 invalid: endpoint out of range (0->2)"),
             ('{"n": 3, "prefix": [[]], "cycle": [[[2, 9]]]}', "graph 1 invalid: endpoint out of range (2->9)"),
+            ('{"n": 3, "cycle": [[[2, 9], [0, 2]]]}', "graph 0 invalid: endpoint out of range (0->2)"),
             ('{"n": true, "cycle": [[]]}', "'n' must be an integer in 1..1024, got True"),
             ('{"n": 3.0, "cycle": [[]]}', "'n' must be an integer in 1..1024, got 3.0"),
             ('{"n": 1025, "cycle": [[]]}', "'n' must be an integer in 1..1024, got 1025"),

@@ -23,6 +23,7 @@ from rootcons.graphs import (
     lasso,
     lasso_from_json,
     lasso_to_json,
+    mask_layout,
     maximal_root_runs,
     root_components,
     single_rooted_rounds,
@@ -47,14 +48,15 @@ class TestValidateGraph:
         assert validate_graph(CommGraph.of(1)) == []
 
     def test_missing_self_loop_reported(self):
-        g = CommGraph(2, frozenset([(1, 1)]))
+        g = CommGraph(2, mask_layout(2).bit(1, 1))
         assert validate_graph(g) == ["missing self-loop (2->2)"]
 
     def test_eps1_graph_is_valid(self, eps1_lasso):
         assert validate_graph(eps1_lasso.graph(1)) == []
 
     def test_out_of_range_endpoint(self):
-        g = CommGraph(2, frozenset([(1, 1), (2, 2), (1, 7)]))
+        lay = mask_layout(2)
+        g = CommGraph(2, lay.bit(1, 1) | lay.bit(2, 2) | lay.bit(1, 7))
         assert validate_graph(g) == ["endpoint out of range (1->7)"]
 
 
@@ -106,12 +108,40 @@ class TestRootComponents:
         g = CommGraph.of(n, edges)
         assert root_components(g) == tarjan_roots(g)
 
-    def test_cached_roots_and_mask_stay_out_of_identity(self, eps2_lasso):
+    def test_cached_roots_stay_out_of_identity(self, eps2_lasso):
         g = eps2_lasso.graph(1)
-        fresh = CommGraph(g.n, g.edges)
+        fresh = CommGraph(g.n, g.mask)
         root_components(g)
         assert g == fresh and hash(g) == hash(fresh)
-        assert repr(g) == f"CommGraph(n={g.n}, edges={g.edges!r})"
+        assert repr(g) == f"CommGraph(n={g.n}, mask={g.mask!r})"
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) for n in 1..64: edges over 1..n, loops and repeats allowed."""
+    n = draw(st.integers(1, 64))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n))
+    return n, draw(st.lists(pair, max_size=3 * n))
+
+
+class TestMaskIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(case=edge_lists())
+    def test_graph_is_its_mask(self, case):
+        n, edges = case
+        lay = mask_layout(n)
+        loops = {(p, p) for p in range(1, n + 1)}
+        g = CommGraph.of(n, edges)
+        built = CommGraph(n, sum(lay.bit(u, v) for u, v in set(edges) | loops))
+        assert g == built and hash(g) == hash(built)
+        assert g.edges == frozenset(edges) | loops
+        assert g.nonloop_edges() == sorted(e for e in set(edges) if e[0] != e[1])
+        # the derived views stay out of ==, hash and repr
+        fresh = CommGraph(n, g.mask)
+        g.edges, root_components(g), g.out_rows, g.in_lists
+        assert {"edges", "_roots", "out_rows", "in_lists"} <= set(vars(g))
+        assert g == fresh and hash(g) == hash(fresh) and not set(vars(fresh)) - {"n", "mask"}
+        assert repr(g) == repr(fresh) == f"CommGraph(n={n}, mask={g.mask!r})"
 
 
 class TestCommonRootIntervals:

@@ -16,9 +16,17 @@ from oracles import bfs_distance, causal_past_forward, naive_causal_past
 
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
-from rootcons.adversary import GenerationRetryError, InfeasibleParamsError, check_estable, check_safety
+from rootcons.adversary import (
+    AdversaryParams,
+    GenerationRetryError,
+    InfeasibleParamsError,
+    check_alt_estable,
+    check_estable,
+    check_safety,
+    generate_alt_estable,
+)
 from rootcons.approximation import window_start
-from rootcons.graphs import CommGraph, LassoSequence, causal_past, lasso, root_components
+from rootcons.graphs import CommGraph, LassoSequence, causal_past, lasso, mask_layout, root_components
 from rootcons.harness import (
     EngineInvariantError,
     RunConfig,
@@ -90,7 +98,7 @@ class TestRunExecution:
         ],
     )
     def test_invalid_lasso_graph_rejected(self, part, edges, fault):
-        good, bad = CommGraph.of(3, [(1, 2)]), CommGraph(3, frozenset(edges))
+        good, bad = CommGraph.of(3, [(1, 2)]), CommGraph(3, sum(mask_layout(3).bit(u, v) for u, v in edges))
         graphs = {"prefix": (good,), "cycle": (good,)}
         graphs[part] += (bad,)
         seq = LassoSequence(graphs["prefix"], graphs["cycle"])
@@ -553,7 +561,7 @@ class TestFuzz:
         assert [f["kind"] for f in summary.to_json_dict()["failures"]] == [kind, kind]
 
     def test_invalid_generated_lasso_is_a_config_failure(self, monkeypatch):
-        bad = CommGraph(8, frozenset((p, p) for p in range(2, 9)))  # no self-loop at process 1
+        bad = CommGraph(8, sum(mask_layout(8).bit(p, p) for p in range(2, 9)))  # no self-loop at process 1
         generated = (LassoSequence((), (bad,)), SimpleNamespace(deadline=5))
         monkeypatch.setattr(harness_mod, "generate_estable", lambda params: generated)
         summary = fuzz_campaign(trials=2, seed=1, n_range=(8, 8))
@@ -566,6 +574,20 @@ class TestFuzz:
         for seed in (1, 7, 21):
             trace, _, cert = fuzz_trial("estable", seed=seed, n=6, D=2, r_sr=4, inputs=(3, 1, 4, 1, 5, 9))
             assert cert == check_estable(trace.config.lasso, 2) and trace.certificate is cert
+
+    def test_altestable_trial_uses_the_generators_certificate(self, monkeypatch):
+        # the generator hands over the certificate of its own check, made
+        # with the same horizon, so the trial checks the lasso no second time
+        def second_check(*args, **kwargs):
+            raise AssertionError("the trial re-checked its lasso")
+
+        monkeypatch.setattr(harness_mod, "check_alt_estable", second_check)
+        for seed in (1, 7, 21):
+            trace, report, cert = fuzz_trial("altestable", seed=seed, n=6, D=2, r_sr=6, inputs=(3, 1, 4, 1, 5, 9))
+            lasso_seq, planted = generate_alt_estable(AdversaryParams(n=6, D=2, seed=seed, r_sr_target=6))
+            horizon = max(lasso_seq.default_horizon(), planted.deadline + 1)
+            assert report.all_ok and trace.config.lasso == lasso_seq and trace.certificate is cert
+            assert cert == check_alt_estable(lasso_seq, 2, horizon)
 
     def test_trial_replay_reproduces_trace(self):
         t1, r1, c1 = fuzz_trial("estable", seed=12345, n=5, D=2, r_sr=4, inputs=(9, 1, 5, 5, 2))
