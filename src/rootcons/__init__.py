@@ -12,13 +12,10 @@ from .adversary import (
     AdversaryParams,
     Verdict,
     check_alt_estable,
-    check_alt_liveness,
-    check_alt_safety,
     check_estable,
     check_liveness,
     check_mad,
     check_safety,
-    check_vsrc,
     diagnose,
     generate_alt_estable,
     generate_estable,
@@ -47,8 +44,8 @@ from .graphs import (
 )
 from .harness import (
     OracleReport,
+    Run,
     RunConfig,
-    Trace,
     fuzz_campaign,
     indistinguishable,
     oracle_check,

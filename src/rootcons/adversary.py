@@ -15,9 +15,11 @@ stabilizing adversary classes used by the consensus machinery:
 
 Each class is a conjunction of these conditions: :data:`CHECKS` lists the
 conditions of every kind and :func:`diagnose` evaluates them in order,
-reporting the first that fails with its witness.  The ``check_*`` functions,
-except :func:`check_liveness` (the liveness condition itself), are shorthands
-for :func:`diagnose`.
+reporting the first that fails with its witness.  :func:`check_liveness` is
+the liveness condition itself.  The other ``check_*`` functions are
+shorthands for :func:`diagnose`, kept for the kinds the package itself
+checks by name (``estable``, ``altestable``, ``mad`` and ``safety``); every
+other kind is checked through :func:`diagnose`.
 
 "Forever" clauses are decided exactly on lassos: a per-round root predicate
 that holds in every cycle graph holds forever, and every distinct finite run
@@ -250,6 +252,10 @@ def _safety(c: _Case, x: int) -> tuple:
 
 
 def _alt_safety(c: _Case, x: int) -> tuple:
+    """The earliest common-root run of x+1 or more rounds must embed an
+    (x+1)-round single phase; later long runs are unconstrained.  When
+    several such runs tie for the earliest start, every one of them must
+    embed the single phase.  The witness is the first that does not."""
     scan_to = _scan_bound(c.l, c.horizon, extra=x + 1)
     long_runs = [run for run in c.runs(scan_to) if run.length() >= x + 1]
     if long_runs:
@@ -261,6 +267,10 @@ def _alt_safety(c: _Case, x: int) -> tuple:
 
 
 def _alt_liveness(c: _Case, x: int) -> tuple:
+    """A common-root run with an embedded (x+1)-round single phase, starting
+    at ``r_sr``, plus D re-appearances: single-rooted rounds strictly after
+    ``r_sr + x``, at least D of them by the horizon.  Among all qualifying
+    runs, the lexicographically least ``(r_gst, r_sr, root)`` is certified."""
     l, D, horizon = c.l, c.params["D"], c.resolved_horizon
     scan_to = _scan_bound(l, horizon, extra=x + 1)
     singles = single_rooted_rounds(l, max(scan_to, horizon))
@@ -294,6 +304,8 @@ def _dynamic_diameter(c: _Case, _) -> tuple:
 
 
 def _vsrc(c: _Case, window: int) -> tuple:
+    """``window`` consecutive rounds with an identical root-component set,
+    under a dynamic diameter of D."""
     l, D = c.l, c.params["D"]
     diam = check_dynamic_diameter(l, D, c.resolved_horizon)
     if diam is not None:
@@ -410,29 +422,6 @@ def check_estable(l: LassoSequence, D: int, horizon: Optional[int] = None) -> Op
     return diagnose("estable", l, {"D": D, "horizon": horizon}).certificate
 
 
-def check_alt_liveness(
-    l: LassoSequence, D: int, x: int, horizon: Optional[int] = None
-) -> Optional[AdversaryCertificate]:
-    """Find a common root with an embedded (x+1)-round single phase plus D re-appearances.
-
-    The phase starts at ``r_sr``; the re-appearances are single-rooted rounds
-    strictly after ``r_sr + x``, of which at least D must exist by
-    ``horizon``.  Among all qualifying runs, the lexicographically least
-    ``(r_gst, r_sr, root)`` is certified.
-    """
-    return diagnose("altliveness", l, {"D": D, "x": x, "horizon": horizon}).certificate
-
-
-def check_alt_safety(l: LassoSequence, x: int, horizon: Optional[int] = None) -> Optional[SafetyWitness]:
-    """The earliest (x+1)-round-or-longer common-root run must embed a single phase.
-
-    Later long runs are unconstrained.  When several qualifying runs start at
-    the same earliest round, all of them must embed an (x+1)-round single
-    phase.  Returns ``None`` when satisfied, otherwise the offending run.
-    """
-    return diagnose("altsafety", l, {"x": x, "horizon": horizon}).witness
-
-
 def check_alt_estable(
     l: LassoSequence, D: int, horizon: Optional[int] = None
 ) -> Optional[AdversaryCertificate]:
@@ -449,13 +438,6 @@ def check_mad(
     is solvable for the given (x, y).
     """
     return diagnose("mad", l, {"D": D, "x": x, "y": y, "horizon": horizon}).certificate
-
-
-def check_vsrc(l: LassoSequence, window: int, D: int, horizon: Optional[int] = None) -> VsrcResult:
-    """Look for ``window`` consecutive rounds with an identical root-component set,
-    under a dynamic diameter of D."""
-    verdict = diagnose("vsrc", l, {"D": D, "window": window, "horizon": horizon})
-    return verdict.certificate if verdict.ok else verdict.witness
 
 
 # --- generators -------------------------------------------------------------

@@ -189,32 +189,32 @@ def cmd_run(args) -> int:
     if args.horizon is None and deadline:
         cfg = replace(cfg, horizon=deadline + args.d + 2)
     try:
-        trace = run_execution(cfg)
+        run = run_execution(cfg)
     except EngineInvariantError as exc:
         _emit(
             {"ok": False, "invariant_violation": str(exc), "pid": exc.pid, "round": exc.round},
             f"invariant violation: {exc}",
         )
         return EXIT_INVARIANT
-    trace.certificate = cert
-    report = oracle_check(trace, deadline if deadline is not None else cfg.horizon)
+    run.certificate = cert
+    report = oracle_check(run, deadline if deadline is not None else cfg.horizon)
     if args.trace_out:
         path = Path(args.trace_out)
         _write_outputs({
-            path: trace.to_json_lines() + "\n",
-            Path(f"{path}.summary.json"): json.dumps(trace.summary_dict(), sort_keys=True) + "\n",
+            path: run.to_json_lines() + "\n",
+            Path(f"{path}.summary.json"): json.dumps(run.summary_dict(), sort_keys=True) + "\n",
         })
     if args.dot_out:
         _write_outputs({
             Path(args.dot_out, f"round{i:03d}.dot"): graph_to_dot(g, f"round{i}") + "\n"
-            for i, g in enumerate(trace.round_graphs, start=1)
+            for i, g in enumerate(run.round_graphs, start=1)
         })
     payload = {
         "ok": report.all_ok,
         "oracle": report.to_json_dict(),
         "certificate": cert.to_json_dict() if cert else None,
-        "decisions": trace.decision_events(),
-        "latest_decision_round": trace.latest_decision_round(),
+        "decisions": run.decision_events(),
+        "latest_decision_round": run.latest_decision_round(),
     }
     _emit(payload, f"run: {'all oracles pass' if report.all_ok else 'oracle failure'}")
     return EXIT_OK if report.all_ok else EXIT_UNSATISFIED

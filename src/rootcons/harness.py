@@ -9,9 +9,10 @@ end-of-previous-round ``known``, rebased to the round's window.  Every
 process then merges the ints of its in-neighbours in the round graph
 (self-loops included), and each process runs its core step.
 A run is a :class:`Run`, stepped round by round: ``step()`` runs the next
-round on the lasso's graph and returns its outcomes, and ``trace()``
-records the rounds run so far; ``run_execution`` steps it ``cfg.horizon``
-times.  Runs are fully deterministic in their configuration.
+round on the lasso's graph and returns its outcomes, and the run is its own
+record of the rounds run so far (graphs, outcomes, decisions, final
+states); ``run_execution`` steps it ``cfg.horizon`` times and returns it.
+Runs are fully deterministic in their configuration.
 
 While running, an invariant monitor checks each process's state against
 ground truth it derives from the true graphs and the lock outcomes alone
@@ -41,7 +42,7 @@ window's.  A state's lock view and approximation are derived from
 ``known`` and the run's tables alone, so this makes them exact.
 
 A run records no per-round state.  Indistinguishability rebuilds a
-process's state at every round from the trace by the same ground truth:
+process's state at every round the run has run by the same ground truth:
 one ``NodeState`` over the ground truth's tables, with ``y`` from the
 decision events, snapshotted round by round.
 """
@@ -57,7 +58,6 @@ from typing import Optional
 
 from . import consensus
 from .adversary import (
-    AdversaryCertificate,
     AdversaryError,
     AdversaryParams,
     _generate_alt_estable,
@@ -133,61 +133,6 @@ class RunConfig:
                 bad = validate_graph(g)
                 if bad:
                     raise ValueError(f"lasso {part} graph {i} invalid: {bad[0]}")
-
-
-@dataclass
-class Trace:
-    """Complete record of one run: graphs, per-round outcomes, decision
-    events and final states.  ``rebuilt`` memoizes, per process, the state
-    snapshots that indistinguishability rebuilds from the rest."""
-
-    config: RunConfig
-    round_graphs: list
-    outcomes: list
-    decisions: dict
-    states: dict
-    certificate: Optional[AdversaryCertificate] = None
-    rebuilt: dict = field(default_factory=dict, repr=False)
-
-    def latest_decision_round(self) -> Optional[int]:
-        if not self.decisions:
-            return None
-        return max(r for (r, _) in self.decisions.values())
-
-    def decision_events(self) -> list:
-        return sorted((r, pid, v) for pid, (r, v) in self.decisions.items())
-
-    def to_json_lines(self) -> str:
-        lines = []
-        for i, g in enumerate(self.round_graphs):
-            m = i + 1
-            record = {
-                "round": m,
-                "graph": [list(e) for e in g.nonloop_edges()],
-                "outcomes": [
-                    out.to_json_dict(pid + 1, m) for pid, out in enumerate(self.outcomes[i])
-                ],
-                "decisions": [
-                    [pid, v] for pid, (r, v) in sorted(self.decisions.items()) if r == m
-                ],
-            }
-            lines.append(json.dumps(record, sort_keys=True))
-        return "\n".join(lines)
-
-    def summary_dict(self) -> dict:
-        return {
-            "config": {
-                "n": self.config.n,
-                "D": self.config.D,
-                "inputs": list(self.config.inputs),
-                "horizon": self.config.horizon,
-                "mode": self.config.mode,
-                "lasso": lasso_to_json_dict(self.config.lasso),
-            },
-            "decisions": [[pid, r, v] for pid, (r, v) in sorted(self.decisions.items())],
-            "latest_decision_round": self.latest_decision_round(),
-            "certificate": self.certificate.to_json_dict() if self.certificate else None,
-        }
 
 
 class _GroundTruth:
@@ -311,17 +256,21 @@ class _InvariantMonitor(_GroundTruth):
 
 
 class Run:
-    """One run of ``cfg``, stepped round by round: the states and the run's
-    tables they share, the round ``m`` last run, the round graphs, outcomes
-    and decisions so far, and the invariant monitor (None when
-    ``cfg.check_invariants`` is off)."""
+    """One run of ``config``, stepped round by round, and the record of the
+    rounds it has run: the states and the run's tables they share, the round
+    ``m`` last run, the round graphs, outcomes and decisions so far, the
+    adversary ``certificate`` it was run under (if any), and the invariant
+    monitor (None when ``config.check_invariants`` is off).  ``rebuilt``
+    memoizes, per process, the state snapshots that indistinguishability
+    rebuilds from the rest."""
 
-    def __init__(self, cfg: RunConfig):
-        self.cfg, self.m = cfg, 0
-        self.states = init_states(cfg.inputs, cfg.mode)
+    def __init__(self, config: RunConfig):
+        self.config, self.m = config, 0
+        self.states = init_states(config.inputs, config.mode)
         self.tables = self.states[1].tables
-        self.monitor = _InvariantMonitor(cfg, self.tables) if cfg.check_invariants else None
+        self.monitor = _InvariantMonitor(config, self.tables) if config.check_invariants else None
         self.round_graphs, self.outcomes, self.decisions = [], [], {}
+        self.certificate, self.rebuilt = None, {}
 
     def step(self) -> list:
         """Run round m+1 on the lasso's graph; returns its outcomes in pid order.
@@ -332,7 +281,7 @@ class Run:
         window.  Every state merges them off the round graph.
         """
         self.m = m = self.m + 1
-        states, decisions, g, tables = self.states, self.decisions, self.cfg.lasso.graph(m), self.tables
+        states, decisions, g, tables = self.states, self.decisions, self.config.lasso.graph(m), self.tables
         self.round_graphs.append(g)
         lo, width = tables.enter(m, g), tables.layout.width
         sent = [st.known >> (lo - st.lo) * width for st in states.values()]
@@ -341,7 +290,7 @@ class Run:
         per_round = []
         for p in states:
             try:
-                _, out = core_step(states[p], m, self.cfg.D)
+                _, out = core_step(states[p], m, self.config.D)
             except consensus.InvariantViolationError as exc:
                 raise EngineInvariantError(p, m, str(exc)) from exc
             per_round.append(out)
@@ -354,21 +303,57 @@ class Run:
             self.monitor.after_round(m, g, states, per_round)
         return per_round
 
-    def trace(self) -> Trace:
-        """The trace of the rounds run so far; it shares the run's lists and states."""
-        return Trace(self.cfg, self.round_graphs, self.outcomes, self.decisions, self.states)
+    def latest_decision_round(self) -> Optional[int]:
+        if not self.decisions:
+            return None
+        return max(r for (r, _) in self.decisions.values())
+
+    def decision_events(self) -> list:
+        return sorted((r, pid, v) for pid, (r, v) in self.decisions.items())
+
+    def to_json_lines(self) -> str:
+        lines = []
+        for i, g in enumerate(self.round_graphs):
+            m = i + 1
+            record = {
+                "round": m,
+                "graph": [list(e) for e in g.nonloop_edges()],
+                "outcomes": [
+                    out.to_json_dict(pid + 1, m) for pid, out in enumerate(self.outcomes[i])
+                ],
+                "decisions": [
+                    [pid, v] for pid, (r, v) in sorted(self.decisions.items()) if r == m
+                ],
+            }
+            lines.append(json.dumps(record, sort_keys=True))
+        return "\n".join(lines)
+
+    def summary_dict(self) -> dict:
+        return {
+            "config": {
+                "n": self.config.n,
+                "D": self.config.D,
+                "inputs": list(self.config.inputs),
+                "horizon": self.config.horizon,
+                "mode": self.config.mode,
+                "lasso": lasso_to_json_dict(self.config.lasso),
+            },
+            "decisions": [[pid, r, v] for pid, (r, v) in sorted(self.decisions.items())],
+            "latest_decision_round": self.latest_decision_round(),
+            "certificate": self.certificate.to_json_dict() if self.certificate else None,
+        }
 
 
-def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Trace:
-    """Execute the protocol for ``cfg.horizon`` rounds and record everything.
+def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Run:
+    """The run of ``cfg``, stepped ``cfg.horizon`` times.
 
     ``keep_snapshots`` has no effect: a run records no per-round state, and
-    :func:`indistinguishable` rebuilds it from the trace.
+    :func:`indistinguishable` rebuilds it from the run.
     """
     run = Run(cfg)
     for _ in range(cfg.horizon):
         run.step()
-    return run.trace()
+    return run
 
 
 @dataclass(frozen=True)
@@ -412,11 +397,11 @@ def _blocker_json(blocker: tuple) -> dict:
     }
 
 
-def oracle_check(trace: Trace, deadline: int) -> OracleReport:
+def oracle_check(run: Run, deadline: int) -> OracleReport:
     """Agreement, validity, and all-decided-by-``deadline``, with minimal
     witnesses; ``blocking`` names, for each undecided process, the decision
     condition its final state fails (``consensus.blocker``)."""
-    decisions = trace.decisions
+    decisions = run.decisions
     agreement_witness = None
     decided = sorted(decisions.items())
     for i in range(len(decided) - 1):
@@ -425,13 +410,13 @@ def oracle_check(trace: Trace, deadline: int) -> OracleReport:
             agreement_witness = (p, vp, q, vq)
             break
     validity_witness = None
-    inputs = set(trace.config.inputs)
+    inputs = set(run.config.inputs)
     for p, (_, v) in decided:
         if v not in inputs:
             validity_witness = (p, v)
             break
     termination_witness = None
-    undecided = [p for p in range(1, trace.config.n + 1) if p not in decisions]
+    undecided = [p for p in range(1, run.config.n + 1) if p not in decisions]
     late = [(p, r) for p, (r, _) in decided if r > deadline]
     if undecided:
         termination_witness = ("undecided", tuple(undecided))
@@ -442,41 +427,49 @@ def oracle_check(trace: Trace, deadline: int) -> OracleReport:
         validity_ok=validity_witness is None,
         termination_ok=termination_witness is None,
         deadline=deadline,
-        latest_decision_round=trace.latest_decision_round(),
+        latest_decision_round=run.latest_decision_round(),
         agreement_witness=agreement_witness,
         validity_witness=validity_witness,
         termination_witness=termination_witness,
-        blocking=tuple((p, consensus.blocker(trace.states[p])) for p in undecided),
+        blocking=tuple((p, consensus.blocker(run.states[p])) for p in undecided),
     )
 
 
-def _rebuilt_states(trace: Trace, p: int) -> list:
-    """p's ``NodeState.snapshot()`` at the end of every round 0..horizon,
-    rebuilt from the trace: one state over the ground truth's tables, which
+def _rebuilt_states(run: Run, p: int) -> list:
+    """p's ``NodeState.snapshot()`` at the end of every round 0..m of the run,
+    rebuilt from its record: one state over the ground truth's tables, which
     takes its ``known`` and ``lo`` from the ground truth and its ``y`` from
-    the decision events.  Memoized on the trace."""
-    if p not in trace.rebuilt:
-        cfg = trace.config
+    the decision events.  Memoized on the run until it steps on."""
+    snapshots = run.rebuilt.get(p)
+    if snapshots is None or len(snapshots) <= run.m:
+        cfg = run.config
         truth = _GroundTruth(cfg)
-        decided, y = trace.decisions.get(p, (cfg.horizon + 1, None))
+        decided, y = run.decisions.get(p, (run.m + 1, None))
         state, snapshots = NodeState(p, cfg.inputs[p - 1], truth.tables), []
-        for m in range(cfg.horizon + 1):
+        for m in range(run.m + 1):
             if m:
-                state.lo = truth.advance(m, trace.round_graphs[m - 1], trace.outcomes[m - 1])
+                state.lo = truth.advance(m, run.round_graphs[m - 1], run.outcomes[m - 1])
                 state.m, state.known = m, truth.known[p]
                 state.y = y if m >= decided else None
             snapshots.append(state.snapshot())
-        trace.rebuilt[p] = snapshots
-    return trace.rebuilt[p]
+        run.rebuilt[p] = snapshots
+    return snapshots
 
 
-def indistinguishable(trace_a: Trace, trace_b: Trace, p: int, through: int) -> bool:
-    """True iff p's full state matches in both traces at the end of every
+def indistinguishable(run_a: Run, run_b: Run, p: int, through: int) -> bool:
+    """True iff p's full state matches in both runs at the end of every
     round up to ``through`` (round 0 compares the initial states), its states
-    rebuilt from each trace.  Two runs with different windows never match."""
-    if through > min(trace_a.config.horizon, trace_b.config.horizon):
+    rebuilt from each run.  Two runs with different windows never match.  A
+    ``p`` outside both runs' processes, a negative ``through``, or one past
+    the rounds either run has run raises ValueError."""
+    n = min(run_a.config.n, run_b.config.n)
+    if not 1 <= p <= n:
+        raise ValueError(f"p must be in 1..{n}, got {p}")
+    if through < 0:
+        raise ValueError(f"through must be >= 0, got {through}")
+    if through > min(run_a.m, run_b.m):
         raise ValueError(f"traces do not cover round {through}")
-    return _rebuilt_states(trace_a, p)[: through + 1] == _rebuilt_states(trace_b, p)[: through + 1]
+    return _rebuilt_states(run_a, p)[: through + 1] == _rebuilt_states(run_b, p)[: through + 1]
 
 
 # --- named scenarios --------------------------------------------------------
@@ -724,7 +717,7 @@ def fuzz_trial(
 
     The oracle deadline comes from the checker's certificate, not the
     generator's plan: each generator returns the certificate its own check
-    of the lasso issued.  Returns (trace, report, certificate).
+    of the lasso issued.  Returns (run, report, certificate).
     """
     params = AdversaryParams(n=n, D=D, seed=seed, r_sr_target=r_sr)
     if adversary == "estable":
@@ -735,9 +728,9 @@ def fuzz_trial(
         raise ValueError(f"unknown adversary {adversary!r}")
     deadline = cert.deadline
     cfg = RunConfig(n, D, inputs, lasso_seq, deadline + D + 2, mode=mode)
-    trace = run_execution(cfg)
-    trace.certificate = cert
-    return trace, oracle_check(trace, deadline), cert
+    run = run_execution(cfg)
+    run.certificate = cert
+    return run, oracle_check(run, deadline), cert
 
 
 def _failure_kind(exc: Exception) -> str:

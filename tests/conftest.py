@@ -45,7 +45,7 @@ def random_lasso(rng: random.Random, n: int, rounds: int, density: float = 0.3) 
 
 
 def run_with_snapshots(cfg) -> tuple:
-    """Run ``cfg`` (monitored) and return (trace, snapshots taken directly):
+    """Run ``cfg`` (monitored) and return (the run, snapshots taken directly):
     ``NodeState.snapshot()`` of every process at round 0 and after every
     round's step, which runs every process's merge and core step."""
     run = Run(cfg)
@@ -53,4 +53,4 @@ def run_with_snapshots(cfg) -> tuple:
     for _ in range(cfg.horizon):
         run.step()
         direct.append({p: st.snapshot() for p, st in run.states.items()})
-    return run.trace(), direct
+    return run, direct

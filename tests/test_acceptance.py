@@ -28,7 +28,7 @@ from rootcons.adversary import (
     check_alt_estable,
     check_estable,
     check_safety,
-    check_vsrc,
+    diagnose,
     generate_alt_estable,
     generate_estable,
 )
@@ -164,7 +164,7 @@ def test_criterion_4_containment(estable_batch):
     for inst in estable_batch:
         if check_alt_estable(inst.lasso, inst.D) is not None:
             alt_ok += 1
-        if check_vsrc(inst.lasso, 4 * inst.D, inst.D).ok:
+        if diagnose("vsrc", inst.lasso, {"D": inst.D, "window": 4 * inst.D}).ok:
             vsrc_ok += 1
     n = len(estable_batch)
     report(

@@ -12,13 +12,11 @@ from rootcons.adversary import (
     GenerationRetryError,
     InfeasibleParamsError,
     check_alt_estable,
-    check_alt_liveness,
-    check_alt_safety,
     check_estable,
     check_liveness,
     check_mad,
     check_safety,
-    check_vsrc,
+    diagnose,
     generate_alt_estable,
     generate_estable,
 )
@@ -96,7 +94,7 @@ class TestEStable:
 
 class TestAltLiveness:
     def test_estable_lasso_reappearances_follow_single_phase(self, eps2_lasso):
-        cert = check_alt_liveness(eps2_lasso, D=2, x=2)
+        cert = diagnose("altliveness", eps2_lasso, {"D": 2, "x": 2}).certificate
         assert cert is not None
         assert (cert.r_gst, cert.r_sr, sorted(cert.root)) == (3, 5, [4])
         assert cert.reappearances == (8, 9)  # first rounds after r_sr + x
@@ -109,25 +107,25 @@ class TestAltLiveness:
             prefix=[[(1, 2), (1, 3)], [(1, 2), (1, 3)]],
             cycle=[[(2, 1), (2, 3)], [(3, 1), (3, 2)]],
         )
-        assert check_alt_liveness(l, D=1, x=1) is None
+        assert diagnose("altliveness", l, {"D": 1, "x": 1}).certificate is None
 
     def test_generated_round_trip(self):
         l, planted = generate_alt_estable(AdversaryParams(n=5, D=2, seed=3, r_sr_target=7))
         horizon = max(l.default_horizon(), planted.deadline + 1)
-        cert = check_alt_liveness(l, D=2, x=2, horizon=horizon)
+        cert = diagnose("altliveness", l, {"D": 2, "x": 2, "horizon": horizon}).certificate
         assert cert is not None
         assert (cert.r_gst, cert.r_sr) <= (planted.r_gst, planted.r_sr)
 
 
 class TestAltSafety:
     def test_eps2_ok(self, eps2_lasso):
-        assert check_alt_safety(eps2_lasso, 2) is None
+        assert diagnose("altsafety", eps2_lasso, {"x": 2}).witness is None
 
     def test_two_parallel_roots_without_single_phase(self):
         # {1} and {2} stay common roots side by side for x+1 rounds: the
         # earliest long run never becomes single
         l = lasso(4, prefix=[[(1, 3), (2, 4)]] * 3, cycle=[[(1, 2), (1, 3), (1, 4)]])
-        witness = check_alt_safety(l, 2)
+        witness = diagnose("altsafety", l, {"x": 2}).witness
         assert witness is not None
         assert witness.start == 1
         singles = single_rooted_rounds(l, witness.end)
@@ -135,7 +133,7 @@ class TestAltSafety:
             assert not any({a, a + 1, a + 2} <= set(rounds) for rounds in singles.values())
 
     def test_single_rooted_forever_ok(self, eps1_lasso):
-        assert check_alt_safety(eps1_lasso, 2) is None
+        assert diagnose("altsafety", eps1_lasso, {"x": 2}).witness is None
 
 
 class TestAltEStable:
@@ -227,17 +225,17 @@ class TestVsrc:
             l, _ = generate_estable(
                 AdversaryParams(n=n, D=D, seed=rng.getrandbits(40), r_sr_target=rng.randint(1, 9))
             )
-            assert check_vsrc(l, 4 * D, D).ok
+            assert diagnose("vsrc", l, {"D": D, "window": 4 * D}).ok
 
     def test_eps1_window_8(self, eps1_lasso):
-        res = check_vsrc(eps1_lasso, 8, 2)
-        assert res.ok and res.window_start == 1
+        res = diagnose("vsrc", eps1_lasso, {"D": 2, "window": 8})
+        assert res.ok and res.certificate.window_start == 1
 
     def test_roots_flipping_every_two_rounds(self):
         g_a = [(1, 2), (1, 3)]
         g_b = [(2, 1), (2, 3)]
         l = lasso(3, cycle=[g_a, g_a, g_b, g_b])
-        assert not check_vsrc(l, 4, 2).ok
+        assert not diagnose("vsrc", l, {"D": 2, "window": 4}).ok
 
 
 class TestGenerators:

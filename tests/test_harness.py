@@ -29,6 +29,7 @@ from rootcons.approximation import window_start
 from rootcons.graphs import CommGraph, LassoSequence, causal_past, lasso, mask_layout, root_components
 from rootcons.harness import (
     EngineInvariantError,
+    Run,
     RunConfig,
     eps_pair_report,
     fuzz_campaign,
@@ -371,6 +372,36 @@ class TestIndistinguishability:
         t = run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 4))
         with pytest.raises(ValueError):
             indistinguishable(t, t, 1, 7)
+
+    def test_partly_stepped_run_covers_exactly_the_rounds_it_ran(self, eps2_lasso):
+        cfg = RunConfig(5, 2, (0, 0, 1, 1, 0), eps2_lasso, 10)
+        full, run = run_execution(cfg), Run(cfg)
+        for _ in range(3):
+            run.step()
+        assert indistinguishable(run, run, 2, 3) is True
+        for p in range(1, 6):
+            assert indistinguishable(run, full, p, 3)
+        with pytest.raises(ValueError, match=r"^traces do not cover round 4$"):
+            indistinguishable(run, run, 2, 4)
+        for _ in range(9):  # past the horizon: the run covers every round it ran
+            run.step()
+        assert run.m == 12 and indistinguishable(run, run, 2, 12) is True
+        assert indistinguishable(run, full, 2, 10)
+        with pytest.raises(ValueError, match=r"^traces do not cover round 13$"):
+            indistinguishable(run, run, 2, 13)
+
+    @pytest.mark.parametrize(
+        "p, through, message",
+        [
+            (0, 2, "p must be in 1..5, got 0"),
+            (6, 2, "p must be in 1..5, got 6"),
+            (2, -1, "through must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_process_or_round_rejected(self, eps2_lasso, p, through, message):
+        t = run_execution(RunConfig(5, 2, (0, 0, 1, 1, 0), eps2_lasso, 10))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            indistinguishable(t, t, p, through)
 
 
 class TestEpsPairScenario:
