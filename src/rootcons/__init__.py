@@ -15,17 +15,14 @@ from .adversary import (
     check_estable,
     check_liveness,
     check_mad,
-    check_safety,
     diagnose,
     generate_alt_estable,
     generate_estable,
 )
 from .approximation import (
-    Message,
     NodeState,
     evidence,
     init_states,
-    make_message,
     receive_and_merge,
 )
 from .consensus import CoreStepOutcome, core_step

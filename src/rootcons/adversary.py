@@ -18,8 +18,8 @@ conditions of every kind and :func:`diagnose` evaluates them in order,
 reporting the first that fails with its witness.  :func:`check_liveness` is
 the liveness condition itself.  The other ``check_*`` functions are
 shorthands for :func:`diagnose`, kept for the kinds the package itself
-checks by name (``estable``, ``altestable``, ``mad`` and ``safety``); every
-other kind is checked through :func:`diagnose`.
+checks by name (``estable``, ``altestable`` and ``mad``); every other kind
+is checked through :func:`diagnose`.
 
 "Forever" clauses are decided exactly on lassos: a per-round root predicate
 that holds in every cycle graph holds forever, and every distinct finite run
@@ -237,6 +237,9 @@ def _liveness(c: _Case, _) -> tuple:
 
 
 def _safety(c: _Case, x: int) -> tuple:
+    """A root common for more than x consecutive rounds anywhere (scanning to
+    the horizon and across the cycle) must be the liveness root's final,
+    infinite run.  The witness is the earliest offending run."""
     for run in c.runs(_scan_bound(c.l, c.horizon)):
         if run.length() <= x:
             continue
@@ -273,7 +276,7 @@ def _alt_liveness(c: _Case, x: int) -> tuple:
     runs, the lexicographically least ``(r_gst, r_sr, root)`` is certified."""
     l, D, horizon = c.l, c.params["D"], c.resolved_horizon
     scan_to = _scan_bound(l, horizon, extra=x + 1)
-    singles = single_rooted_rounds(l, max(scan_to, horizon))
+    singles = single_rooted_rounds(l, scan_to)
     best = None
     for run in c.runs(scan_to):
         if run.length() < x + 1:
@@ -404,17 +407,6 @@ def diagnose(kind: str, l: LassoSequence, params: dict) -> Verdict:
             params={name: c.params[name] for name in check.params},
         )
     return Verdict(True, certificate=certificate)
-
-
-def check_safety(l: LassoSequence, x: int, horizon: Optional[int] = None) -> Optional[SafetyWitness]:
-    """Check that every over-long common root run is the permanent one.
-
-    A root common for more than ``x`` consecutive rounds anywhere (scanning
-    to ``horizon`` and across the cycle) must be the liveness root's final,
-    infinite run.  Returns ``None`` when satisfied, otherwise the earliest
-    offending run.
-    """
-    return diagnose("safety", l, {"x": x, "horizon": horizon}).witness
 
 
 def check_estable(l: LassoSequence, D: int, horizon: Optional[int] = None) -> Optional[AdversaryCertificate]:

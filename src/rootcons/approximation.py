@@ -26,8 +26,7 @@ is in slot r.
 So a broadcast is one int.  In round m each process q sends its ``known``,
 rebased to the round-m window, and p's merge (:func:`receive_and_merge`)
 ORs in the ints of p's in-neighbours in the round graph; it writes no
-table but the own row.  :class:`Message` and :func:`make_message` wrap one
-such int with views of what it carries; the engine does not build them.
+table but the own row.
 
 After round m the process knows ``lock[q][r]`` exactly when q is in slot r,
 and the round-r edge (u, v) exactly when v is, so its round-r approximation
@@ -58,10 +57,9 @@ run holds every self-loop (``RunConfig`` rejects a lasso graph that lacks
 one).  Then the roots of ``edges[r]`` restricted to the columns of S are
 the roots of the whole ``edges[r]`` that lie inside S, plus one singleton
 ghost ``{u}`` for each u outside S with an edge into S: such a u has no
-in-edge left, and a set inside S has the same in-edges in both graphs.  So
-a query is a subset filter of ``roots[r]``, which ``graphs.root_components``
-computed once for the round graph.  Round 0 (which has no edges) and the
-rounds outside the window answer ``{pid}``.
+in-edge left, and a set inside S has the same in-edges in both graphs.  A
+confirmed root lies inside S, so the core step reads the roots of the round
+graph, which ``graphs.root_components`` computed once (``root_bits``).
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
 run's tables also hold that layout and the window ``keep``.
@@ -75,6 +73,8 @@ from typing import NamedTuple, Optional
 from .graphs import MaskLayout, mask_layout, root_components
 
 
+# Nothing calls this (or _ghosts) since its only caller, NodeState's
+# ghost-aware root view, was deleted; kept for bench/tracer.py until ROADMAP item 3.
 def roots_of_partial(mask: int, extra_vertex: int, layout: MaskLayout, slot: int, whole_roots: tuple) -> frozenset:
     """Root components of a partial graph given by ``mask`` (in ``layout``)
     over its edge endpoints plus ``extra_vertex``; every vertex has a
@@ -193,6 +193,7 @@ class RunTables:
         self.answers.pop(lo - 1, None)
 
 
+# Kept, with make_message, only for bench/tracer.py, until ROADMAP item 3.
 class Message(NamedTuple):
     """A view of one broadcast: the sender's end-of-previous-round
     ``known`` slots from round ``lo`` on (slot 0 is round ``lo``, each
@@ -229,8 +230,7 @@ class NodeState:
     has the owner's bit.  ``y`` is the write-once decision.  ``approx[r]``,
     the round-r approximation's edge mask for r in ``lo..m``, and
     ``locks[q][r]`` are views over the retained rounds.  ``root_bits`` gives
-    a round's roots to the core step; ``roots_at``, the approximation's
-    roots with its ghosts, is a view off the core path.  ``runs``,
+    a round's roots to the core step.  ``runs``,
     ``stale_from`` and ``c2_from`` hold the core step's c2 scan (see
     ``consensus``); the merge lowers ``stale_from`` and drops the entries of
     the round that leaves the window.
@@ -259,16 +259,6 @@ class NodeState:
     @property
     def locks(self) -> dict:
         return _locks_view(self.known, self.tables, self.lo)
-
-    def roots_at(self, r: int) -> frozenset:
-        """Roots of the round-r approximation: the roots of ``edges[r]`` inside
-        slot r plus the ghosts, singletons outside it with an edge into it
-        (just ``{pid}`` at round 0 and outside the retained rounds)."""
-        if not max(1, self.lo) <= r <= self.m:
-            return frozenset([frozenset([self.pid])])
-        lay = self.tables.layout
-        slot = self.known >> (r - self.lo) * lay.width & lay.row
-        return roots_of_partial(self.tables.edges[r] & lay.column * slot, self.pid, lay, slot, self.root_bits(r))
 
     def root_bits(self, r: int) -> tuple:
         """(root, member bitset) for each root of the whole ``edges[r]``, as
@@ -337,6 +327,7 @@ def init_states(inputs, mode: str = "full") -> dict:
     return {p: NodeState(p, x, tables) for p, x in enumerate(inputs, start=1)}
 
 
+# Kept only for bench/tracer.py, until ROADMAP item 3.
 def make_message(s: NodeState) -> Message:
     """A view of the state's broadcast of round ``s.m + 1``: its state at
     the end of round ``s.m``.
@@ -358,9 +349,9 @@ def receive_and_merge(s: NodeState, g, sent: list, m: int) -> NodeState:
 
     ``sent[q-1]`` is q's broadcast of round m: its ``known`` at the end of
     round m-1, rebased to the round-m window (the harness builds the list
-    once per round).  ``known``, rebased to the same window, ORs in the
-    broadcasts of its in-neighbours in ``g`` (itself among them, by its
-    self-loop) and the own round-m slot.  The own row gains its round-m
+    once per round).  The own broadcast is the state's ``known``, rebased
+    to that window; it ORs in the broadcasts of its other in-neighbours in
+    ``g`` and the own round-m slot.  The own row gains its round-m
     lock, carried forward; no other table is written.  The own row and
     ``runs`` drop the round that left the window.  ``stale_from`` drops to
     the lowest new slot (or to round m-1, which stops being the current
@@ -372,7 +363,7 @@ def receive_and_merge(s: NodeState, g, sent: list, m: int) -> NodeState:
     keep, pid = tables.keep, s.pid
     lo = m - keep if keep is not None and m > keep else 0  # window_start, inlined: it runs per merge
     width = tables.layout.width
-    before = s.known >> (lo - s.lo) * width
+    before = sent[pid - 1]
     known = before | 1 << ((m - lo) * width + pid - 1)
     for q in g.in_lists[pid - 1]:
         known |= sent[q - 1]

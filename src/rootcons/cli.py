@@ -149,7 +149,7 @@ def cmd_generate(args) -> int:
 def cmd_check(args) -> int:
     try:
         lasso_seq = _read_lasso(args.lasso)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail_input(f"cannot load lasso: {exc}")
     kind = args.adversary
     params = {"D": args.d, "x": args.x, "y": args.y, "window": args.window, "horizon": args.horizon}
@@ -170,7 +170,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     try:
         lasso_seq = _read_lasso(args.lasso)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail_input(f"cannot load lasso: {exc}")
     try:
         inputs = tuple(int(v) for v in args.inputs.split(","))

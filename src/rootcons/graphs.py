@@ -14,8 +14,8 @@ n-process edge set is an integer bitmask in which edge (u, v) is bit
 whose row u-1 holds u's out-neighbours and whose column v-1 holds the
 in-neighbours of v.  Bit i of a row, or of any vertex set, is process i+1.
 A round graph *is* its mask: ``CommGraph(n, mask)`` is built straight from an
-int, compares and hashes on ``(n, mask)``, and derives its edge set only when
-output or a test asks for it.
+int, compares and hashes on ``(n, mask)``, and decodes its edges
+(``MaskLayout.edges``) only for output.
 """
 
 from __future__ import annotations
@@ -75,16 +75,16 @@ class MaskLayout:
         return edges
 
 
-_LAYOUTS = {}  # width -> MaskLayout, filled on first use; at most 7 widths up to MAX_PROCESSES
+_LAYOUTS = {}  # width -> MaskLayout, filled on first use; at most 11 widths up to MAX_PROCESSES
 
 
 def mask_layout(n: int) -> MaskLayout:
     """The layout of n-process edge masks.  Its width, the bits per row, is the
-    smallest power of two >= n, and at least 16 (a power of two keeps the
-    delta-swap transpose valid)."""
+    smallest power of two >= n (a power of two keeps the delta-swap
+    transpose valid)."""
     if n > MAX_PROCESSES:
         raise ValueError(f"n must be <= {MAX_PROCESSES}, got {n}")
-    width = max(16, 1 << (n - 1).bit_length())
+    width = 1 << (n - 1).bit_length()
     return _LAYOUTS.get(width) or _LAYOUTS.setdefault(width, MaskLayout(width))
 
 
@@ -137,17 +137,12 @@ class CommGraph:
 
     The graph is its edge mask in the layout of ``mask_layout(n)``: it
     compares and hashes on ``(n, mask)``.  The mask's rows, its in-neighbour
-    lists, its root components and its edge set are each derived once, on
-    first use, and stay out of ``==``, ``hash`` and ``repr``.
+    lists and its root components are each derived once, on first use, and
+    stay out of ``==``, ``hash`` and ``repr``.
     """
 
     n: int
     mask: int
-
-    @cached_property
-    def edges(self) -> frozenset:
-        """The edges (u, v) of the mask, self-loops included."""
-        return frozenset(mask_layout(self.n).edges(self.mask))
 
     @cached_property
     def out_rows(self) -> tuple:
@@ -191,9 +186,6 @@ class CommGraph:
             u, v = min(bad)
             raise ValueError(f"endpoint out of range ({u}->{v})")
         return cls(n, mask)
-
-    def out_neighbors(self, p: int) -> frozenset:
-        return _processes(self.out_rows[p - 1])
 
     def nonloop_edges(self) -> list:
         """The edges (u, v) with u != v, sorted."""

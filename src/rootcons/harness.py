@@ -61,10 +61,10 @@ from .adversary import (
     AdversaryError,
     AdversaryParams,
     _generate_alt_estable,
-    check_alt_estable,  # noqa: F401  (bound here for callers that wrap it)
+    check_alt_estable,  # noqa: F401  (bound for bench/tracer.py until ROADMAP item 3)
     check_estable,
-    check_safety,
-    generate_alt_estable,  # noqa: F401  (bound here for callers that wrap it)
+    diagnose,
+    generate_alt_estable,  # noqa: F401  (bound for bench/tracer.py until ROADMAP item 3)
     generate_estable,
 )
 from .approximation import (
@@ -72,7 +72,7 @@ from .approximation import (
     RunTables,
     _heard,
     init_states,
-    make_message,  # noqa: F401  (bound here for callers that wrap it)
+    make_message,  # noqa: F401  (bound for bench/tracer.py until ROADMAP item 3)
     parse_mode,
     receive_and_merge,
     window_start,
@@ -338,6 +338,7 @@ class Run:
                 "mode": self.config.mode,
                 "lasso": lasso_to_json_dict(self.config.lasso),
             },
+            "rounds": self.m,
             "decisions": [[pid, r, v] for pid, (r, v) in sorted(self.decisions.items())],
             "latest_decision_round": self.latest_decision_round(),
             "certificate": self.certificate.to_json_dict() if self.certificate else None,
@@ -348,7 +349,8 @@ def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Run:
     """The run of ``cfg``, stepped ``cfg.horizon`` times.
 
     ``keep_snapshots`` has no effect: a run records no per-round state, and
-    :func:`indistinguishable` rebuilds it from the run.
+    :func:`indistinguishable` rebuilds it from the run.  It stays until
+    ROADMAP item 3, because ``bench/workloads.py`` passes it.
     """
     run = Run(cfg)
     for _ in range(cfg.horizon):
@@ -586,7 +588,7 @@ def stab_not_enough_report(n: int, tau: int, D: int = 1) -> dict:
     """Run the pair and check that the second run has exactly the expected
     safety witness and splits its decision, while the first agrees."""
     cfg1, cfg2 = scenario_stab_not_enough(n, tau, D)
-    witness = check_safety(cfg2.lasso, D)
+    witness = diagnose("safety", cfg2.lasso, {"x": D}).witness
     t1 = run_execution(cfg1)
     t2 = run_execution(cfg2)
     checks = {
@@ -627,11 +629,14 @@ def scenario_hop_fallacy(n: int) -> LassoSequence:
 
 def _depth_from(g: CommGraph, src: int) -> int:
     """Largest distance from ``src`` to a process of ``g``; ``g.n`` if one is unreachable."""
-    reached = {src}
+    everyone, reached = (1 << g.n) - 1, 1 << (src - 1)
     for depth in range(g.n):
-        if len(reached) == g.n:
+        if reached == everyone:
             return depth
-        reached |= {v for u in reached for v in g.out_neighbors(u)}
+        frontier = reached
+        for u, row in enumerate(g.out_rows):
+            if frontier >> u & 1:
+                reached |= row
     return g.n
 
 

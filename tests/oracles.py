@@ -19,16 +19,21 @@ from rootcons.consensus import confirmed_roots
 from rootcons.graphs import CommGraph, MaskLayout, mask_layout
 
 
+def graph_edges(g: CommGraph) -> list:
+    """The edges (u, v) of ``g``, self-loops included, decoded from its mask."""
+    return mask_layout(g.n).edges(g.mask)
+
+
 def brute_force_roots(g: CommGraph) -> frozenset:
     """All vertex sets that are strongly connected as an induced subgraph and
     have no incoming edge from outside (maximality is implied by the
     no-incoming-edge condition)."""
-    vertices = range(1, g.n + 1)
+    vertices, edges = range(1, g.n + 1), graph_edges(g)
     roots = set()
     for size in range(1, g.n + 1):
         for combo in combinations(vertices, size):
             members = set(combo)
-            if any(u not in members and v in members for (u, v) in g.edges):
+            if any(u not in members and v in members for (u, v) in edges):
                 continue
             if not _induced_strongly_connected(g, members):
                 continue
@@ -37,12 +42,13 @@ def brute_force_roots(g: CommGraph) -> frozenset:
 
 
 def _induced_strongly_connected(g: CommGraph, members: set) -> bool:
+    edges = graph_edges(g)
     for src in members:
         seen = {src}
         stack = [src]
         while stack:
             u = stack.pop()
-            for (a, b) in g.edges:
+            for (a, b) in edges:
                 if a == u and b in members and b not in seen:
                     seen.add(b)
                     stack.append(b)
@@ -52,11 +58,12 @@ def _induced_strongly_connected(g: CommGraph, members: set) -> bool:
 
 
 def undirected_bfs_spans(g: CommGraph) -> bool:
+    edges = graph_edges(g)
     seen = {1}
     stack = [1]
     while stack:
         u = stack.pop()
-        for (a, b) in g.edges:
+        for (a, b) in edges:
             if a == u and b not in seen:
                 seen.add(b)
                 stack.append(b)
@@ -73,7 +80,7 @@ def naive_causal_past(graph_at, p: int, a: int, b: int) -> frozenset:
         return frozenset({p})
     deeper = naive_causal_past(graph_at, p, a + 1, b)
     g = graph_at(a + 1)
-    return deeper | {u for (u, v) in g.edges if v in deeper}
+    return deeper | {u for (u, v) in graph_edges(g) if v in deeper}
 
 
 def causal_past_forward(l, p: int, a: int, b: int) -> frozenset:
@@ -84,7 +91,7 @@ def causal_past_forward(l, p: int, a: int, b: int) -> frozenset:
     for q in range(1, l.n + 1):
         reach = {q}
         for r in range(a + 1, b + 1):
-            reach |= {v for (u, v) in l.graph(r).edges if u in reach}
+            reach |= {v for (u, v) in graph_edges(l.graph(r)) if u in reach}
         if p in reach:
             past.add(q)
     return frozenset(past)
@@ -93,7 +100,7 @@ def causal_past_forward(l, p: int, a: int, b: int) -> frozenset:
 def tarjan_sccs(g: CommGraph) -> tuple:
     """All SCCs of ``g`` as a tuple of frozensets (Tarjan, iterative)."""
     adj = {v: [] for v in range(1, g.n + 1)}
-    for (u, v) in g.edges:
+    for (u, v) in graph_edges(g):
         if u != v:
             adj[u].append(v)
     index = {}
@@ -145,17 +152,18 @@ def tarjan_roots(g: CommGraph) -> frozenset:
     """The SCCs of ``g`` that no edge enters from outside."""
     sccs = tarjan_sccs(g)
     comp_of = {v: comp for comp in sccs for v in comp}
-    entered = {comp_of[v] for (u, v) in g.edges if comp_of[u] is not comp_of[v]}
+    entered = {comp_of[v] for (u, v) in graph_edges(g) if comp_of[u] is not comp_of[v]}
     return frozenset(c for c in sccs if c not in entered)
 
 
 def bfs_distance(g: CommGraph, src: int, dst: int):
+    edges = graph_edges(g)
     dist = {src: 0}
     frontier = [src]
     while frontier:
         nxt = []
         for u in frontier:
-            for (a, b) in g.edges:
+            for (a, b) in edges:
                 if a == u and b not in dist:
                     dist[b] = dist[u] + 1
                     nxt.append(b)
@@ -192,6 +200,13 @@ def reference_roots_of_partial(mask: int, extra_vertex: int, lay: MaskLayout) ->
     return _reference_roots_memo[key]
 
 
+def approx_roots(s, r: int) -> frozenset:
+    """Roots of the state's round-r approximation, ghosts included, by the
+    reference: just ``{pid}`` at round 0 and outside the retained rounds,
+    where the approximation has no edges."""
+    return reference_roots_of_partial(s.approx.get(r, 0), s.pid, s.tables.layout)
+
+
 def out_row_mask(q: int, lay: MaskLayout) -> int:
     """Mask of every possible edge out of q in layout ``lay``."""
     return sum(lay.bit(q, v) for v in range(1, lay.width + 1))
@@ -225,11 +240,8 @@ class ReferenceState:
     def lo(self) -> int:
         return min(self.approx)
 
-    def roots_at(self, r: int) -> frozenset:
-        return reference_roots_of_partial(self.approx.get(r, 0), self.pid, self.layout)
-
     def root_bits(self, r: int) -> tuple:
-        return tuple((root, sum(1 << (q - 1) for q in root)) for root in self.roots_at(r))
+        return tuple((root, sum(1 << (q - 1) for q in root)) for root in approx_roots(self, r))
 
     def lock_value(self, q: int, r: int):
         return self.locks.get(q, {}).get(r)
@@ -320,7 +332,7 @@ def reference_run(cfg, core_step) -> tuple:
         g = cfg.lasso.graph(m)
         msgs = {p: reference_message(s) for p, s in states.items()}
         for p, s in states.items():
-            reference_merge(s, [msgs[u] for (u, v) in sorted(g.edges) if v == p], m)
+            reference_merge(s, [msgs[u] for (u, v) in graph_edges(g) if v == p], m)
         for p, s in states.items():
             _, out = core_step(s, m, cfg.D)
             if out.decided is not None:
@@ -352,13 +364,13 @@ def reference_c2_check(s, D: int):
 
 def reference_run_start(s, root, anchor: int):
     """The b1/b3 anchor by definition: the least a >= max(1, lo) such that
-    root is in ``roots_at(r)`` for every r from a to ``anchor`` (None if root
+    root is in ``approx_roots(s, r)`` for every r from a to ``anchor`` (None if root
     is not even a root of round ``anchor``)."""
     return min(
         (
             a
             for a in range(max(1, s.lo), anchor + 1)
-            if all(root in s.roots_at(r) for r in range(a, anchor + 1))
+            if all(root in approx_roots(s, r) for r in range(a, anchor + 1))
         ),
         default=None,
     )

@@ -27,7 +27,6 @@ from rootcons.adversary import (
     AdversaryParams,
     check_alt_estable,
     check_estable,
-    check_safety,
     diagnose,
     generate_alt_estable,
     generate_estable,
@@ -248,7 +247,7 @@ def test_criterion_7_safety_necessity():
     t1 = run_execution(cfg1)
     tau = t1.decisions[1][0]  # head's decision round in the benign run
     _, cfg2 = scenario_stab_not_enough(n, tau=tau, D=D)
-    witness = check_safety(cfg2.lasso, D)
+    witness = diagnose("safety", cfg2.lasso, {"x": D}).witness
     witness_ok = (
         witness is not None
         and witness.root == frozenset([1])

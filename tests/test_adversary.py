@@ -15,7 +15,6 @@ from rootcons.adversary import (
     check_estable,
     check_liveness,
     check_mad,
-    check_safety,
     diagnose,
     generate_alt_estable,
     generate_estable,
@@ -40,20 +39,20 @@ class TestLiveness:
 
 class TestSafety:
     def test_eps2_safety_holds_for_x_two(self, eps2_lasso):
-        assert check_safety(eps2_lasso, 2) is None
+        assert diagnose("safety", eps2_lasso, {"x": 2}).witness is None
 
     def test_isolated_head_violates_safety(self):
         cfg1, cfg2 = scenario_stab_not_enough(5, tau=4, D=2)
-        witness = check_safety(cfg2.lasso, 2)
+        witness = diagnose("safety", cfg2.lasso, {"x": 2}).witness
         assert witness is not None
         assert (sorted(witness.root), witness.start, witness.end) == ([1], 1, 4)
 
     def test_static_single_rooted_forever_ok(self, eps1_lasso):
-        assert check_safety(eps1_lasso, 1) is None
+        assert diagnose("safety", eps1_lasso, {"x": 1}).witness is None
 
     def test_witness_confirmed_by_interval_scan(self):
         cfg1, cfg2 = scenario_stab_not_enough(5, tau=4, D=2)
-        witness = check_safety(cfg2.lasso, 2)
+        witness = diagnose("safety", cfg2.lasso, {"x": 2}).witness
         runs = maximal_root_runs(cfg2.lasso, 10)
         assert any(
             run.root == witness.root and run.start == witness.start and run.end == witness.end
@@ -62,7 +61,7 @@ class TestSafety:
 
     def test_x_below_one_rejected(self, eps1_lasso):
         with pytest.raises(ValueError):
-            check_safety(eps1_lasso, 0)
+            diagnose("safety", eps1_lasso, {"x": 0}).witness
 
 
 class TestEStable:
@@ -383,7 +382,7 @@ class TestLassoEncodingInvariance:
     def test_safety_witness_invariant(self):
         for l, D in self._random_pool():
             u = unrolled(l, 2)
-            assert check_safety(l, D) == check_safety(u, D)
+            assert diagnose("safety", l, {"x": D}).witness == diagnose("safety", u, {"x": D}).witness
 
     def test_alt_estable_invariant(self):
         for l, D in self._random_pool():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import reference_c2_check, reference_run_start
+from oracles import approx_roots, reference_c2_check, reference_run_start
 
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
@@ -150,7 +150,7 @@ class TestC3B3:
         # as single root, but no evidence of the head sending after round 3
         # has arrived, so the head is not confirmed there and c2 cannot hold
         st = trace.states[2]
-        assert all(st.roots_at(r) == frozenset([frozenset([1])]) for r in range(1, 4))
+        assert all(approx_roots(st, r) == frozenset([frozenset([1])]) for r in range(1, 4))
         assert not evidence(st, 3) & 1
         assert confirmed_roots(st, 3) == []
         assert c2_check(st, D=2) is None
@@ -216,7 +216,7 @@ class TestRunStart:
 
     def test_any_root_and_anchor_matches_backward_walk(self):
         # the run start read from the run's ``starts`` equals the walk back
-        # from the anchor, one roots_at per round, cut at the window's first
+        # from the anchor, one approx_roots per round, cut at the window's first
         # round, for every root inside slot anchor-1 (where the lemma makes
         # the whole masks' roots and the approximation's agree; every b1/b3
         # root lies there), with anchors asked in any order, so the table
@@ -230,7 +230,7 @@ class TestRunStart:
             trace, _, _ = fuzz_trial("estable", rng.getrandbits(48), n, D, rng.randint(1, 8), inputs, mode)
             for s in trace.states.values():
                 low = max(1, s.lo)
-                roots = set().union(*(s.roots_at(r) for r in range(low, s.m + 1)))
+                roots = set().union(*(approx_roots(s, r) for r in range(low, s.m + 1)))
                 anchors = list(range(s.lo + 1, s.m + 1))
                 rng.shuffle(anchors)
                 for anchor in anchors:
@@ -239,7 +239,7 @@ class TestRunStart:
                         if any(not slot >> (q - 1) & 1 for q in root):
                             continue
                         a = anchor
-                        while a > low and root in s.roots_at(a - 1):
+                        while a > low and root in approx_roots(s, a - 1):
                             a -= 1
                         assert consensus_mod._run_start(s, root, anchor) == a, (s.pid, root, anchor)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import EPS1_EDGES
-from oracles import bfs_distance, causal_past_forward, naive_causal_past
+from oracles import approx_roots, bfs_distance, causal_past_forward, naive_causal_past
 
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
@@ -22,7 +22,7 @@ from rootcons.adversary import (
     InfeasibleParamsError,
     check_alt_estable,
     check_estable,
-    check_safety,
+    diagnose,
     generate_alt_estable,
 )
 from rootcons.approximation import window_start
@@ -121,6 +121,15 @@ class TestRunExecution:
         assert first["round"] == 1
         assert ["1", "3"] not in first["graph"]  # edges serialize as int pairs
         assert json.loads(json.dumps(trace.summary_dict()))
+
+    def test_partly_stepped_run_reports_the_rounds_it_ran(self, eps1_lasso):
+        run = Run(RunConfig(5, 2, (0,) * 5, eps1_lasso, 10))
+        for _ in range(3):
+            run.step()
+        rounds = [json.loads(line)["round"] for line in run.to_json_lines().splitlines()]
+        summary = run.summary_dict()
+        assert rounds == [1, 2, 3]
+        assert summary["rounds"] == 3 and summary["config"]["horizon"] == 10
 
 
 def _drop_relayed_heard(merge, s, g, sent, m):
@@ -432,7 +441,7 @@ class TestEpsPairScenario:
 class TestStabNotEnoughScenario:
     def test_safety_witness_and_agreement_failure(self):
         cfg1, cfg2 = scenario_stab_not_enough(6, tau=4, D=1)
-        witness = check_safety(cfg2.lasso, 1)
+        witness = diagnose("safety", cfg2.lasso, {"x": 1}).witness
         assert witness is not None
         assert (sorted(witness.root), witness.start, witness.end) == ([1], 1, 4)
         t1 = run_execution(cfg1)
@@ -629,7 +638,7 @@ class TestFuzz:
     def test_mutation_smoke_oracle_catches_broken_step(self, monkeypatch):
         # dropping the outgoing-edge guard makes the second lower-bound
         # execution decide on the stale early root and split the outcome
-        monkeypatch.setattr(consensus_mod, "confirmed_roots", lambda s, r: list(s.roots_at(r)))
+        monkeypatch.setattr(consensus_mod, "confirmed_roots", lambda s, r: list(approx_roots(s, r)))
         _, cfg_ep = scenario_eps_pair(5, 2)
         trace = run_execution(cfg_ep)
         report = oracle_check(trace, 9)
