@@ -230,13 +230,13 @@ class NodeState:
     has the owner's bit.  ``y`` is the write-once decision.  ``approx[r]``,
     the round-r approximation's edge mask for r in ``lo..m``, and
     ``locks[q][r]`` are views over the retained rounds.  ``root_bits`` gives
-    a round's roots to the core step.  ``runs``,
-    ``stale_from`` and ``c2_from`` hold the core step's c2 scan (see
-    ``consensus``); the merge lowers ``stale_from`` and drops the entries of
-    the round that leaves the window.
+    a round's roots to the core step.  ``runs`` and
+    ``stale_from`` hold the core step's c2 scan (see ``consensus``); the
+    merge lowers ``stale_from`` and drops the entries of the round that
+    leaves the window.
     """
 
-    __slots__ = ("pid", "x", "m", "lo", "y", "known", "runs", "stale_from", "c2_from", "tables")
+    __slots__ = ("pid", "x", "m", "lo", "y", "known", "runs", "stale_from", "tables")
 
     def __init__(self, pid: int, x: int, tables: RunTables):
         if pid not in tables.rows:
@@ -249,7 +249,6 @@ class NodeState:
         self.known = 1 << (pid - 1)
         self.runs = {}
         self.stale_from = 0
-        self.c2_from = 0
         self.tables = tables
 
     @property

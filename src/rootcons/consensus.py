@@ -28,9 +28,9 @@ of ``known``: it selects the columns of ``edges[r]`` (entered whole before
 the round's merges) that form the round-r approximation, and it is the
 members' evidence (empty at the current round).  So the merge's
 ``stale_from`` bounds what can have changed, and only rounds from there on
-are recomputed.  c2 resumes its search at ``c2_from``: no retained round
-before it ends a long enough run.  A start before the window counts from
-the window's first round, as a full rescan from there would.
+are recomputed.  c2 resumes its search at the step's entry ``stale_from``:
+no run before it changed since the last search, which found none long
+enough.  A start before the window counts from the window's first round.
 
 b1 and b3 take the maximum lock at the start of the surrounding common-root
 run of a confirmed root R.  R lies inside slot ``anchor`` and so, slots
@@ -159,7 +159,6 @@ def _refresh(s: NodeState, upto: int) -> None:
     if first > upto:
         return
     runs = s.runs
-    s.c2_from = min(s.c2_from, first)
     run_root, start = runs[first - 1] if first > low else (None, first)
     for r in range(first, upto + 1):
         confirmed = confirmed_roots(s, r)
@@ -197,7 +196,7 @@ def b1_apply(s: NodeState, m: int, root: frozenset, D: int) -> tuple:
     return a, value
 
 
-def c2_check(s: NodeState, D: int) -> Optional[tuple]:
+def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
     """Earliest interval of more than D consecutive rounds whose approximations
     are all single-rooted (among confirmed roots) with the same root.
 
@@ -206,16 +205,15 @@ def c2_check(s: NodeState, D: int) -> Optional[tuple]:
     members all have an outgoing edge recorded after b', as the paper's
     evidence condition c3 requires.
     Round b' qualifies iff its run began at least D rounds earlier and
-    b' >= max(1, lo) + D, so a longer-ago start needs no clamping.
+    b' >= max(1, lo) + D, so a longer-ago start needs no clamping.  Rounds
+    before ``resume`` are skipped (see the module docstring).
     """
     _refresh(s, s.m)
     runs = s.runs
-    for r in range(max(s.c2_from, _core_low(s) + D), s.m + 1):
+    for r in range(max(resume, _core_low(s) + D), s.m + 1):
         root, start = runs[r]
         if r - start >= D:
-            s.c2_from = r
             return root, (r - D, r)
-    s.c2_from = s.m + 1
     return None
 
 
@@ -255,13 +253,14 @@ def core_step(s: NodeState, m: int, D: int) -> tuple:
     """
     if m <= D:
         return s, _NOTHING
+    resume = s.stale_from  # before c1 refreshes ``runs``
     locked = None
     root = c1_check(s, m, D)
     if root is not None:
         a, value = b1_apply(s, m, root, D)
         locked = (root, a, value)
     decided = None
-    hit = c2_check(s, D) if s.y is None else None
+    hit = c2_check(s, D, resume) if s.y is None else None
     if hit is not None:
         root2, interval = hit
         decided = (root2, *b3_apply(s, root2, interval))

@@ -99,8 +99,8 @@ def _processes(bits: int) -> frozenset:
 
 
 def roots_of_mask(mask: int, vertices: int, lay: MaskLayout) -> frozenset:
-    """Root components of the graph over the endpoints of ``mask`` plus the
-    vertex bitset ``vertices``, every vertex with a self-loop.
+    """Root components of the graph over the vertex bitset ``vertices``,
+    which holds every endpoint of ``mask``, every vertex with a self-loop.
 
     A Warshall closure ORs row k into every row that reaches k, one multiply
     per k; a transpose gives each vertex's ancestors; and a vertex lies in a
@@ -115,11 +115,7 @@ def roots_of_mask(mask: int, vertices: int, lay: MaskLayout) -> frozenset:
     for shift, block in lay.transpose:
         swap = (ancestors ^ ancestors >> shift) & block
         ancestors ^= swap ^ swap << shift
-    ends = reach | ancestors  # row v: all v reaches and all that reach v
-    for s in lay.halves:
-        ends |= ends >> s * width
-    todo = ends & row | vertices  # the endpoints and the extra vertices
-    found = []
+    todo, found = vertices, []
     while todo:
         bit = todo & -todo
         v = bit.bit_length() - 1

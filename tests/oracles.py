@@ -215,9 +215,9 @@ def out_row_mask(q: int, lay: MaskLayout) -> int:
 class ReferenceState:
     """Copied-history state with the interface the core step reads.
 
-    The core step's c2 cache (``runs``, ``stale_from`` and ``c2_from``) is
-    marked stale from round 0 by every merge, so each core step rescans
-    every retained round.  ``tables`` holds the root-run start table
+    The core step's c2 cache (``runs`` and ``stale_from``) is marked stale
+    from round 0 by every merge, so each core step rescans every retained
+    round.  ``tables`` holds the root-run start table
     ``starts`` and the b1/b3 answer table ``answers``, the only tables the
     core step reads.  They are this state's own, not shared by the run:
     every merge rebuilds the starts from ``root_bits``, which here are the
@@ -233,7 +233,7 @@ class ReferenceState:
         self.approx = {0: 0}
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
-        self.runs, self.stale_from, self.c2_from = {}, 0, 0
+        self.runs, self.stale_from = {}, 0
         self.tables = RunTables(lay, keep, rows=None, edges=None, roots=None, starts={}, answers={})
 
     @property

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -365,8 +364,8 @@ def test_resumed_c2_matches_full_rescan(estable_batch, monkeypatch, history):
     c2_check = consensus_mod.c2_check
     checked, mismatches = [], []
 
-    def compared(s, D):
-        hit = c2_check(s, D)
+    def compared(s, D, *resume):
+        hit = c2_check(s, D, *resume)
         checked.append(hit is not None)
         if hit != reference_c2_check(s, D):
             mismatches.append((s.pid, s.m))

@@ -4,12 +4,9 @@ import random
 
 import pytest
 
-from conftest import EPS2_GP, EPS2_GPP
-
 from rootcons.adversary import (
     AdversaryCertificate,
     AdversaryParams,
-    GenerationRetryError,
     InfeasibleParamsError,
     check_alt_estable,
     check_estable,

@@ -242,9 +242,15 @@ class TestRootDetection:
                             assert root in true_roots
 
 
+def endpoints(mask, lay):
+    """Vertex bitset of every endpoint of an edge in ``mask``."""
+    return sum({1 << (w - 1) for edge in lay.edges(mask) for w in edge})
+
+
 def fresh_roots(mask, extra_vertex, lay):
-    """The kernel's answer for a partial mask."""
-    return roots_of_mask(mask, 1 << (extra_vertex - 1), lay)
+    """The kernel's answer for a partial mask: its vertex set is the mask's
+    endpoints plus the extra vertex."""
+    return roots_of_mask(mask, endpoints(mask, lay) | 1 << (extra_vertex - 1), lay)
 
 
 W16, W64 = mask_layout(16), mask_layout(64)

@@ -450,6 +450,27 @@ class TestScenario:
     def test_unknown_scenario_exit_2(self, capsys):
         assert main(["scenario", "nope"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["eps-pair", "--n", "3"], "eps pair needs n >= 4"),
+            (["eps-pair", "--n", "5", "--d", "3"], "1 <= D <= n-3"),
+            (["eps-pair", "--rsr-prefix", "-1"], "r_sr_prefix must be >= 0"),
+            (["stab-not-enough", "--n", "1"], "need n >= 2"),
+            (["stab-not-enough", "--tau", "0"], "tau must be >= 1"),
+            (["hop-fallacy", "--n", "3"], "need n >= 4"),
+        ],
+    )
+    def test_bad_parameters_exit_2_without_traceback(self, capsys, argv, error):
+        capsys.readouterr()
+        code = main(["scenario", *argv])
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert code == 2 and len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["ok"] is False and error in payload["error"]
+        assert "Traceback" not in captured.err
+
     def test_matches_golden(self, capsys):
         # stdout of the CI argument sets, recorded byte for byte
         for case in json.loads(SCENARIO_GOLDEN.read_text())["cases"]:

@@ -11,7 +11,6 @@ from rootcons.consensus import (
     CoreStepOutcome,
     InvariantViolationError,
     b3_apply,
-    c1_check,
     c2_check,
     confirmed_roots,
     core_step,
@@ -101,8 +100,8 @@ class TestResumedC2:
         # (altestable lassos may re-appear too late for a bounded window)
         checked, mismatches = [], []
 
-        def compared(s, D):
-            hit = c2_check(s, D)
+        def compared(s, D, *resume):
+            hit = c2_check(s, D, *resume)
             checked.append(hit is not None)
             if hit != reference_c2_check(s, D):
                 mismatches.append((s.pid, s.m))
@@ -132,6 +131,23 @@ class TestResumedC2:
         (resumed, events), (rescanned, full_events) = run(False), run(True)
         assert events == full_events and len(events) == 5
         assert resumed < rescanned  # 114 against 177 rounds evaluated
+
+    def test_undecided_processes_scan_each_round_about_once(self, monkeypatch):
+        # the round graphs alternate 1->2 and 3->4, so p2 and p4 never see a
+        # single confirmed root and search c2 every round to the horizon: a
+        # full rescan each round would read ~H^2/2 rounds, resuming at the
+        # merge's stale_from reads O(H)
+        horizon, scanned = 1000, []
+
+        def counted(s, D, resume=0):
+            scanned.append(s.m - max(resume, max(1, s.lo) + D) + 1)
+            return c2_check(s, D, resume)
+
+        monkeypatch.setattr(consensus_mod, "c2_check", counted)
+        l = lasso(4, cycle=[[(1, 2)], [(3, 4)]])
+        trace = run_execution(RunConfig(4, 1, (1, 2, 3, 4), l, horizon, check_invariants=False))
+        assert sorted(trace.decisions) == [1, 3]
+        assert sum(scanned) < 5 * horizon
 
 
 class TestC3B3:
@@ -167,9 +183,9 @@ class TestC3B3:
     def test_c2_not_called_after_deciding(self, eps1_lasso, monkeypatch):
         calls = []
 
-        def spy(s, D):
+        def spy(s, D, *resume):
             calls.append((s.pid, s.m, s.y))
-            return c2_check(s, D)
+            return c2_check(s, D, *resume)
 
         monkeypatch.setattr(consensus_mod, "c2_check", spy)
         trace = run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 12))

@@ -3,7 +3,6 @@ import copy
 import dataclasses
 import json
 import os
-import random
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -192,6 +191,21 @@ def _rewritten_old_lock_cell(merge, s, g, sent, m):
     s.tables.rows[2][2] += 100
 
 
+def _known_past_current_round(merge, s, g, sent, m):
+    merge(s, g, sent, m)
+    s.known |= 1 << ((m + 1 - s.lo) * s.tables.layout.width + 1)  # p2's bit in slot m+1
+
+
+def _reinserted_edge_round(merge, s, g, sent, m):
+    merge(s, g, sent, m)
+    s.tables.edges[0] = 0
+
+
+def _extra_row(merge, s, g, sent, m):
+    merge(s, g, sent, m)
+    s.tables.rows[6] = {}
+
+
 class TestInvariantMonitor:
     """Each fault is injected into p2's merge of one round (eps1: 1 -> 5 -> 2,
     1 -> 3, 1 -> 4, and for n > 5 also 1 -> q for q = 6..n); the monitor must
@@ -222,15 +236,40 @@ class TestInvariantMonitor:
              "(heard[2]=[3, 5, -1, -1, 4]; rounds 0..5 kept)"),
             (_rewritten_old_lock_cell, 5, "full", 5,
              "lock[2][2] is 101, expected 1 (heard[2]=[3, 5, -1, -1, 4]; rounds 0..5 kept)"),
+            (_known_past_current_round, 5, "full", 2,
+             "known holds slots past round 2 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             # n=24 runs at mask width 32
             (_fabricated_edge, 24, "full", 2,
              "edges[2] into p2 are [(2, 2), (3, 2), (5, 2)], expected [(2, 2), (5, 2)] (heard[2]=[0, 2, -1, -1, 1, -1,"),
         ],
         ids=["dropped-relayed-heard", "copied-row", "copied-edge-table", "wrong-lock-value",
              "fabricated-edge", "retained-past-window", "stale-approx-mask",
-             "wrong-lo", "flipped-bit-at-unchanged-round", "rewritten-old-lock-cell", "fabricated-edge-at-24"],
+             "wrong-lo", "flipped-bit-at-unchanged-round", "rewritten-old-lock-cell", "known-past-current-round",
+             "fabricated-edge-at-24"],
     )
     def test_fault_names_process_and_round(self, monkeypatch, fault, n, mode, round_, why):
+        caught = self.raised(monkeypatch, fault, n, mode, round_)
+        assert (caught.pid, caught.round) == (2, round_)
+        assert why in str(caught)
+
+    @pytest.mark.parametrize(
+        "fault, mode, round_, why",
+        [
+            (_reinserted_edge_round, "bounded:5", 6,
+             "the edge table holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6"),
+            (_extra_row, "full", 2, "the row table holds rows [1, 2, 3, 4, 5, 6], expected 1..5"),
+        ],
+        ids=["reinserted-edge-round", "extra-row"],
+    )
+    def test_table_fault_names_the_first_process(self, monkeypatch, fault, mode, round_, why):
+        # an extra round with no edges has no wrong column, and an extra row
+        # no wrong owner, so the monitor names the first process
+        caught = self.raised(monkeypatch, fault, 5, mode, round_)
+        assert (caught.pid, caught.round) == (1, round_)
+        assert why in str(caught)
+
+    @staticmethod
+    def raised(monkeypatch, fault, n, mode, round_) -> EngineInvariantError:
         merge = harness_mod.receive_and_merge
 
         def faulty_merge(s, g, sent, m):
@@ -243,8 +282,7 @@ class TestInvariantMonitor:
         cfg = RunConfig(n, 2, (3, 1, 4, 1, 5) + (0,) * (n - 5), l, 8, mode=mode)
         with pytest.raises(EngineInvariantError) as caught:
             run_execution(cfg)
-        assert (caught.value.pid, caught.value.round) == (2, round_)
-        assert why in str(caught.value)
+        return caught.value
 
     def test_peer_outside_the_window_prints_minus_one(self, monkeypatch, eps2_lasso):
         # p3's round-1 state reached p2 (3 -> 4 in round 2, 4 -> 5 from round
@@ -327,6 +365,15 @@ class TestOracleCheck:
         report = oracle_check(trace, 5)
         assert report.all_ok
         assert report.latest_decision_round == 5
+
+    def test_decision_outside_the_inputs_fails_validity(self, eps1_lasso):
+        run = run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 8))
+        r, _ = run.decisions[3]
+        run.decisions[3] = (r, 999)
+        report = oracle_check(run, 5)
+        assert report.validity_ok is False
+        assert report.validity_witness == (3, 999)
+        assert report.to_json_dict()["witnesses"]["validity"] == (3, 999)
 
     def test_truncated_run_fails_termination(self, eps1_lasso):
         trace = run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 2))
