@@ -10,18 +10,18 @@ carries q's earlier states, so q in slot r is also in every slot ``lo..r``.
 
 The facts themselves live in one :class:`RunTables` per run, which every
 state of the run refers to.  The engine enters what the adversary fixed:
-once per round, before the merges, :meth:`RunTables.enter` writes round m's
-edge mask ``edges[m]``, its roots ``roots[m]`` (root, member bitset) and
-its start entry ``starts[m]``, which maps each root of round m to the round
-its common-root run began, and it drops round ``lo-1`` from the round
-tables.  The processes compute only their locks: ``rows[q]`` is q's
-append-only ``{round: lock}`` of per-round lock (proposal) values; only q
-writes it, and only the cell of its current round (in ``bounded:k`` it also
-drops its round ``m-k-1`` cell in round m).  ``answers[anchor]`` maps
-``(root, lo)`` to the b1/b3 answer (run start, member bitset, maximum
-member lock) for a confirmed root of round ``anchor`` (see ``consensus``).
-A state holds no cells of its own: it reads q's round-r lock only when q
-is in slot r.
+once per round, before the merges, :meth:`RunTables.enter` appends round
+m's graph to ``graphs``, the run's one list of round graphs (round r at
+index r-1), and writes its start entry ``starts[m]``, which maps each root
+of round m to the round its common-root run began, and it drops round
+``lo-1`` from the start and answer tables.  The processes compute only
+their locks: ``rows[q]`` is q's append-only ``{round: lock}`` of per-round
+lock (proposal) values; only q writes it, and only the cell of its current
+round (in ``bounded:k`` it also drops its round ``m-k-1`` cell in round m).
+``answers[anchor]`` maps ``(root, lo)`` to the b1/b3 answer (run start,
+member bitset, maximum member lock) for a confirmed root of round
+``anchor`` (see ``consensus``).  A state holds no cells of its own: it
+reads q's round-r lock only when q is in slot r.
 
 So a broadcast is one int.  In round m each process q sends its ``known``,
 rebased to the round-m window, and p's merge (:func:`receive_and_merge`)
@@ -30,12 +30,13 @@ table but the own row.
 
 After round m the process knows ``lock[q][r]`` exactly when q is in slot r,
 and the round-r edge (u, v) exactly when v is, so its round-r approximation
-is ``edges[r]`` restricted to the columns of slot r, derived where it is
-read.  ``locks`` and ``approx`` are read-only views of these facts;
-``locks`` lists the peers with a retained cell, which are the peers in slot
-``lo``.  The harness's invariant monitor checks ``known`` and the edge
-table against the true graphs every round.  The tables are shared, so all
-states of one run must advance in lock step, as the harness does.
+is the round graph's mask ``graphs[r-1].mask`` restricted to the columns of
+slot r (round 0 has no edges), derived where it is read.  ``locks`` and
+``approx`` are read-only views of these facts; ``locks`` lists the peers
+with a retained cell, which are the peers in slot ``lo``.  The harness's
+invariant monitor checks ``known`` and the row table against its ground
+truth every round.  The tables are shared, so all states of one run must
+advance in lock step, as the harness does.
 
 A member q of a round-r root has a later outgoing edge recorded exactly when
 q is in slot r and r is not the current round (:func:`evidence`), so
@@ -48,18 +49,19 @@ results in ``runs`` and recomputes them only from that round on.
 
 ``snapshot()`` serializes a state.  A run keeps no snapshots: when the
 harness compares two runs, it rebuilds a process's states from each run's
-trace, as one state over the tables of its ground truth, and snapshots
-those.
+record, as one state over its ground truth's rows and the run's own
+graphs, and snapshots those.
 
 Root queries rest on one lemma.  Let S be slot r, and let every member of
-S have its self-loop in ``edges[r]``.  It has, as every round graph of a
-run holds every self-loop (``RunConfig`` rejects a lasso graph that lacks
-one).  Then the roots of ``edges[r]`` restricted to the columns of S are
-the roots of the whole ``edges[r]`` that lie inside S, plus one singleton
-ghost ``{u}`` for each u outside S with an edge into S: such a u has no
-in-edge left, and a set inside S has the same in-edges in both graphs.  A
-confirmed root lies inside S, so the core step reads the roots of the round
-graph, which ``graphs.root_components`` computed once (``root_bits``).
+S have its self-loop in the round-r mask.  It has, as every round graph of
+a run holds every self-loop (``RunConfig`` rejects a lasso graph that lacks
+one).  Then the roots of the round-r mask restricted to the columns of S
+are the roots of the whole round-r graph that lie inside S, plus one
+singleton ghost ``{u}`` for each u outside S with an edge into S: such a u
+has no in-edge left, and a set inside S has the same in-edges in both
+graphs.  A confirmed root lies inside S, so the core step reads the roots
+of the round graph, which the graph computes once (``CommGraph.root_bits``,
+read through ``NodeState.root_bits``).
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
 run's tables also hold that layout and the window ``keep``.
@@ -130,11 +132,11 @@ def _heard(known: int, lo: int, width: int) -> dict:
 
 def _approx_view(known: int, tables: RunTables, lo: int, m: int) -> dict:
     """Round -> edge mask for rounds ``lo..m``: the round's edges into every v
-    whose state of that round ``known`` holds."""
-    view, edges, lay = {}, tables.edges, tables.layout
+    whose state of that round ``known`` holds (round 0 has none)."""
+    view, graphs, lay = {}, tables.graphs, tables.layout
     column, row, width = lay.column, lay.row, lay.width
     for r in range(lo, m + 1):
-        view[r] = edges[r] & column * (known & row)
+        view[r] = graphs[r - 1].mask & column * (known & row) if r else 0
         known >>= width
     return view
 
@@ -150,47 +152,38 @@ def _locks_view(known: int, tables: RunTables, lo: int) -> dict:
 class RunTables:
     """What every state and message of one run shares: the n-process
     edge-mask ``layout``, the window ``keep`` (None in full mode, else k of
-    ``bounded:k``), the row and answer tables and the round tables of edges,
-    roots and run starts (see the module docstring).  The fields are fixed;
-    the tables in them grow and shrink as the run advances."""
+    ``bounded:k``), the row and answer tables, the run's round graphs and
+    the start table (see the module docstring).  The fields are fixed; the
+    tables in them grow and shrink as the run advances."""
 
     layout: MaskLayout
     keep: Optional[int]
     rows: dict  # pid -> that pid's own {round: lock}
-    edges: dict  # round -> edge mask
-    roots: dict  # round -> ((root, member bitset), ...)
+    graphs: list  # round r's CommGraph at index r-1
     starts: dict  # round -> {root: run start}
     answers: dict  # anchor -> {(root, lo): b1/b3 answer}
 
     @classmethod
     def of(cls, inputs, keep: Optional[int]) -> RunTables:
         """The tables of a run of processes 1..len(inputs) before round 1:
-        each row holds its owner's input at round 0, round 0 has no edges."""
+        each row holds its owner's input at round 0, and no graph is in."""
         rows = {p: {0: x} for p, x in enumerate(inputs, start=1)}
-        return cls(mask_layout(len(inputs)), keep, rows, {0: 0}, {}, {}, {})
+        return cls(mask_layout(len(inputs)), keep, rows, [], {}, {})
 
     def enter(self, m: int, g) -> int:
-        """Enter round m's graph ``g``, before the round's merges: its edge
-        mask, its roots with their member bitsets, and each root's run start,
-        carried from round m-1 while the root stays a root (it may predate
-        the window; every read clamps it).  Then drop round ``lo-1``, which
-        has left the window; returns ``lo``."""
-        roots = self.roots[m] = tuple((root, sum(1 << (q - 1) for q in root)) for root in root_components(g))
+        """Enter round m's graph ``g``, before the round's merges: append it
+        to ``graphs`` and enter each of its roots' run start, carried from
+        round m-1 while the root stays a root (it may predate the window;
+        every read clamps it).  Then drop round ``lo-1``, which has left the
+        window, from the start and answer tables; returns ``lo``."""
+        self.graphs.append(g)
         previous = self.starts.get(m - 1, {})
-        self.starts[m] = {root: previous.get(root, m) for root, _ in roots}
-        self.edges[m] = g.mask
+        self.starts[m] = {root: previous.get(root, m) for root in root_components(g)}
         lo = window_start(self.keep, m)
         if lo:
-            self.drop(lo)
+            self.starts.pop(lo - 1, None)
+            self.answers.pop(lo - 1, None)
         return lo
-
-    def drop(self, lo: int) -> None:
-        """Drop round ``lo-1``, which has left the window, from the round and
-        answer tables."""
-        self.edges.pop(lo - 1, None)
-        self.roots.pop(lo - 1, None)
-        self.starts.pop(lo - 1, None)
-        self.answers.pop(lo - 1, None)
 
 
 # Kept, with make_message, only for bench/tracer.py, until ROADMAP item 3.
@@ -260,8 +253,8 @@ class NodeState:
         return _locks_view(self.known, self.tables, self.lo)
 
     def root_bits(self, r: int) -> tuple:
-        """(root, member bitset) for each root of the whole ``edges[r]``, as
-        the engine entered them (``{pid}`` alone at round 0 and outside the
+        """(root, member bitset) for each root of the whole round-r graph,
+        ``graphs[r-1].root_bits`` (``{pid}`` alone at round 0 and outside the
         retained rounds).  Those inside slot r are the approximation's roots
         without its ghosts, and a root that passes the evidence filter (slot
         r, empty at the current round) lies inside it; so
@@ -269,7 +262,7 @@ class NodeState:
         roots here."""
         if not max(1, self.lo) <= r <= self.m:
             return ((frozenset([self.pid]), 1 << (self.pid - 1)),)
-        return self.tables.roots[r]
+        return self.tables.graphs[r - 1].root_bits
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
         tables = self.tables
@@ -341,7 +334,7 @@ def make_message(s: NodeState) -> Message:
     return Message(s.pid, s.m + 1, s.known >> (lo - s.lo) * tables.layout.width, lo, tables)
 
 
-def receive_and_merge(s: NodeState, g, sent: list, m: int) -> NodeState:
+def receive_and_merge(s: NodeState, g, sent: list, m: int) -> None:
     """Fuse the round-m deliveries on the round graph ``g`` into the state,
     after the engine has entered ``g`` (:meth:`RunTables.enter`) and before
     the core step.
@@ -376,7 +369,6 @@ def receive_and_merge(s: NodeState, g, sent: list, m: int) -> NodeState:
     changed = min(lo + ((new & -new).bit_length() - 1) // width, m - 1)
     if changed < s.stale_from:
         s.stale_from = changed
-    return s
 
 
 def evidence(s: NodeState, r: int) -> int:

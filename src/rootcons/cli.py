@@ -207,7 +207,7 @@ def cmd_run(args) -> int:
     if args.dot_out:
         _write_outputs({
             Path(args.dot_out, f"round{i:03d}.dot"): graph_to_dot(g, f"round{i}") + "\n"
-            for i, g in enumerate(run.round_graphs, start=1)
+            for i, g in enumerate(run.tables.graphs, start=1)
         })
     payload = {
         "ok": report.all_ok,

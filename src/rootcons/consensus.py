@@ -24,9 +24,9 @@ Both conditions read one per-round cache on the state: ``runs[r]`` is
 ``(root, start)``, the single confirmed root of round r (None if there is
 none or several) and the round its run of that root began (``r + 1`` for
 None).  Whether round r has a single confirmed root depends only on slot r
-of ``known``: it selects the columns of ``edges[r]`` (entered whole before
-the round's merges) that form the round-r approximation, and it is the
-members' evidence (empty at the current round).  So the merge's
+of ``known``: it selects the columns of the round-r graph's mask (entered
+whole before the round's merges) that form the round-r approximation, and
+it is the members' evidence (empty at the current round).  So the merge's
 ``stale_from`` bounds what can have changed, and only rounds from there on
 are recomputed.  c2 resumes its search at the step's entry ``stale_from``:
 no run before it changed since the last search, which found none long
@@ -36,10 +36,10 @@ b1 and b3 take the maximum lock at the start of the surrounding common-root
 run of a confirmed root R.  R lies inside slot ``anchor`` and so, slots
 being monotone, inside every earlier retained slot; by the lemma in
 ``approximation`` it is a root of approx[t] exactly when it is one of the
-whole ``edges[t]``.  So the start is a fact of the true round graphs, and
+whole round-t graph.  So the start is a fact of the true round graphs, and
 the engine enters it with each round graph in the start table of the run's
-``approximation.RunTables``: ``tables.starts[r]`` maps each root of
-``edges[r]`` to the round its run began.  :func:`_run_start` reads it at
+``approximation.RunTables``: ``tables.starts[r]`` maps each root of the
+round-r graph to the round its run began.  :func:`_run_start` reads it at
 round ``anchor-1`` and clamps it at the window's first round.
 
 The answer itself, ``(a, member bitset, value)`` for ``(root, anchor, lo)``,
@@ -142,7 +142,7 @@ def confirmed_roots(s: NodeState, r: int) -> list:
     (a vertex whose round-r in-edges have not arrived yet), while a root
     *with* evidence is guaranteed to be a root of the true round-r graph.
 
-    ``root_bits`` gives the roots of the whole round-r edge table, not of the
+    ``root_bits`` gives the roots of the whole round-r graph, not of the
     approximation.  The evidence (slot r, empty at the current round) keeps
     exactly those inside slot r, which by the lemma in ``approximation`` are
     the approximation's roots that are not ghosts, and no ghost, a vertex
@@ -245,14 +245,14 @@ def b3_apply(s: NodeState, root: frozenset, interval: tuple) -> Optional[tuple]:
     return a, value
 
 
-def core_step(s: NodeState, m: int, D: int) -> tuple:
-    """Run the round-m computation; returns (state, outcome).
+def core_step(s: NodeState, m: int, D: int) -> CoreStepOutcome:
+    """Run the round-m computation; returns its outcome.
 
     Empty for m <= D.  c2 is evaluated whether or not c1 fired, until the
     process has decided (b3 is write-once, so later scans cannot change it).
     """
     if m <= D:
-        return s, _NOTHING
+        return _NOTHING
     resume = s.stale_from  # before c1 refreshes ``runs``
     locked = None
     root = c1_check(s, m, D)
@@ -265,5 +265,5 @@ def core_step(s: NodeState, m: int, D: int) -> tuple:
         root2, interval = hit
         decided = (root2, *b3_apply(s, root2, interval))
     if locked is None and decided is None:
-        return s, _NOTHING
-    return s, CoreStepOutcome(locked=locked, decided=decided)
+        return _NOTHING
+    return CoreStepOutcome(locked=locked, decided=decided)

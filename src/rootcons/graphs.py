@@ -133,8 +133,8 @@ class CommGraph:
 
     The graph is its edge mask in the layout of ``mask_layout(n)``: it
     compares and hashes on ``(n, mask)``.  The mask's rows, its in-neighbour
-    lists and its root components are each derived once, on first use, and
-    stay out of ``==``, ``hash`` and ``repr``.
+    lists, its root components and their member bitsets are each derived
+    once, on first use, and stay out of ``==``, ``hash`` and ``repr``.
     """
 
     n: int
@@ -160,6 +160,11 @@ class CommGraph:
     @cached_property
     def _roots(self) -> frozenset:
         return roots_of_mask(self.mask, (1 << self.n) - 1, mask_layout(self.n))
+
+    @cached_property
+    def root_bits(self) -> tuple:
+        """``(root, member bitset)`` for each root component."""
+        return tuple((root, sum(1 << (q - 1) for q in root)) for root in self._roots)
 
     @classmethod
     def of(cls, n: int, edges: Iterable[Edge] = ()) -> "CommGraph":

@@ -1,24 +1,26 @@
 """Lock-step execution engine, correctness oracles, and named scenarios.
 
 A run advances all processes through synchronous rounds against a lasso of
-communication graphs.  Each round, the engine enters the round graph's
-facts into the run's tables once (``RunTables.enter``: its edge mask, its
-roots and their run starts, and the drop of the round that left the
-window) and builds the round's broadcasts once, one int per process: its
-end-of-previous-round ``known``, rebased to the round's window.  Every
+communication graphs.  Each round, the engine enters the round graph into
+the run's tables once (``RunTables.enter``: the graph itself, appended to
+the run's one graph list, its roots' run starts, and the drop of the round
+that left the window) and builds the round's broadcasts once, one int per
+process: its end-of-previous-round ``known``, rebased to the round's
+window.  Every
 process then merges the ints of its in-neighbours in the round graph
 (self-loops included), and each process runs its core step.
 A run is a :class:`Run`, stepped round by round: ``step()`` runs the next
 round on the lasso's graph and returns its outcomes, and the run is its own
-record of the rounds run so far (graphs, outcomes, decisions, final
-states); ``run_execution`` steps it ``cfg.horizon`` times and returns it.
+record of the rounds run so far (the graphs in its tables, outcomes,
+decisions, final states); ``run_execution`` steps it ``cfg.horizon`` times
+and returns it.
 Runs are fully deterministic in their configuration.
 
 While running, an invariant monitor checks each process's state against
 ground truth it derives from the true graphs and the lock outcomes alone
 (``_GroundTruth``): for every process p, the ``known`` int p's state must
 hold, and one ``RunTables`` of every process's expected ``{round: lock}``
-row and the true round masks over the retained rounds ``lo..m``.
+row over the retained rounds ``lo..m``.
 With ``heard[p][q]`` the latest round whose end state of q has reached p,
 q is in the slot of round r exactly when ``heard[p][q] >= r``, so the int
 is a threshold code of that ``heard`` row.  ``heard`` after round m is the
@@ -30,21 +32,19 @@ window, plus p's own bit in slot m.  The monitor reads no message or
 state to build it, and decodes ``heard[p]`` (``approximation._heard``)
 only to print it.
 
-After every round it requires that the run's edge table holds exactly the
-true masks of rounds ``lo..m``, and that the run's row table holds exactly
-the expected rows, each compared as one dict (a mismatch names the
-process of the lowest wrong column, the one whose approximations read it,
-or the owner of the lowest wrong row, the only one that writes it).  Then,
-for every p, it requires that p's ``known`` equals its expected int (only
-on a mismatch does it walk the slots to name the first that differs), that
-p holds the run's ``RunTables`` itself, and that p's ``lo`` is the
-window's.  A state's lock view and approximation are derived from
-``known`` and the run's tables alone, so this makes them exact.
+After every round it requires that the run's row table holds exactly the
+expected rows, compared as one dict (a mismatch names the owner of the
+lowest wrong row, the only one that writes it).  Then, for every p, it
+requires that p's ``known`` equals its expected int (only on a mismatch
+does it walk the slots to name the first that differs), that p holds the
+run's ``RunTables`` itself, and that p's ``lo`` is the window's.  A state's lock view and approximation are derived from
+``known`` and the run's tables alone, whose graphs are the ones the engine
+ran, so this makes them exact.
 
 A run records no per-round state.  Indistinguishability rebuilds a
 process's state at every round the run has run by the same ground truth:
-one ``NodeState`` over the ground truth's tables, with ``y`` from the
-decision events, snapshotted round by round.
+one ``NodeState`` over the ground truth's rows and the run's graphs,
+with ``y`` from the decision events, snapshotted round by round.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Optional
 
@@ -139,8 +139,8 @@ class _GroundTruth:
     """What every process's state must hold after round m, from the true
     graphs and the lock outcomes alone: ``known[p]``, the ``known`` int of
     p (slot 0 is round ``lo``), and ``tables``, a ``RunTables`` whose
-    ``rows[q]`` is q's ``{round: lock}`` over ``lo..m`` and whose ``edges``
-    holds the true mask of every retained round.  Graphs and states share
+    ``rows[q]`` is q's ``{round: lock}`` over ``lo..m`` (its graph list
+    stays empty: the round graphs are the run's).  Graphs and states share
     the n-process edge-mask layout, whose width is also the width of a
     ``known`` slot.
 
@@ -168,8 +168,6 @@ class _GroundTruth:
                 k |= prev[u]
             known[p] = k >> dropped | 1 << own + p
         self.known = known
-        tables.edges[m] = g.mask
-        tables.drop(lo)
         for row, out in zip(tables.rows.values(), outcomes):
             row[m] = row[m - 1] if out.locked is None else out.locked[2]
             row.pop(lo - 1, None)
@@ -177,9 +175,9 @@ class _GroundTruth:
 
 
 class _InvariantMonitor(_GroundTruth):
-    """Checks the run's edge and row tables and every process's state against
-    the ground truth; ``run_tables`` are the run's tables, which every state
-    must hold."""
+    """Checks the run's row table and every process's state against the
+    ground truth; ``run_tables`` are the run's tables, which every state must
+    hold."""
 
     def __init__(self, cfg: RunConfig, tables: RunTables):
         super().__init__(cfg)
@@ -187,9 +185,6 @@ class _InvariantMonitor(_GroundTruth):
 
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
         lo, run, want = self.advance(m, g, outcomes), self.run_tables, self.tables
-        if run.edges != want.edges:
-            p, problem = self._edge_violation(m, lo)
-            self._fail(p, m, lo, problem)
         if run.rows != want.rows:
             owner, problem = self._row_violation(m, lo)
             self._fail(owner, m, lo, problem)
@@ -206,24 +201,6 @@ class _InvariantMonitor(_GroundTruth):
         heard = _heard(self.known[p], lo, self.tables.layout.width)
         heard = [heard.get(q, -1) for q in range(1, self.n + 1)]
         raise EngineInvariantError(p, m, f"{problem} (heard[{p}]={heard}; rounds {lo}..{m} kept)")
-
-    def _edge_violation(self, m: int, lo: int) -> tuple:
-        """(process, what is wrong) for the first round where the edge table
-        differs from the true masks, the process being that of the lowest
-        wrong column (the edges into it).  A round held or missing with no
-        edges has no wrong column, and names the first process."""
-        lay, edges, true = self.tables.layout, self.run_tables.edges, self.tables.edges
-        for r in sorted(edges.keys() | true.keys()):
-            has, want = edges.get(r, 0), true.get(r, 0)
-            wrong, columns = has ^ want, 0
-            while wrong:
-                columns |= wrong & lay.row
-                wrong >>= lay.width
-            if columns:
-                v = (columns & -columns).bit_length()
-                into = lay.into(v)
-                return v, f"edges[{r}] into p{v} are {lay.edges(has & into)}, expected {lay.edges(want & into)}"
-        return 1, f"the edge table holds rounds {sorted(edges)}, expected {lo}..{m}"
 
     def _row_violation(self, m: int, lo: int) -> tuple:
         """(owner, what is wrong) for the lowest owner whose row differs from
@@ -258,31 +235,30 @@ class _InvariantMonitor(_GroundTruth):
 class Run:
     """One run of ``config``, stepped round by round, and the record of the
     rounds it has run: the states and the run's tables they share, the round
-    ``m`` last run, the round graphs, outcomes and decisions so far, the
-    adversary ``certificate`` it was run under (if any), and the invariant
-    monitor (None when ``config.check_invariants`` is off).  ``rebuilt``
-    memoizes, per process, the state snapshots that indistinguishability
-    rebuilds from the rest."""
+    ``m`` last run, the outcomes and decisions so far (the round graphs are
+    ``tables.graphs``), the adversary ``certificate`` it was run under (if
+    any), and the invariant monitor (None when ``config.check_invariants``
+    is off).  ``rebuilt`` memoizes, per process, the state snapshots that
+    indistinguishability rebuilds from the rest."""
 
     def __init__(self, config: RunConfig):
         self.config, self.m = config, 0
         self.states = init_states(config.inputs, config.mode)
         self.tables = self.states[1].tables
         self.monitor = _InvariantMonitor(config, self.tables) if config.check_invariants else None
-        self.round_graphs, self.outcomes, self.decisions = [], [], {}
+        self.outcomes, self.decisions = [], {}
         self.certificate, self.rebuilt = None, {}
 
     def step(self) -> list:
         """Run round m+1 on the lasso's graph; returns its outcomes in pid order.
 
-        The round graph is entered into the run's tables once, which also
-        drops the window's old round from them.  The round's broadcasts are
+        The round graph is entered into the run's tables once, which appends
+        it to their graph list and drops the window's old round from them.  The round's broadcasts are
         built once: ``sent[q-1]`` is q's ``known``, rebased to the round's
         window.  Every state merges them off the round graph.
         """
         self.m = m = self.m + 1
         states, decisions, g, tables = self.states, self.decisions, self.config.lasso.graph(m), self.tables
-        self.round_graphs.append(g)
         lo, width = tables.enter(m, g), tables.layout.width
         sent = [st.known >> (lo - st.lo) * width for st in states.values()]
         for st in states.values():
@@ -290,7 +266,7 @@ class Run:
         per_round = []
         for p in states:
             try:
-                _, out = core_step(states[p], m, self.config.D)
+                out = core_step(states[p], m, self.config.D)
             except consensus.InvariantViolationError as exc:
                 raise EngineInvariantError(p, m, str(exc)) from exc
             per_round.append(out)
@@ -313,7 +289,7 @@ class Run:
 
     def to_json_lines(self) -> str:
         lines = []
-        for i, g in enumerate(self.round_graphs):
+        for i, g in enumerate(self.tables.graphs):
             m = i + 1
             record = {
                 "round": m,
@@ -439,18 +415,20 @@ def oracle_check(run: Run, deadline: int) -> OracleReport:
 
 def _rebuilt_states(run: Run, p: int) -> list:
     """p's ``NodeState.snapshot()`` at the end of every round 0..m of the run,
-    rebuilt from its record: one state over the ground truth's tables, which
-    takes its ``known`` and ``lo`` from the ground truth and its ``y`` from
-    the decision events.  Memoized on the run until it steps on."""
+    rebuilt from its record: one state over the ground truth's rows and the
+    run's graphs, which takes its ``known`` and ``lo`` from the ground truth
+    and its ``y`` from the decision events.  Memoized on the run until it
+    steps on."""
     snapshots = run.rebuilt.get(p)
     if snapshots is None or len(snapshots) <= run.m:
-        cfg = run.config
+        cfg, graphs = run.config, run.tables.graphs
         truth = _GroundTruth(cfg)
         decided, y = run.decisions.get(p, (run.m + 1, None))
-        state, snapshots = NodeState(p, cfg.inputs[p - 1], truth.tables), []
+        tables = replace(truth.tables, graphs=graphs)
+        state, snapshots = NodeState(p, cfg.inputs[p - 1], tables), []
         for m in range(run.m + 1):
             if m:
-                state.lo = truth.advance(m, run.round_graphs[m - 1], run.outcomes[m - 1])
+                state.lo = truth.advance(m, graphs[m - 1], run.outcomes[m - 1])
                 state.m, state.known = m, truth.known[p]
                 state.y = y if m >= decided else None
             snapshots.append(state.snapshot())

@@ -234,7 +234,7 @@ class ReferenceState:
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
         self.runs, self.stale_from = {}, 0
-        self.tables = RunTables(lay, keep, rows=None, edges=None, roots=None, starts={}, answers={})
+        self.tables = RunTables(lay, keep, rows=None, graphs=None, starts={}, answers={})
 
     @property
     def lo(self) -> int:
@@ -334,7 +334,7 @@ def reference_run(cfg, core_step) -> tuple:
         for p, s in states.items():
             reference_merge(s, [msgs[u] for (u, v) in graph_edges(g) if v == p], m)
         for p, s in states.items():
-            _, out = core_step(s, m, cfg.D)
+            out = core_step(s, m, cfg.D)
             if out.decided is not None:
                 decisions.append((m, p, out.decided[2]))
         snapshots.append({p: s.snapshot() for p, s in states.items()})

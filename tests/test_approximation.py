@@ -19,7 +19,15 @@ from rootcons.approximation import (
     receive_and_merge,
 )
 from rootcons.consensus import confirmed_roots
-from rootcons.graphs import CommGraph, lasso, lasso_from_json, lasso_to_json, mask_layout, roots_of_mask
+from rootcons.graphs import (
+    CommGraph,
+    lasso,
+    lasso_from_json,
+    lasso_to_json,
+    mask_layout,
+    root_components,
+    roots_of_mask,
+)
 from rootcons.harness import Run, RunConfig, run_execution
 
 
@@ -58,10 +66,10 @@ class TestInitState:
         assert sorted(states) == list(range(1, n + 1))
         tables = states[1].tables
         assert all(s.tables is tables and make_message(s).tables is tables for s in states.values())
-        assert sorted(tables.rows) == list(range(1, n + 1)) and tables.edges == {0: 0}
+        assert sorted(tables.rows) == list(range(1, n + 1)) and tables.graphs == []
         assert tables.layout is mask_layout(n) and tables.keep == 3
         other = init_states((0,) * n)[1].tables
-        for name in ("rows", "edges", "roots", "starts", "answers"):  # one of each per run
+        for name in ("rows", "graphs", "starts", "answers"):  # one of each per run
             assert getattr(other, name) is not getattr(tables, name), name
 
 
@@ -130,8 +138,8 @@ class TestReceiveAndMerge:
     @pytest.mark.parametrize("mode", ["full", "bounded:5"])
     def test_reads_only_in_neighbours_broadcasts(self, monkeypatch, eps2_lasso, mode):
         # the broadcast of every process that is not an in-neighbour carries
-        # every bit of every slot; no merge may see it, and the edge table
-        # holds exactly the round graph's column into every process
+        # every bit of every slot; no merge may see it, and the run's graph
+        # list holds the round graph at index m-1
         merge = harness_mod.receive_and_merge
         poison = (1 << 16 * mask_layout(5).width) - 1
 
@@ -143,10 +151,8 @@ class TestReceiveAndMerge:
                     ins = g.in_lists[s.pid - 1]
                     sent = [k if q in ins else poison for q, k in enumerate(sent, start=1)]
                 merge(s, g, sent, m)
-                into = s.tables.layout.into(s.pid)
-                assert s.tables.edges[m] & into == g.mask & into
+                assert s.tables.graphs[m - 1] is g
                 seen.append((s.pid, m, s.known))
-                return s
 
             with monkeypatch.context() as patch:
                 patch.setattr(harness_mod, "receive_and_merge", merged)
@@ -274,6 +280,10 @@ class TestRootKernel:
         cells = [lay.bit(u, v) for u in range(1, 4) for v in range(1, 4)]  # self-loops too
         for pick in range(1 << len(cells)):
             mask = sum(bit for i, bit in enumerate(cells) if pick >> i & 1)
+            g = CommGraph(3, mask)
+            assert [root for root, _ in g.root_bits] == list(root_components(g)), lay.edges(mask)
+            for root, bits in g.root_bits:  # each member bitset is its root
+                assert {q for q in range(1, lay.width + 1) if bits >> (q - 1) & 1} == root, lay.edges(mask)
             for extra in range(1, lay.width + 1):  # 4 is isolated
                 assert fresh_roots(mask, extra, lay) == reference_roots_of_partial(mask, extra, lay), (
                     lay.edges(mask), extra,
@@ -299,10 +309,10 @@ def lemma_state(n, edges, slot, pid):
     round-1 mask, slot bitset)."""
     lay = mask_layout(n)
     rows = {q: {r: 0 for r in range(3)} for q in range(1, n + 1)}
-    tables = RunTables(lay, None, rows, {0: 0}, {}, {}, {})
+    tables = RunTables(lay, None, rows, [], {}, {})
     tables.enter(1, CommGraph.of(n, edges))
     tables.enter(2, CommGraph.of(n))
-    whole = tables.edges[1]
+    whole = tables.graphs[0].mask
     s = NodeState(pid, 0, tables)
     bits = sum(1 << (q - 1) for q in slot)
     s.m, s.known = 2, bits | bits << lay.width | 1 << (2 * lay.width + pid - 1)
@@ -381,7 +391,7 @@ def true_approx(l, s) -> dict:
 
 
 class TestMaskCache:
-    """The approximation is derived from ``known`` and the run's edge table;
+    """The approximation is derived from ``known`` and the run's graphs;
     after every round each state's ``approx`` must equal the lasso's true
     graphs restricted to the state's ``known`` slots."""
 
@@ -417,7 +427,7 @@ class TestPrune:
         assert sorted(states[2].approx) == [5, 6, 7, 8]
         assert sorted(states[2].locks[2]) == [5, 6, 7, 8]
         assert sorted(states[2].tables.rows[2]) == [5, 6, 7, 8]
-        assert sorted(states[2].tables.edges) == [5, 6, 7, 8]
+        assert sorted(states[2].tables.starts) == [5, 6, 7, 8]
         assert states[2].lo == 5
 
     @pytest.mark.parametrize("mode", ["bounded:3", "bounded:7"])
@@ -429,7 +439,7 @@ class TestPrune:
             for m in range(1, 16):
                 run.step()
                 s = run.states[1]
-                assert list(s.tables.edges) == list(range(s.lo, m + 1)), (n, m)
+                assert list(s.tables.starts) == list(range(max(1, s.lo), m + 1)), (n, m)
 
     def test_peer_leaves_with_its_last_heard_round(self):
         # p1's round-0 state reaches p2 in round 1, and nothing after it:

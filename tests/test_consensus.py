@@ -24,7 +24,7 @@ class TestEmptyEarlyRounds:
     def test_no_op_for_m_up_to_d(self):
         s = init_states((5,))[1]
         s.m = 2
-        out = core_step(s, 2, D=2)[1]
+        out = core_step(s, 2, D=2)
         assert out == CoreStepOutcome()
         assert s.locks[1].get(2) is None  # no b1 write happened
 
@@ -287,7 +287,7 @@ class TestHorizonCost:
 
 class TestStartTable:
     """The root-run start table is one per run, built from the whole round
-    masks, and held only for the retained rounds."""
+    graphs, and held only for the retained rounds."""
 
     def test_one_table_per_run(self, eps2_lasso):
         trace = run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 12))
@@ -320,25 +320,33 @@ class TestStartTable:
         assert s.lo == 195 and s.tables.starts and min(s.tables.starts) >= s.lo and len(s.tables.starts) <= 6
 
     def test_bounded_entries_are_the_true_roots_and_run_starts(self):
-        # the CI lasso in bounded:5: after every round, for every retained
-        # round r from max(1, lo) on, the run's roots entry is the true round
-        # graph's roots with their member bitsets, and its start entry, read
-        # clamped at the window's first round, is the least a from there
-        # with R a root of every round graph of a..r
+        # the CI lasso in bounded:5 and in full mode: after every round, for
+        # every retained round r from max(1, lo) on, each state's root_bits(r)
+        # is the true round graph's roots with their member bitsets, and the
+        # start entry, read clamped at the window's first round, is the least
+        # a from there with R a root of every round graph of a..r; at round 0
+        # and at round lo-1 each state reads its own singleton
         l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
-        run = harness_mod.Run(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 60, mode="bounded:5"))
-        for m in range(1, 61):
-            run.step()
-            tables, low = run.tables, max(1, window_start(5, m))
-            for r in range(low, m + 1):
-                roots = root_components(l.graph(r))
-                want = {(root, sum(1 << (q - 1) for q in root)) for root in roots}
-                assert len(tables.roots[r]) == len(want) and set(tables.roots[r]) == want, (m, r)
-                for root in roots:
-                    a = r
-                    while a > low and root in root_components(l.graph(a - 1)):
-                        a -= 1
-                    assert max(tables.starts[r][root], low) == a, (m, r, root)
+        for mode, keep in (("bounded:5", 5), ("full", None)):
+            run = harness_mod.Run(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 60, mode=mode))
+            for m in range(1, 61):
+                run.step()
+                tables, lo = run.tables, window_start(keep, m)
+                low = max(1, lo)
+                for s in run.states.values():
+                    own = ((frozenset([s.pid]), 1 << (s.pid - 1)),)
+                    assert s.root_bits(0) == own and s.root_bits(lo - 1) == own, (mode, m, s.pid)
+                for r in range(low, m + 1):
+                    roots = root_components(l.graph(r))
+                    want = {(root, sum(1 << (q - 1) for q in root)) for root in roots}
+                    for s in run.states.values():
+                        got = s.root_bits(r)
+                        assert len(got) == len(want) and set(got) == want, (mode, m, r, s.pid)
+                    for root in roots:
+                        a = r
+                        while a > low and root in root_components(l.graph(a - 1)):
+                            a -= 1
+                        assert max(tables.starts[r][root], low) == a, (mode, m, r, root)
 
 
 class TestAnswerTable:

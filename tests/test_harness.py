@@ -61,10 +61,10 @@ class TestRunExecution:
         step = harness_mod.core_step
 
         def deciding_twice(s, m, D):
-            s, out = step(s, m, D)
+            out = step(s, m, D)
             if s.pid == 1 and m in (2, 3):
                 out = out._replace(decided=(frozenset([1]), m, 0))
-            return s, out
+            return out
 
         monkeypatch.setattr(harness_mod, "core_step", deciding_twice)
         with pytest.raises(EngineInvariantError) as caught:
@@ -146,9 +146,9 @@ def _copied_rows(merge, s, g, sent, m):
     s.tables = dataclasses.replace(s.tables, rows=copy.copy(s.tables.rows))
 
 
-def _copied_edge_table(merge, s, g, sent, m):
+def _copied_graph_list(merge, s, g, sent, m):
     merge(s, g, sent, m)
-    s.tables = dataclasses.replace(s.tables, edges=dict(s.tables.edges))
+    s.tables = dataclasses.replace(s.tables, graphs=list(s.tables.graphs))
 
 
 def _wrong_lock_value(merge, s, g, sent, m):
@@ -157,8 +157,10 @@ def _wrong_lock_value(merge, s, g, sent, m):
 
 
 def _fabricated_edge(merge, s, g, sent, m):
+    # p3's round-m state never reached p2; with p3 in slot m, p2's
+    # approximation would show the round-m edges into p3
     merge(s, g, sent, m)
-    s.tables.edges[m] |= s.tables.layout.bit(3, 2)
+    s.known |= 1 << ((m - s.lo) * s.tables.layout.width + 2)
 
 
 def _retained_past_window(merge, s, g, sent, m):
@@ -168,21 +170,9 @@ def _retained_past_window(merge, s, g, sent, m):
     own[m - 6] = stale
 
 
-def _stale_approx_mask(merge, s, g, sent, m):
-    merge(s, g, sent, m)
-    s.tables.edges[m - 1] &= ~s.tables.layout.bit(5, 2)  # a true edge of round 1
-
-
 def _wrong_lo(merge, s, g, sent, m):
     merge(s, g, sent, m)
     s.lo += 1
-
-
-def _flipped_bit_at_unchanged_round(merge, s, g, sent, m):
-    # round 2's edges are not touched by any merge of round 5, so only a
-    # check of every retained round can see the false edge
-    merge(s, g, sent, m)
-    s.tables.edges[m - 3] |= s.tables.layout.bit(1, 2)
 
 
 def _rewritten_old_lock_cell(merge, s, g, sent, m):
@@ -194,11 +184,6 @@ def _rewritten_old_lock_cell(merge, s, g, sent, m):
 def _known_past_current_round(merge, s, g, sent, m):
     merge(s, g, sent, m)
     s.known |= 1 << ((m + 1 - s.lo) * s.tables.layout.width + 1)  # p2's bit in slot m+1
-
-
-def _reinserted_edge_round(merge, s, g, sent, m):
-    merge(s, g, sent, m)
-    s.tables.edges[0] = 0
 
 
 def _extra_row(merge, s, g, sent, m):
@@ -218,33 +203,24 @@ class TestInvariantMonitor:
              "known[0] is [2, 5], expected [1, 2, 5] (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_copied_rows, 5, "full", 2,
              "tables is not the run's tables (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
-            (_copied_edge_table, 5, "full", 2,
+            (_copied_graph_list, 5, "full", 2,
              "tables is not the run's tables (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_wrong_lock_value, 5, "full", 2,
              "lock[2][2] is 2, expected 1 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
-            (_fabricated_edge, 5, "full", 2,
-             "edges[2] into p2 are [(2, 2), (3, 2), (5, 2)], expected [(2, 2), (5, 2)] (heard[2]="),
             (_retained_past_window, 5, "bounded:5", 6,
              "row[2] holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6 "
              "(heard[2]=[4, 6, -1, -1, 5]; rounds 1..6 kept)"),
-            (_stale_approx_mask, 5, "full", 2,
-             "edges[1] into p2 are [(2, 2)], expected [(2, 2), (5, 2)] "
-             "(heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_wrong_lo, 5, "full", 2, "lo is 1, expected 0 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
-            (_flipped_bit_at_unchanged_round, 5, "bounded:5", 5,
-             "edges[2] into p2 are [(1, 2), (2, 2), (5, 2)], expected [(2, 2), (5, 2)] "
-             "(heard[2]=[3, 5, -1, -1, 4]; rounds 0..5 kept)"),
             (_rewritten_old_lock_cell, 5, "full", 5,
              "lock[2][2] is 101, expected 1 (heard[2]=[3, 5, -1, -1, 4]; rounds 0..5 kept)"),
             (_known_past_current_round, 5, "full", 2,
              "known holds slots past round 2 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             # n=24 runs at mask width 32
             (_fabricated_edge, 24, "full", 2,
-             "edges[2] into p2 are [(2, 2), (3, 2), (5, 2)], expected [(2, 2), (5, 2)] (heard[2]=[0, 2, -1, -1, 1, -1,"),
+             "known[2] is [2, 3], expected [2] (heard[2]=[0, 2, -1, -1, 1, -1,"),
         ],
         ids=["dropped-relayed-heard", "copied-row", "copied-edge-table", "wrong-lock-value",
-             "fabricated-edge", "retained-past-window", "stale-approx-mask",
-             "wrong-lo", "flipped-bit-at-unchanged-round", "rewritten-old-lock-cell", "known-past-current-round",
+             "retained-past-window", "wrong-lo", "rewritten-old-lock-cell", "known-past-current-round",
              "fabricated-edge-at-24"],
     )
     def test_fault_names_process_and_round(self, monkeypatch, fault, n, mode, round_, why):
@@ -255,15 +231,12 @@ class TestInvariantMonitor:
     @pytest.mark.parametrize(
         "fault, mode, round_, why",
         [
-            (_reinserted_edge_round, "bounded:5", 6,
-             "the edge table holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6"),
             (_extra_row, "full", 2, "the row table holds rows [1, 2, 3, 4, 5, 6], expected 1..5"),
         ],
-        ids=["reinserted-edge-round", "extra-row"],
+        ids=["extra-row"],
     )
     def test_table_fault_names_the_first_process(self, monkeypatch, fault, mode, round_, why):
-        # an extra round with no edges has no wrong column, and an extra row
-        # no wrong owner, so the monitor names the first process
+        # an extra row has no wrong owner, so the monitor names the first process
         caught = self.raised(monkeypatch, fault, 5, mode, round_)
         assert (caught.pid, caught.round) == (1, round_)
         assert why in str(caught)
