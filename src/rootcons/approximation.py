@@ -19,9 +19,10 @@ their locks: ``rows[q]`` is q's append-only ``{round: lock}`` of per-round
 lock (proposal) values; only q writes it, and only the cell of its current
 round (in ``bounded:k`` it also drops its round ``m-k-1`` cell in round m).
 ``answers[anchor]`` maps ``(root, lo)`` to the b1/b3 answer (run start,
-member bitset, maximum member lock) for a confirmed root of round
-``anchor`` (see ``consensus``).  A state holds no cells of its own: it
-reads q's round-r lock only when q is in slot r.
+member bitset, and the lock-only core-step outcome that carries the
+maximum member lock) for a confirmed root of round ``anchor`` (see
+``consensus``).  A state holds no cells of its own: it reads q's round-r
+lock only when q is in slot r.
 
 So a broadcast is one int.  In round m each process q sends its ``known``,
 rebased to the round-m window, and p's merge (:func:`receive_and_merge`)
@@ -260,9 +261,9 @@ class NodeState:
         r, empty at the current round) lies inside it; so
         ``consensus.confirmed_roots`` finds the approximation's confirmed
         roots here."""
-        if not max(1, self.lo) <= r <= self.m:
-            return ((frozenset([self.pid]), 1 << (self.pid - 1)),)
-        return self.tables.graphs[r - 1].root_bits
+        if 0 < r <= self.m and r >= self.lo:
+            return self.tables.graphs[r - 1].root_bits
+        return ((frozenset([self.pid]), 1 << (self.pid - 1)),)
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
         tables = self.tables

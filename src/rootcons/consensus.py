@@ -26,11 +26,12 @@ none or several) and the round its run of that root began (``r + 1`` for
 None).  Whether round r has a single confirmed root depends only on slot r
 of ``known``: it selects the columns of the round-r graph's mask (entered
 whole before the round's merges) that form the round-r approximation, and
-it is the members' evidence (empty at the current round).  So the merge's
-``stale_from`` bounds what can have changed, and only rounds from there on
-are recomputed.  c2 resumes its search at the step's entry ``stale_from``:
-no run before it changed since the last search, which found none long
-enough.  A start before the window counts from the window's first round.
+it is the members' evidence (empty at the current round, which thus has no
+confirmed root and is never evaluated).  So the merge's ``stale_from``
+bounds what can have changed, and only rounds from there on are recomputed.
+c2 resumes its search at the step's entry ``stale_from``: no run before it
+changed since the last search, which found none long enough.  A start
+before the window counts from the window's first round.
 
 b1 and b3 take the maximum lock at the start of the surrounding common-root
 run of a confirmed root R.  R lies inside slot ``anchor`` and so, slots
@@ -42,9 +43,10 @@ the engine enters it with each round graph in the start table of the run's
 round-r graph to the round its run began.  :func:`_run_start` reads it at
 round ``anchor-1`` and clamps it at the window's first round.
 
-The answer itself, ``(a, member bitset, value)`` for ``(root, anchor, lo)``,
-is run-wide too, and the run's answer table holds it:
-``tables.answers[anchor]`` maps ``(root, lo)`` to it.  a depends only on
+The answer itself is run-wide too, and the run's answer table holds it:
+``tables.answers[anchor]`` maps ``(root, lo)`` to ``(a, member bitset,
+outcome)``, the outcome being the lock-only ``CoreStepOutcome((root, a,
+value))`` that b1 returns to every process it answers.  a depends only on
 the start table and on ``lo``, which every state shares in a round, and the
 value reads the members' row cells of round a < m, which only their owners
 wrote and which are final (the harness's monitor compares the row table
@@ -87,10 +89,6 @@ class CoreStepOutcome(NamedTuple):
 _NOTHING = CoreStepOutcome()  # the one outcome of every step where nothing fired
 
 
-def _core_low(s: NodeState) -> int:
-    return max(1, s.lo)
-
-
 def _run_start(s: NodeState, root: frozenset, anchor: int) -> int:
     """The least round a from max(1, lo) to ``anchor`` with root in
     roots(approx[r]) for every r in a..anchor-1 (``anchor`` itself when it
@@ -99,7 +97,7 @@ def _run_start(s: NodeState, root: frozenset, anchor: int) -> int:
     round.  The run's start table holds the run starts of the whole round
     masks' roots, which for a confirmed root are the same, by the lemma.
     """
-    low = _core_low(s)
+    low = max(1, s.lo)
     if anchor <= low:
         return anchor
     return max(s.tables.starts[anchor - 1].get(root, anchor), low)
@@ -115,10 +113,10 @@ def _max_lock(s: NodeState, root: frozenset, a: int, what: str) -> int:
     return max(values)
 
 
-def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> tuple:
-    """(a, value): the run start a through ``anchor`` of the confirmed root
-    and its members' maximum lock at a, from the run's answer table, or
-    computed and entered there."""
+def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> CoreStepOutcome:
+    """``CoreStepOutcome((root, a, value))``: the run start a through
+    ``anchor`` of the confirmed root and its members' maximum lock at a,
+    from the run's answer table, or computed and entered there."""
     answers = s.tables.answers
     table = answers.get(anchor)
     if table is None:
@@ -126,13 +124,13 @@ def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> tuple:
     key = (root, s.lo)
     entry = table.get(key)
     if entry is not None:
-        a, bits, value = entry
+        a, bits, out = entry
         if bits & evidence(s, a) == bits:
-            return a, value
+            return out
     a = _run_start(s, root, anchor)
-    value = _max_lock(s, root, a, what)
-    table[key] = (a, sum(1 << (q - 1) for q in root), value)
-    return a, value
+    out = CoreStepOutcome((root, a, _max_lock(s, root, a, what)))
+    table[key] = (a, sum(1 << (q - 1) for q in root), out)
+    return out
 
 
 def confirmed_roots(s: NodeState, r: int) -> list:
@@ -153,8 +151,9 @@ def confirmed_roots(s: NodeState, r: int) -> list:
 
 
 def _refresh(s: NodeState, upto: int) -> None:
-    """Recompute the ``runs`` entries of rounds ``stale_from..upto``."""
-    low = _core_low(s)
+    """Recompute the ``runs`` entries of rounds ``stale_from..upto``, which
+    ends before the current round: that round has no confirmed root."""
+    low = max(1, s.lo)
     first = max(s.stale_from, low)
     if first > upto:
         return
@@ -176,10 +175,10 @@ def c1_check(s: NodeState, m: int, D: int) -> Optional[frozenset]:
     Read from ``runs`` while c2 still needs the rounds before m-D kept
     current; once decided, only round m-D itself is evaluated.  That path
     is not a duplicate: refreshing ``runs`` after the decision, for c1
-    alone, cost about 15% of the lassos/s of a bounded run to H=150.
+    alone, costs about 14% of the lassos/s of a bounded run to H=150.
     """
     r0 = m - D
-    if r0 < _core_low(s):
+    if not 0 < r0 >= s.lo:
         return None
     if s.y is not None and r0 >= s.stale_from:
         confirmed = confirmed_roots(s, r0)
@@ -188,12 +187,13 @@ def c1_check(s: NodeState, m: int, D: int) -> Optional[frozenset]:
     return s.runs[r0][0]
 
 
-def b1_apply(s: NodeState, m: int, root: frozenset, D: int) -> tuple:
+def b1_apply(s: NodeState, m: int, root: frozenset, D: int) -> CoreStepOutcome:
     """Re-propose: lock[pid][m] := max lock[q][a] over the root's members,
-    where a starts the maximal common-root run around round m-D."""
-    a, value = _answer(s, root, m - D, "b1")
-    s.propose(value)
-    return a, value
+    where a starts the maximal common-root run around round m-D.  Returns
+    the answer's lock-only outcome, shared by every process that takes it."""
+    out = _answer(s, root, m - D, "b1")
+    s.propose(out.locked[2])
+    return out
 
 
 def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
@@ -206,11 +206,11 @@ def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
     evidence condition c3 requires.
     Round b' qualifies iff its run began at least D rounds earlier and
     b' >= max(1, lo) + D, so a longer-ago start needs no clamping.  Rounds
-    before ``resume`` are skipped (see the module docstring).
+    before ``resume``, and the current one, are skipped (module docstring).
     """
-    _refresh(s, s.m)
+    _refresh(s, s.m - 1)
     runs = s.runs
-    for r in range(max(resume, _core_low(s) + D), s.m + 1):
+    for r in range(max(resume, max(1, s.lo) + D), s.m):
         root, start = runs[r]
         if r - start >= D:
             return root, (r - D, r)
@@ -224,10 +224,10 @@ def blocker(s: NodeState) -> tuple:
     single confirmed root.  c2 is the only condition that can block, as c3
     is implied by c2's confirmed roots.
     """
-    _refresh(s, s.m)
-    low = _core_low(s)
+    _refresh(s, s.m - 1)
+    low = max(1, s.lo)
     best, length = ("c2", None, None), 0
-    for r in range(low, s.m + 1):
+    for r in range(low, s.m):
         root, start = s.runs[r]
         a = max(start, low)
         if root is not None and r - a + 1 > length:
@@ -237,12 +237,13 @@ def blocker(s: NodeState) -> tuple:
 
 def b3_apply(s: NodeState, root: frozenset, interval: tuple) -> Optional[tuple]:
     """Decide (write-once) on the maximum member lock at the start of the
-    maximal common-root run containing the single-rooted interval."""
+    maximal common-root run containing the single-rooted interval.  Returns
+    the answer's ``(root, a, value)``, or None if already decided."""
     if s.y is not None:
         return None
-    a, value = _answer(s, root, interval[0], "b3")
-    s.y = value
-    return a, value
+    decided = _answer(s, root, interval[0], "b3").locked
+    s.y = decided[2]
+    return decided
 
 
 def core_step(s: NodeState, m: int, D: int) -> CoreStepOutcome:
@@ -250,20 +251,16 @@ def core_step(s: NodeState, m: int, D: int) -> CoreStepOutcome:
 
     Empty for m <= D.  c2 is evaluated whether or not c1 fired, until the
     process has decided (b3 is write-once, so later scans cannot change it).
+    Only a deciding step builds an outcome; others return b1's shared one.
     """
     if m <= D:
         return _NOTHING
     resume = s.stale_from  # before c1 refreshes ``runs``
-    locked = None
     root = c1_check(s, m, D)
-    if root is not None:
-        a, value = b1_apply(s, m, root, D)
-        locked = (root, a, value)
-    decided = None
-    hit = c2_check(s, D, resume) if s.y is None else None
-    if hit is not None:
-        root2, interval = hit
-        decided = (root2, *b3_apply(s, root2, interval))
-    if locked is None and decided is None:
-        return _NOTHING
-    return CoreStepOutcome(locked=locked, decided=decided)
+    out = _NOTHING if root is None else b1_apply(s, m, root, D)
+    if s.y is not None:
+        return out
+    hit = c2_check(s, D, resume)
+    if hit is None:
+        return out
+    return CoreStepOutcome(out.locked, b3_apply(s, *hit))

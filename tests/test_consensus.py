@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import approx_roots, reference_c2_check, reference_run_start
+from conftest import random_lasso, run_with_snapshots
+from oracles import approx_roots, reference_c2_check, reference_evidence, reference_run, reference_run_start
 
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
@@ -130,7 +132,24 @@ class TestResumedC2:
 
         (resumed, events), (rescanned, full_events) = run(False), run(True)
         assert events == full_events and len(events) == 5
-        assert resumed < rescanned  # 114 against 177 rounds evaluated
+        assert resumed < rescanned  # 87 against 150 rounds evaluated
+
+    @pytest.mark.parametrize("mode", ["full", "bounded:5"])
+    def test_never_evaluates_the_current_round(self, eps2_lasso, monkeypatch, mode):
+        # the current round's evidence is empty, so it can have no confirmed
+        # root: neither c1 nor c2 asks for it, on the eps2 lasso and the CI
+        # lasso (generate --n 6 --d 2 --rsr 6 --seed 3)
+        l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
+        current = []
+
+        def spied(s, r):
+            current.append(r == s.m)
+            return confirmed_roots(s, r)
+
+        monkeypatch.setattr(consensus_mod, "confirmed_roots", spied)
+        run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 14, mode=mode))
+        run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 60, mode=mode))
+        assert current and not any(current)
 
     def test_undecided_processes_scan_each_round_about_once(self, monkeypatch):
         # the round graphs alternate 1->2 and 3->4, so p2 and p4 never see a
@@ -409,6 +428,60 @@ class TestAnswerTable:
         (q, a), = cleared
         assert (info.value.pid, info.value.round) == (2, M)
         assert f"lock[{q}][{a}] unknown" in str(info.value)
+
+
+class TestSharedOutcomes:
+    """A step that re-proposes returns the answer table's one lock-only
+    outcome, shared by every process that takes that answer; only the step
+    in which a process decides builds an outcome of its own."""
+
+    @pytest.mark.parametrize("n, D, mode, horizon", [
+        (6, 2, "full", 60),
+        (6, 2, "bounded:5", 60),
+        (64, 3, "bounded:7", 300),
+    ])
+    def test_equal_locks_are_one_outcome(self, n, D, mode, horizon):
+        # the CI lassos (generate --n N --d D --rsr 6 --seed 3)
+        l, _ = generate_estable(AdversaryParams(n=n, D=D, seed=3, r_sr_target=6))
+        inputs = (3, 1, 4, 1, 5, 9) if n == 6 else tuple(range(1, n + 1))
+        run = run_execution(RunConfig(n, D, inputs, l, horizon, mode=mode))
+        assert len(run.decisions) == n
+        pairs, objects = set(), set()
+        for m, per_round in enumerate(run.outcomes, start=1):
+            first = {}
+            for p, out in enumerate(per_round, start=1):
+                objects.add(id(out))
+                if out.decided is not None:
+                    assert run.decisions[p] == (m, out.decided[2]), (m, p)
+                elif out.locked is not None:
+                    assert first.setdefault(out.locked, out) is out, (m, p)
+                    pairs.add((m, out.locked))
+        assert pairs and len(objects) <= len(pairs) + n + 1
+
+
+class TestReferenceDifferential:
+    """The core step on the copied-history reference states of
+    ``oracles.reference_run`` against the engine, on uncertified random
+    lassos, where rounds with several roots and answers that a later reader
+    must recompute are common."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_random_lassos_match_the_reference(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        D = data.draw(st.integers(1, n - 1), label="D")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        l = random_lasso(rng, n, data.draw(st.integers(0, 6), label="prefix"),
+                         density=data.draw(st.floats(0.2, 0.7), label="density"))
+        mode = data.draw(st.sampled_from(["full", f"bounded:{2 * D + 1}", f"bounded:{2 * D + 3}"]), label="mode")
+        inputs = tuple(rng.randint(0, 9) for _ in range(n))
+        cfg = RunConfig(n, D, inputs, l, data.draw(st.integers(1, 20), label="H"), mode=mode)
+        run, direct = run_with_snapshots(cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(consensus_mod, "evidence", reference_evidence)
+            snapshots, events = reference_run(cfg, consensus_mod.core_step)
+        assert direct == snapshots
+        assert run.decision_events() == events
 
 
 class TestWholeRuns:
