@@ -41,7 +41,8 @@ advance in lock step, as the harness does.
 
 A member q of a round-r root has a later outgoing edge recorded exactly when
 q is in slot r and r is not the current round (:func:`evidence`), so
-confirming a root is one mask test of its member bitset against that slot.
+confirming a root is one mask test of its member bitset against that slot;
+the core step makes it on ``known`` in place.
 
 The merge also notes ``stale_from``, the earliest round whose confirmed
 single root may have changed (the lowest newly set slot, or the round that
@@ -61,8 +62,10 @@ are the roots of the whole round-r graph that lie inside S, plus one
 singleton ghost ``{u}`` for each u outside S with an edge into S: such a u
 has no in-edge left, and a set inside S has the same in-edges in both
 graphs.  A confirmed root lies inside S, so the core step reads the roots
-of the round graph, which the graph computes once (``CommGraph.root_bits``,
-read through ``NodeState.root_bits``).
+of the round graph, which the graph computes once, straight from the run's
+graph list (``tables.graphs[r-1].root_bits``).  ``NodeState.root_bits`` is
+the same read, one round per call, for the definitional view
+``consensus.confirmed_roots``.
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
 run's tables also hold that layout and the window ``keep``.
@@ -223,8 +226,8 @@ class NodeState:
     :class:`RunTables`, whose row cells the state reads only where ``known``
     has the owner's bit.  ``y`` is the write-once decision.  ``approx[r]``,
     the round-r approximation's edge mask for r in ``lo..m``, and
-    ``locks[q][r]`` are views over the retained rounds.  ``root_bits`` gives
-    a round's roots to the core step.  ``runs`` and
+    ``locks[q][r]`` are views over the retained rounds, and ``root_bits``
+    gives one round's roots.  ``runs`` and
     ``stale_from`` hold the core step's c2 scan (see ``consensus``); the
     merge lowers ``stale_from`` and drops the entries of the round that
     leaves the window.
@@ -253,6 +256,8 @@ class NodeState:
     def locks(self) -> dict:
         return _locks_view(self.known, self.tables, self.lo)
 
+    # Read by consensus.confirmed_roots and the tests; the core step reads
+    # tables.graphs in place instead.
     def root_bits(self, r: int) -> tuple:
         """(root, member bitset) for each root of the whole round-r graph,
         ``graphs[r-1].root_bits`` (``{pid}`` alone at round 0 and outside the
@@ -372,6 +377,8 @@ def receive_and_merge(s: NodeState, g, sent: list, m: int) -> None:
         s.stale_from = changed
 
 
+# Read by consensus.confirmed_roots and the tests; the core step tests slot r
+# of ``known`` in place instead.
 def evidence(s: NodeState, r: int) -> int:
     """Bitset of the processes q (bit q-1) that the approximation shows with
     an outgoing edge in some round after r (up to the current round), for a

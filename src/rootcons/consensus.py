@@ -29,6 +29,11 @@ whole before the round's merges) that form the round-r approximation, and
 it is the members' evidence (empty at the current round, which thus has no
 confirmed root and is never evaluated).  So the merge's ``stale_from``
 bounds what can have changed, and only rounds from there on are recomputed.
+The step reads ``known`` and the run's graph list in place: it shifts
+``known`` from slot to slot and tests the member bitset of each root of
+the round graph, ``tables.graphs[r-1].root_bits``, against the slot, with
+no call per round; :func:`confirmed_roots` is the same test, one round per
+call.
 c2 resumes its search at the step's entry ``stale_from``: no run before it
 changed since the last search, which found none long enough.  A start
 before the window counts from the window's first round.
@@ -52,8 +57,9 @@ value reads the members' row cells of round a < m, which only their owners
 wrote and which are final (the harness's monitor compares the row table
 every round).  The first process to ask computes and enters it; a later
 one needs only to hold every member's round-a state, one mask test of the
-bitset against its evidence of round a (slot a, as a <= anchor < m).  If
-that test fails, the full computation runs and raises as it would have.
+bitset against slot a of its ``known`` (its evidence of round a, as
+lo <= a <= anchor < m).  If that test fails, the full computation runs and
+raises as it would have.
 Every anchor is at or after max(1, lo), so ``RunTables.enter`` drops its
 round ``lo-1`` with the window.
 """
@@ -124,8 +130,8 @@ def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> CoreStepOu
     key = (root, s.lo)
     entry = table.get(key)
     if entry is not None:
-        a, bits, out = entry
-        if bits & evidence(s, a) == bits:
+        a, bits, out = entry  # bits lies in one slot: the member pids are at most W
+        if s.lo <= a < s.m and bits & s.known >> (a - s.lo) * s.tables.layout.width == bits:
             return out
     a = _run_start(s, root, anchor)
     out = CoreStepOutcome((root, a, _max_lock(s, root, a, what)))
@@ -133,6 +139,9 @@ def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> CoreStepOu
     return out
 
 
+# The definitional per-round view.  The core step inlines it (:func:`_refresh`
+# and c1's decided branch); ``tests/oracles.reference_c2_check``, the tests
+# and bench/tracer.py read it.
 def confirmed_roots(s: NodeState, r: int) -> list:
     """Roots of approx[r] whose members all have a later outgoing edge recorded.
 
@@ -152,20 +161,37 @@ def confirmed_roots(s: NodeState, r: int) -> list:
 
 def _refresh(s: NodeState, upto: int) -> None:
     """Recompute the ``runs`` entries of rounds ``stale_from..upto``, which
-    ends before the current round: that round has no confirmed root."""
-    low = max(1, s.lo)
-    first = max(s.stale_from, low)
+    ends before the current round: that round has no confirmed root.
+
+    :func:`confirmed_roots`, inlined: ``known`` is shifted once to the first
+    round's slot and then one slot per round, and each root of the round
+    graph is tested against it, with no call per round.
+    """
+    lo = s.lo
+    low = lo or 1  # max(1, lo), and first = max(stale_from, low), with no call
+    first = s.stale_from
+    if first < low:
+        first = low
     if first > upto:
         return
-    runs = s.runs
+    runs, graphs, lay = s.runs, s.tables.graphs, s.tables.layout
+    width, row = lay.width, lay.row
+    known = s.known >> (first - lo) * width
     run_root, start = runs[first - 1] if first > low else (None, first)
     for r in range(first, upto + 1):
-        confirmed = confirmed_roots(s, r)
-        if len(confirmed) != 1:
+        have, single = known & row, None
+        for root, bits in graphs[r - 1].root_bits:
+            if bits & have == bits:
+                if single is not None:
+                    single = None
+                    break
+                single = root
+        if single is None:
             run_root, start = None, r + 1
-        elif confirmed[0] != run_root:
-            run_root, start = confirmed[0], r
+        elif single != run_root:
+            run_root, start = single, r
         runs[r] = (run_root, start)
+        known >>= width
     s.stale_from = upto + 1
 
 
@@ -173,18 +199,25 @@ def c1_check(s: NodeState, m: int, D: int) -> Optional[frozenset]:
     """Exactly one confirmed root of approx[m-D].
 
     Read from ``runs`` while c2 still needs the rounds before m-D kept
-    current; once decided, only round m-D itself is evaluated.  That path
-    is not a duplicate: refreshing ``runs`` after the decision, for c1
-    alone, costs about 14% of the lassos/s of a bounded run to H=150.
+    current; once decided, only round m-D itself is evaluated, with the
+    test of :func:`_refresh` on its slot.  That path is not a duplicate:
+    refreshing ``runs`` after the decision, for c1 alone, costs about
+    14% of the lassos/s of a bounded run to H=150.
     """
     r0 = m - D
     if not 0 < r0 >= s.lo:
         return None
-    if s.y is not None and r0 >= s.stale_from:
-        confirmed = confirmed_roots(s, r0)
-        return confirmed[0] if len(confirmed) == 1 else None
-    _refresh(s, r0)
-    return s.runs[r0][0]
+    if s.y is None or r0 < s.stale_from:
+        _refresh(s, r0)
+        return s.runs[r0][0]
+    lay = s.tables.layout
+    have, single = s.known >> (r0 - s.lo) * lay.width & lay.row, None
+    for root, bits in s.tables.graphs[r0 - 1].root_bits:
+        if bits & have == bits:
+            if single is not None:
+                return None
+            single = root
+    return single
 
 
 def b1_apply(s: NodeState, m: int, root: frozenset, D: int) -> CoreStepOutcome:

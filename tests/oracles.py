@@ -13,6 +13,7 @@ graph are Tarjan's on a relabelled ``CommGraph``.
 
 import dataclasses
 from itertools import combinations
+from types import SimpleNamespace
 
 from rootcons.approximation import RunTables
 from rootcons.consensus import confirmed_roots
@@ -212,20 +213,35 @@ def out_row_mask(q: int, lay: MaskLayout) -> int:
     return sum(lay.bit(q, v) for v in range(1, lay.width + 1))
 
 
+class _ApproxGraphs:
+    """The round graphs as a reference state's core step reads them:
+    ``[r-1].root_bits`` is (root, member bitset) for each root of the
+    state's round-r approximation, ghosts included."""
+
+    def __init__(self, s):
+        self.s = s
+
+    def __getitem__(self, i: int) -> SimpleNamespace:
+        return SimpleNamespace(root_bits=self.s.root_bits(i + 1))
+
+
 class ReferenceState:
     """Copied-history state with the interface the core step reads.
 
     The core step's c2 cache (``runs`` and ``stale_from``) is marked stale
     from round 0 by every merge, so each core step rescans every retained
-    round.  ``tables`` holds the root-run start table
-    ``starts`` and the b1/b3 answer table ``answers``, the only tables the
-    core step reads.  They are this state's own, not shared by the run:
-    every merge rebuilds the starts from ``root_bits``, which here are the
-    roots of the partial approximations, ghosts included, and empties the
-    answers, so the core step recomputes every answer from ``lock_value``.
-    So the differential checks independently the lemma by which a run's
-    shared start table is built from the true round graphs, and that an
-    answer one process entered holds for every process that asks it later.
+    round.  ``known`` packs :func:`reference_evidence` of each retained
+    round into one slot, as the core step reads its late-edge evidence
+    from there.  ``tables`` holds the root-run start table ``starts``, the
+    b1/b3 answer table ``answers`` and ``graphs``, the round graphs' roots,
+    the only tables the core step reads.  They are this state's own, not
+    shared by the run: ``graphs`` gives the roots of the partial
+    approximations, ghosts included, every merge rebuilds the starts from
+    them and empties the answers, so the core step recomputes every answer
+    from ``lock_value``.  So the differential checks independently the
+    lemma by which a run's shared graphs and start table stand in for the
+    approximations, and that an answer one process entered holds for every
+    process that asks it later.
     """
 
     def __init__(self, pid: int, x: int, keep, lay: MaskLayout):
@@ -234,11 +250,18 @@ class ReferenceState:
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
         self.runs, self.stale_from = {}, 0
-        self.tables = RunTables(lay, keep, rows=None, graphs=None, starts={}, answers={})
+        self.tables = RunTables(lay, keep, rows=None, graphs=_ApproxGraphs(self), starts={}, answers={})
 
     @property
     def lo(self) -> int:
         return min(self.approx)
+
+    @property
+    def known(self) -> int:
+        """:func:`reference_evidence` of rounds lo..m, one W-bit slot each
+        from round lo (the current round's is empty)."""
+        lo, width = self.lo, self.layout.width
+        return sum(reference_evidence(self, r) << (r - lo) * width for r in self.approx)
 
     def root_bits(self, r: int) -> tuple:
         return tuple((root, sum(1 << (q - 1) for q in root)) for root in approx_roots(self, r))
@@ -320,9 +343,9 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
 
 
 def reference_run(cfg, core_step) -> tuple:
-    """Run ``cfg`` lock-step on reference states; ``core_step`` must read its
-    late-edge evidence from :func:`reference_evidence`.  Returns the
-    per-round snapshots (round 0 first) and the sorted decision events."""
+    """Run ``cfg`` lock-step on reference states, stepping each with
+    ``core_step``.  Returns the per-round snapshots (round 0 first) and the
+    sorted decision events."""
     keep = None if cfg.mode == "full" else int(cfg.mode.split(":")[1])
     lay = mask_layout(cfg.n)
     states = {p: ReferenceState(p, cfg.inputs[p - 1], keep, lay) for p in range(1, cfg.n + 1)}

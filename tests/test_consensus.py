@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_lasso, run_with_snapshots
-from oracles import approx_roots, reference_c2_check, reference_evidence, reference_run, reference_run_start
+from oracles import approx_roots, reference_c2_check, reference_run, reference_run_start
 
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
@@ -20,6 +20,28 @@ from rootcons.consensus import (
 from rootcons.approximation import evidence, init_states, window_start
 from rootcons.graphs import lasso, root_components
 from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
+
+
+def count_evaluated_rounds(patch) -> list:
+    """Wrap the core step's per-round root tests with ``patch``: the rounds
+    ``max(stale_from, 1, lo)..upto`` that ``_refresh`` recomputes, and the
+    round m-D that a decided process's c1 tests on its own.  Returns the
+    list the wrappers append (the state's round, the evaluated round) to."""
+    refresh, c1, evaluated = consensus_mod._refresh, consensus_mod.c1_check, []
+
+    def refreshed(s, upto):
+        evaluated.extend((s.m, r) for r in range(max(s.stale_from, 1, s.lo), upto + 1))
+        return refresh(s, upto)
+
+    def c1_checked(s, m, D):
+        r0 = m - D
+        if s.y is not None and 0 < r0 >= s.lo and r0 >= s.stale_from:
+            evaluated.append((s.m, r0))
+        return c1(s, m, D)
+
+    patch.setattr(consensus_mod, "_refresh", refreshed)
+    patch.setattr(consensus_mod, "c1_check", c1_checked)
+    return evaluated
 
 
 class TestEmptyEarlyRounds:
@@ -115,7 +137,6 @@ class TestResumedC2:
 
     def test_recomputes_fewer_rounds_than_a_full_rescan(self, eps2_lasso, monkeypatch):
         def run(rescan_all: bool) -> tuple:
-            calls = []
             merge = harness_mod.receive_and_merge
 
             def merged(s, g, sent, m):
@@ -125,7 +146,7 @@ class TestResumedC2:
                 return s
 
             with monkeypatch.context() as patch:
-                patch.setattr(consensus_mod, "confirmed_roots", lambda s, r: calls.append(r) or confirmed_roots(s, r))
+                calls = count_evaluated_rounds(patch)
                 patch.setattr(harness_mod, "receive_and_merge", merged)
                 trace = run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 14))
             return len(calls), trace.decision_events()
@@ -140,16 +161,10 @@ class TestResumedC2:
         # root: neither c1 nor c2 asks for it, on the eps2 lasso and the CI
         # lasso (generate --n 6 --d 2 --rsr 6 --seed 3)
         l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
-        current = []
-
-        def spied(s, r):
-            current.append(r == s.m)
-            return confirmed_roots(s, r)
-
-        monkeypatch.setattr(consensus_mod, "confirmed_roots", spied)
+        evaluated = count_evaluated_rounds(monkeypatch)
         run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 14, mode=mode))
         run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 60, mode=mode))
-        assert current and not any(current)
+        assert evaluated and all(r < m for m, r in evaluated)
 
     def test_undecided_processes_scan_each_round_about_once(self, monkeypatch):
         # the round graphs alternate 1->2 and 3->4, so p2 and p4 never see a
@@ -284,23 +299,15 @@ class TestHorizonCost:
         # the CI lasso (generate --n 6 --d 2 --rsr 6 --seed 3) in full mode:
         # past stabilization every round locks with the run start found by
         # one lookup, so doubling the horizon at most about doubles the
-        # root queries (a walk back to the run start made them quadratic)
-        from rootcons.approximation import NodeState
-
+        # root queries, the rounds whose roots the core step tests (a walk
+        # back to the run start made them quadratic)
         l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
-        root_bits, calls = NodeState.root_bits, [0]
-
-        def counted(s, r):
-            calls[0] += 1
-            return root_bits(s, r)
-
-        monkeypatch.setattr(NodeState, "root_bits", counted)
-        counts = []
+        evaluated, counts = count_evaluated_rounds(monkeypatch), []
         for horizon in (1000, 2000):
-            calls[0] = 0
+            evaluated.clear()
             trace = run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, horizon, check_invariants=False))
             assert len(trace.decisions) == 6
-            counts.append(calls[0])
+            counts.append(len(evaluated))
         assert 0 < counts[0] and counts[1] <= 2.2 * counts[0]
 
 
@@ -477,11 +484,67 @@ class TestReferenceDifferential:
         inputs = tuple(rng.randint(0, 9) for _ in range(n))
         cfg = RunConfig(n, D, inputs, l, data.draw(st.integers(1, 20), label="H"), mode=mode)
         run, direct = run_with_snapshots(cfg)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(consensus_mod, "evidence", reference_evidence)
-            snapshots, events = reference_run(cfg, consensus_mod.core_step)
+        snapshots, events = reference_run(cfg, consensus_mod.core_step)
         assert direct == snapshots
         assert run.decision_events() == events
+
+
+def assert_scan_matches_definition(run) -> None:
+    """For every process of ``run`` and every retained round r before its
+    current one: c1 on round r and the refreshed ``runs[r][0]`` are the
+    single element of ``confirmed_roots(s, r)``, or None when there is not
+    exactly one.  c1 is asked first, so a decided process tests the rounds
+    from ``stale_from`` on with its own inline test; each state's ``runs``
+    and ``stale_from`` are restored after, as c2 resumes its search there."""
+    D = run.config.D
+    for s in run.states.values():
+        runs, stale_from = dict(s.runs), s.stale_from
+        want = {}
+        for r in range(max(1, s.lo), s.m):
+            confirmed = confirmed_roots(s, r)
+            want[r] = confirmed[0] if len(confirmed) == 1 else None
+            assert consensus_mod.c1_check(s, r + D, D) == want[r], (s.pid, s.m, r)
+        consensus_mod._refresh(s, s.m - 1)
+        assert {r: s.runs[r][0] for r in want} == want, (s.pid, s.m)
+        s.runs, s.stale_from = runs, stale_from
+
+
+class TestInlineScan:
+    """The core step's inline test of each round's slot (``_refresh`` and
+    c1's decided branch) against the definitional ``confirmed_roots``,
+    after every round."""
+
+    @pytest.mark.parametrize("n, D, mode, horizon", [
+        (6, 2, "full", 200),
+        (6, 2, "bounded:5", 200),
+        (64, 3, "full", 100),
+        (64, 3, "bounded:7", 200),
+    ])
+    def test_ci_lassos(self, n, D, mode, horizon):
+        # the CI lassos (generate --n N --d D --rsr 6 --seed 3)
+        l, _ = generate_estable(AdversaryParams(n=n, D=D, seed=3, r_sr_target=6))
+        inputs = (3, 1, 4, 1, 5, 9) if n == 6 else tuple(range(1, n + 1))
+        run = harness_mod.Run(RunConfig(n, D, inputs, l, horizon, mode=mode, check_invariants=False))
+        for _ in range(horizon):
+            run.step()
+            assert_scan_matches_definition(run)
+        assert len(run.decisions) == n
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_random_lassos(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        D = data.draw(st.integers(1, n - 1), label="D")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        l = random_lasso(rng, n, data.draw(st.integers(0, 6), label="prefix"),
+                         density=data.draw(st.floats(0.2, 0.7), label="density"))
+        mode = data.draw(st.sampled_from(["full", f"bounded:{2 * D + 1}"]), label="mode")
+        inputs = tuple(rng.randint(0, 9) for _ in range(n))
+        horizon = data.draw(st.integers(1, 20), label="H")
+        run = harness_mod.Run(RunConfig(n, D, inputs, l, horizon, mode=mode, check_invariants=False))
+        for _ in range(horizon):
+            run.step()
+            assert_scan_matches_definition(run)
 
 
 class TestWholeRuns:

@@ -657,8 +657,23 @@ class TestFuzz:
 
     def test_mutation_smoke_oracle_catches_broken_step(self, monkeypatch):
         # dropping the outgoing-edge guard makes the second lower-bound
-        # execution decide on the stale early root and split the outcome
-        monkeypatch.setattr(consensus_mod, "confirmed_roots", lambda s, r: list(approx_roots(s, r)))
+        # execution decide on the stale early root and split the outcome:
+        # this _refresh takes every root of the approximation, ghosts
+        # included, as confirmed
+        def unguarded(s, upto):
+            low = max(1, s.lo)
+            run_root, start = None, low
+            for r in range(low, upto + 1):
+                roots = approx_roots(s, r)
+                single = next(iter(roots)) if len(roots) == 1 else None
+                if single is None:
+                    run_root, start = None, r + 1
+                elif single != run_root:
+                    run_root, start = single, r
+                s.runs[r] = (run_root, start)
+            s.stale_from = upto + 1
+
+        monkeypatch.setattr(consensus_mod, "_refresh", unguarded)
         _, cfg_ep = scenario_eps_pair(5, 2)
         trace = run_execution(cfg_ep)
         report = oracle_check(trace, 9)
