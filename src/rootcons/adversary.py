@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .graphs import (
@@ -44,6 +43,7 @@ from .graphs import (
     LassoSequence,
     Run,
     check_dynamic_diameter,
+    lazy,
     mask_layout,
     maximal_root_runs,
     root_components,
@@ -216,7 +216,7 @@ class _Case:
         self.resolved_horizon = self.horizon or l.default_horizon()
         self._runs = {}  # scan bound -> maximal_root_runs(l, bound)
 
-    @cached_property
+    @lazy
     def live(self) -> Optional[AdversaryCertificate]:
         return check_liveness(self.l)
 

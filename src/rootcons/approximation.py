@@ -25,9 +25,11 @@ maximum member lock) for a confirmed root of round ``anchor`` (see
 lock only when q is in slot r.
 
 So a broadcast is one int.  In round m each process q sends its ``known``,
-rebased to the round-m window, and p's merge (:func:`receive_and_merge`)
-ORs in the ints of p's in-neighbours in the round graph; it writes no
-table but the own row.
+rebased to the round-m window.  Processes with the same in-neighbours in
+the round graph receive the same ints, so the engine ORs them once for
+each such class (``CommGraph.in_classes``), and p's merge
+(:func:`receive_and_merge`) adds its own round-m bit to its class's OR; it
+writes no table but the own row.
 
 After round m the process knows ``lock[q][r]`` exactly when q is in slot r,
 and the round-r edge (u, v) exactly when v is, so its round-r approximation
@@ -340,20 +342,22 @@ def make_message(s: NodeState) -> Message:
     return Message(s.pid, s.m + 1, s.known >> (lo - s.lo) * tables.layout.width, lo, tables)
 
 
-def receive_and_merge(s: NodeState, g, sent: list, m: int) -> None:
-    """Fuse the round-m deliveries on the round graph ``g`` into the state,
-    after the engine has entered ``g`` (:meth:`RunTables.enter`) and before
-    the core step.
+def receive_and_merge(s: NodeState, heard: int, own: int, m: int) -> None:
+    """Fuse the round-m deliveries into the state, after the engine has
+    entered the round graph (:meth:`RunTables.enter`) and before the core
+    step.
 
-    ``sent[q-1]`` is q's broadcast of round m: its ``known`` at the end of
-    round m-1, rebased to the round-m window (the harness builds the list
-    once per round).  The own broadcast is the state's ``known``, rebased
-    to that window; it ORs in the broadcasts of its other in-neighbours in
-    ``g`` and the own round-m slot.  The own row gains its round-m
-    lock, carried forward; no other table is written.  The own row and
-    ``runs`` drop the round that left the window.  ``stale_from`` drops to
-    the lowest new slot (or to round m-1, which stops being the current
-    round).  Merge order is irrelevant: ORs are commutative.
+    A broadcast of round m is its sender's ``known`` at the end of round
+    m-1, rebased to the round-m window.  ``heard`` is the OR of the
+    broadcasts of the state's in-neighbours in the round graph, which holds
+    ``own``, the state's own broadcast, by its self-loop (the harness ORs
+    them once per class of equal in-neighbours).  The state's ``known``
+    becomes ``heard`` plus the own round-m slot.  The own row gains its
+    round-m lock, carried forward; no other table is written.  The own row
+    and ``runs`` drop the round that left the window.  ``stale_from`` drops
+    to the lowest slot ``heard`` adds to ``own`` (or to round m-1, which
+    stops being the current round).  Merge order is irrelevant: ORs are
+    commutative.
     """
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
@@ -361,18 +365,14 @@ def receive_and_merge(s: NodeState, g, sent: list, m: int) -> None:
     keep, pid = tables.keep, s.pid
     lo = m - keep if keep is not None and m > keep else 0  # window_start, inlined: it runs per merge
     width = tables.layout.width
-    before = sent[pid - 1]
-    known = before | 1 << ((m - lo) * width + pid - 1)
-    for q in g.in_lists[pid - 1]:
-        known |= sent[q - 1]
-    s.m, s.lo, s.known = m, lo, known
-    own = tables.rows[pid]
-    own[m] = own[m - 1]
+    s.m, s.lo, s.known = m, lo, heard | 1 << ((m - lo) * width + pid - 1)
+    row = tables.rows[pid]
+    row[m] = row[m - 1]
     if lo > 0:
-        del own[lo - 1]
+        del row[lo - 1]
         s.runs.pop(lo - 1, None)
-    new = known & ~before  # never empty: it holds the own round-m bit
-    changed = min(lo + ((new & -new).bit_length() - 1) // width, m - 1)
+    new = heard ^ own  # heard holds own; a new slot lies before round m
+    changed = lo + ((new & -new).bit_length() - 1) // width if new else m - 1
     if changed < s.stale_from:
         s.stale_from = changed
 

@@ -34,9 +34,14 @@ The step reads ``known`` and the run's graph list in place: it shifts
 the round graph, ``tables.graphs[r-1].root_bits``, against the slot, with
 no call per round; :func:`confirmed_roots` is the same test, one round per
 call.
-c2 resumes its search at the step's entry ``stale_from``: no run before it
+An undecided step refreshes ``runs`` once, up to round m-1, and that
+refresh notes c2's first hit as it goes; c1 then reads ``runs[m-D]``.  c2
+resumes its search at the step's entry ``stale_from``: no run before it
 changed since the last search, which found none long enough.  A start
-before the window counts from the window's first round.
+before the window counts from the window's first round.  A decided process
+searches no more, so it refreshes nothing: its c1 makes the same test on
+slot m-D alone, in the core step itself, which also takes a held answer
+from the answer table (below) there.
 
 b1 and b3 take the maximum lock at the start of the surrounding common-root
 run of a confirmed root R.  R lies inside slot ``anchor`` and so, slots
@@ -140,8 +145,8 @@ def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> CoreStepOu
 
 
 # The definitional per-round view.  The core step inlines it (:func:`_refresh`
-# and c1's decided branch); ``tests/oracles.reference_c2_check``, the tests
-# and bench/tracer.py read it.
+# and a decided process's test of round m-D in :func:`core_step`);
+# ``tests/oracles.reference_c2_check``, the tests and bench/tracer.py read it.
 def confirmed_roots(s: NodeState, r: int) -> list:
     """Roots of approx[r] whose members all have a later outgoing edge recorded.
 
@@ -159,25 +164,28 @@ def confirmed_roots(s: NodeState, r: int) -> list:
     return [root for root, bits in s.root_bits(r) if bits & have == bits]
 
 
-def _refresh(s: NodeState, upto: int) -> None:
-    """Recompute the ``runs`` entries of rounds ``stale_from..upto``, which
-    ends before the current round: that round has no confirmed root.
+def _refresh(s: NodeState, D: int, begin: int) -> Optional[tuple]:
+    """Recompute the ``runs`` entries of rounds ``stale_from..m-1`` (the
+    current round has no confirmed root), noting c2's first hit among them:
+    ``(root, (r - D, r))`` for the least recomputed round r >= ``begin``
+    whose run began at least D rounds before it, or None.
 
     :func:`confirmed_roots`, inlined: ``known`` is shifted once to the first
     round's slot and then one slot per round, and each root of the round
     graph is tested against it, with no call per round.
     """
-    lo = s.lo
+    lo, upto = s.lo, s.m - 1
     low = lo or 1  # max(1, lo), and first = max(stale_from, low), with no call
     first = s.stale_from
     if first < low:
         first = low
     if first > upto:
-        return
+        return None
     runs, graphs, lay = s.runs, s.tables.graphs, s.tables.layout
     width, row = lay.width, lay.row
     known = s.known >> (first - lo) * width
     run_root, start = runs[first - 1] if first > low else (None, first)
+    hit = None
     for r in range(first, upto + 1):
         have, single = known & row, None
         for root, bits in graphs[r - 1].root_bits:
@@ -190,34 +198,12 @@ def _refresh(s: NodeState, upto: int) -> None:
             run_root, start = None, r + 1
         elif single != run_root:
             run_root, start = single, r
+        elif r - start >= D and r >= begin and hit is None:
+            hit = run_root, (r - D, r)
         runs[r] = (run_root, start)
         known >>= width
     s.stale_from = upto + 1
-
-
-def c1_check(s: NodeState, m: int, D: int) -> Optional[frozenset]:
-    """Exactly one confirmed root of approx[m-D].
-
-    Read from ``runs`` while c2 still needs the rounds before m-D kept
-    current; once decided, only round m-D itself is evaluated, with the
-    test of :func:`_refresh` on its slot.  That path is not a duplicate:
-    refreshing ``runs`` after the decision, for c1 alone, costs about
-    14% of the lassos/s of a bounded run to H=150.
-    """
-    r0 = m - D
-    if not 0 < r0 >= s.lo:
-        return None
-    if s.y is None or r0 < s.stale_from:
-        _refresh(s, r0)
-        return s.runs[r0][0]
-    lay = s.tables.layout
-    have, single = s.known >> (r0 - s.lo) * lay.width & lay.row, None
-    for root, bits in s.tables.graphs[r0 - 1].root_bits:
-        if bits & have == bits:
-            if single is not None:
-                return None
-            single = root
-    return single
+    return hit
 
 
 def b1_apply(s: NodeState, m: int, root: frozenset, D: int) -> CoreStepOutcome:
@@ -240,14 +226,13 @@ def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
     Round b' qualifies iff its run began at least D rounds earlier and
     b' >= max(1, lo) + D, so a longer-ago start needs no clamping.  Rounds
     before ``resume``, and the current one, are skipped (module docstring).
+    The search is the refresh of ``runs``, which recomputes every round it
+    covers: the core step resumes at ``stale_from``, and a ``resume``
+    before it marks the rounds from ``resume`` on stale.
     """
-    _refresh(s, s.m - 1)
-    runs = s.runs
-    for r in range(max(resume, max(1, s.lo) + D), s.m):
-        root, start = runs[r]
-        if r - start >= D:
-            return root, (r - D, r)
-    return None
+    if resume < s.stale_from:
+        s.stale_from = resume
+    return _refresh(s, D, max(resume, (s.lo or 1) + D))
 
 
 def blocker(s: NodeState) -> tuple:
@@ -257,7 +242,7 @@ def blocker(s: NodeState) -> tuple:
     single confirmed root.  c2 is the only condition that can block, as c3
     is implied by c2's confirmed roots.
     """
-    _refresh(s, s.m - 1)
+    _refresh(s, 0, s.m)  # no round reaches ``begin``: a refresh alone
     low = max(1, s.lo)
     best, length = ("c2", None, None), 0
     for r in range(low, s.m):
@@ -282,18 +267,43 @@ def b3_apply(s: NodeState, root: frozenset, interval: tuple) -> Optional[tuple]:
 def core_step(s: NodeState, m: int, D: int) -> CoreStepOutcome:
     """Run the round-m computation; returns its outcome.
 
-    Empty for m <= D.  c2 is evaluated whether or not c1 fired, until the
-    process has decided (b3 is write-once, so later scans cannot change it).
+    Empty for m <= D.  Until the process has decided, c2 is evaluated in
+    every step (b3 is write-once, so later scans cannot change it): its
+    refresh of ``runs`` brings round m-D current, and c1 reads it there.
+    A decided process refreshes nothing: c1 tests slot m-D itself, as
+    :func:`_refresh` does, and takes the answer table's entry when it holds
+    every member's state of the entry's round (as :func:`_answer` would),
+    with no further call: this is every step of a long run's steady state.
     Only a deciding step builds an outcome; others return b1's shared one.
     """
-    if m <= D:
+    r0 = m - D
+    if r0 <= 0:
         return _NOTHING
-    resume = s.stale_from  # before c1 refreshes ``runs``
-    root = c1_check(s, m, D)
-    out = _NOTHING if root is None else b1_apply(s, m, root, D)
-    if s.y is not None:
-        return out
-    hit = c2_check(s, D, resume)
-    if hit is None:
-        return out
-    return CoreStepOutcome(out.locked, b3_apply(s, *hit))
+    lo = s.lo
+    if s.y is None:
+        hit = c2_check(s, D, s.stale_from)
+        root = s.runs[r0][0] if r0 >= lo else None
+        out = _NOTHING if root is None else b1_apply(s, m, root, D)
+        if hit is None:
+            return out
+        return CoreStepOutcome(out.locked, b3_apply(s, *hit))
+    if r0 < lo:
+        return _NOTHING
+    lay = s.tables.layout
+    known, width = s.known, lay.width
+    have, root = known >> (r0 - lo) * width & lay.row, None
+    for single, bits in s.tables.graphs[r0 - 1].root_bits:
+        if bits & have == bits:
+            if root is not None:
+                return _NOTHING
+            root = single
+    if root is None:
+        return _NOTHING
+    try:
+        a, bits, out = s.tables.answers[r0][root, lo]
+    except KeyError:
+        return b1_apply(s, m, root, D)
+    if bits & known >> (a - lo) * width != bits:  # lo <= a < m, as the entry is keyed by lo
+        return b1_apply(s, m, root, D)
+    s.propose(out.locked[2])
+    return out

@@ -23,12 +23,28 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
 Edge = tuple[int, int]
 
 MAX_PROCESSES = 1024  # a mask holds width^2 bits, so the width must stay small
+
+
+class lazy:
+    """A field derived by the decorated method on first read and stored in
+    the instance's ``__dict__``, where every later read finds it first (the
+    descriptor has no ``__set__``).  ``functools.cached_property`` does the
+    same, but on Python 3.10 and 3.11 it takes one class-wide lock on every
+    miss."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class MaskLayout:
@@ -65,6 +81,14 @@ class MaskLayout:
         """Every edge between processes 1..n: the top-left n x n block."""
         return ((1 << n) - 1) * (self.column & (1 << n * self.width) - 1)
 
+    def transposed(self, mask: int) -> int:
+        """``mask`` with rows and columns swapped: its row v-1 holds the
+        in-neighbours of v."""
+        for shift, block in self.transpose:
+            swap = (mask ^ mask >> shift) & block
+            mask ^= swap ^ swap << shift
+        return mask
+
     def edges(self, mask: int) -> list:
         """The edges (u, v) of ``mask``, sorted."""
         edges = []
@@ -88,14 +112,19 @@ def mask_layout(n: int) -> MaskLayout:
     return _LAYOUTS.get(width) or _LAYOUTS.setdefault(width, MaskLayout(width))
 
 
-def _processes(bits: int) -> frozenset:
-    """Process ids of a vertex bitset."""
+def _pids(bits: int) -> tuple:
+    """Process ids of a vertex bitset, ascending."""
     ids = []
     while bits:
         low = bits & -bits
         ids.append(low.bit_length())
         bits ^= low
-    return frozenset(ids)
+    return tuple(ids)
+
+
+def _processes(bits: int) -> frozenset:
+    """Process ids of a vertex bitset."""
+    return frozenset(_pids(bits))
 
 
 def roots_of_mask(mask: int, vertices: int, lay: MaskLayout) -> frozenset:
@@ -111,10 +140,7 @@ def roots_of_mask(mask: int, vertices: int, lay: MaskLayout) -> frozenset:
     reach = mask
     for k in range(-(-mask.bit_length() // width)):  # only a vertex with out-edges can relay
         reach |= (reach >> k & column) * (reach >> k * width & row)
-    ancestors = reach
-    for shift, block in lay.transpose:
-        swap = (ancestors ^ ancestors >> shift) & block
-        ancestors ^= swap ^ swap << shift
+    ancestors = lay.transposed(reach)
     todo, found = vertices, []
     while todo:
         bit = todo & -todo
@@ -133,35 +159,39 @@ class CommGraph:
 
     The graph is its edge mask in the layout of ``mask_layout(n)``: it
     compares and hashes on ``(n, mask)``.  The mask's rows, its in-neighbour
-    lists, its root components and their member bitsets are each derived
+    classes, its root components and their member bitsets are each derived
     once, on first use, and stay out of ``==``, ``hash`` and ``repr``.
     """
 
     n: int
     mask: int
 
-    @cached_property
+    @lazy
     def out_rows(self) -> tuple:
         """``out_rows[u-1]`` is row u-1 of the mask: the out-neighbours of u."""
         lay = mask_layout(self.n)
         return tuple(self.mask >> (u * lay.width) & lay.row for u in range(self.n))
 
-    @cached_property
-    def in_lists(self) -> tuple:
-        """``in_lists[p-1]`` is the ascending tuple of p's in-neighbours."""
-        ins = [[] for _ in range(self.n)]
-        for u, row in enumerate(self.out_rows, start=1):
-            while row:
-                low = row & -row
-                ins[low.bit_length() - 1].append(u)
-                row ^= low
-        return tuple(map(tuple, ins))
+    @lazy
+    def in_classes(self) -> tuple:
+        """The processes grouped by equal in-neighbours (equal mask
+        columns): ``(ins, members)`` for each group, ``ins`` the ascending
+        tuple of the group's in-neighbours and ``members`` the ascending
+        tuple of its pids, with the groups in order of their first member."""
+        lay = mask_layout(self.n)
+        width, row = lay.width, lay.row
+        columns, groups = lay.transposed(self.mask), {}  # row v-1 of the transpose is column v-1
+        for v in range(1, self.n + 1):
+            members = groups.setdefault(columns & row, [])
+            members.append(v)
+            columns >>= width
+        return tuple((_pids(ins), tuple(members)) for ins, members in groups.items())
 
-    @cached_property
+    @lazy
     def _roots(self) -> frozenset:
         return roots_of_mask(self.mask, (1 << self.n) - 1, mask_layout(self.n))
 
-    @cached_property
+    @lazy
     def root_bits(self) -> tuple:
         """``(root, member bitset)`` for each root component."""
         return tuple((root, sum(1 << (q - 1) for q in root)) for root in self._roots)

@@ -6,9 +6,10 @@ the run's tables once (``RunTables.enter``: the graph itself, appended to
 the run's one graph list, its roots' run starts, and the drop of the round
 that left the window) and builds the round's broadcasts once, one int per
 process: its end-of-previous-round ``known``, rebased to the round's
-window.  Every
-process then merges the ints of its in-neighbours in the round graph
-(self-loops included), and each process runs its core step.
+window.  Processes with equal in-neighbours in the round graph (self-loops
+included) receive the same ints, so the engine ORs them once per such class
+(``CommGraph.in_classes``); every member of the class then merges that OR,
+and each process runs its core step.
 A run is a :class:`Run`, stepped round by round: ``step()`` runs the next
 round on the lasso's graph and returns its outcomes, and the run is its own
 record of the rounds run so far (the graphs in its tables, outcomes,
@@ -28,9 +29,9 @@ maximum of ``heard[u][q]`` over p's round-m in-neighbours u (with
 ``heard[p][p] = m``), and the threshold code of a maximum is the OR of the
 codes: so p's int is the OR of its in-neighbours' previous ints (p's own
 among them, by its self-loop), shifted down by the slots that left the
-window, plus p's own bit in slot m.  The monitor reads no message or
-state to build it, and decodes ``heard[p]`` (``approximation._heard``)
-only to print it.
+window, plus p's own bit in slot m.  That OR is made once per class of
+``in_classes``.  The monitor reads no message or state to build it, and
+decodes ``heard[p]`` (``approximation._heard``) only to print it.
 
 After every round it requires that the run's row table holds exactly the
 expected rows, compared as one dict (a mismatch names the owner of the
@@ -147,8 +148,9 @@ class _GroundTruth:
     Each int is the threshold code of p's ``heard`` row (q in slot r iff
     ``heard[p][q] >= r``), and the code of the ``heard`` max rule is an OR:
     a round ORs the previous ints of p's in-neighbours, self-loop included,
-    drops the slots that left the window and adds p's own bit in slot m
-    (see the module docstring).
+    once for each class of processes with those in-neighbours, drops the
+    slots that left the window and adds p's own bit in slot m (see the
+    module docstring).
     """
 
     def __init__(self, cfg: RunConfig):
@@ -161,12 +163,14 @@ class _GroundTruth:
         tables, prev = self.tables, self.known
         lo, width = window_start(tables.keep, m), tables.layout.width
         dropped, own, self.lo = (lo - self.lo) * width, (m - lo) * width - 1, lo
-        known = {}
-        for p, ins in enumerate(g.in_lists, start=1):
+        known = dict.fromkeys(prev)  # in pid order, the order the monitor checks in
+        for ins, members in g.in_classes:
             k = 0
             for u in ins:
                 k |= prev[u]
-            known[p] = k >> dropped | 1 << own + p
+            k >>= dropped
+            for p in members:
+                known[p] = k | 1 << own + p
         self.known = known
         for row, out in zip(tables.rows.values(), outcomes):
             row[m] = row[m - 1] if out.locked is None else out.locked[2]
@@ -253,16 +257,22 @@ class Run:
         """Run round m+1 on the lasso's graph; returns its outcomes in pid order.
 
         The round graph is entered into the run's tables once, which appends
-        it to their graph list and drops the window's old round from them.  The round's broadcasts are
-        built once: ``sent[q-1]`` is q's ``known``, rebased to the round's
-        window.  Every state merges them off the round graph.
+        it to their graph list and drops the window's old round from them.
+        The round's broadcasts are built once: ``sent[q-1]`` is q's
+        ``known``, rebased to the round's window.  The broadcasts of each
+        class of processes with equal in-neighbours (``g.in_classes``) are
+        ORed once, and every member of the class merges that OR.
         """
         self.m = m = self.m + 1
         states, decisions, g, tables = self.states, self.decisions, self.config.lasso.graph(m), self.tables
         lo, width = tables.enter(m, g), tables.layout.width
         sent = [st.known >> (lo - st.lo) * width for st in states.values()]
-        for st in states.values():
-            receive_and_merge(st, g, sent, m)
+        for ins, members in g.in_classes:
+            heard = 0
+            for q in ins:
+                heard |= sent[q - 1]
+            for p in members:
+                receive_and_merge(states[p], heard, sent[p - 1], m)
         per_round = []
         for p in states:
             try:

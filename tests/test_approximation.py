@@ -1,5 +1,6 @@
 import random
-from types import SimpleNamespace
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -99,7 +100,7 @@ class TestReceiveAndMerge:
         q, s = init_states((9, 0)).values()
         g = CommGraph.of(2, [(1, 2)])
         s.tables.enter(1, g)  # as the engine does, before the round's merges
-        receive_and_merge(s, g, [q.known, s.known], 1)
+        receive_and_merge(s, q.known | s.known, s.known, 1)
         assert s.tables.layout.edges(s.approx[1]) == [(1, 2), (2, 2)]
         assert s.locks[1] == {0: 9}
 
@@ -116,8 +117,8 @@ class TestReceiveAndMerge:
         assert states[2].locks[2] == {r: 8 for r in range(5)}
 
     def test_merge_order_irrelevant(self, eps2_lasso):
-        # the processes merge in a shuffled order, each reading its
-        # in-neighbours' broadcasts in a shuffled order
+        # the processes merge in a shuffled order, each class of equal
+        # in-neighbours ORing their broadcasts in a shuffled order
         inputs = (3, 1, 4, 1, 5)
         rng = random.Random(0)
         baseline = None
@@ -127,9 +128,12 @@ class TestReceiveAndMerge:
                 g = eps2_lasso.graph(m)
                 states[1].tables.enter(m, g)  # once per round, before the merges, as the engine does
                 sent = [states[p].known for p in sorted(states)]
-                shuffled = SimpleNamespace(mask=g.mask, in_lists=[rng.sample(ins, len(ins)) for ins in g.in_lists])
+                heard = {}
+                for ins, members in g.in_classes:
+                    shuffled = rng.sample(ins, len(ins))
+                    heard.update(dict.fromkeys(members, reduce(or_, (sent[q - 1] for q in shuffled))))
                 for p in rng.sample(sorted(states), len(states)):
-                    receive_and_merge(states[p], shuffled, sent, m)
+                    receive_and_merge(states[p], heard[p], sent[p - 1], m)
             snap = tuple(states[p].snapshot() for p in sorted(states))
             if baseline is None:
                 baseline = snap
@@ -137,36 +141,45 @@ class TestReceiveAndMerge:
 
     @pytest.mark.parametrize("mode", ["full", "bounded:5"])
     def test_reads_only_in_neighbours_broadcasts(self, monkeypatch, eps2_lasso, mode):
-        # the broadcast of every process that is not an in-neighbour carries
-        # every bit of every slot; no merge may see it, and the run's graph
-        # list holds the round graph at index m-1
+        # in run z, z's broadcast carries every bit of every slot in every
+        # round; exactly the merges of z's out-neighbours may see it.  Each
+        # merge's state is reset to the clean run's after it is recorded, so
+        # every run steps on as the clean one does; and the run's graph list
+        # holds the round graph at index m-1
         merge = harness_mod.receive_and_merge
-        poison = (1 << 16 * mask_layout(5).width) - 1
+        lay = mask_layout(5)
+        poison = (1 << 16 * lay.width) - 1
+        cfg = RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 14, mode)
 
-        def merges(poisoned: bool) -> list:
-            seen = []
+        def merges(z: int, clean: dict) -> dict:
+            seen, run = {}, Run(cfg)
 
-            def merged(s, g, sent, m):
-                if poisoned:
-                    ins = g.in_lists[s.pid - 1]
-                    sent = [k if q in ins else poison for q, k in enumerate(sent, start=1)]
-                merge(s, g, sent, m)
-                assert s.tables.graphs[m - 1] is g
-                seen.append((s.pid, m, s.known))
+            def merged(s, heard, own, m):
+                merge(s, heard, own, m)
+                assert s.tables.graphs[m - 1] is eps2_lasso.graph(m)
+                seen[s.pid, m] = s.known, s.stale_from
+                if z:
+                    s.known, s.stale_from = clean[s.pid, m]
 
             with monkeypatch.context() as patch:
                 patch.setattr(harness_mod, "receive_and_merge", merged)
-                run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 14, mode))
+                for _ in range(cfg.horizon):
+                    if z:
+                        run.states[z].known = poison
+                    run.step()
             return seen
 
-        clean, poisoned = merges(False), merges(True)
-        assert poisoned == clean and len(clean) == 5 * 14
-        assert all(poison & ~known for _, _, known in clean)  # a merge that read the poison would differ
+        clean = merges(0, {})
+        assert len(clean) == 5 * 14
+        for z in range(1, 6):
+            for (p, m), merged in merges(z, clean).items():
+                reads_z = bool(eps2_lasso.graph(m).mask & lay.bit(z, p))
+                assert (merged[0] != clean[p, m][0]) == reads_z, (z, p, m)
 
     def test_wrong_round_rejected(self):
         s = init_states((0,))[1]
         with pytest.raises(ValueError):
-            receive_and_merge(s, CommGraph.of(1), [s.known], 3)
+            receive_and_merge(s, s.known, s.known, 3)
 
 
 def late_edge(st, q, r) -> bool:

@@ -24,23 +24,27 @@ from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
 
 def count_evaluated_rounds(patch) -> list:
     """Wrap the core step's per-round root tests with ``patch``: the rounds
-    ``max(stale_from, 1, lo)..upto`` that ``_refresh`` recomputes, and the
-    round m-D that a decided process's c1 tests on its own.  Returns the
-    list the wrappers append (the state's round, the evaluated round) to."""
-    refresh, c1, evaluated = consensus_mod._refresh, consensus_mod.c1_check, []
+    ``max(stale_from, 1, lo)..m-1`` that ``_refresh`` recomputes, and the
+    round m-D that a decided process tests on its own.  Returns the list the
+    wrappers append (the state's round, the evaluated round) to; a core
+    step that evaluates one round twice fails its run."""
+    refresh, step, evaluated, current = consensus_mod._refresh, harness_mod.core_step, [], []
 
-    def refreshed(s, upto):
-        evaluated.extend((s.m, r) for r in range(max(s.stale_from, 1, s.lo), upto + 1))
-        return refresh(s, upto)
+    def refreshed(s, D, begin):
+        current.extend(range(max(s.stale_from, 1, s.lo), s.m))
+        return refresh(s, D, begin)
 
-    def c1_checked(s, m, D):
-        r0 = m - D
-        if s.y is not None and 0 < r0 >= s.lo and r0 >= s.stale_from:
-            evaluated.append((s.m, r0))
-        return c1(s, m, D)
+    def stepped(s, m, D):
+        current.clear()
+        if s.y is not None and 0 < m - D >= s.lo:
+            current.append(m - D)
+        out = step(s, m, D)
+        assert len(set(current)) == len(current), f"p{s.pid} round {m} evaluated {current}"
+        evaluated.extend((m, r) for r in current)
+        return out
 
     patch.setattr(consensus_mod, "_refresh", refreshed)
-    patch.setattr(consensus_mod, "c1_check", c1_checked)
+    patch.setattr(harness_mod, "core_step", stepped)
     return evaluated
 
 
@@ -139,8 +143,8 @@ class TestResumedC2:
         def run(rescan_all: bool) -> tuple:
             merge = harness_mod.receive_and_merge
 
-            def merged(s, g, sent, m):
-                merge(s, g, sent, m)
+            def merged(s, heard, own, m):
+                merge(s, heard, own, m)
                 if rescan_all:
                     s.stale_from = 0
                 return s
@@ -153,7 +157,7 @@ class TestResumedC2:
 
         (resumed, events), (rescanned, full_events) = run(False), run(True)
         assert events == full_events and len(events) == 5
-        assert resumed < rescanned  # 87 against 150 rounds evaluated
+        assert resumed < rescanned  # 89 against 150 rounds evaluated
 
     @pytest.mark.parametrize("mode", ["full", "bounded:5"])
     def test_never_evaluates_the_current_round(self, eps2_lasso, monkeypatch, mode):
@@ -490,29 +494,32 @@ class TestReferenceDifferential:
 
 
 def assert_scan_matches_definition(run) -> None:
-    """For every process of ``run`` and every retained round r before its
-    current one: c1 on round r and the refreshed ``runs[r][0]`` are the
-    single element of ``confirmed_roots(s, r)``, or None when there is not
-    exactly one.  c1 is asked first, so a decided process tests the rounds
-    from ``stale_from`` on with its own inline test; each state's ``runs``
-    and ``stale_from`` are restored after, as c2 resumes its search there."""
-    D = run.config.D
-    for s in run.states.values():
+    """For every process of ``run``: its last core step locked on the
+    single element of ``confirmed_roots(s, m-D)``, or did not lock when
+    there is not exactly one (a decided process tests round m-D with its
+    own inline test, an undecided one reads ``runs``); and for every
+    retained round r before its current one, the refreshed ``runs[r][0]``
+    is the single element of ``confirmed_roots(s, r)``, or None.  Each
+    state's ``runs`` and ``stale_from`` are restored after, as c2 resumes
+    its search there."""
+    D, m = run.config.D, run.m
+    for s, out in zip(run.states.values(), run.outcomes[-1]):
         runs, stale_from = dict(s.runs), s.stale_from
         want = {}
         for r in range(max(1, s.lo), s.m):
             confirmed = confirmed_roots(s, r)
             want[r] = confirmed[0] if len(confirmed) == 1 else None
-            assert consensus_mod.c1_check(s, r + D, D) == want[r], (s.pid, s.m, r)
-        consensus_mod._refresh(s, s.m - 1)
+        if m > D:
+            assert (out.locked and out.locked[0]) == want[m - D], (s.pid, m)
+        consensus_mod._refresh(s, D, s.m)
         assert {r: s.runs[r][0] for r in want} == want, (s.pid, s.m)
         s.runs, s.stale_from = runs, stale_from
 
 
 class TestInlineScan:
     """The core step's inline test of each round's slot (``_refresh`` and
-    c1's decided branch) against the definitional ``confirmed_roots``,
-    after every round."""
+    the decided step's test of round m-D) against the definitional
+    ``confirmed_roots``, after every round."""
 
     @pytest.mark.parametrize("n, D, mode, horizon", [
         (6, 2, "full", 200),

@@ -138,10 +138,46 @@ class TestMaskIdentity:
         assert g.nonloop_edges() == sorted(e for e in set(edges) if e[0] != e[1])
         # the derived views stay out of ==, hash and repr
         fresh = CommGraph(n, g.mask)
-        root_components(g), g.out_rows, g.in_lists
-        assert {"_roots", "out_rows", "in_lists"} <= set(vars(g))
+        root_components(g), g.out_rows, g.in_classes
+        assert {"_roots", "out_rows", "in_classes"} <= set(vars(g))
         assert g == fresh and hash(g) == hash(fresh) and not set(vars(fresh)) - {"n", "mask"}
         assert repr(g) == repr(fresh) == f"CommGraph(n={n}, mask={g.mask!r})"
+
+
+@st.composite
+def looped_masks(draw):
+    """(n, mask) for n in 1..64 holding every self-loop.  Each process draws
+    one of k in-neighbour sets and also hears every process that drew the
+    same one, so columns repeat often, as they do in a root whose members
+    all hear each other."""
+    n = draw(st.integers(1, 64))
+    k = draw(st.integers(1, n))
+    sets = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+    drawn = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    lay, mask = mask_layout(n), 0
+    for p in range(1, n + 1):
+        column = sets[drawn[p - 1]] | sum(1 << (q - 1) for q in range(1, n + 1) if drawn[q - 1] == drawn[p - 1])
+        mask |= sum(lay.bit(u, p) for u in range(1, n + 1) if column >> (u - 1) & 1)
+    return n, mask
+
+
+class TestInClasses:
+    @settings(max_examples=200, deadline=None)
+    @given(case=looped_masks())
+    @example(case=(63, mask_layout(63).loops(63)))  # every column its own
+    @example(case=(5, mask_layout(5).block(5)))  # one column for all
+    def test_classes_partition_the_processes_by_column(self, case):
+        n, mask = case
+        lay, classes = mask_layout(n), CommGraph(n, mask).in_classes
+        pids = [p for _, members in classes for p in members]
+        assert sorted(pids) == list(range(1, n + 1))
+        assert all(list(members) == sorted(members) for _, members in classes)
+        firsts = [members[0] for _, members in classes]
+        assert firsts == sorted(firsts)
+        for ins, members in classes:
+            for p in members:
+                assert ins == tuple(u for u in range(1, n + 1) if mask & lay.bit(u, p)), p
+        assert len({ins for ins, _ in classes}) == len(classes)
 
 
 class TestCommonRootIntervals:

@@ -131,63 +131,63 @@ class TestRunExecution:
         assert summary["rounds"] == 3 and summary["config"]["horizon"] == 10
 
 
-def _drop_relayed_heard(merge, s, g, sent, m):
-    # each broadcast keeps only its sender's own bit in every slot
-    width, lo = s.tables.layout.width, window_start(s.tables.keep, m)
-    own_entries = [
-        known & sum(1 << (i * width + q - 1) for i in range(m - lo))
-        for q, known in enumerate(sent, start=1)
-    ]
-    return merge(s, g, own_entries, m)
+def _drop_relayed_heard(merge, s, heard, own, m):
+    # each in-neighbour's broadcast keeps only its sender's own bit in every
+    # slot: the in-neighbours' bits, repeated in every slot
+    lay, lo = s.tables.layout, window_start(s.tables.keep, m)
+    g = s.tables.graphs[m - 1]
+    ins = sum(1 << (q - 1) for q in range(1, g.n + 1) if g.mask & lay.bit(q, s.pid))
+    own_entries = heard & sum(ins << i * lay.width for i in range(m - lo))
+    return merge(s, own_entries, own, m)
 
 
-def _copied_rows(merge, s, g, sent, m):
-    merge(s, g, sent, m)
+def _copied_rows(merge, s, heard, own, m):
+    merge(s, heard, own, m)
     s.tables = dataclasses.replace(s.tables, rows=copy.copy(s.tables.rows))
 
 
-def _copied_graph_list(merge, s, g, sent, m):
-    merge(s, g, sent, m)
+def _copied_graph_list(merge, s, heard, own, m):
+    merge(s, heard, own, m)
     s.tables = dataclasses.replace(s.tables, graphs=list(s.tables.graphs))
 
 
-def _wrong_lock_value(merge, s, g, sent, m):
-    merge(s, g, sent, m)
+def _wrong_lock_value(merge, s, heard, own, m):
+    merge(s, heard, own, m)
     s.tables.rows[2][m] += 1
 
 
-def _fabricated_edge(merge, s, g, sent, m):
+def _fabricated_edge(merge, s, heard, own, m):
     # p3's round-m state never reached p2; with p3 in slot m, p2's
     # approximation would show the round-m edges into p3
-    merge(s, g, sent, m)
+    merge(s, heard, own, m)
     s.known |= 1 << ((m - s.lo) * s.tables.layout.width + 2)
 
 
-def _retained_past_window(merge, s, g, sent, m):
-    own = s.tables.rows[2]
-    stale = own[m - 6]
-    merge(s, g, sent, m)
-    own[m - 6] = stale
+def _retained_past_window(merge, s, heard, own, m):
+    row = s.tables.rows[2]
+    stale = row[m - 6]
+    merge(s, heard, own, m)
+    row[m - 6] = stale
 
 
-def _wrong_lo(merge, s, g, sent, m):
-    merge(s, g, sent, m)
+def _wrong_lo(merge, s, heard, own, m):
+    merge(s, heard, own, m)
     s.lo += 1
 
 
-def _rewritten_old_lock_cell(merge, s, g, sent, m):
+def _rewritten_old_lock_cell(merge, s, heard, own, m):
     # a finalized lock cell of the own row, far below the cell of round m
-    merge(s, g, sent, m)
+    merge(s, heard, own, m)
     s.tables.rows[2][2] += 100
 
 
-def _known_past_current_round(merge, s, g, sent, m):
-    merge(s, g, sent, m)
+def _known_past_current_round(merge, s, heard, own, m):
+    merge(s, heard, own, m)
     s.known |= 1 << ((m + 1 - s.lo) * s.tables.layout.width + 1)  # p2's bit in slot m+1
 
 
-def _extra_row(merge, s, g, sent, m):
-    merge(s, g, sent, m)
+def _extra_row(merge, s, heard, own, m):
+    merge(s, heard, own, m)
     s.tables.rows[6] = {}
 
 
@@ -245,10 +245,10 @@ class TestInvariantMonitor:
     def raised(monkeypatch, fault, n, mode, round_) -> EngineInvariantError:
         merge = harness_mod.receive_and_merge
 
-        def faulty_merge(s, g, sent, m):
+        def faulty_merge(s, heard, own, m):
             if (s.pid, m) == (2, round_):
-                return fault(merge, s, g, list(sent), m)
-            return merge(s, g, sent, m)
+                return fault(merge, s, heard, own, m)
+            return merge(s, heard, own, m)
 
         monkeypatch.setattr(harness_mod, "receive_and_merge", faulty_merge)
         l = lasso(n, cycle=[EPS1_EDGES + [(1, q) for q in range(6, n + 1)]])
@@ -263,10 +263,10 @@ class TestInvariantMonitor:
         # round 7 of bounded:5 (rounds 2..7 kept) p3 is in no slot of p2
         merge = harness_mod.receive_and_merge
 
-        def faulty_merge(s, g, sent, m):
+        def faulty_merge(s, heard, own, m):
             if (s.pid, m) == (2, 7):
-                return _wrong_lo(merge, s, g, list(sent), m)
-            return merge(s, g, sent, m)
+                return _wrong_lo(merge, s, heard, own, m)
+            return merge(s, heard, own, m)
 
         monkeypatch.setattr(harness_mod, "receive_and_merge", faulty_merge)
         with pytest.raises(EngineInvariantError) as caught:
@@ -660,18 +660,21 @@ class TestFuzz:
         # execution decide on the stale early root and split the outcome:
         # this _refresh takes every root of the approximation, ghosts
         # included, as confirmed
-        def unguarded(s, upto):
-            low = max(1, s.lo)
+        def unguarded(s, D, begin):
+            low, hit = max(1, s.lo), None
             run_root, start = None, low
-            for r in range(low, upto + 1):
+            for r in range(low, s.m):
                 roots = approx_roots(s, r)
                 single = next(iter(roots)) if len(roots) == 1 else None
                 if single is None:
                     run_root, start = None, r + 1
                 elif single != run_root:
                     run_root, start = single, r
+                elif r - start >= D and r >= begin and hit is None:
+                    hit = run_root, (r - D, r)
                 s.runs[r] = (run_root, start)
-            s.stale_from = upto + 1
+            s.stale_from = s.m
+            return hit
 
         monkeypatch.setattr(consensus_mod, "_refresh", unguarded)
         _, cfg_ep = scenario_eps_pair(5, 2)
