@@ -207,23 +207,24 @@ def _embedded_single_phase(l: LassoSequence, run: Run, x: int, scan_to: int) -> 
 
 class _Case:
     """One verdict's lasso and validated parameters; liveness, and the root
-    runs up to each scan bound, are computed at most once."""
+    runs up to each scan bound of each least length, are computed at most
+    once."""
 
     def __init__(self, l: LassoSequence, params: dict):
         self.l = l
         self.params = params
         self.horizon = params["horizon"]  # as given: the safety scans bound their runs by it
         self.resolved_horizon = self.horizon or l.default_horizon()
-        self._runs = {}  # scan bound -> maximal_root_runs(l, bound)
+        self._runs = {}  # (scan bound, least length) -> maximal_root_runs(l, bound, least)
 
     @lazy
     def live(self) -> Optional[AdversaryCertificate]:
         return check_liveness(self.l)
 
-    def runs(self, scan_to: int) -> list:
-        runs = self._runs.get(scan_to)
+    def runs(self, scan_to: int, least: int) -> list:
+        runs = self._runs.get((scan_to, least))
         if runs is None:
-            runs = self._runs[scan_to] = maximal_root_runs(self.l, scan_to)
+            runs = self._runs[scan_to, least] = maximal_root_runs(self.l, scan_to, least)
         return runs
 
 
@@ -240,9 +241,7 @@ def _safety(c: _Case, x: int) -> tuple:
     """A root common for more than x consecutive rounds anywhere (scanning to
     the horizon and across the cycle) must be the liveness root's final,
     infinite run.  The witness is the earliest offending run."""
-    for run in c.runs(_scan_bound(c.l, c.horizon)):
-        if run.length() <= x:
-            continue
+    for run in c.runs(_scan_bound(c.l, c.horizon), x + 1):
         is_final_run = (
             run.end is None
             and c.live is not None
@@ -260,7 +259,7 @@ def _alt_safety(c: _Case, x: int) -> tuple:
     several such runs tie for the earliest start, every one of them must
     embed the single phase.  The witness is the first that does not."""
     scan_to = _scan_bound(c.l, c.horizon, extra=x + 1)
-    long_runs = [run for run in c.runs(scan_to) if run.length() >= x + 1]
+    long_runs = c.runs(scan_to, x + 1)
     if long_runs:
         earliest = min(run.start for run in long_runs)
         for run in long_runs:
@@ -278,9 +277,7 @@ def _alt_liveness(c: _Case, x: int) -> tuple:
     scan_to = _scan_bound(l, horizon, extra=x + 1)
     singles = single_rooted_rounds(l, scan_to)
     best = None
-    for run in c.runs(scan_to):
-        if run.length() < x + 1:
-            continue
+    for run in c.runs(scan_to, x + 1):
         alpha_prime = _embedded_single_phase(l, run, x, scan_to)
         if alpha_prime is None:
             continue

@@ -15,7 +15,10 @@ whose row u-1 holds u's out-neighbours and whose column v-1 holds the
 in-neighbours of v.  Bit i of a row, or of any vertex set, is process i+1.
 A round graph *is* its mask: ``CommGraph(n, mask)`` is built straight from an
 int, compares and hashes on ``(n, mask)``, and decodes its edges
-(``MaskLayout.edges``) only for output.
+(``MaskLayout.edges``) only for output.  Bit-matrix products read only a
+graph's relaying rows (``CommGraph.relays``).  A lasso's root runs and
+single-rooted rounds are read from a position table, root -> bitset of
+rounds, built per call over one pass of the lasso and unrolled to any bound.
 """
 
 from __future__ import annotations
@@ -135,11 +138,23 @@ def roots_of_mask(mask: int, vertices: int, lay: MaskLayout) -> frozenset:
     per k; a transpose gives each vertex's ancestors; and a vertex lies in a
     root component iff its ancestors are a subset of its reach, the
     component then being exactly its ancestors.
+
+    The closure visits only the relaying vertices, those with an out-edge
+    besides the self-loop, highest first: a vertex with no out-edge is never
+    an intermediate vertex of a path, and Warshall's order is free.  Each
+    pick then settles its whole reach: every descendant of a non-root vertex
+    v is itself a non-root vertex (were a descendant w in a root, v, an
+    ancestor of w, would lie in w's strong component), and a root's
+    descendants outside the root are non-root too.  So a star costs one
+    multiply and one pick; a dense graph still costs O(n) multiplies.
     """
     width, row, column = lay.width, lay.row, lay.column
     reach = mask
-    for k in range(-(-mask.bit_length() // width)):  # only a vertex with out-edges can relay
+    relaying = mask & ~lay.diagonal
+    while relaying:
+        k = (relaying.bit_length() - 1) // width
         reach |= (reach >> k & column) * (reach >> k * width & row)
+        relaying &= (1 << k * width) - 1  # rows below k
     ancestors = lay.transposed(reach)
     todo, found = vertices, []
     while todo:
@@ -149,7 +164,7 @@ def roots_of_mask(mask: int, vertices: int, lay: MaskLayout) -> frozenset:
         below = reach >> v * width & row | bit
         if not above & ~below:
             found.append(_processes(above))
-        todo &= ~(above & below)  # v's strong component is settled
+        todo &= ~below  # v's reach holds no root vertex outside v's component
     return frozenset(found)
 
 
@@ -158,19 +173,25 @@ class CommGraph:
     """One round's directed communication graph over processes 1..n.
 
     The graph is its edge mask in the layout of ``mask_layout(n)``: it
-    compares and hashes on ``(n, mask)``.  The mask's rows, its in-neighbour
-    classes, its root components and their member bitsets are each derived
-    once, on first use, and stay out of ``==``, ``hash`` and ``repr``.
+    compares and hashes on ``(n, mask)``.  Its relaying rows (``relays``),
+    its in-neighbour classes, its root components and their member bitsets
+    are each derived once, on first use, and stay out of ``==``, ``hash``
+    and ``repr``.
     """
 
     n: int
     mask: int
 
     @lazy
-    def out_rows(self) -> tuple:
-        """``out_rows[u-1]`` is row u-1 of the mask: the out-neighbours of u."""
+    def relays(self) -> tuple:
+        """``(k, row)`` for each process k+1 with an out-edge besides its
+        self-loop, in pid order, ``row`` being row k of the mask: the
+        out-neighbours of k+1.  A row holding only its self-loop adds nothing
+        to a bit-matrix product or a causal-past step, so these read only the
+        relaying rows."""
         lay = mask_layout(self.n)
-        return tuple(self.mask >> (u * lay.width) & lay.row for u in range(self.n))
+        rows = (self.mask >> k * lay.width & lay.row for k in range(self.n))
+        return tuple((k, row) for k, row in enumerate(rows) if row & ~(1 << k))
 
     @lazy
     def in_classes(self) -> tuple:
@@ -299,42 +320,56 @@ class Run:
     start: int
     end: Optional[int]  # None = forever
 
-    def length(self) -> float:
-        return math.inf if self.end is None else self.end - self.start + 1
+
+def _root_positions(l: LassoSequence, rounds: int, single: bool = False) -> dict:
+    """The position table: root -> bitset of the rounds 1..``rounds`` where
+    it is a root component, bit r-1 for round r; with ``single``, only the
+    rounds where it is the single root.  It is filled over one pass of the
+    lasso, ``l.prefix + l.cycle``, and each bitset is then unrolled by
+    repeating its cycle bits with one multiply by a repunit of the period."""
+    table, bit = {}, 1
+    for g in l.prefix + l.cycle:
+        roots = g._roots
+        if not single or len(roots) == 1:
+            for root in roots:
+                table[root] = table.get(root, 0) | bit
+        bit <<= 1
+    prefix, period = len(l.prefix), len(l.cycle)
+    reps = max(0, -(-(rounds - prefix) // period))
+    repunit = ((1 << reps * period) - 1) // ((1 << period) - 1)
+    low, window = (1 << prefix) - 1, (1 << rounds) - 1
+    return {root: (bits & low | (bits >> prefix) * repunit << prefix) & window for root, bits in table.items()}
 
 
-def maximal_root_runs(l: LassoSequence, scan_to: int) -> list:
-    """Every maximal common-root run of the lasso starting by round ``scan_to``.
+def maximal_root_runs(l: LassoSequence, scan_to: int, least: int = 1) -> list:
+    """Every maximal common-root run of the lasso of ``least`` rounds or more
+    starting by round ``scan_to``, ordered by start, end and sorted root.
 
     ``scan_to`` must cover the prefix.  Finite runs carry exact bounds even
     when they extend past ``scan_to``; a run whose root is a root component of
-    every cycle graph extends forever and is marked with ``end=None``.
+    every cycle graph extends forever and is marked with ``end=None``.  The
+    runs are read from the position table, unrolled one cycle and ``least``
+    rounds past ``scan_to``: a finite run starting by ``scan_to`` breaks
+    within the cycle pass after it, so a run that reaches the table's last
+    round lasts forever.  Run starts are ``u & ~(u << 1)``, a run's length is
+    the count of ones from its start, and only runs of ``least`` rounds or
+    more become :class:`Run` objects.
     """
     if scan_to < len(l.prefix):
         raise ValueError(f"scan_to {scan_to} must cover the {len(l.prefix)}-round prefix")
-    always_cycle_roots = frozenset.intersection(
-        *[frozenset(root_components(g)) for g in l.cycle]
-    )
-    open_runs = {}
+    rounds = scan_to + len(l.cycle) + least
     runs = []
-    for r in range(1, scan_to + 1):
-        roots_now = root_components(l.graph(r))
-        for root in list(open_runs):
-            if root not in roots_now:
-                runs.append(Run(root, open_runs.pop(root), r - 1))
-        for root in roots_now:
-            open_runs.setdefault(root, r)
-    for root, start in open_runs.items():
-        if root in always_cycle_roots:
-            runs.append(Run(root, start, None))
-        else:
-            # the run must break within one further cycle pass
-            r = scan_to + 1
-            while root in root_components(l.graph(r)):
-                r += 1
-                if r > scan_to + len(l.cycle) + 1:
-                    raise AssertionError("finite run failed to terminate within a cycle")
-            runs.append(Run(root, start, r - 1))
+    for root, u in _root_positions(l, rounds).items():
+        lasting = u  # the rounds that begin `least` rounds of the root
+        for k in range(1, least):
+            lasting &= u >> k
+        starts = u & ~(u << 1) & lasting & (1 << scan_to) - 1
+        while starts:
+            i = (starts & -starts).bit_length() - 1
+            ones = u >> i
+            end = i + (ones ^ ones + 1).bit_length() - 1
+            runs.append(Run(root, i + 1, None if end == rounds else end))
+            starts &= starts - 1
     runs.sort(key=lambda run: (run.start, run.end if run.end is not None else math.inf, sorted(run.root)))
     return runs
 
@@ -342,10 +377,11 @@ def maximal_root_runs(l: LassoSequence, scan_to: int) -> list:
 def _forward_reach(l: LassoSequence, reach: int, a: int, b: int, column: int) -> int:
     """Advance every row of the reach matrix ``reach`` over rounds a+1..b at
     once: in each round, row i gains the out-row of every k it reaches (a
-    bit-matrix product, one multiply per process)."""
+    bit-matrix product, one multiply per relaying process; a row holding only
+    its self-loop adds nothing)."""
     for r in range(a + 1, b + 1):
         step = reach
-        for k, row in enumerate(l.graph(r).out_rows):
+        for k, row in l.graph(r).relays:
             step |= (reach >> k & column) * row
         reach = step
     return reach
@@ -367,7 +403,7 @@ def causal_past(l: LassoSequence, p: int, a: int, b: int) -> frozenset:
     cp = 1 << (p - 1)
     for level in range(b, a, -1):
         joined = cp
-        for u, row in enumerate(l.graph(level).out_rows):
+        for u, row in l.graph(level).relays:
             if row & cp:
                 joined |= 1 << u
         cp = joined
@@ -391,14 +427,9 @@ class DiameterWitness:
 
 
 def single_rooted_rounds(l: LassoSequence, horizon: int) -> dict:
-    """Map root R -> sorted rounds r <= horizon with roots(G^r) == {R}."""
-    out = {}
-    for r in range(1, horizon + 1):
-        roots_now = root_components(l.graph(r))
-        if len(roots_now) == 1:
-            (root,) = roots_now
-            out.setdefault(root, []).append(r)
-    return out
+    """Map root R -> sorted rounds r <= horizon with roots(G^r) == {R}, read
+    from the position table's single-root bits."""
+    return {root: list(_pids(bits)) for root, bits in _root_positions(l, horizon, single=True).items() if bits}
 
 
 def check_dynamic_diameter(l: LassoSequence, D: int, horizon: Optional[int] = None):

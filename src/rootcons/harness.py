@@ -622,7 +622,7 @@ def _depth_from(g: CommGraph, src: int) -> int:
         if reached == everyone:
             return depth
         frontier = reached
-        for u, row in enumerate(g.out_rows):
+        for u, row in g.relays:
             if frontier >> u & 1:
                 reached |= row
     return g.n

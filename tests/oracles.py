@@ -4,20 +4,22 @@ Everything here is deliberately naive: definitional subset enumeration for
 root components, an iterative Tarjan SCC pass over edge sets for root
 components of graphs too large to enumerate, undirected BFS for weak
 connectivity, a literal recursive causal-past and its forward-propagation
-counterpart, per-round BFS distances, a copied-history protocol state, the
-c2 interval search as a full rescan of every retained round, and the b1/b3
-anchor as the least round that starts a common-root run.  None of it
-calls the bitmask kernel ``graphs.roots_of_mask``: the roots of a partial
-graph are Tarjan's on a relabelled ``CommGraph``.
+counterpart, per-round BFS distances, the maximal common-root runs and the
+single-rooted rounds of a lasso walked round by round, a copied-history
+protocol state, the c2 interval search as a full rescan of every retained
+round, and the b1/b3 anchor as the least round that starts a common-root
+run.  None of it calls the bitmask kernel ``graphs.roots_of_mask``: the
+roots of a partial graph are Tarjan's on a relabelled ``CommGraph``.
 """
 
 import dataclasses
+import math
 from itertools import combinations
 from types import SimpleNamespace
 
 from rootcons.approximation import RunTables
 from rootcons.consensus import confirmed_roots
-from rootcons.graphs import CommGraph, MaskLayout, mask_layout
+from rootcons.graphs import CommGraph, MaskLayout, Run, mask_layout
 
 
 def graph_edges(g: CommGraph) -> list:
@@ -170,6 +172,48 @@ def bfs_distance(g: CommGraph, src: int, dst: int):
                     nxt.append(b)
         frontier = nxt
     return dist.get(dst)
+
+
+def reference_root_runs(l, scan_to: int) -> list:
+    """Every maximal common-root run of the lasso ``l`` starting by round
+    ``scan_to`` (which covers the prefix), walked round by round over
+    Tarjan's roots: runs still open at ``scan_to`` are followed until they
+    break, or marked ``end=None`` when their root is a root of every cycle
+    graph.  Ordered by start, end and sorted root."""
+    assert scan_to >= len(l.prefix)
+    always_cycle_roots = frozenset.intersection(*map(tarjan_roots, l.cycle))
+    open_runs = {}
+    runs = []
+    for r in range(1, scan_to + 1):
+        roots_now = tarjan_roots(l.graph(r))
+        for root in list(open_runs):
+            if root not in roots_now:
+                runs.append(Run(root, open_runs.pop(root), r - 1))
+        for root in roots_now:
+            open_runs.setdefault(root, r)
+    for root, start in open_runs.items():
+        if root in always_cycle_roots:
+            runs.append(Run(root, start, None))
+        else:  # the run must break within one further cycle pass
+            r = scan_to + 1
+            while root in tarjan_roots(l.graph(r)):
+                r += 1
+                assert r <= scan_to + len(l.cycle) + 1, "finite run failed to terminate within a cycle"
+            runs.append(Run(root, start, r - 1))
+    runs.sort(key=lambda run: (run.start, run.end if run.end is not None else math.inf, sorted(run.root)))
+    return runs
+
+
+def reference_single_rooted_rounds(l, horizon: int) -> dict:
+    """Map root R -> sorted rounds r <= horizon with roots(G^r) == {R},
+    walked round by round over Tarjan's roots."""
+    out = {}
+    for r in range(1, horizon + 1):
+        roots_now = tarjan_roots(l.graph(r))
+        if len(roots_now) == 1:
+            (root,) = roots_now
+            out.setdefault(root, []).append(r)
+    return out
 
 
 # --- copied-history reference state -----------------------------------------

@@ -174,7 +174,7 @@ class TestAltEStable:
         for horizon, scans in ((max(l.default_horizon(), planted.deadline + 1), 1), (None, 2)):
             bounds = []
             monkeypatch.setattr(
-                adversary, "maximal_root_runs", lambda seq, scan_to: bounds.append(scan_to) or real(seq, scan_to)
+                adversary, "maximal_root_runs", lambda *args: bounds.append(args[1:]) or real(*args)
             )
             verdict = adversary.diagnose(kind, l, {"D": 2, "horizon": horizon})
             assert verdict.ok
@@ -273,7 +273,7 @@ class TestGenerators:
         params = AdversaryParams(n=6, D=1, seed=21, r_gst_target=12, r_sr_target=12)
         l, planted = generate_alt_estable(params, spurious=True)
         assert planted.params["spurious"] is not None
-        runs = [r for r in maximal_root_runs(l, l.default_horizon()) if r.length() >= 2]
+        runs = maximal_root_runs(l, l.default_horizon(), 2)
         first = min(runs, key=lambda r: r.start)
         assert first.root == frozenset(planted.params["spurious"])
         assert first.root != planted.root

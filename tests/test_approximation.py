@@ -272,7 +272,7 @@ def fresh_roots(mask, extra_vertex, lay):
     return roots_of_mask(mask, endpoints(mask, lay) | 1 << (extra_vertex - 1), lay)
 
 
-W16, W64 = mask_layout(16), mask_layout(64)
+W16, W64, W1024 = mask_layout(16), mask_layout(64), mask_layout(1024)
 
 
 @st.composite
@@ -309,6 +309,8 @@ class TestRootKernel:
     @example(case=(0, 64, W64))
     @example(case=(W16.bit(1, 2) | W16.bit(2, 1), 9, W16))  # isolated extra vertex
     @example(case=(W64.bit(64, 1) | W64.bit(1, 64) | W64.bit(33, 64), 33, W64))  # the last row and column
+    @example(case=(sum(W1024.bit(1, v) for v in range(8, 1025, 8)), 1, W1024))  # a star: one relay, one pick
+    @example(case=(W1024.bit(1024, 1) | sum(W1024.bit(v, v + 16) for v in range(1, 1009, 16)), 1, W1024))  # non-root 1 heads a chain
     def test_random_masks_up_to_sixty_four(self, case):
         mask, extra, lay = case
         assert fresh_roots(mask, extra, lay) == reference_roots_of_partial(mask, extra, lay)

@@ -8,6 +8,8 @@ from oracles import (
     brute_force_roots,
     causal_past_forward,
     naive_causal_past,
+    reference_root_runs,
+    reference_single_rooted_rounds,
     tarjan_roots,
     undirected_bfs_spans,
 )
@@ -17,6 +19,7 @@ from rootcons.graphs import (
     CommGraph,
     LassoSequence,
     Run,
+    _forward_reach,
     causal_past,
     check_dynamic_diameter,
     graph_to_dot,
@@ -138,10 +141,38 @@ class TestMaskIdentity:
         assert g.nonloop_edges() == sorted(e for e in set(edges) if e[0] != e[1])
         # the derived views stay out of ==, hash and repr
         fresh = CommGraph(n, g.mask)
-        root_components(g), g.out_rows, g.in_classes
-        assert {"_roots", "out_rows", "in_classes"} <= set(vars(g))
+        root_components(g), g.relays, g.in_classes
+        assert {"_roots", "relays", "in_classes"} <= set(vars(g))
         assert g == fresh and hash(g) == hash(fresh) and not set(vars(fresh)) - {"n", "mask"}
         assert repr(g) == repr(fresh) == f"CommGraph(n={n}, mask={g.mask!r})"
+
+
+class TestRelays:
+    @settings(max_examples=150, deadline=None)
+    @given(case=edge_lists())
+    def test_relays_are_the_rows_with_a_nonloop_out_edge(self, case):
+        n, edges = case
+        heard = set(edges) | {(u, u) for u in range(1, n + 1)}
+        rows = [sum(1 << (v - 1) for v in range(1, n + 1) if (u, v) in heard) for u in range(1, n + 1)]
+        want = tuple((u - 1, row) for u, row in enumerate(rows, 1) if row != 1 << (u - 1))
+        assert CommGraph.of(n, edges).relays == want
+
+    def test_forward_reach_equals_the_all_rows_product(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            l = random_lasso(rng, n, rng.randint(0, 5), density=rng.choice([0.05, 0.2, 0.5]))
+            lay = mask_layout(n)
+            start = sum(lay.bit(q, q) for q in range(1, n + 1) if rng.random() < 0.6)
+            a = rng.randint(0, 6)
+            b = a + rng.randint(0, 6)
+            want = start
+            for r in range(a + 1, b + 1):
+                step = want
+                for k in range(n):  # every row, self-loop-only rows too
+                    step |= (want >> k & lay.column) * (l.graph(r).mask >> k * lay.width & lay.row)
+                want = step
+            assert _forward_reach(l, start, a, b, lay.column) == want
 
 
 @st.composite
@@ -178,6 +209,22 @@ class TestInClasses:
             for p in members:
                 assert ins == tuple(u for u in range(1, n + 1) if mask & lay.bit(u, p)), p
         assert len({ins for ins, _ in classes}) == len(classes)
+
+
+SEAM = lasso(3, prefix=[[(1, 2)], [(1, 2), (1, 3)]], cycle=[[(1, 2), (1, 3)], [(2, 1), (2, 3)]])
+
+
+@st.composite
+def scanned_lassos(draw):
+    """(lasso, scan bound, least run length): a ``random_lasso`` with its
+    cycle grown to one to four graphs, a bound from its prefix length to two
+    cycles past its default horizon, and a least length of 1..4."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, density = draw(st.integers(2, 6)), draw(st.sampled_from([0.1, 0.3, 0.6]))
+    l = random_lasso(rng, n, draw(st.integers(0, 6)), density)
+    l = LassoSequence(l.prefix, l.cycle + tuple(random_graph(rng, n, density) for _ in range(draw(st.integers(0, 3)))))
+    s = draw(st.integers(len(l.prefix), l.default_horizon() + 2 * len(l.cycle)))
+    return l, s, draw(st.integers(1, 4))
 
 
 class TestCommonRootIntervals:
@@ -218,6 +265,19 @@ class TestCommonRootIntervals:
                     r += 1
             got = {(run.root, run.start, run.end) for run in maximal_root_runs(l, 8)}
             assert got == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=scanned_lassos())
+    @example(case=(lasso(3, prefix=[[(2, 1)]], cycle=[[(1, 2), (1, 3)], [(1, 3)]]), 1, 1))  # {1} roots every cycle graph
+    @example(case=(lasso(3, prefix=[[(2, 1)]], cycle=[[(1, 2), (1, 3)], [(1, 3)]]), 1, 4))
+    @example(case=(SEAM, 2, 1))  # {1}'s run crosses the prefix/cycle seam
+    @example(case=(SEAM, 2, 3))
+    @example(case=(SEAM, 9, 2))
+    def test_matches_the_round_by_round_walk(self, case):
+        l, s, least = case
+        want = [run for run in reference_root_runs(l, s) if run.end is None or run.end - run.start + 1 >= least]
+        assert maximal_root_runs(l, s, least) == want
+        assert single_rooted_rounds(l, s) == reference_single_rooted_rounds(l, s)
 
     def test_scan_must_cover_prefix(self, eps2_lasso):
         with pytest.raises(ValueError):
