@@ -29,6 +29,15 @@ Generators are construct-then-validate: they build a candidate respecting a
 planted certificate, run the full checker, and retry with perturbed
 randomness (bounded attempts) on rejection.  Same params + seed yields a
 byte-identical lasso.
+
+Draws: each attempt seeds its own ``random.Random`` from a string.  Across
+Python versions, Python guarantees only seeding and ``random()``; it does
+not guarantee how ``choice``, ``randint`` or ``shuffle`` draw.  The graph
+builders and the root-family sampler, which make most of the draws, take
+their indices straight from ``getrandbits`` (:func:`_below`, inlined in the
+per-vertex loops) by the rejection rule CPython 3.10-3.12 uses for those
+methods: they make exactly the draws the methods make there.  The few other
+draws (root size and members, companions, gaps) still call the methods.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from .graphs import (
     LassoSequence,
     Run,
     check_dynamic_diameter,
+    lasting,
     lazy,
     mask_layout,
     maximal_root_runs,
@@ -168,38 +178,35 @@ def check_liveness(l: LassoSequence) -> Optional[AdversaryCertificate]:
     Returns a certificate with the least ``r_gst`` such that some R is a
     maximal common root of all rounds from ``r_gst`` on and the single root
     of all rounds from some ``r_sr >= r_gst`` on; ``None`` if no root ever
-    stabilizes that way.
+    stabilizes that way.  Read from the lasso's root table: R must be the
+    single root of every cycle round.
     """
+    positions, single = l.root_table
     probe = len(l.prefix) + len(l.cycle)
-    if not all(len(root_components(g)) == 1 for g in l.cycle):
+    cycle = (1 << probe) - (1 << len(l.prefix))  # the cycle's rounds
+    if single & cycle != cycle:
         return None
-    cycle_roots = {next(iter(root_components(g))) for g in l.cycle}
-    if len(cycle_roots) != 1:
+    (root,) = root_components(l.cycle[-1])
+    rounds = positions[root]
+    if rounds & cycle != cycle:
         return None
-    (root,) = cycle_roots
-    r_sr = probe  # round probe is the last cycle graph, whose only root is root
-    while r_sr > 1 and root_components(l.graph(r_sr - 1)) == frozenset([root]):
-        r_sr -= 1
-    r_gst = r_sr
-    while r_gst > 1 and root in root_components(l.graph(r_gst - 1)):
-        r_gst -= 1
+    # r_sr follows the last round where root is not the single root, r_gst
+    # the last round before r_sr where it is not a root
+    r_sr = (((1 << probe) - 1) & ~(rounds & single)).bit_length() + 1
+    r_gst = (((1 << (r_sr - 1)) - 1) & ~rounds).bit_length() + 1
     return AdversaryCertificate("liveness", r_gst, r_sr, root)
 
 
 def _embedded_single_phase(l: LassoSequence, run: Run, x: int, scan_to: int) -> Optional[int]:
-    # earliest start of x+1 consecutive rounds inside the run where the run's
-    # root is the single root
+    """The earliest start of x+1 consecutive rounds inside the run where the
+    run's root is the single root, read from the lasso's root table."""
     end = scan_to if run.end is None else min(run.end, scan_to + x + 1)
-    target = frozenset([run.root])
-    streak = 0
-    for r in range(run.start, end + 1):
-        if root_components(l.graph(r)) == target:
-            streak += 1
-            if streak >= x + 1:
-                return r - x
-        else:
-            streak = 0
-    return None
+    positions, single = l.root_table
+    alone = l.unroller(end)(positions.get(run.root, 0) & single) >> (run.start - 1)
+    starts = lasting(alone, x + 1)  # bit i: rounds run.start + i .. run.start + i + x
+    if not starts:
+        return None
+    return run.start + (starts & -starts).bit_length() - 1
 
 
 # --- the checker table ------------------------------------------------------
@@ -463,6 +470,22 @@ def _complete(members: list, width: int, row: int) -> int:
     return mask
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A draw from ``range(n)`` taken as ``random.Random`` takes the index of
+    ``choice``, ``randint`` and ``shuffle`` on CPython 3.10-3.12: ``k =
+    n.bit_length()`` bits from ``rng.getrandbits``, drawn again while they
+    are ``>= n``.  So ``seq[_below(rng, len(seq))]`` is ``rng.choice(seq)``,
+    ``a + _below(rng, b - a + 1)`` is ``rng.randint(a, b)``, and both leave
+    ``rng`` in the same state."""
+    if n <= 0:
+        raise IndexError("cannot draw from an empty range")  # getrandbits(0) is 0: the loop would never end
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _single_rooted_graph(rng: random.Random, n: int, root: frozenset, D: int) -> CommGraph:
     # Interior of the root is complete, every outside process has a direct
     # in-edge from the root, and outside processes get no out-edges: any two
@@ -475,8 +498,17 @@ def _single_rooted_graph(rng: random.Random, n: int, root: frozenset, D: int) ->
     # a single round with D = 1 must already spread every member's state everywhere
     row = (1 << n) - 1 if D == 1 else sum(1 << (q - 1) for q in members)
     mask = lay.loops(n) | _complete(members, width, row)
+    # rng.choice(members) per outside process, with _below inlined: the
+    # draw's bit count is the same for every process
+    if not members:
+        raise IndexError("cannot draw from an empty range")
+    getrandbits, m = rng.getrandbits, len(members)
+    k = m.bit_length()
     for p in rest:
-        mask |= 1 << ((rng.choice(members) - 1) * width + p - 1)
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        mask |= 1 << ((members[i] - 1) * width + p - 1)
     return CommGraph(n, mask)
 
 
@@ -493,22 +525,44 @@ def _multi_rooted_graph(rng: random.Random, n: int, root_sets: list) -> CommGrap
         mask |= _complete(ms, width, sum(1 << (q - 1) for q in ms))
     claimed = set(members_union)
     rest = [p for p in range(1, n + 1) if p not in claimed]
+    # rng.choice(members_union) and rng.choice(rest) per leftover vertex,
+    # with _below inlined: each draw's bit count is the same for every vertex
+    if not members_union:
+        raise IndexError("cannot draw from an empty range")
+    getrandbits, chance = rng.getrandbits, rng.random
+    m, r = len(members_union), len(rest)
+    km, kr = m.bit_length(), r.bit_length()
     for p in rest:
-        mask |= 1 << ((rng.choice(members_union) - 1) * width + p - 1)
-        if rng.random() < 0.4:
-            q = rng.choice(rest)
-            mask |= 1 << ((q - 1) * width + p - 1)  # q == p adds p's self-loop, already there
+        i = getrandbits(km)
+        while i >= m:
+            i = getrandbits(km)
+        mask |= 1 << ((members_union[i] - 1) * width + p - 1)
+        if chance() < 0.4:
+            j = getrandbits(kr)
+            while j >= r:
+                j = getrandbits(kr)
+            mask |= 1 << ((rest[j] - 1) * width + p - 1)  # rest[j] == p adds p's self-loop, already there
     return CommGraph(n, mask)
 
 
 def _sample_root_family(
     rng: random.Random, n: int, forbidden: set, min_roots: int
 ) -> Optional[list]:
-    # disjoint root sets, none of which is in `forbidden`
+    # disjoint root sets, none of which is in `forbidden`.  A family of two or
+    # more sets starts with a singleton, so when every singleton is forbidden
+    # no family can avoid `forbidden`: give up before drawing.
+    if min_roots > 1 and len(forbidden) >= n and all(frozenset([p]) in forbidden for p in range(1, n + 1)):
+        return None
+    getrandbits = rng.getrandbits
     for _ in range(32):
         pids = list(range(1, n + 1))
-        rng.shuffle(pids)
-        k = rng.randint(min_roots, max(min_roots, min(n, 3)))
+        for i in range(n - 1, 0, -1):  # rng.shuffle(pids), with _below(rng, i + 1) inlined
+            bits = (i + 1).bit_length()
+            pick = getrandbits(bits)
+            while pick > i:
+                pick = getrandbits(bits)
+            pids[i], pids[pick] = pids[pick], pids[i]
+        k = min_roots + _below(rng, max(min_roots, min(n, 3)) - min_roots + 1)
         family = []
         i = 0
         for j in range(k):
@@ -516,7 +570,7 @@ def _sample_root_family(
             slots_left = k - j
             if remaining < slots_left:
                 break
-            size = 1 if slots_left > 1 else rng.randint(1, min(2, remaining))
+            size = 1 if slots_left > 1 else 1 + _below(rng, min(2, remaining))
             if remaining - size < slots_left - 1:
                 size = 1
             family.append(frozenset(pids[i : i + size]))

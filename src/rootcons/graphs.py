@@ -18,7 +18,7 @@ int, compares and hashes on ``(n, mask)``, and decodes its edges
 (``MaskLayout.edges``) only for output.  Bit-matrix products read only a
 graph's relaying rows (``CommGraph.relays``).  A lasso's root runs and
 single-rooted rounds are read from a position table, root -> bitset of
-rounds, built per call over one pass of the lasso and unrolled to any bound.
+rounds, filled once per lasso over one pass of it and unrolled to any bound.
 """
 
 from __future__ import annotations
@@ -190,8 +190,14 @@ class CommGraph:
         to a bit-matrix product or a causal-past step, so these read only the
         relaying rows."""
         lay = mask_layout(self.n)
-        rows = (self.mask >> k * lay.width & lay.row for k in range(self.n))
-        return tuple((k, row) for k, row in enumerate(rows) if row & ~(1 << k))
+        width, row = lay.width, lay.row
+        relays = []
+        relaying = self.mask & ~lay.diagonal  # as in roots_of_mask: only the rows that relay, highest first
+        while relaying:
+            k = (relaying.bit_length() - 1) // width
+            relays.append((k, self.mask >> k * width & row))
+            relaying &= (1 << k * width) - 1  # rows below k
+        return tuple(reversed(relays))
 
     @lazy
     def in_classes(self) -> tuple:
@@ -304,6 +310,34 @@ class LassoSequence:
         # covers every distinct pattern.
         return len(self.prefix) + 2 * len(self.cycle) + 2 * self.n
 
+    @lazy
+    def root_table(self) -> tuple:
+        """``(positions, single)`` over one pass of the lasso, rounds 1 to
+        ``len(prefix) + len(cycle)``, bit r-1 for round r: ``positions`` maps
+        each root to the bitset of the rounds where it is a root component,
+        and ``single`` is the bitset of the rounds with one root.  Filled
+        once per lasso and stays out of ``==``, ``hash`` and ``repr``;
+        :meth:`unroller` carries a bitset to any later round."""
+        positions, single, bit = {}, 0, 1
+        for g in self.prefix + self.cycle:
+            roots = g._roots
+            if len(roots) == 1:
+                single |= bit
+            for root in roots:
+                positions[root] = positions.get(root, 0) | bit
+            bit <<= 1
+        return positions, single
+
+    def unroller(self, rounds: int):
+        """The map carrying a one-pass bitset (as in :attr:`root_table`) to
+        rounds 1..``rounds``: its cycle bits repeat, by one multiply with a
+        repunit of the cycle length."""
+        prefix, period = len(self.prefix), len(self.cycle)
+        reps = max(0, -(-(rounds - prefix) // period))
+        repunit = ((1 << reps * period) - 1) // ((1 << period) - 1)
+        low, window = (1 << prefix) - 1, (1 << rounds) - 1
+        return lambda bits: (bits & low | (bits >> prefix) * repunit << prefix) & window
+
 
 def lasso(n: int, prefix: Iterable = (), cycle: Iterable = ()) -> LassoSequence:
     """Convenience builder: edge lists in, self-loops implied."""
@@ -324,21 +358,20 @@ class Run:
 def _root_positions(l: LassoSequence, rounds: int, single: bool = False) -> dict:
     """The position table: root -> bitset of the rounds 1..``rounds`` where
     it is a root component, bit r-1 for round r; with ``single``, only the
-    rounds where it is the single root.  It is filled over one pass of the
-    lasso, ``l.prefix + l.cycle``, and each bitset is then unrolled by
-    repeating its cycle bits with one multiply by a repunit of the period."""
-    table, bit = {}, 1
-    for g in l.prefix + l.cycle:
-        roots = g._roots
-        if not single or len(roots) == 1:
-            for root in roots:
-                table[root] = table.get(root, 0) | bit
-        bit <<= 1
-    prefix, period = len(l.prefix), len(l.cycle)
-    reps = max(0, -(-(rounds - prefix) // period))
-    repunit = ((1 << reps * period) - 1) // ((1 << period) - 1)
-    low, window = (1 << prefix) - 1, (1 << rounds) - 1
-    return {root: (bits & low | (bits >> prefix) * repunit << prefix) & window for root, bits in table.items()}
+    rounds where it is the single root.  It is the lasso's
+    :attr:`~LassoSequence.root_table`, unrolled."""
+    positions, single_rounds = l.root_table
+    keep = single_rounds if single else -1
+    unroll = l.unroller(rounds)
+    return {root: unroll(bits & keep) for root, bits in positions.items() if bits & keep}
+
+
+def lasting(bits: int, length: int) -> int:
+    """The bits of the bitset ``bits`` that begin ``length`` consecutive set bits."""
+    starts = bits
+    for k in range(1, length):
+        starts &= bits >> k
+    return starts
 
 
 def maximal_root_runs(l: LassoSequence, scan_to: int, least: int = 1) -> list:
@@ -360,10 +393,7 @@ def maximal_root_runs(l: LassoSequence, scan_to: int, least: int = 1) -> list:
     rounds = scan_to + len(l.cycle) + least
     runs = []
     for root, u in _root_positions(l, rounds).items():
-        lasting = u  # the rounds that begin `least` rounds of the root
-        for k in range(1, least):
-            lasting &= u >> k
-        starts = u & ~(u << 1) & lasting & (1 << scan_to) - 1
+        starts = u & ~(u << 1) & lasting(u, least) & (1 << scan_to) - 1
         while starts:
             i = (starts & -starts).bit_length() - 1
             ones = u >> i

@@ -4,8 +4,10 @@ Everything here is deliberately naive: definitional subset enumeration for
 root components, an iterative Tarjan SCC pass over edge sets for root
 components of graphs too large to enumerate, undirected BFS for weak
 connectivity, a literal recursive causal-past and its forward-propagation
-counterpart, per-round BFS distances, the maximal common-root runs and the
-single-rooted rounds of a lasso walked round by round, a copied-history
+counterpart, per-round BFS distances, the maximal common-root runs, the
+single-rooted rounds, the liveness root and the embedded single phase of a
+lasso walked round by round, the generators' graph builders and root-family
+sampler drawing through ``random.Random``'s public methods, a copied-history
 protocol state, the c2 interval search as a full rescan of every retained
 round, and the b1/b3 anchor as the least round that starts a common-root
 run.  None of it calls the bitmask kernel ``graphs.roots_of_mask``: the
@@ -214,6 +216,99 @@ def reference_single_rooted_rounds(l, horizon: int) -> dict:
             (root,) = roots_now
             out.setdefault(root, []).append(r)
     return out
+
+
+def reference_liveness(l):
+    """``(r_gst, r_sr, root)`` of ``check_liveness(l)``, or None, walked
+    round by round over Tarjan's roots: the one root of every cycle graph,
+    followed back while it stays the single root, then while it stays a root."""
+    cycle_roots = {tarjan_roots(g) for g in l.cycle}
+    if len(cycle_roots) != 1 or len(next(iter(cycle_roots))) != 1:
+        return None
+    (root,) = next(iter(cycle_roots))
+    r_sr = len(l.prefix) + len(l.cycle)
+    while r_sr > 1 and tarjan_roots(l.graph(r_sr - 1)) == frozenset([root]):
+        r_sr -= 1
+    r_gst = r_sr
+    while r_gst > 1 and root in tarjan_roots(l.graph(r_gst - 1)):
+        r_gst -= 1
+    return r_gst, r_sr, root
+
+
+def reference_embedded_single_phase(l, run: Run, x: int, scan_to: int):
+    """The earliest start of x+1 consecutive rounds inside ``run`` (cut at
+    ``scan_to``, or at ``scan_to + x + 1`` for a finite run) where the run's
+    root is the single root, walked round by round over Tarjan's roots."""
+    end = scan_to if run.end is None else min(run.end, scan_to + x + 1)
+    streak = 0
+    for r in range(run.start, end + 1):
+        streak = streak + 1 if tarjan_roots(l.graph(r)) == frozenset([run.root]) else 0
+        if streak >= x + 1:
+            return r - x
+    return None
+
+
+# --- generator draws through the public random.Random methods ---------------
+#
+# The generators take their draws straight from ``getrandbits``; these are
+# the same builders drawing through ``choice``, ``randint`` and ``shuffle``.
+
+
+def _complete(members, width: int, row: int) -> int:
+    mask = 0
+    for u in members:
+        mask |= row << (u - 1) * width
+    return mask
+
+
+def reference_single_rooted_graph(rng, n: int, root: frozenset, D: int) -> CommGraph:
+    lay = mask_layout(n)
+    members = sorted(root)
+    rest = [p for p in range(1, n + 1) if p not in root]
+    row = (1 << n) - 1 if D == 1 else sum(1 << (q - 1) for q in members)
+    mask = lay.loops(n) | _complete(members, lay.width, row)
+    for p in rest:
+        mask |= lay.bit(rng.choice(members), p)
+    return CommGraph(n, mask)
+
+
+def reference_multi_rooted_graph(rng, n: int, root_sets: list) -> CommGraph:
+    lay = mask_layout(n)
+    mask = lay.loops(n)
+    members_union = []
+    for rs in root_sets:
+        ms = sorted(rs)
+        members_union.extend(ms)
+        mask |= _complete(ms, lay.width, sum(1 << (q - 1) for q in ms))
+    rest = [p for p in range(1, n + 1) if p not in set(members_union)]
+    for p in rest:
+        mask |= lay.bit(rng.choice(members_union), p)
+        if rng.random() < 0.4:
+            mask |= lay.bit(rng.choice(rest), p)
+    return CommGraph(n, mask)
+
+
+def reference_sample_root_family(rng, n: int, forbidden: set, min_roots: int):
+    """Up to 32 attempts at a family of disjoint root sets avoiding ``forbidden``."""
+    for _ in range(32):
+        pids = list(range(1, n + 1))
+        rng.shuffle(pids)
+        k = rng.randint(min_roots, max(min_roots, min(n, 3)))
+        family = []
+        i = 0
+        for j in range(k):
+            remaining = len(pids) - i
+            slots_left = k - j
+            if remaining < slots_left:
+                break
+            size = 1 if slots_left > 1 else rng.randint(1, min(2, remaining))
+            if remaining - size < slots_left - 1:
+                size = 1
+            family.append(frozenset(pids[i : i + size]))
+            i += size
+        if len(family) == k and not any(fs in forbidden for fs in family):
+            return family
+    return None
 
 
 # --- copied-history reference state -----------------------------------------

@@ -3,11 +3,22 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from oracles import (
+    reference_multi_rooted_graph,
+    reference_sample_root_family,
+    reference_single_rooted_graph,
+)
 
 from rootcons.adversary import (
     AdversaryCertificate,
     AdversaryParams,
     InfeasibleParamsError,
+    _below,
+    _multi_rooted_graph,
+    _sample_root_family,
+    _single_rooted_graph,
     check_alt_estable,
     check_estable,
     check_liveness,
@@ -16,7 +27,7 @@ from rootcons.adversary import (
     generate_alt_estable,
     generate_estable,
 )
-from rootcons.graphs import lasso, lasso_to_json, maximal_root_runs, single_rooted_rounds
+from rootcons.graphs import LassoSequence, lasso, lasso_to_json, maximal_root_runs, single_rooted_rounds
 from rootcons.harness import scenario_stab_not_enough
 
 
@@ -338,6 +349,100 @@ def test_generator_output_is_pinned(kind, n, D):
         digest.update(lasso_to_json(l).encode())
         digest.update(json.dumps(cert.to_json_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == GENERATOR_DIGESTS[kind, n, D]
+
+
+@st.composite
+def root_families(draw):
+    """(n, disjoint root sets over 1..n, at least one of them non-empty)."""
+    n = draw(st.integers(2, 64))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))  # 0: no root; i: in set i
+    sets = [frozenset(p for p in range(1, n + 1) if labels[p - 1] == i) for i in (1, 2, 3)]
+    return n, [s for s in sets if s] or [frozenset([1])]
+
+
+class TestDraws:
+    """The generators draw from ``getrandbits`` directly; every draw must be
+    the one ``random.Random``'s public methods make, and leave the rng in the
+    same state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64), size=st.integers(1, 1024), low=st.integers(-50, 50))
+    @example(seed=0, size=1, low=0)  # one bit drawn, and drawn again while it is 1
+    @example(seed=7, size=1024, low=1)  # a power of two: 11 bits, half the draws rejected
+    @example(seed=7, size=1023, low=1)
+    def test_below_is_choice_randint_and_shuffle(self, seed, size, low):
+        std, own = random.Random(seed), random.Random(seed)
+        seq = list(range(size))
+        assert std.choice(seq) == seq[_below(own, size)]
+        assert std.randint(low, low + size - 1) == low + _below(own, size)
+        shuffled = seq[:]
+        for i in range(size - 1, 0, -1):
+            j = _below(own, i + 1)
+            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        std.shuffle(seq)
+        assert shuffled == seq
+        assert own.getstate() == std.getstate()
+
+    def test_an_empty_range_raises(self):
+        # getrandbits(0) is 0, so drawing below 0 would loop forever
+        rng = random.Random(1)
+        with pytest.raises(IndexError):
+            _below(rng, 0)
+        with pytest.raises(IndexError):
+            _single_rooted_graph(rng, 3, frozenset(), 2)
+        with pytest.raises(IndexError):
+            _multi_rooted_graph(rng, 3, [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64), case=root_families(), D=st.integers(1, 3))
+    @example(seed=3, case=(64, [frozenset(range(1, 33))]), D=2)  # 32 members, 32 outside
+    def test_graph_builders_draw_as_the_stdlib(self, seed, case, D):
+        n, root_sets = case
+        std, own = random.Random(seed), random.Random(seed)
+        assert _single_rooted_graph(own, n, root_sets[0], D) == reference_single_rooted_graph(std, n, root_sets[0], D)
+        assert _multi_rooted_graph(own, n, root_sets) == reference_multi_rooted_graph(std, n, root_sets)
+        assert own.getstate() == std.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        n=st.integers(1, 12),
+        min_roots=st.integers(1, 2),
+        sets=st.lists(st.frozensets(st.integers(1, 12), min_size=1, max_size=3), max_size=6),
+        singletons=st.booleans(),
+    )
+    @example(seed=5, n=16, min_roots=2, sets=[], singletons=True)  # doomed: every family starts with a singleton
+    @example(seed=5, n=2, min_roots=1, sets=[], singletons=True)  # not doomed: {1, 2} may be drawn
+    def test_family_sampling_is_the_32_attempt_loop(self, seed, n, min_roots, sets, singletons):
+        forbidden = {s for s in sets if max(s) <= n}
+        if singletons:
+            forbidden |= {frozenset([p]) for p in range(1, n + 1)}
+        std, own = random.Random(seed), random.Random(seed)
+        family = _sample_root_family(own, n, forbidden, min_roots)
+        assert family == reference_sample_root_family(std, n, forbidden, min_roots)
+        if family is not None:
+            assert own.getstate() == std.getstate()
+        elif singletons and min_roots > 1:
+            assert own.getstate() == random.Random(seed).getstate()  # given up before any draw
+
+
+class TestRootTable:
+    def test_one_fill_per_lasso(self, monkeypatch):
+        # certify-shaped lassos (n 12..16, D 3..5, r_sr 28..32), half estable
+        # and half alt_estable, each checked by all three shorthands
+        lassos = []
+        for i in range(100):
+            params = AdversaryParams(n=12 + i % 5, D=3 + i % 3, seed=i, r_sr_target=28 + i % 5)
+            l, cert = (generate_estable if i % 2 == 0 else generate_alt_estable)(params)
+            horizon = max(l.default_horizon(), cert.deadline + 1)
+            lassos.append((LassoSequence(l.prefix, l.cycle), params.D, horizon))  # a fresh lasso, table unfilled
+        fill = LassoSequence.__dict__["root_table"]
+        filled, real = [], fill.fn
+        monkeypatch.setattr(fill, "fn", lambda l: filled.append(l) or real(l))
+        for i, (l, D, horizon) in enumerate(lassos):
+            certs = [check_estable(l, D), check_alt_estable(l, D, horizon), check_mad(l, D, D, D, horizon)]
+            assert certs[i % 2] is not None
+        assert [id(l) for l in filled] == [id(l) for l, _, _ in lassos]
 
 
 def unrolled(l, k):

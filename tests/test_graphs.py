@@ -3,18 +3,26 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_graph, random_lasso
+from conftest import EPS2_GP, EPS2_GPP, EPS2_GPPP, random_graph, random_lasso
 from oracles import (
     brute_force_roots,
     causal_past_forward,
     naive_causal_past,
+    reference_embedded_single_phase,
+    reference_liveness,
     reference_root_runs,
     reference_single_rooted_rounds,
     tarjan_roots,
     undirected_bfs_spans,
 )
 
-from rootcons.adversary import AdversaryParams, _embedded_single_phase, generate_alt_estable, generate_estable
+from rootcons.adversary import (
+    AdversaryParams,
+    _embedded_single_phase,
+    check_liveness,
+    generate_alt_estable,
+    generate_estable,
+)
 from rootcons.graphs import (
     CommGraph,
     LassoSequence,
@@ -150,6 +158,7 @@ class TestMaskIdentity:
 class TestRelays:
     @settings(max_examples=150, deadline=None)
     @given(case=edge_lists())
+    @example(case=(1024, [(1, v) for v in range(2, 1025)] + [(1024, 3), (512, 1)]))  # W=1024: three relaying rows
     def test_relays_are_the_rows_with_a_nonloop_out_edge(self, case):
         n, edges = case
         heard = set(edges) | {(u, u) for u in range(1, n + 1)}
@@ -309,6 +318,25 @@ class TestEcsCommonRoot:
         # rounds 1..4 never have a single root
         for run in maximal_root_runs(eps2_lasso, 4):
             assert _embedded_single_phase(eps2_lasso, run, 1, 4) is None
+
+
+EPS2 = lasso(5, prefix=[EPS2_GP, EPS2_GP, EPS2_GPP, EPS2_GPP], cycle=[EPS2_GPPP])  # the eps2_lasso fixture
+
+
+class TestRootTableReads:
+    """The liveness root and the embedded single phases, read from the
+    lasso's root table, against the same facts walked round by round."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=scanned_lassos(), x=st.integers(0, 3))
+    @example(case=(EPS2, 9, 1), x=2)  # {4} common from 3, single from 5 on
+    @example(case=(SEAM, 9, 1), x=0)
+    def test_matches_the_round_by_round_walk(self, case, x):
+        l, s, _ = case
+        cert = check_liveness(l)
+        assert (cert and (cert.r_gst, cert.r_sr, cert.root)) == reference_liveness(l)
+        for run in maximal_root_runs(l, s):
+            assert _embedded_single_phase(l, run, x, s) == reference_embedded_single_phase(l, run, x, s)
 
 
 class TestCausalPast:
