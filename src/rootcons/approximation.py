@@ -52,9 +52,8 @@ just stopped being the current one); ``consensus`` keeps its per-round c2
 results in ``runs`` and recomputes them only from that round on.
 
 ``snapshot()`` serializes a state.  A run keeps no snapshots: when the
-harness compares two runs, it rebuilds a process's states from each run's
-record, as one state over its ground truth's rows and the run's own
-graphs, and snapshots those.
+harness compares two runs, it replays both from their configs in lock step
+and snapshots the process's state after every round.
 
 Root queries rest on one lemma.  Let S be slot r, and let every member of
 S have its self-loop in the round-r mask.  It has, as every round graph of

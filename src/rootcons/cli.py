@@ -28,6 +28,7 @@ from .adversary import (
 from .graphs import graph_to_dot, lasso_from_json, lasso_to_json
 from .harness import (
     EngineInvariantError,
+    Run,
     RunConfig,
     eps_pair_report,
     fuzz_campaign,
@@ -38,6 +39,7 @@ from .harness import (
     scenario_hop_fallacy,
     scenario_stab_not_enough,
     stab_not_enough_report,
+    trace_line,
 )
 
 EXIT_OK = 0
@@ -167,6 +169,16 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_UNSATISFIED
 
 
+def _traced_run(cfg: RunConfig) -> tuple:
+    """``run_execution(cfg)`` and its trace text, one JSON line per round,
+    each formatted from the outcomes its step returned."""
+    run, lines = Run(cfg), []
+    for _ in range(cfg.horizon):
+        outcomes = run.step()
+        lines.append(trace_line(run.m, cfg.lasso.graph(run.m), outcomes) + "\n")
+    return run, "".join(lines)
+
+
 def cmd_run(args) -> int:
     try:
         lasso_seq = _read_lasso(args.lasso)
@@ -189,7 +201,7 @@ def cmd_run(args) -> int:
     if args.horizon is None and deadline:
         cfg = replace(cfg, horizon=deadline + args.d + 2)
     try:
-        run = run_execution(cfg)
+        run, trace = _traced_run(cfg) if args.trace_out else (run_execution(cfg), None)
     except EngineInvariantError as exc:
         _emit(
             {"ok": False, "invariant_violation": str(exc), "pid": exc.pid, "round": exc.round},
@@ -201,7 +213,7 @@ def cmd_run(args) -> int:
     if args.trace_out:
         path = Path(args.trace_out)
         _write_outputs({
-            path: run.to_json_lines() + "\n",
+            path: trace,
             Path(f"{path}.summary.json"): json.dumps(run.summary_dict(), sort_keys=True) + "\n",
         })
     if args.dot_out:

@@ -11,17 +11,17 @@ included) receive the same ints, so the engine ORs them once per such class
 (``CommGraph.in_classes``); every member of the class then merges that OR,
 and each process runs its core step.
 A run is a :class:`Run`, stepped round by round: ``step()`` runs the next
-round on the lasso's graph and returns its outcomes, and the run is its own
-record of the rounds run so far (the graphs in its tables, outcomes,
-decisions, final states); ``run_execution`` steps it ``cfg.horizon`` times
-and returns it.
+round on the lasso's graph and returns its outcomes, which the run does not
+keep (``trace_line`` formats them as the round's trace line); the run holds
+its graphs, decisions and current states; ``run_execution`` steps it
+``cfg.horizon`` times and returns it.
 Runs are fully deterministic in their configuration.
 
-While running, an invariant monitor checks each process's state against
-ground truth it derives from the true graphs and the lock outcomes alone
-(``_GroundTruth``): for every process p, the ``known`` int p's state must
-hold, and one ``RunTables`` of every process's expected ``{round: lock}``
-row over the retained rounds ``lo..m``.
+While running, an invariant monitor (``_InvariantMonitor``) checks each
+process's state against ground truth it derives from the true graphs and
+the lock outcomes alone: for every process p, the ``known`` int p's state
+must hold, and one ``RunTables`` of every process's expected
+``{round: lock}`` row over the retained rounds ``lo..m``.
 With ``heard[p][q]`` the latest round whose end state of q has reached p,
 q is in the slot of round r exactly when ``heard[p][q] >= r``, so the int
 is a threshold code of that ``heard`` row.  ``heard`` after round m is the
@@ -42,10 +42,9 @@ run's ``RunTables`` itself, and that p's ``lo`` is the window's.  A state's lock
 ``known`` and the run's tables alone, whose graphs are the ones the engine
 ran, so this makes them exact.
 
-A run records no per-round state.  Indistinguishability rebuilds a
-process's state at every round the run has run by the same ground truth:
-one ``NodeState`` over the ground truth's rows and the run's graphs,
-with ``y`` from the decision events, snapshotted round by round.
+A run records no per-round state.  Indistinguishability replays both runs
+from their configs in lock step, monitored when the originals were, and
+compares the process's ``snapshot()`` after every round.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional
 
@@ -69,7 +68,6 @@ from .adversary import (
     generate_estable,
 )
 from .approximation import (
-    NodeState,
     RunTables,
     _heard,
     init_states,
@@ -136,14 +134,15 @@ class RunConfig:
                     raise ValueError(f"lasso {part} graph {i} invalid: {bad[0]}")
 
 
-class _GroundTruth:
-    """What every process's state must hold after round m, from the true
-    graphs and the lock outcomes alone: ``known[p]``, the ``known`` int of
-    p (slot 0 is round ``lo``), and ``tables``, a ``RunTables`` whose
-    ``rows[q]`` is q's ``{round: lock}`` over ``lo..m`` (its graph list
-    stays empty: the round graphs are the run's).  Graphs and states share
-    the n-process edge-mask layout, whose width is also the width of a
-    ``known`` slot.
+class _InvariantMonitor:
+    """Checks the run's row table and every process's state after round m
+    against the ground truth, derived from the true graphs and the lock
+    outcomes alone: ``known[p]``, the ``known`` int of p (slot 0 is round
+    ``lo``), and ``tables``, a ``RunTables`` whose ``rows[q]`` is q's
+    ``{round: lock}`` over ``lo..m`` (its graph list stays empty: the round
+    graphs are the run's).  ``run_tables`` are the run's tables, which every
+    state must hold.  Graphs and states share the n-process edge-mask
+    layout, whose width is also the width of a ``known`` slot.
 
     Each int is the threshold code of p's ``heard`` row (q in slot r iff
     ``heard[p][q] >= r``), and the code of the ``heard`` max rule is an OR:
@@ -153,13 +152,14 @@ class _GroundTruth:
     module docstring).
     """
 
-    def __init__(self, cfg: RunConfig):
-        self.n, self.lo = cfg.n, 0
+    def __init__(self, cfg: RunConfig, tables: RunTables):
+        self.n, self.lo, self.run_tables = cfg.n, 0, tables
         self.tables = RunTables.of(cfg.inputs, parse_mode(cfg.mode))
         self.known = {p: 1 << (p - 1) for p in range(1, cfg.n + 1)}
 
     def advance(self, m: int, g: CommGraph, outcomes: list) -> int:
-        """Step to the end of round m; returns the window start ``lo``."""
+        """Step the ground truth to the end of round m; returns the window
+        start ``lo``."""
         tables, prev = self.tables, self.known
         lo, width = window_start(tables.keep, m), tables.layout.width
         dropped, own, self.lo = (lo - self.lo) * width, (m - lo) * width - 1, lo
@@ -176,16 +176,6 @@ class _GroundTruth:
             row[m] = row[m - 1] if out.locked is None else out.locked[2]
             row.pop(lo - 1, None)
         return lo
-
-
-class _InvariantMonitor(_GroundTruth):
-    """Checks the run's row table and every process's state against the
-    ground truth; ``run_tables`` are the run's tables, which every state must
-    hold."""
-
-    def __init__(self, cfg: RunConfig, tables: RunTables):
-        super().__init__(cfg)
-        self.run_tables = tables
 
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
         lo, run, want = self.advance(m, g, outcomes), self.run_tables, self.tables
@@ -237,21 +227,20 @@ class _InvariantMonitor(_GroundTruth):
 
 
 class Run:
-    """One run of ``config``, stepped round by round, and the record of the
-    rounds it has run: the states and the run's tables they share, the round
-    ``m`` last run, the outcomes and decisions so far (the round graphs are
-    ``tables.graphs``), the adversary ``certificate`` it was run under (if
-    any), and the invariant monitor (None when ``config.check_invariants``
-    is off).  ``rebuilt`` memoizes, per process, the state snapshots that
-    indistinguishability rebuilds from the rest."""
+    """One run of ``config``, stepped round by round: the states and the
+    run's tables they share, the round ``m`` last run, the decisions so far
+    (the round graphs are ``tables.graphs``), the adversary ``certificate``
+    it was run under (if any), and the invariant monitor (None when
+    ``config.check_invariants`` is off).  It keeps no round's outcomes:
+    ``step()`` returns them, and a run is deterministic in its config, so
+    :func:`indistinguishable` replays it."""
 
     def __init__(self, config: RunConfig):
         self.config, self.m = config, 0
         self.states = init_states(config.inputs, config.mode)
         self.tables = self.states[1].tables
         self.monitor = _InvariantMonitor(config, self.tables) if config.check_invariants else None
-        self.outcomes, self.decisions = [], {}
-        self.certificate, self.rebuilt = None, {}
+        self.decisions, self.certificate = {}, None
 
     def step(self) -> list:
         """Run round m+1 on the lasso's graph; returns its outcomes in pid order.
@@ -284,7 +273,6 @@ class Run:
                 if p in decisions:
                     raise EngineInvariantError(p, m, "second decision event")
                 decisions[p] = (m, out.decided[2])
-        self.outcomes.append(per_round)
         if self.monitor:
             self.monitor.after_round(m, g, states, per_round)
         return per_round
@@ -296,23 +284,6 @@ class Run:
 
     def decision_events(self) -> list:
         return sorted((r, pid, v) for pid, (r, v) in self.decisions.items())
-
-    def to_json_lines(self) -> str:
-        lines = []
-        for i, g in enumerate(self.tables.graphs):
-            m = i + 1
-            record = {
-                "round": m,
-                "graph": [list(e) for e in g.nonloop_edges()],
-                "outcomes": [
-                    out.to_json_dict(pid + 1, m) for pid, out in enumerate(self.outcomes[i])
-                ],
-                "decisions": [
-                    [pid, v] for pid, (r, v) in sorted(self.decisions.items()) if r == m
-                ],
-            }
-            lines.append(json.dumps(record, sort_keys=True))
-        return "\n".join(lines)
 
     def summary_dict(self) -> dict:
         return {
@@ -331,11 +302,23 @@ class Run:
         }
 
 
+def trace_line(m: int, g: CommGraph, outcomes: list) -> str:
+    """Round m's trace line: one JSON object of the round, its graph ``g``,
+    the ``outcomes`` its step returned, in pid order, and the decisions made
+    in it, which are the outcomes that decided."""
+    return json.dumps({
+        "round": m,
+        "graph": [list(e) for e in g.nonloop_edges()],
+        "outcomes": [out.to_json_dict(p, m) for p, out in enumerate(outcomes, start=1)],
+        "decisions": [[p, out.decided[2]] for p, out in enumerate(outcomes, start=1) if out.decided is not None],
+    }, sort_keys=True)
+
+
 def run_execution(cfg: RunConfig, keep_snapshots: bool = True) -> Run:
     """The run of ``cfg``, stepped ``cfg.horizon`` times.
 
     ``keep_snapshots`` has no effect: a run records no per-round state, and
-    :func:`indistinguishable` rebuilds it from the run.  It stays until
+    :func:`indistinguishable` replays it from its config.  It stays until
     ROADMAP item 3, because ``bench/workloads.py`` passes it.
     """
     run = Run(cfg)
@@ -423,35 +406,14 @@ def oracle_check(run: Run, deadline: int) -> OracleReport:
     )
 
 
-def _rebuilt_states(run: Run, p: int) -> list:
-    """p's ``NodeState.snapshot()`` at the end of every round 0..m of the run,
-    rebuilt from its record: one state over the ground truth's rows and the
-    run's graphs, which takes its ``known`` and ``lo`` from the ground truth
-    and its ``y`` from the decision events.  Memoized on the run until it
-    steps on."""
-    snapshots = run.rebuilt.get(p)
-    if snapshots is None or len(snapshots) <= run.m:
-        cfg, graphs = run.config, run.tables.graphs
-        truth = _GroundTruth(cfg)
-        decided, y = run.decisions.get(p, (run.m + 1, None))
-        tables = replace(truth.tables, graphs=graphs)
-        state, snapshots = NodeState(p, cfg.inputs[p - 1], tables), []
-        for m in range(run.m + 1):
-            if m:
-                state.lo = truth.advance(m, graphs[m - 1], run.outcomes[m - 1])
-                state.m, state.known = m, truth.known[p]
-                state.y = y if m >= decided else None
-            snapshots.append(state.snapshot())
-        run.rebuilt[p] = snapshots
-    return snapshots
-
-
 def indistinguishable(run_a: Run, run_b: Run, p: int, through: int) -> bool:
     """True iff p's full state matches in both runs at the end of every
-    round up to ``through`` (round 0 compares the initial states), its states
-    rebuilt from each run.  Two runs with different windows never match.  A
-    ``p`` outside both runs' processes, a negative ``through``, or one past
-    the rounds either run has run raises ValueError."""
+    round up to ``through`` (round 0 compares the initial states).  Each run
+    is replayed from its config, the replays in lock step, and p's
+    ``snapshot()`` is compared after every round, up to the first that
+    differs.  Two runs with different windows never match.  A ``p`` outside
+    both runs' processes, a negative ``through``, or one past the rounds
+    either run has run raises ValueError."""
     n = min(run_a.config.n, run_b.config.n)
     if not 1 <= p <= n:
         raise ValueError(f"p must be in 1..{n}, got {p}")
@@ -459,7 +421,14 @@ def indistinguishable(run_a: Run, run_b: Run, p: int, through: int) -> bool:
         raise ValueError(f"through must be >= 0, got {through}")
     if through > min(run_a.m, run_b.m):
         raise ValueError(f"traces do not cover round {through}")
-    return _rebuilt_states(run_a, p)[: through + 1] == _rebuilt_states(run_b, p)[: through + 1]
+    a, b = Run(run_a.config), Run(run_b.config)
+    for m in range(through + 1):
+        if m:
+            a.step()
+            b.step()
+        if a.states[p].snapshot() != b.states[p].snapshot():
+            return False
+    return True
 
 
 # --- named scenarios --------------------------------------------------------

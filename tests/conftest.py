@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from rootcons.graphs import CommGraph, LassoSequence, lasso
-from rootcons.harness import Run
+from rootcons.harness import Run, trace_line
 
 
 EPS1_EDGES = [(1, 3), (1, 4), (1, 5), (5, 2)]
@@ -54,3 +54,14 @@ def run_with_snapshots(cfg) -> tuple:
         run.step()
         direct.append({p: st.snapshot() for p, st in run.states.items()})
     return run, direct
+
+
+def run_with_trace(cfg, rounds=None) -> tuple:
+    """Step a run of ``cfg`` ``rounds`` times (``cfg.horizon`` by default)
+    and return (the run, each round's ``trace_line``, built from the
+    outcomes its step returned)."""
+    run, lines = Run(cfg), []
+    for _ in range(cfg.horizon if rounds is None else rounds):
+        outcomes = run.step()
+        lines.append(trace_line(run.m, cfg.lasso.graph(run.m), outcomes))
+    return run, lines

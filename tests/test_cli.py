@@ -8,6 +8,7 @@ import pytest
 import rootcons.harness as harness_mod
 from rootcons.adversary import GenerationRetryError
 from rootcons.cli import main
+from rootcons.consensus import InvariantViolationError
 from rootcons.graphs import lasso_from_json
 
 
@@ -391,6 +392,25 @@ class TestRun:
         )
         assert code == 3
         assert (payload["pid"], payload["round"]) == (2, 4)
+
+    def test_invariant_violation_while_tracing_writes_nothing(self, capsys, estable_lasso_file, monkeypatch, tmp_path):
+        # the trace lines are built as the run steps, and written only after it ends
+        step = harness_mod.core_step
+
+        def failing(s, m, D):
+            if (s.pid, m) == (2, 4):
+                raise InvariantViolationError("synthetic failure")
+            return step(s, m, D)
+
+        monkeypatch.setattr(harness_mod, "core_step", failing)
+        trace_out = tmp_path / "trace.jsonl"
+        code, payload = run_cli(capsys, [
+            "run", "--lasso", str(estable_lasso_file), "--inputs", "1,2,3,4,5", "--d", "2",
+            "--trace-out", str(trace_out),
+        ])
+        assert code == 3
+        assert (payload["pid"], payload["round"]) == (2, 4)
+        assert not trace_out.exists() and not Path(f"{trace_out}.summary.json").exists()
 
     def test_dot_export(self, capsys, estable_lasso_file, tmp_path):
         dots = tmp_path / "dots"

@@ -48,6 +48,13 @@ def count_evaluated_rounds(patch) -> list:
     return evaluated
 
 
+def stepped(cfg) -> tuple:
+    """(a run of ``cfg`` stepped to its horizon, the outcomes each step
+    returned)."""
+    run = harness_mod.Run(cfg)
+    return run, [run.step() for _ in range(cfg.horizon)]
+
+
 class TestEmptyEarlyRounds:
     def test_no_op_for_m_up_to_d(self):
         s = init_states((5,))[1]
@@ -65,33 +72,33 @@ class TestEmptyEarlyRounds:
 class TestC1B1:
     def test_eps1_head_locks_own_root(self, eps1_lasso):
         cfg = RunConfig(5, 2, (9, 0, 0, 0, 0), eps1_lasso, 6)
-        trace = run_execution(cfg)
-        locked = trace.outcomes[2][0].locked  # p1 at round 3
+        _, outcomes = stepped(cfg)
+        locked = outcomes[2][0].locked  # p1 at round 3
         assert locked is not None
         root, a, value = locked
         assert root == frozenset([1]) and value == 9
 
     def test_eps1_chain_locks_head_value(self, eps1_lasso):
         cfg = RunConfig(5, 2, (9, 0, 0, 0, 0), eps1_lasso, 6)
-        trace = run_execution(cfg)
+        _, outcomes = stepped(cfg)
         for p in (3, 4, 5):
-            locked = trace.outcomes[2][p - 1].locked
+            locked = outcomes[2][p - 1].locked
             assert locked is not None and locked[2] == 9
 
     def test_two_confirmed_roots_blocks_c1(self, eps2_lasso):
         # at p4's round 3, its approximation of round 1 shows both early
         # roots with outgoing-edge evidence: c1 must not fire
         cfg = RunConfig(5, 2, (0, 0, 7, 1, 0), eps2_lasso, 10)
-        trace = run_execution(cfg)
+        trace, outcomes = stepped(cfg)
         st = trace.states[4]
-        assert trace.outcomes[2][3].locked is None or len(
+        assert outcomes[2][3].locked is None or len(
             confirmed_roots(st, 1)
         ) == 1
 
     def test_all_equal_inputs_lock_that_value(self, eps1_lasso):
         cfg = RunConfig(5, 2, (4, 4, 4, 4, 4), eps1_lasso, 6)
-        trace = run_execution(cfg)
-        for per_round in trace.outcomes:
+        _, outcomes = stepped(cfg)
+        for per_round in outcomes:
             for out in per_round:
                 if out.locked:
                     assert out.locked[2] == 4
@@ -455,10 +462,10 @@ class TestSharedOutcomes:
         # the CI lassos (generate --n N --d D --rsr 6 --seed 3)
         l, _ = generate_estable(AdversaryParams(n=n, D=D, seed=3, r_sr_target=6))
         inputs = (3, 1, 4, 1, 5, 9) if n == 6 else tuple(range(1, n + 1))
-        run = run_execution(RunConfig(n, D, inputs, l, horizon, mode=mode))
+        run, outcomes = stepped(RunConfig(n, D, inputs, l, horizon, mode=mode))
         assert len(run.decisions) == n
         pairs, objects = set(), set()
-        for m, per_round in enumerate(run.outcomes, start=1):
+        for m, per_round in enumerate(outcomes, start=1):
             first = {}
             for p, out in enumerate(per_round, start=1):
                 objects.add(id(out))
@@ -493,8 +500,9 @@ class TestReferenceDifferential:
         assert run.decision_events() == events
 
 
-def assert_scan_matches_definition(run) -> None:
-    """For every process of ``run``: its last core step locked on the
+def assert_scan_matches_definition(run, outcomes: list) -> None:
+    """For every process of ``run``: its last core step, whose outcomes in
+    pid order are ``outcomes`` (what ``run.step()`` returned), locked on the
     single element of ``confirmed_roots(s, m-D)``, or did not lock when
     there is not exactly one (a decided process tests round m-D with its
     own inline test, an undecided one reads ``runs``); and for every
@@ -503,7 +511,7 @@ def assert_scan_matches_definition(run) -> None:
     state's ``runs`` and ``stale_from`` are restored after, as c2 resumes
     its search there."""
     D, m = run.config.D, run.m
-    for s, out in zip(run.states.values(), run.outcomes[-1]):
+    for s, out in zip(run.states.values(), outcomes):
         runs, stale_from = dict(s.runs), s.stale_from
         want = {}
         for r in range(max(1, s.lo), s.m):
@@ -533,8 +541,7 @@ class TestInlineScan:
         inputs = (3, 1, 4, 1, 5, 9) if n == 6 else tuple(range(1, n + 1))
         run = harness_mod.Run(RunConfig(n, D, inputs, l, horizon, mode=mode, check_invariants=False))
         for _ in range(horizon):
-            run.step()
-            assert_scan_matches_definition(run)
+            assert_scan_matches_definition(run, run.step())
         assert len(run.decisions) == n
 
     @settings(max_examples=400, deadline=None)
@@ -550,8 +557,7 @@ class TestInlineScan:
         horizon = data.draw(st.integers(1, 20), label="H")
         run = harness_mod.Run(RunConfig(n, D, inputs, l, horizon, mode=mode, check_invariants=False))
         for _ in range(horizon):
-            run.step()
-            assert_scan_matches_definition(run)
+            assert_scan_matches_definition(run, run.step())
 
 
 class TestWholeRuns:

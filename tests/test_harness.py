@@ -4,13 +4,14 @@ import dataclasses
 import json
 import os
 import re
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EPS1_EDGES
+from conftest import EPS1_EDGES, run_with_trace
 from oracles import approx_roots, bfs_distance, causal_past_forward, naive_causal_past
 
 import rootcons.consensus as consensus_mod
@@ -23,6 +24,7 @@ from rootcons.adversary import (
     check_estable,
     diagnose,
     generate_alt_estable,
+    generate_estable,
 )
 from rootcons.approximation import window_start
 from rootcons.graphs import CommGraph, LassoSequence, causal_past, lasso, mask_layout, root_components
@@ -74,9 +76,9 @@ class TestRunExecution:
 
     def test_identical_configs_identical_traces(self, eps2_lasso):
         cfg = RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 12)
-        a = run_execution(cfg)
-        b = run_execution(cfg)
-        assert a.to_json_lines() == b.to_json_lines()
+        a, lines_a = run_with_trace(cfg)
+        b, lines_b = run_with_trace(cfg)
+        assert lines_a == lines_b
         for p in range(1, cfg.n + 1):
             assert a.states[p].snapshot() == b.states[p].snapshot()
             assert indistinguishable(a, b, p, cfg.horizon)
@@ -113,8 +115,7 @@ class TestRunExecution:
         assert len(checked) == 3
 
     def test_trace_json_lines_parse(self, eps1_lasso):
-        trace = run_execution(RunConfig(5, 2, (0,) * 5, eps1_lasso, 6))
-        lines = trace.to_json_lines().splitlines()
+        trace, lines = run_with_trace(RunConfig(5, 2, (0,) * 5, eps1_lasso, 6))
         assert len(lines) == 6
         first = json.loads(lines[0])
         assert first["round"] == 1
@@ -122,13 +123,32 @@ class TestRunExecution:
         assert json.loads(json.dumps(trace.summary_dict()))
 
     def test_partly_stepped_run_reports_the_rounds_it_ran(self, eps1_lasso):
-        run = Run(RunConfig(5, 2, (0,) * 5, eps1_lasso, 10))
-        for _ in range(3):
-            run.step()
-        rounds = [json.loads(line)["round"] for line in run.to_json_lines().splitlines()]
+        run, lines = run_with_trace(RunConfig(5, 2, (0,) * 5, eps1_lasso, 10), 3)
+        rounds = [json.loads(line)["round"] for line in lines]
         summary = run.summary_dict()
         assert rounds == [1, 2, 3]
         assert summary["rounds"] == 3 and summary["config"]["horizon"] == 10
+
+    @pytest.mark.parametrize("monitored", [False, True])
+    def test_bounded_run_holds_bounded_memory(self, monitored):
+        # the n=6 CI lasso (generate --n 6 --d 2 --rsr 6 --seed 3) in
+        # bounded:5: past the window, all a run adds is its graph list, one
+        # pointer per round; an untraced run first fills the lasso's
+        # per-graph caches, which would otherwise count against round 500
+        l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
+        cfg = RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 5000, mode="bounded:5", check_invariants=monitored)
+        run_execution(dataclasses.replace(cfg, horizon=500))
+        held = []
+        tracemalloc.start()
+        try:
+            run = Run(cfg)
+            for m in range(1, cfg.horizon + 1):
+                run.step()
+                if m in (500, 5000):
+                    held.append(tracemalloc.get_traced_memory()[0] - sys.getsizeof(run.tables.graphs))
+        finally:
+            tracemalloc.stop()
+        assert held[1] <= 1.1 * held[0], held
 
 
 def _drop_relayed_heard(merge, s, heard, own, m):
@@ -301,11 +321,12 @@ def small_runs(draw):
 class TestGroundTruthIsTheCausalPast:
     """After every round m, slot r of p's ground-truth ``known`` int is the
     causal past CP_p(r, m), for every retained round r, and no slot lies past
-    round m.  The ground truth is driven by the true graphs alone."""
+    round m.  The ground truth, a fresh run's monitor advanced by hand, is
+    driven by the true graphs alone."""
 
     @staticmethod
     def check(cfg, past):
-        truth = harness_mod._GroundTruth(cfg)
+        truth = Run(cfg).monitor
         width, row = truth.tables.layout.width, truth.tables.layout.row
         lo = 0
         for m in range(cfg.horizon + 1):
@@ -652,7 +673,7 @@ class TestFuzz:
     def test_trial_replay_reproduces_trace(self):
         t1, r1, c1 = fuzz_trial("estable", seed=12345, n=5, D=2, r_sr=4, inputs=(9, 1, 5, 5, 2))
         t2, r2, c2 = fuzz_trial("estable", seed=12345, n=5, D=2, r_sr=4, inputs=(9, 1, 5, 5, 2))
-        assert t1.to_json_lines() == t2.to_json_lines()
+        assert run_with_trace(t1.config)[1] == run_with_trace(t2.config)[1]
         assert r1 == r2 and c1 == c2
 
     def test_mutation_smoke_oracle_catches_broken_step(self, monkeypatch):
