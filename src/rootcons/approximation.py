@@ -13,11 +13,14 @@ state of the run refers to.  The engine enters what the adversary fixed:
 once per round, before the merges, :meth:`RunTables.enter` appends round
 m's graph to ``graphs``, the run's one list of round graphs (round r at
 index r-1), and writes its start entry ``starts[m]``, which maps each root
-of round m to the round its common-root run began, and it drops round
-``lo-1`` from the start and answer tables.  The processes compute only
-their locks: ``rows[q]`` is q's append-only ``{round: lock}`` of per-round
-lock (proposal) values; only q writes it, and only the cell of its current
-round (in ``bounded:k`` it also drops its round ``m-k-1`` cell in round m).
+of round m to the round its common-root run began.  It notes in
+``last_long`` the latest round r before m that is long for the run's D,
+some root's run having begun by round r-D (``consensus`` scans c2 only up
+to there), and it drops round ``lo-1`` from the start and answer tables.
+The processes compute only their locks: ``rows[q]`` is q's append-only
+``{round: lock}`` of per-round lock (proposal) values; only q writes it,
+and only the cell of its current round (in ``bounded:k`` it also drops its
+round ``m-k-1`` cell in round m).
 ``answers[anchor]`` maps ``(root, lo)`` to the b1/b3 answer (run start,
 member bitset, and the lock-only core-step outcome that carries the
 maximum member lock) for a confirmed root of round ``anchor`` (see
@@ -153,13 +156,14 @@ def _locks_view(known: int, tables: RunTables, lo: int) -> dict:
     return {q: {r: rows[q][r] for r in range(lo, h + 1)} for q, h in heard.items()}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RunTables:
     """What every state and message of one run shares: the n-process
     edge-mask ``layout``, the window ``keep`` (None in full mode, else k of
-    ``bounded:k``), the row and answer tables, the run's round graphs and
-    the start table (see the module docstring).  The fields are fixed; the
-    tables in them grow and shrink as the run advances."""
+    ``bounded:k``), the row and answer tables, the run's round graphs, the
+    start table and ``last_long``, the latest long round before the current
+    one (see the module docstring).  The fields other than ``last_long``
+    are fixed; the tables in them grow and shrink as the run advances."""
 
     layout: MaskLayout
     keep: Optional[int]
@@ -167,6 +171,7 @@ class RunTables:
     graphs: list  # round r's CommGraph at index r-1
     starts: dict  # round -> {root: run start}
     answers: dict  # anchor -> {(root, lo): b1/b3 answer}
+    last_long: int = 0  # latest round r < m with a root whose run began by r-D; 0 if none
 
     @classmethod
     def of(cls, inputs, keep: Optional[int]) -> RunTables:
@@ -175,14 +180,18 @@ class RunTables:
         rows = {p: {0: x} for p, x in enumerate(inputs, start=1)}
         return cls(mask_layout(len(inputs)), keep, rows, [], {}, {})
 
-    def enter(self, m: int, g) -> int:
+    def enter(self, m: int, g, D: int) -> int:
         """Enter round m's graph ``g``, before the round's merges: append it
         to ``graphs`` and enter each of its roots' run start, carried from
         round m-1 while the root stays a root (it may predate the window;
-        every read clamps it).  Then drop round ``lo-1``, which has left the
-        window, from the start and answer tables; returns ``lo``."""
+        every read clamps it).  Round m-1, no longer the current round,
+        becomes ``last_long`` when one of its roots' runs began at least
+        ``D`` rounds before it.  Then drop round ``lo-1``, which has left
+        the window, from the start and answer tables; returns ``lo``."""
         self.graphs.append(g)
         previous = self.starts.get(m - 1, {})
+        if previous and min(previous.values()) <= m - 1 - D:
+            self.last_long = m - 1
         self.starts[m] = {root: previous.get(root, m) for root in root_components(g)}
         lo = window_start(self.keep, m)
         if lo:

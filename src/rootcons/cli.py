@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +36,6 @@ from .harness import (
     fuzz_campaign,
     hop_fallacy_report,
     oracle_check,
-    run_execution,
     scenario_eps_pair,
     scenario_hop_fallacy,
     scenario_stab_not_enough,
@@ -169,14 +170,45 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_UNSATISFIED
 
 
-def _traced_run(cfg: RunConfig) -> tuple:
-    """``run_execution(cfg)`` and its trace text, one JSON line per round,
-    each formatted from the outcomes its step returned."""
-    run, lines = Run(cfg), []
-    for _ in range(cfg.horizon):
-        outcomes = run.step()
-        lines.append(trace_line(run.m, cfg.lasso.graph(run.m), outcomes) + "\n")
-    return run, "".join(lines)
+@contextmanager
+def _streamed(path):
+    """Yield a writer of the text of ``path`` (None when ``path`` is None)
+    that writes to a temporary file in the path's directory, which becomes
+    ``path`` when the block ends and is removed if the block raises.  An
+    OSError of the file is an :class:`_OutputError`."""
+    if path is None:
+        yield None
+        return
+    partial = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        out = partial.open("w")
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc}") from exc
+    try:
+        with out:
+            yield out.write
+        os.replace(partial, path)
+    except OSError as exc:
+        partial.unlink()
+        raise _OutputError(f"cannot write {path}: {exc}") from exc
+    except BaseException:
+        partial.unlink()
+        raise
+
+
+def _stepped_run(cfg: RunConfig, trace) -> Run:
+    """The run of ``cfg``, stepped to its horizon.  With a ``trace`` path,
+    each round's trace line, formatted from the outcomes its step returned,
+    is written as the run steps; the trace appears only when the run ends,
+    so a run that violates an invariant leaves no file."""
+    run = Run(cfg)
+    with _streamed(trace) as write:
+        for _ in range(cfg.horizon):
+            outcomes = run.step()
+            if write:
+                write(trace_line(run.m, cfg.lasso.graph(run.m), outcomes) + "\n")
+    return run
 
 
 def cmd_run(args) -> int:
@@ -200,8 +232,9 @@ def cmd_run(args) -> int:
     deadline = cert.deadline if cert else None
     if args.horizon is None and deadline:
         cfg = replace(cfg, horizon=deadline + args.d + 2)
+    trace = Path(args.trace_out) if args.trace_out else None
     try:
-        run, trace = _traced_run(cfg) if args.trace_out else (run_execution(cfg), None)
+        run = _stepped_run(cfg, trace)
     except EngineInvariantError as exc:
         _emit(
             {"ok": False, "invariant_violation": str(exc), "pid": exc.pid, "round": exc.round},
@@ -210,12 +243,8 @@ def cmd_run(args) -> int:
         return EXIT_INVARIANT
     run.certificate = cert
     report = oracle_check(run, deadline if deadline is not None else cfg.horizon)
-    if args.trace_out:
-        path = Path(args.trace_out)
-        _write_outputs({
-            path: trace,
-            Path(f"{path}.summary.json"): json.dumps(run.summary_dict(), sort_keys=True) + "\n",
-        })
+    if trace:
+        _write_outputs({Path(f"{trace}.summary.json"): json.dumps(run.summary_dict(), sort_keys=True) + "\n"})
     if args.dot_out:
         _write_outputs({
             Path(args.dot_out, f"round{i:03d}.dot"): graph_to_dot(g, f"round{i}") + "\n"

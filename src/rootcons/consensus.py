@@ -43,6 +43,20 @@ searches no more, so it refreshes nothing: its c1 makes the same test on
 slot m-D alone, in the core step itself, which also takes a held answer
 from the answer table (below) there.
 
+The refresh is gated by the true graphs.  Call round r long when some
+root of the round-r graph has a run that began at least D rounds before
+r; the engine enters the latest long round before the current one as
+``tables.last_long``.  A c2 hit at round b' is a single confirmed root R
+of rounds b'-D..b', and a confirmed root is a root of the true round graph
+(the lemma in ``approximation``), so R's true run through b' began by
+b'-D: every hit lies on a long round.  So an undecided step whose
+``last_long`` is before ``max(stale_from, max(1, lo) + D)``, the first
+round c2 could hit, cannot decide: it skips the refresh, leaves
+``stale_from`` where it is, and takes c1 by the decided step's test of
+slot m-D.  A later refresh recomputes the skipped rounds from the
+then-current slots, so it finds the first hit that refreshing in every
+step would have found.
+
 b1 and b3 take the maximum lock at the start of the surrounding common-root
 run of a confirmed root R.  R lies inside slot ``anchor`` and so, slots
 being monotone, inside every earlier retained slot; by the lemma in
@@ -228,7 +242,10 @@ def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
     before ``resume``, and the current one, are skipped (module docstring).
     The search is the refresh of ``runs``, which recomputes every round it
     covers: the core step resumes at ``stale_from``, and a ``resume``
-    before it marks the rounds from ``resume`` on stale.
+    before it marks the rounds from ``resume`` on stale.  A qualifying
+    round is long (module docstring), so the core step calls this only
+    when ``tables.last_long`` is at or after the first round it searches,
+    ``max(stale_from, max(1, lo) + D)``.
     """
     if resume < s.stale_from:
         s.stale_from = resume
@@ -267,13 +284,16 @@ def b3_apply(s: NodeState, root: frozenset, interval: tuple) -> Optional[tuple]:
 def core_step(s: NodeState, m: int, D: int) -> CoreStepOutcome:
     """Run the round-m computation; returns its outcome.
 
-    Empty for m <= D.  Until the process has decided, c2 is evaluated in
-    every step (b3 is write-once, so later scans cannot change it): its
-    refresh of ``runs`` brings round m-D current, and c1 reads it there.
-    A decided process refreshes nothing: c1 tests slot m-D itself, as
-    :func:`_refresh` does, and takes the answer table's entry when it holds
-    every member's state of the entry's round (as :func:`_answer` would),
-    with no further call: this is every step of a long run's steady state.
+    Empty for m <= D.  Until the process has decided (b3 is write-once, so
+    later scans cannot change it), c2 is evaluated whenever the run's
+    latest long round is at or after the first round c2 could hit,
+    ``max(stale_from, max(1, lo) + D)`` (module docstring): its refresh of
+    ``runs`` brings round m-D current, and c1 reads it there.  Any other
+    step refreshes nothing: c1 tests slot m-D itself, as :func:`_refresh`
+    does, and takes the answer table's entry when it holds every member's
+    state of the entry's round (as :func:`_answer` would), with no further
+    call.  That is every step of a decided process, the steady state of a
+    long run, and every undecided step while no long round can be hit.
     Only a deciding step builds an outcome; others return b1's shared one.
     """
     r0 = m - D
@@ -281,12 +301,16 @@ def core_step(s: NodeState, m: int, D: int) -> CoreStepOutcome:
         return _NOTHING
     lo = s.lo
     if s.y is None:
-        hit = c2_check(s, D, s.stale_from)
-        root = s.runs[r0][0] if r0 >= lo else None
-        out = _NOTHING if root is None else b1_apply(s, m, root, D)
-        if hit is None:
-            return out
-        return CoreStepOutcome(out.locked, b3_apply(s, *hit))
+        first = (lo or 1) + D  # the first round c2 could hit: max(stale_from, max(1, lo) + D)
+        if first < s.stale_from:
+            first = s.stale_from
+        if s.tables.last_long >= first:
+            hit = c2_check(s, D, s.stale_from)
+            root = s.runs[r0][0] if r0 >= lo else None
+            out = _NOTHING if root is None else b1_apply(s, m, root, D)
+            if hit is None:
+                return out
+            return CoreStepOutcome(out.locked, b3_apply(s, *hit))
     if r0 < lo:
         return _NOTHING
     lay = s.tables.layout

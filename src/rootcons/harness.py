@@ -3,13 +3,14 @@
 A run advances all processes through synchronous rounds against a lasso of
 communication graphs.  Each round, the engine enters the round graph into
 the run's tables once (``RunTables.enter``: the graph itself, appended to
-the run's one graph list, its roots' run starts, and the drop of the round
-that left the window) and builds the round's broadcasts once, one int per
-process: its end-of-previous-round ``known``, rebased to the round's
-window.  Processes with equal in-neighbours in the round graph (self-loops
-included) receive the same ints, so the engine ORs them once per such class
-(``CommGraph.in_classes``); every member of the class then merges that OR,
-and each process runs its core step.
+the run's one graph list, its roots' run starts, the latest long round for
+the run's D, and the drop of the round that left the window) and builds
+the round's broadcasts once, one int per process: its end-of-previous-round
+``known``, rebased to the round's window.  Processes with equal
+in-neighbours in the round graph (self-loops included) receive the same
+ints, so the engine ORs them once per such class (``CommGraph.in_classes``);
+every member of the class then merges that OR, and each process runs its
+core step.
 A run is a :class:`Run`, stepped round by round: ``step()`` runs the next
 round on the lasso's graph and returns its outcomes, which the run does not
 keep (``trace_line`` formats them as the round's trace line); the run holds
@@ -254,7 +255,7 @@ class Run:
         """
         self.m = m = self.m + 1
         states, decisions, g, tables = self.states, self.decisions, self.config.lasso.graph(m), self.tables
-        lo, width = tables.enter(m, g), tables.layout.width
+        lo, width = tables.enter(m, g, self.config.D), tables.layout.width
         sent = [st.known >> (lo - st.lo) * width for st in states.values()]
         for ins, members in g.in_classes:
             heard = 0

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from rootcons.approximation import RunTables
 from rootcons.graphs import CommGraph, LassoSequence, lasso
 from rootcons.harness import Run, trace_line
 
@@ -65,3 +66,18 @@ def run_with_trace(cfg, rounds=None) -> tuple:
         outcomes = run.step()
         lines.append(trace_line(run.m, cfg.lasso.graph(run.m), outcomes))
     return run, lines
+
+
+def open_c2_gate(patch) -> None:
+    """Patch ``RunTables.enter`` so that the run's latest long round is
+    always the current one, at or after every round c2 could hit: the core
+    step's c2 gate never shuts, and every undecided step refreshes ``runs``
+    and searches c2, as before the gate."""
+    enter = RunTables.enter
+
+    def entered(self, m, g, D):
+        lo = enter(self, m, g, D)
+        self.last_long = m
+        return lo
+
+    patch.setattr(RunTables, "enter", entered)

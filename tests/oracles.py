@@ -372,19 +372,20 @@ class ReferenceState:
     round.  ``known`` packs :func:`reference_evidence` of each retained
     round into one slot, as the core step reads its late-edge evidence
     from there.  ``tables`` holds the root-run start table ``starts``, the
-    b1/b3 answer table ``answers`` and ``graphs``, the round graphs' roots,
-    the only tables the core step reads.  They are this state's own, not
-    shared by the run: ``graphs`` gives the roots of the partial
-    approximations, ghosts included, every merge rebuilds the starts from
-    them and empties the answers, so the core step recomputes every answer
-    from ``lock_value``.  So the differential checks independently the
-    lemma by which a run's shared graphs and start table stand in for the
-    approximations, and that an answer one process entered holds for every
-    process that asks it later.
+    long-round marker ``last_long``, the b1/b3 answer table ``answers`` and
+    ``graphs``, the round graphs' roots, the only tables the core step
+    reads.  They are this state's own, not shared by the run: ``graphs``
+    gives the roots of the partial approximations, ghosts included, every
+    merge rebuilds the starts from them, takes ``last_long`` from those
+    starts for the run's ``D`` and empties the answers, so the core step
+    recomputes every answer from ``lock_value``.  So the differential checks
+    independently the lemma by which a run's shared graphs, start table and
+    long rounds stand in for the approximations, and that an answer one
+    process entered holds for every process that asks it later.
     """
 
-    def __init__(self, pid: int, x: int, keep, lay: MaskLayout):
-        self.pid, self.x, self.m, self.y, self.keep, self.layout = pid, x, 0, None, keep, lay
+    def __init__(self, pid: int, x: int, keep, lay: MaskLayout, D: int):
+        self.pid, self.x, self.m, self.y, self.keep, self.layout, self.D = pid, x, 0, None, keep, lay, D
         self.approx = {0: 0}
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
@@ -450,9 +451,10 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     the own lock forward, then drop rounds older than the window, and every
     peer none of whose lock cells is left.  Last, rebuild the start table
     over rounds max(1, lo)..m from the partial views' roots: each root's
-    run start, cut at the window's first round."""
+    run start, cut at the window's first round; and take ``last_long``, the
+    latest round r before m with a root whose run there began by r-D."""
     s.m = m
-    s.stale_from, s.tables = 0, dataclasses.replace(s.tables, starts={}, answers={})
+    s.stale_from, s.tables = 0, dataclasses.replace(s.tables, starts={}, answers={}, last_long=0)
     for sender, approx, locks in msgs:
         approx = dict(approx)
         approx[m] = approx.get(m, 0) | s.layout.bit(sender, s.pid)
@@ -479,6 +481,8 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     for r in range(max(1, s.lo), m + 1):
         previous = starts.get(r - 1, {})
         starts[r] = {root: previous.get(root, r) for root, _ in s.root_bits(r)}
+        if r < m and any(a <= r - s.D for a in starts[r].values()):
+            s.tables.last_long = r
 
 
 def reference_run(cfg, core_step) -> tuple:
@@ -487,7 +491,7 @@ def reference_run(cfg, core_step) -> tuple:
     sorted decision events."""
     keep = None if cfg.mode == "full" else int(cfg.mode.split(":")[1])
     lay = mask_layout(cfg.n)
-    states = {p: ReferenceState(p, cfg.inputs[p - 1], keep, lay) for p in range(1, cfg.n + 1)}
+    states = {p: ReferenceState(p, cfg.inputs[p - 1], keep, lay, cfg.D) for p in range(1, cfg.n + 1)}
     snapshots = [{p: s.snapshot() for p, s in states.items()}]
     decisions = []
     for m in range(1, cfg.horizon + 1):

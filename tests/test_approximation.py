@@ -99,7 +99,7 @@ class TestReceiveAndMerge:
     def test_direct_edges_recorded(self):
         q, s = init_states((9, 0)).values()
         g = CommGraph.of(2, [(1, 2)])
-        s.tables.enter(1, g)  # as the engine does, before the round's merges
+        s.tables.enter(1, g, 1)  # as the engine does, before the round's merges
         receive_and_merge(s, q.known | s.known, s.known, 1)
         assert s.tables.layout.edges(s.approx[1]) == [(1, 2), (2, 2)]
         assert s.locks[1] == {0: 9}
@@ -126,7 +126,7 @@ class TestReceiveAndMerge:
             states = init_states(inputs)
             for m in range(1, 7):
                 g = eps2_lasso.graph(m)
-                states[1].tables.enter(m, g)  # once per round, before the merges, as the engine does
+                states[1].tables.enter(m, g, 2)  # once per round, before the merges, as the engine does
                 sent = [states[p].known for p in sorted(states)]
                 heard = {}
                 for ins, members in g.in_classes:
@@ -325,8 +325,8 @@ def lemma_state(n, edges, slot, pid):
     lay = mask_layout(n)
     rows = {q: {r: 0 for r in range(3)} for q in range(1, n + 1)}
     tables = RunTables(lay, None, rows, [], {}, {})
-    tables.enter(1, CommGraph.of(n, edges))
-    tables.enter(2, CommGraph.of(n))
+    tables.enter(1, CommGraph.of(n, edges), 1)
+    tables.enter(2, CommGraph.of(n), 1)
     whole = tables.graphs[0].mask
     s = NodeState(pid, 0, tables)
     bits = sum(1 << (q - 1) for q in slot)

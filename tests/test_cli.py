@@ -380,21 +380,6 @@ class TestRun:
         assert code == 2
 
     def test_invariant_violation_exit_3(self, capsys, estable_lasso_file, monkeypatch):
-        import rootcons.cli as cli_mod
-        from rootcons.harness import EngineInvariantError
-
-        def boom(cfg, **kwargs):
-            raise EngineInvariantError(2, 4, "synthetic failure")
-
-        monkeypatch.setattr(cli_mod, "run_execution", boom)
-        code, payload = run_cli(
-            capsys, ["run", "--lasso", str(estable_lasso_file), "--inputs", "1,2,3,4,5", "--d", "2"]
-        )
-        assert code == 3
-        assert (payload["pid"], payload["round"]) == (2, 4)
-
-    def test_invariant_violation_while_tracing_writes_nothing(self, capsys, estable_lasso_file, monkeypatch, tmp_path):
-        # the trace lines are built as the run steps, and written only after it ends
         step = harness_mod.core_step
 
         def failing(s, m, D):
@@ -403,7 +388,25 @@ class TestRun:
             return step(s, m, D)
 
         monkeypatch.setattr(harness_mod, "core_step", failing)
-        trace_out = tmp_path / "trace.jsonl"
+        code, payload = run_cli(
+            capsys, ["run", "--lasso", str(estable_lasso_file), "--inputs", "1,2,3,4,5", "--d", "2"]
+        )
+        assert code == 3
+        assert (payload["pid"], payload["round"]) == (2, 4)
+        assert payload["invariant_violation"] == "p2 round 4: synthetic failure"
+
+    def test_invariant_violation_while_tracing_writes_nothing(self, capsys, estable_lasso_file, monkeypatch, tmp_path):
+        # the trace lines are written as the run steps, to a temporary file
+        # that becomes the trace only when the run ends: none is left
+        step = harness_mod.core_step
+
+        def failing(s, m, D):
+            if (s.pid, m) == (2, 4):
+                raise InvariantViolationError("synthetic failure")
+            return step(s, m, D)
+
+        monkeypatch.setattr(harness_mod, "core_step", failing)
+        trace_out = tmp_path / "out" / "trace.jsonl"
         code, payload = run_cli(capsys, [
             "run", "--lasso", str(estable_lasso_file), "--inputs", "1,2,3,4,5", "--d", "2",
             "--trace-out", str(trace_out),
@@ -411,6 +414,7 @@ class TestRun:
         assert code == 3
         assert (payload["pid"], payload["round"]) == (2, 4)
         assert not trace_out.exists() and not Path(f"{trace_out}.summary.json").exists()
+        assert list(trace_out.parent.iterdir()) == []
 
     def test_dot_export(self, capsys, estable_lasso_file, tmp_path):
         dots = tmp_path / "dots"

@@ -1,14 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_lasso, run_with_snapshots
+from conftest import open_c2_gate, random_lasso, run_with_snapshots
 from oracles import approx_roots, reference_c2_check, reference_run, reference_run_start
 
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
-from rootcons.adversary import AdversaryParams, generate_estable
+from rootcons.adversary import AdversaryError, AdversaryParams, generate_alt_estable, generate_estable
 from rootcons.consensus import (
     CoreStepOutcome,
     InvariantViolationError,
@@ -25,20 +25,23 @@ from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
 def count_evaluated_rounds(patch) -> list:
     """Wrap the core step's per-round root tests with ``patch``: the rounds
     ``max(stale_from, 1, lo)..m-1`` that ``_refresh`` recomputes, and the
-    round m-D that a decided process tests on its own.  Returns the list the
-    wrappers append (the state's round, the evaluated round) to; a core
-    step that evaluates one round twice fails its run."""
-    refresh, step, evaluated, current = consensus_mod._refresh, harness_mod.core_step, [], []
+    round m-D that a step which refreshes nothing (a decided process, or an
+    undecided one whose c2 gate is shut) tests on its own.  Returns the
+    list the wrappers append (the state's round, the evaluated round) to; a
+    core step that evaluates one round twice fails its run."""
+    refresh, step, evaluated, current, refreshes = consensus_mod._refresh, harness_mod.core_step, [], [], []
 
     def refreshed(s, D, begin):
+        refreshes.append(s.m)
         current.extend(range(max(s.stale_from, 1, s.lo), s.m))
         return refresh(s, D, begin)
 
     def stepped(s, m, D):
         current.clear()
-        if s.y is not None and 0 < m - D >= s.lo:
-            current.append(m - D)
+        refreshes.clear()
         out = step(s, m, D)
+        if not refreshes and 0 < m - D >= s.lo:
+            current.append(m - D)
         assert len(set(current)) == len(current), f"p{s.pid} round {m} evaluated {current}"
         evaluated.extend((m, r) for r in current)
         return out
@@ -475,6 +478,89 @@ class TestSharedOutcomes:
                     assert first.setdefault(out.locked, out) is out, (m, p)
                     pairs.add((m, out.locked))
         assert pairs and len(objects) <= len(pairs) + n + 1
+
+
+def gated_and_open(work):
+    """(``work()``, ``work()`` with the core step's c2 gate forced open)."""
+    gated = work()
+    with pytest.MonkeyPatch.context() as patch:
+        open_c2_gate(patch)
+        return gated, work()
+
+
+def refresh_calls(cfg) -> int:
+    """How many times a run of ``cfg`` calls ``_refresh``."""
+    refresh, calls = consensus_mod._refresh, []
+
+    def counted(s, D, begin):
+        calls.append(s.m)
+        return refresh(s, D, begin)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consensus_mod, "_refresh", counted)
+        run_execution(cfg)
+    return len(calls)
+
+
+class TestC2Gate:
+    """An undecided core step refreshes ``runs`` and searches c2 only when
+    the run's latest long round (``tables.last_long``) is at or after the
+    first round c2 could hit.  Every hit lies on a long round, so the gate
+    changes no outcome: each test compares it with the gate forced open
+    (``conftest.open_c2_gate``), which is the core step as it was before
+    the gate."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_random_lassos_match_the_open_gate(self, data):
+        # uncertified random lassos, and lassos the estable and altestable
+        # generators certified, monitored, in full and bounded mode
+        n = data.draw(st.integers(2, 6), label="n")
+        D = data.draw(st.integers(1, n - 1), label="D")
+        kind = data.draw(st.sampled_from(["random", "estable", "altestable"]), label="kind")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        rng = random.Random(seed)
+        if kind == "random":
+            l = random_lasso(rng, n, data.draw(st.integers(0, 6), label="prefix"),
+                             density=data.draw(st.floats(0.2, 0.7), label="density"))
+            horizon = data.draw(st.integers(1, 30), label="H")
+        else:
+            r_sr = data.draw(st.integers(1 if kind == "estable" else D + 2, 12), label="r_sr")
+            generate = generate_estable if kind == "estable" else generate_alt_estable
+            try:
+                l, cert = generate(AdversaryParams(n=n, D=D, seed=seed, r_sr_target=r_sr))
+            except AdversaryError:
+                assume(False)
+            horizon = cert.deadline + D + 2
+        mode = data.draw(st.sampled_from(["full", f"bounded:{2 * D + 1}", f"bounded:{2 * D + 3}"]), label="mode")
+        cfg = RunConfig(n, D, tuple(rng.randint(0, 9) for _ in range(n)), l, horizon, mode=mode)
+
+        def work():
+            run, outcomes = stepped(cfg)
+            return outcomes, run.decision_events(), [s.snapshot() for s in run.states.values()]
+
+        gated, opened = gated_and_open(work)
+        assert gated == opened
+
+    @pytest.mark.parametrize("mode", ["full", "bounded:7"])
+    def test_altestable_campaign_matches_the_open_gate(self, mode):
+        # its lassos hold common-root runs longer than D before they
+        # stabilize, so the gate opens on runs that never decide anyone:
+        # 462 of the 985 refreshes in full mode find no hit
+        gated, opened = gated_and_open(lambda: fuzz_campaign(trials=100, seed=21, adversary="altestable", mode=mode))
+        assert gated == opened
+
+    @pytest.mark.parametrize("n, D, gated, opened", [(6, 2, 7, 43), (64, 3, 91, 475)])
+    @pytest.mark.parametrize("mode", ["full", "bounded"])
+    def test_refresh_calls_on_the_ci_lassos(self, n, D, gated, opened, mode):
+        # the CI lassos (generate --n N --d D --rsr 6 --seed 3) to the
+        # horizon rootcons run picks, the certified deadline + D + 2: the
+        # open gate refreshes in every undecided step
+        l, cert = generate_estable(AdversaryParams(n=n, D=D, seed=3, r_sr_target=6))
+        inputs = (3, 1, 4, 1, 5, 9) if n == 6 else tuple(range(1, n + 1))
+        mode = "full" if mode == "full" else f"bounded:{2 * D + 1}"
+        cfg = RunConfig(n, D, inputs, l, cert.deadline + D + 2, mode=mode)
+        assert gated_and_open(lambda: refresh_calls(cfg)) == (gated, opened)
 
 
 class TestReferenceDifferential:

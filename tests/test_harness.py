@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EPS1_EDGES, run_with_trace
+from conftest import EPS1_EDGES, open_c2_gate, run_with_trace
 from oracles import approx_roots, bfs_distance, causal_past_forward, naive_causal_past
 
 import rootcons.consensus as consensus_mod
@@ -680,7 +680,9 @@ class TestFuzz:
         # dropping the outgoing-edge guard makes the second lower-bound
         # execution decide on the stale early root and split the outcome:
         # this _refresh takes every root of the approximation, ghosts
-        # included, as confirmed
+        # included, as confirmed.  The c2 gate rests on that guard too (a
+        # ghost's run is no run of the true graphs), so the mutant replaces
+        # the whole c2 decision: the scan, and the gate forced open
         def unguarded(s, D, begin):
             low, hit = max(1, s.lo), None
             run_root, start = None, low
@@ -698,6 +700,7 @@ class TestFuzz:
             return hit
 
         monkeypatch.setattr(consensus_mod, "_refresh", unguarded)
+        open_c2_gate(monkeypatch)
         _, cfg_ep = scenario_eps_pair(5, 2)
         trace = run_execution(cfg_ep)
         report = oracle_check(trace, 9)
