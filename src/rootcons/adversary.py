@@ -74,6 +74,9 @@ class GenerationRetryError(AdversaryError):
 
 
 MAX_GENERATION_ATTEMPTS = 64
+# The largest horizon a check or a run accepts.  The checkers' scans grow
+# faster than the horizon: altestable and mad take about 1.5 s here.
+MAX_HORIZON = 100_000
 
 
 @dataclass(frozen=True)
@@ -379,8 +382,8 @@ def _validated(kind: str, check: Check, l: LassoSequence, params: dict) -> dict:
         least = _CONDITIONS[name][1]
         if param is not None and p[param] < least:
             raise ValueError(f"{name} parameter {param} must be >= {least}, got {p[param]}")
-    if p["horizon"] is not None and p["horizon"] < 1:
-        raise ValueError(f"horizon must be >= 1, got {p['horizon']}")
+    if p["horizon"] is not None and not 1 <= p["horizon"] <= MAX_HORIZON:
+        raise ValueError(f"horizon must be in 1..{MAX_HORIZON}, got {p['horizon']}")
     return p
 
 

@@ -16,16 +16,15 @@ index r-1), and writes its start entry ``starts[m]``, which maps each root
 of round m to the round its common-root run began.  It notes in
 ``last_long`` the latest round r before m that is long for the run's D,
 some root's run having begun by round r-D (``consensus`` scans c2 only up
-to there), and it drops round ``lo-1`` from the start and answer tables.
-The processes compute only their locks: ``rows[q]`` is q's append-only
-``{round: lock}`` of per-round lock (proposal) values; only q writes it,
+to there), drops round ``lo-1`` from the start table and empties the
+answer memo.  The processes compute only their locks: ``rows[q]`` is q's
+append-only ``{round: lock}`` of per-round lock (proposal) values; only q writes it,
 and only the cell of its current round (in ``bounded:k`` it also drops its
 round ``m-k-1`` cell in round m).
-``answers[anchor]`` maps ``(root, lo)`` to the b1/b3 answer (run start,
-member bitset, and the lock-only core-step outcome that carries the
-maximum member lock) for a confirmed root of round ``anchor`` (see
-``consensus``).  A state holds no cells of its own: it reads q's round-r
-lock only when q is in slot r.
+``answers``, the current round's memo, maps ``(anchor, root)`` to the
+b1/b3 answer for a confirmed root of round ``anchor`` (see ``consensus``).
+A state holds no cells of its own: it reads q's round-r lock only when q
+is in slot r.
 
 So a broadcast is one int.  In round m each process q sends its ``known``,
 rebased to the round-m window.  Processes with the same in-neighbours in
@@ -160,17 +159,18 @@ def _locks_view(known: int, tables: RunTables, lo: int) -> dict:
 class RunTables:
     """What every state and message of one run shares: the n-process
     edge-mask ``layout``, the window ``keep`` (None in full mode, else k of
-    ``bounded:k``), the row and answer tables, the run's round graphs, the
-    start table and ``last_long``, the latest long round before the current
-    one (see the module docstring).  The fields other than ``last_long``
-    are fixed; the tables in them grow and shrink as the run advances."""
+    ``bounded:k``), the row table, the run's round graphs, the start table,
+    ``last_long``, the latest long round before the current one, and the
+    current round's answer memo (see the module docstring).  ``enter``
+    moves ``last_long`` and replaces ``answers``; the other fields are
+    fixed, and the tables in them grow and shrink as the run advances."""
 
     layout: MaskLayout
     keep: Optional[int]
     rows: dict  # pid -> that pid's own {round: lock}
     graphs: list  # round r's CommGraph at index r-1
     starts: dict  # round -> {root: run start}
-    answers: dict  # anchor -> {(root, lo): b1/b3 answer}
+    answers: dict  # (anchor, root) -> b1/b3 answer, entered in the current round
     last_long: int = 0  # latest round r < m with a root whose run began by r-D; 0 if none
 
     @classmethod
@@ -186,17 +186,18 @@ class RunTables:
         round m-1 while the root stays a root (it may predate the window;
         every read clamps it).  Round m-1, no longer the current round,
         becomes ``last_long`` when one of its roots' runs began at least
-        ``D`` rounds before it.  Then drop round ``lo-1``, which has left
-        the window, from the start and answer tables; returns ``lo``."""
+        ``D`` rounds before it.  Empty the answer memo, and drop round
+        ``lo-1``, which has left the window, from the start table; returns
+        ``lo``."""
         self.graphs.append(g)
         previous = self.starts.get(m - 1, {})
         if previous and min(previous.values()) <= m - 1 - D:
             self.last_long = m - 1
         self.starts[m] = {root: previous.get(root, m) for root in root_components(g)}
+        self.answers = {}
         lo = window_start(self.keep, m)
         if lo:
             self.starts.pop(lo - 1, None)
-            self.answers.pop(lo - 1, None)
         return lo
 
 

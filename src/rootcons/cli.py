@@ -223,12 +223,12 @@ def cmd_run(args) -> int:
     try:
         horizon = lasso_seq.default_horizon() if args.horizon is None else args.horizon
         cfg = RunConfig(lasso_seq.n, args.d, inputs, lasso_seq, horizon, mode=args.mode)
+        cert = check_estable(lasso_seq, args.d)
+        if cert is None:  # scans at least to the lasso's default horizon, which may pass MAX_HORIZON
+            horizon_chk = max(lasso_seq.default_horizon(), args.horizon or 0)
+            cert = check_alt_estable(lasso_seq, args.d, horizon_chk)
     except ValueError as exc:
         return _fail_input(str(exc))
-    cert = check_estable(lasso_seq, args.d)
-    if cert is None:
-        horizon_chk = max(lasso_seq.default_horizon(), args.horizon or 0)
-        cert = check_alt_estable(lasso_seq, args.d, horizon_chk)
     deadline = cert.deadline if cert else None
     if args.horizon is None and deadline:
         cfg = replace(cfg, horizon=deadline + args.d + 2)

@@ -20,7 +20,7 @@ initialization artifact (every process trivially roots its own singleton
 there) and counting it would let an isolated process fabricate a quorum of
 its own silence.
 
-Both conditions read one per-round cache on the state: ``runs[r]`` is
+c2 reads one per-round cache on the state: ``runs[r]`` is
 ``(root, start)``, the single confirmed root of round r (None if there is
 none or several) and the round its run of that root began (``r + 1`` for
 None).  Whether round r has a single confirmed root depends only on slot r
@@ -34,14 +34,13 @@ The step reads ``known`` and the run's graph list in place: it shifts
 the round graph, ``tables.graphs[r-1].root_bits``, against the slot, with
 no call per round; :func:`confirmed_roots` is the same test, one round per
 call.
-An undecided step refreshes ``runs`` once, up to round m-1, and that
-refresh notes c2's first hit as it goes; c1 then reads ``runs[m-D]``.  c2
-resumes its search at the step's entry ``stale_from``: no run before it
-changed since the last search, which found none long enough.  A start
-before the window counts from the window's first round.  A decided process
-searches no more, so it refreshes nothing: its c1 makes the same test on
-slot m-D alone, in the core step itself, which also takes a held answer
-from the answer table (below) there.
+A step whose c2 gate (below) is open refreshes ``runs`` once, up to round
+m-1, noting c2's first hit as it goes.  c2 resumes its search at the
+step's entry ``stale_from``: no run before it changed since the last
+search, which found none long enough.  A start before the window counts
+from the window's first round.  A decided process searches no more.  c1
+tests slot m-D alone, in the core step itself, which gives what a
+refreshed ``runs[m-D]`` would hold.
 
 The refresh is gated by the true graphs.  Call round r long when some
 root of the round-r graph has a run that began at least D rounds before
@@ -51,11 +50,10 @@ of rounds b'-D..b', and a confirmed root is a root of the true round graph
 (the lemma in ``approximation``), so R's true run through b' began by
 b'-D: every hit lies on a long round.  So an undecided step whose
 ``last_long`` is before ``max(stale_from, max(1, lo) + D)``, the first
-round c2 could hit, cannot decide: it skips the refresh, leaves
-``stale_from`` where it is, and takes c1 by the decided step's test of
-slot m-D.  A later refresh recomputes the skipped rounds from the
-then-current slots, so it finds the first hit that refreshing in every
-step would have found.
+round c2 could hit, cannot decide: it skips the refresh and leaves
+``stale_from`` where it is.  A later refresh recomputes the skipped rounds
+from the then-current slots, so it finds the first hit that refreshing in
+every step would have found.
 
 b1 and b3 take the maximum lock at the start of the surrounding common-root
 run of a confirmed root R.  R lies inside slot ``anchor`` and so, slots
@@ -67,20 +65,18 @@ the engine enters it with each round graph in the start table of the run's
 round-r graph to the round its run began.  :func:`_run_start` reads it at
 round ``anchor-1`` and clamps it at the window's first round.
 
-The answer itself is run-wide too, and the run's answer table holds it:
-``tables.answers[anchor]`` maps ``(root, lo)`` to ``(a, member bitset,
-outcome)``, the outcome being the lock-only ``CoreStepOutcome((root, a,
-value))`` that b1 returns to every process it answers.  a depends only on
-the start table and on ``lo``, which every state shares in a round, and the
-value reads the members' row cells of round a < m, which only their owners
-wrote and which are final (the harness's monitor compares the row table
-every round).  The first process to ask computes and enters it; a later
-one needs only to hold every member's round-a state, one mask test of the
-bitset against slot a of its ``known`` (its evidence of round a, as
-lo <= a <= anchor < m).  If that test fails, the full computation runs and
-raises as it would have.
-Every anchor is at or after max(1, lo), so ``RunTables.enter`` drops its
-round ``lo-1`` with the window.
+The answer is the same for every process of a round, and the run's
+per-round answer memo holds it: ``tables.answers`` maps ``(anchor, root)``
+to ``(a, member bitset, outcome)``, the outcome being the lock-only
+``CoreStepOutcome((root, a, value))`` that b1 returns to every process it
+answers.  ``RunTables.enter`` empties it every round, so its readers share
+``lo``, on which (with the start table) a depends; the value reads the
+members' row cells of round a < m, which only their owners wrote and which
+are final (the harness's monitor compares the row table every round).  The
+first process to ask in a round computes and enters it; a later one only
+checks that it holds every member's round-a state, one mask test of the
+bitset against slot a of its ``known``, and otherwise recomputes it, which
+raises as it would have.  Only :func:`_answer` touches the memo.
 """
 
 from __future__ import annotations
@@ -141,25 +137,21 @@ def _max_lock(s: NodeState, root: frozenset, a: int, what: str) -> int:
 def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> CoreStepOutcome:
     """``CoreStepOutcome((root, a, value))``: the run start a through
     ``anchor`` of the confirmed root and its members' maximum lock at a,
-    from the run's answer table, or computed and entered there."""
+    from the run's per-round answer memo, or computed and entered there."""
     answers = s.tables.answers
-    table = answers.get(anchor)
-    if table is None:
-        table = answers[anchor] = {}
-    key = (root, s.lo)
-    entry = table.get(key)
+    entry = answers.get((anchor, root))
     if entry is not None:
         a, bits, out = entry  # bits lies in one slot: the member pids are at most W
-        if s.lo <= a < s.m and bits & s.known >> (a - s.lo) * s.tables.layout.width == bits:
+        if bits & s.known >> (a - s.lo) * s.tables.layout.width == bits:
             return out
     a = _run_start(s, root, anchor)
     out = CoreStepOutcome((root, a, _max_lock(s, root, a, what)))
-    table[key] = (a, sum(1 << (q - 1) for q in root), out)
+    answers[anchor, root] = (a, sum(1 << (q - 1) for q in root), out)
     return out
 
 
 # The definitional per-round view.  The core step inlines it (:func:`_refresh`
-# and a decided process's test of round m-D in :func:`core_step`);
+# and the test of round m-D in :func:`core_step`);
 # ``tests/oracles.reference_c2_check``, the tests and bench/tracer.py read it.
 def confirmed_roots(s: NodeState, r: int) -> list:
     """Roots of approx[r] whose members all have a later outgoing edge recorded.
@@ -220,15 +212,6 @@ def _refresh(s: NodeState, D: int, begin: int) -> Optional[tuple]:
     return hit
 
 
-def b1_apply(s: NodeState, m: int, root: frozenset, D: int) -> CoreStepOutcome:
-    """Re-propose: lock[pid][m] := max lock[q][a] over the root's members,
-    where a starts the maximal common-root run around round m-D.  Returns
-    the answer's lock-only outcome, shared by every process that takes it."""
-    out = _answer(s, root, m - D, "b1")
-    s.propose(out.locked[2])
-    return out
-
-
 def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
     """Earliest interval of more than D consecutive rounds whose approximations
     are all single-rooted (among confirmed roots) with the same root.
@@ -287,47 +270,35 @@ def core_step(s: NodeState, m: int, D: int) -> CoreStepOutcome:
     Empty for m <= D.  Until the process has decided (b3 is write-once, so
     later scans cannot change it), c2 is evaluated whenever the run's
     latest long round is at or after the first round c2 could hit,
-    ``max(stale_from, max(1, lo) + D)`` (module docstring): its refresh of
-    ``runs`` brings round m-D current, and c1 reads it there.  Any other
-    step refreshes nothing: c1 tests slot m-D itself, as :func:`_refresh`
-    does, and takes the answer table's entry when it holds every member's
-    state of the entry's round (as :func:`_answer` would), with no further
-    call.  That is every step of a decided process, the steady state of a
-    long run, and every undecided step while no long round can be hit.
-    Only a deciding step builds an outcome; others return b1's shared one.
+    ``max(stale_from, max(1, lo) + D)`` (module docstring).  Then c1 tests
+    slot m-D in place, as :func:`_refresh` does, and re-proposes the
+    answer of the single confirmed root it finds (:func:`_answer`).  A
+    step that does not decide returns b1's shared outcome, or the shared
+    empty one.
     """
     r0 = m - D
     if r0 <= 0:
         return _NOTHING
-    lo = s.lo
+    lo, hit = s.lo, None
     if s.y is None:
         first = (lo or 1) + D  # the first round c2 could hit: max(stale_from, max(1, lo) + D)
         if first < s.stale_from:
             first = s.stale_from
         if s.tables.last_long >= first:
             hit = c2_check(s, D, s.stale_from)
-            root = s.runs[r0][0] if r0 >= lo else None
-            out = _NOTHING if root is None else b1_apply(s, m, root, D)
-            if hit is None:
-                return out
-            return CoreStepOutcome(out.locked, b3_apply(s, *hit))
-    if r0 < lo:
-        return _NOTHING
-    lay = s.tables.layout
-    known, width = s.known, lay.width
-    have, root = known >> (r0 - lo) * width & lay.row, None
-    for single, bits in s.tables.graphs[r0 - 1].root_bits:
-        if bits & have == bits:
-            if root is not None:
-                return _NOTHING
-            root = single
-    if root is None:
-        return _NOTHING
-    try:
-        a, bits, out = s.tables.answers[r0][root, lo]
-    except KeyError:
-        return b1_apply(s, m, root, D)
-    if bits & known >> (a - lo) * width != bits:  # lo <= a < m, as the entry is keyed by lo
-        return b1_apply(s, m, root, D)
-    s.propose(out.locked[2])
-    return out
+    out = _NOTHING
+    if r0 >= lo:
+        lay = s.tables.layout
+        have, root = s.known >> (r0 - lo) * lay.width & lay.row, None
+        for single, bits in s.tables.graphs[r0 - 1].root_bits:
+            if bits & have == bits:
+                if root is not None:
+                    root = None
+                    break
+                root = single
+        if root is not None:
+            out = _answer(s, root, r0, "b1")
+            s.propose(out.locked[2])
+    if hit is None:
+        return out
+    return CoreStepOutcome(out.locked, b3_apply(s, *hit))

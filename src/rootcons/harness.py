@@ -43,9 +43,10 @@ run's ``RunTables`` itself, and that p's ``lo`` is the window's.  A state's lock
 ``known`` and the run's tables alone, whose graphs are the ones the engine
 ran, so this makes them exact.
 
-A run records no per-round state.  Indistinguishability replays both runs
-from their configs in lock step, monitored when the originals were, and
-compares the process's ``snapshot()`` after every round.
+A run records no per-round state.  Indistinguishability (``divergence``)
+replays both runs from their configs once, in lock step, monitored when
+the originals were, and compares each process's ``snapshot()`` after every
+round.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from typing import Optional
 
 from . import consensus
 from .adversary import (
+    MAX_HORIZON,
     AdversaryError,
     AdversaryParams,
     _generate_alt_estable,
@@ -125,8 +127,8 @@ class RunConfig:
             raise ValueError(f"need {self.n} inputs, got {len(self.inputs)}")
         if not (1 <= self.D <= self.n - 1):
             raise ValueError(f"D must satisfy 1 <= D <= n-1, got D={self.D}, n={self.n}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ValueError(f"horizon must be in 1..{MAX_HORIZON}, got {self.horizon}")
         parse_mode(self.mode, self.D)
         for part, graphs in (("prefix", self.lasso.prefix), ("cycle", self.lasso.cycle)):
             for i, g in enumerate(graphs):
@@ -407,14 +409,35 @@ def oracle_check(run: Run, deadline: int) -> OracleReport:
     )
 
 
+def divergence(cfg_a: RunConfig, cfg_b: RunConfig, through: int) -> dict:
+    """p -> the first round up to ``through`` after which p's ``snapshot()``
+    differs between the runs of ``cfg_a`` and ``cfg_b`` (round 0 compares
+    the initial states), or None if it never does, for every p of both
+    runs.  The two runs are replayed once, in lock step, up to the round by
+    which every process has diverged.  Two runs with different windows
+    diverge at round 0."""
+    a, b = Run(cfg_a), Run(cfg_b)
+    first = dict.fromkeys(range(1, min(cfg_a.n, cfg_b.n) + 1))
+    same = list(first)
+    for m in range(through + 1):
+        if m:
+            a.step()
+            b.step()
+        for p in same:
+            if a.states[p].snapshot() != b.states[p].snapshot():
+                first[p] = m
+        same = [p for p in same if first[p] is None]
+        if not same:
+            break
+    return first
+
+
 def indistinguishable(run_a: Run, run_b: Run, p: int, through: int) -> bool:
     """True iff p's full state matches in both runs at the end of every
-    round up to ``through`` (round 0 compares the initial states).  Each run
-    is replayed from its config, the replays in lock step, and p's
-    ``snapshot()`` is compared after every round, up to the first that
-    differs.  Two runs with different windows never match.  A ``p`` outside
-    both runs' processes, a negative ``through``, or one past the rounds
-    either run has run raises ValueError."""
+    round up to ``through``: p has not diverged by then
+    (:func:`divergence` of the runs' configs).  A ``p`` outside both runs'
+    processes, a negative ``through``, or one past the rounds either run
+    has run raises ValueError."""
     n = min(run_a.config.n, run_b.config.n)
     if not 1 <= p <= n:
         raise ValueError(f"p must be in 1..{n}, got {p}")
@@ -422,14 +445,7 @@ def indistinguishable(run_a: Run, run_b: Run, p: int, through: int) -> bool:
         raise ValueError(f"through must be >= 0, got {through}")
     if through > min(run_a.m, run_b.m):
         raise ValueError(f"traces do not cover round {through}")
-    a, b = Run(run_a.config), Run(run_b.config)
-    for m in range(through + 1):
-        if m:
-            a.step()
-            b.step()
-        if a.states[p].snapshot() != b.states[p].snapshot():
-            return False
-    return True
+    return divergence(run_a.config, run_b.config, through)[p] is None
 
 
 # --- named scenarios --------------------------------------------------------

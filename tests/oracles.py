@@ -372,16 +372,17 @@ class ReferenceState:
     round.  ``known`` packs :func:`reference_evidence` of each retained
     round into one slot, as the core step reads its late-edge evidence
     from there.  ``tables`` holds the root-run start table ``starts``, the
-    long-round marker ``last_long``, the b1/b3 answer table ``answers`` and
+    long-round marker ``last_long``, the b1/b3 answer memo ``answers`` and
     ``graphs``, the round graphs' roots, the only tables the core step
     reads.  They are this state's own, not shared by the run: ``graphs``
     gives the roots of the partial approximations, ghosts included, every
     merge rebuilds the starts from them, takes ``last_long`` from those
-    starts for the run's ``D`` and empties the answers, so the core step
+    starts for the run's ``D`` and empties the memo, so the core step
     recomputes every answer from ``lock_value``.  So the differential checks
     independently the lemma by which a run's shared graphs, start table and
     long rounds stand in for the approximations, and that an answer one
-    process entered holds for every process that asks it later.
+    process entered holds for every process that asks it later in the
+    same round.
     """
 
     def __init__(self, pid: int, x: int, keep, lay: MaskLayout, D: int):

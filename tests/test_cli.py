@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import rootcons.harness as harness_mod
-from rootcons.adversary import GenerationRetryError
+from rootcons.adversary import MAX_HORIZON, GenerationRetryError
 from rootcons.cli import main
 from rootcons.consensus import InvariantViolationError
 from rootcons.graphs import lasso_from_json
@@ -148,6 +148,17 @@ class TestCheck:
             code, payload = run_cli(capsys, argv + ["--horizon", horizon])
             assert code == 2
             assert payload["ok"] is False and "horizon" in payload["error"]
+
+    def test_horizon_past_the_bound_exit_2(self, capsys, estable_lasso_file):
+        # unbounded, this horizon unrolled a bitset per round and died of a
+        # MemoryError traceback (exit 1, read as "not satisfied")
+        argv = ["check", "--lasso", str(estable_lasso_file), "--d", "2"]
+        code, payload = run_cli(capsys, argv + ["--horizon", str(MAX_HORIZON)])
+        assert code == 0 and payload["ok"]
+        for horizon in (MAX_HORIZON + 1, 99999999999):
+            code, payload = run_cli(capsys, argv + ["--horizon", str(horizon)])
+            assert code == 2
+            assert payload == {"ok": False, "error": f"horizon must be in 1..{MAX_HORIZON}, got {horizon}"}
 
     @pytest.mark.parametrize(
         "kind, flags",
@@ -336,6 +347,25 @@ class TestRun:
         )
         assert code == 2
         assert payload["ok"] is False and payload["error"]
+
+    def test_horizon_past_the_bound_exit_2(self, capsys, tmp_path):
+        # a lasso that is not estable, so the run checks altestable to its
+        # horizon; unbounded, that died of a MemoryError traceback
+        path = tmp_path / "alt.json"
+        assert main(["generate", "--adversary", "altestable", "--n", "5", "--d", "2", "--seed", "1", "--out", str(path)]) == 0
+        horizon = MAX_HORIZON + 1
+        code, payload = run_cli(capsys, ["run", "--lasso", str(path), "--inputs", "1,2,3,4,5", "--d", "2", "--horizon", str(horizon)])
+        assert code == 2
+        assert payload == {"ok": False, "error": f"horizon must be in 1..{MAX_HORIZON}, got {horizon}"}
+
+    def test_lasso_past_the_horizon_bound_exit_2(self, capsys, tmp_path):
+        # the altestable check scans at least to the lasso's default
+        # horizon, whatever --horizon says, and this lasso's passes the bound
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"n": 2, "cycle": [[]] * (MAX_HORIZON // 2)}))
+        code, payload = run_cli(capsys, ["run", "--lasso", str(path), "--inputs", "1,2", "--d", "1", "--horizon", "10"])
+        assert code == 2
+        assert payload == {"ok": False, "error": f"horizon must be in 1..{MAX_HORIZON}, got {MAX_HORIZON + 4}"}
 
     def test_seventeen_processes_run_and_pass(self, capsys, tmp_path):
         path = tmp_path / "n17.json"

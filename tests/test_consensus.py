@@ -390,9 +390,9 @@ class TestStartTable:
 
 
 class TestAnswerTable:
-    """The b1/b3 answers are one table per run, entered by the first process
-    that asks, held only for the retained anchors, and re-checked by every
-    later reader against its own slot."""
+    """The b1/b3 answers are one memo per run, entered by the first process
+    that asks in a round, emptied at the start of every round, and
+    re-checked by every later reader against its own slot."""
 
     def test_one_table_per_run(self, eps2_lasso):
         trace = run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 12))
@@ -402,15 +402,34 @@ class TestAnswerTable:
         assert other[1].tables.answers is not states[1].tables.answers and other[1].tables.answers == {}
 
     def test_bounded_table_holds_no_anchor_before_the_window(self):
+        # every entry left after the run was entered in its last round, for
+        # an anchor in the window
         l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
-        trace = run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 200, mode="bounded:5", check_invariants=False))
-        s = trace.states[1]
-        assert s.lo == 195 and s.tables.answers and min(s.tables.answers) >= s.lo
+        run = harness_mod.Run(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 200, mode="bounded:5", check_invariants=False))
+        for _ in range(199):
+            run.step()
+        before = run.tables.answers
+        run.step()
+        s, answers = run.states[1], run.tables.answers
+        assert s.lo == 195 and answers and all(anchor >= max(1, s.lo) for anchor, _ in answers)
+        assert all(entry is not before.get(key) for key, entry in answers.items())
+
+    def test_full_memo_does_not_grow_with_the_horizon(self):
+        # the n=6 CI lasso (generate --n 6 --d 2 --rsr 6 --seed 3): the memo
+        # holds the last round's answers, not one entry per round run
+        l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
+        run = harness_mod.Run(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 4000, check_invariants=False))
+        sizes = []
+        for m in range(1, 4001):
+            run.step()
+            if m in (1000, 4000):
+                sizes.append(len(run.tables.answers))
+        assert 0 < sizes[0] == sizes[1]
 
     @pytest.mark.parametrize("mode", ["full", "bounded:7"])
     def test_lock_reads_at_sixty_four_processes(self, monkeypatch, mode):
         # the 64-process CI lasso (generate --n 64 --d 3 --rsr 6 --seed 3) to
-        # H=200: each answer is computed once per run, not once per process
+        # H=200: each answer is computed once per round, not once per process
         # and round (which read 457,063 locks in full mode)
         from rootcons.approximation import NodeState
 
@@ -435,8 +454,8 @@ class TestAnswerTable:
 
         def tampered(s, m, d):
             if s.pid == 2 and m == M:
-                (root, lo), (a, _, _) = next(iter(s.tables.answers[m - d].items()))
-                assert lo == s.lo and a < m - d
+                (anchor, root), (a, _, _) = next(iter(s.tables.answers.items()))
+                assert anchor == m - d and a < m - d
                 q = min(root)
                 s.known &= ~(1 << ((a - s.lo) * s.tables.layout.width + q - 1))
                 cleared.append((q, a))

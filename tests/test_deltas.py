@@ -1,9 +1,9 @@
-"""``indistinguishable`` against state snapshots taken directly.
+"""``divergence`` against state snapshots taken directly.
 
-``indistinguishable`` replays both runs from their configs and compares
-the process's states; it must give the same verdict as comparing the
-snapshots taken while the runs stepped, round for round, for every process
-and round of a pair of runs.
+``divergence`` replays both runs from their configs once and compares
+every process's states; the verdict it gives, which ``indistinguishable``
+reads, must be the same as comparing the snapshots taken while the runs
+stepped, round for round, for every process and round of a pair of runs.
 """
 
 import random
@@ -15,7 +15,7 @@ from conftest import random_graph, random_lasso, run_with_snapshots
 from rootcons.graphs import LassoSequence
 from rootcons.harness import (
     RunConfig,
-    indistinguishable,
+    divergence,
     scenario_eps_pair,
     scenario_stab_not_enough,
 )
@@ -30,13 +30,16 @@ def snapshots_indistinguishable(snaps_a: list, snaps_b: list, p: int, through: i
 
 
 def compare_pair(cfg_a, cfg_b) -> list:
-    """Check every (p, t) verdict of the pair; returns the verdicts."""
-    trace_a, snaps_a = run_with_snapshots(cfg_a)
-    trace_b, snaps_b = run_with_snapshots(cfg_b)
+    """Check every (p, t) verdict of the pair, read from one ``divergence``
+    of the pair; returns the verdicts."""
+    _, snaps_a = run_with_snapshots(cfg_a)
+    _, snaps_b = run_with_snapshots(cfg_b)
+    through = min(len(snaps_a), len(snaps_b)) - 1
+    first = divergence(cfg_a, cfg_b, through)
     verdicts = []
     for p in range(1, cfg_a.n + 1):
-        for t in range(min(len(snaps_a), len(snaps_b))):
-            by_replay = indistinguishable(trace_a, trace_b, p, t)
+        for t in range(through + 1):
+            by_replay = first[p] is None or t < first[p]
             assert by_replay == snapshots_indistinguishable(snaps_a, snaps_b, p, t), (p, t)
             verdicts.append(by_replay)
     return verdicts
