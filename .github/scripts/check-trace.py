@@ -1,18 +1,19 @@
-"""Usage: check-trace.py TRACE RUN_JSON LASSO ROUNDS
+"""Usage: check-trace.py TRACE RUN_JSON LASSO [ROUNDS]
 
 Checks the files of one `rootcons run --trace-out TRACE` whose stdout is in
 RUN_JSON, on the lasso in LASSO: the summary (TRACE.summary.json) ran
-ROUNDS rounds, its configured horizon; TRACE holds one JSON line per round,
-rounds 1..ROUNDS in order, each with the lasso's graph of that round; and
-the summary's decisions are the ones printed on stdout.  Exits 1 naming the
-first check that fails.
+ROUNDS rounds, its configured horizon (ROUNDS defaults to that horizon);
+TRACE holds one JSON line per round, rounds 1..ROUNDS in order, each with
+the lasso's graph of that round; and the summary's decisions are the ones
+printed on stdout.  Exits 1 naming the first check that fails.
 """
 
 import json
 import sys
 
-trace, out, lasso, rounds = sys.argv[1:]
+trace, out, lasso = sys.argv[1:4]
 summary = json.load(open(f"{trace}.summary.json"))
+rounds = sys.argv[4] if len(sys.argv) > 4 else summary["config"]["horizon"]
 assert summary["rounds"] == summary["config"]["horizon"] == int(rounds), (summary["rounds"], rounds)
 want = list(range(1, int(rounds) + 1))
 records = [json.loads(line) for line in open(trace)]

@@ -574,8 +574,6 @@ def _sample_root_family(
             if remaining < slots_left:
                 break
             size = 1 if slots_left > 1 else 1 + _below(rng, min(2, remaining))
-            if remaining - size < slots_left - 1:
-                size = 1
             family.append(frozenset(pids[i : i + size]))
             i += size
         if len(family) == k and not any(fs in forbidden for fs in family):

@@ -63,16 +63,46 @@ class _OutputError(Exception):
     """An output path that cannot be written."""
 
 
+@contextmanager
+def _streamed(path):
+    """Yield a writer of the text of ``path`` (None when ``path`` is None).
+    A path that exists and is not a regular file (a FIFO, a device,
+    ``/dev/stdout``) is written in place.  Any other path is resolved, so a
+    link's target is written, and the text goes to ``.<name>.<pid>.part``
+    beside the target, which replaces the target when the block ends and is
+    removed if the block raises.  An OSError is an :class:`_OutputError`."""
+    if path is None:
+        yield None
+        return
+    partial = None
+    try:
+        if path.exists() and not path.is_file():
+            out = path.open("w")
+        else:
+            target = Path(os.path.realpath(path))
+            target.parent.mkdir(parents=True, exist_ok=True)
+            partial = target.with_name(f".{target.name}.{os.getpid()}.part")
+            out = partial.open("w")
+        with out:
+            if partial and target.exists():  # the replacement keeps the target's permissions
+                partial.chmod(target.stat().st_mode & 0o7777)
+            yield out.write
+        if partial:
+            os.replace(partial, target)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if partial:
+            partial.unlink(missing_ok=True)
+
+
 def _write_outputs(files: dict) -> None:
-    """Write each path's text, making missing parent directories.  Commands
-    write before they report, so :func:`main` reports an OSError, as an
+    """Write each path's text through :func:`_streamed`.  Commands write
+    before they report, so :func:`main` reports an OSError, as an
     :class:`_OutputError`, as the only JSON line."""
     for path, text in files.items():
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-        except OSError as exc:
-            raise _OutputError(f"cannot write {path}: {exc}") from exc
+        with _streamed(path) as write:
+            write(text)
 
 
 def _read_lasso(path: str):
@@ -170,38 +200,11 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_UNSATISFIED
 
 
-@contextmanager
-def _streamed(path):
-    """Yield a writer of the text of ``path`` (None when ``path`` is None)
-    that writes to a temporary file in the path's directory, which becomes
-    ``path`` when the block ends and is removed if the block raises.  An
-    OSError of the file is an :class:`_OutputError`."""
-    if path is None:
-        yield None
-        return
-    partial = path.with_name(f".{path.name}.{os.getpid()}.part")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        out = partial.open("w")
-    except OSError as exc:
-        raise _OutputError(f"cannot write {path}: {exc}") from exc
-    try:
-        with out:
-            yield out.write
-        os.replace(partial, path)
-    except OSError as exc:
-        partial.unlink()
-        raise _OutputError(f"cannot write {path}: {exc}") from exc
-    except BaseException:
-        partial.unlink()
-        raise
-
-
 def _stepped_run(cfg: RunConfig, trace) -> Run:
     """The run of ``cfg``, stepped to its horizon.  With a ``trace`` path,
     each round's trace line, formatted from the outcomes its step returned,
-    is written as the run steps; the trace appears only when the run ends,
-    so a run that violates an invariant leaves no file."""
+    is written as the run steps through :func:`_streamed`, so a run that
+    violates an invariant leaves no regular trace file."""
     run = Run(cfg)
     with _streamed(trace) as write:
         for _ in range(cfg.horizon):

@@ -72,10 +72,6 @@ class MaskLayout:
         """The bit of edge (u, v)."""
         return 1 << ((u - 1) * self.width + (v - 1))
 
-    def into(self, v: int) -> int:
-        """Every edge into process v: column v-1 of the matrix."""
-        return self.column << (v - 1)
-
     def loops(self, n: int) -> int:
         """The self-loops of processes 1..n."""
         return self.diagonal & (1 << n * (self.width + 1)) - 1

@@ -91,7 +91,10 @@ from .graphs import (
 )
 
 
-MAX_RUN_PROCESSES = 64  # the largest n that run_execution and fuzz_campaign accept
+# The largest n that run_execution and fuzz_campaign accept.  A monitored
+# full-history run grows by 6-11 MiB per 1000 rounds at n=64 and 52-70 MiB at
+# n=256: about 1 GB and 5-7 GB at MAX_HORIZON (ROADMAP item 10).
+MAX_RUN_PROCESSES = 64
 FUZZ_R_SR_MAX = 12  # the largest stabilization round fuzz_campaign samples
 FUZZ_BATCH_PER_JOB = 64  # cases fuzz_campaign hands a worker pool at once, per worker
 

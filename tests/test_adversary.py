@@ -71,6 +71,14 @@ class TestSafety:
         with pytest.raises(ValueError):
             diagnose("safety", eps1_lasso, {"x": 0}).witness
 
+    def test_no_x_and_no_d_rejected(self, eps1_lasso):
+        with pytest.raises(ValueError, match="safety check needs parameter x"):
+            diagnose("safety", eps1_lasso, {})
+
+    def test_unknown_kind_rejected(self, eps1_lasso):
+        with pytest.raises(ValueError, match="unknown adversary kind 'bogus'"):
+            diagnose("bogus", eps1_lasso, {"D": 1})
+
 
 class TestEStable:
     def test_liveness_computed_once(self, eps2_lasso, monkeypatch):
@@ -279,6 +287,22 @@ class TestGenerators:
     def test_infeasible_two_process_lead_in(self):
         with pytest.raises(InfeasibleParamsError):
             generate_estable(AdversaryParams(n=2, D=1, seed=0, r_gst_target=2, r_sr_target=5))
+
+    @pytest.mark.parametrize("generate", [generate_estable, generate_alt_estable])
+    @pytest.mark.parametrize(
+        "targets, match",
+        [
+            ({"r_gst_target": 0}, "r_gst_target must be >= 1"),
+            ({"r_gst_target": 6, "r_sr_target": 5}, "need r_sr_target >= r_gst_target"),
+        ],
+    )
+    def test_infeasible_stabilization_targets(self, generate, targets, match):
+        with pytest.raises(InfeasibleParamsError, match=match):
+            generate(AdversaryParams(n=5, D=2, seed=0, **targets))
+
+    def test_unknown_tail_style_rejected(self):
+        with pytest.raises(ValueError, match="unknown tail style 'dense'"):
+            generate_alt_estable(AdversaryParams(n=5, D=2, seed=0), tail="dense")
 
     def test_spurious_early_root_planted(self):
         params = AdversaryParams(n=6, D=1, seed=21, r_gst_target=12, r_sr_target=12)
@@ -529,3 +553,10 @@ class TestCertificateSerialization:
     def test_r_sr_lower_bound_enforced(self):
         with pytest.raises(ValueError):
             AdversaryCertificate("estable", 3, 2, frozenset([1]))
+
+    def test_reappearance_inside_the_single_phase_rejected(self):
+        # the single phase of r_sr = 4 and D = 2 ends at round 6
+        with pytest.raises(ValueError, match="first reappearance 6 must follow the single phase ending at 6"):
+            AdversaryCertificate("alt_estable", 1, 4, frozenset([1]), reappearances=(6, 8), params={"D": 2})
+        cert = AdversaryCertificate("alt_estable", 1, 4, frozenset([1]), reappearances=(7, 8), params={"D": 2})
+        assert cert.deadline == 8

@@ -1,6 +1,9 @@
 import concurrent.futures
 import io
 import json
+import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
@@ -718,3 +721,72 @@ class TestUnwritableOutputs:
         assert payload["error"].startswith(f"cannot write {blocked}/")
         assert "Traceback" not in captured.err
         assert blocked.read_text() == ""
+
+
+class TestOutputPathKinds:
+    """Every output goes through one writer: a regular file is written whole
+    or not at all, a link's target is written and the link stays, and a FIFO
+    is written in place.  Every path here is under tmp_path."""
+
+    def trace_argv(self, lasso, trace):
+        return ["run", "--lasso", str(lasso), "--inputs", "1,2,3,4,5", "--d", "2", "--trace-out", str(trace)]
+
+    def test_trace_through_a_symlink_writes_its_target(self, capsys, estable_lasso_file, tmp_path):
+        plain, target, link = tmp_path / "plain.jsonl", tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        assert run_cli(capsys, self.trace_argv(estable_lasso_file, plain))[0] == 0
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert run_cli(capsys, self.trace_argv(estable_lasso_file, link))[0] == 0
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_text() == plain.read_text() and plain.read_text().count("\n") > 0
+        assert not any(p.name.startswith(".") for p in tmp_path.iterdir())  # no .part file is left
+
+    def test_trace_replacing_a_file_keeps_its_permissions(self, capsys, estable_lasso_file, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("old\n")
+        trace.chmod(0o600)
+        assert run_cli(capsys, self.trace_argv(estable_lasso_file, trace))[0] == 0
+        assert stat.S_IMODE(trace.stat().st_mode) == 0o600 and trace.read_text() != "old\n"
+
+    def test_trace_into_a_fifo_reaches_its_reader(self, capsys, estable_lasso_file, tmp_path):
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with fifo.open() as pipe:
+                received.extend(pipe.read().splitlines())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        code, payload = run_cli(capsys, self.trace_argv(estable_lasso_file, fifo))
+        reader.join(timeout=30)
+        assert not reader.is_alive(), "the FIFO's reader got no end of file"
+        assert code == 0 and payload["ok"]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        rounds = json.loads(Path(f"{fifo}.summary.json").read_text())["rounds"]
+        assert [json.loads(line)["round"] for line in received] == list(range(1, rounds + 1))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--lasso", "{lasso}", "--inputs", "1,2,3,4,5", "--d", "2", "--trace-out", "{target}"],
+            ["fuzz", "--trials", "2", "--report-out", "{target}"],
+        ],
+        ids=["run-trace-out", "fuzz-report-out"],
+    )
+    def test_failed_rename_leaves_the_target_and_no_part_file(
+        self, capsys, estable_lasso_file, tmp_path, monkeypatch, argv
+    ):
+        def failing(src, dst):
+            raise OSError("synthetic rename failure")
+
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / "target.json"
+        target.write_text("old\n")
+        monkeypatch.setattr(os, "replace", failing)
+        code, payload = run_cli(capsys, [a.format(lasso=estable_lasso_file, target=target) for a in argv])
+        assert code == 2
+        assert payload == {"ok": False, "error": f"cannot write {target}: synthetic rename failure"}
+        assert list(out.iterdir()) == [target] and target.read_text() == "old\n"

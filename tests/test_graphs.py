@@ -562,6 +562,14 @@ class TestLassoPlumbing:
         with pytest.raises(ValueError):
             LassoSequence((), ())
 
+    def test_graphs_over_different_process_counts_rejected(self):
+        with pytest.raises(ValueError, match="same process count"):
+            LassoSequence((CommGraph(2, mask_layout(2).loops(2)),), (CommGraph(3, mask_layout(3).loops(3)),))
+
+    def test_mask_layout_past_the_process_bound_rejected(self):
+        with pytest.raises(ValueError, match="n must be <= 1024, got 1025"):
+            mask_layout(1025)
+
     def test_json_round_trip(self, eps2_lasso):
         text = lasso_to_json(eps2_lasso)
         back = lasso_from_json(text)

@@ -676,6 +676,10 @@ class TestFuzz:
         assert run_with_trace(t1.config)[1] == run_with_trace(t2.config)[1]
         assert r1 == r2 and c1 == c2
 
+    def test_trial_with_an_unknown_adversary_rejected(self):
+        with pytest.raises(ValueError, match="unknown adversary 'mad'"):
+            fuzz_trial("mad", seed=1, n=5, D=2, r_sr=4, inputs=(1, 2, 3, 4, 5))
+
     def test_mutation_smoke_oracle_catches_broken_step(self, monkeypatch):
         # dropping the outgoing-edge guard makes the second lower-bound
         # execution decide on the stale early root and split the outcome:
