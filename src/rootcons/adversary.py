@@ -132,18 +132,6 @@ class AdversaryCertificate:
 
 
 @dataclass(frozen=True)
-class SafetyWitness:
-    """A root common for too many consecutive rounds without being the permanent one."""
-
-    root: frozenset
-    start: int
-    end: Optional[int]  # None means the run extends forever
-
-    def to_json_dict(self) -> dict:
-        return {"root": sorted(self.root), "start": self.start, "end": self.end}
-
-
-@dataclass(frozen=True)
 class VsrcResult:
     ok: bool
     window_start: Optional[int] = None
@@ -259,7 +247,7 @@ def _safety(c: _Case, x: int) -> tuple:
             and run.start == c.live.r_gst
         )
         if not is_final_run:
-            return False, SafetyWitness(run.root, run.start, run.end)
+            return False, run
     return True, None
 
 
@@ -274,7 +262,7 @@ def _alt_safety(c: _Case, x: int) -> tuple:
         earliest = min(run.start for run in long_runs)
         for run in long_runs:
             if run.start == earliest and _embedded_single_phase(c.l, run, x, scan_to) is None:
-                return False, SafetyWitness(run.root, run.start, run.end)
+                return False, run
     return True, None
 
 
@@ -465,6 +453,18 @@ class AdversaryParams:
         return self
 
 
+@dataclass(frozen=True)
+class GeneratedLasso:
+    """An alt_estable lasso with its planted certificate and its checker's."""
+
+    lasso: LassoSequence
+    planted: AdversaryCertificate
+    certificate: AdversaryCertificate
+
+    def __iter__(self):  # unpacks as (lasso, planted), like generate_estable's pair
+        return iter((self.lasso, self.planted))
+
+
 def _complete(members: list, width: int, row: int) -> int:
     """The edges from every one of ``members`` to the vertex bitset ``row``."""
     mask = 0
@@ -628,12 +628,7 @@ def _lead_in_max_root(n: int, D: int, lead_in: int) -> int:
         raise InfeasibleParamsError(
             "a 2-process graph cannot hold a common-but-not-single root: r_gst must equal r_sr"
         )
-    max_size = n - 1 if lead_in <= D else n - 2
-    if max_size < 1:
-        raise InfeasibleParamsError(
-            f"no root set admits a {lead_in}-round common-but-not-single lead-in with n={n}, D={D}"
-        )
-    return max_size
+    return n - 1 if lead_in <= D else n - 2
 
 
 def _extend_lead_in(
@@ -702,7 +697,7 @@ def generate_alt_estable(
     tail: str = "single",
     gap_range: tuple = (0, 3),
     spurious: Optional[bool] = None,
-):
+) -> GeneratedLasso:
     """Sample a lasso certified by :func:`check_alt_estable`.
 
     Plants a common root with an embedded (D+1)-round single phase at
@@ -714,23 +709,11 @@ def generate_alt_estable(
     common root on a different set (decided-upon early by the algorithm but
     distinct from the certified root); by default the seed decides.
 
-    The checker's certificate may be lexicographically earlier than the
-    planted one (the earliest embedded-single run wins); callers needing the
-    planted deadline should use the returned certificate.
+    The result's ``certificate`` is what :func:`check_alt_estable` issued
+    to ``max(lasso.default_horizon(), planted.deadline + 1)``.  It may be
+    lexicographically earlier than ``planted`` (the earliest embedded-single
+    run wins).
     """
-    candidate, planted, _ = _generate_alt_estable(params, tail, gap_range, spurious)
-    return candidate, planted
-
-
-def _generate_alt_estable(
-    params: AdversaryParams,
-    tail: str = "single",
-    gap_range: tuple = (0, 3),
-    spurious: Optional[bool] = None,
-):
-    """:func:`generate_alt_estable`, also returning the certificate that
-    ``check_alt_estable(lasso, D, max(lasso.default_horizon(), planted.deadline + 1))``
-    issued for the returned lasso."""
     params = params.validated()
     n, D = params.n, params.D
     if tail not in ("single", "sparse"):
@@ -825,7 +808,7 @@ def _generate_alt_estable(
         )
         if (cert.r_gst, cert.r_sr) > (planted.r_gst, planted.r_sr):
             continue
-        return candidate, planted, cert
+        return GeneratedLasso(candidate, planted, cert)
     raise GenerationRetryError(
         f"alt_estable generation failed after {MAX_GENERATION_ATTEMPTS} attempts (params={params})"
     )

@@ -154,11 +154,10 @@ def cmd_generate(args) -> int:
                 return _fail_input(
                     f"mad generation supports x <= y (consensus-solvable regime), got x={x} y={y}"
                 )
-            lasso_seq, cert = generate_alt_estable(params)
-            cert_mad = check_mad(lasso_seq, x, y, params.D)
-            if cert_mad is None:
+            lasso_seq, _ = generate_alt_estable(params)
+            cert = check_mad(lasso_seq, x, y, params.D)
+            if cert is None:
                 return _fail_input("generated lasso does not satisfy the requested mad(x, y)")
-            cert = cert_mad
     except (AdversaryError, ValueError) as exc:  # ValueError: check_mad rejects a negative x or y
         return _fail_input(str(exc))
     payload = {
@@ -200,18 +199,21 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict.ok else EXIT_UNSATISFIED
 
 
-def _stepped_run(cfg: RunConfig, trace) -> Run:
-    """The run of ``cfg``, stepped to its horizon.  With a ``trace`` path,
-    each round's trace line, formatted from the outcomes its step returned,
-    is written as the run steps through :func:`_streamed`, so a run that
-    violates an invariant leaves no regular trace file."""
-    run = Run(cfg)
-    with _streamed(trace) as write:
-        for _ in range(cfg.horizon):
-            outcomes = run.step()
-            if write:
-                write(trace_line(run.m, cfg.lasso.graph(run.m), outcomes) + "\n")
-    return run
+def _stepped_run(run: Run, trace) -> None:
+    """Step ``run`` to its horizon.  With a ``trace`` path, each round's
+    trace line, formatted from the outcomes its step returned, is written as
+    the run steps, and the summary to ``<trace>.summary.json`` as it ends,
+    through :func:`_streamed`: the summary is opened first, so a bad path
+    fails before round 1, and an invariant violation leaves neither file."""
+    summary = Path(f"{trace}.summary.json") if trace else None
+    with _streamed(summary) as write_summary:
+        with _streamed(trace) as write:
+            for _ in range(run.config.horizon):
+                outcomes = run.step()
+                if write:
+                    write(trace_line(run.m, run.config.lasso.graph(run.m), outcomes) + "\n")
+        if write_summary:
+            write_summary(json.dumps(run.summary_dict(), sort_keys=True) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -235,19 +237,17 @@ def cmd_run(args) -> int:
     deadline = cert.deadline if cert else None
     if args.horizon is None and deadline:
         cfg = replace(cfg, horizon=deadline + args.d + 2)
-    trace = Path(args.trace_out) if args.trace_out else None
+    run = Run(cfg)
+    run.certificate = cert
     try:
-        run = _stepped_run(cfg, trace)
+        _stepped_run(run, Path(args.trace_out) if args.trace_out else None)
     except EngineInvariantError as exc:
         _emit(
             {"ok": False, "invariant_violation": str(exc), "pid": exc.pid, "round": exc.round},
             f"invariant violation: {exc}",
         )
         return EXIT_INVARIANT
-    run.certificate = cert
     report = oracle_check(run, deadline if deadline is not None else cfg.horizon)
-    if trace:
-        _write_outputs({Path(f"{trace}.summary.json"): json.dumps(run.summary_dict(), sort_keys=True) + "\n"})
     if args.dot_out:
         _write_outputs({
             Path(args.dot_out, f"round{i:03d}.dot"): graph_to_dot(g, f"round{i}") + "\n"

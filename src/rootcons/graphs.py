@@ -350,6 +350,9 @@ class Run:
     start: int
     end: Optional[int]  # None = forever
 
+    def to_json_dict(self) -> dict:
+        return {"root": sorted(self.root), "start": self.start, "end": self.end}
+
 
 def _root_positions(l: LassoSequence, rounds: int, single: bool = False) -> dict:
     """The position table: root -> bitset of the rounds 1..``rounds`` where

@@ -152,6 +152,15 @@ class TestAltSafety:
 
 
 class TestAltEStable:
+    @pytest.mark.parametrize("seed, deadlines", [(2, (9, 9)), (3, (12, 11))])
+    def test_result_holds_the_checkers_certificate(self, seed, deadlines):
+        # at seed 3 the checker certifies an earlier deadline than the one planted
+        generated = generate_alt_estable(AdversaryParams(n=2, D=1, seed=seed))
+        l, planted = generated
+        assert (l, planted) == (generated.lasso, generated.planted)
+        assert generated.certificate == check_alt_estable(l, 1, max(l.default_horizon(), planted.deadline + 1))
+        assert (planted.deadline, generated.certificate.deadline) == deadlines
+
     def test_every_estable_lasso_is_alt_estable_and_mad(self):
         rng = random.Random(10)
         for _ in range(40):
@@ -294,6 +303,7 @@ class TestGenerators:
         [
             ({"r_gst_target": 0}, "r_gst_target must be >= 1"),
             ({"r_gst_target": 6, "r_sr_target": 5}, "need r_sr_target >= r_gst_target"),
+            ({"r_gst_target": 50}, r"need 1 <= r_gst <= r_sr, got \(50, "),  # above the drawn r_sr
         ],
     )
     def test_infeasible_stabilization_targets(self, generate, targets, match):

@@ -105,6 +105,16 @@ class TestGenerate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mad_lasso_outside_the_requested_class_exit_2(self, capsys, seed):
+        # alt_safety(0) needs a single root in the earliest common-root run; round 1 has several
+        code, payload = run_cli(
+            capsys,
+            ["generate", "--adversary", "mad", "--n", "5", "--d", "2", "--x", "0", "--y", "0", "--seed", str(seed)],
+        )
+        assert code == 2
+        assert payload == {"ok": False, "error": "generated lasso does not satisfy the requested mad(x, y)"}
+
 
 class TestCheck:
     def test_unsatisfied_exit_1(self, tmp_path, capsys):
@@ -730,6 +740,19 @@ class TestOutputPathKinds:
 
     def trace_argv(self, lasso, trace):
         return ["run", "--lasso", str(lasso), "--inputs", "1,2,3,4,5", "--d", "2", "--trace-out", str(trace)]
+
+    def test_unwritable_summary_fails_before_round_one(self, capsys, estable_lasso_file, tmp_path, monkeypatch):
+        # the summary is opened before the run steps: a directory in its
+        # place fails the command with no round run and no trace written
+        out = tmp_path / "out"
+        summary = out / "t.jsonl.summary.json"
+        summary.mkdir(parents=True)
+        steps = []
+        step = harness_mod.core_step
+        monkeypatch.setattr(harness_mod, "core_step", lambda *args: steps.append(args[1]) or step(*args))
+        code, payload = run_cli(capsys, self.trace_argv(estable_lasso_file, out / "t.jsonl"))
+        assert code == 2 and payload["error"].startswith(f"cannot write {summary}: ")
+        assert steps == [] and list(out.iterdir()) == [summary]
 
     def test_trace_through_a_symlink_writes_its_target(self, capsys, estable_lasso_file, tmp_path):
         plain, target, link = tmp_path / "plain.jsonl", tmp_path / "target.jsonl", tmp_path / "link.jsonl"

@@ -500,7 +500,7 @@ class TestDynamicDiameter:
         lassos = []
         for seed in range(4):
             params = AdversaryParams(n=4 + seed % 3, D=1 + seed % 2, seed=seed)
-            lassos.append(generate_alt_estable(params, tail="sparse")[0])
+            lassos.append(generate_alt_estable(params, tail="sparse").lasso)
 
         def tree_or_edgeless(n):
             if rng.random() < 0.2:
@@ -542,6 +542,15 @@ class TestDynamicDiameter:
         monkeypatch.setattr(graphs_mod, "_forward_reach", lambda *args: calls.append(args[2]) or real(*args))
         assert check_dynamic_diameter(eps2_lasso, 2, horizon=200) is None
         assert calls and max(calls) <= len(eps2_lasso.prefix)  # r_1 - 1 <= P
+
+    def test_no_horizon_scans_to_the_default_horizon(self, eps1_lasso, eps2_lasso):
+        from rootcons.harness import scenario_hop_fallacy
+
+        got = []
+        for l in (eps1_lasso, eps2_lasso, scenario_hop_fallacy(5)):
+            got.append(check_dynamic_diameter(l, 2))
+            assert got[-1] == check_dynamic_diameter(l, 2, l.default_horizon())
+        assert [w is None for w in got] == [True, True, False]
 
     def test_d_out_of_range_raises(self, eps1_lasso):
         with pytest.raises(ValueError):
