@@ -16,9 +16,10 @@ index r-1), and writes its start entry ``starts[m]``, which maps each root
 of round m to the round its common-root run began.  It notes in
 ``last_long`` the latest round r before m that is long for the run's D,
 some root's run having begun by round r-D (``consensus`` scans c2 only up
-to there), drops round ``lo-1`` from the start table and empties the
-answer memo.  The processes compute only their locks: ``rows[q]`` is q's
-append-only ``{round: lock}`` of per-round lock (proposal) values; only q writes it,
+to there), sets ``lo``, the window's first round that the merges read,
+drops round ``lo-1`` from the start table and empties the answer memo.
+The processes compute only their locks: ``rows[q]`` is q's append-only
+``{round: lock}`` of per-round lock (proposal) values; only q writes it,
 and only the cell of its current round (in ``bounded:k`` it also drops its
 round ``m-k-1`` cell in round m).
 ``answers``, the current round's memo, maps ``(anchor, root)`` to the
@@ -66,9 +67,9 @@ singleton ghost ``{u}`` for each u outside S with an edge into S: such a u
 has no in-edge left, and a set inside S has the same in-edges in both
 graphs.  A confirmed root lies inside S, so the core step reads the roots
 of the round graph, which the graph computes once, straight from the run's
-graph list (``tables.graphs[r-1].root_bits``).  ``NodeState.root_bits`` is
-the same read, one round per call, for the definitional view
-``consensus.confirmed_roots``.
+graph list (``tables.graphs[r-1].root_bits``), in its one c2 scan and in
+its c1 test; the definitional view ``consensus.confirmed_roots`` makes the
+same read, one round per call.
 
 Edge sets are integer bitmasks in the layout ``graphs.mask_layout(n)``.  The
 run's tables also hold that layout and the window ``keep``.
@@ -160,10 +161,11 @@ class RunTables:
     """What every state and message of one run shares: the n-process
     edge-mask ``layout``, the window ``keep`` (None in full mode, else k of
     ``bounded:k``), the row table, the run's round graphs, the start table,
-    ``last_long``, the latest long round before the current one, and the
-    current round's answer memo (see the module docstring).  ``enter``
-    moves ``last_long`` and replaces ``answers``; the other fields are
-    fixed, and the tables in them grow and shrink as the run advances."""
+    ``last_long``, the latest long round before the current one, the
+    current round's window start ``lo`` and answer memo (see the module
+    docstring).  ``enter`` moves ``last_long`` and ``lo`` and replaces
+    ``answers``; the other fields are fixed, and the tables in them grow
+    and shrink as the run advances."""
 
     layout: MaskLayout
     keep: Optional[int]
@@ -172,6 +174,7 @@ class RunTables:
     starts: dict  # round -> {root: run start}
     answers: dict  # (anchor, root) -> b1/b3 answer, entered in the current round
     last_long: int = 0  # latest round r < m with a root whose run began by r-D; 0 if none
+    lo: int = 0  # window_start(keep, m) of the current round m
 
     @classmethod
     def of(cls, inputs, keep: Optional[int]) -> RunTables:
@@ -186,16 +189,16 @@ class RunTables:
         round m-1 while the root stays a root (it may predate the window;
         every read clamps it).  Round m-1, no longer the current round,
         becomes ``last_long`` when one of its roots' runs began at least
-        ``D`` rounds before it.  Empty the answer memo, and drop round
-        ``lo-1``, which has left the window, from the start table; returns
-        ``lo``."""
+        ``D`` rounds before it.  Set ``lo``, empty the answer memo, and drop
+        round ``lo-1``, which has left the window, from the start table;
+        returns ``lo``."""
         self.graphs.append(g)
         previous = self.starts.get(m - 1, {})
         if previous and min(previous.values()) <= m - 1 - D:
             self.last_long = m - 1
         self.starts[m] = {root: previous.get(root, m) for root in root_components(g)}
         self.answers = {}
-        lo = window_start(self.keep, m)
+        self.lo = lo = window_start(self.keep, m)
         if lo:
             self.starts.pop(lo - 1, None)
         return lo
@@ -237,8 +240,7 @@ class NodeState:
     :class:`RunTables`, whose row cells the state reads only where ``known``
     has the owner's bit.  ``y`` is the write-once decision.  ``approx[r]``,
     the round-r approximation's edge mask for r in ``lo..m``, and
-    ``locks[q][r]`` are views over the retained rounds, and ``root_bits``
-    gives one round's roots.  ``runs`` and
+    ``locks[q][r]`` are views over the retained rounds.  ``runs`` and
     ``stale_from`` hold the core step's c2 scan (see ``consensus``); the
     merge lowers ``stale_from`` and drops the entries of the round that
     leaves the window.
@@ -266,20 +268,6 @@ class NodeState:
     @property
     def locks(self) -> dict:
         return _locks_view(self.known, self.tables, self.lo)
-
-    # Read by consensus.confirmed_roots and the tests; the core step reads
-    # tables.graphs in place instead.
-    def root_bits(self, r: int) -> tuple:
-        """(root, member bitset) for each root of the whole round-r graph,
-        ``graphs[r-1].root_bits`` (``{pid}`` alone at round 0 and outside the
-        retained rounds).  Those inside slot r are the approximation's roots
-        without its ghosts, and a root that passes the evidence filter (slot
-        r, empty at the current round) lies inside it; so
-        ``consensus.confirmed_roots`` finds the approximation's confirmed
-        roots here."""
-        if 0 < r <= self.m and r >= self.lo:
-            return self.tables.graphs[r - 1].root_bits
-        return ((frozenset([self.pid]), 1 << (self.pid - 1)),)
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
         tables = self.tables
@@ -357,23 +345,21 @@ def receive_and_merge(s: NodeState, heard: int, own: int, m: int) -> None:
     step.
 
     A broadcast of round m is its sender's ``known`` at the end of round
-    m-1, rebased to the round-m window.  ``heard`` is the OR of the
-    broadcasts of the state's in-neighbours in the round graph, which holds
-    ``own``, the state's own broadcast, by its self-loop (the harness ORs
-    them once per class of equal in-neighbours).  The state's ``known``
-    becomes ``heard`` plus the own round-m slot.  The own row gains its
-    round-m lock, carried forward; no other table is written.  The own row
-    and ``runs`` drop the round that left the window.  ``stale_from`` drops
-    to the lowest slot ``heard`` adds to ``own`` (or to round m-1, which
-    stops being the current round).  Merge order is irrelevant: ORs are
-    commutative.
+    m-1, rebased to the round-m window (from ``tables.lo``).  ``heard`` is
+    the OR of the broadcasts of the state's in-neighbours in the round
+    graph, which holds ``own``, the state's own broadcast, by its self-loop
+    (the harness ORs them once per class of equal in-neighbours).  The
+    state's ``known`` becomes ``heard`` plus the own round-m slot.  The own
+    row gains its round-m lock, carried forward; no other table is
+    written.  The own row and ``runs`` drop the round that left the
+    window.  ``stale_from`` drops to the lowest slot ``heard`` adds to
+    ``own`` (or to round m-1, which stops being the current round).  Merge
+    order is irrelevant: ORs are commutative.
     """
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
-    tables = s.tables
-    keep, pid = tables.keep, s.pid
-    lo = m - keep if keep is not None and m > keep else 0  # window_start, inlined: it runs per merge
-    width = tables.layout.width
+    tables, pid = s.tables, s.pid
+    lo, width = tables.lo, tables.layout.width
     s.m, s.lo, s.known = m, lo, heard | 1 << ((m - lo) * width + pid - 1)
     row = tables.rows[pid]
     row[m] = row[m - 1]

@@ -146,7 +146,8 @@ def cmd_generate(args) -> int:
         if args.adversary == "estable":
             lasso_seq, cert = generate_estable(params)
         elif args.adversary == "altestable":
-            lasso_seq, cert = generate_alt_estable(params)
+            generated = generate_alt_estable(params)
+            lasso_seq, cert = generated.lasso, generated.certificate
         else:  # mad: alt-style planting; checker-certified for the given x, y
             x = params.D if x is None else x
             y = params.D if y is None else y
@@ -154,7 +155,7 @@ def cmd_generate(args) -> int:
                 return _fail_input(
                     f"mad generation supports x <= y (consensus-solvable regime), got x={x} y={y}"
                 )
-            lasso_seq, _ = generate_alt_estable(params)
+            lasso_seq = generate_alt_estable(params).lasso
             cert = check_mad(lasso_seq, x, y, params.D)
             if cert is None:
                 return _fail_input("generated lasso does not satisfy the requested mad(x, y)")

@@ -29,31 +29,30 @@ whole before the round's merges) that form the round-r approximation, and
 it is the members' evidence (empty at the current round, which thus has no
 confirmed root and is never evaluated).  So the merge's ``stale_from``
 bounds what can have changed, and only rounds from there on are recomputed.
-The step reads ``known`` and the run's graph list in place: it shifts
-``known`` from slot to slot and tests the member bitset of each root of
-the round graph, ``tables.graphs[r-1].root_bits``, against the slot, with
-no call per round; :func:`confirmed_roots` is the same test, one round per
-call.
-A step whose c2 gate (below) is open refreshes ``runs`` once, up to round
-m-1, noting c2's first hit as it goes.  c2 resumes its search at the
-step's entry ``stale_from``: no run before it changed since the last
-search, which found none long enough.  A start before the window counts
-from the window's first round.  A decided process searches no more.  c1
+One scan, :func:`c2_check`, refreshes ``runs`` up to round m-1 and notes
+c2's first hit as it goes.  It reads ``known`` and the run's graph list in
+place: it shifts ``known`` from slot to slot and tests the member bitset of
+each root of the round graph, ``tables.graphs[r-1].root_bits``, against
+the slot, with no call per round; :func:`confirmed_roots` is the same
+test, one round per call.  The core step's c2 search resumes at the first
+round c2 could hit, ``max(stale_from, max(1, lo) + D)``: no run before
+``stale_from`` changed since the last search, which found none long
+enough.  A start before the window counts from the window's first round.
+A decided process scans no more, so its decision is written once.  c1
 tests slot m-D alone, in the core step itself, which gives what a
 refreshed ``runs[m-D]`` would hold.
 
-The refresh is gated by the true graphs.  Call round r long when some
+The scan is gated by the true graphs.  Call round r long when some
 root of the round-r graph has a run that began at least D rounds before
 r; the engine enters the latest long round before the current one as
 ``tables.last_long``.  A c2 hit at round b' is a single confirmed root R
 of rounds b'-D..b', and a confirmed root is a root of the true round graph
 (the lemma in ``approximation``), so R's true run through b' began by
 b'-D: every hit lies on a long round.  So an undecided step whose
-``last_long`` is before ``max(stale_from, max(1, lo) + D)``, the first
-round c2 could hit, cannot decide: it skips the refresh and leaves
-``stale_from`` where it is.  A later refresh recomputes the skipped rounds
-from the then-current slots, so it finds the first hit that refreshing in
-every step would have found.
+``last_long`` is before the first round c2 could hit cannot decide: it
+skips the scan and leaves ``stale_from`` where it is.  A later scan
+recomputes the skipped rounds from the then-current slots, so it finds
+the first hit that scanning in every step would have found.
 
 b1 and b3 take the maximum lock at the start of the surrounding common-root
 run of a confirmed root R.  R lies inside slot ``anchor`` and so, slots
@@ -124,16 +123,6 @@ def _run_start(s: NodeState, root: frozenset, anchor: int) -> int:
     return max(s.tables.starts[anchor - 1].get(root, anchor), low)
 
 
-def _max_lock(s: NodeState, root: frozenset, a: int, what: str) -> int:
-    values = [s.lock_value(q, a) for q in root]
-    if None in values:
-        q = min(q for q, v in zip(root, values) if v is None)
-        raise InvariantViolationError(
-            f"p{s.pid} {what}: lock[{q}][{a}] unknown for detected root {sorted(root)}"
-        )
-    return max(values)
-
-
 def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> CoreStepOutcome:
     """``CoreStepOutcome((root, a, value))``: the run start a through
     ``anchor`` of the confirmed root and its members' maximum lock at a,
@@ -145,12 +134,18 @@ def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> CoreStepOu
         if bits & s.known >> (a - s.lo) * s.tables.layout.width == bits:
             return out
     a = _run_start(s, root, anchor)
-    out = CoreStepOutcome((root, a, _max_lock(s, root, a, what)))
+    values = [s.lock_value(q, a) for q in root]
+    if None in values:
+        q = min(q for q, v in zip(root, values) if v is None)
+        raise InvariantViolationError(
+            f"p{s.pid} {what}: lock[{q}][{a}] unknown for detected root {sorted(root)}"
+        )
+    out = CoreStepOutcome((root, a, max(values)))
     answers[anchor, root] = (a, sum(1 << (q - 1) for q in root), out)
     return out
 
 
-# The definitional per-round view.  The core step inlines it (:func:`_refresh`
+# The definitional per-round view.  The core step inlines it (:func:`c2_check`
 # and the test of round m-D in :func:`core_step`);
 # ``tests/oracles.reference_c2_check``, the tests and bench/tracer.py read it.
 def confirmed_roots(s: NodeState, r: int) -> list:
@@ -160,31 +155,42 @@ def confirmed_roots(s: NodeState, r: int) -> list:
     (a vertex whose round-r in-edges have not arrived yet), while a root
     *with* evidence is guaranteed to be a root of the true round-r graph.
 
-    ``root_bits`` gives the roots of the whole round-r graph, not of the
-    approximation.  The evidence (slot r, empty at the current round) keeps
-    exactly those inside slot r, which by the lemma in ``approximation`` are
-    the approximation's roots that are not ghosts, and no ghost, a vertex
-    outside slot r, could pass it.
+    The evidence is slot r (empty at the current round and outside the
+    retained rounds); at round 0 the one root is the process itself, and
+    later ``tables.graphs[r-1].root_bits`` gives the whole round-r graph's
+    roots.  The evidence keeps exactly those inside slot r, which by the
+    lemma in ``approximation`` are the approximation's roots that are not
+    ghosts; no ghost, a vertex outside slot r, could pass it.
     """
     have = evidence(s, r)
-    return [root for root, bits in s.root_bits(r) if bits & have == bits]
+    if not have:
+        return []
+    if not r:
+        return [frozenset([s.pid])]
+    return [root for root, bits in s.tables.graphs[r - 1].root_bits if bits & have == bits]
 
 
-def _refresh(s: NodeState, D: int, begin: int) -> Optional[tuple]:
-    """Recompute the ``runs`` entries of rounds ``stale_from..m-1`` (the
-    current round has no confirmed root), noting c2's first hit among them:
-    ``(root, (r - D, r))`` for the least recomputed round r >= ``begin``
-    whose run began at least D rounds before it, or None.
+def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
+    """Earliest interval of more than D consecutive rounds whose approximations
+    are all single-rooted (among confirmed roots) with the same root.
 
-    :func:`confirmed_roots`, inlined: ``known`` is shifted once to the first
-    round's slot and then one slot per round, and each root of the round
-    graph is tested against it, with no call per round.
+    Returns (root, (a', b')) with the least a' and the least qualifying b'
+    (= a' + D): any longer interval is covered by its prefix, and the root's
+    members all have an outgoing edge recorded after b', as the paper's
+    evidence condition c3 requires.
+    Round b' qualifies iff its run began at least D rounds earlier and
+    b' >= max(1, lo) + D, so a longer-ago start needs no clamping.  Rounds
+    before ``resume``, and the current one, are skipped (module docstring).
+
+    The search refreshes ``runs`` (module docstring): a ``resume`` before
+    ``stale_from`` first marks the rounds from ``resume`` on stale, then the
+    rounds ``stale_from..m-1`` are recomputed and the first hit noted.
     """
+    if resume < s.stale_from:
+        s.stale_from = resume
     lo, upto = s.lo, s.m - 1
-    low = lo or 1  # max(1, lo), and first = max(stale_from, low), with no call
-    first = s.stale_from
-    if first < low:
-        first = low
+    low = lo or 1  # max(1, lo)
+    begin, first = max(resume, low + D), max(s.stale_from, low)
     if first > upto:
         return None
     runs, graphs, lay = s.runs, s.tables.graphs, s.tables.layout
@@ -212,29 +218,6 @@ def _refresh(s: NodeState, D: int, begin: int) -> Optional[tuple]:
     return hit
 
 
-def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
-    """Earliest interval of more than D consecutive rounds whose approximations
-    are all single-rooted (among confirmed roots) with the same root.
-
-    Returns (root, (a', b')) with the least a' and the least qualifying b'
-    (= a' + D): any longer interval is covered by its prefix, and the root's
-    members all have an outgoing edge recorded after b', as the paper's
-    evidence condition c3 requires.
-    Round b' qualifies iff its run began at least D rounds earlier and
-    b' >= max(1, lo) + D, so a longer-ago start needs no clamping.  Rounds
-    before ``resume``, and the current one, are skipped (module docstring).
-    The search is the refresh of ``runs``, which recomputes every round it
-    covers: the core step resumes at ``stale_from``, and a ``resume``
-    before it marks the rounds from ``resume`` on stale.  A qualifying
-    round is long (module docstring), so the core step calls this only
-    when ``tables.last_long`` is at or after the first round it searches,
-    ``max(stale_from, max(1, lo) + D)``.
-    """
-    if resume < s.stale_from:
-        s.stale_from = resume
-    return _refresh(s, D, max(resume, (s.lo or 1) + D))
-
-
 def blocker(s: NodeState) -> tuple:
     """Why an undecided process has not decided, from its current state:
     ``("c2", root, (a, b))`` for its longest single-rooted run (the earliest
@@ -242,7 +225,7 @@ def blocker(s: NodeState) -> tuple:
     single confirmed root.  c2 is the only condition that can block, as c3
     is implied by c2's confirmed roots.
     """
-    _refresh(s, 0, s.m)  # no round reaches ``begin``: a refresh alone
+    c2_check(s, 0, s.m)  # no round reaches ``resume``: a refresh alone
     low = max(1, s.lo)
     best, length = ("c2", None, None), 0
     for r in range(low, s.m):
@@ -253,28 +236,17 @@ def blocker(s: NodeState) -> tuple:
     return best
 
 
-def b3_apply(s: NodeState, root: frozenset, interval: tuple) -> Optional[tuple]:
-    """Decide (write-once) on the maximum member lock at the start of the
-    maximal common-root run containing the single-rooted interval.  Returns
-    the answer's ``(root, a, value)``, or None if already decided."""
-    if s.y is not None:
-        return None
-    decided = _answer(s, root, interval[0], "b3").locked
-    s.y = decided[2]
-    return decided
-
-
 def core_step(s: NodeState, m: int, D: int) -> CoreStepOutcome:
     """Run the round-m computation; returns its outcome.
 
-    Empty for m <= D.  Until the process has decided (b3 is write-once, so
-    later scans cannot change it), c2 is evaluated whenever the run's
-    latest long round is at or after the first round c2 could hit,
-    ``max(stale_from, max(1, lo) + D)`` (module docstring).  Then c1 tests
-    slot m-D in place, as :func:`_refresh` does, and re-proposes the
-    answer of the single confirmed root it finds (:func:`_answer`).  A
-    step that does not decide returns b1's shared outcome, or the shared
-    empty one.
+    Empty for m <= D.  Until the process has decided, c2 is searched
+    (:func:`c2_check`) from the first round it could hit, ``max(stale_from,
+    max(1, lo) + D)``, whenever the run's latest long round is at or after
+    that round (module docstring).  Then c1 tests slot m-D in place, as
+    the scan does, and re-proposes the answer of the single confirmed root
+    it finds (:func:`_answer`).  A c2 hit decides on the answer at the
+    start of its interval (b3).  A step that does not decide returns b1's
+    shared outcome, or the shared empty one.
     """
     r0 = m - D
     if r0 <= 0:
@@ -285,7 +257,7 @@ def core_step(s: NodeState, m: int, D: int) -> CoreStepOutcome:
         if first < s.stale_from:
             first = s.stale_from
         if s.tables.last_long >= first:
-            hit = c2_check(s, D, s.stale_from)
+            hit = c2_check(s, D, first)
     out = _NOTHING
     if r0 >= lo:
         lay = s.tables.layout
@@ -301,4 +273,7 @@ def core_step(s: NodeState, m: int, D: int) -> CoreStepOutcome:
             s.propose(out.locked[2])
     if hit is None:
         return out
-    return CoreStepOutcome(out.locked, b3_apply(s, *hit))
+    root, (a, _) = hit
+    decided = _answer(s, root, a, "b3").locked
+    s.y = decided[2]
+    return CoreStepOutcome(out.locked, decided)

@@ -8,7 +8,8 @@ counterpart, per-round BFS distances, the maximal common-root runs, the
 single-rooted rounds, the liveness root and the embedded single phase of a
 lasso walked round by round, the generators' graph builders and root-family
 sampler drawing through ``random.Random``'s public methods, a copied-history
-protocol state, the c2 interval search as a full rescan of every retained
+protocol state, the confirmed roots of a round by their per-state
+definition, the c2 interval search as a full rescan of every retained
 round, and the b1/b3 anchor as the least round that starts a common-root
 run.  None of it calls the bitmask kernel ``graphs.roots_of_mask``: the
 roots of a partial graph are Tarjan's on a relabelled ``CommGraph``.
@@ -19,7 +20,7 @@ import math
 from itertools import combinations
 from types import SimpleNamespace
 
-from rootcons.approximation import RunTables
+from rootcons.approximation import RunTables, evidence
 from rootcons.consensus import confirmed_roots
 from rootcons.graphs import CommGraph, MaskLayout, Run, mask_layout
 
@@ -506,6 +507,19 @@ def reference_run(cfg, core_step) -> tuple:
                 decisions.append((m, p, out.decided[2]))
         snapshots.append({p: s.snapshot() for p, s in states.items()})
     return snapshots, sorted(decisions)
+
+
+def reference_confirmed_roots(s, r: int) -> list:
+    """``consensus.confirmed_roots`` as a state's own root query defined it:
+    of the roots of the whole round-r graph (the process's own singleton at
+    round 0 and outside the retained rounds), those whose members all lie
+    in ``evidence(s, r)``."""
+    if 0 < r <= s.m and r >= s.lo:
+        whole = s.tables.graphs[r - 1].root_bits
+    else:
+        whole = ((frozenset([s.pid]), 1 << (s.pid - 1)),)
+    have = evidence(s, r)
+    return [root for root, bits in whole if bits & have == bits]
 
 
 def reference_c2_check(s, D: int):

@@ -366,7 +366,7 @@ class TestRootLemma:
         assert evidence(s, 1) == bits
         assert set(confirmed_roots(s, 1)) == {root for root in want if root <= set(slot)}
         # round 0: the owner alone
-        assert s.root_bits(0) == ((frozenset([pid]), 1 << (pid - 1)),)
+        assert confirmed_roots(s, 0) == [frozenset([pid])]
 
 
 class TestKernelBudget:

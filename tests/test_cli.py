@@ -77,6 +77,20 @@ class TestGenerate:
         cert = json.loads((estable_lasso_file.parent / "lasso.json.cert.json").read_text())
         assert cert["kind"] == "estable"
 
+    def test_altestable_prints_the_checkers_certificate(self, tmp_path, capsys):
+        # the planted re-appearances of this lasso are [12], the checker's
+        # [11]: stdout and the .cert.json file both carry what check prints
+        path = tmp_path / "alt.json"
+        code, generated = run_cli(
+            capsys,
+            ["generate", "--adversary", "altestable", "--n", "2", "--d", "1", "--seed", "3", "--out", str(path)],
+        )
+        assert code == 0
+        code, checked = run_cli(capsys, ["check", "--lasso", str(path), "--adversary", "altestable", "--d", "1"])
+        assert code == 0 and checked["certificate"]["reappearances"] == [11]
+        assert generated["certificate"] == checked["certificate"]
+        assert json.loads(Path(f"{path}.cert.json").read_text()) == checked["certificate"]
+
     def test_mad_generation(self, capsys):
         code, payload = run_cli(
             capsys,

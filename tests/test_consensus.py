@@ -1,10 +1,17 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import open_c2_gate, random_lasso, run_with_snapshots
-from oracles import approx_roots, reference_c2_check, reference_run, reference_run_start
+from oracles import (
+    approx_roots,
+    reference_c2_check,
+    reference_confirmed_roots,
+    reference_run,
+    reference_run_start,
+)
 
 import rootcons.consensus as consensus_mod
 import rootcons.harness as harness_mod
@@ -12,7 +19,6 @@ from rootcons.adversary import AdversaryError, AdversaryParams, generate_alt_est
 from rootcons.consensus import (
     CoreStepOutcome,
     InvariantViolationError,
-    b3_apply,
     c2_check,
     confirmed_roots,
     core_step,
@@ -24,17 +30,18 @@ from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
 
 def count_evaluated_rounds(patch) -> list:
     """Wrap the core step's per-round root tests with ``patch``: the rounds
-    ``max(stale_from, 1, lo)..m-1`` that ``_refresh`` recomputes, and the
-    round m-D that a step which refreshes nothing (a decided process, or an
-    undecided one whose c2 gate is shut) tests on its own.  Returns the
-    list the wrappers append (the state's round, the evaluated round) to; a
-    core step that evaluates one round twice fails its run."""
-    refresh, step, evaluated, current, refreshes = consensus_mod._refresh, harness_mod.core_step, [], [], []
+    ``max(min(stale_from, resume), 1, lo)..m-1`` that ``c2_check``
+    recomputes, and the round m-D that a step which scans nothing (a
+    decided process, or an undecided one whose c2 gate is shut) tests on
+    its own.  Returns the list the wrappers append (the state's round, the
+    evaluated round) to; a core step that evaluates one round twice fails
+    its run."""
+    scan, step, evaluated, current, refreshes = consensus_mod.c2_check, harness_mod.core_step, [], [], []
 
-    def refreshed(s, D, begin):
+    def refreshed(s, D, resume=0):
         refreshes.append(s.m)
-        current.extend(range(max(s.stale_from, 1, s.lo), s.m))
-        return refresh(s, D, begin)
+        current.extend(range(max(min(s.stale_from, resume), 1, s.lo), s.m))
+        return scan(s, D, resume)
 
     def stepped(s, m, D):
         current.clear()
@@ -46,7 +53,7 @@ def count_evaluated_rounds(patch) -> list:
         evaluated.extend((m, r) for r in current)
         return out
 
-    patch.setattr(consensus_mod, "_refresh", refreshed)
+    patch.setattr(consensus_mod, "c2_check", refreshed)
     patch.setattr(harness_mod, "core_step", stepped)
     return evaluated
 
@@ -221,12 +228,15 @@ class TestC3B3:
         assert 2 not in trace.decisions
 
     def test_decision_is_write_once(self):
+        # {1} stays the single root, so a scan after deciding would hit again
         l = lasso(2, cycle=[[(1, 2)]])
         cfg = RunConfig(2, 1, (5, 2), l, 8)
-        trace = run_execution(cfg)
-        st = trace.states[1]
+        run = run_execution(cfg)
+        st = run.states[1]
         assert st.y == 5
-        assert b3_apply(st, frozenset([1]), (1, 2)) is None  # already decided
+        for _ in range(8):
+            assert run.step()[0].decided is None
+            assert st.y == 5
 
     def test_c2_not_called_after_deciding(self, eps1_lasso, monkeypatch):
         calls = []
@@ -244,8 +254,8 @@ class TestC3B3:
     def test_missing_lock_value_is_an_error(self):
         s = init_states((3,))[1]
         s.m = 4
-        with pytest.raises(InvariantViolationError):
-            b3_apply(s, frozenset([2]), (1, 2))
+        with pytest.raises(InvariantViolationError, match=re.escape("p1 b3: lock[2][1] unknown for detected root [2]")):
+            consensus_mod._answer(s, frozenset([2]), 1, "b3")
 
 
 class TestRunStart:
@@ -361,11 +371,12 @@ class TestStartTable:
 
     def test_bounded_entries_are_the_true_roots_and_run_starts(self):
         # the CI lasso in bounded:5 and in full mode: after every round, for
-        # every retained round r from max(1, lo) on, each state's root_bits(r)
-        # is the true round graph's roots with their member bitsets, and the
-        # start entry, read clamped at the window's first round, is the least
-        # a from there with R a root of every round graph of a..r; at round 0
-        # and at round lo-1 each state reads its own singleton
+        # every retained round r from max(1, lo) on, the run's
+        # graphs[r-1].root_bits is the true round graph's roots with their
+        # member bitsets, and the start entry, read clamped at the window's
+        # first round, is the least a from there with R a root of every round
+        # graph of a..r; at round lo-1 no state confirms a root, and at round
+        # 0, while it is retained, each state confirms its own singleton
         l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
         for mode, keep in (("bounded:5", 5), ("full", None)):
             run = harness_mod.Run(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 60, mode=mode))
@@ -374,14 +385,13 @@ class TestStartTable:
                 tables, lo = run.tables, window_start(keep, m)
                 low = max(1, lo)
                 for s in run.states.values():
-                    own = ((frozenset([s.pid]), 1 << (s.pid - 1)),)
-                    assert s.root_bits(0) == own and s.root_bits(lo - 1) == own, (mode, m, s.pid)
+                    own = [frozenset([s.pid])] if lo == 0 else []
+                    assert confirmed_roots(s, 0) == own and confirmed_roots(s, lo - 1) == [], (mode, m, s.pid)
                 for r in range(low, m + 1):
                     roots = root_components(l.graph(r))
                     want = {(root, sum(1 << (q - 1) for q in root)) for root in roots}
-                    for s in run.states.values():
-                        got = s.root_bits(r)
-                        assert len(got) == len(want) and set(got) == want, (mode, m, r, s.pid)
+                    got = tables.graphs[r - 1].root_bits
+                    assert len(got) == len(want) and set(got) == want, (mode, m, r)
                     for root in roots:
                         a = r
                         while a > low and root in root_components(l.graph(a - 1)):
@@ -508,15 +518,15 @@ def gated_and_open(work):
 
 
 def refresh_calls(cfg) -> int:
-    """How many times a run of ``cfg`` calls ``_refresh``."""
-    refresh, calls = consensus_mod._refresh, []
+    """How many times a run of ``cfg`` calls ``c2_check``, the refresh."""
+    scan, calls = consensus_mod.c2_check, []
 
-    def counted(s, D, begin):
+    def counted(s, D, resume=0):
         calls.append(s.m)
-        return refresh(s, D, begin)
+        return scan(s, D, resume)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(consensus_mod, "_refresh", counted)
+        patch.setattr(consensus_mod, "c2_check", counted)
         run_execution(cfg)
     return len(calls)
 
@@ -624,14 +634,14 @@ def assert_scan_matches_definition(run, outcomes: list) -> None:
             want[r] = confirmed[0] if len(confirmed) == 1 else None
         if m > D:
             assert (out.locked and out.locked[0]) == want[m - D], (s.pid, m)
-        consensus_mod._refresh(s, D, s.m)
+        c2_check(s, D, s.m)  # no round reaches ``resume``: a refresh alone
         assert {r: s.runs[r][0] for r in want} == want, (s.pid, s.m)
         s.runs, s.stale_from = runs, stale_from
 
 
 class TestInlineScan:
-    """The core step's inline test of each round's slot (``_refresh`` and
-    the decided step's test of round m-D) against the definitional
+    """The core step's inline test of each round's slot (``c2_check`` and
+    the test of round m-D) against the definitional
     ``confirmed_roots``, after every round."""
 
     @pytest.mark.parametrize("n, D, mode, horizon", [
@@ -663,6 +673,31 @@ class TestInlineScan:
         run = harness_mod.Run(RunConfig(n, D, inputs, l, horizon, mode=mode, check_invariants=False))
         for _ in range(horizon):
             assert_scan_matches_definition(run, run.step())
+
+
+class TestConfirmedRoots:
+    """``confirmed_roots``, read from the run's graph list, against its
+    definition over a state's own root query, kept in
+    ``oracles.reference_confirmed_roots``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_lassos_match_the_definition(self, data):
+        # every round r from -1 to m+1, after every round: outside the
+        # retained rounds, at the current round and at round 0 too
+        n = data.draw(st.integers(2, 5), label="n")
+        D = data.draw(st.integers(1, n - 1), label="D")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        l = random_lasso(rng, n, data.draw(st.integers(0, 6), label="prefix"),
+                         density=data.draw(st.floats(0.2, 0.7), label="density"))
+        mode = data.draw(st.sampled_from(["full", f"bounded:{2 * D + 1}"]), label="mode")
+        horizon = data.draw(st.integers(1, 20), label="H")
+        run = harness_mod.Run(RunConfig(n, D, tuple(range(n)), l, horizon, mode=mode, check_invariants=False))
+        for m in range(1, horizon + 1):
+            run.step()
+            for s in run.states.values():
+                for r in range(-1, m + 2):
+                    assert confirmed_roots(s, r) == reference_confirmed_roots(s, r), (mode, m, r, s.pid)
 
 
 class TestWholeRuns:

@@ -683,13 +683,13 @@ class TestFuzz:
     def test_mutation_smoke_oracle_catches_broken_step(self, monkeypatch):
         # dropping the outgoing-edge guard makes the second lower-bound
         # execution decide on the stale early root and split the outcome:
-        # this _refresh takes every root of the approximation, ghosts
+        # this c2_check takes every root of the approximation, ghosts
         # included, as confirmed.  The c2 gate rests on that guard too (a
         # ghost's run is no run of the true graphs), so the mutant replaces
         # the whole c2 decision: the scan, and the gate forced open
-        def unguarded(s, D, begin):
+        def unguarded(s, D, resume=0):
             low, hit = max(1, s.lo), None
-            run_root, start = None, low
+            begin, run_root, start = max(resume, low + D), None, low
             for r in range(low, s.m):
                 roots = approx_roots(s, r)
                 single = next(iter(roots)) if len(roots) == 1 else None
@@ -703,7 +703,7 @@ class TestFuzz:
             s.stale_from = s.m
             return hit
 
-        monkeypatch.setattr(consensus_mod, "_refresh", unguarded)
+        monkeypatch.setattr(consensus_mod, "c2_check", unguarded)
         open_c2_gate(monkeypatch)
         _, cfg_ep = scenario_eps_pair(5, 2)
         trace = run_execution(cfg_ep)
