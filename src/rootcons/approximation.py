@@ -51,8 +51,8 @@ the core step makes it on ``known`` in place.
 
 The merge also notes ``stale_from``, the earliest round whose confirmed
 single root may have changed (the lowest newly set slot, or the round that
-just stopped being the current one); ``consensus`` keeps its per-round c2
-results in ``runs`` and recomputes them only from that round on.
+just stopped being the current one); the core step's c2 gate reads it as
+the first round where c2 can have come to hold (see ``consensus``).
 
 ``snapshot()`` serializes a state.  A run keeps no snapshots: when the
 harness compares two runs, it replays both from their configs in lock step
@@ -240,13 +240,12 @@ class NodeState:
     :class:`RunTables`, whose row cells the state reads only where ``known``
     has the owner's bit.  ``y`` is the write-once decision.  ``approx[r]``,
     the round-r approximation's edge mask for r in ``lo..m``, and
-    ``locks[q][r]`` are views over the retained rounds.  ``runs`` and
-    ``stale_from`` hold the core step's c2 scan (see ``consensus``); the
-    merge lowers ``stale_from`` and drops the entries of the round that
-    leaves the window.
+    ``locks[q][r]`` are views over the retained rounds.  ``stale_from``
+    is where the core step's c2 search can first hit (see ``consensus``);
+    the merge lowers it and the search raises it.
     """
 
-    __slots__ = ("pid", "x", "m", "lo", "y", "known", "runs", "stale_from", "tables")
+    __slots__ = ("pid", "x", "m", "lo", "y", "known", "stale_from", "tables")
 
     def __init__(self, pid: int, x: int, tables: RunTables):
         if pid not in tables.rows:
@@ -257,7 +256,6 @@ class NodeState:
         self.lo = 0  # oldest retained round, window_start(tables.keep, m)
         self.y: Optional[int] = None
         self.known = 1 << (pid - 1)
-        self.runs = {}
         self.stale_from = 0
         self.tables = tables
 
@@ -351,10 +349,10 @@ def receive_and_merge(s: NodeState, heard: int, own: int, m: int) -> None:
     (the harness ORs them once per class of equal in-neighbours).  The
     state's ``known`` becomes ``heard`` plus the own round-m slot.  The own
     row gains its round-m lock, carried forward; no other table is
-    written.  The own row and ``runs`` drop the round that left the
-    window.  ``stale_from`` drops to the lowest slot ``heard`` adds to
-    ``own`` (or to round m-1, which stops being the current round).  Merge
-    order is irrelevant: ORs are commutative.
+    written.  The own row drops the round that left the window.
+    ``stale_from`` drops to the lowest slot ``heard`` adds to ``own`` (or
+    to round m-1, which stops being the current round).  Merge order is
+    irrelevant: ORs are commutative.
     """
     if s.m != m - 1:
         raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
@@ -365,7 +363,6 @@ def receive_and_merge(s: NodeState, heard: int, own: int, m: int) -> None:
     row[m] = row[m - 1]
     if lo > 0:
         del row[lo - 1]
-        s.runs.pop(lo - 1, None)
     new = heard ^ own  # heard holds own; a new slot lies before round m
     changed = lo + ((new & -new).bit_length() - 1) // width if new else m - 1
     if changed < s.stale_from:

@@ -20,27 +20,28 @@ initialization artifact (every process trivially roots its own singleton
 there) and counting it would let an isolated process fabricate a quorum of
 its own silence.
 
-c2 reads one per-round cache on the state: ``runs[r]`` is
-``(root, start)``, the single confirmed root of round r (None if there is
-none or several) and the round its run of that root began (``r + 1`` for
-None).  Whether round r has a single confirmed root depends only on slot r
-of ``known``: it selects the columns of the round-r graph's mask (entered
+Whether round r has a single confirmed root depends only on slot r of
+``known``: it selects the columns of the round-r graph's mask (entered
 whole before the round's merges) that form the round-r approximation, and
 it is the members' evidence (empty at the current round, which thus has no
-confirmed root and is never evaluated).  So the merge's ``stale_from``
-bounds what can have changed, and only rounds from there on are recomputed.
-One scan, :func:`c2_check`, refreshes ``runs`` up to round m-1 and notes
-c2's first hit as it goes.  It reads ``known`` and the run's graph list in
-place: it shifts ``known`` from slot to slot and tests the member bitset of
-each root of the round graph, ``tables.graphs[r-1].root_bits``, against
-the slot, with no call per round; :func:`confirmed_roots` is the same
-test, one round per call.  The core step's c2 search resumes at the first
-round c2 could hit, ``max(stale_from, max(1, lo) + D)``: no run before
-``stale_from`` changed since the last search, which found none long
-enough.  A start before the window counts from the window's first round.
-A decided process scans no more, so its decision is written once.  c1
-tests slot m-D alone, in the core step itself, which gives what a
-refreshed ``runs[m-D]`` would hold.
+confirmed root and is never evaluated).  :func:`_runs` walks rounds a..b
+and yields each one's single confirmed root and the round its run began,
+counted from a.  It reads ``known`` and the run's graph list in place: it
+shifts ``known`` from slot to slot and tests the member bitset of each
+root of the round graph, ``tables.graphs[r-1].root_bits``, against the
+slot, with no call per round; :func:`confirmed_roots` is the same test,
+one round per call.  c2 keeps no per-round history: a hit at round b' is
+one single confirmed root of rounds b'-D..b', so a walk that starts D
+rounds before its first candidate round finds every hit from there on.
+The merge's ``stale_from`` is the earliest round whose single root can
+have changed, so no candidate before it can hit: the last search found
+none, and its window has not changed since.  The core step's c2 search,
+:func:`c2_check`, takes the candidates from ``max(stale_from, max(1, lo) +
+D)`` on and walks from D rounds earlier; it then sets ``stale_from`` to
+the current round.  A decided process scans no more, so its decision is
+written once.  c1 tests slot m-D alone, in the core step itself, as the
+walk tests each slot.  :func:`blocker` walks every retained round and
+changes nothing.
 
 The scan is gated by the true graphs.  Call round r long when some
 root of the round-r graph has a run that began at least D rounds before
@@ -145,7 +146,7 @@ def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> CoreStepOu
     return out
 
 
-# The definitional per-round view.  The core step inlines it (:func:`c2_check`
+# The definitional per-round view.  The core step inlines it (:func:`_runs`
 # and the test of round m-D in :func:`core_step`);
 # ``tests/oracles.reference_c2_check``, the tests and bench/tracer.py read it.
 def confirmed_roots(s: NodeState, r: int) -> list:
@@ -170,35 +171,17 @@ def confirmed_roots(s: NodeState, r: int) -> list:
     return [root for root, bits in s.tables.graphs[r - 1].root_bits if bits & have == bits]
 
 
-def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
-    """Earliest interval of more than D consecutive rounds whose approximations
-    are all single-rooted (among confirmed roots) with the same root.
-
-    Returns (root, (a', b')) with the least a' and the least qualifying b'
-    (= a' + D): any longer interval is covered by its prefix, and the root's
-    members all have an outgoing edge recorded after b', as the paper's
-    evidence condition c3 requires.
-    Round b' qualifies iff its run began at least D rounds earlier and
-    b' >= max(1, lo) + D, so a longer-ago start needs no clamping.  Rounds
-    before ``resume``, and the current one, are skipped (module docstring).
-
-    The search refreshes ``runs`` (module docstring): a ``resume`` before
-    ``stale_from`` first marks the rounds from ``resume`` on stale, then the
-    rounds ``stale_from..m-1`` are recomputed and the first hit noted.
-    """
-    if resume < s.stale_from:
-        s.stale_from = resume
-    lo, upto = s.lo, s.m - 1
-    low = lo or 1  # max(1, lo)
-    begin, first = max(resume, low + D), max(s.stale_from, low)
-    if first > upto:
-        return None
-    runs, graphs, lay = s.runs, s.tables.graphs, s.tables.layout
+def _runs(s: NodeState, a: int, b: int):
+    """Yield ``(r, root, start)`` for r in a..b (1 <= a, lo <= a): the
+    single confirmed root of round r (None if there is none or several)
+    and the round its run of that root began, counted from a (``r + 1``
+    for None, an empty run).  Reads slot r of ``known`` in place, one
+    shift per round."""
+    graphs, lay = s.tables.graphs, s.tables.layout
     width, row = lay.width, lay.row
-    known = s.known >> (first - lo) * width
-    run_root, start = runs[first - 1] if first > low else (None, first)
-    hit = None
-    for r in range(first, upto + 1):
+    known = s.known >> (a - s.lo) * width
+    run_root, start = None, a
+    for r in range(a, b + 1):
         have, single = known & row, None
         for root, bits in graphs[r - 1].root_bits:
             if bits & have == bits:
@@ -210,12 +193,31 @@ def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
             run_root, start = None, r + 1
         elif single != run_root:
             run_root, start = single, r
-        elif r - start >= D and r >= begin and hit is None:
-            hit = run_root, (r - D, r)
-        runs[r] = (run_root, start)
+        yield r, run_root, start
         known >>= width
-    s.stale_from = upto + 1
-    return hit
+
+
+def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
+    """Earliest interval of more than D consecutive rounds whose approximations
+    are all single-rooted (among confirmed roots) with the same root.
+
+    Returns (root, (a', b')) with the least a' and the least qualifying b'
+    (= a' + D): any longer interval is covered by its prefix, and the root's
+    members all have an outgoing edge recorded after b', as the paper's
+    evidence condition c3 requires.
+    Round b' qualifies iff its run began at least D rounds earlier and
+    b' >= max(1, lo) + D.  Rounds before ``resume``, and the current one,
+    are not candidates; the scan starts D rounds before the first candidate
+    (module docstring).  It sets ``stale_from`` to the current round.
+    """
+    low = s.lo or 1  # max(1, lo)
+    begin = max(resume, low + D)
+    s.stale_from = s.m
+    # a run counted from max(low, begin - D) is D rounds old at begin at the earliest
+    for r, root, start in _runs(s, max(low, begin - D), s.m - 1):
+        if r - start >= D:
+            return root, (r - D, r)
+    return None
 
 
 def blocker(s: NodeState) -> tuple:
@@ -223,16 +225,12 @@ def blocker(s: NodeState) -> tuple:
     ``("c2", root, (a, b))`` for its longest single-rooted run (the earliest
     of equal length), or ``("c2", None, None)`` when no retained round has a
     single confirmed root.  c2 is the only condition that can block, as c3
-    is implied by c2's confirmed roots.
+    is implied by c2's confirmed roots.  The state is left as it was.
     """
-    c2_check(s, 0, s.m)  # no round reaches ``resume``: a refresh alone
-    low = max(1, s.lo)
     best, length = ("c2", None, None), 0
-    for r in range(low, s.m):
-        root, start = s.runs[r]
-        a = max(start, low)
-        if root is not None and r - a + 1 > length:
-            best, length = ("c2", root, (a, r)), r - a + 1
+    for r, root, start in _runs(s, max(1, s.lo), s.m - 1):
+        if r - start + 1 > length:
+            best, length = ("c2", root, (start, r)), r - start + 1
     return best
 
 

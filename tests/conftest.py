@@ -71,8 +71,8 @@ def run_with_trace(cfg, rounds=None) -> tuple:
 def open_c2_gate(patch) -> None:
     """Patch ``RunTables.enter`` so that the run's latest long round is
     always the current one, at or after every round c2 could hit: the core
-    step's c2 gate never shuts, and every undecided step refreshes ``runs``
-    and searches c2, as before the gate."""
+    step's c2 gate never shuts, and every undecided step searches c2, as
+    before the gate."""
     enter = RunTables.enter
 
     def entered(self, m, g, D):

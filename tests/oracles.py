@@ -368,11 +368,11 @@ class _ApproxGraphs:
 class ReferenceState:
     """Copied-history state with the interface the core step reads.
 
-    The core step's c2 cache (``runs`` and ``stale_from``) is marked stale
-    from round 0 by every merge, so each core step rescans every retained
-    round.  ``known`` packs :func:`reference_evidence` of each retained
-    round into one slot, as the core step reads its late-edge evidence
-    from there.  ``tables`` holds the root-run start table ``starts``, the
+    Every merge sets ``stale_from``, where the core step's c2 search may
+    first hit, to round 0, so each c2 search of a core step reads every
+    retained round.  ``known`` packs :func:`reference_evidence` of each
+    retained round into one slot, as the core step reads its late-edge
+    evidence from there.  ``tables`` holds the root-run start table ``starts``, the
     long-round marker ``last_long``, the b1/b3 answer memo ``answers`` and
     ``graphs``, the round graphs' roots, the only tables the core step
     reads.  They are this state's own, not shared by the run: ``graphs``
@@ -391,7 +391,7 @@ class ReferenceState:
         self.approx = {0: 0}
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
-        self.runs, self.stale_from = {}, 0
+        self.stale_from = 0
         self.tables = RunTables(lay, keep, rows=None, graphs=_ApproxGraphs(self), starts={}, answers={})
 
     @property

@@ -30,30 +30,29 @@ from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
 
 def count_evaluated_rounds(patch) -> list:
     """Wrap the core step's per-round root tests with ``patch``: the rounds
-    ``max(min(stale_from, resume), 1, lo)..m-1`` that ``c2_check``
-    recomputes, and the round m-D that a step which scans nothing (a
-    decided process, or an undecided one whose c2 gate is shut) tests on
-    its own.  Returns the list the wrappers append (the state's round, the
-    evaluated round) to; a core step that evaluates one round twice fails
-    its run."""
-    scan, step, evaluated, current, refreshes = consensus_mod.c2_check, harness_mod.core_step, [], [], []
+    that ``consensus._runs`` yields to a c2 search (from D rounds before
+    its first candidate round ``max(resume, max(1, lo) + D)``, cut at
+    max(1, lo), to its hit or m-1), and the round m-D that c1 tests on its
+    own when the search did not reach it.  Returns the list the wrappers
+    append (the state's round, the evaluated round) to; a core step whose
+    searches evaluate one round twice fails its run."""
+    walk, step, evaluated, current = consensus_mod._runs, harness_mod.core_step, [], []
 
-    def refreshed(s, D, resume=0):
-        refreshes.append(s.m)
-        current.extend(range(max(min(s.stale_from, resume), 1, s.lo), s.m))
-        return scan(s, D, resume)
+    def walked(s, a, b):
+        for item in walk(s, a, b):
+            current.append(item[0])
+            yield item
 
     def stepped(s, m, D):
         current.clear()
-        refreshes.clear()
         out = step(s, m, D)
-        if not refreshes and 0 < m - D >= s.lo:
-            current.append(m - D)
         assert len(set(current)) == len(current), f"p{s.pid} round {m} evaluated {current}"
+        if 0 < m - D >= s.lo and m - D not in current:
+            current.append(m - D)
         evaluated.extend((m, r) for r in current)
         return out
 
-    patch.setattr(consensus_mod, "c2_check", refreshed)
+    patch.setattr(consensus_mod, "_runs", walked)
     patch.setattr(harness_mod, "core_step", stepped)
     return evaluated
 
@@ -174,7 +173,7 @@ class TestResumedC2:
 
         (resumed, events), (rescanned, full_events) = run(False), run(True)
         assert events == full_events and len(events) == 5
-        assert resumed < rescanned  # 89 against 150 rounds evaluated
+        assert resumed < rescanned  # 100 against 119 rounds evaluated
 
     @pytest.mark.parametrize("mode", ["full", "bounded:5"])
     def test_never_evaluates_the_current_round(self, eps2_lasso, monkeypatch, mode):
@@ -518,7 +517,7 @@ def gated_and_open(work):
 
 
 def refresh_calls(cfg) -> int:
-    """How many times a run of ``cfg`` calls ``c2_check``, the refresh."""
+    """How many times a run of ``cfg`` calls ``c2_check``, the c2 search."""
     scan, calls = consensus_mod.c2_check, []
 
     def counted(s, D, resume=0):
@@ -532,10 +531,10 @@ def refresh_calls(cfg) -> int:
 
 
 class TestC2Gate:
-    """An undecided core step refreshes ``runs`` and searches c2 only when
-    the run's latest long round (``tables.last_long``) is at or after the
-    first round c2 could hit.  Every hit lies on a long round, so the gate
-    changes no outcome: each test compares it with the gate forced open
+    """An undecided core step searches c2 only when the run's latest long
+    round (``tables.last_long``) is at or after the first round c2 could
+    hit.  Every hit lies on a long round, so the gate changes no outcome:
+    each test compares it with the gate forced open
     (``conftest.open_c2_gate``), which is the core step as it was before
     the gate."""
 
@@ -575,7 +574,7 @@ class TestC2Gate:
     def test_altestable_campaign_matches_the_open_gate(self, mode):
         # its lassos hold common-root runs longer than D before they
         # stabilize, so the gate opens on runs that never decide anyone:
-        # 462 of the 985 refreshes in full mode find no hit
+        # 462 of the 985 searches in full mode find no hit
         gated, opened = gated_and_open(lambda: fuzz_campaign(trials=100, seed=21, adversary="altestable", mode=mode))
         assert gated == opened
 
@@ -584,7 +583,7 @@ class TestC2Gate:
     def test_refresh_calls_on_the_ci_lassos(self, n, D, gated, opened, mode):
         # the CI lassos (generate --n N --d D --rsr 6 --seed 3) to the
         # horizon rootcons run picks, the certified deadline + D + 2: the
-        # open gate refreshes in every undecided step
+        # open gate searches in every undecided step
         l, cert = generate_estable(AdversaryParams(n=n, D=D, seed=3, r_sr_target=6))
         inputs = (3, 1, 4, 1, 5, 9) if n == 6 else tuple(range(1, n + 1))
         mode = "full" if mode == "full" else f"bounded:{2 * D + 1}"
@@ -619,30 +618,30 @@ def assert_scan_matches_definition(run, outcomes: list) -> None:
     """For every process of ``run``: its last core step, whose outcomes in
     pid order are ``outcomes`` (what ``run.step()`` returned), locked on the
     single element of ``confirmed_roots(s, m-D)``, or did not lock when
-    there is not exactly one (a decided process tests round m-D with its
-    own inline test, an undecided one reads ``runs``); and for every
-    retained round r before its current one, the refreshed ``runs[r][0]``
-    is the single element of ``confirmed_roots(s, r)``, or None.  Each
-    state's ``runs`` and ``stale_from`` are restored after, as c2 resumes
-    its search there."""
+    there is not exactly one; and ``consensus._runs`` over the retained
+    rounds before the current one yields, for each round r, the single
+    element of ``confirmed_roots(s, r)`` (or None) and the start of its run
+    from max(1, lo) on (r+1 for None), and leaves ``stale_from``, where c2
+    resumes its search, as it was."""
     D, m = run.config.D, run.m
     for s, out in zip(run.states.values(), outcomes):
-        runs, stale_from = dict(s.runs), s.stale_from
-        want = {}
-        for r in range(max(1, s.lo), s.m):
+        stale_from, low = s.stale_from, max(1, s.lo)
+        want, starts = {}, {}
+        for r in range(low, s.m):
             confirmed = confirmed_roots(s, r)
-            want[r] = confirmed[0] if len(confirmed) == 1 else None
+            want[r] = root = confirmed[0] if len(confirmed) == 1 else None
+            starts[r] = r + 1 if root is None else starts[r - 1] if r > low and want[r - 1] == root else r
         if m > D:
             assert (out.locked and out.locked[0]) == want[m - D], (s.pid, m)
-        c2_check(s, D, s.m)  # no round reaches ``resume``: a refresh alone
-        assert {r: s.runs[r][0] for r in want} == want, (s.pid, s.m)
-        s.runs, s.stale_from = runs, stale_from
+        got = list(consensus_mod._runs(s, low, s.m - 1))
+        assert got == [(r, want[r], starts[r]) for r in want], (s.pid, s.m)
+        assert s.stale_from == stale_from, (s.pid, s.m)
 
 
 class TestInlineScan:
-    """The core step's inline test of each round's slot (``c2_check`` and
-    the test of round m-D) against the definitional
-    ``confirmed_roots``, after every round."""
+    """The core step's inline test of each round's slot (the walk
+    ``_runs`` of ``c2_check`` and ``blocker``, and the test of round m-D)
+    against the definitional ``confirmed_roots``, after every round."""
 
     @pytest.mark.parametrize("n, D, mode, horizon", [
         (6, 2, "full", 200),
@@ -673,6 +672,52 @@ class TestInlineScan:
         run = harness_mod.Run(RunConfig(n, D, inputs, l, horizon, mode=mode, check_invariants=False))
         for _ in range(horizon):
             assert_scan_matches_definition(run, run.step())
+
+
+def longest_single_rooted_run(s) -> tuple:
+    """``blocker`` by its definition: ``("c2", root, (a, b))`` for the
+    longest run a..b of one single element of ``confirmed_roots`` over
+    rounds max(1, lo)..m-1, the earliest among equal lengths, or
+    ``("c2", None, None)`` when no round has a single confirmed root."""
+    rounds = range(max(1, s.lo), s.m)
+    single = {}
+    for r in rounds:
+        confirmed = confirmed_roots(s, r)
+        single[r] = confirmed[0] if len(confirmed) == 1 else None
+    best, length = ("c2", None, None), 0
+    for a in rounds:
+        b = a
+        while single[a] is not None and b + 1 in single and single[b + 1] == single[a]:
+            b += 1
+        if single[a] is not None and b - a + 1 > length:
+            best, length = ("c2", single[a], (a, b)), b - a + 1
+    return best
+
+
+class TestBlocker:
+    """``blocker``, the reason the oracle reports for an undecided process,
+    against its definition, after every round, and the state it reads left
+    as it was."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_lassos_match_the_definition(self, data):
+        n = data.draw(st.integers(2, 5), label="n")
+        D = data.draw(st.integers(1, n - 1), label="D")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        l = random_lasso(rng, n, data.draw(st.integers(0, 6), label="prefix"),
+                         density=data.draw(st.floats(0.2, 0.7), label="density"))
+        mode = data.draw(st.sampled_from(["full", f"bounded:{2 * D + 1}"]), label="mode")
+        horizon = data.draw(st.integers(1, 20), label="H")
+        run = harness_mod.Run(RunConfig(n, D, tuple(range(n)), l, horizon, mode=mode, check_invariants=False))
+        for m in range(1, horizon + 1):
+            run.step()
+            for s in run.states.values():
+                if s.y is not None:
+                    continue
+                before = s.snapshot(), s.stale_from
+                assert consensus_mod.blocker(s) == longest_single_rooted_run(s), (mode, m, s.pid)
+                assert (s.snapshot(), s.stale_from) == before, (mode, m, s.pid)
 
 
 class TestConfirmedRoots:

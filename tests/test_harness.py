@@ -699,7 +699,6 @@ class TestFuzz:
                     run_root, start = single, r
                 elif r - start >= D and r >= begin and hit is None:
                     hit = run_root, (r - D, r)
-                s.runs[r] = (run_root, start)
             s.stale_from = s.m
             return hit
 
