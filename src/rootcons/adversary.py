@@ -448,6 +448,8 @@ class AdversaryParams:
         g, s = self.r_gst_target, self.r_sr_target
         if g is not None and g < 1:
             raise InfeasibleParamsError("r_gst_target must be >= 1")
+        if max(g or 0, s or 0) > MAX_HORIZON:  # no run or check reaches past it
+            raise InfeasibleParamsError(f"round targets must be <= {MAX_HORIZON}, got r_gst {g}, r_sr {s}")
         if g is not None and s is not None and s < g:
             raise InfeasibleParamsError("need r_sr_target >= r_gst_target")
         return self

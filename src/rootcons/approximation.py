@@ -4,9 +4,10 @@ A process's state is exactly what has reached it through its causal past:
 ``known``, one int holding a W-bit slot (W the width of the run's edge-mask
 layout, so a slot lines up with one row of a mask) for every retained round
 r, whose bit q-1 says that q's round-r end state has reached the process.
-Slot 0 is the oldest retained round ``lo`` (0 in full mode; ``max(0, m-k)``
-in ``bounded:k``).  Slots are monotone: a state of q that has arrived
-carries q's earlier states, so q in slot r is also in every slot ``lo..r``.
+Slot 0 is round ``lo``, the start of the window of the run's current round
+m (0 in full mode; ``max(0, m-k)`` in ``bounded:k``): the run's clock.
+Slots are monotone: a state of q that has arrived carries q's earlier
+states, so q in slot r is also in every slot ``lo..r``.
 
 The facts themselves live in one :class:`RunTables` per run, which every
 state of the run refers to.  The engine enters what the adversary fixed:
@@ -16,8 +17,8 @@ index r-1), and writes its start entry ``starts[m]``, which maps each root
 of round m to the round its common-root run began.  It notes in
 ``last_long`` the latest round r before m that is long for the run's D,
 some root's run having begun by round r-D (``consensus`` scans c2 only up
-to there), sets ``lo``, the window's first round that the merges read,
-drops round ``lo-1`` from the start table and empties the answer memo.
+to there), moves the clock, which only it writes, to m and ``lo``, drops
+round ``lo-1`` from the start table and empties the answer memo.
 The processes compute only their locks: ``rows[q]`` is q's append-only
 ``{round: lock}`` of per-round lock (proposal) values; only q writes it,
 and only the cell of its current round (in ``bounded:k`` it also drops its
@@ -40,9 +41,9 @@ is the round graph's mask ``graphs[r-1].mask`` restricted to the columns of
 slot r (round 0 has no edges), derived where it is read.  ``locks`` and
 ``approx`` are read-only views of these facts; ``locks`` lists the peers
 with a retained cell, which are the peers in slot ``lo``.  The harness's
-invariant monitor checks ``known`` and the row table against its ground
-truth every round.  The tables are shared, so all states of one run must
-advance in lock step, as the harness does.
+invariant monitor checks the clock, ``known`` and the row table against
+its ground truth every round.  The tables and their clock are shared, so
+all states of one run must advance in lock step, as the harness does.
 
 A member q of a round-r root has a later outgoing edge recorded exactly when
 q is in slot r and r is not the current round (:func:`evidence`), so
@@ -161,11 +162,12 @@ class RunTables:
     """What every state and message of one run shares: the n-process
     edge-mask ``layout``, the window ``keep`` (None in full mode, else k of
     ``bounded:k``), the row table, the run's round graphs, the start table,
-    ``last_long``, the latest long round before the current one, the
-    current round's window start ``lo`` and answer memo (see the module
-    docstring).  ``enter`` moves ``last_long`` and ``lo`` and replaces
-    ``answers``; the other fields are fixed, and the tables in them grow
-    and shrink as the run advances."""
+    ``last_long``, the latest long round before the current one, the clock
+    (the current round ``m`` and its window start ``lo``) and the current
+    round's answer memo (see the module docstring).  Only ``enter`` moves
+    ``last_long`` and the clock, and it replaces ``answers``; the other
+    fields are fixed, and the tables in them grow and shrink as the run
+    advances."""
 
     layout: MaskLayout
     keep: Optional[int]
@@ -174,6 +176,7 @@ class RunTables:
     starts: dict  # round -> {root: run start}
     answers: dict  # (anchor, root) -> b1/b3 answer, entered in the current round
     last_long: int = 0  # latest round r < m with a root whose run began by r-D; 0 if none
+    m: int = 0  # the current round: the last one entered
     lo: int = 0  # window_start(keep, m) of the current round m
 
     @classmethod
@@ -189,15 +192,16 @@ class RunTables:
         round m-1 while the root stays a root (it may predate the window;
         every read clamps it).  Round m-1, no longer the current round,
         becomes ``last_long`` when one of its roots' runs began at least
-        ``D`` rounds before it.  Set ``lo``, empty the answer memo, and drop
-        round ``lo-1``, which has left the window, from the start table;
-        returns ``lo``."""
+        ``D`` rounds before it.  Set the clock to m and ``lo``, empty the
+        answer memo, and drop round ``lo-1``, which has left the window,
+        from the start table; returns ``lo``."""
         self.graphs.append(g)
         previous = self.starts.get(m - 1, {})
         if previous and min(previous.values()) <= m - 1 - D:
             self.last_long = m - 1
         self.starts[m] = {root: previous.get(root, m) for root in root_components(g)}
         self.answers = {}
+        self.m = m
         self.lo = lo = window_start(self.keep, m)
         if lo:
             self.starts.pop(lo - 1, None)
@@ -238,22 +242,21 @@ class NodeState:
     the processes whose state of that round has reached this one (the
     process itself is in every slot).  ``tables`` is the run's
     :class:`RunTables`, whose row cells the state reads only where ``known``
-    has the owner's bit.  ``y`` is the write-once decision.  ``approx[r]``,
-    the round-r approximation's edge mask for r in ``lo..m``, and
-    ``locks[q][r]`` are views over the retained rounds.  ``stale_from``
-    is where the core step's c2 search can first hit (see ``consensus``);
-    the merge lowers it and the search raises it.
+    has the owner's bit, and whose clock holds m and ``lo``.  ``y`` is the
+    write-once decision.  ``approx[r]``, the round-r approximation's edge
+    mask for r in ``lo..m``, and ``locks[q][r]`` are views over the
+    retained rounds.  ``stale_from`` is where the core step's c2 search can
+    first hit (see ``consensus``); the merge lowers it and the search
+    raises it.
     """
 
-    __slots__ = ("pid", "x", "m", "lo", "y", "known", "stale_from", "tables")
+    __slots__ = ("pid", "x", "y", "known", "stale_from", "tables")
 
     def __init__(self, pid: int, x: int, tables: RunTables):
         if pid not in tables.rows:
             raise ValueError(f"pid must be in 1..{len(tables.rows)}, got {pid}")
         self.pid = pid
         self.x = x
-        self.m = 0
-        self.lo = 0  # oldest retained round, window_start(tables.keep, m)
         self.y: Optional[int] = None
         self.known = 1 << (pid - 1)
         self.stale_from = 0
@@ -261,28 +264,28 @@ class NodeState:
 
     @property
     def approx(self) -> dict:
-        return _approx_view(self.known, self.tables, self.lo, self.m)
+        return _approx_view(self.known, self.tables, self.tables.lo, self.tables.m)
 
     @property
     def locks(self) -> dict:
-        return _locks_view(self.known, self.tables, self.lo)
+        return _locks_view(self.known, self.tables, self.tables.lo)
 
     def lock_value(self, q: int, r: int) -> Optional[int]:
-        tables = self.tables
-        if self.lo <= r <= self.m and self.known & 1 << ((r - self.lo) * tables.layout.width + q - 1):
+        tables, lo = self.tables, self.tables.lo
+        if lo <= r <= tables.m and self.known & 1 << ((r - lo) * tables.layout.width + q - 1):
             return tables.rows[q][r]
         return None
 
     def propose(self, value: int) -> None:
         """Set the own lock of the current round (the core step's re-proposal)."""
-        self.tables.rows[self.pid][self.m] = value
+        self.tables.rows[self.pid][self.tables.m] = value
 
     def snapshot(self) -> tuple:
         """Hashable full-state copy; two runs are indistinguishable to a
         process through a round iff its snapshots match round for round."""
         return (
             self.pid,
-            self.m,
+            self.tables.m,
             self.x,
             self.y,
             tuple(self.approx.items()),
@@ -324,17 +327,17 @@ def init_states(inputs, mode: str = "full") -> dict:
 
 # Kept only for bench/tracer.py, until ROADMAP item 3.
 def make_message(s: NodeState) -> Message:
-    """A view of the state's broadcast of round ``s.m + 1``: its state at
-    the end of round ``s.m``.
+    """A view of the state's broadcast of round m+1, ``m`` the tables'
+    round: its state at the end of round m.
 
     In bounded(k) mode the broadcast carries only rounds newer than
-    ``s.m - k``: its ``known`` is the state's, rebased to that first round,
+    ``m - k``: its ``known`` is the state's, rebased to that first round,
     which is the int the engine sends.  The view refers to the run's tables
     without copying them.
     """
     tables = s.tables
-    lo = window_start(tables.keep, s.m + 1)
-    return Message(s.pid, s.m + 1, s.known >> (lo - s.lo) * tables.layout.width, lo, tables)
+    lo = window_start(tables.keep, tables.m + 1)
+    return Message(s.pid, tables.m + 1, s.known >> (lo - tables.lo) * tables.layout.width, lo, tables)
 
 
 def receive_and_merge(s: NodeState, heard: int, own: int, m: int) -> None:
@@ -343,22 +346,23 @@ def receive_and_merge(s: NodeState, heard: int, own: int, m: int) -> None:
     step.
 
     A broadcast of round m is its sender's ``known`` at the end of round
-    m-1, rebased to the round-m window (from ``tables.lo``).  ``heard`` is
-    the OR of the broadcasts of the state's in-neighbours in the round
-    graph, which holds ``own``, the state's own broadcast, by its self-loop
-    (the harness ORs them once per class of equal in-neighbours).  The
-    state's ``known`` becomes ``heard`` plus the own round-m slot.  The own
-    row gains its round-m lock, carried forward; no other table is
-    written.  The own row drops the round that left the window.
+    m-1, rebased to the round-m window (``tables.lo``: the clock is at m).
+    ``heard`` is the OR of the broadcasts of the state's in-neighbours in
+    the round graph, which holds ``own``, the state's own broadcast, by its
+    self-loop (the harness ORs them once per class of equal
+    in-neighbours).  The state's ``known`` becomes ``heard`` plus the own
+    round-m slot.  The own row gains its round-m lock, carried forward; no
+    other table is written.  The own row drops the round that left the
+    window.
     ``stale_from`` drops to the lowest slot ``heard`` adds to ``own`` (or
     to round m-1, which stops being the current round).  Merge order is
     irrelevant: ORs are commutative.
     """
-    if s.m != m - 1:
-        raise ValueError(f"state at round {s.m} cannot merge round-{m} deliveries")
     tables, pid = s.tables, s.pid
+    if tables.m != m:
+        raise ValueError(f"tables at round {tables.m} cannot merge round-{m} deliveries")
     lo, width = tables.lo, tables.layout.width
-    s.m, s.lo, s.known = m, lo, heard | 1 << ((m - lo) * width + pid - 1)
+    s.known = heard | 1 << ((m - lo) * width + pid - 1)
     row = tables.rows[pid]
     row[m] = row[m - 1]
     if lo > 0:
@@ -382,7 +386,7 @@ def evidence(s: NodeState, r: int) -> int:
     ``known``, or nothing at the current round.  This is the
     locally-checkable certificate that makes detected roots trustworthy.
     """
-    if not s.lo <= r < s.m:
+    tables = s.tables
+    if not tables.lo <= r < tables.m:
         return 0
-    lay = s.tables.layout
-    return s.known >> (r - s.lo) * lay.width & lay.row
+    return s.known >> (r - tables.lo) * tables.layout.width & tables.layout.row

@@ -205,7 +205,8 @@ def _stepped_run(run: Run, trace) -> None:
     trace line, formatted from the outcomes its step returned, is written as
     the run steps, and the summary to ``<trace>.summary.json`` as it ends,
     through :func:`_streamed`: the summary is opened first, so a bad path
-    fails before round 1, and an invariant violation leaves neither file."""
+    fails before round 1, and an invariant violation leaves neither file.  The
+    old summary goes before the trace is replaced, so none is left beside it."""
     summary = Path(f"{trace}.summary.json") if trace else None
     with _streamed(summary) as write_summary:
         with _streamed(trace) as write:
@@ -213,6 +214,8 @@ def _stepped_run(run: Run, trace) -> None:
                 outcomes = run.step()
                 if write:
                     write(trace_line(run.m, run.config.lasso.graph(run.m), outcomes) + "\n")
+            if summary and summary.is_file():
+                Path(os.path.realpath(summary)).unlink()
         if write_summary:
             write_summary(json.dumps(run.summary_dict(), sort_keys=True) + "\n")
 

@@ -1,6 +1,8 @@
 """Round-m core computation: lock the detected root, decide on a stable one.
 
-Executed after the round's merge.  The step is empty for rounds 1..D.  From
+Executed after the round's merge, at the run's clock: the round m and the
+window's first round ``lo`` are ``tables.m`` and ``tables.lo`` of the run's
+``approximation.RunTables``.  The step is empty for rounds 1..D.  From
 round D+1 on:
 
 * c1/b1 -- if the approximation of round m-D shows exactly one root whose
@@ -118,7 +120,7 @@ def _run_start(s: NodeState, root: frozenset, anchor: int) -> int:
     round.  The run's start table holds the run starts of the whole round
     masks' roots, which for a confirmed root are the same, by the lemma.
     """
-    low = max(1, s.lo)
+    low = max(1, s.tables.lo)
     if anchor <= low:
         return anchor
     return max(s.tables.starts[anchor - 1].get(root, anchor), low)
@@ -128,11 +130,11 @@ def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> CoreStepOu
     """``CoreStepOutcome((root, a, value))``: the run start a through
     ``anchor`` of the confirmed root and its members' maximum lock at a,
     from the run's per-round answer memo, or computed and entered there."""
-    answers = s.tables.answers
-    entry = answers.get((anchor, root))
+    tables = s.tables
+    entry = tables.answers.get((anchor, root))
     if entry is not None:
         a, bits, out = entry  # bits lies in one slot: the member pids are at most W
-        if bits & s.known >> (a - s.lo) * s.tables.layout.width == bits:
+        if bits & s.known >> (a - tables.lo) * tables.layout.width == bits:
             return out
     a = _run_start(s, root, anchor)
     values = [s.lock_value(q, a) for q in root]
@@ -142,7 +144,7 @@ def _answer(s: NodeState, root: frozenset, anchor: int, what: str) -> CoreStepOu
             f"p{s.pid} {what}: lock[{q}][{a}] unknown for detected root {sorted(root)}"
         )
     out = CoreStepOutcome((root, a, max(values)))
-    answers[anchor, root] = (a, sum(1 << (q - 1) for q in root), out)
+    tables.answers[anchor, root] = (a, sum(1 << (q - 1) for q in root), out)
     return out
 
 
@@ -179,7 +181,7 @@ def _runs(s: NodeState, a: int, b: int):
     shift per round."""
     graphs, lay = s.tables.graphs, s.tables.layout
     width, row = lay.width, lay.row
-    known = s.known >> (a - s.lo) * width
+    known = s.known >> (a - s.tables.lo) * width
     run_root, start = None, a
     for r in range(a, b + 1):
         have, single = known & row, None
@@ -210,11 +212,11 @@ def c2_check(s: NodeState, D: int, resume: int = 0) -> Optional[tuple]:
     are not candidates; the scan starts D rounds before the first candidate
     (module docstring).  It sets ``stale_from`` to the current round.
     """
-    low = s.lo or 1  # max(1, lo)
+    low, m = s.tables.lo or 1, s.tables.m  # low = max(1, lo)
     begin = max(resume, low + D)
-    s.stale_from = s.m
+    s.stale_from = m
     # a run counted from max(low, begin - D) is D rounds old at begin at the earliest
-    for r, root, start in _runs(s, max(low, begin - D), s.m - 1):
+    for r, root, start in _runs(s, max(low, begin - D), m - 1):
         if r - start >= D:
             return root, (r - D, r)
     return None
@@ -228,7 +230,7 @@ def blocker(s: NodeState) -> tuple:
     is implied by c2's confirmed roots.  The state is left as it was.
     """
     best, length = ("c2", None, None), 0
-    for r, root, start in _runs(s, max(1, s.lo), s.m - 1):
+    for r, root, start in _runs(s, max(1, s.tables.lo), s.tables.m - 1):
         if r - start + 1 > length:
             best, length = ("c2", root, (start, r)), r - start + 1
     return best
@@ -249,18 +251,18 @@ def core_step(s: NodeState, m: int, D: int) -> CoreStepOutcome:
     r0 = m - D
     if r0 <= 0:
         return _NOTHING
-    lo, hit = s.lo, None
+    tables, lo, hit = s.tables, s.tables.lo, None
     if s.y is None:
         first = (lo or 1) + D  # the first round c2 could hit: max(stale_from, max(1, lo) + D)
         if first < s.stale_from:
             first = s.stale_from
-        if s.tables.last_long >= first:
+        if tables.last_long >= first:
             hit = c2_check(s, D, first)
     out = _NOTHING
     if r0 >= lo:
-        lay = s.tables.layout
+        lay = tables.layout
         have, root = s.known >> (r0 - lo) * lay.width & lay.row, None
-        for single, bits in s.tables.graphs[r0 - 1].root_bits:
+        for single, bits in tables.graphs[r0 - 1].root_bits:
             if bits & have == bits:
                 if root is not None:
                     root = None

@@ -34,14 +34,16 @@ window, plus p's own bit in slot m.  That OR is made once per class of
 ``in_classes``.  The monitor reads no message or state to build it, and
 decodes ``heard[p]`` (``approximation._heard``) only to print it.
 
-After every round it requires that the run's row table holds exactly the
+After every round it requires that the run's clock (the tables' ``m`` and
+``lo``, which no process writes: a wrong one names process 1) reads the
+round and its window, and that the run's row table holds exactly the
 expected rows, compared as one dict (a mismatch names the owner of the
 lowest wrong row, the only one that writes it).  Then, for every p, it
 requires that p's ``known`` equals its expected int (only on a mismatch
-does it walk the slots to name the first that differs), that p holds the
-run's ``RunTables`` itself, and that p's ``lo`` is the window's.  A state's lock view and approximation are derived from
-``known`` and the run's tables alone, whose graphs are the ones the engine
-ran, so this makes them exact.
+does it walk the slots to name the first that differs) and that p holds
+the run's ``RunTables`` itself.  A state's lock view and approximation are
+derived from ``known`` and the run's tables alone, whose graphs are the
+ones the engine ran, so this makes them exact.
 
 A run records no per-round state.  Indistinguishability (``divergence``)
 replays both runs from their configs once, in lock step, monitored when
@@ -158,7 +160,7 @@ class _InvariantMonitor:
     """
 
     def __init__(self, cfg: RunConfig, tables: RunTables):
-        self.n, self.lo, self.run_tables = cfg.n, 0, tables
+        self.n, self.run_tables = cfg.n, tables
         self.tables = RunTables.of(cfg.inputs, parse_mode(cfg.mode))
         self.known = {p: 1 << (p - 1) for p in range(1, cfg.n + 1)}
 
@@ -167,7 +169,7 @@ class _InvariantMonitor:
         start ``lo``."""
         tables, prev = self.tables, self.known
         lo, width = window_start(tables.keep, m), tables.layout.width
-        dropped, own, self.lo = (lo - self.lo) * width, (m - lo) * width - 1, lo
+        dropped, own = (lo - window_start(tables.keep, m - 1)) * width, (m - lo) * width - 1
         known = dict.fromkeys(prev)  # in pid order, the order the monitor checks in
         for ins, members in g.in_classes:
             k = 0
@@ -184,12 +186,14 @@ class _InvariantMonitor:
 
     def after_round(self, m: int, g: CommGraph, states: dict, outcomes: list):
         lo, run, want = self.advance(m, g, outcomes), self.run_tables, self.tables
+        if (run.m, run.lo) != (m, lo):
+            self._fail(1, m, lo, f"the run's clock is m={run.m} lo={run.lo}, expected m={m} lo={lo}")
         if run.rows != want.rows:
             owner, problem = self._row_violation(m, lo)
             self._fail(owner, m, lo, problem)
         for p, known in self.known.items():
             st = states[p]
-            if st.known == known and st.tables is run and st.lo == lo:
+            if st.known == known and st.tables is run:
                 continue
             self._fail(p, m, lo, self._violation(st, p, m, lo))
 
@@ -226,41 +230,45 @@ class _InvariantMonitor:
                 return f"known[{r}] is {sorted(_processes(has))}, expected {sorted(_processes(want))}"
         if st.known >> (m - lo + 1) * width:
             return f"known holds slots past round {m}"
-        if st.tables is not self.run_tables:
-            return "tables is not the run's tables"
-        return f"lo is {st.lo}, expected {lo}"
+        return "tables is not the run's tables"
 
 
 class Run:
     """One run of ``config``, stepped round by round: the states and the
-    run's tables they share, the round ``m`` last run, the decisions so far
-    (the round graphs are ``tables.graphs``), the adversary ``certificate``
-    it was run under (if any), and the invariant monitor (None when
-    ``config.check_invariants`` is off).  It keeps no round's outcomes:
-    ``step()`` returns them, and a run is deterministic in its config, so
-    :func:`indistinguishable` replays it."""
+    run's tables they share, whose clock holds ``m``, the round last run,
+    the decisions so far (the round graphs are ``tables.graphs``), the
+    adversary ``certificate`` it was run under (if any), and the invariant
+    monitor (None when ``config.check_invariants`` is off).  It keeps no
+    round's outcomes: ``step()`` returns them, and a run is deterministic
+    in its config, so :func:`indistinguishable` replays it."""
 
     def __init__(self, config: RunConfig):
-        self.config, self.m = config, 0
+        self.config = config
         self.states = init_states(config.inputs, config.mode)
         self.tables = self.states[1].tables
         self.monitor = _InvariantMonitor(config, self.tables) if config.check_invariants else None
         self.decisions, self.certificate = {}, None
 
+    @property
+    def m(self) -> int:
+        return self.tables.m
+
     def step(self) -> list:
         """Run round m+1 on the lasso's graph; returns its outcomes in pid order.
 
         The round graph is entered into the run's tables once, which appends
-        it to their graph list and drops the window's old round from them.
-        The round's broadcasts are built once: ``sent[q-1]`` is q's
-        ``known``, rebased to the round's window.  The broadcasts of each
-        class of processes with equal in-neighbours (``g.in_classes``) are
-        ORed once, and every member of the class merges that OR.
+        it to their graph list, moves their clock and drops the window's old
+        round from them.  The round's broadcasts are built once: ``sent[q-1]``
+        is q's ``known``, shifted by the slots that left the window (none in
+        full mode).  The broadcasts of each class of processes with equal
+        in-neighbours (``g.in_classes``) are ORed once, and every member of
+        the class merges that OR.
         """
-        self.m = m = self.m + 1
-        states, decisions, g, tables = self.states, self.decisions, self.config.lasso.graph(m), self.tables
-        lo, width = tables.enter(m, g, self.config.D), tables.layout.width
-        sent = [st.known >> (lo - st.lo) * width for st in states.values()]
+        states, decisions, tables = self.states, self.decisions, self.tables
+        m, lo = tables.m + 1, tables.lo
+        g = self.config.lasso.graph(m)
+        shift = (tables.enter(m, g, self.config.D) - lo) * tables.layout.width
+        sent = [st.known >> shift for st in states.values()]
         for ins, members in g.in_classes:
             heard = 0
             for q in ins:
@@ -604,26 +612,15 @@ def scenario_hop_fallacy(n: int) -> LassoSequence:
     return LassoSequence((), tuple(graphs))
 
 
-def _depth_from(g: CommGraph, src: int) -> int:
-    """Largest distance from ``src`` to a process of ``g``; ``g.n`` if one is unreachable."""
-    everyone, reached = (1 << g.n) - 1, 1 << (src - 1)
-    for depth in range(g.n):
-        if reached == everyone:
-            return depth
-        frontier = reached
-        for u, row in g.relays:
-            if frontier >> u & 1:
-                reached |= row
-    return g.n
-
-
 def hop_fallacy_report(n: int) -> dict:
     """Measure the scenario: the root reaches every process within two hops
     in each cycle graph, yet its initial state needs n-1 rounds to reach
     process n, so no dynamic diameter of 2 holds."""
     lasso_seq = scenario_hop_fallacy(n)
     causal = next((b for b in range(1, n + 1) if 1 in causal_past(lasso_seq, n, 0, b)), None)
-    per_round = max(_depth_from(g, 1) for g in lasso_seq.cycle)
+    # per cycle graph g, the least b by which 1's round-0 state reaches everyone under g alone (n if never)
+    per_round = max(next((b for b in range(n) if all(1 in causal_past(one, p, 0, b) for p in range(1, n + 1))), n)
+                    for one in (LassoSequence((), (g,)) for g in lasso_seq.cycle))
     diameter_witness = check_dynamic_diameter(lasso_seq, min(2, n - 1), horizon=n + 2)
     checks = {
         "causal_distance_is_n_minus_1": causal == n - 1,

@@ -373,9 +373,10 @@ class ReferenceState:
     retained round.  ``known`` packs :func:`reference_evidence` of each
     retained round into one slot, as the core step reads its late-edge
     evidence from there.  ``tables`` holds the root-run start table ``starts``, the
-    long-round marker ``last_long``, the b1/b3 answer memo ``answers`` and
-    ``graphs``, the round graphs' roots, the only tables the core step
-    reads.  They are this state's own, not shared by the run: ``graphs``
+    long-round marker ``last_long``, the b1/b3 answer memo ``answers``,
+    ``graphs``, the round graphs' roots, and the clock, the round ``m`` and
+    the first retained round ``lo``: the only tables the core step reads.
+    They are this state's own, not shared by the run: ``graphs``
     gives the roots of the partial approximations, ghosts included, every
     merge rebuilds the starts from them, takes ``last_long`` from those
     starts for the run's ``D`` and empties the memo, so the core step
@@ -387,7 +388,7 @@ class ReferenceState:
     """
 
     def __init__(self, pid: int, x: int, keep, lay: MaskLayout, D: int):
-        self.pid, self.x, self.m, self.y, self.keep, self.layout, self.D = pid, x, 0, None, keep, lay, D
+        self.pid, self.x, self.y, self.keep, self.layout, self.D = pid, x, None, keep, lay, D
         self.approx = {0: 0}
         self.locks = {pid: {0: x}}
         self.last_out = {}  # q -> latest round with a recorded out-edge of q
@@ -395,14 +396,10 @@ class ReferenceState:
         self.tables = RunTables(lay, keep, rows=None, graphs=_ApproxGraphs(self), starts={}, answers={})
 
     @property
-    def lo(self) -> int:
-        return min(self.approx)
-
-    @property
     def known(self) -> int:
         """:func:`reference_evidence` of rounds lo..m, one W-bit slot each
         from round lo (the current round's is empty)."""
-        lo, width = self.lo, self.layout.width
+        lo, width = self.tables.lo, self.layout.width
         return sum(reference_evidence(self, r) << (r - lo) * width for r in self.approx)
 
     def root_bits(self, r: int) -> tuple:
@@ -412,12 +409,12 @@ class ReferenceState:
         return self.locks.get(q, {}).get(r)
 
     def propose(self, value: int) -> None:
-        self.locks[self.pid][self.m] = value
+        self.locks[self.pid][self.tables.m] = value
 
     def snapshot(self) -> tuple:
         return (
             self.pid,
-            self.m,
+            self.tables.m,
             self.x,
             self.y,
             tuple(sorted(self.approx.items())),
@@ -428,7 +425,7 @@ class ReferenceState:
 
 def reference_message(s: ReferenceState) -> tuple:
     """(sender, copied approx, copied locks) of the rounds a message carries."""
-    cut = -1 if s.keep is None else s.m - s.keep
+    cut = -1 if s.keep is None else s.tables.m - s.keep
     approx = {r: mask for r, mask in s.approx.items() if r > cut}
     locks = {}
     for q, row in s.locks.items():
@@ -451,12 +448,11 @@ def _note_out_edges(s: ReferenceState, new_edges: int, r: int) -> None:
 def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
     """Union every received round and lock cell, add the direct edges, carry
     the own lock forward, then drop rounds older than the window, and every
-    peer none of whose lock cells is left.  Last, rebuild the start table
-    over rounds max(1, lo)..m from the partial views' roots: each root's
-    run start, cut at the window's first round; and take ``last_long``, the
-    latest round r before m with a root whose run there began by r-D."""
-    s.m = m
-    s.stale_from, s.tables = 0, dataclasses.replace(s.tables, starts={}, answers={}, last_long=0)
+    peer none of whose lock cells is left.  Last, set the clock to m and
+    the first retained round, rebuild the start table over rounds max(1,
+    lo)..m from the partial views' roots: each root's run start, cut at the
+    window's first round; and take ``last_long``, the latest round r before
+    m with a root whose run there began by r-D."""
     for sender, approx, locks in msgs:
         approx = dict(approx)
         approx[m] = approx.get(m, 0) | s.layout.bit(sender, s.pid)
@@ -479,8 +475,10 @@ def reference_merge(s: ReferenceState, msgs: list, m: int) -> None:
                 del row[r]
             if not row:
                 del s.locks[q]
+    lo = min(s.approx)
+    s.stale_from, s.tables = 0, dataclasses.replace(s.tables, m=m, lo=lo, starts={}, answers={}, last_long=0)
     starts = s.tables.starts
-    for r in range(max(1, s.lo), m + 1):
+    for r in range(max(1, lo), m + 1):
         previous = starts.get(r - 1, {})
         starts[r] = {root: previous.get(root, r) for root, _ in s.root_bits(r)}
         if r < m and any(a <= r - s.D for a in starts[r].values()):
@@ -514,7 +512,7 @@ def reference_confirmed_roots(s, r: int) -> list:
     of the roots of the whole round-r graph (the process's own singleton at
     round 0 and outside the retained rounds), those whose members all lie
     in ``evidence(s, r)``."""
-    if 0 < r <= s.m and r >= s.lo:
+    if 0 < r <= s.tables.m and r >= s.tables.lo:
         whole = s.tables.graphs[r - 1].root_bits
     else:
         whole = ((frozenset([s.pid]), 1 << (s.pid - 1)),)
@@ -526,10 +524,10 @@ def reference_c2_check(s, D: int):
     """The c2 interval search as a full rescan of rounds max(1, lo)..m, with
     no cached per-round results: (root, (a', b')) of the earliest run of one
     single confirmed root over more than D rounds, or None."""
-    lo = max(1, s.lo)
+    lo = max(1, s.tables.lo)
     run_root = None
     run_start = lo
-    for r in range(lo, s.m + 1):
+    for r in range(lo, s.tables.m + 1):
         confirmed = confirmed_roots(s, r)
         if len(confirmed) == 1:
             root = confirmed[0]
@@ -550,7 +548,7 @@ def reference_run_start(s, root, anchor: int):
     return min(
         (
             a
-            for a in range(max(1, s.lo), anchor + 1)
+            for a in range(max(1, s.tables.lo), anchor + 1)
             if all(root in approx_roots(s, r) for r in range(a, anchor + 1))
         ),
         default=None,

@@ -228,7 +228,7 @@ def test_criterion_6_lock_invariants(estable_batch):
         trace = run_execution(cfg)
         for p, st in trace.states.items():
             own = st.locks[p]
-            if any(r not in own for r in range(0, st.m + 1)):
+            if any(r not in own for r in range(0, st.tables.m + 1)):
                 sample_ok = False
     report(
         "6 (lock matrix invariants hold every round)",
@@ -363,7 +363,7 @@ def test_resumed_c2_matches_full_rescan(estable_batch, monkeypatch, history):
         hit = c2_check(s, D, *resume)
         checked.append(hit is not None)
         if hit != reference_c2_check(s, D):
-            mismatches.append((s.pid, s.m))
+            mismatches.append((s.pid, s.tables.m))
         return hit
 
     monkeypatch.setattr(consensus_mod, "c2_check", compared)

@@ -304,6 +304,8 @@ class TestGenerators:
             ({"r_gst_target": 0}, "r_gst_target must be >= 1"),
             ({"r_gst_target": 6, "r_sr_target": 5}, "need r_sr_target >= r_gst_target"),
             ({"r_gst_target": 50}, r"need 1 <= r_gst <= r_sr, got \(50, "),  # above the drawn r_sr
+            ({"r_sr_target": 100_001}, "round targets must be <= 100000, got r_gst None, r_sr 100001"),
+            ({"r_gst_target": 100_001, "r_sr_target": 100_001}, "round targets must be <= 100000"),
         ],
     )
     def test_infeasible_stabilization_targets(self, generate, targets, match):

@@ -45,7 +45,7 @@ class TestInitState:
         s = init_states((7,))[1]
         assert s.approx == {0: 0}
         assert s.locks == {1: {0: 7}}
-        assert s.y is None and s.m == 0
+        assert s.y is None and s.tables.m == 0
 
     def test_message_after_init_carries_only_own_data(self):
         msg = make_message(init_states((9, 0))[2])
@@ -178,8 +178,11 @@ class TestReceiveAndMerge:
 
     def test_wrong_round_rejected(self):
         s = init_states((0,))[1]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tables at round 0 cannot merge round-3 deliveries"):
             receive_and_merge(s, s.known, s.known, 3)
+        # the run's clock, not the state, says which round is merged: round 1's graph is not entered yet
+        with pytest.raises(ValueError, match="tables at round 0 cannot merge round-1 deliveries"):
+            receive_and_merge(s, s.known, s.known, 1)
 
 
 def late_edge(st, q, r) -> bool:
@@ -206,9 +209,9 @@ class TestLateOutgoingEdge:
         states = drive(eps2_lasso, (0, 1, 2, 3, 4), 8)
         for p, st in states.items():
             for q in range(1, 6):
-                for r in range(0, st.m):
+                for r in range(0, st.tables.m):
                     direct = any(
-                        st.approx.get(r2, 0) & out_row_mask(q, st.tables.layout) for r2 in range(r + 1, st.m + 1)
+                        st.approx.get(r2, 0) & out_row_mask(q, st.tables.layout) for r2 in range(r + 1, st.tables.m + 1)
                     )
                     assert late_edge(st, q, r) == direct
 
@@ -330,7 +333,7 @@ def lemma_state(n, edges, slot, pid):
     whole = tables.graphs[0].mask
     s = NodeState(pid, 0, tables)
     bits = sum(1 << (q - 1) for q in slot)
-    s.m, s.known = 2, bits | bits << lay.width | 1 << (2 * lay.width + pid - 1)
+    s.known = bits | bits << lay.width | 1 << (2 * lay.width + pid - 1)
     return s, whole, bits
 
 
@@ -398,8 +401,8 @@ def true_approx(l, s) -> dict:
     """Round -> the lasso's round-r edges into every v in slot r of ``known``,
     for the state's retained rounds (round 0 has no edges)."""
     width, approx = s.tables.layout.width, {}
-    for r in range(s.lo, s.m + 1):
-        slot = s.known >> (r - s.lo) * width
+    for r in range(s.tables.lo, s.tables.m + 1):
+        slot = s.known >> (r - s.tables.lo) * width
         edges = graph_edges(l.graph(r)) if r else ()
         approx[r] = sum(s.tables.layout.bit(u, v) for (u, v) in edges if slot >> (v - 1) & 1)
     return approx
@@ -422,7 +425,7 @@ class TestMaskCache:
                 for s in run.states.values():
                     want = true_approx(l, s)
                     assert s.approx == want
-                    assert list(s.approx) == list(range(s.lo, s.m + 1))
+                    assert list(s.approx) == list(range(s.tables.lo, s.tables.m + 1))
 
 
 class TestPrune:
@@ -443,7 +446,7 @@ class TestPrune:
         assert sorted(states[2].locks[2]) == [5, 6, 7, 8]
         assert sorted(states[2].tables.rows[2]) == [5, 6, 7, 8]
         assert sorted(states[2].tables.starts) == [5, 6, 7, 8]
-        assert states[2].lo == 5
+        assert states[2].tables.lo == 5
 
     @pytest.mark.parametrize("mode", ["bounded:3", "bounded:7"])
     def test_edge_table_holds_the_window_every_round(self, mode):
@@ -454,7 +457,7 @@ class TestPrune:
             for m in range(1, 16):
                 run.step()
                 s = run.states[1]
-                assert list(s.tables.starts) == list(range(max(1, s.lo), m + 1)), (n, m)
+                assert list(s.tables.starts) == list(range(max(1, s.tables.lo), m + 1)), (n, m)
 
     def test_peer_leaves_with_its_last_heard_round(self):
         # p1's round-0 state reaches p2 in round 1, and nothing after it:

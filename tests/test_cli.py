@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import rootcons.adversary as adversary_mod
 import rootcons.harness as harness_mod
 from rootcons.adversary import MAX_HORIZON, GenerationRetryError
 from rootcons.cli import main
@@ -675,6 +676,35 @@ class TestGenerateParamsJson:
         assert code == 2
         assert payload["ok"] is False and error in payload["error"]
 
+    @pytest.mark.parametrize(
+        "adversary, flags, params",
+        [
+            ("estable", ["--rsr", "100001"], None),
+            ("altestable", ["--rgst", "100001", "--rsr", "100001"], None),
+            ("estable", [], {"r_sr_target": 100_001}),
+            ("mad", [], {"r_gst_target": 100_001, "r_sr_target": 100_001}),
+        ],
+        ids=["rsr-flag", "rgst-flag", "rsr-params", "rgst-params"],
+    )
+    def test_round_target_past_the_horizon_bound_exit_2(self, tmp_path, capsys, monkeypatch, adversary, flags, params):
+        # rejected before any graph is built: generating 100,001 rounds takes seconds and over 100 MB
+        def built(*args):
+            raise AssertionError("a lasso was generated")
+
+        monkeypatch.setattr(adversary_mod, "_pick_root", built)
+        argv = ["generate", "--adversary", adversary, "--n", "6", "--d", "2", *flags]
+        if params is not None:
+            path = tmp_path / "params.json"
+            path.write_text(json.dumps(params))
+            argv += ["--params", str(path)]
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 2 and len(lines) == 1 and "Traceback" not in captured.err
+        payload = json.loads(lines[0])
+        assert payload["ok"] is False and payload["error"].startswith(f"round targets must be <= {MAX_HORIZON}, got ")
+
     def test_null_params_fall_back_to_defaults(self, tmp_path, capsys):
         params = tmp_path / "params.json"
         params.write_text('{"n": 5, "D": 2, "seed": null, "r_sr_target": null}')
@@ -767,6 +797,33 @@ class TestOutputPathKinds:
         code, payload = run_cli(capsys, self.trace_argv(estable_lasso_file, out / "t.jsonl"))
         assert code == 2 and payload["error"].startswith(f"cannot write {summary}: ")
         assert steps == [] and list(out.iterdir()) == [summary]
+
+    def test_failed_summary_rename_leaves_no_old_summary(self, capsys, estable_lasso_file, tmp_path, monkeypatch):
+        # the trace is replaced first and its summary second: when the
+        # second replace fails, the previous run's summary must not be left
+        # beside the new trace
+        out = tmp_path / "out"
+        out.mkdir()
+        trace, summary = out / "t.jsonl", out / "t.jsonl.summary.json"
+        trace.write_text("old trace\n")
+        summary.write_text("old summary\n")
+        replace, calls = os.replace, []
+
+        def second_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("synthetic rename failure")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        capsys.readouterr()
+        code = main(self.trace_argv(estable_lasso_file, trace))
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert code == 2 and len(lines) == 1 and "Traceback" not in captured.err
+        assert json.loads(lines[0]) == {"ok": False, "error": f"cannot write {summary}: synthetic rename failure"}
+        assert [Path(dst).name for dst in calls] == ["t.jsonl", "t.jsonl.summary.json"]
+        assert list(out.iterdir()) == [trace] and trace.read_text().startswith('{"decisions": ')
 
     def test_trace_through_a_symlink_writes_its_target(self, capsys, estable_lasso_file, tmp_path):
         plain, target, link = tmp_path / "plain.jsonl", tmp_path / "target.jsonl", tmp_path / "link.jsonl"

@@ -24,7 +24,7 @@ from rootcons.consensus import (
     core_step,
 )
 from rootcons.approximation import evidence, init_states, window_start
-from rootcons.graphs import lasso, root_components
+from rootcons.graphs import CommGraph, lasso, root_components
 from rootcons.harness import RunConfig, fuzz_campaign, fuzz_trial, run_execution
 
 
@@ -47,7 +47,7 @@ def count_evaluated_rounds(patch) -> list:
         current.clear()
         out = step(s, m, D)
         assert len(set(current)) == len(current), f"p{s.pid} round {m} evaluated {current}"
-        if 0 < m - D >= s.lo and m - D not in current:
+        if 0 < m - D >= s.tables.lo and m - D not in current:
             current.append(m - D)
         evaluated.extend((m, r) for r in current)
         return out
@@ -67,7 +67,8 @@ def stepped(cfg) -> tuple:
 class TestEmptyEarlyRounds:
     def test_no_op_for_m_up_to_d(self):
         s = init_states((5,))[1]
-        s.m = 2
+        for m in (1, 2):  # the clock reaches round 2 as the engine moves it
+            s.tables.enter(m, CommGraph.of(1), 2)
         out = core_step(s, 2, D=2)
         assert out == CoreStepOutcome()
         assert s.locks[1].get(2) is None  # no b1 write happened
@@ -148,7 +149,7 @@ class TestResumedC2:
             hit = c2_check(s, D, *resume)
             checked.append(hit is not None)
             if hit != reference_c2_check(s, D):
-                mismatches.append((s.pid, s.m))
+                mismatches.append((s.pid, s.tables.m))
             return hit
 
         monkeypatch.setattr(consensus_mod, "c2_check", compared)
@@ -194,7 +195,7 @@ class TestResumedC2:
         horizon, scanned = 1000, []
 
         def counted(s, D, resume=0):
-            scanned.append(s.m - max(resume, max(1, s.lo) + D) + 1)
+            scanned.append(s.tables.m - max(resume, max(1, s.tables.lo) + D) + 1)
             return c2_check(s, D, resume)
 
         monkeypatch.setattr(consensus_mod, "c2_check", counted)
@@ -241,7 +242,7 @@ class TestC3B3:
         calls = []
 
         def spy(s, D, *resume):
-            calls.append((s.pid, s.m, s.y))
+            calls.append((s.pid, s.tables.m, s.y))
             return c2_check(s, D, *resume)
 
         monkeypatch.setattr(consensus_mod, "c2_check", spy)
@@ -252,7 +253,8 @@ class TestC3B3:
 
     def test_missing_lock_value_is_an_error(self):
         s = init_states((3,))[1]
-        s.m = 4
+        for m in range(1, 5):  # the clock reaches round 4 as the engine moves it
+            s.tables.enter(m, CommGraph.of(1), 1)
         with pytest.raises(InvariantViolationError, match=re.escape("p1 b3: lock[2][1] unknown for detected root [2]")):
             consensus_mod._answer(s, frozenset([2]), 1, "b3")
 
@@ -271,7 +273,7 @@ class TestRunStart:
             a = run_start(s, root, anchor)
             anchors.append(a)
             if a != reference_run_start(s, root, anchor):
-                mismatches.append((s.pid, s.m, anchor))
+                mismatches.append((s.pid, s.tables.m, anchor))
             return a
 
         monkeypatch.setattr(consensus_mod, "_run_start", compared)
@@ -302,9 +304,9 @@ class TestRunStart:
             inputs = tuple(rng.randint(0, 99) for _ in range(n))
             trace, _, _ = fuzz_trial("estable", rng.getrandbits(48), n, D, rng.randint(1, 8), inputs, mode)
             for s in trace.states.values():
-                low = max(1, s.lo)
-                roots = set().union(*(approx_roots(s, r) for r in range(low, s.m + 1)))
-                anchors = list(range(s.lo + 1, s.m + 1))
+                low = max(1, s.tables.lo)
+                roots = set().union(*(approx_roots(s, r) for r in range(low, s.tables.m + 1)))
+                anchors = list(range(s.tables.lo + 1, s.tables.m + 1))
                 rng.shuffle(anchors)
                 for anchor in anchors:
                     slot = evidence(s, anchor - 1)  # slot anchor-1, a round before the current one
@@ -365,8 +367,8 @@ class TestStartTable:
     def test_bounded_table_holds_no_round_before_the_window(self):
         l, _ = generate_estable(AdversaryParams(n=6, D=2, seed=3, r_sr_target=6))
         trace = run_execution(RunConfig(6, 2, (3, 1, 4, 1, 5, 9), l, 200, mode="bounded:5", check_invariants=False))
-        s = trace.states[1]
-        assert s.lo == 195 and s.tables.starts and min(s.tables.starts) >= s.lo and len(s.tables.starts) <= 6
+        tables = trace.states[1].tables
+        assert tables.lo == 195 and tables.starts and min(tables.starts) >= tables.lo and len(tables.starts) <= 6
 
     def test_bounded_entries_are_the_true_roots_and_run_starts(self):
         # the CI lasso in bounded:5 and in full mode: after every round, for
@@ -420,7 +422,7 @@ class TestAnswerTable:
         before = run.tables.answers
         run.step()
         s, answers = run.states[1], run.tables.answers
-        assert s.lo == 195 and answers and all(anchor >= max(1, s.lo) for anchor, _ in answers)
+        assert s.tables.lo == 195 and answers and all(anchor >= max(1, s.tables.lo) for anchor, _ in answers)
         assert all(entry is not before.get(key) for key, entry in answers.items())
 
     def test_full_memo_does_not_grow_with_the_horizon(self):
@@ -466,7 +468,7 @@ class TestAnswerTable:
                 (anchor, root), (a, _, _) = next(iter(s.tables.answers.items()))
                 assert anchor == m - d and a < m - d
                 q = min(root)
-                s.known &= ~(1 << ((a - s.lo) * s.tables.layout.width + q - 1))
+                s.known &= ~(1 << ((a - s.tables.lo) * s.tables.layout.width + q - 1))
                 cleared.append((q, a))
             return step(s, m, d)
 
@@ -521,7 +523,7 @@ def refresh_calls(cfg) -> int:
     scan, calls = consensus_mod.c2_check, []
 
     def counted(s, D, resume=0):
-        calls.append(s.m)
+        calls.append(s.tables.m)
         return scan(s, D, resume)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -625,17 +627,17 @@ def assert_scan_matches_definition(run, outcomes: list) -> None:
     resumes its search, as it was."""
     D, m = run.config.D, run.m
     for s, out in zip(run.states.values(), outcomes):
-        stale_from, low = s.stale_from, max(1, s.lo)
+        stale_from, low = s.stale_from, max(1, s.tables.lo)
         want, starts = {}, {}
-        for r in range(low, s.m):
+        for r in range(low, s.tables.m):
             confirmed = confirmed_roots(s, r)
             want[r] = root = confirmed[0] if len(confirmed) == 1 else None
             starts[r] = r + 1 if root is None else starts[r - 1] if r > low and want[r - 1] == root else r
         if m > D:
             assert (out.locked and out.locked[0]) == want[m - D], (s.pid, m)
-        got = list(consensus_mod._runs(s, low, s.m - 1))
-        assert got == [(r, want[r], starts[r]) for r in want], (s.pid, s.m)
-        assert s.stale_from == stale_from, (s.pid, s.m)
+        got = list(consensus_mod._runs(s, low, s.tables.m - 1))
+        assert got == [(r, want[r], starts[r]) for r in want], (s.pid, s.tables.m)
+        assert s.stale_from == stale_from, (s.pid, s.tables.m)
 
 
 class TestInlineScan:
@@ -679,7 +681,7 @@ def longest_single_rooted_run(s) -> tuple:
     longest run a..b of one single element of ``confirmed_roots`` over
     rounds max(1, lo)..m-1, the earliest among equal lengths, or
     ``("c2", None, None)`` when no round has a single confirmed root."""
-    rounds = range(max(1, s.lo), s.m)
+    rounds = range(max(1, s.tables.lo), s.tables.m)
     single = {}
     for r in rounds:
         confirmed = confirmed_roots(s, r)
@@ -779,7 +781,7 @@ class TestWholeRuns:
             value = values.pop()
             settle = trace.decision_events()[0][0] + D
             for p, st in trace.states.items():
-                for r in range(settle, st.m + 1):
+                for r in range(settle, st.tables.m + 1):
                     assert st.locks[p][r] == value
 
     def test_decided_value_matches_system_wide_lock(self, eps1_lasso):

@@ -180,7 +180,7 @@ def _fabricated_edge(merge, s, heard, own, m):
     # p3's round-m state never reached p2; with p3 in slot m, p2's
     # approximation would show the round-m edges into p3
     merge(s, heard, own, m)
-    s.known |= 1 << ((m - s.lo) * s.tables.layout.width + 2)
+    s.known |= 1 << ((m - s.tables.lo) * s.tables.layout.width + 2)
 
 
 def _retained_past_window(merge, s, heard, own, m):
@@ -191,8 +191,9 @@ def _retained_past_window(merge, s, heard, own, m):
 
 
 def _wrong_lo(merge, s, heard, own, m):
+    # the run's window, which every later merge of the round reads
     merge(s, heard, own, m)
-    s.lo += 1
+    s.tables.lo += 1
 
 
 def _rewritten_old_lock_cell(merge, s, heard, own, m):
@@ -203,7 +204,7 @@ def _rewritten_old_lock_cell(merge, s, heard, own, m):
 
 def _known_past_current_round(merge, s, heard, own, m):
     merge(s, heard, own, m)
-    s.known |= 1 << ((m + 1 - s.lo) * s.tables.layout.width + 1)  # p2's bit in slot m+1
+    s.known |= 1 << ((m + 1 - s.tables.lo) * s.tables.layout.width + 1)  # p2's bit in slot m+1
 
 
 def _extra_row(merge, s, heard, own, m):
@@ -230,7 +231,6 @@ class TestInvariantMonitor:
             (_retained_past_window, 5, "bounded:5", 6,
              "row[2] holds rounds [0, 1, 2, 3, 4, 5, 6], expected 1..6 "
              "(heard[2]=[4, 6, -1, -1, 5]; rounds 1..6 kept)"),
-            (_wrong_lo, 5, "full", 2, "lo is 1, expected 0 (heard[2]=[0, 2, -1, -1, 1]; rounds 0..2 kept)"),
             (_rewritten_old_lock_cell, 5, "full", 5,
              "lock[2][2] is 101, expected 1 (heard[2]=[3, 5, -1, -1, 4]; rounds 0..5 kept)"),
             (_known_past_current_round, 5, "full", 2,
@@ -240,7 +240,7 @@ class TestInvariantMonitor:
              "known[2] is [2, 3], expected [2] (heard[2]=[0, 2, -1, -1, 1, -1,"),
         ],
         ids=["dropped-relayed-heard", "copied-row", "copied-edge-table", "wrong-lock-value",
-             "retained-past-window", "wrong-lo", "rewritten-old-lock-cell", "known-past-current-round",
+             "retained-past-window", "rewritten-old-lock-cell", "known-past-current-round",
              "fabricated-edge-at-24"],
     )
     def test_fault_names_process_and_round(self, monkeypatch, fault, n, mode, round_, why):
@@ -252,11 +252,13 @@ class TestInvariantMonitor:
         "fault, mode, round_, why",
         [
             (_extra_row, "full", 2, "the row table holds rows [1, 2, 3, 4, 5, 6], expected 1..5"),
+            (_wrong_lo, "full", 2,
+             "the run's clock is m=2 lo=1, expected m=2 lo=0 (heard[1]=[2, -1, -1, -1, -1]; rounds 0..2 kept)"),
         ],
-        ids=["extra-row"],
+        ids=["extra-row", "wrong-lo"],
     )
     def test_table_fault_names_the_first_process(self, monkeypatch, fault, mode, round_, why):
-        # an extra row has no wrong owner, so the monitor names the first process
+        # an extra row and the run's clock have no owner, so the monitor names the first process
         caught = self.raised(monkeypatch, fault, 5, mode, round_)
         assert (caught.pid, caught.round) == (1, round_)
         assert why in str(caught)
@@ -285,13 +287,15 @@ class TestInvariantMonitor:
 
         def faulty_merge(s, heard, own, m):
             if (s.pid, m) == (2, 7):
-                return _wrong_lo(merge, s, heard, own, m)
+                return _known_past_current_round(merge, s, heard, own, m)
             return merge(s, heard, own, m)
 
         monkeypatch.setattr(harness_mod, "receive_and_merge", faulty_merge)
         with pytest.raises(EngineInvariantError) as caught:
             run_execution(RunConfig(5, 2, (3, 1, 4, 1, 5), eps2_lasso, 10, mode="bounded:5"))
-        assert str(caught.value) == "p2 round 7: lo is 3, expected 2 (heard[2]=[5, 7, -1, 5, 6]; rounds 2..7 kept)"
+        assert str(caught.value) == (
+            "p2 round 7: known holds slots past round 7 (heard[2]=[5, 7, -1, 5, 6]; rounds 2..7 kept)"
+        )
 
     @pytest.mark.parametrize("mode", ["full", "bounded:5"])
     def test_fault_free_runs_pass(self, eps2_lasso, mode):
@@ -688,9 +692,9 @@ class TestFuzz:
         # ghost's run is no run of the true graphs), so the mutant replaces
         # the whole c2 decision: the scan, and the gate forced open
         def unguarded(s, D, resume=0):
-            low, hit = max(1, s.lo), None
+            low, hit = max(1, s.tables.lo), None
             begin, run_root, start = max(resume, low + D), None, low
-            for r in range(low, s.m):
+            for r in range(low, s.tables.m):
                 roots = approx_roots(s, r)
                 single = next(iter(roots)) if len(roots) == 1 else None
                 if single is None:
@@ -699,7 +703,7 @@ class TestFuzz:
                     run_root, start = single, r
                 elif r - start >= D and r >= begin and hit is None:
                     hit = run_root, (r - D, r)
-            s.stale_from = s.m
+            s.stale_from = s.tables.m
             return hit
 
         monkeypatch.setattr(consensus_mod, "c2_check", unguarded)
